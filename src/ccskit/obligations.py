@@ -29,6 +29,7 @@ spells out the truncations.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, replace as _dc_replace
 
 from .ast import (
@@ -38,7 +39,6 @@ from .ast import (
     Choice,
     Compare,
     Exists,
-    FalseF,
     Forall,
     Formula,
     Implies,
@@ -49,7 +49,6 @@ from .ast import (
     Program,
     Seq,
     Test,
-    TrueF,
     TRUE,
     Variable,
     choice,
@@ -57,6 +56,7 @@ from .ast import (
     fraction_to_text,
     mentions_name,
     print_formula,
+    walk,
 )
 from .components import (
     CLOCK,
@@ -76,7 +76,7 @@ from .composition import (
     raise_on_violations,
 )
 from .errors import BoundOccursInBehavior, CcsError, UnboundedVariable
-from .simulator import eval_formula, eval_term, flow_states
+from .simulator import FlowSegment, compile_formula, compile_term, flow_states
 from .statics import all_vars, bound_vars, free_vars
 
 HINTS = frozenset(
@@ -609,19 +609,33 @@ def _axis(spec, grid: int) -> tuple[float, ...]:
 
 
 class _Search:
+    """One bounded search. Formulas, terms and flow segments are compiled
+
+    on first use and memoised by node identity for the life of the
+    search; each entry holds its node, so no id is reused meanwhile.
+    """
+
     def __init__(self, domain_box: dict, grid: int, unroll: int, flow_samples: int):
         self.domain_box = domain_box
         self.grid = grid
         self.unroll = unroll
         self.flow_samples = flow_samples
         self.incomplete = False
+        self._compiled: dict[tuple, tuple] = {}
+
+    def _compile(self, node, compiler):
+        key = (id(node), compiler)
+        hit = self._compiled.get(key)
+        if hit is None:
+            hit = self._compiled[key] = (node, compiler(node))
+        return hit[1]
 
     def reach(self, p: Program, s: dict) -> list[dict]:
         if isinstance(p, Test):
-            return [s] if eval_formula(p.condition, s) else []
+            return [s] if self._compile(p.condition, compile_formula)(s) else []
         if isinstance(p, Assign):
             out = dict(s)
-            out[p.var] = eval_term(p.rhs, s)
+            out[p.var] = self._compile(p.rhs, compile_term)(s)
             return [out]
         if isinstance(p, Seq):
             states: list[dict] = []
@@ -631,7 +645,8 @@ class _Search:
         if isinstance(p, Choice):
             return self.reach(p.left, s) + self.reach(p.right, s)
         if isinstance(p, ODE):
-            samples, complete = flow_states(p, s, n_samples=self.flow_samples)
+            segment = self._compile(p, FlowSegment)
+            samples, complete = flow_states(segment, s, n_samples=self.flow_samples)
             if not complete:
                 self.incomplete = True
             return samples
@@ -665,12 +680,10 @@ class _Search:
         state where a subformula went false, which for box goals is more
         useful than the initial point.
         """
-        if isinstance(f, TrueF):
-            return True, None
-        if isinstance(f, FalseF):
-            return False, s
-        if isinstance(f, Compare):
-            return (True, None) if eval_formula(f, s) else (False, s)
+        # A modality- and quantifier-free formula fails, if at all, in `s`.
+        flat = self._compile(f, _first_order)
+        if flat is not None:
+            return (True, None) if flat(s) else (False, s)
         if isinstance(f, Not):
             ok, _ = self.eval(f.operand, s)
             return (not ok, s if ok else None)
@@ -710,6 +723,13 @@ class _Search:
             self.incomplete = True
             return False, s
         raise TypeError(f"not a formula: {f!r}")
+
+
+def _first_order(f: Formula):
+    """compile_formula(f), or None when f has a modality or quantifier."""
+    if any(isinstance(n, (Box, Forall, Exists)) for n in walk(f)):
+        return None
+    return compile_formula(f)
 
 
 def _state_key(s: dict) -> tuple:
@@ -831,7 +851,8 @@ def render_kyx(ob: ProofObligation) -> str:
     decls = "\n".join(f"  Real {n};" for n in names)
     body = print_formula(ob.goal)
     body = body.replace(" U ", " ++ ")
-    body = body.replace("forall ", "\\forall ").replace("exists ", "\\exists ")
+    # Whole words only: `noforall` is a legal identifier, `forall` a keyword.
+    body = re.sub(r"\b(forall|exists)\b", r"\\\1", body)
     lines = [f"/* {ob.id} ({ob.provenance}) */", f"/* hint: {ob.hint} */"]
     for note in ob.notes:
         lines.append(f"/* note: {note} */")

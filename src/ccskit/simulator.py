@@ -27,7 +27,6 @@ import csv
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .ast import (
@@ -82,18 +81,14 @@ State = dict[str, float]
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation of modality-free terms and formulas
-
-
-_term_cache: dict[Term, Callable[[State], float]] = {}
-_formula_cache: dict[Formula, Callable[[State], bool]] = {}
+# Compiled evaluation of modality-free terms, formulas and programs
+#
+# The compilers keep no cache: a caller that evaluates the same node many
+# times compiles it once and keeps the closure (see CompiledSystem, and
+# the bounded checker's per-search memo).
 
 
 def compile_term(t: Term) -> Callable[[State], float]:
-    cached = _term_cache.get(t)
-    if cached is not None:
-        return cached
-
     if isinstance(t, Variable):
         name = t.name
 
@@ -141,16 +136,10 @@ def compile_term(t: Term) -> Callable[[State], float]:
 
     else:
         raise TypeError(f"not a term: {t!r}")
-
-    _term_cache[t] = fn
     return fn
 
 
 def compile_formula(f: Formula) -> Callable[[State], bool]:
-    cached = _formula_cache.get(f)
-    if cached is not None:
-        return cached
-
     if isinstance(f, TrueF):
 
         def fn(s: State) -> bool:
@@ -228,22 +217,27 @@ def compile_formula(f: Formula) -> Callable[[State], bool]:
         )
     else:
         raise TypeError(f"not a formula: {f!r}")
-
-    _formula_cache[f] = fn
     return fn
 
 
 def eval_term(t: Term, state: State) -> float:
+    """One-off evaluation; compiles `t` on every call."""
     return compile_term(t)(state)
 
 
 def eval_formula(f: Formula, state: State) -> bool:
-    """Modality-free evaluation; `=` / `!=` compare within 1e-12."""
+    """One-off modality-free evaluation; compiles `f` on every call.
+
+    `=` / `!=` compare within EQ_TOLERANCE (1e-9). Public and exported
+    from `ccskit` for single checks; loops should compile once instead.
+    """
     return compile_formula(f)(state)
 
 
 # ---------------------------------------------------------------------------
 # Discrete program execution (scheduler-resolved nondeterminism)
+
+LOOP_CAP = 8
 
 
 def leading_test(p: Program) -> Formula | None:
@@ -254,49 +248,75 @@ def leading_test(p: Program) -> Formula | None:
     return None
 
 
-def exec_discrete(
-    p: Program, state: State, rng: random.Random, _loop_cap: int = 8
-) -> State | None:
-    """One concrete run of a discrete program; None when the run aborts
+def compile_program(
+    p: Program,
+) -> Callable[[State, random.Random], State | None]:
+    """One concrete run of a discrete program, as a closure over
 
-    (a test failed). Choices pick uniformly among alternatives whose
-    leading test is enabled; there is no backtracking past that.
+    (state, rng) that returns None when the run aborts (a test failed).
+    Choices pick uniformly among alternatives whose leading test is
+    enabled; there is no backtracking past that. Loops repeat while a
+    fair coin says so, at most LOOP_CAP times. Continuous dynamics are
+    rejected with CcsError.
     """
     if isinstance(p, Test):
-        return state if eval_formula(p.condition, state) else None
-    if isinstance(p, Assign):
-        out = dict(state)
-        out[p.var] = eval_term(p.rhs, state)
-        return out
-    if isinstance(p, Seq):
-        mid = exec_discrete(p.first, state, rng, _loop_cap)
-        if mid is None:
-            return None
-        return exec_discrete(p.second, mid, rng, _loop_cap)
-    if isinstance(p, Choice):
-        alts = choice_alternatives(p)
-        enabled = []
-        for a in alts:
+        cond = compile_formula(p.condition)
+
+        def fn(s: State, rng: random.Random, _c=cond) -> State | None:
+            return s if _c(s) else None
+
+    elif isinstance(p, Assign):
+        rhs = compile_term(p.rhs)
+
+        def fn(s: State, rng: random.Random, _v=p.var, _r=rhs) -> State | None:
+            out = dict(s)
+            out[_v] = _r(s)
+            return out
+
+    elif isinstance(p, Seq):
+        first = compile_program(p.first)
+        second = compile_program(p.second)
+
+        def fn(s: State, rng: random.Random, _a=first, _b=second) -> State | None:
+            mid = _a(s, rng)
+            if mid is None:
+                return None
+            return _b(mid, rng)
+
+    elif isinstance(p, Choice):
+        alts = []
+        for a in choice_alternatives(p):
             guard = leading_test(a)
-            if guard is None or eval_formula(guard, state):
-                enabled.append(a)
-        if not enabled:
-            return None
-        pick = enabled[0] if len(enabled) == 1 else rng.choice(enabled)
-        return exec_discrete(pick, state, rng, _loop_cap)
-    if isinstance(p, Loop):
-        current = state
-        for _ in range(_loop_cap):
-            if rng.random() >= 0.5:
-                break
-            nxt = exec_discrete(p.body, current, rng, _loop_cap)
-            if nxt is None:
-                break
-            current = nxt
-        return current
-    if isinstance(p, ODE):
+            alts.append(
+                (None if guard is None else compile_formula(guard), compile_program(a))
+            )
+
+        def fn(s: State, rng: random.Random, _alts=tuple(alts)) -> State | None:
+            enabled = [run_ for guard, run_ in _alts if guard is None or guard(s)]
+            if not enabled:
+                return None
+            pick = enabled[0] if len(enabled) == 1 else rng.choice(enabled)
+            return pick(s, rng)
+
+    elif isinstance(p, Loop):
+        body = compile_program(p.body)
+
+        def fn(s: State, rng: random.Random, _b=body) -> State | None:
+            current = s
+            for _ in range(LOOP_CAP):
+                if rng.random() >= 0.5:
+                    break
+                nxt = _b(current, rng)
+                if nxt is None:
+                    break
+                current = nxt
+            return current
+
+    elif isinstance(p, ODE):
         raise CcsError("continuous dynamics inside a discrete program")
-    raise TypeError(f"not a program: {p!r}")
+    else:
+        raise TypeError(f"not a program: {p!r}")
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +366,28 @@ class FlowSegment:
             not (free_vars(rhs) & self.moving) for _, rhs in ode.equations
         )
         self.domain = compile_formula(ode.domain)
-        self.domain_conjuncts = [
-            (c, compile_formula(c)) for c in conjuncts(ode.domain)
-        ]
+        parts = conjuncts(ode.domain)
         self.domain_affine = self.exact and all(
             isinstance(c, Compare)
             and _is_affine(c.left, self.moving)
             and _is_affine(c.right, self.moving)
-            for c, _ in self.domain_conjuncts
+            for c in parts
+        )
+        # (op, left, right) per domain conjunct, for exit_time_affine.
+        self.affine_conjuncts = (
+            tuple((c.op, compile_term(c.left), compile_term(c.right)) for c in parts)
+            if self.domain_affine
+            else ()
+        )
+        # (x, e) per domain conjunct `x <= e` or `x < e` on an evolved x;
+        # flow_states sizes its scan step from them.
+        self.upper_bounds = tuple(
+            (c.left.name, compile_term(c.right))
+            for c in parts
+            if isinstance(c, Compare)
+            and c.op in ("<=", "<")
+            and isinstance(c.left, Variable)
+            and c.left.name in self.moving
         )
 
     def slopes(self, state: State) -> tuple[float, ...]:
@@ -395,26 +429,23 @@ class FlowSegment:
         Returns math.inf when nothing ever exits.
         """
         bound = math.inf
-        for c, _fn in self.domain_conjuncts:
-            assert isinstance(c, Compare)
-            lf = compile_term(c.left)
-            rf = compile_term(c.right)
+        probe = self.at(state, slopes, 1.0)
+        for op, lf, rf in self.affine_conjuncts:
             g0 = lf(state) - rf(state)
-            probe = self.at(state, slopes, 1.0)
             g1 = (lf(probe) - rf(probe)) - g0  # slope of l - r in dt
-            if c.op in ("<=", "<"):
-                ok0 = g0 <= 0.0 if c.op == "<=" else g0 < 0.0
+            if op in ("<=", "<"):
+                ok0 = g0 <= 0.0 if op == "<=" else g0 < 0.0
                 if not ok0:
                     return 0.0 if self.domain(state) else -1.0
                 if g1 > 0.0:
                     bound = min(bound, -g0 / g1)
-            elif c.op in (">=", ">"):
-                ok0 = g0 >= 0.0 if c.op == ">=" else g0 > 0.0
+            elif op in (">=", ">"):
+                ok0 = g0 >= 0.0 if op == ">=" else g0 > 0.0
                 if not ok0:
                     return 0.0 if self.domain(state) else -1.0
                 if g1 < 0.0:
                     bound = min(bound, -g0 / g1)
-            elif c.op == "=":
+            elif op == "=":
                 if abs(g0) > EQ_TOLERANCE:
                     return -1.0
                 if abs(g1) > EQ_TOLERANCE:
@@ -510,18 +541,18 @@ class FlowSegment:
 
 
 def flow_states(
-    ode: ODE, state: State, n_samples: int = 64, max_steps: int = 20000
+    seg: FlowSegment, state: State, n_samples: int = 64, max_steps: int = 20000
 ) -> tuple[list[State], bool]:
-    """All-durations sampling of one continuous evolution: the states an
+    """All-durations sampling of one continuous evolution: the states the
 
-    ODE can stop in, starting from `state`, sampled at `n_samples`
-    points plus the exact domain boundary. Used by bounded checking.
+    segment's ODE can stop in, starting from `state`, sampled at
+    `n_samples` points plus the exact domain boundary. Used by bounded
+    checking.
 
     Returns (samples, complete). `complete` is False when the domain
     never closed within the step budget, i.e. the reachable set was
     truncated.
     """
-    seg = FlowSegment(ode)
     if not seg.domain(state):
         return [], True
     if seg.exact and seg.domain_affine:
@@ -538,19 +569,13 @@ def flow_states(
     # Step-wise scan: pick a step from any clock-style bound, else a
     # conservative default, and walk until the domain exits.
     h = 0.01
-    for c in conjuncts(ode.domain):
-        if (
-            isinstance(c, Compare)
-            and c.op in ("<=", "<")
-            and isinstance(c.left, Variable)
-            and c.left.name in {v for v, _ in ode.equations}
-        ):
-            try:
-                span = eval_term(c.right, state) - state.get(c.left.name, 0.0)
-            except (KeyError, DivisionByZero):
-                continue
-            if span > 0.0:
-                h = min(h, span / 128.0)
+    for name, bound in seg.upper_bounds:
+        try:
+            span = bound(state) - state.get(name, 0.0)
+        except (KeyError, DivisionByZero):
+            continue
+        if span > 0.0:
+            h = min(h, span / 128.0)
     samples: list[State] = [state]
     current = state
     for _ in range(max_steps):
@@ -650,8 +675,10 @@ def complete_init(system: MCCS, init: dict) -> State:
     Entries may be numbers or `"=other"` aliases; variables absent from
     `init` fall back to exact environment bindings (`name = q` conjuncts).
     """
-    needed = system_variables(system)
-    env_pins = system.env.constants()
+    return _complete_init(system_variables(system), system.env.constants(), init)
+
+
+def _complete_init(needed: frozenset[str], env_pins: dict, init: dict) -> State:
     state: State = {}
     aliases: list[tuple[str, str]] = []
     for name, value in init.items():
@@ -710,14 +737,38 @@ def _monitors(system: MCCS) -> list[tuple[str, Formula]]:
     return out
 
 
-def _residual_terms(system: MCCS) -> list[Callable[[State], float]]:
-    """|lhs - rhs| for every equality conjunct of the invariant."""
-    fns = []
-    for c in conjuncts(system.invariant):
-        if isinstance(c, Compare) and c.op == "=":
-            lf, rf = compile_term(c.left), compile_term(c.right)
-            fns.append(lambda s, _l=lf, _r=rf: abs(_l(s) - _r(s)))
-    return fns
+class CompiledSystem:
+    """One closed loop, compiled once for any number of runs: the guarded
+
+    flow segment, the controller programs, the monitors, the init
+    obligations and the invariant's equality conjuncts (whose |lhs - rhs|
+    is the residual), plus the step sizes derived from the time bounds.
+    """
+
+    def __init__(self, system: MCCS):
+        self.variables = system_variables(system)
+        self.env_pins = system.env.constants()
+        self.init_checks = [
+            (label, f, compile_formula(f)) for label, f in _init_obligations(system)
+        ]
+        self.delta = float(system.controller.reactivity)
+        cap = float(system.plant.controllability)
+        self.h = min(self.delta, cap) / 100.0
+        self.eps = self.h / 10.0
+        self.segment = FlowSegment(system.guarded_ode())
+        self.controllers = [
+            (rc.name, rc.timestamp, compile_program(rc.ctrl))
+            for rc in system.controller.choices
+        ]
+        self.monitors = [
+            (name, compile_formula(f), print_formula(f))
+            for name, f in _monitors(system)
+        ]
+        self.residuals = [
+            (compile_term(c.left), compile_term(c.right))
+            for c in conjuncts(system.invariant)
+            if isinstance(c, Compare) and c.op == "="
+        ]
 
 
 def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
@@ -727,32 +778,47 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
     environment or any component's assume/init clause, and StuckState
     when a guard has expired but no controller run is enabled.
     """
-    state = complete_init(system, init)
-    for label, f in _init_obligations(system):
-        if not eval_formula(f, state):
+    points: list[TracePoint] = []
+
+    def keep(event: str, s: State) -> None:
+        points.append(TracePoint(s[CLOCK], event, dict(s)))
+
+    trace = _run(CompiledSystem(system), schedule, init, keep)
+    trace.points = points
+    return trace
+
+
+def _run(
+    cs: CompiledSystem,
+    schedule: Schedule,
+    init: dict,
+    on_point: Callable[[str, State], None],
+) -> Trace:
+    """`run` over a compiled system, streaming its samples.
+
+    Every sample goes to `on_point(event, state)`, which must copy
+    `state` to keep it; the returned Trace holds no points.
+    """
+    state = _complete_init(cs.variables, cs.env_pins, init)
+    for label, f, holds in cs.init_checks:
+        if not holds(state):
             raise InitViolatesAssumptions(f"{label}: {print_formula(f)}")
 
-    delta = float(system.controller.reactivity)
-    cap = float(system.plant.controllability)
-    h = min(delta, cap) / 100.0
-    eps = h / 10.0
+    delta, h, eps = cs.delta, cs.h, cs.eps
     rng = random.Random(schedule.seed)
-    segment = FlowSegment(system.guarded_ode())
-    controllers = list(system.controller.choices)
-    monitors = [(name, compile_formula(f), print_formula(f)) for name, f in _monitors(system)]
-    residuals = _residual_terms(system)
+    segment = cs.segment
+    controllers = cs.controllers
+    monitors = cs.monitors
+    residuals = cs.residuals
 
     trace = Trace()
 
-    def residual_check(s: State) -> None:
-        for fn in residuals:
-            r = fn(s)
+    def record(event: str, s: State) -> None:
+        on_point(event, s)
+        for lf, rf in residuals:
+            r = abs(lf(s) - rf(s))
             if r > trace.max_invariant_residual:
                 trace.max_invariant_residual = r
-
-    def record(event: str, s: State) -> None:
-        trace.points.append(TracePoint(s[CLOCK], event, dict(s)))
-        residual_check(s)
 
     def boundary(s: State) -> None:
         record("loop-boundary", s)
@@ -762,20 +828,21 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
                     MonitorViolation(s[CLOCK], name, text, dict(s))
                 )
 
-    def fire(rc, s: State) -> State | None:
-        if s[CLOCK] > s[rc.timestamp] + delta + BOUNDARY_TOLERANCE:
+    def fire(ctrl, s: State) -> State | None:
+        _name, timestamp, program = ctrl
+        if s[CLOCK] > s[timestamp] + delta + BOUNDARY_TOLERANCE:
             return None
-        after = exec_discrete(rc.ctrl, s, rng)
+        after = program(s, rng)
         if after is None:
             return None
-        after[rc.timestamp] = after[CLOCK]
+        after[timestamp] = after[CLOCK]
         return after
 
     def try_fire_any(order: Iterable, s: State) -> tuple[State, str] | None:
-        for rc in order:
-            after = fire(rc, s)
+        for ctrl in order:
+            after = fire(ctrl, s)
             if after is not None:
-                return after, rc.name
+                return after, ctrl[0]
         return None
 
     boundary(state)
@@ -792,7 +859,7 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
         if to_horizon <= BOUNDARY_TOLERANCE:
             break
 
-        expiries = [state[rc.timestamp] + delta for rc in controllers]
+        expiries = [state[timestamp] + delta for _, timestamp, _ in controllers]
         next_expiry = min(expiries)
         guard_room = next_expiry - state[CLOCK]
 
@@ -817,7 +884,7 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
 
         if schedule.strategy == "lazy-controller":
             target = controllers[expiries.index(next_expiry)]
-            ordering = [target] + [rc for rc in controllers if rc is not target]
+            ordering = [target] + [c for c in controllers if c is not target]
             if evolve_room > 0.0 and not blocked:
                 state, advanced = _evolve(
                     segment, state, evolve_room, h, record, next_expiry
@@ -827,7 +894,7 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
         elif schedule.strategy == "round-robin":
             target = controllers[rr_index % len(controllers)]
             rr_index += 1
-            ordering = [target] + [rc for rc in controllers if rc is not target]
+            ordering = [target] + [c for c in controllers if c is not target]
             if evolve_room > 0.0 and not blocked:
                 state, advanced = _evolve(
                     segment, state, evolve_room, h, record, next_expiry
@@ -873,8 +940,7 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
 
         boundary(state)
 
-    if trace.points and trace.points[-1].event != "loop-boundary":
-        boundary(state)
+    # Every pass of the loop ends at a boundary, so the last point is one.
     trace.end_time = state[CLOCK]
     return trace
 
@@ -976,7 +1042,8 @@ def run_batch(
     run i uses schedule seed batch_schedule_seed(seed, i) and its own
     init draw.
     """
-    violations: dict[str, int] = {name: 0 for name, _ in _monitors(system)}
+    cs = CompiledSystem(system)
+    violations: dict[str, int] = {name: 0 for name, _, _ in cs.monitors}
     runs_with = 0
     ranges: dict[str, tuple[float, float]] = {}
     max_residual = 0.0
@@ -987,8 +1054,20 @@ def run_batch(
         init_rng = random.Random(run_seed ^ 0x5EED)
         init = sample_init(init_box, init_rng)
         schedule = Schedule(strategy=strategy, seed=run_seed, horizon=horizon)
+        # This run's samples as value rows, reduced to ranges and merged
+        # into the batch only if the run finishes. Every state of a run
+        # has its initial state's variables in the same order: flows and
+        # programs only overwrite them.
+        names: list[str] = []
+        rows: list[tuple[float, ...]] = []
+
+        def aggregate(event: str, s: State) -> None:
+            if not rows:
+                names.extend(s)
+            rows.append(tuple(s.values()))
+
         try:
-            trace = run(system, schedule, init)
+            trace = _run(cs, schedule, init, aggregate)
         except StuckState:
             stuck += 1
             continue
@@ -996,12 +1075,11 @@ def run_batch(
             runs_with += 1
             for v in trace.violations:
                 violations[v.monitor] = violations.get(v.monitor, 0) + 1
-        for p in trace.points:
-            for name, value in p.values.items():
-                lo, hi = ranges.get(name, (value, value))
-                ranges[name] = (min(lo, value), max(hi, value))
+        for name, column in zip(names, zip(*rows)):
+            lo, hi = ranges.get(name, (column[0], column[0]))
+            ranges[name] = (min(lo, *column), max(hi, *column))
         max_residual = max(max_residual, trace.max_invariant_residual)
-        total_points += len(trace.points)
+        total_points += len(rows)
     return BatchSummary(
         runs=n_schedules,
         strategy=strategy,

@@ -6,16 +6,24 @@ maintenance trio, the two compatibility goals) and frozen; these tests
 keep the emitters pinned to them.
 """
 
+import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccskit import dsl
 from ccskit.ast import (
+    Assign,
+    Box,
+    Choice,
     Compare,
+    Exists,
     Forall,
     Implies,
+    Plus,
     TRUE,
     num,
     print_formula,
@@ -46,6 +54,18 @@ WT_BOX = {
     "fout": 0.75,
     "t": 0,
     "tau_1": 0,
+}
+TT_BOX = {
+    "wl1": [3, 7],
+    "wlm": "=wl1",
+    "wl2": [2, 10],
+    "wlm2": "=wl2",
+    "fin": [0, 1],
+    "fout2": [0, 1],
+    "fout1": 0.75,
+    "t": 0,
+    "tau_1": 0,
+    "tau_2": 0,
 }
 
 CASES_CCS = [
@@ -226,6 +246,53 @@ def test_json_round_trip_preserves_everything(watertank):
         assert back == ob
 
 
+def _kyx_sections(text: str) -> tuple[list[str], str]:
+    """(declared names, Problem body) of a rendered prover file."""
+    decls = text.split("ProgramVariables\n", 1)[1].split("End.", 1)[0]
+    problem = text.split("Problem\n", 1)[1].split("End.", 1)[0]
+    return re.findall(r"Real (\w+);", decls), problem
+
+
+def _names_survive_export(a: str, b: str) -> None:
+    body = Choice(Assign(a, var(b)), Assign(b, num(0)))
+    post = Forall("q", Exists("r", Compare("<=", var(a), Plus(var("q"), var("r")))))
+    ob = ProofObligation(
+        id="kw.names",
+        theorem="thm1",
+        case="step-1",
+        hint="compatibility",
+        goal=Implies(Compare("<=", var(a), var(b)), Box(body, post)),
+    )
+    names, problem = _kyx_sections(render_kyx(ob))
+    assert {a, b} <= set(names)
+    for name in names:
+        whole = r"(?<![\w\\])" + re.escape(name) + r"(?!\w)"
+        assert re.search(whole, problem), (name, problem)
+    assert "\\forall q" in problem and "\\exists r" in problem
+    assert " ++ " in problem
+
+
+def test_render_kyx_keeps_identifiers_that_contain_keywords():
+    _names_survive_export("noforall", "notexists")
+
+
+_KEYWORD_PARTS = st.sampled_from(["forall", "exists", "U"])
+_PREFIXES = st.text("abnoxz_", max_size=3)
+_SUFFIXES = st.text("abnoxz_019", max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(_PREFIXES, _KEYWORD_PARTS, _SUFFIXES),
+    st.tuples(_PREFIXES, _KEYWORD_PARTS, _SUFFIXES),
+)
+def test_render_kyx_keeps_every_suffixed_name(first, second):
+    a, b = "".join(first), "".join(second)
+    if a in dsl.KEYWORDS or b in dsl.KEYWORDS:
+        return
+    _names_survive_export(a, b)
+
+
 def test_render_kyx_layout(watertank):
     step1 = next(o for o in obligations_ccs(watertank) if o.case == "step-1")
     text = render_kyx(step1)
@@ -306,3 +373,25 @@ def test_vacuous_contracts_discharge_everywhere(watertank):
     for ob in obligations_ccs(vac):
         res = check_bounded(ob, WT_BOX, grid=3, flow_samples=8)
         assert res.status == "holds", ob.id
+
+
+# sha256 of [status, checked, total, counterexample] per obligation, grid 5,
+# default unroll and flow samples; recorded before the checker compiled
+# its formulas once per call.
+VERDICT_PINS = {
+    "watertank": "1b9f0158b0bde3ffaf5fa57d15891acfc534bb4f01ad7a68d5ecf5e0406cc0e7",
+    "two_tanks": "3adc86bdb7108fd00526edf77dc7575d2e34bb5303d8eba8ff1a679115b8834a",
+    "watertank_tight": "788b974c88599d135448caca6dc96b419b2e0b55fb6ea3f1a9ba8295cad0e209",
+}
+
+
+@pytest.mark.parametrize("model", sorted(VERDICT_PINS))
+def test_bounded_verdicts_are_pinned(model, corpus_dir):
+    box = TT_BOX if model == "two_tanks" else WT_BOX
+    system = dsl.load_file(corpus_dir / f"{model}.ccs")
+    verdicts = []
+    for ob in obligations_ccs(system):
+        res = check_bounded(ob, box, grid=5)
+        verdicts.append([res.status, res.checked, res.total, res.counterexample])
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert digest == VERDICT_PINS[model]
