@@ -430,7 +430,7 @@ def normalize_ac(node: Node) -> Node:
             ((v, rhs) for v, rhs in node.equations),
             key=lambda e: (f"eq:{e[0]}", (canonical_key(e[1]),)),
         )
-        parts = [_normalize_in_domain(c) for c in conjuncts(node.domain)]
+        parts = [normalize_ac(c) for c in conjuncts(node.domain)]
         parts.sort(key=canonical_key)
         return ODE(tuple(eqs), conj(*parts) if parts else TRUE)
     if isinstance(node, Seq):
@@ -456,14 +456,6 @@ def normalize_ac(node: Node) -> Node:
     # Assign, Variable, Rational, arithmetic, Compare, TrueF/FalseF: no AC
     # shapes below them that this pass reorders.
     return node
-
-
-def _normalize_in_domain(f: Formula) -> Formula:
-    """Domain conjuncts rarely contain programs, but keep the recursion
-
-    honest in case one ever does (e.g. a Box smuggled into a domain).
-    """
-    return normalize_ac(f)
 
 
 # ---------------------------------------------------------------------------

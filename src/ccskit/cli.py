@@ -17,6 +17,7 @@ errors, missing files, wrong usage).
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -393,6 +394,12 @@ def simulate(
     cost_model_path: str | None,
 ):
     """Run seeded schedule batches and report monitor violations."""
+    if schedules < 1:
+        click.echo(f"--schedules must be at least 1, got {schedules}", err=True)
+        sys.exit(2)
+    if not (math.isfinite(horizon) and horizon > 0):
+        click.echo(f"--horizon must be finite and positive, got {horizon}", err=True)
+        sys.exit(2)
     sys_ = _load(model, system, _cost_model(cost_model_path))
     if init_path is None:
         candidate = _default_init_path(model)
@@ -419,7 +426,7 @@ def simulate(
         summary = run_batch(
             sys_, schedules, seed, init_box, strategy=strategy, horizon=horizon
         )
-        for path in csv_paths:
+        if csv_paths:
             run_seed = batch_schedule_seed(seed, 0)
             init0 = sample_init(init_box, random.Random(run_seed ^ 0x5EED))
             trace = run(
@@ -427,6 +434,7 @@ def simulate(
                 Schedule(strategy=strategy, seed=run_seed, horizon=horizon),
                 init0,
             )
+        for path in csv_paths:
             write_trace_csv(trace, path)
             click.echo(f"wrote trace of run 0 to {path}", err=True)
     except CcsError as e:

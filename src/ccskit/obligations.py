@@ -28,27 +28,22 @@ spells out the truncations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, replace as _dc_replace
 
 from .ast import (
     And,
-    Assign,
     Box,
-    Choice,
     Compare,
     Exists,
     Forall,
     Formula,
     Implies,
-    Loop,
     Not,
-    ODE,
     Or,
     Program,
-    Seq,
-    Test,
     TRUE,
     Variable,
     choice,
@@ -76,7 +71,7 @@ from .composition import (
     raise_on_violations,
 )
 from .errors import BoundOccursInBehavior, CcsError, UnboundedVariable
-from .simulator import FlowSegment, compile_formula, compile_term, flow_states
+from .simulator import compile_formula, compile_program
 from .statics import all_vars, bound_vars, free_vars
 
 HINTS = frozenset(
@@ -608,8 +603,25 @@ def _axis(spec, grid: int) -> tuple[float, ...]:
     return (float(spec),)
 
 
+def _alias_root(domain_box: dict, name: str) -> str:
+    """The end of `name`'s chain of "=other" aliases in `domain_box`."""
+    seen = {name}
+    while True:
+        if name not in domain_box:
+            raise UnboundedVariable(name)
+        spec = domain_box[name]
+        if not isinstance(spec, str):
+            return name
+        if not spec.startswith("="):
+            raise ValueError(f"bad alias {spec!r} for {name!r}")
+        name = spec[1:]
+        if name in seen:
+            raise UnboundedVariable(name)
+        seen.add(name)
+
+
 class _Search:
-    """One bounded search. Formulas, terms and flow segments are compiled
+    """One bounded search. Formulas and programs are compiled
 
     on first use and memoised by node identity for the life of the
     search; each entry holds its node, so no id is reused meanwhile.
@@ -618,10 +630,18 @@ class _Search:
     def __init__(self, domain_box: dict, grid: int, unroll: int, flow_samples: int):
         self.domain_box = domain_box
         self.grid = grid
-        self.unroll = unroll
-        self.flow_samples = flow_samples
-        self.incomplete = False
+        # Non-empty once a loop, a flow or a quantifier grid has cut the
+        # search short.
+        self.cut_short: set[bool] = set()
         self._compiled: dict[tuple, tuple] = {}
+        # Neither this compiler (a memo key) nor its callback refers to the
+        # search, so no search is left as a cycle for the garbage collector.
+        self._compile_program = functools.partial(
+            compile_program,
+            unroll=unroll,
+            flow_samples=flow_samples,
+            on_truncate=functools.partial(self.cut_short.add, True),
+        )
 
     def _compile(self, node, compiler):
         key = (id(node), compiler)
@@ -631,43 +651,7 @@ class _Search:
         return hit[1]
 
     def reach(self, p: Program, s: dict) -> list[dict]:
-        if isinstance(p, Test):
-            return [s] if self._compile(p.condition, compile_formula)(s) else []
-        if isinstance(p, Assign):
-            out = dict(s)
-            out[p.var] = self._compile(p.rhs, compile_term)(s)
-            return [out]
-        if isinstance(p, Seq):
-            states: list[dict] = []
-            for m in self.reach(p.first, s):
-                states.extend(self.reach(p.second, m))
-            return states
-        if isinstance(p, Choice):
-            return self.reach(p.left, s) + self.reach(p.right, s)
-        if isinstance(p, ODE):
-            segment = self._compile(p, FlowSegment)
-            samples, complete = flow_states(segment, s, n_samples=self.flow_samples)
-            if not complete:
-                self.incomplete = True
-            return samples
-        if isinstance(p, Loop):
-            seen: dict[tuple, dict] = {_state_key(s): s}
-            frontier = [s]
-            for depth in range(self.unroll):
-                nxt: list[dict] = []
-                for st in frontier:
-                    for r in self.reach(p.body, st):
-                        k = _state_key(r)
-                        if k not in seen:
-                            seen[k] = r
-                            nxt.append(r)
-                frontier = nxt
-                if not frontier:
-                    break
-            if frontier:
-                self.incomplete = True
-            return list(seen.values())
-        raise TypeError(f"not a program: {p!r}")
+        return self._compile(p, self._compile_program)(s)
 
     def quantifier_axis(self, name: str) -> tuple[float, ...]:
         if name not in self.domain_box:
@@ -713,14 +697,14 @@ class _Search:
                 ok, w = self.eval(f.body, {**s, f.var: v})
                 if not ok:
                     return False, w
-            self.incomplete = True
+            self.cut_short.add(True)
             return True, None
         if isinstance(f, Exists):
             for v in self.quantifier_axis(f.var):
                 ok, _ = self.eval(f.body, {**s, f.var: v})
                 if ok:
                     return True, None
-            self.incomplete = True
+            self.cut_short.add(True)
             return False, s
         raise TypeError(f"not a formula: {f!r}")
 
@@ -730,10 +714,6 @@ def _first_order(f: Formula):
     if any(isinstance(n, (Box, Forall, Exists)) for n in walk(f)):
         return None
     return compile_formula(f)
-
-
-def _state_key(s: dict) -> tuple:
-    return tuple(sorted((k, round(v, 12)) for k, v in s.items()))
 
 
 MAX_GRID_POINTS = 200000
@@ -755,22 +735,19 @@ def check_bounded(
     """
     if isinstance(goal, ProofObligation):
         goal = goal.goal
-    names = sorted(free_vars(goal))
-    concrete: list[tuple[str, tuple[float, ...]]] = []
+    gridded: set[str] = set()
+    # (name, gridded variable it copies), each alias chain followed once.
     aliases: list[tuple[str, str]] = []
-    for n in names:
-        if n not in domain_box:
-            raise UnboundedVariable(n)
-        spec = domain_box[n]
-        if isinstance(spec, str):
-            if not spec.startswith("="):
-                raise ValueError(f"bad alias {spec!r} for {n!r}")
-            aliases.append((n, spec[1:]))
-        else:
-            concrete.append((n, _axis(spec, grid)))
+    for n in sorted(free_vars(goal)):
+        root = _alias_root(domain_box, n)
+        gridded.add(root)
+        if root != n:
+            aliases.append((n, root))
+    keys = sorted(gridded)
+    axes = [_axis(domain_box[n], grid) for n in keys]
 
     n_points = 1
-    for _, axis in concrete:
+    for axis in axes:
         n_points *= len(axis)
     if n_points > MAX_GRID_POINTS:
         raise CcsError(
@@ -781,22 +758,10 @@ def check_bounded(
     search = _Search(domain_box, grid, unroll, flow_samples)
     checked = 0
     total = 0
-    axes = [axis for _, axis in concrete]
-    keys = [n for n, _ in concrete]
     for combo in itertools.product(*axes) if axes else [()]:
         state = dict(zip(keys, combo))
-        for n, target in aliases:
-            seen = {n}
-            t = target
-            while True:
-                if t in state:
-                    state[n] = state[t]
-                    break
-                nxt = dict(aliases).get(t)
-                if nxt is None or t in seen:
-                    raise UnboundedVariable(t)
-                seen.add(t)
-                t = nxt
+        for n, root in aliases:
+            state[n] = state[root]
         total += 1
         if isinstance(goal, Implies):
             pre_ok, _ = search.eval(goal.left, state)
@@ -814,7 +779,7 @@ def check_bounded(
                 total=total,
                 counterexample=dict(witness) if witness is not None else dict(state),
                 initial=dict(state),
-                caveat=_caveat(grid, unroll, flow_samples, search.incomplete, checked),
+                caveat=_caveat(grid, unroll, flow_samples, bool(search.cut_short), checked),
             )
     status = "holds" if checked > 0 else "inconclusive"
     return BoundedCheckResult(
@@ -823,7 +788,7 @@ def check_bounded(
         total=total,
         counterexample=None,
         initial=None,
-        caveat=_caveat(grid, unroll, flow_samples, search.incomplete, checked),
+        caveat=_caveat(grid, unroll, flow_samples, bool(search.cut_short), checked),
     )
 
 

@@ -5,10 +5,15 @@ when the plant evolves and which controller fires, subject to the hard
 rule that time never passes a guard `t <= tau_i + delta`. Three
 strategies are provided:
 
-* uniform-random: seeded random segment lengths and branch picks,
+* uniform-random: seeded random segment lengths and controller orders,
 * lazy-controller: every controller fires at the last admissible moment
   (t = tau + delta - eps), the adversarial schedule for overshoot,
 * round-robin: controllers fire cyclically near each expiry.
+
+A controller program means what the bounded checker takes it to mean:
+`compile_program` gives the set of its final states, and a firing takes
+the only one, or a seeded uniform draw when there are several. A program
+with no final state (every branch failed a test) cannot fire.
 
 Integration uses an exact closed form whenever every right-hand side is
 constant over a segment (none of its free variables are evolved), which
@@ -81,11 +86,11 @@ State = dict[str, float]
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation of modality-free terms, formulas and programs
+# Compiled evaluation of modality-free terms and formulas
 #
-# The compilers keep no cache: a caller that evaluates the same node many
-# times compiles it once and keeps the closure (see CompiledSystem, and
-# the bounded checker's per-search memo).
+# The compilers (and compile_program below) keep no cache: a caller that
+# evaluates the same node many times compiles it once and keeps the
+# closure (see CompiledSystem, and the bounded checker's per-search memo).
 
 
 def compile_term(t: Term) -> Callable[[State], float]:
@@ -232,91 +237,6 @@ def eval_formula(f: Formula, state: State) -> bool:
     from `ccskit` for single checks; loops should compile once instead.
     """
     return compile_formula(f)(state)
-
-
-# ---------------------------------------------------------------------------
-# Discrete program execution (scheduler-resolved nondeterminism)
-
-LOOP_CAP = 8
-
-
-def leading_test(p: Program) -> Formula | None:
-    if isinstance(p, Test):
-        return p.condition
-    if isinstance(p, Seq):
-        return leading_test(p.first)
-    return None
-
-
-def compile_program(
-    p: Program,
-) -> Callable[[State, random.Random], State | None]:
-    """One concrete run of a discrete program, as a closure over
-
-    (state, rng) that returns None when the run aborts (a test failed).
-    Choices pick uniformly among alternatives whose leading test is
-    enabled; there is no backtracking past that. Loops repeat while a
-    fair coin says so, at most LOOP_CAP times. Continuous dynamics are
-    rejected with CcsError.
-    """
-    if isinstance(p, Test):
-        cond = compile_formula(p.condition)
-
-        def fn(s: State, rng: random.Random, _c=cond) -> State | None:
-            return s if _c(s) else None
-
-    elif isinstance(p, Assign):
-        rhs = compile_term(p.rhs)
-
-        def fn(s: State, rng: random.Random, _v=p.var, _r=rhs) -> State | None:
-            out = dict(s)
-            out[_v] = _r(s)
-            return out
-
-    elif isinstance(p, Seq):
-        first = compile_program(p.first)
-        second = compile_program(p.second)
-
-        def fn(s: State, rng: random.Random, _a=first, _b=second) -> State | None:
-            mid = _a(s, rng)
-            if mid is None:
-                return None
-            return _b(mid, rng)
-
-    elif isinstance(p, Choice):
-        alts = []
-        for a in choice_alternatives(p):
-            guard = leading_test(a)
-            alts.append(
-                (None if guard is None else compile_formula(guard), compile_program(a))
-            )
-
-        def fn(s: State, rng: random.Random, _alts=tuple(alts)) -> State | None:
-            enabled = [run_ for guard, run_ in _alts if guard is None or guard(s)]
-            if not enabled:
-                return None
-            pick = enabled[0] if len(enabled) == 1 else rng.choice(enabled)
-            return pick(s, rng)
-
-    elif isinstance(p, Loop):
-        body = compile_program(p.body)
-
-        def fn(s: State, rng: random.Random, _b=body) -> State | None:
-            current = s
-            for _ in range(LOOP_CAP):
-                if rng.random() >= 0.5:
-                    break
-                nxt = _b(current, rng)
-                if nxt is None:
-                    break
-                current = nxt
-            return current
-
-    elif isinstance(p, ODE):
-        raise CcsError("continuous dynamics inside a discrete program")
-    else:
-        raise TypeError(f"not a program: {p!r}")
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +509,110 @@ def flow_states(
 
 
 # ---------------------------------------------------------------------------
+# Program semantics, shared by the simulator and the bounded checker
+
+LOOP_CAP = 8
+
+
+def _state_key(s: State) -> tuple:
+    return tuple(sorted((k, round(v, 12)) for k, v in s.items()))
+
+
+def compile_program(
+    p: Program,
+    unroll: int = LOOP_CAP,
+    flow_samples: int = 32,
+    on_truncate: Callable[[], None] = lambda: None,
+) -> Callable[[State], list[State]]:
+    """The relational semantics of `p`, compiled once: a closure mapping a
+    state to every final state of `p` from it, in branch order.
+
+    A failed test yields no state, a choice the states of each
+    alternative in turn. A loop yields the distinct states (by
+    `_state_key`) reachable in at most `unroll` passes of its body, and
+    an ODE the `flow_samples`-point sampling of `flow_states`.
+    `on_truncate()` is called whenever a loop or a flow has more states
+    than those bounds reach. The bounded checker enumerates the result;
+    the simulator fires one of its states.
+    """
+
+    def sub(q: Program) -> Callable[[State], list[State]]:
+        return compile_program(q, unroll, flow_samples, on_truncate)
+
+    if isinstance(p, Test):
+        cond = compile_formula(p.condition)
+
+        def fn(s: State, _c=cond) -> list[State]:
+            return [s] if _c(s) else []
+
+    elif isinstance(p, Assign):
+        rhs = compile_term(p.rhs)
+
+        def fn(s: State, _v=p.var, _r=rhs) -> list[State]:
+            out = dict(s)
+            out[_v] = _r(s)
+            return [out]
+
+    elif isinstance(p, Seq) and isinstance(p.first, Test):
+        # A guarded branch: its test passes the state through unchanged.
+        cond = compile_formula(p.first.condition)
+        second = sub(p.second)
+
+        def fn(s: State, _c=cond, _b=second) -> list[State]:
+            return _b(s) if _c(s) else []
+
+    elif isinstance(p, Seq):
+        first = sub(p.first)
+        second = sub(p.second)
+
+        def fn(s: State, _a=first, _b=second) -> list[State]:
+            mids = _a(s)
+            if len(mids) == 1:
+                return _b(mids[0])
+            return [r for m in mids for r in _b(m)]
+
+    elif isinstance(p, Choice):
+        alts = tuple(sub(a) for a in choice_alternatives(p))
+
+        def fn(s: State, _alts=alts) -> list[State]:
+            return [r for alt in _alts for r in alt(s)]
+
+    elif isinstance(p, Loop):
+        body = sub(p.body)
+
+        def fn(s: State, _b=body) -> list[State]:
+            seen = {_state_key(s): s}
+            frontier = [s]
+            for _ in range(unroll):
+                nxt = []
+                for st in frontier:
+                    for r in _b(st):
+                        k = _state_key(r)
+                        if k not in seen:
+                            seen[k] = r
+                            nxt.append(r)
+                frontier = nxt
+                if not frontier:
+                    break
+            if frontier:
+                on_truncate()
+            return list(seen.values())
+
+    elif isinstance(p, ODE):
+        segment = FlowSegment(p)
+
+        def fn(s: State, _seg=segment) -> list[State]:
+            samples, complete = flow_states(_seg, s, n_samples=flow_samples)
+            if not complete:
+                on_truncate()
+            return samples
+
+    else:
+        raise TypeError(f"not a program: {p!r}")
+    return fn
+
+
+# ---------------------------------------------------------------------------
 # Schedules and traces
 
 STRATEGIES = ("uniform-random", "lazy-controller", "round-robin")
@@ -605,6 +629,10 @@ class Schedule:
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; pick one of {STRATEGIES}"
+            )
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(
+                f"horizon must be finite and positive, got {self.horizon!r}"
             )
 
 
@@ -832,9 +860,10 @@ def _run(
         _name, timestamp, program = ctrl
         if s[CLOCK] > s[timestamp] + delta + BOUNDARY_TOLERANCE:
             return None
-        after = program(s, rng)
-        if after is None:
+        outs = program(s)
+        if not outs:
             return None
+        after = outs[0] if len(outs) == 1 else rng.choice(outs)
         after[timestamp] = after[CLOCK]
         return after
 

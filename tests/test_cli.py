@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import ccskit
+import ccskit.cli
 from ccskit import dsl
 from ccskit.cli import main
 
@@ -283,6 +284,49 @@ def test_simulate_output_files(runner, corpus_dir, tmp_path):
     header = trace_path.read_text().splitlines()[0]
     assert header == "time,event,fin,fout,t,tau_1,wl,wlm"
     assert json.loads(summary_path.read_text())["runs"] == 3
+
+
+def test_simulate_writes_every_csv_from_one_rerun(
+    runner, corpus_dir, tmp_path, monkeypatch
+):
+    calls = []
+    real_run = ccskit.cli.run
+
+    def counting_run(*args):
+        calls.append(args)
+        return real_run(*args)
+
+    monkeypatch.setattr(ccskit.cli, "run", counting_run)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    result = invoke(
+        runner,
+        "simulate", corpus_dir / "watertank.ccs",
+        "--schedules", 2, "--seed", 1, "--horizon", 2,
+        "--out", first, "--out", second,
+    )
+    assert result.exit_code == 0
+    assert len(calls) == 1
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_text().startswith("time,event,")
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--schedules", "-1"),
+        ("--schedules", "0"),
+        ("--horizon", "nan"),
+        ("--horizon", "inf"),
+        ("--horizon", "-5"),
+        ("--horizon", "0"),
+    ],
+)
+def test_simulate_bad_schedules_or_horizon_is_exit_2(runner, corpus_dir, option, value):
+    result = invoke(runner, "simulate", corpus_dir / "watertank.ccs", option, value)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert option in result.stderr
 
 
 def test_simulate_odd_output_suffix_is_exit_2(runner, corpus_dir, tmp_path):

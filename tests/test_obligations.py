@@ -344,6 +344,28 @@ def test_check_bounded_resolves_alias_chains():
     assert res.checked == 3
 
 
+def test_check_bounded_grids_alias_targets_outside_the_goal():
+    goal = Compare("<=", var("wlm"), num(7))
+    res = check_bounded(goal, {"wl": [3, 7], "wlm": "=wl"}, grid=5)
+    assert res.status == "holds"
+    assert res.checked == res.total == 5
+    res = check_bounded(
+        Compare("<", var("wlm"), num(7)), {"wl": [3, 7], "wlm": "=wl"}, grid=5
+    )
+    assert res.status == "counterexample"
+    assert res.initial == {"wl": 7.0, "wlm": 7.0}
+
+
+def test_check_bounded_rejects_alias_cycles_and_missing_targets():
+    goal = Compare("<=", var("a"), num(7))
+    with pytest.raises(UnboundedVariable):
+        check_bounded(goal, {"a": "=b", "b": "=c", "c": "=a"}, grid=3)
+    with pytest.raises(UnboundedVariable):
+        check_bounded(goal, {"a": "=a"}, grid=3)
+    with pytest.raises(UnboundedVariable):
+        check_bounded(goal, {"a": "=b"}, grid=3)
+
+
 def test_zero_checked_points_is_inconclusive():
     goal = Implies(Compare("<", var("x"), num(0)), Compare("=", var("x"), num(9)))
     res = check_bounded(goal, {"x": [0, 1]}, grid=3)

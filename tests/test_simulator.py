@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from ccskit import dsl
-from ccskit.ast import Compare, num, var
+from ccskit.ast import Compare, Loop, num, var
 from ccskit.components import (
     Contract,
     make_ccs,
@@ -30,6 +30,7 @@ from ccskit.simulator import (
     BatchSummary,
     Schedule,
     batch_schedule_seed,
+    compile_program,
     complete_init,
     run,
     run_batch,
@@ -44,6 +45,12 @@ def test_strategy_names_are_validated():
     with pytest.raises(ValueError):
         Schedule(strategy="chaotic")
     assert set(STRATEGIES) == {"uniform-random", "lazy-controller", "round-robin"}
+
+
+@pytest.mark.parametrize("horizon", [0.0, -5.0, math.nan, math.inf])
+def test_horizon_must_be_finite_and_positive(horizon):
+    with pytest.raises(ValueError):
+        Schedule(horizon=horizon)
 
 
 def test_run_is_deterministic_for_a_seed(watertank):
@@ -143,6 +150,62 @@ def test_stuck_system_raises():
     sys_ = _stuck_system()
     with pytest.raises(StuckState):
         run(sys_, Schedule(seed=0, horizon=1.0), {"x": 0, "y": 0, "t": 0, "tau_1": 0})
+
+
+def _level_system(program_text: str):
+    """A constant level x and one controller running `program_text`."""
+    ctrl = make_reactive_controller(
+        "set",
+        dsl.parse_program_text(program_text),
+        Fraction(1, 20),
+        "tau_1",
+        contract=Contract(),
+    )
+    plant = make_controllable_plant(
+        "level",
+        (("x", num(0)),),
+        Compare("<=", var("x"), num(10)),
+        Fraction(1, 5),
+        contract=Contract(),
+    )
+    return make_ccs(ctrl, plant, name="level")
+
+
+LEVEL_INIT = {"x": 4, "fin": 0, "t": 0, "tau_1": 0}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_branch_failing_after_its_first_statement_never_blocks(strategy):
+    # The first branch fails its test only after assigning: with x = 4 the
+    # program's one final state has fin = 1, so every firing succeeds.
+    sys_ = _level_system("(fin := 0; ?(x > 5)) U fin := 1")
+    for seed in range(20):
+        trace = run(sys_, Schedule(strategy=strategy, seed=seed, horizon=1.0), LEVEL_INIT)
+        fired = [p for p in trace.points if p.event.startswith("ctrl-fired")]
+        assert fired and all(p.values["fin"] == 1.0 for p in fired)
+        assert trace.end_time == pytest.approx(1.0)
+
+
+def test_firing_draws_among_several_final_states():
+    sys_ = _level_system("fin := 0 U fin := 1")
+    trace = run(sys_, Schedule(strategy="lazy-controller", seed=0, horizon=1.0), LEVEL_INIT)
+    fired = [p.values["fin"] for p in trace.points if p.event.startswith("ctrl-fired")]
+    assert set(fired) == {0.0, 1.0}
+
+
+def test_loops_yield_the_distinct_states_within_the_unroll_bound():
+    body = dsl.parse_program_text("?(x < 2); x := x + 1")
+    truncated = []
+    loop = compile_program(Loop(body), unroll=3, on_truncate=lambda: truncated.append(1))
+    assert loop({"x": 0.0}) == [{"x": 0.0}, {"x": 1.0}, {"x": 2.0}]
+    assert truncated == []
+    counter = compile_program(
+        Loop(dsl.parse_program_text("x := x + 1")),
+        unroll=3,
+        on_truncate=lambda: truncated.append(1),
+    )
+    assert [s["x"] for s in counter({"x": 0.0})] == [0.0, 1.0, 2.0, 3.0]
+    assert truncated == [1]
 
 
 def test_monitor_violations_name_the_guarantee(corpus_dir):

@@ -7,6 +7,9 @@ toolkit leans on:
   * coincidence: states agreeing on FV(p) produce runs whose end states
     agree on FV(p) and on every must-bound variable,
   * frame: variables outside BV(p) never change.
+
+The same interpreter is the oracle for `compile_program`, the one
+program semantics that the simulator and the bounded checker share.
 """
 
 import time
@@ -28,6 +31,8 @@ from ccskit.ast import (
     num,
     var,
 )
+from ccskit.dsl import parse_program_text
+from ccskit.simulator import compile_program
 from ccskit.statics import all_vars, bound_vars, free_vars, must_bound_vars
 
 
@@ -194,6 +199,21 @@ def test_frame_property(p, store):
     for end in _runs(p, store):
         changed = {n for n, v in end if store[n] != v}
         assert changed <= bv
+
+
+@given(_programs(3), _stores)
+@settings(max_examples=300, deadline=None)
+def test_compiled_program_has_the_reference_semantics(p, store):
+    # Integer stores keep float arithmetic exact, so the sets must match.
+    start = {n: float(v) for n, v in store.items()}
+    got = {frozenset(s.items()) for s in compile_program(p)(start)}
+    want = {frozenset((n, float(v)) for n, v in end) for end in _runs(p, store)}
+    assert got == want
+
+
+def test_a_test_failing_after_a_choice_leaves_the_other_branch():
+    p = parse_program_text("(fin := 0; ?(wl > 5)) U fin := 1")
+    assert compile_program(p)({"wl": 4.0, "fin": 9.0}) == [{"wl": 4.0, "fin": 1.0}]
 
 
 @given(_programs(3))
