@@ -328,23 +328,6 @@ def walk(node: Node) -> Iterator[Node]:
         yield from walk(child)
 
 
-def mentions_name(node: Node, name: str) -> bool:
-    """True when `name` occurs anywhere in node, as a variable read, an
-
-    assignment target or an ODE-evolved variable.
-    """
-    for sub in walk(node):
-        if isinstance(sub, Variable) and sub.name == name:
-            return True
-        if isinstance(sub, Assign) and sub.var == name:
-            return True
-        if isinstance(sub, ODE) and any(v == name for v, _ in sub.equations):
-            return True
-        if isinstance(sub, (Forall, Exists)) and sub.var == name:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Canonical ordering + AC normalisation
 

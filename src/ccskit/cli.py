@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import sys
 from pathlib import Path
 
@@ -44,11 +43,9 @@ from .obligations import (
 from .ast import fraction_to_text
 from .simulator import (
     STRATEGIES,
-    Schedule,
-    batch_schedule_seed,
+    batch_member,
     run,
     run_batch,
-    sample_init,
     write_trace_csv,
 )
 from .statics import bound_vars, free_vars, must_bound_vars
@@ -427,13 +424,7 @@ def simulate(
             sys_, schedules, seed, init_box, strategy=strategy, horizon=horizon
         )
         if csv_paths:
-            run_seed = batch_schedule_seed(seed, 0)
-            init0 = sample_init(init_box, random.Random(run_seed ^ 0x5EED))
-            trace = run(
-                sys_,
-                Schedule(strategy=strategy, seed=run_seed, horizon=horizon),
-                init0,
-            )
+            trace = run(sys_, *batch_member(seed, 0, init_box, strategy, horizon))
         for path in csv_paths:
             write_trace_csv(trace, path)
             click.echo(f"wrote trace of run 0 to {path}", err=True)

@@ -40,9 +40,6 @@ from .ast import (
     conj,
     conjuncts,
     fraction_to_text,
-    mentions_name,
-    print_formula,
-    print_program,
     seq,
     seq_statements,
     walk,
@@ -93,15 +90,6 @@ class Contract:
                         f"contract {label} clause contains a box modality"
                     )
 
-    def describe(self) -> dict:
-        return {
-            "assume": print_formula(self.assume),
-            "guarantee": print_formula(self.guarantee),
-            "init": print_formula(self.init),
-        }
-
-
-TRUE_CONTRACT = Contract()
 
 
 @dataclass(frozen=True)
@@ -125,9 +113,6 @@ class Environment:
                     out[c.right.name] = c.left.value
         return out
 
-    def describe(self) -> dict:
-        return {"formula": print_formula(self.formula)}
-
 
 EMPTY_ENVIRONMENT = Environment()
 
@@ -136,22 +121,11 @@ class TimestampRegistry:
     """Per-system allocator for fresh timestamp names tau_1, tau_2, ..."""
 
     def __init__(self):
-        self._used: set[str] = set()
-        self._next = 1
+        self._allocated = 0
 
     def allocate(self) -> str:
-        while True:
-            name = f"{TIMESTAMP_PREFIX}{self._next}"
-            self._next += 1
-            if name not in self._used:
-                self._used.add(name)
-                return name
-
-    def register(self, name: str) -> str:
-        if name in self._used:
-            raise NonFreshTimestamp(f"timestamp {name!r} already in use")
-        self._used.add(name)
-        return name
+        self._allocated += 1
+        return f"{TIMESTAMP_PREFIX}{self._allocated}"
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +171,6 @@ class ReactiveController:
         if self.contract is None:
             raise MissingContract(self.name)
         return self.contract
-
-    def describe(self) -> dict:
-        out = {
-            "name": self.name,
-            "kind": "controller",
-            "bounds": {"reactivity": fraction_to_text(self.reactivity)},
-            "timestamp": self.timestamp,
-            "program": print_program(self.ctrl),
-        }
-        if self.contract is not None:
-            out["contract"] = self.contract.describe()
-        return out
 
 
 def make_reactive_controller(
@@ -269,14 +231,6 @@ class MultiChoiceController:
     @property
     def timestamps(self) -> tuple[str, ...]:
         return tuple(rc.timestamp for rc in self.choices)
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": "controller-family",
-            "bounds": {"reactivity": fraction_to_text(self.reactivity)},
-            "choices": [rc.describe() for rc in self.choices],
-        }
 
 
 def as_multi_controller(
@@ -340,17 +294,6 @@ class ControllablePlant:
         if self.contract is None:
             raise MissingContract(self.name)
         return self.contract
-
-    def describe(self) -> dict:
-        out = {
-            "name": self.name,
-            "kind": "plant",
-            "bounds": {"controllability": fraction_to_text(self.controllability)},
-            "program": print_program(self.to_program()),
-        }
-        if self.contract is not None:
-            out["contract"] = self.contract.describe()
-        return out
 
 
 def make_controllable_plant(
@@ -426,21 +369,6 @@ class MCCS:
             for rc in self.controller.choices
         )
         return Loop(choice(*alts))
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": "system",
-            "bounds": {
-                "reactivity": fraction_to_text(self.controller.reactivity),
-                "controllability": fraction_to_text(self.plant.controllability),
-            },
-            "controller": self.controller.describe(),
-            "plant": self.plant.describe(),
-            "environment": self.env.describe(),
-            "invariant": print_formula(self.invariant),
-            "program": print_program(self.to_program()),
-        }
 
 
 def make_ccs(

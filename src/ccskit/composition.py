@@ -17,20 +17,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .ast import (
-    Formula,
-    Loop,
-    ODE,
-    Program,
-    Term,
-    TrueF,
-    choice,
-    conj,
-    conjuncts,
-    fraction_to_text,
-)
+from .ast import conj, conjuncts
 from .components import (
     MCCS,
     Contract,
@@ -86,12 +75,6 @@ class CostModel:
         default = data.pop("*", None)
         return cls(mapping=data, default=default)
 
-    def describe(self) -> dict:
-        out = dict(self.mapping)
-        if self.default is not None:
-            out["*"] = self.default
-        return out
-
 
 def cost(cm: CostModel, controllers: Iterable[ReactiveController]) -> Fraction:
     """Worst-case time to run every controller once: reactivities add
@@ -122,14 +105,6 @@ class Violation:
         names = ", ".join(sorted(self.variables))
         return f"{self.gate}: {self.description} ({names})"
 
-    def to_json(self) -> dict:
-        return {
-            "gate": self.gate,
-            "severity": self.severity,
-            "description": self.description,
-            "variables": sorted(self.variables),
-        }
-
 
 @dataclass(frozen=True)
 class NonInterferenceReport:
@@ -140,14 +115,6 @@ class NonInterferenceReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "gate": self.gate,
-            "ok": self.ok,
-            "violations": [v.to_json() for v in self.violations],
-            "warnings": [w.to_json() for w in self.warnings],
-        }
 
 
 def raise_on_violations(report: NonInterferenceReport) -> NonInterferenceReport:
@@ -388,26 +355,3 @@ def compose_mccs(a: MCCS, b: MCCS, cm: CostModel) -> MCCS:
         name=f"{a.name}__{b.name}",
     )
 
-
-def choice_composition(
-    parts: Sequence[tuple[Program, tuple[tuple[str, Term], ...], Formula]],
-) -> Program:
-    """Untimed base pattern: discrete behaviours in nondeterministic
-
-    union with the joint dynamics, all under a loop:
-
-        ( disc_1 U ... U disc_n U {x_1' = e_1, ..., x_m' = e_m & H_1 & ... } )*
-
-    The timed operators above are refinements of this shape.
-    """
-    if not parts:
-        raise ValueError("nothing to compose")
-    eqs: tuple[tuple[str, Term], ...] = ()
-    domains: list[Formula] = []
-    discs: list[Program] = []
-    for disc, equations, domain in parts:
-        discs.append(disc)
-        eqs = eqs + tuple(equations)
-        domains.extend(c for c in conjuncts(domain) if not isinstance(c, TrueF))
-    joint = ODE(eqs, conj(*domains))
-    return Loop(choice(*discs, joint))

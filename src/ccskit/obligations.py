@@ -23,7 +23,10 @@ Rule tags: thm1 (controller + plant), thm2 (controller pair), thm3
 `check_bounded` is not a prover. It grids the antecedent box, unrolls
 loops, samples ODE flows, and reports `holds` only in the sense of
 "no counterexample in this finite exploration"; the caveat field always
-spells out the truncations.
+spells out the truncations. Each call compiles its goal once into one
+closure: box- and quantifier-free parts through the simulator's
+`compile_formula`, programs through its `compile_program` (the same
+semantics a simulated controller firing uses).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, replace as _dc_replace
+from typing import Callable
 
 from .ast import (
     And,
@@ -49,9 +53,7 @@ from .ast import (
     choice,
     conj,
     fraction_to_text,
-    mentions_name,
     print_formula,
-    walk,
 )
 from .components import (
     CLOCK,
@@ -139,6 +141,23 @@ def obligation_from_json(data: dict) -> ProofObligation:
     )
 
 
+def _obligation_list(theorem: str, rows) -> list[ProofObligation]:
+    """One obligation per `(case, hint, goal, *notes)` row, with id
+    `<theorem>.<case>` and dots for dashes.
+    """
+    return [
+        ProofObligation(
+            id=f"{theorem}.{case}".replace("-", "."),
+            theorem=theorem,
+            case=case,
+            hint=hint,
+            goal=goal,
+            notes=tuple(notes),
+        )
+        for case, hint, goal, *notes in rows
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Closed-loop systems: 15 obligations
 
@@ -186,113 +205,100 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
     cap_txt = fraction_to_text(plant.controllability)
     theorem = "thm1" if len(ctrl.choices) == 1 else "thm4"
 
-    out: list[ProofObligation] = []
-
-    def add(case: str, hint: str, goal: Formula, *notes: str) -> None:
-        out.append(
-            ProofObligation(
-                id=f"{theorem}.{case}".replace("-", "."),
-                theorem=theorem,
-                case=case,
-                hint=hint,
-                goal=goal,
-                notes=tuple(notes),
-            )
-        )
-
-    add(
-        "base",
-        "component-proof-reuse",
-        Implies(conj(env, I_c, I_p, *timing, A_c, A_p), inv),
-        "each component's contract supplies its own conjuncts; the "
-        "timestamp equalities hold on loop entry and close the invariant",
-    )
-    add(
-        "use",
-        "component-proof-reuse",
-        Implies(inv, conj(G_c, G_p)),
-        "propositional: both guarantees are conjuncts of the loop invariant",
-    )
-    add(
-        "step-1",
-        "component-proof-reuse",
-        Implies(inv, Box(ctrl_prog, conj(A_c, G_c))),
-        "reuses the controller's own inductive step: "
-        + print_formula(Implies(G_c, Box(ctrl_bare, G_c))),
-    )
-    add(
-        "step-2",
-        "composition-invariant",
-        Implies(inv, Box(ctrl_prog, J)),
-        f"reuses the maintenance condition {theorem}.jcmp.ctrl",
-    )
-    add(
-        "step-3",
-        "fv-bv-separation",
-        Implies(inv, Box(ctrl_prog, G_p)),
-        "controller writes "
-        + _fmt_names(bound_vars(ctrl_prog))
-        + " avoid the plant guarantee's free variables "
-        + _fmt_names(free_vars(G_p)),
-    )
-    add(
-        "step-4",
-        "compatibility",
-        Implies(inv, Box(ctrl_prog, A_p)),
-        f"follows from step-1 and step-2 with {theorem}.compat.ba",
-    )
-    add(
-        "step-5",
-        "fv-bv-separation",
-        Implies(inv, Box(plant_delta, G_c)),
-        "evolved variables "
-        + _fmt_names(plant.evolved | {CLOCK})
-        + " avoid the controller guarantee's free variables "
-        + _fmt_names(free_vars(G_c)),
-    )
-    add(
-        "step-6",
-        "differential-refinement",
-        Implies(inv, Box(plant_own, conj(A_p, G_p))),
-        "in-system runs are cut short at the reactivity: "
-        + print_formula(Implies(inv, Box(plant_delta, conj(A_p, G_p)))),
-        f"link: {delta_txt} <= {cap_txt} (arithmetic, auto-discharged)",
-    )
-    add(
-        "step-7",
-        "differential-refinement",
-        Implies(inv, Box(plant_own, J)),
-        "in-system runs are cut short at the reactivity: "
-        + print_formula(Implies(inv, Box(plant_delta, J))),
-        f"link: {delta_txt} <= {cap_txt} (arithmetic, auto-discharged)",
-    )
-    add(
-        "step-8",
-        "compatibility",
-        Implies(inv, Box(plant_delta, A_c)),
-        f"follows from step-6 and step-7 with {theorem}.compat.ab",
-    )
-    add(
-        "jcmp-init",
-        "composition-invariant",
-        Implies(conj(I_c, I_p, *timing), J),
-        "timestamps equal the clock on loop entry",
-    )
-    add("jcmp-ctrl", "composition-invariant", Implies(J, Box(ctrl_prog, J)))
-    add("jcmp-plant", "composition-invariant", Implies(J, Box(plant_own, J)))
-    add(
-        "compat-ab",
-        "compatibility",
-        Implies(A_c, Box(plant_own, Implies(conj(G_p, J), A_c))),
-        "the controller's assumption survives any plant run",
-    )
-    add(
-        "compat-ba",
-        "compatibility",
-        Implies(A_p, Box(ctrl_prog, Implies(conj(G_c, J), A_p))),
-        "the plant's assumption survives any controller run",
-    )
-    return out
+    return _obligation_list(theorem, [
+        (
+            "base",
+            "component-proof-reuse",
+            Implies(conj(env, I_c, I_p, *timing, A_c, A_p), inv),
+            "each component's contract supplies its own conjuncts; the "
+            "timestamp equalities hold on loop entry and close the invariant",
+        ),
+        (
+            "use",
+            "component-proof-reuse",
+            Implies(inv, conj(G_c, G_p)),
+            "propositional: both guarantees are conjuncts of the loop invariant",
+        ),
+        (
+            "step-1",
+            "component-proof-reuse",
+            Implies(inv, Box(ctrl_prog, conj(A_c, G_c))),
+            "reuses the controller's own inductive step: "
+            + print_formula(Implies(G_c, Box(ctrl_bare, G_c))),
+        ),
+        (
+            "step-2",
+            "composition-invariant",
+            Implies(inv, Box(ctrl_prog, J)),
+            f"reuses the maintenance condition {theorem}.jcmp.ctrl",
+        ),
+        (
+            "step-3",
+            "fv-bv-separation",
+            Implies(inv, Box(ctrl_prog, G_p)),
+            "controller writes "
+            + _fmt_names(bound_vars(ctrl_prog))
+            + " avoid the plant guarantee's free variables "
+            + _fmt_names(free_vars(G_p)),
+        ),
+        (
+            "step-4",
+            "compatibility",
+            Implies(inv, Box(ctrl_prog, A_p)),
+            f"follows from step-1 and step-2 with {theorem}.compat.ba",
+        ),
+        (
+            "step-5",
+            "fv-bv-separation",
+            Implies(inv, Box(plant_delta, G_c)),
+            "evolved variables "
+            + _fmt_names(plant.evolved | {CLOCK})
+            + " avoid the controller guarantee's free variables "
+            + _fmt_names(free_vars(G_c)),
+        ),
+        (
+            "step-6",
+            "differential-refinement",
+            Implies(inv, Box(plant_own, conj(A_p, G_p))),
+            "in-system runs are cut short at the reactivity: "
+            + print_formula(Implies(inv, Box(plant_delta, conj(A_p, G_p)))),
+            f"link: {delta_txt} <= {cap_txt} (arithmetic, auto-discharged)",
+        ),
+        (
+            "step-7",
+            "differential-refinement",
+            Implies(inv, Box(plant_own, J)),
+            "in-system runs are cut short at the reactivity: "
+            + print_formula(Implies(inv, Box(plant_delta, J))),
+            f"link: {delta_txt} <= {cap_txt} (arithmetic, auto-discharged)",
+        ),
+        (
+            "step-8",
+            "compatibility",
+            Implies(inv, Box(plant_delta, A_c)),
+            f"follows from step-6 and step-7 with {theorem}.compat.ab",
+        ),
+        (
+            "jcmp-init",
+            "composition-invariant",
+            Implies(conj(I_c, I_p, *timing), J),
+            "timestamps equal the clock on loop entry",
+        ),
+        ("jcmp-ctrl", "composition-invariant", Implies(J, Box(ctrl_prog, J))),
+        ("jcmp-plant", "composition-invariant", Implies(J, Box(plant_own, J))),
+        (
+            "compat-ab",
+            "compatibility",
+            Implies(A_c, Box(plant_own, Implies(conj(G_p, J), A_c))),
+            "the controller's assumption survives any plant run",
+        ),
+        (
+            "compat-ba",
+            "compatibility",
+            Implies(A_p, Box(ctrl_prog, Implies(conj(G_c, J), A_p))),
+            "the plant's assumption survives any controller run",
+        ),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +308,11 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
 def _check_bound_is_behavior_free(
     name: str, where_program: Program | None, guarantee: Formula, invariant: Formula
 ) -> None:
-    if where_program is not None and mentions_name(where_program, name):
+    if where_program is not None and name in all_vars(where_program):
         raise BoundOccursInBehavior(name, "program")
-    if mentions_name(guarantee, name):
+    if name in all_vars(guarantee):
         raise BoundOccursInBehavior(name, "guarantee")
-    if mentions_name(invariant, name):
+    if name in all_vars(invariant):
         raise BoundOccursInBehavior(name, "invariant")
 
 
@@ -351,114 +357,101 @@ def obligations_controllers(
     timing = _timing_init(am.timestamps + bm.timestamps)
     joint_txt = fraction_to_text(joint)
 
-    out: list[ProofObligation] = []
-
-    def add(case: str, hint: str, goal: Formula, *notes: str) -> None:
-        out.append(
-            ProofObligation(
-                id=f"thm2.{case}".replace("-", "."),
-                theorem="thm2",
-                case=case,
-                hint=hint,
-                goal=goal,
-                notes=tuple(notes),
-            )
-        )
-
     reuse_note = (
         "the bound name {name} occurs in neither behavior nor guarantee, so "
         "the standalone proof transfers to the joint bound " + joint_txt + ": "
     )
-    add(
-        "base",
-        "component-proof-reuse",
-        Implies(conj(e, I_a, I_b, *timing, A_a, A_b), inv),
-        "each side's contract supplies its own conjuncts; the timestamp "
-        "equalities hold on loop entry and close the invariant",
-    )
-    add(
-        "use",
-        "component-proof-reuse",
-        Implies(inv, conj(G_a, G_b)),
-        "propositional: both guarantees are conjuncts of the loop invariant",
-    )
-    add(
-        "step-1",
-        "component-proof-reuse",
-        Implies(inv, Box(prog_a, conj(A_a, G_a))),
-        reuse_note.format(name=", ".join(rc.bound_name for rc in am.choices))
-        + print_formula(Implies(conj(A_a, G_a), Box(own_a, conj(A_a, G_a)))),
-    )
-    add(
-        "step-2",
-        "composition-invariant",
-        Implies(inv, Box(prog_a, J)),
-        "the bound name does not occur in the invariant; reuses thm2.jcmp.a",
-    )
-    add(
-        "step-3",
-        "fv-bv-separation",
-        Implies(inv, Box(prog_a, G_b)),
-        "writes "
-        + _fmt_names(bound_vars(prog_a))
-        + " avoid the other guarantee's free variables "
-        + _fmt_names(free_vars(G_b)),
-    )
-    add(
-        "step-4",
-        "compatibility",
-        Implies(inv, Box(prog_a, A_b)),
-        "follows from step-1 and step-2 with thm2.compat.ba",
-    )
-    add(
-        "step-5",
-        "fv-bv-separation",
-        Implies(inv, Box(prog_b, G_a)),
-        "writes "
-        + _fmt_names(bound_vars(prog_b))
-        + " avoid the other guarantee's free variables "
-        + _fmt_names(free_vars(G_a)),
-    )
-    add(
-        "step-6",
-        "component-proof-reuse",
-        Implies(inv, Box(prog_b, conj(A_b, G_b))),
-        reuse_note.format(name=", ".join(rc.bound_name for rc in bm.choices))
-        + print_formula(Implies(conj(A_b, G_b), Box(own_b, conj(A_b, G_b)))),
-    )
-    add(
-        "step-7",
-        "composition-invariant",
-        Implies(inv, Box(prog_b, J)),
-        "the bound name does not occur in the invariant; reuses thm2.jcmp.b",
-    )
-    add(
-        "step-8",
-        "compatibility",
-        Implies(inv, Box(prog_b, A_a)),
-        "follows from step-6 and step-7 with thm2.compat.ab",
-    )
-    add(
-        "jcmp-init",
-        "composition-invariant",
-        Implies(conj(I_a, I_b, *timing), J),
-        "timestamps equal the clock on loop entry",
-    )
-    add("jcmp-a", "composition-invariant", Implies(J, Box(own_a, J)))
-    add("jcmp-b", "composition-invariant", Implies(J, Box(own_b, J)))
-    add(
-        "compat-ab",
-        "compatibility",
-        Implies(A_a, Box(own_b, Implies(conj(G_b, J), A_a))),
-        "the first side's assumption survives the second side's runs",
-    )
-    add(
-        "compat-ba",
-        "compatibility",
-        Implies(A_b, Box(own_a, Implies(conj(G_a, J), A_b))),
-        "the second side's assumption survives the first side's runs",
-    )
-    return out
+    return _obligation_list("thm2", [
+        (
+            "base",
+            "component-proof-reuse",
+            Implies(conj(e, I_a, I_b, *timing, A_a, A_b), inv),
+            "each side's contract supplies its own conjuncts; the timestamp "
+            "equalities hold on loop entry and close the invariant",
+        ),
+        (
+            "use",
+            "component-proof-reuse",
+            Implies(inv, conj(G_a, G_b)),
+            "propositional: both guarantees are conjuncts of the loop invariant",
+        ),
+        (
+            "step-1",
+            "component-proof-reuse",
+            Implies(inv, Box(prog_a, conj(A_a, G_a))),
+            reuse_note.format(name=", ".join(rc.bound_name for rc in am.choices))
+            + print_formula(Implies(conj(A_a, G_a), Box(own_a, conj(A_a, G_a)))),
+        ),
+        (
+            "step-2",
+            "composition-invariant",
+            Implies(inv, Box(prog_a, J)),
+            "the bound name does not occur in the invariant; reuses thm2.jcmp.a",
+        ),
+        (
+            "step-3",
+            "fv-bv-separation",
+            Implies(inv, Box(prog_a, G_b)),
+            "writes "
+            + _fmt_names(bound_vars(prog_a))
+            + " avoid the other guarantee's free variables "
+            + _fmt_names(free_vars(G_b)),
+        ),
+        (
+            "step-4",
+            "compatibility",
+            Implies(inv, Box(prog_a, A_b)),
+            "follows from step-1 and step-2 with thm2.compat.ba",
+        ),
+        (
+            "step-5",
+            "fv-bv-separation",
+            Implies(inv, Box(prog_b, G_a)),
+            "writes "
+            + _fmt_names(bound_vars(prog_b))
+            + " avoid the other guarantee's free variables "
+            + _fmt_names(free_vars(G_a)),
+        ),
+        (
+            "step-6",
+            "component-proof-reuse",
+            Implies(inv, Box(prog_b, conj(A_b, G_b))),
+            reuse_note.format(name=", ".join(rc.bound_name for rc in bm.choices))
+            + print_formula(Implies(conj(A_b, G_b), Box(own_b, conj(A_b, G_b)))),
+        ),
+        (
+            "step-7",
+            "composition-invariant",
+            Implies(inv, Box(prog_b, J)),
+            "the bound name does not occur in the invariant; reuses thm2.jcmp.b",
+        ),
+        (
+            "step-8",
+            "compatibility",
+            Implies(inv, Box(prog_b, A_a)),
+            "follows from step-6 and step-7 with thm2.compat.ab",
+        ),
+        (
+            "jcmp-init",
+            "composition-invariant",
+            Implies(conj(I_a, I_b, *timing), J),
+            "timestamps equal the clock on loop entry",
+        ),
+        ("jcmp-a", "composition-invariant", Implies(J, Box(own_a, J))),
+        ("jcmp-b", "composition-invariant", Implies(J, Box(own_b, J))),
+        (
+            "compat-ab",
+            "compatibility",
+            Implies(A_a, Box(own_b, Implies(conj(G_b, J), A_a))),
+            "the first side's assumption survives the second side's runs",
+        ),
+        (
+            "compat-ba",
+            "compatibility",
+            Implies(A_b, Box(own_a, Implies(conj(G_a, J), A_b))),
+            "the second side's assumption survives the first side's runs",
+        ),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -496,76 +489,63 @@ def obligations_plants(
         f"{fraction_to_text(b.controllability)}) = {fraction_to_text(bound)}"
     )
 
-    out: list[ProofObligation] = []
-
-    def add(case: str, hint: str, goal: Formula, *notes: str) -> None:
-        out.append(
-            ProofObligation(
-                id=f"thm3.{case}".replace("-", "."),
-                theorem="thm3",
-                case=case,
-                hint=hint,
-                goal=goal,
-                notes=tuple(notes),
-            )
-        )
-
     def ghosted(p: ControllablePlant, other: ControllablePlant) -> Program:
         kept = _dc_replace(p, domain=conj(p.domain, other.domain))
         return kept.to_program(bound=bound)
 
-    add(
-        "base",
-        "component-proof-reuse",
-        Implies(conj(e, I_a, I_b, A_a, A_b), inv),
-        "each side's contract supplies its own conjuncts",
-    )
-    add(
-        "use",
-        "component-proof-reuse",
-        Implies(inv, conj(G_a, G_b)),
-        "propositional: both guarantees are conjuncts of the loop invariant",
-    )
-    add(
-        "step-1",
-        "component-proof-reuse",
-        Implies(inv, Box(joint_prog, conj(A_a, G_a))),
-        f"joint time bound {min_txt}",
-        "the other side's equations are removable ghosts here; retained "
-        "goal over own dynamics: "
-        + print_formula(Implies(inv, Box(ghosted(a, b), conj(A_a, G_a)))),
-    )
-    add(
-        "step-2",
-        "component-proof-reuse",
-        Implies(inv, Box(joint_prog, conj(A_b, G_b))),
-        f"joint time bound {min_txt}",
-        "the other side's equations are removable ghosts here; retained "
-        "goal over own dynamics: "
-        + print_formula(Implies(inv, Box(ghosted(b, a), conj(A_b, G_b)))),
-    )
-    add(
-        "step-3",
-        "composition-invariant",
-        Implies(inv, Box(joint_prog, J)),
-        "reuses thm3.jcmp.a and thm3.jcmp.b over the joint flow",
-    )
-    add("jcmp-init", "composition-invariant", Implies(conj(I_a, I_b), J))
-    add("jcmp-a", "composition-invariant", Implies(J, Box(a.to_program(), J)))
-    add("jcmp-b", "composition-invariant", Implies(J, Box(b.to_program(), J)))
-    add(
-        "compat-ab",
-        "compatibility",
-        Implies(A_a, Box(b.to_program(), Implies(conj(G_b, J), A_a))),
-        "the first side's assumption survives the second side's runs",
-    )
-    add(
-        "compat-ba",
-        "compatibility",
-        Implies(A_b, Box(a.to_program(), Implies(conj(G_a, J), A_b))),
-        "the second side's assumption survives the first side's runs",
-    )
-    return out
+    return _obligation_list("thm3", [
+        (
+            "base",
+            "component-proof-reuse",
+            Implies(conj(e, I_a, I_b, A_a, A_b), inv),
+            "each side's contract supplies its own conjuncts",
+        ),
+        (
+            "use",
+            "component-proof-reuse",
+            Implies(inv, conj(G_a, G_b)),
+            "propositional: both guarantees are conjuncts of the loop invariant",
+        ),
+        (
+            "step-1",
+            "component-proof-reuse",
+            Implies(inv, Box(joint_prog, conj(A_a, G_a))),
+            f"joint time bound {min_txt}",
+            "the other side's equations are removable ghosts here; retained "
+            "goal over own dynamics: "
+            + print_formula(Implies(inv, Box(ghosted(a, b), conj(A_a, G_a)))),
+        ),
+        (
+            "step-2",
+            "component-proof-reuse",
+            Implies(inv, Box(joint_prog, conj(A_b, G_b))),
+            f"joint time bound {min_txt}",
+            "the other side's equations are removable ghosts here; retained "
+            "goal over own dynamics: "
+            + print_formula(Implies(inv, Box(ghosted(b, a), conj(A_b, G_b)))),
+        ),
+        (
+            "step-3",
+            "composition-invariant",
+            Implies(inv, Box(joint_prog, J)),
+            "reuses thm3.jcmp.a and thm3.jcmp.b over the joint flow",
+        ),
+        ("jcmp-init", "composition-invariant", Implies(conj(I_a, I_b), J)),
+        ("jcmp-a", "composition-invariant", Implies(J, Box(a.to_program(), J))),
+        ("jcmp-b", "composition-invariant", Implies(J, Box(b.to_program(), J))),
+        (
+            "compat-ab",
+            "compatibility",
+            Implies(A_a, Box(b.to_program(), Implies(conj(G_b, J), A_a))),
+            "the first side's assumption survives the second side's runs",
+        ),
+        (
+            "compat-ba",
+            "compatibility",
+            Implies(A_b, Box(a.to_program(), Implies(conj(G_a, J), A_b))),
+            "the second side's assumption survives the first side's runs",
+        ),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -620,100 +600,113 @@ def _alias_root(domain_box: dict, name: str) -> str:
         seen.add(name)
 
 
-class _Search:
-    """One bounded search. Formulas and programs are compiled
+def _quantifier_axis(domain_box: dict, grid: int, name: str) -> tuple[float, ...]:
+    if name not in domain_box:
+        raise UnboundedVariable(name)
+    return _axis(domain_box[name], grid)
 
-    on first use and memoised by node identity for the life of the
-    search; each entry holds its node, so no id is reused meanwhile.
+
+def _has_modality(f: Formula) -> bool:
+    """True when `f` has a box or a quantifier. Only connectives can hold
+    one (terms hold no formulas), so only they are descended.
     """
+    if isinstance(f, (Box, Forall, Exists)):
+        return True
+    if isinstance(f, Not):
+        return _has_modality(f.operand)
+    if isinstance(f, (And, Or, Implies)):
+        return _has_modality(f.left) or _has_modality(f.right)
+    return False
 
-    def __init__(self, domain_box: dict, grid: int, unroll: int, flow_samples: int):
-        self.domain_box = domain_box
-        self.grid = grid
-        # Non-empty once a loop, a flow or a quantifier grid has cut the
-        # search short.
-        self.cut_short: set[bool] = set()
-        self._compiled: dict[tuple, tuple] = {}
-        # Neither this compiler (a memo key) nor its callback refers to the
-        # search, so no search is left as a cycle for the garbage collector.
-        self._compile_program = functools.partial(
-            compile_program,
-            unroll=unroll,
-            flow_samples=flow_samples,
-            on_truncate=functools.partial(self.cut_short.add, True),
-        )
 
-    def _compile(self, node, compiler):
-        key = (id(node), compiler)
-        hit = self._compiled.get(key)
-        if hit is None:
-            hit = self._compiled[key] = (node, compiler(node))
-        return hit[1]
+Verdict = tuple[bool, dict | None]
 
-    def reach(self, p: Program, s: dict) -> list[dict]:
-        return self._compile(p, self._compile_program)(s)
 
-    def quantifier_axis(self, name: str) -> tuple[float, ...]:
-        if name not in self.domain_box:
-            raise UnboundedVariable(name)
-        return _axis(self.domain_box[name], self.grid)
+def _compile_goal(
+    f: Formula,
+    compile_prog: Callable[[Program], Callable[[dict], list[dict]]],
+    axis: Callable[[str], tuple[float, ...]],
+    truncated: Callable[[], None],
+) -> Callable[[dict], Verdict]:
+    """`f` compiled once into a closure from a state to (verdict, failing
+    state). The failing state is the reached state where a subformula
+    went false, which for box goals is more useful than the initial
+    point; every failure carries one.
 
-    def eval(self, f: Formula, s: dict) -> tuple[bool, dict | None]:
-        """(verdict, failing state). The failing state is the reached
+    A subformula with no box or quantifier is one `compile_formula`
+    closure. Quantifiers look their axis up when reached, and call
+    `truncated()` when their grid ran out without deciding them.
+    """
+    if not _has_modality(f):
+        flat = compile_formula(f)
 
-        state where a subformula went false, which for box goals is more
-        useful than the initial point.
-        """
-        # A modality- and quantifier-free formula fails, if at all, in `s`.
-        flat = self._compile(f, _first_order)
-        if flat is not None:
-            return (True, None) if flat(s) else (False, s)
-        if isinstance(f, Not):
-            ok, _ = self.eval(f.operand, s)
-            return (not ok, s if ok else None)
+        def fn(s, _f=flat):
+            return (True, None) if _f(s) else (False, s)
+
+    elif isinstance(f, Not):
+        inner = _compile_goal(f.operand, compile_prog, axis, truncated)
+
+        def fn(s, _i=inner):
+            return (False, s) if _i(s)[0] else (True, None)
+
+    elif isinstance(f, (And, Or, Implies)):
+        left = _compile_goal(f.left, compile_prog, axis, truncated)
+        right = _compile_goal(f.right, compile_prog, axis, truncated)
         if isinstance(f, And):
-            ok, w = self.eval(f.left, s)
-            if not ok:
-                return False, w
-            return self.eval(f.right, s)
-        if isinstance(f, Or):
-            ok, _ = self.eval(f.left, s)
-            if ok:
-                return True, None
-            return self.eval(f.right, s)
-        if isinstance(f, Implies):
-            ok, _ = self.eval(f.left, s)
-            if not ok:
-                return True, None
-            return self.eval(f.right, s)
-        if isinstance(f, Box):
-            for r in self.reach(f.program, s):
-                ok, w = self.eval(f.post, r)
-                if not ok:
-                    return False, w if w is not None else r
-            return True, None
-        if isinstance(f, Forall):
-            for v in self.quantifier_axis(f.var):
-                ok, w = self.eval(f.body, {**s, f.var: v})
+
+            def fn(s, _l=left, _r=right):
+                ok, w = _l(s)
+                return _r(s) if ok else (False, w)
+
+        elif isinstance(f, Or):
+
+            def fn(s, _l=left, _r=right):
+                return (True, None) if _l(s)[0] else _r(s)
+
+        else:
+
+            def fn(s, _l=left, _r=right):
+                return _r(s) if _l(s)[0] else (True, None)
+
+    elif isinstance(f, Box):
+        reach = compile_prog(f.program)
+        post = _compile_goal(f.post, compile_prog, axis, truncated)
+
+        def fn(s, _reach=reach, _post=post):
+            for r in _reach(s):
+                ok, w = _post(r)
                 if not ok:
                     return False, w
-            self.cut_short.add(True)
             return True, None
-        if isinstance(f, Exists):
-            for v in self.quantifier_axis(f.var):
-                ok, _ = self.eval(f.body, {**s, f.var: v})
-                if ok:
+
+    elif isinstance(f, Forall):
+        body = _compile_goal(f.body, compile_prog, axis, truncated)
+
+        def fn(s, _v=f.var, _b=body):
+            for x in axis(_v):
+                ok, w = _b({**s, _v: x})
+                if not ok:
+                    return False, w
+            truncated()
+            return True, None
+
+    elif isinstance(f, Exists):
+        body = _compile_goal(f.body, compile_prog, axis, truncated)
+
+        def fn(s, _v=f.var, _b=body):
+            for x in axis(_v):
+                if _b({**s, _v: x})[0]:
                     return True, None
-            self.cut_short.add(True)
+            truncated()
             return False, s
+
+    else:
         raise TypeError(f"not a formula: {f!r}")
+    return fn
 
 
-def _first_order(f: Formula):
-    """compile_formula(f), or None when f has a modality or quantifier."""
-    if any(isinstance(n, (Box, Forall, Exists)) for n in walk(f)):
-        return None
-    return compile_formula(f)
+def _holds(s: dict) -> Verdict:
+    return True, None
 
 
 MAX_GRID_POINTS = 200000
@@ -755,7 +748,24 @@ def check_bounded(
             "pin more variables or lower the grid"
         )
 
-    search = _Search(domain_box, grid, unroll, flow_samples)
+    # Non-empty once a loop, a flow or a quantifier grid has cut the search
+    # short. No closure refers back to another, so the compiled goal is
+    # freed on return without waiting for the garbage collector.
+    cut_short: set[bool] = set()
+    truncated = functools.partial(cut_short.add, True)
+    compile_prog = functools.partial(
+        compile_program,
+        unroll=unroll,
+        flow_samples=flow_samples,
+        on_truncate=truncated,
+    )
+    axis_of = functools.partial(_quantifier_axis, domain_box, grid)
+    if isinstance(goal, Implies):
+        pre = _compile_goal(goal.left, compile_prog, axis_of, truncated)
+        post = _compile_goal(goal.right, compile_prog, axis_of, truncated)
+    else:
+        pre, post = _holds, _compile_goal(goal, compile_prog, axis_of, truncated)
+
     checked = 0
     total = 0
     for combo in itertools.product(*axes) if axes else [()]:
@@ -763,23 +773,18 @@ def check_bounded(
         for n, root in aliases:
             state[n] = state[root]
         total += 1
-        if isinstance(goal, Implies):
-            pre_ok, _ = search.eval(goal.left, state)
-            if not pre_ok:
-                continue
-            checked += 1
-            ok, witness = search.eval(goal.right, state)
-        else:
-            checked += 1
-            ok, witness = search.eval(goal, state)
+        if not pre(state)[0]:
+            continue
+        checked += 1
+        ok, witness = post(state)
         if not ok:
             return BoundedCheckResult(
                 status="counterexample",
                 checked=checked,
                 total=total,
-                counterexample=dict(witness) if witness is not None else dict(state),
+                counterexample=dict(witness),
                 initial=dict(state),
-                caveat=_caveat(grid, unroll, flow_samples, bool(search.cut_short), checked),
+                caveat=_caveat(grid, unroll, flow_samples, bool(cut_short), checked),
             )
     status = "holds" if checked > 0 else "inconclusive"
     return BoundedCheckResult(
@@ -788,7 +793,7 @@ def check_bounded(
         total=total,
         counterexample=None,
         initial=None,
-        caveat=_caveat(grid, unroll, flow_samples, bool(search.cut_short), checked),
+        caveat=_caveat(grid, unroll, flow_samples, bool(cut_short), checked),
     )
 
 

@@ -90,7 +90,8 @@ State = dict[str, float]
 #
 # The compilers (and compile_program below) keep no cache: a caller that
 # evaluates the same node many times compiles it once and keeps the
-# closure (see CompiledSystem, and the bounded checker's per-search memo).
+# closure (see CompiledSystem, and check_bounded, which compiles its goal
+# once per call).
 
 
 def compile_term(t: Term) -> Callable[[State], float]:
@@ -145,6 +146,9 @@ def compile_term(t: Term) -> Callable[[State], float]:
 
 
 def compile_formula(f: Formula) -> Callable[[State], bool]:
+    """`f`, free of boxes and quantifiers, as a closure from a state to its
+    truth value. `=` and `!=` compare within EQ_TOLERANCE (1e-9).
+    """
     if isinstance(f, TrueF):
 
         def fn(s: State) -> bool:
@@ -223,20 +227,6 @@ def compile_formula(f: Formula) -> Callable[[State], bool]:
     else:
         raise TypeError(f"not a formula: {f!r}")
     return fn
-
-
-def eval_term(t: Term, state: State) -> float:
-    """One-off evaluation; compiles `t` on every call."""
-    return compile_term(t)(state)
-
-
-def eval_formula(f: Formula, state: State) -> bool:
-    """One-off modality-free evaluation; compiles `f` on every call.
-
-    `=` / `!=` compare within EQ_TOLERANCE (1e-9). Public and exported
-    from `ccskit` for single checks; loops should compile once instead.
-    """
-    return compile_formula(f)(state)
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +649,6 @@ class Trace:
     truncated: bool = False
     max_invariant_residual: float = 0.0
 
-    @property
-    def final(self) -> dict[str, float]:
-        return self.points[-1].values if self.points else {}
-
     def variables(self) -> list[str]:
         return sorted(self.points[0].values.keys()) if self.points else []
 
@@ -1034,9 +1020,9 @@ class BatchSummary:
 
 
 def batch_schedule_seed(seed: int, index: int) -> int:
-    """Per-run seed derivation; exposed so a single `run` can reproduce
+    """Per-run seed derivation; `batch_member` builds a whole member of
 
-    any member of a batch exactly.
+    a batch from it.
     """
     return (seed * 1_000_003 + index) % (2**63)
 
@@ -1057,6 +1043,17 @@ def sample_init(init_box: dict, rng: random.Random) -> dict:
     return out
 
 
+def batch_member(
+    seed: int, index: int, init_box: dict, strategy: str, horizon: float
+) -> tuple[Schedule, dict]:
+    """The schedule and init of run `index` of a batch, so that
+    `run(system, *batch_member(...))` reproduces that member exactly.
+    """
+    run_seed = batch_schedule_seed(seed, index)
+    init = sample_init(init_box, random.Random(run_seed ^ 0x5EED))
+    return Schedule(strategy=strategy, seed=run_seed, horizon=horizon), init
+
+
 def run_batch(
     system: MCCS,
     n_schedules: int,
@@ -1068,8 +1065,7 @@ def run_batch(
     """`n_schedules` independent seeded runs with inits drawn from
 
     `init_box`. Deterministic in (system, n_schedules, seed, init_box):
-    run i uses schedule seed batch_schedule_seed(seed, i) and its own
-    init draw.
+    run i is `batch_member(seed, i, init_box, strategy, horizon)`.
     """
     cs = CompiledSystem(system)
     violations: dict[str, int] = {name: 0 for name, _, _ in cs.monitors}
@@ -1079,10 +1075,7 @@ def run_batch(
     total_points = 0
     stuck = 0
     for i in range(n_schedules):
-        run_seed = batch_schedule_seed(seed, i)
-        init_rng = random.Random(run_seed ^ 0x5EED)
-        init = sample_init(init_box, init_rng)
-        schedule = Schedule(strategy=strategy, seed=run_seed, horizon=horizon)
+        schedule, init = batch_member(seed, i, init_box, strategy, horizon)
         # This run's samples as value rows, reduced to ranges and merged
         # into the batch only if the run finishes. Every state of a run
         # has its initial state's variables in the same order: flows and

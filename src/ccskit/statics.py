@@ -39,6 +39,7 @@ from .ast import (
     Times,
     TrueF,
     Variable,
+    walk,
 )
 
 VarSet = frozenset[str]
@@ -145,15 +146,13 @@ def must_bound_vars(program: Program) -> VarSet:
 
 def all_vars(node: Node) -> VarSet:
     """Every variable name occurring syntactically in `node`."""
-    from .ast import walk, Assign as _Assign, ODE as _ODE
-
     out: set[str] = set()
     for sub in walk(node):
         if isinstance(sub, Variable):
             out.add(sub.name)
-        elif isinstance(sub, _Assign):
+        elif isinstance(sub, Assign):
             out.add(sub.var)
-        elif isinstance(sub, _ODE):
+        elif isinstance(sub, ODE):
             out.update(v for v, _ in sub.equations)
         elif isinstance(sub, (Forall, Exists)):
             out.add(sub.var)

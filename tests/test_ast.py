@@ -26,7 +26,6 @@ from ccskit.ast import (
     conj,
     conjuncts,
     fraction_to_text,
-    mentions_name,
     normalize_ac,
     num,
     pretty_print,
@@ -38,6 +37,7 @@ from ccskit.ast import (
     var,
     walk,
 )
+from ccskit.statics import all_vars
 
 
 def test_num_parses_decimals_exactly():
@@ -90,12 +90,12 @@ def test_print_round_corners():
     assert pretty_print(Times(Plus(var("a"), num(1)), var("b"))) == "(a + 1) * b"
 
 
-def test_mentions_name_sees_reads_writes_and_odes():
+def test_all_vars_sees_reads_writes_and_odes():
     p = Seq(Assign("x", var("a")), ODE((("y", num(1)),), TRUE))
-    assert mentions_name(p, "x")
-    assert mentions_name(p, "a")
-    assert mentions_name(p, "y")
-    assert not mentions_name(p, "z")
+    assert "x" in all_vars(p)
+    assert "a" in all_vars(p)
+    assert "y" in all_vars(p)
+    assert "z" not in all_vars(p)
 
 
 def test_walk_yields_every_node():

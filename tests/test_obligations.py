@@ -23,8 +23,12 @@ from ccskit.ast import (
     Exists,
     Forall,
     Implies,
+    Loop,
+    Not,
+    Or,
     Plus,
     TRUE,
+    Times,
     num,
     print_formula,
     var,
@@ -395,6 +399,109 @@ def test_vacuous_contracts_discharge_everywhere(watertank):
     for ob in obligations_ccs(vac):
         res = check_bounded(ob, WT_BOX, grid=3, flow_samples=8)
         assert res.status == "holds", ob.id
+
+
+# Goal shapes no corpus obligation has: quantifiers, a negated box, a box
+# under a disjunction, nested boxes. Expected results recorded on the
+# checker that evaluated goals node by node, before goals were compiled.
+_CAVEAT = (
+    "bounded search: grid 3 per axis, loops unrolled 2 deep, "
+    "flows sampled at 32 points"
+)
+_TRUNCATED = _CAVEAT + "; some behavior was truncated at these bounds"
+_X = {"x": [0, 2]}
+_XY = {"x": [0, 1], "y": [0, 2]}
+
+
+def _result(status, checked, total, counterexample=None, initial=None, caveat=_CAVEAT):
+    return {
+        "status": status,
+        "checked": checked,
+        "total": total,
+        "counterexample": counterexample,
+        "initial": initial,
+        "caveat": caveat,
+    }
+
+
+SHAPES = {
+    "forall-holds": (
+        Implies(
+            Compare(">=", var("x"), num(0)),
+            Forall("y", Compare(">=", Plus(var("x"), var("y")), var("y"))),
+        ),
+        _XY,
+        _result("holds", 3, 3, caveat=_TRUNCATED),
+    ),
+    "forall-fails": (
+        Forall("y", Compare(">=", Plus(var("x"), var("y")), num(1))),
+        _XY,
+        _result("counterexample", 1, 1, {"x": 0.0, "y": 0.0}, {"x": 0.0}),
+    ),
+    "exists-holds": (
+        Exists("y", Compare(">=", var("y"), var("x"))),
+        _XY,
+        _result("holds", 3, 3),
+    ),
+    "exists-fails": (
+        Exists("y", Compare(">", var("y"), Plus(var("x"), num(5)))),
+        _XY,
+        _result("counterexample", 1, 1, {"x": 0.0}, {"x": 0.0}, _TRUNCATED),
+    ),
+    "not-box": (
+        Not(Box(Assign("x", Plus(var("x"), num(1))), Compare(">", var("x"), num(1)))),
+        _X,
+        _result("counterexample", 2, 2, {"x": 1.0}, {"x": 1.0}),
+    ),
+    "or-box": (
+        Or(
+            Compare("<", var("x"), num("0.5")),
+            Box(Assign("x", Times(var("x"), num(2))), Compare("<=", var("x"), num(2))),
+        ),
+        _X,
+        _result("counterexample", 3, 3, {"x": 4.0}, {"x": 2.0}),
+    ),
+    "box-box": (
+        Box(
+            Assign("x", Plus(var("x"), num(1))),
+            Box(Assign("y", var("x")), Compare("<=", var("y"), num(2))),
+        ),
+        _X,
+        _result("counterexample", 3, 3, {"x": 3.0, "y": 3.0}, {"x": 2.0}),
+    ),
+    "box-loop": (
+        Box(Loop(Assign("x", Plus(var("x"), num(1)))), Compare(">=", var("x"), num(0))),
+        _X,
+        _result("holds", 3, 3, caveat=_TRUNCATED),
+    ),
+    # The antecedent never holds, so the quantifier without a box entry is
+    # never reached.
+    "unreached-quantifier": (
+        Implies(
+            Compare("<", var("x"), num(0)),
+            Forall("z", Compare(">=", var("z"), var("x"))),
+        ),
+        {"x": [0, 1]},
+        _result(
+            "inconclusive", 0, 3,
+            caveat=_CAVEAT + "; no grid point satisfied the antecedent",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_check_bounded_goal_shapes(shape):
+    goal, box, expected = SHAPES[shape]
+    assert check_bounded(goal, box, grid=3).to_json() == expected
+
+
+def test_check_bounded_axes_quantifiers_when_reached():
+    goal = Forall("z", Compare(">=", var("z"), var("x")))
+    with pytest.raises(UnboundedVariable):
+        check_bounded(goal, {"x": [0, 1]}, grid=3)
+    with pytest.raises(ValueError, match="empty interval"):
+        check_bounded(goal, {"x": [0, 1], "z": [1, 0]}, grid=3)
 
 
 # sha256 of [status, checked, total, counterexample] per obligation, grid 5,

@@ -29,6 +29,7 @@ from ccskit.simulator import (
     STRATEGIES,
     BatchSummary,
     Schedule,
+    batch_member,
     batch_schedule_seed,
     compile_program,
     complete_init,
@@ -396,6 +397,22 @@ def test_batch_aggregates_match_member_runs(model, strategy, corpus_dir):
     assert summary.max_invariant_residual == residual
     assert {k: c for k, c in summary.violations.items() if c} == violations
     assert summary.stuck_runs == stuck == 0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_batch_member_reproduces_each_run(strategy, corpus_dir):
+    system = dsl.load_file(corpus_dir / "watertank_late_ctrl.ccs")
+    box = json.loads((corpus_dir / "watertank_late_ctrl.init.json").read_text())
+    members = [batch_member(11, i, box, strategy, 6.0) for i in range(3)]
+    for i, (schedule, init) in enumerate(members):
+        run_seed, expected_init = _member_init(box, 11, i)
+        assert schedule == Schedule(strategy=strategy, seed=run_seed, horizon=6.0)
+        assert init == expected_init
+    traces = [run(system, *member) for member in members]
+    summary = run_batch(system, 3, 11, box, strategy, horizon=6.0)
+    assert summary.total_points == sum(len(t.points) for t in traces)
+    assert summary.runs_with_violations == sum(1 for t in traces if t.violations)
+    assert summary.max_invariant_residual == max(t.max_invariant_residual for t in traces)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
