@@ -43,8 +43,6 @@ from .obligations import (
 from .ast import fraction_to_text
 from .simulator import (
     STRATEGIES,
-    batch_member,
-    run,
     run_batch,
     write_trace_csv,
 )
@@ -421,12 +419,11 @@ def simulate(
 
     try:
         summary = run_batch(
-            sys_, schedules, seed, init_box, strategy=strategy, horizon=horizon
+            sys_, schedules, seed, init_box, strategy=strategy, horizon=horizon,
+            keep_first=bool(csv_paths),
         )
-        if csv_paths:
-            trace = run(sys_, *batch_member(seed, 0, init_box, strategy, horizon))
         for path in csv_paths:
-            write_trace_csv(trace, path)
+            write_trace_csv(summary.first_trace, path)
             click.echo(f"wrote trace of run 0 to {path}", err=True)
     except CcsError as e:
         click.echo(f"simulation failed ({type(e).__name__}): {e}", err=True)

@@ -61,10 +61,6 @@ CLOCK = "t"
 TIMESTAMP_PREFIX = "tau_"
 
 
-def _is_reserved(name: str) -> bool:
-    return name == CLOCK or name.startswith(TIMESTAMP_PREFIX)
-
-
 @dataclass(frozen=True)
 class Contract:
     """Assume/guarantee pair plus the initial-state predicate.

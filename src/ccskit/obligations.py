@@ -24,9 +24,10 @@ Rule tags: thm1 (controller + plant), thm2 (controller pair), thm3
 loops, samples ODE flows, and reports `holds` only in the sense of
 "no counterexample in this finite exploration"; the caveat field always
 spells out the truncations. Each call compiles its goal once into one
-closure: box- and quantifier-free parts through the simulator's
-`compile_formula`, programs through its `compile_program` (the same
-semantics a simulated controller firing uses).
+closure: box- and quantifier-free parts through the simulator's one
+compiler (`emit_formula`, `compile_source`), programs through its
+`compile_program` (the same semantics a simulated controller firing
+uses).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .composition import (
     raise_on_violations,
 )
 from .errors import BoundOccursInBehavior, CcsError, UnboundedVariable
-from .simulator import compile_formula, compile_program
+from .simulator import compile_program, compile_source, emit_formula
 from .statics import all_vars, bound_vars, free_vars
 
 HINTS = frozenset(
@@ -104,6 +105,11 @@ class ProofObligation:
             raise ValueError(f"unknown hint {self.hint!r}")
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
+
+    @functools.cached_property
+    def free_vars(self) -> frozenset[str]:
+        """The goal's free variables, computed on first use."""
+        return free_vars(self.goal)
 
     @property
     def provenance(self) -> str:
@@ -633,17 +639,15 @@ def _compile_goal(
     went false, which for box goals is more useful than the initial
     point; every failure carries one.
 
-    A subformula with no box or quantifier is one `compile_formula`
-    closure. Quantifiers look their axis up when reached, and call
-    `truncated()` when their grid ran out without deciding them.
+    A subformula with no box or quantifier is one function compiled from
+    the simulator's `emit_formula` source. Quantifiers look their axis up
+    when reached, and call `truncated()` when their grid ran out without
+    deciding them.
     """
     if not _has_modality(f):
-        flat = compile_formula(f)
-
-        def fn(s, _f=flat):
-            return (True, None) if _f(s) else (False, s)
-
-    elif isinstance(f, Not):
+        leaf = f"(True, None) if {emit_formula(f)} else (False, s)"
+        return compile_source("s", leaf)
+    if isinstance(f, Not):
         inner = _compile_goal(f.operand, compile_prog, axis, truncated)
 
         def fn(s, _i=inner):
@@ -727,11 +731,13 @@ def check_bounded(
     points is reported as inconclusive, never as holds.
     """
     if isinstance(goal, ProofObligation):
-        goal = goal.goal
+        names, goal = goal.free_vars, goal.goal
+    else:
+        names = free_vars(goal)
     gridded: set[str] = set()
     # (name, gridded variable it copies), each alias chain followed once.
     aliases: list[tuple[str, str]] = []
-    for n in sorted(free_vars(goal)):
+    for n in sorted(names):
         root = _alias_root(domain_box, n)
         gridded.add(root)
         if root != n:

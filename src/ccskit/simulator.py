@@ -24,11 +24,18 @@ fixed-step RK4 with h = min(reactivity, controllability) / 100.
 Guarantees and the composition invariant are monitored at every loop
 boundary; violations are recorded, never fatal. Identical
 (system, schedule, init) inputs give bit-identical traces.
+
+Everything a step evaluates is compiled once per system to Python
+source by one emitter (`emit_term`/`emit_formula`): the flow's slopes,
+advance and domain gaps, each controller's tests-and-assignments
+branches, one check that every monitor holds at a boundary, and one
+invariant residual per sample.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -88,145 +95,115 @@ State = dict[str, float]
 # ---------------------------------------------------------------------------
 # Compiled evaluation of modality-free terms and formulas
 #
-# The compilers (and compile_program below) keep no cache: a caller that
-# evaluates the same node many times compiles it once and keeps the
-# closure (see CompiledSystem, and check_bounded, which compiles its goal
-# once per call).
+# One compiler. emit_term/emit_formula print a term or formula as one
+# Python expression over the state `s`, with the float operations of a
+# direct evaluation in the same order: no term is reordered or rewritten,
+# so results are bit for bit those of walking the tree. Variables appear
+# only as string keys (`s['name']`), so any name is safe. compile_source
+# turns a source into a function once per distinct text; its cache holds
+# strings, not AST nodes, and systems and goals that print the same
+# expression share one function. A caller that evaluates a node many
+# times still compiles it once and keeps the function (see CompiledSystem,
+# and check_bounded, which compiles its goal once per call).
 
 
-def compile_term(t: Term) -> Callable[[State], float]:
+def _division_by_zero(text: str):
+    raise DivisionByZero(text)
+
+
+_GLOBALS = {"__builtins__": {}, "abs": abs, "max": max, "_dz": _division_by_zero}
+
+
+@functools.lru_cache(maxsize=2048)
+def compile_source(params: str, src: str) -> Callable:
+    """`lambda <params>: <src>` as a function, compiled once per text."""
+    return eval(f"lambda {params}: {src}", _GLOBALS)
+
+
+def emit_term(t: Term, depth: int = 0) -> str:
+    """`t` as a Python expression over the state `s`.
+
+    Division evaluates its denominator first and raises DivisionByZero
+    with the printed term when it is zero, before touching the
+    numerator. It keeps the denominator in `_d<depth>`; a numerator is
+    emitted one level deeper, so nested divisions never share a name
+    while one is live.
+    """
     if isinstance(t, Variable):
-        name = t.name
-
-        def fn(s: State, _n=name) -> float:
-            return s[_n]
-
-    elif isinstance(t, Rational):
-        value = float(t.value)
-
-        def fn(s: State, _v=value) -> float:
-            return _v
-
-    elif isinstance(t, Neg):
-        op = compile_term(t.operand)
-
-        def fn(s: State, _op=op) -> float:
-            return -_op(s)
-
-    elif isinstance(t, (Plus, Minus, Times, Divide)):
-        left = compile_term(t.left)
-        right = compile_term(t.right)
-        if isinstance(t, Plus):
-
-            def fn(s: State, _l=left, _r=right) -> float:
-                return _l(s) + _r(s)
-
-        elif isinstance(t, Minus):
-
-            def fn(s: State, _l=left, _r=right) -> float:
-                return _l(s) - _r(s)
-
-        elif isinstance(t, Times):
-
-            def fn(s: State, _l=left, _r=right) -> float:
-                return _l(s) * _r(s)
-
-        else:
-            text = print_term(t)
-
-            def fn(s: State, _l=left, _r=right, _txt=text) -> float:
-                d = _r(s)
-                if d == 0.0:
-                    raise DivisionByZero(_txt)
-                return _l(s) / d
-
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    return fn
+        return f"s[{t.name!r}]"
+    if isinstance(t, Rational):
+        return repr(float(t.value))
+    if isinstance(t, Neg):
+        return f"(-{emit_term(t.operand, depth)})"
+    if isinstance(t, Divide):
+        d = f"_d{depth}"
+        return (
+            f"({emit_term(t.left, depth + 1)} / {d} "
+            f"if ({d} := {emit_term(t.right, depth)}) != 0.0 "
+            f"else _dz({print_term(t)!r}))"
+        )
+    if isinstance(t, (Plus, Minus, Times)):
+        op = "+" if isinstance(t, Plus) else "-" if isinstance(t, Minus) else "*"
+        left = emit_term(t.left, depth)
+        # Python groups `a - b + c` as `(a - b) + c`, so a left operand of
+        # the same precedence drops its parentheses and the long chains the
+        # parser builds do not nest past Python's limit.
+        if isinstance(t.left, (Times,) if op == "*" else (Plus, Minus)):
+            left = left[1:-1]
+        return f"({left} {op} {emit_term(t.right, depth)})"
+    raise TypeError(f"not a term: {t!r}")
 
 
-def compile_formula(f: Formula) -> Callable[[State], bool]:
-    """`f`, free of boxes and quantifiers, as a closure from a state to its
-    truth value. `=` and `!=` compare within EQ_TOLERANCE (1e-9).
+def emit_formula(f: Formula) -> str:
+    """`f`, free of boxes and quantifiers, as a Python expression over
+    the state `s`. `=` and `!=` compare within EQ_TOLERANCE (1e-9).
+    And chains print flat, as `and` short-circuits the same way whatever
+    the grouping; Or chains as Python groups them, left first.
     """
     if isinstance(f, TrueF):
-
-        def fn(s: State) -> bool:
-            return True
-
-    elif isinstance(f, FalseF):
-
-        def fn(s: State) -> bool:
-            return False
-
-    elif isinstance(f, Compare):
-        left = compile_term(f.left)
-        right = compile_term(f.right)
-        op = f.op
-        if op == "=":
-
-            def fn(s: State, _l=left, _r=right) -> bool:
-                return abs(_l(s) - _r(s)) <= EQ_TOLERANCE
-
-        elif op == "!=":
-
-            def fn(s: State, _l=left, _r=right) -> bool:
-                return abs(_l(s) - _r(s)) > EQ_TOLERANCE
-
-        elif op == "<=":
-
-            def fn(s: State, _l=left, _r=right) -> bool:
-                return _l(s) <= _r(s)
-
-        elif op == "<":
-
-            def fn(s: State, _l=left, _r=right) -> bool:
-                return _l(s) < _r(s)
-
-        elif op == ">=":
-
-            def fn(s: State, _l=left, _r=right) -> bool:
-                return _l(s) >= _r(s)
-
-        else:
-
-            def fn(s: State, _l=left, _r=right) -> bool:
-                return _l(s) > _r(s)
-
-    elif isinstance(f, Not):
-        op_ = compile_formula(f.operand)
-
-        def fn(s: State, _o=op_) -> bool:
-            return not _o(s)
-
-    elif isinstance(f, And):
-        left_ = compile_formula(f.left)
-        right_ = compile_formula(f.right)
-
-        def fn(s: State, _l=left_, _r=right_) -> bool:
-            return _l(s) and _r(s)
-
-    elif isinstance(f, Or):
-        left_ = compile_formula(f.left)
-        right_ = compile_formula(f.right)
-
-        def fn(s: State, _l=left_, _r=right_) -> bool:
-            return _l(s) or _r(s)
-
-    elif isinstance(f, Implies):
-        left_ = compile_formula(f.left)
-        right_ = compile_formula(f.right)
-
-        def fn(s: State, _l=left_, _r=right_) -> bool:
-            return (not _l(s)) or _r(s)
-
-    elif isinstance(f, (Box, Forall, Exists)):
+        return "True"
+    if isinstance(f, FalseF):
+        return "False"
+    if isinstance(f, Compare):
+        left, right = emit_term(f.left), emit_term(f.right)
+        if f.op in ("=", "!="):
+            op = "<=" if f.op == "=" else ">"
+            return f"(abs({left} - {right}) {op} {EQ_TOLERANCE!r})"
+        return f"({left} {f.op} {right})"
+    if isinstance(f, Not):
+        return f"(not {emit_formula(f.operand)})"
+    if isinstance(f, And):
+        return "(" + " and ".join(emit_formula(c) for c in conjuncts(f)) + ")"
+    if isinstance(f, Or):
+        left = emit_formula(f.left)
+        left = left[1:-1] if isinstance(f.left, Or) else left
+        return f"({left} or {emit_formula(f.right)})"
+    if isinstance(f, Implies):
+        return f"((not {emit_formula(f.left)}) or {emit_formula(f.right)})"
+    if isinstance(f, (Box, Forall, Exists)):
         raise CcsError(
             "formula is not modality/quantifier-free: " + print_formula(f)
         )
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return fn
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _compile_tuple(params: str, items: Iterable[str]) -> Callable:
+    """A function of `params` returning the tuple of the `items` sources."""
+    return compile_source(params, "(" + "".join(f"{e}, " for e in items) + ")")
+
+
+def _emit_update(updates: Iterable[tuple[str, str]]) -> str:
+    """A copy of the state `s` with each (name, source) pair assigned."""
+    return "{**s, " + "".join(f"{n!r}: {e}, " for n, e in updates) + "}"
+
+
+def compile_term(t: Term) -> Callable[[State], float]:
+    return compile_source("s", emit_term(t))
+
+
+def compile_formula(f: Formula) -> Callable[[State], bool]:
+    """`f` as a function from a state to its truth value (see emit_formula)."""
+    return compile_source("s", emit_formula(f))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +245,8 @@ class FlowSegment:
     """
 
     def __init__(self, ode: ODE):
-        self.ode = ode
         self.vars = tuple(v for v, _ in ode.equations)
         self.moving = frozenset(self.vars)
-        self.rhs = tuple(compile_term(rhs) for _, rhs in ode.equations)
         self.exact = all(
             not (free_vars(rhs) & self.moving) for _, rhs in ode.equations
         )
@@ -283,53 +258,44 @@ class FlowSegment:
             and _is_affine(c.right, self.moving)
             for c in parts
         )
-        # (op, left, right) per domain conjunct, for exit_time_affine.
-        self.affine_conjuncts = (
-            tuple((c.op, compile_term(c.left), compile_term(c.right)) for c in parts)
-            if self.domain_affine
-            else ()
+        # slopes(state): the right-hand sides, in equation order.
+        # at(state, slopes, dt): state + slopes * dt on the evolved
+        # variables; _shift(state, k, c): state + c * k, as RK4 writes it.
+        self.slopes = _compile_tuple("s", [emit_term(e) for _, e in ode.equations])
+        moved = [(v, f"s[{v!r}]", f"k[{i}]") for i, v in enumerate(self.vars)]
+        self.at = compile_source(
+            "s, k, dt", _emit_update((v, f"({x} + ({k} * dt))") for v, x, k in moved)
+        )
+        if not self.exact:
+            self._shift = compile_source(
+                "s, k, c", _emit_update((v, f"({x} + (c * {k}))") for v, x, k in moved)
+            )
+        # exit_time_affine reads each domain conjunct's op and, through
+        # gaps(state), its `left - right`.
+        affine = parts if self.domain_affine else []
+        self.affine_ops = tuple(c.op for c in affine)
+        self.gaps = _compile_tuple(
+            "s", [f"({emit_term(c.left)} - {emit_term(c.right)})" for c in affine]
         )
         # (x, e) per domain conjunct `x <= e` or `x < e` on an evolved x;
-        # flow_states sizes its scan step from them.
+        # flow_states sizes its scan step from them when it scans.
         self.upper_bounds = tuple(
             (c.left.name, compile_term(c.right))
-            for c in parts
+            for c in ([] if self.domain_affine else parts)
             if isinstance(c, Compare)
             and c.op in ("<=", "<")
             and isinstance(c.left, Variable)
             and c.left.name in self.moving
         )
 
-    def slopes(self, state: State) -> tuple[float, ...]:
-        return tuple(fn(state) for fn in self.rhs)
-
-    def at(self, state: State, slopes: tuple[float, ...], dt: float) -> State:
-        out = dict(state)
-        for name, slope in zip(self.vars, slopes):
-            out[name] = state[name] + slope * dt
-        return out
-
     def _rk4_step(self, state: State, h: float) -> State:
-        def deriv(s: State) -> tuple[float, ...]:
-            return tuple(fn(s) for fn in self.rhs)
-
-        k1 = deriv(state)
-        s2 = dict(state)
-        for n, d in zip(self.vars, k1):
-            s2[n] = state[n] + 0.5 * h * d
-        k2 = deriv(s2)
-        s3 = dict(state)
-        for n, d in zip(self.vars, k2):
-            s3[n] = state[n] + 0.5 * h * d
-        k3 = deriv(s3)
-        s4 = dict(state)
-        for n, d in zip(self.vars, k3):
-            s4[n] = state[n] + h * d
-        k4 = deriv(s4)
-        out = dict(state)
-        for n, d1, d2, d3, d4 in zip(self.vars, k1, k2, k3, k4):
-            out[n] = state[n] + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        return out
+        f, shift = self.slopes, self._shift
+        k1 = f(state)
+        k2 = f(shift(state, k1, 0.5 * h))
+        k3 = f(shift(state, k2, 0.5 * h))
+        k4 = f(shift(state, k3, h))
+        k = tuple(a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4))
+        return shift(state, k, h / 6.0)
 
     def exit_time_affine(self, state: State, slopes: tuple[float, ...]) -> float:
         """Largest dt >= 0 with the whole domain true on [0, dt].
@@ -339,10 +305,12 @@ class FlowSegment:
         Returns math.inf when nothing ever exits.
         """
         bound = math.inf
-        probe = self.at(state, slopes, 1.0)
-        for op, lf, rf in self.affine_conjuncts:
-            g0 = lf(state) - rf(state)
-            g1 = (lf(probe) - rf(probe)) - g0  # slope of l - r in dt
+        # The domain holds at `state` (callers check it first), so no gap
+        # raises there, nor at the probe: it only moves evolved variables,
+        # which no denominator of an affine term reads.
+        probe = self.gaps(self.at(state, slopes, 1.0))
+        for op, g0, p1 in zip(self.affine_ops, self.gaps(state), probe):
+            g1 = p1 - g0  # slope of l - r in dt
             if op in ("<=", "<"):
                 ok0 = g0 <= 0.0 if op == "<=" else g0 < 0.0
                 if not ok0:
@@ -508,6 +476,25 @@ def _state_key(s: State) -> tuple:
     return tuple(sorted((k, round(v, 12)) for k, v in s.items()))
 
 
+def _emit_program(p: Program) -> str | None:
+    """The list of final states of `p` as one expression over `s`, when
+    `p` is built from tests and assignments by choice and test-guarded
+    sequence (a controller's usual branch shape); None otherwise.
+    """
+    if isinstance(p, Test):
+        return f"([s] if {emit_formula(p.condition)} else [])"
+    if isinstance(p, Assign):
+        return f"[{_emit_update([(p.var, emit_term(p.rhs))])}]"
+    if isinstance(p, Seq) and isinstance(p.first, Test):
+        then = _emit_program(p.second)
+        return then and f"({then} if {emit_formula(p.first.condition)} else [])"
+    if isinstance(p, Choice):
+        alts = [_emit_program(a) for a in choice_alternatives(p)]
+        if all(alts):
+            return "(" + " + ".join(alts) + ")"
+    return None
+
+
 def compile_program(
     p: Program,
     unroll: int = LOOP_CAP,
@@ -529,29 +516,10 @@ def compile_program(
     def sub(q: Program) -> Callable[[State], list[State]]:
         return compile_program(q, unroll, flow_samples, on_truncate)
 
-    if isinstance(p, Test):
-        cond = compile_formula(p.condition)
-
-        def fn(s: State, _c=cond) -> list[State]:
-            return [s] if _c(s) else []
-
-    elif isinstance(p, Assign):
-        rhs = compile_term(p.rhs)
-
-        def fn(s: State, _v=p.var, _r=rhs) -> list[State]:
-            out = dict(s)
-            out[_v] = _r(s)
-            return [out]
-
-    elif isinstance(p, Seq) and isinstance(p.first, Test):
-        # A guarded branch: its test passes the state through unchanged.
-        cond = compile_formula(p.first.condition)
-        second = sub(p.second)
-
-        def fn(s: State, _c=cond, _b=second) -> list[State]:
-            return _b(s) if _c(s) else []
-
-    elif isinstance(p, Seq):
+    src = _emit_program(p)
+    if src is not None:
+        return compile_source("s", src)
+    if isinstance(p, Seq):
         first = sub(p.first)
         second = sub(p.second)
 
@@ -762,9 +730,8 @@ class CompiledSystem:
     def __init__(self, system: MCCS):
         self.variables = system_variables(system)
         self.env_pins = system.env.constants()
-        self.init_checks = [
-            (label, f, compile_formula(f)) for label, f in _init_obligations(system)
-        ]
+        self.init_obligations = _init_obligations(system)
+        self.init_hold = _all_hold(self.init_obligations)
         self.delta = float(system.controller.reactivity)
         cap = float(system.plant.controllability)
         self.h = min(self.delta, cap) / 100.0
@@ -774,15 +741,33 @@ class CompiledSystem:
             (rc.name, rc.timestamp, compile_program(rc.ctrl))
             for rc in system.controller.choices
         ]
-        self.monitors = [
-            (name, compile_formula(f), print_formula(f))
-            for name, f in _monitors(system)
-        ]
-        self.residuals = [
-            (compile_term(c.left), compile_term(c.right))
+        self.monitors = _monitors(system)
+        self.all_hold = _all_hold(self.monitors)
+        # residual(s, m): the larger of m and each |lhs - rhs| over the
+        # invariant's equality conjuncts, kept in order as a running
+        # maximum would; None when there are none.
+        gaps = [
+            f"abs({emit_term(c.left)} - {emit_term(c.right)})"
             for c in conjuncts(system.invariant)
             if isinstance(c, Compare) and c.op == "="
         ]
+        self.residual = (
+            compile_source("s, m", f"max(m, {', '.join(gaps)})") if gaps else None
+        )
+
+    @functools.cached_property
+    def monitor_checks(self) -> list[tuple[str, Callable[[State], bool], str]]:
+        """(name, holds, text) per monitor, compiled on the first violation."""
+        return [
+            (name, compile_formula(f), print_formula(f)) for name, f in self.monitors
+        ]
+
+
+def _all_hold(labelled: list[tuple[str, Formula]]) -> Callable[[State], bool]:
+    """One function: every formula holds. Only when it is false need the
+    formulas be checked one by one, to name the failing ones."""
+    src = " and ".join(emit_formula(f) for _, f in labelled)
+    return compile_source("s", src or "True")
 
 
 def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
@@ -814,50 +799,46 @@ def _run(
     `state` to keep it; the returned Trace holds no points.
     """
     state = _complete_init(cs.variables, cs.env_pins, init)
-    for label, f, holds in cs.init_checks:
-        if not holds(state):
-            raise InitViolatesAssumptions(f"{label}: {print_formula(f)}")
+    if not cs.init_hold(state):
+        for label, f in cs.init_obligations:
+            if not compile_formula(f)(state):
+                raise InitViolatesAssumptions(f"{label}: {print_formula(f)}")
 
     delta, h, eps = cs.delta, cs.h, cs.eps
     rng = random.Random(schedule.seed)
     segment = cs.segment
     controllers = cs.controllers
-    monitors = cs.monitors
-    residuals = cs.residuals
+    all_hold = cs.all_hold
+    residual = cs.residual
 
     trace = Trace()
 
     def record(event: str, s: State) -> None:
         on_point(event, s)
-        for lf, rf in residuals:
-            r = abs(lf(s) - rf(s))
-            if r > trace.max_invariant_residual:
-                trace.max_invariant_residual = r
+        if residual is not None:
+            trace.max_invariant_residual = residual(s, trace.max_invariant_residual)
 
     def boundary(s: State) -> None:
         record("loop-boundary", s)
-        for name, fn, text in monitors:
+        if all_hold(s):
+            return
+        for name, fn, text in cs.monitor_checks:
             if not fn(s):
                 trace.violations.append(
                     MonitorViolation(s[CLOCK], name, text, dict(s))
                 )
 
-    def fire(ctrl, s: State) -> State | None:
-        _name, timestamp, program = ctrl
-        if s[CLOCK] > s[timestamp] + delta + BOUNDARY_TOLERANCE:
-            return None
-        outs = program(s)
-        if not outs:
-            return None
-        after = outs[0] if len(outs) == 1 else rng.choice(outs)
-        after[timestamp] = after[CLOCK]
-        return after
-
     def try_fire_any(order: Iterable, s: State) -> tuple[State, str] | None:
-        for ctrl in order:
-            after = fire(ctrl, s)
-            if after is not None:
-                return after, ctrl[0]
+        """The first controller in `order` whose guard has not expired and
+        whose program has a final state fires."""
+        for name, timestamp, program in order:
+            if s[CLOCK] > s[timestamp] + delta + BOUNDARY_TOLERANCE:
+                continue
+            outs = program(s)
+            if outs:
+                after = outs[0] if len(outs) == 1 else rng.choice(outs)
+                after[timestamp] = after[CLOCK]
+                return after, name
         return None
 
     boundary(state)
@@ -1001,6 +982,8 @@ class BatchSummary:
     max_invariant_residual: float
     total_points: int
     stuck_runs: int = 0
+    # Run 0's full trace, when run_batch was asked to keep it.
+    first_trace: Trace | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -1061,19 +1044,24 @@ def run_batch(
     init_box: dict,
     strategy: str = "uniform-random",
     horizon: float = 20.0,
+    keep_first: bool = False,
 ) -> BatchSummary:
     """`n_schedules` independent seeded runs with inits drawn from
 
     `init_box`. Deterministic in (system, n_schedules, seed, init_box):
     run i is `batch_member(seed, i, init_box, strategy, horizon)`.
+
+    With `keep_first`, `first_trace` is run 0's trace as `run` returns
+    it, and a stuck run 0 raises its StuckState as `run` does.
     """
     cs = CompiledSystem(system)
-    violations: dict[str, int] = {name: 0 for name, _, _ in cs.monitors}
+    violations: dict[str, int] = {name: 0 for name, _ in cs.monitors}
     runs_with = 0
     ranges: dict[str, tuple[float, float]] = {}
     max_residual = 0.0
     total_points = 0
     stuck = 0
+    first_trace = None
     for i in range(n_schedules):
         schedule, init = batch_member(seed, i, init_box, strategy, horizon)
         # This run's samples as value rows, reduced to ranges and merged
@@ -1082,17 +1070,26 @@ def run_batch(
         # programs only overwrite them.
         names: list[str] = []
         rows: list[tuple[float, ...]] = []
+        keep = keep_first and i == 0
+        points: list[TracePoint] = []
 
         def aggregate(event: str, s: State) -> None:
             if not rows:
                 names.extend(s)
             rows.append(tuple(s.values()))
+            if keep:
+                points.append(TracePoint(s[CLOCK], event, dict(s)))
 
         try:
             trace = _run(cs, schedule, init, aggregate)
         except StuckState:
+            if keep:
+                raise
             stuck += 1
             continue
+        if keep:
+            trace.points = points
+            first_trace = trace
         if trace.violations:
             runs_with += 1
             for v in trace.violations:
@@ -1113,4 +1110,5 @@ def run_batch(
         max_invariant_residual=max_residual,
         total_points=total_points,
         stuck_runs=stuck,
+        first_trace=first_trace,
     )

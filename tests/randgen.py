@@ -6,6 +6,9 @@ construction: controllers write only their own slice, plant equations
 evolve only their own slice, and guarantees mention only owned
 variables. Shared read-only inputs u0/u1 exercise the free-variable
 side of the gates without tripping them.
+
+`terms` and `formulas` are hypothesis strategies over every term and
+formula constructor, for the compiler tests.
 """
 
 from __future__ import annotations
@@ -13,14 +16,27 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from ccskit.ast import (
+    COMPARISON_OPS,
+    FALSE,
+    TRUE,
+    And,
     Assign,
     Choice,
     Compare,
+    Divide,
+    Implies,
+    Minus,
+    Neg,
+    Not,
+    Or,
     Plus,
     Rational,
     Seq,
     Test,
+    Times,
     Variable,
     num,
 )
@@ -107,3 +123,38 @@ def rand_mccs(rng: random.Random, slot: int) -> MCCS:
 
 def rand_store(rng: random.Random, names, lo: int = -4, hi: int = 4) -> dict:
     return {n: Fraction(rng.randrange(lo, hi + 1)) for n in names}
+
+
+# -- hypothesis strategies over every term and formula constructor ----------
+
+
+def terms(names) -> st.SearchStrategy:
+    """Terms over the variables `names`, with signed fractional literals."""
+    leaves = st.one_of(
+        st.sampled_from(names).map(Variable),
+        st.fractions(min_value=-8, max_value=8, max_denominator=8).map(Rational),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            sub.map(Neg),
+            *(st.builds(op, sub, sub) for op in (Plus, Minus, Times, Divide)),
+        ),
+        max_leaves=10,
+    )
+
+
+def formulas(names) -> st.SearchStrategy:
+    """Box- and quantifier-free formulas over the variables `names`."""
+    atoms = st.one_of(
+        st.sampled_from([TRUE, FALSE]),
+        st.builds(Compare, st.sampled_from(COMPARISON_OPS), terms(names), terms(names)),
+    )
+    return st.recursive(
+        atoms,
+        lambda sub: st.one_of(
+            sub.map(Not),
+            *(st.builds(op, sub, sub) for op in (And, Or, Implies)),
+        ),
+        max_leaves=6,
+    )

@@ -25,7 +25,7 @@ from ccskit.ast import (
     seq,
     var,
 )
-from ccskit.ast import Assign, Test as Guard
+from ccskit.ast import Assign
 from ccskit.components import Contract, make_ccs, with_contract
 from ccskit.composition import (
     CostModel,

@@ -14,9 +14,11 @@ import pytest
 from click.testing import CliRunner
 
 import ccskit
-import ccskit.cli
+import ccskit.simulator
 from ccskit import dsl
 from ccskit.cli import main
+from ccskit.errors import StuckState
+from ccskit.simulator import batch_member, run, write_trace_csv
 
 
 @pytest.fixture()
@@ -286,28 +288,77 @@ def test_simulate_output_files(runner, corpus_dir, tmp_path):
     assert json.loads(summary_path.read_text())["runs"] == 3
 
 
-def test_simulate_writes_every_csv_from_one_rerun(
+def test_simulate_writes_every_csv_from_the_batch(
     runner, corpus_dir, tmp_path, monkeypatch
 ):
+    """Run 0's trace comes from the batch itself: `--out x.csv` adds no
+    simulation, however many CSVs are asked for."""
     calls = []
-    real_run = ccskit.cli.run
+    real_run = ccskit.simulator._run
 
     def counting_run(*args):
         calls.append(args)
         return real_run(*args)
 
-    monkeypatch.setattr(ccskit.cli, "run", counting_run)
+    monkeypatch.setattr(ccskit.simulator, "_run", counting_run)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     result = invoke(
         runner,
         "simulate", corpus_dir / "watertank.ccs",
-        "--schedules", 2, "--seed", 1, "--horizon", 2,
+        "--schedules", 3, "--seed", 1, "--horizon", 2,
         "--out", first, "--out", second,
     )
     assert result.exit_code == 0
-    assert len(calls) == 1
+    assert len(calls) == 3
     assert first.read_bytes() == second.read_bytes()
-    assert first.read_text().startswith("time,event,")
+    expected = tmp_path / "expected.csv"
+    system = dsl.load_file(corpus_dir / "watertank.ccs")
+    box = json.loads((corpus_dir / "watertank.init.json").read_text())
+    write_trace_csv(run(system, *batch_member(1, 0, box, "uniform-random", 2.0)), expected)
+    assert first.read_bytes() == expected.read_bytes()
+
+
+STUCK_MODEL = """
+controller noop every 0.05 {
+  ?(x < 0); y := 1;
+}
+
+plant wall within 0.2 {
+  x' = 1 & x <= 0
+}
+
+contract noop {
+  assume true
+  guarantee true
+  init true
+}
+
+contract wall {
+  assume true
+  guarantee true
+  init true
+}
+
+system stuck = noop | wall
+"""
+
+
+def test_simulate_stuck_first_run_with_csv_is_exit_1(runner, tmp_path):
+    model = tmp_path / "stuck.ccs"
+    model.write_text(STUCK_MODEL)
+    box = {"x": 0, "y": 0, "t": 0, "tau_1": 0}
+    (tmp_path / "stuck.init.json").write_text(json.dumps(box))
+    with pytest.raises(StuckState) as stuck:
+        run(dsl.load(STUCK_MODEL), *batch_member(0, 0, box, "uniform-random", 1.0))
+    trace_path = tmp_path / "run0.csv"
+    result = invoke(
+        runner, "simulate", model, "--schedules", 2, "--horizon", 1,
+        "--out", trace_path,
+    )
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"simulation failed (StuckState): {stuck.value}\n"
+    assert not trace_path.exists()
 
 
 @pytest.mark.parametrize(

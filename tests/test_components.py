@@ -11,8 +11,6 @@ from ccskit.ast import (
     Implies,
     Loop,
     ODE,
-    Seq,
-    Test as Guard,
     TRUE,
     choice_alternatives,
     conj,

@@ -22,7 +22,6 @@ from ccskit.composition import (
     cost,
     non_interference_controllers,
     non_interference_ctrl_plant,
-    non_interference_plants,
 )
 from ccskit.errors import (
     InterferenceError,

@@ -1,7 +1,6 @@
 """Concrete syntax: parsing, serialization, model assembly."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -11,7 +10,6 @@ from ccskit.ast import (
     num,
     print_formula,
     print_program_inline,
-    var,
 )
 from ccskit.composition import CostModel
 from ccskit.errors import CcsError, ParseError, UnresolvedName

@@ -12,26 +12,53 @@ import hashlib
 import json
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import randgen
 from ccskit import dsl
-from ccskit.ast import Compare, Loop, num, var
+from ccskit.ast import (
+    And,
+    Compare,
+    Divide,
+    FalseF,
+    Implies,
+    Loop,
+    Minus,
+    Neg,
+    Not,
+    ODE,
+    Or,
+    Plus,
+    Rational,
+    Times,
+    TRUE,
+    TrueF,
+    Variable,
+    conj,
+    num,
+    print_term,
+    var,
+)
 from ccskit.components import (
     Contract,
     make_ccs,
     make_controllable_plant,
     make_reactive_controller,
 )
-from ccskit.errors import InitViolatesAssumptions, StuckState
+from ccskit.errors import DivisionByZero, InitViolatesAssumptions, StuckState
 from ccskit.simulator import (
     STRATEGIES,
-    BatchSummary,
+    FlowSegment,
     Schedule,
     batch_member,
     batch_schedule_seed,
+    compile_formula,
     compile_program,
+    compile_term,
     complete_init,
     run,
     run_batch,
@@ -40,6 +67,156 @@ from ccskit.simulator import (
 )
 
 WT_INIT = {"wl": 5.0, "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
+
+
+# -- the term and formula compiler -------------------------------------------
+
+# Python keywords, names of the generated code's own parameter and helpers,
+# quotes and backslashes: variables are only ever string keys.
+AWKWARD_NAMES = [
+    "x", "lambda", "if", "not", "s", "_div", "_dz", "_d0", "'", '"', "\\", "a'b\\c"
+]
+
+
+def _tree_term(t, s):
+    """Direct evaluation, in the order the compiled code must keep:
+    operands left to right, a denominator before its numerator."""
+    if isinstance(t, Variable):
+        return s[t.name]
+    if isinstance(t, Rational):
+        return float(t.value)
+    if isinstance(t, Neg):
+        return -_tree_term(t.operand, s)
+    if isinstance(t, Divide):
+        d = _tree_term(t.right, s)
+        if d == 0.0:
+            raise DivisionByZero(print_term(t))
+        return _tree_term(t.left, s) / d
+    left, right = _tree_term(t.left, s), _tree_term(t.right, s)
+    if isinstance(t, Plus):
+        return left + right
+    if isinstance(t, Minus):
+        return left - right
+    assert isinstance(t, Times)
+    return left * right
+
+
+def _tree_formula(f, s):
+    if isinstance(f, (TrueF, FalseF)):
+        return isinstance(f, TrueF)
+    if isinstance(f, Compare):
+        left, right = _tree_term(f.left, s), _tree_term(f.right, s)
+        return {
+            "=": lambda: abs(left - right) <= 1e-9,
+            "!=": lambda: abs(left - right) > 1e-9,
+            "<=": lambda: left <= right,
+            "<": lambda: left < right,
+            ">=": lambda: left >= right,
+            ">": lambda: left > right,
+        }[f.op]()
+    if isinstance(f, Not):
+        return not _tree_formula(f.operand, s)
+    if isinstance(f, And):
+        return _tree_formula(f.left, s) and _tree_formula(f.right, s)
+    if isinstance(f, Or):
+        return _tree_formula(f.left, s) or _tree_formula(f.right, s)
+    assert isinstance(f, Implies)
+    return (not _tree_formula(f.left, s)) or _tree_formula(f.right, s)
+
+
+def _outcome(fn, *args):
+    """A value as its exact bits (so -0.0 and NaN payloads count), or the
+    error it raised."""
+    try:
+        value = fn(*args)
+    except (DivisionByZero, KeyError) as e:
+        return type(e).__name__, str(e)
+    return struct.pack("d", value) if isinstance(value, float) else value
+
+
+# Zero-heavy values make divisions by zero common; a name may be missing,
+# so a KeyError and a division by zero race in both orders.
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]), st.floats())
+_STATES = st.fixed_dictionaries({}, optional={n: _VALUES for n in AWKWARD_NAMES})
+
+
+@settings(deadline=None)
+@given(randgen.terms(AWKWARD_NAMES), _STATES)
+def test_compiled_terms_match_tree_evaluation_bit_for_bit(t, s):
+    assert _outcome(compile_term(t), s) == _outcome(_tree_term, t, s)
+
+
+@settings(deadline=None)
+@given(randgen.formulas(AWKWARD_NAMES), _STATES)
+def test_compiled_formulas_match_tree_evaluation(f, s):
+    assert _outcome(compile_formula(f), s) == _outcome(_tree_formula, f, s)
+
+
+def test_division_by_zero_names_the_printed_term():
+    t = Divide(var("x"), Minus(var("y"), var("y")))
+    with pytest.raises(DivisionByZero) as e:
+        compile_term(t)({"x": 1.0, "y": 3.0})
+    assert e.value.term_text == print_term(t) == "x / (y - y)"
+    # The denominator is checked before the numerator is read.
+    with pytest.raises(DivisionByZero):
+        compile_term(t)({"y": 3.0})
+
+
+def test_nested_divisions_keep_their_own_denominators():
+    x, y, z = var("x"), var("y"), var("z")
+    s = {"x": 1.0, "y": 2.0, "z": 4.0}
+    for t in (
+        Divide(Divide(x, y), z),
+        Divide(x, Divide(y, z)),
+        Divide(Divide(x, y), Divide(y, z)),
+    ):
+        assert compile_term(t)(s) == _tree_term(t, s)
+
+
+def test_long_chains_compile():
+    """Chains as long as these nest no deeper in the generated source
+    than Python's parser allows."""
+    chain = conj(*(Compare("<=", var("x"), num(i)) for i in range(400)))
+    holds = compile_formula(chain)
+    assert holds({"x": 0.0}) and not holds({"x": 1.0})
+    s = {"x": 0.5, "y": 2.0}
+    sums = (" + ".join(["x"] * 400), " - ".join(["x", "y"] * 200), " * ".join(["y"] * 400))
+    for text in sums:
+        t = dsl.parse_term_text(text)
+        assert _outcome(compile_term(t), s) == _outcome(_tree_term, t, s)
+    anyof = dsl.parse_formula_text(" | ".join(f"x = {i}" for i in range(400)))
+    assert compile_formula(anyof)({"x": 399.0}) and not compile_formula(anyof)({"x": 0.5})
+
+
+def test_equal_sources_share_one_compiled_function():
+    assert compile_term(Plus(var("x"), num(1))) is compile_term(Plus(var("x"), num(1)))
+
+
+def test_rk4_steps_follow_the_classic_formula_bit_for_bit():
+    """A flow whose slopes read evolved variables takes RK4 steps, with
+    the floating-point operations of the textbook formula in its order."""
+    seg = FlowSegment(ODE((("x", Neg(var("x"))), ("y", Times(var("x"), var("y")))), TRUE))
+    assert not seg.exact
+
+    def f(s):
+        return (-s["x"], s["x"] * s["y"])
+
+    def shift(s, k, c):
+        return {**s, "x": s["x"] + c * k[0], "y": s["y"] + c * k[1]}
+
+    h = 0.37
+    for s in ({"x": 1.3, "y": -0.7, "t": 2.0}, {"x": -0.0, "y": 1e-300, "t": 0.0}):
+        k1 = f(s)
+        k2 = f(shift(s, k1, 0.5 * h))
+        k3 = f(shift(s, k2, 0.5 * h))
+        k4 = f(shift(s, k3, h))
+        k = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
+        expected = shift(s, k, h / 6.0)
+        got = seg._rk4_step(s, h)
+        assert list(got) == list(expected)
+        assert [struct.pack("d", v) for v in got.values()] == [
+            struct.pack("d", v) for v in expected.values()
+        ]
 
 
 def test_strategy_names_are_validated():
