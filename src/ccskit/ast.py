@@ -2,7 +2,7 @@
 
 Design notes
 
-* Every node is a frozen dataclass: structural equality and hashing come
+* Every node is an immutable `Node`: structural equality and hashing come
   from the field tuples, so two independently built trees compare equal
   exactly when they are the same tree. No interning, no identity games.
 * Numeric literals are exact rationals (`fractions.Fraction`). Nothing in
@@ -19,61 +19,107 @@ Design notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Union
+
+
+class Node:
+    """An immutable syntax node, built positionally from its fields.
+
+    Each subclass names its fields, in constructor order, in `__slots__`;
+    that tuple (`_fields`) drives equality, hashing, `repr`, copying,
+    pickling and the generic traversals below.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls._fields = cls.__slots__
+        # attrgetter gives a bare value for one name, and does not bind as
+        # a method, so each class wraps it in a function returning a tuple.
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+            cls._values = lambda self: (get(self),)
+        elif fields:
+            get = attrgetter(*fields)
+            cls._values = lambda self: get(self)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} fields, "
+                f"got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        """The field values, in `_fields` order."""
+        return ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Rational:
+class Rational(Node):
     """Exact rational literal. Always non-negative in concrete syntax;
 
     negative values are representable but print as `p/q` or via `Neg`.
     """
 
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-
-
-@dataclass(frozen=True)
-class Plus:
-    left: Term
-    right: Term
+    def __init__(self, value) -> None:
+        super().__init__(value if isinstance(value, Fraction) else Fraction(value))
 
 
-@dataclass(frozen=True)
-class Minus:
-    left: Term
-    right: Term
+class Plus(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Times:
-    left: Term
-    right: Term
+class Minus(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Divide:
-    left: Term
-    right: Term
+class Times(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: Term
+class Divide(Node):
+    __slots__ = ("left", "right")
+
+
+class Neg(Node):
+    __slots__ = ("operand",)
 
 
 Term = Union[Variable, Rational, Plus, Minus, Times, Divide, Neg]
@@ -85,72 +131,57 @@ Term = Union[Variable, Rational, Plus, Minus, Times, Divide, Neg]
 COMPARISON_OPS = ("<=", "<", "=", "!=", ">", ">=")
 
 
-@dataclass(frozen=True)
-class TrueF:
-    pass
+class TrueF(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FalseF:
-    pass
+class FalseF(Node):
+    __slots__ = ()
 
 
 TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True)
-class Compare:
-    op: str
-    left: Term
-    right: Term
+class Compare(Node):
+    """`left op right`, with `op` one of COMPARISON_OPS."""
 
-    def __post_init__(self):
-        if self.op not in COMPARISON_OPS:
-            raise ValueError(f"unknown comparison operator {self.op!r}")
+    __slots__ = ("op", "left", "right")
 
-
-@dataclass(frozen=True)
-class Not:
-    operand: Formula
+    def __init__(self, op: str, left: Term, right: Term) -> None:
+        if op not in COMPARISON_OPS:
+            raise ValueError(f"unknown comparison operator {op!r}")
+        super().__init__(op, left, right)
 
 
-@dataclass(frozen=True)
-class And:
-    left: Formula
-    right: Formula
+class Not(Node):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: Formula
-    right: Formula
+class And(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: Formula
-    right: Formula
+class Or(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: Formula
+class Implies(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: Formula
+class Forall(Node):
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
-class Box:
+class Exists(Node):
+    __slots__ = ("var", "body")
+
+
+class Box(Node):
     """`[program] post`: post holds after every run of program."""
 
-    program: Program
-    post: Formula
+    __slots__ = ("program", "post")
 
 
 Formula = Union[TrueF, FalseF, Compare, Not, And, Or, Implies, Forall, Exists, Box]
@@ -160,49 +191,37 @@ Formula = Union[TrueF, FalseF, Compare, Not, And, Or, Implies, Forall, Exists, B
 # Hybrid programs
 
 
-@dataclass(frozen=True)
-class Test:
-    condition: Formula
+class Test(Node):
+    __slots__ = ("condition",)
 
 
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    rhs: Term
+class Assign(Node):
+    __slots__ = ("var", "rhs")
 
 
-@dataclass(frozen=True)
-class ODE:
+class ODE(Node):
     """`{x' = e, ... & domain}`: continuous evolution inside the domain.
 
-    `equations` maps each evolved variable to its right-hand side; the
+    `equations` is a tuple of `(variable, right-hand side)` pairs; the
     evolution may stop at any time while the domain still holds.
     """
 
-    equations: tuple[tuple[str, Term], ...]
-    domain: Formula
+    __slots__ = ("equations", "domain")
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: Program
-    second: Program
+class Seq(Node):
+    __slots__ = ("first", "second")
 
 
-@dataclass(frozen=True)
-class Choice:
-    left: Program
-    right: Program
+class Choice(Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Loop:
-    body: Program
+class Loop(Node):
+    __slots__ = ("body",)
 
 
 Program = Union[Test, Assign, ODE, Seq, Choice, Loop]
-
-Node = Union[Term, Formula, Program]
 
 
 # ---------------------------------------------------------------------------
@@ -290,35 +309,10 @@ def conjuncts(f: Formula) -> list[Formula]:
 
 
 def children(node: Node) -> tuple[Node, ...]:
-    if isinstance(node, (Variable, Rational, TrueF, FalseF)):
-        return ()
-    if isinstance(node, (Plus, Minus, Times, Divide)):
-        return (node.left, node.right)
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, Compare):
-        return (node.left, node.right)
-    if isinstance(node, Not):
-        return (node.operand,)
-    if isinstance(node, (And, Or, Implies)):
-        return (node.left, node.right)
-    if isinstance(node, (Forall, Exists)):
-        return (node.body,)
-    if isinstance(node, Box):
-        return (node.program, node.post)
-    if isinstance(node, Test):
-        return (node.condition,)
-    if isinstance(node, Assign):
-        return (node.rhs,)
+    """The node-valued fields in order; an ODE's right-hand sides first."""
     if isinstance(node, ODE):
         return tuple(rhs for _, rhs in node.equations) + (node.domain,)
-    if isinstance(node, Seq):
-        return (node.first, node.second)
-    if isinstance(node, Choice):
-        return (node.left, node.right)
-    if isinstance(node, Loop):
-        return (node.body,)
-    raise TypeError(f"not an AST node: {node!r}")
+    return tuple([v for v in node._values() if isinstance(v, Node)])
 
 
 def walk(node: Node) -> Iterator[Node]:
@@ -333,64 +327,34 @@ def walk(node: Node) -> Iterator[Node]:
 
 _Key = tuple  # recursive (tag: str, children: tuple[_Key, ...])
 
+_KEY_TAGS = {"Variable": "var", "Compare": "cmp", "TrueF": "true", "FalseF": "false"}
+
 
 def canonical_key(node: Node) -> _Key:
     """Total, deterministic order key: (kind tag, child keys).
 
-    Identifier names and exact rational values are folded into the tag so
-    every key has the homogeneous shape (str, tuple), which Python tuples
-    compare without type errors.
+    The tag is the lowercased class name (or its `_KEY_TAGS` short form)
+    followed by `:value` for each identifier or operator field; exact
+    rational values are folded in the same way, so every key has the
+    homogeneous shape (str, tuple), which Python tuples compare without
+    type errors.
     """
-    if isinstance(node, Variable):
-        return (f"var:{node.name}", ())
     if isinstance(node, Rational):
         return (f"num:{node.value.numerator}/{node.value.denominator}", ())
-    if isinstance(node, Plus):
-        return ("plus", (canonical_key(node.left), canonical_key(node.right)))
-    if isinstance(node, Minus):
-        return ("minus", (canonical_key(node.left), canonical_key(node.right)))
-    if isinstance(node, Times):
-        return ("times", (canonical_key(node.left), canonical_key(node.right)))
-    if isinstance(node, Divide):
-        return ("divide", (canonical_key(node.left), canonical_key(node.right)))
-    if isinstance(node, Neg):
-        return ("neg", (canonical_key(node.operand),))
-    if isinstance(node, TrueF):
-        return ("true", ())
-    if isinstance(node, FalseF):
-        return ("false", ())
-    if isinstance(node, Compare):
-        return (f"cmp:{node.op}", (canonical_key(node.left), canonical_key(node.right)))
-    if isinstance(node, Not):
-        return ("not", (canonical_key(node.operand),))
-    if isinstance(node, And):
-        return ("and", (canonical_key(node.left), canonical_key(node.right)))
-    if isinstance(node, Or):
-        return ("or", (canonical_key(node.left), canonical_key(node.right)))
-    if isinstance(node, Implies):
-        return ("implies", (canonical_key(node.left), canonical_key(node.right)))
-    if isinstance(node, Forall):
-        return (f"forall:{node.var}", (canonical_key(node.body),))
-    if isinstance(node, Exists):
-        return (f"exists:{node.var}", (canonical_key(node.body),))
-    if isinstance(node, Box):
-        return ("box", (canonical_key(node.program), canonical_key(node.post)))
-    if isinstance(node, Test):
-        return ("test", (canonical_key(node.condition),))
-    if isinstance(node, Assign):
-        return (f"assign:{node.var}", (canonical_key(node.rhs),))
     if isinstance(node, ODE):
         eq_keys = tuple(
             (f"eq:{v}", (canonical_key(rhs),)) for v, rhs in node.equations
         )
         return ("ode", eq_keys + (canonical_key(node.domain),))
-    if isinstance(node, Seq):
-        return ("seq", (canonical_key(node.first), canonical_key(node.second)))
-    if isinstance(node, Choice):
-        return ("choice", (canonical_key(node.left), canonical_key(node.right)))
-    if isinstance(node, Loop):
-        return ("loop", (canonical_key(node.body),))
-    raise TypeError(f"not an AST node: {node!r}")
+    name = type(node).__name__
+    tag = _KEY_TAGS.get(name, name.lower())
+    keys = []
+    for value in node._values():
+        if isinstance(value, str):
+            tag += f":{value}"
+        else:
+            keys.append(canonical_key(value))
+    return (tag, tuple(keys))
 
 
 def normalize_ac(node: Node) -> Node:
@@ -401,8 +365,9 @@ def normalize_ac(node: Node) -> Node:
       * ODE equation lists: sorted by canonical key,
       * conjunction chains inside evolution domains: flattened and sorted.
     Everything else (terms, tests, formula structure outside domains) is
-    left untouched. Idempotent, and preserves the multiset of atomic
-    statements by construction (sorting never drops or invents leaves).
+    left untouched: a node none of whose children changed is returned as
+    it is. Idempotent, and preserves the multiset of atomic statements by
+    construction (sorting never drops or invents leaves).
     """
     if isinstance(node, Choice):
         alts = [normalize_ac(a) for a in choice_alternatives(node)]
@@ -416,29 +381,9 @@ def normalize_ac(node: Node) -> Node:
         parts = [normalize_ac(c) for c in conjuncts(node.domain)]
         parts.sort(key=canonical_key)
         return ODE(tuple(eqs), conj(*parts) if parts else TRUE)
-    if isinstance(node, Seq):
-        return Seq(normalize_ac(node.first), normalize_ac(node.second))
-    if isinstance(node, Loop):
-        return Loop(normalize_ac(node.body))
-    if isinstance(node, Test):
-        return Test(normalize_ac(node.condition))
-    if isinstance(node, Not):
-        return Not(normalize_ac(node.operand))
-    if isinstance(node, And):
-        return And(normalize_ac(node.left), normalize_ac(node.right))
-    if isinstance(node, Or):
-        return Or(normalize_ac(node.left), normalize_ac(node.right))
-    if isinstance(node, Implies):
-        return Implies(normalize_ac(node.left), normalize_ac(node.right))
-    if isinstance(node, Forall):
-        return Forall(node.var, normalize_ac(node.body))
-    if isinstance(node, Exists):
-        return Exists(node.var, normalize_ac(node.body))
-    if isinstance(node, Box):
-        return Box(normalize_ac(node.program), normalize_ac(node.post))
-    # Assign, Variable, Rational, arithmetic, Compare, TrueF/FalseF: no AC
-    # shapes below them that this pass reorders.
-    return node
+    values = node._values()
+    normal = tuple(normalize_ac(v) if isinstance(v, Node) else v for v in values)
+    return node if normal == values else type(node)(*normal)
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +552,8 @@ def pretty_print(node: Node) -> str:
     Programs get the top-level statement-terminator form, formulas and
     terms their plain expression form.
     """
-    if isinstance(node, (Test, Assign, ODE, Seq, Choice, Loop)):
+    if isinstance(node, Program):
         return print_program(node)
-    if isinstance(
-        node, (TrueF, FalseF, Compare, Not, And, Or, Implies, Forall, Exists, Box)
-    ):
+    if isinstance(node, Formula):
         return print_formula(node)
     return print_term(node)

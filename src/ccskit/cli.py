@@ -77,10 +77,11 @@ def _cost_model(path: str | None) -> CostModel | None:
         sys.exit(2)
 
 
-def _load(path: str, system: str | None, cost_model: CostModel | None = None) -> MCCS:
-    text = _read_text(path)
+def _model(path: str, build, *args):
+    """`build(*args)` on the model at `path`: a parse error exits 2, a
+    rejected model exits 1, each with one line naming the file."""
     try:
-        return dsl.load(text, system=system, cost_model=cost_model)
+        return build(*args)
     except ParseError as e:
         click.echo(f"{path}: parse error: {e}", err=True)
         sys.exit(2)
@@ -89,16 +90,39 @@ def _load(path: str, system: str | None, cost_model: CostModel | None = None) ->
         sys.exit(1)
 
 
-def _parts(path: str, system: str | None):
-    text = _read_text(path)
-    try:
-        return dsl.build_components(text, system=system)
-    except ParseError as e:
-        click.echo(f"{path}: parse error: {e}", err=True)
+def _load(path: str, system: str | None, cost_model: CostModel | None) -> MCCS:
+    return _model(path, dsl.load, _read_text(path), system, cost_model)
+
+
+def _finite(x) -> bool:
+    """A JSON number, not a boolean, that converts to a finite float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _check_init_box(box, path: str) -> None:
+    """Exit 2 unless `box` maps names to finite numbers, `[lo, hi]` pairs
+    of them with lo <= hi, or `"=name"` aliases."""
+    if not isinstance(box, dict):
+        click.echo(
+            f"bad init file {path}: expected a JSON object, "
+            f"got {type(box).__name__}",
+            err=True,
+        )
         sys.exit(2)
-    except CcsError as e:
-        click.echo(f"{path}: rejected ({type(e).__name__}): {e}", err=True)
-        sys.exit(1)
+    for name, spec in box.items():
+        if isinstance(spec, str):
+            ok = len(spec) > 1 and spec.startswith("=")
+        elif isinstance(spec, list):
+            ok = len(spec) == 2 and all(map(_finite, spec)) and spec[0] <= spec[1]
+        else:
+            ok = _finite(spec)
+        if not ok:
+            click.echo(
+                f"bad init file {path}: entry {name!r} is {json.dumps(spec)}; "
+                'expected a finite number, [lo, hi] with lo <= hi, or "=name"',
+                err=True,
+            )
+            sys.exit(2)
 
 
 @click.group()
@@ -238,7 +262,10 @@ def compose(
 def _gather_obligations(
     model: str, system: str | None, theorem: str, cost_model: CostModel | None
 ) -> list[ProofObligation]:
-    sysdecl, rcs, cps, env, invariant = _parts(model, system)
+    source = _model(model, dsl.parse, _read_text(model))
+    sysdecl, rcs, cps, env, invariant = _model(
+        model, dsl.build_components, source, system
+    )
     if theorem == "auto":
         if rcs and cps:
             theorem = "ccs"
@@ -253,7 +280,9 @@ def _gather_obligations(
             sys.exit(2)
     try:
         if theorem == "ccs":
-            return obligations_ccs(_load(model, system, cost_model))
+            return obligations_ccs(
+                _model(model, dsl.load, source, system, cost_model)
+            )
         if theorem == "controllers":
             if len(rcs) != 2:
                 click.echo(
@@ -405,6 +434,7 @@ def simulate(
             sys.exit(2)
         init_path = str(candidate)
     init_box = _read_json(init_path, "init file")
+    _check_init_box(init_box, init_path)
 
     csv_paths = [p for p in outputs if p.endswith(".csv")]
     json_paths = [p for p in outputs if p.endswith(".json")]

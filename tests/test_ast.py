@@ -1,18 +1,32 @@
 """Core tree: constructors, printers, exact rationals, AC normal form."""
 
+import copy
+import hashlib
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import randgen
+from ccskit import dsl
 from ccskit.ast import (
+    And,
     Assign,
     Box,
     Choice,
     Compare,
+    Divide,
+    Exists,
+    FALSE,
+    Forall,
     Implies,
     Loop,
+    Minus,
+    Neg,
+    Not,
     ODE,
+    Or,
     Plus,
     Rational,
     Seq,
@@ -37,6 +51,7 @@ from ccskit.ast import (
     var,
     walk,
 )
+from ccskit.obligations import obligations_ccs
 from ccskit.statics import all_vars
 
 
@@ -162,3 +177,95 @@ def test_programs_are_hashable_value_objects():
     p2 = Seq(Assign("x", num(1)), Guard(TRUE))
     assert p1 == p2 and hash(p1) == hash(p2)
     assert len({p1, p2}) == 1
+
+
+# --- value semantics of every node class ----------------------------------
+
+_x, _half = Variable("x"), Rational(Fraction(1, 2))
+_cmp = Compare("<=", _x, _half)
+_assign = Assign("x", Plus(_x, _half))
+ONE_OF_EACH = [
+    _x, _half, Plus(_x, _half), Minus(_x, _half), Times(_x, _half),
+    Divide(_x, _half), Neg(_x), TRUE, FALSE, _cmp, Not(_cmp), And(_cmp, TRUE),
+    Or(_cmp, FALSE), Implies(_cmp, TRUE), Forall("x", _cmp), Exists("x", _cmp),
+    Box(_assign, _cmp), Guard(_cmp), _assign, ODE((("x", _half),), _cmp),
+    Seq(_assign, Guard(_cmp)), Choice(_assign, Guard(_cmp)), Loop(_assign),
+]
+FIELD_NAMES = (
+    "name", "value", "left", "right", "operand", "op", "var", "body",
+    "program", "post", "condition", "rhs", "equations", "domain", "first",
+    "second",
+)
+
+
+def test_one_of_each_covers_every_node_class():
+    assert len({type(n) for n in ONE_OF_EACH}) == 23
+
+
+@pytest.mark.parametrize("node", ONE_OF_EACH, ids=lambda n: type(n).__name__)
+def test_nodes_copy_pickle_and_stay_immutable(node):
+    for clone in (
+        copy.copy(node),
+        copy.deepcopy(node),
+        pickle.loads(pickle.dumps(node)),
+    ):
+        assert type(clone) is type(node)
+        assert clone == node and hash(clone) == hash(node)
+    before = repr(node)
+    for name in FIELD_NAMES:
+        with pytest.raises(AttributeError):
+            setattr(node, name, _x)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert repr(node) == before
+
+
+def test_nodes_carry_no_instance_dict():
+    assert not [n for n in ONE_OF_EACH if hasattr(n, "__dict__")]
+
+
+def test_constructors_check_their_fields():
+    assert type(Rational(3).value) is Fraction
+    assert Rational("0.05") == Rational(Fraction(1, 20))
+    with pytest.raises(ValueError, match="unknown comparison operator"):
+        Compare("<>", _x, _half)
+    with pytest.raises(TypeError):
+        Plus(_x)
+
+
+def test_repr_names_every_field():
+    assert repr(Plus(_x, _half)) == (
+        "Plus(left=Variable(name='x'), right=Rational(value=Fraction(1, 2)))"
+    )
+    assert repr(TRUE) == "TrueF()"
+
+
+_key_nodes = st.one_of(randgen.terms(["x", "y"]), randgen.formulas(["x", "y"]))
+
+
+@given(_key_nodes, _key_nodes)
+def test_canonical_key_agrees_with_equality(a, b):
+    assert (canonical_key(a) == canonical_key(b)) == (a == b)
+    assert canonical_key(copy.deepcopy(a)) == canonical_key(a)
+
+
+# sha256 over repr(canonical_key(n)) and repr(normalize_ac(n)) for the
+# system program and every obligations_ccs goal of each loadable corpus
+# model; recorded on the dataclass-based tree, before the generic key.
+AC_PINS = {
+    "two_tanks": "b852498df57a0ab486049da84317b992213b759b8e21adc3513ca8c7c8d80585",
+    "watertank": "2d0a17aeadaf170a343f6b66b6fb367e5c2497cdec3562209ac149c4bdfaf90c",
+    "watertank_late_ctrl": "6ae7040ba7c7e14b30f27b799c1b09178c0d288e131deb90e1de11e5af8f7bf6",
+    "watertank_tight": "52d763361ce0686d586727a2a037e661c9c9353eb7b3563ff4e6718edd3cbd2e",
+}
+
+
+@pytest.mark.parametrize("model", sorted(AC_PINS))
+def test_keys_and_normal_forms_are_pinned(model, corpus_dir):
+    system = dsl.load_file(corpus_dir / f"{model}.ccs")
+    nodes = [system.to_program()] + [ob.goal for ob in obligations_ccs(system)]
+    digest = hashlib.sha256()
+    for n in nodes:
+        digest.update(repr(canonical_key(n)).encode() + b"\n")
+        digest.update(repr(normalize_ac(n)).encode() + b"\n")
+    assert digest.hexdigest() == AC_PINS[model]

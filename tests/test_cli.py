@@ -205,6 +205,20 @@ def test_obligations_text_format(runner, corpus_dir):
     assert any("thm1.step.3" in line and "[fv-bv-separation]" in line for line in lines)
 
 
+def test_obligations_parse_the_model_once(runner, corpus_dir, monkeypatch):
+    calls = []
+    real_parse = dsl.parse
+
+    def counting_parse(text):
+        calls.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(dsl, "parse", counting_parse)
+    result = invoke(runner, "obligations", corpus_dir / "watertank.ccs")
+    assert result.exit_code == 0
+    assert len(calls) == 1
+
+
 # -- export-kyx -------------------------------------------------------------
 
 
@@ -378,6 +392,40 @@ def test_simulate_bad_schedules_or_horizon_is_exit_2(runner, corpus_dir, option,
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert option in result.stderr
+
+
+@pytest.mark.parametrize(
+    "box, entry",
+    [
+        ('{"wl": [1]}', "'wl'"),
+        ('{"wl": ["a", "b"]}', "'wl'"),
+        ('{"wl": null, "wlm": "=wl"}', "'wl'"),
+        ("[1, 2]", "JSON object"),
+        ('{"wl": true}', "'wl'"),
+        ('{"wl": [6.4, 3.6]}', "'wl'"),
+        ('{"wl": [3.6, Infinity]}', "'wl'"),
+        ('{"wl": NaN}', "'wl'"),
+        ('{"wl": 1' + "0" * 400 + "}", "'wl'"),
+        ('{"wl": 5, "fin": "1"}', "'fin'"),
+        ('{"wl": 5, "wlm": "="}', "'wlm'"),
+        ('{"wl": {"lo": 3}}', "'wl'"),
+    ],
+    ids=[
+        "short-pair", "string-pair", "null", "array", "bool", "reversed",
+        "infinite", "nan", "huge-int", "bare-string", "empty-alias", "object",
+    ],
+)
+def test_simulate_malformed_init_is_exit_2(runner, corpus_dir, tmp_path, box, entry):
+    init = tmp_path / "box.init.json"
+    init.write_text(box)
+    result = invoke(
+        runner, "simulate", corpus_dir / "watertank.ccs", "--init", init
+    )
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert str(init) in result.stderr
+    assert entry in result.stderr
 
 
 def test_simulate_odd_output_suffix_is_exit_2(runner, corpus_dir, tmp_path):
