@@ -30,7 +30,7 @@ from .composition import (
     non_interference_controllers,
     non_interference_ctrl_plant,
 )
-from .errors import CcsError, ParseError
+from .errors import CcsError, ParseError, UnboundedVariable
 from .obligations import (
     ProofObligation,
     kyx_filename,
@@ -43,7 +43,10 @@ from .obligations import (
 from .ast import fraction_to_text
 from .simulator import (
     STRATEGIES,
+    alias_root,
+    pinned_init,
     run_batch,
+    system_variables,
     write_trace_csv,
 )
 from .statics import bound_vars, free_vars, must_bound_vars
@@ -99,16 +102,17 @@ def _finite(x) -> bool:
     return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
-def _check_init_box(box, path: str) -> None:
-    """Exit 2 unless `box` maps names to finite numbers, `[lo, hi]` pairs
-    of them with lo <= hi, or `"=name"` aliases."""
-    if not isinstance(box, dict):
-        click.echo(
-            f"bad init file {path}: expected a JSON object, "
-            f"got {type(box).__name__}",
-            err=True,
-        )
+def _check_init_box(box, path: str, system: MCCS) -> None:
+    """Exit 2 unless `box` maps variables of `system` to finite numbers,
+    `[lo, hi]` pairs of them with lo <= hi, or `"=name"` aliases whose
+    chain ends at one of those or at a constant the system pins."""
+
+    def reject(problem: str):
+        click.echo(f"bad init file {path}: {problem}", err=True)
         sys.exit(2)
+
+    if not isinstance(box, dict):
+        reject(f"expected a JSON object, got {type(box).__name__}")
     for name, spec in box.items():
         if isinstance(spec, str):
             ok = len(spec) > 1 and spec.startswith("=")
@@ -117,12 +121,22 @@ def _check_init_box(box, path: str) -> None:
         else:
             ok = _finite(spec)
         if not ok:
-            click.echo(
-                f"bad init file {path}: entry {name!r} is {json.dumps(spec)}; "
-                'expected a finite number, [lo, hi] with lo <= hi, or "=name"',
-                err=True,
+            reject(
+                f"entry {name!r} is {json.dumps(spec)}; "
+                'expected a finite number, [lo, hi] with lo <= hi, or "=name"'
             )
-            sys.exit(2)
+    needed = system_variables(system)
+    resolvable = pinned_init(needed, system.env.constants(), box)
+    for name, spec in box.items():
+        if name not in needed:
+            reject(f"entry {name!r} names no variable of system {system.name!r}")
+        try:
+            alias_root(resolvable, name)
+        except UnboundedVariable:
+            reject(
+                f"entry {name!r} is {json.dumps(spec)}; its alias chain reaches "
+                "no number, interval or constant"
+            )
 
 
 @click.group()
@@ -263,9 +277,8 @@ def _gather_obligations(
     model: str, system: str | None, theorem: str, cost_model: CostModel | None
 ) -> list[ProofObligation]:
     source = _model(model, dsl.parse, _read_text(model))
-    sysdecl, rcs, cps, env, invariant = _model(
-        model, dsl.build_components, source, system
-    )
+    parts = _model(model, dsl.build_components, source, system)
+    sysdecl, rcs, cps, env, invariant = parts
     if theorem == "auto":
         if rcs and cps:
             theorem = "ccs"
@@ -280,9 +293,7 @@ def _gather_obligations(
             sys.exit(2)
     try:
         if theorem == "ccs":
-            return obligations_ccs(
-                _model(model, dsl.load, source, system, cost_model)
-            )
+            return obligations_ccs(_model(model, dsl.assemble, parts, cost_model))
         if theorem == "controllers":
             if len(rcs) != 2:
                 click.echo(
@@ -434,7 +445,7 @@ def simulate(
             sys.exit(2)
         init_path = str(candidate)
     init_box = _read_json(init_path, "init file")
-    _check_init_box(init_box, init_path)
+    _check_init_box(init_box, init_path, sys_)
 
     csv_paths = [p for p in outputs if p.endswith(".csv")]
     json_paths = [p for p in outputs if p.endswith(".json")]

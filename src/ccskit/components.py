@@ -86,6 +86,9 @@ class Contract:
                         f"contract {label} clause contains a box modality"
                     )
 
+    def free_vars(self) -> frozenset[str]:
+        """The free variables of the three clauses together."""
+        return free_vars(self.assume) | free_vars(self.guarantee) | free_vars(self.init)
 
 
 @dataclass(frozen=True)
@@ -395,29 +398,20 @@ def make_ccs(
                 f"timestamp {rc.timestamp!r} occurs in plant {plant.name!r}"
             )
         for other in ctrl.choices:
-            if other is rc or other.contract is None:
-                continue
-            for f in (
-                other.contract.assume,
-                other.contract.guarantee,
-                other.contract.init,
+            if (
+                other is not rc
+                and other.contract is not None
+                and rc.timestamp in other.contract.free_vars()
             ):
-                if rc.timestamp in free_vars(f):
-                    raise NonFreshTimestamp(
-                        f"timestamp {rc.timestamp!r} occurs in the contract of "
-                        f"{other.name!r}"
-                    )
-        if plant.contract is not None:
-            for f in (
-                plant.contract.assume,
-                plant.contract.guarantee,
-                plant.contract.init,
-            ):
-                if rc.timestamp in free_vars(f):
-                    raise NonFreshTimestamp(
-                        f"timestamp {rc.timestamp!r} occurs in the contract of "
-                        f"plant {plant.name!r}"
-                    )
+                raise NonFreshTimestamp(
+                    f"timestamp {rc.timestamp!r} occurs in the contract of "
+                    f"{other.name!r}"
+                )
+        if plant.contract is not None and rc.timestamp in plant.contract.free_vars():
+            raise NonFreshTimestamp(
+                f"timestamp {rc.timestamp!r} occurs in the contract of "
+                f"plant {plant.name!r}"
+            )
 
     if ctrl.reactivity > plant.controllability:
         raise ReactivityExceedsControllability(

@@ -75,6 +75,7 @@ from .ast import (
     print_program_inline,
     print_term,
     seq,
+    seq_statements,
 )
 from .components import (
     MCCS,
@@ -215,11 +216,6 @@ class ModelSource:
 
 # ---------------------------------------------------------------------------
 # Parser
-
-_ITEM_KEYWORDS = ("const", "controller", "plant", "contract", "invariant", "system")
-
-# Tokens that terminate a statement list.
-_PROGRAM_STOP = {")", "}", "]", "U"}
 
 
 class _Parser:
@@ -373,18 +369,20 @@ class _Parser:
     # -- programs
 
     def _starts_statement(self) -> bool:
+        """A test, an ODE, a parenthesised choice or an assignment comes
+        next; a `;` followed by anything else ends the statement list."""
         tok = self.peek()
-        if tok.kind == "eof" or tok.text in _PROGRAM_STOP:
-            return False
-        if tok.text in _ITEM_KEYWORDS or tok.text in (
-            "assume",
-            "guarantee",
-            "init",
-        ):
-            return False
         if tok.text in ("?", "{", "("):
             return True
         return tok.kind == "name" and tok.text not in KEYWORDS
+
+    def parse_choice(self) -> Program:
+        """Statement lists separated by `U`."""
+        alternatives = [self.parse_program()]
+        while self.at("U"):
+            self.advance()
+            alternatives.append(self.parse_program())
+        return choice(*alternatives)
 
     def parse_program(self) -> Program:
         statements = [self._statement()]
@@ -410,12 +408,8 @@ class _Parser:
             return ODE(equations, domain)
         if self.at("("):
             self.advance()
-            alternatives = [self.parse_program()]
-            while self.at("U"):
-                self.advance()
-                alternatives.append(self.parse_program())
+            inner = self.parse_choice()
             self.expect(")")
-            inner = choice(*alternatives)
             if self.at("*"):
                 self.advance()
                 return Loop(inner)
@@ -567,31 +561,25 @@ def parse(text: str) -> ModelSource:
     return _Parser(tokenize(text)).parse_model()
 
 
-def parse_formula_text(text: str) -> Formula:
+def _parse_whole(text: str, rule):
+    """`rule` of the parser over all of `text`."""
     p = _Parser(tokenize(text))
-    f = p.parse_formula()
+    out = rule(p)
     if p.peek().kind != "eof":
         raise p.error("end of input")
-    return f
+    return out
+
+
+def parse_formula_text(text: str) -> Formula:
+    return _parse_whole(text, _Parser.parse_formula)
 
 
 def parse_term_text(text: str) -> Term:
-    p = _Parser(tokenize(text))
-    t = p.parse_term()
-    if p.peek().kind != "eof":
-        raise p.error("end of input")
-    return t
+    return _parse_whole(text, _Parser.parse_term)
 
 
 def parse_program_text(text: str) -> Program:
-    p = _Parser(tokenize(text))
-    alternatives = [p.parse_program()]
-    while p.at("U"):
-        p.advance()
-        alternatives.append(p.parse_program())
-    if p.peek().kind != "eof":
-        raise p.error("end of input")
-    return choice(*alternatives)
+    return _parse_whole(text, _Parser.parse_choice)
 
 
 # ---------------------------------------------------------------------------
@@ -599,14 +587,7 @@ def parse_program_text(text: str) -> Program:
 
 
 def _program_block(p: Program) -> str:
-    from .ast import Seq, seq_statements
-
-    if isinstance(p, Seq):
-        lines = [
-            f"  {print_program_inline(stmt)};" for stmt in seq_statements(p)
-        ]
-        return "\n".join(lines)
-    return f"  {print_program_inline(p)};"
+    return "\n".join(f"  {print_program_inline(st)};" for st in seq_statements(p))
 
 
 def serialize_model(m: ModelSource) -> str:
@@ -656,15 +637,16 @@ def _environment(m: ModelSource) -> Environment:
     return Environment(conj(*pins))
 
 
-def build_components(
-    source: ModelSource | str, system: str | None = None
-) -> tuple[
+Parts = tuple[
     SystemDecl,
     list[ReactiveController],
     list[ControllablePlant],
     Environment,
     Formula,
-]:
+]
+
+
+def build_components(source: ModelSource | str, system: str | None = None) -> Parts:
     """Resolve one system declaration into its gated parts.
 
     Timestamps are allocated tau_1, tau_2, ... in the order controllers
@@ -745,7 +727,12 @@ def load(
     pairwise left to right. All construction gates run; an ill-composed
     model raises the specific gate error.
     """
-    sysdecl, rcs, cps, env, invariant = build_components(source, system)
+    return assemble(build_components(source, system), cost_model)
+
+
+def assemble(parts: Parts, cost_model: CostModel | None = None) -> MCCS:
+    """The closed loop of parts from `build_components`, as `load` builds it."""
+    sysdecl, rcs, cps, env, invariant = parts
     cm = cost_model if cost_model is not None else CostModel.uniform()
 
     controller: ReactiveController | MultiChoiceController = rcs[0]

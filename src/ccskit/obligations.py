@@ -74,7 +74,7 @@ from .composition import (
     raise_on_violations,
 )
 from .errors import BoundOccursInBehavior, CcsError, UnboundedVariable
-from .simulator import compile_program, compile_source, emit_formula
+from .simulator import alias_root, compile_program, compile_source, emit_formula
 from .statics import all_vars, bound_vars, free_vars
 
 HINTS = frozenset(
@@ -589,23 +589,6 @@ def _axis(spec, grid: int) -> tuple[float, ...]:
     return (float(spec),)
 
 
-def _alias_root(domain_box: dict, name: str) -> str:
-    """The end of `name`'s chain of "=other" aliases in `domain_box`."""
-    seen = {name}
-    while True:
-        if name not in domain_box:
-            raise UnboundedVariable(name)
-        spec = domain_box[name]
-        if not isinstance(spec, str):
-            return name
-        if not spec.startswith("="):
-            raise ValueError(f"bad alias {spec!r} for {name!r}")
-        name = spec[1:]
-        if name in seen:
-            raise UnboundedVariable(name)
-        seen.add(name)
-
-
 def _quantifier_axis(domain_box: dict, grid: int, name: str) -> tuple[float, ...]:
     if name not in domain_box:
         raise UnboundedVariable(name)
@@ -714,13 +697,14 @@ def _holds(s: dict) -> Verdict:
 
 
 MAX_GRID_POINTS = 200000
+# Passes of each loop body the bounded search unrolls.
+CHECK_UNROLL = 2
 
 
 def check_bounded(
     goal: Formula | ProofObligation,
     domain_box: dict,
     grid: int = 5,
-    unroll: int = 2,
     flow_samples: int = 32,
 ) -> BoundedCheckResult:
     """Grid-and-sample falsification of one goal over a variable box.
@@ -738,7 +722,7 @@ def check_bounded(
     # (name, gridded variable it copies), each alias chain followed once.
     aliases: list[tuple[str, str]] = []
     for n in sorted(names):
-        root = _alias_root(domain_box, n)
+        root = alias_root(domain_box, n)
         gridded.add(root)
         if root != n:
             aliases.append((n, root))
@@ -761,7 +745,7 @@ def check_bounded(
     truncated = functools.partial(cut_short.add, True)
     compile_prog = functools.partial(
         compile_program,
-        unroll=unroll,
+        unroll=CHECK_UNROLL,
         flow_samples=flow_samples,
         on_truncate=truncated,
     )
@@ -790,7 +774,7 @@ def check_bounded(
                 total=total,
                 counterexample=dict(witness),
                 initial=dict(state),
-                caveat=_caveat(grid, unroll, flow_samples, bool(cut_short), checked),
+                caveat=_caveat(grid, flow_samples, bool(cut_short), checked),
             )
     status = "holds" if checked > 0 else "inconclusive"
     return BoundedCheckResult(
@@ -799,15 +783,13 @@ def check_bounded(
         total=total,
         counterexample=None,
         initial=None,
-        caveat=_caveat(grid, unroll, flow_samples, bool(cut_short), checked),
+        caveat=_caveat(grid, flow_samples, bool(cut_short), checked),
     )
 
 
-def _caveat(
-    grid: int, unroll: int, flow_samples: int, incomplete: bool, checked: int
-) -> str:
+def _caveat(grid: int, flow_samples: int, incomplete: bool, checked: int) -> str:
     parts = [
-        f"bounded search: grid {grid} per axis, loops unrolled {unroll} deep, "
+        f"bounded search: grid {grid} per axis, loops unrolled {CHECK_UNROLL} deep, "
         f"flows sampled at {flow_samples} points"
     ]
     if incomplete:

@@ -79,6 +79,7 @@ from .errors import (
     DivisionByZero,
     InitViolatesAssumptions,
     StuckState,
+    UnboundedVariable,
 )
 from .statics import all_vars, free_vars
 
@@ -361,65 +362,60 @@ class FlowSegment:
                 exited = exit_dt <= dt_request
                 end = self.at(state, slopes, dt)
                 if exited and not self.domain(end):
-                    dt = self._bisect_exact(state, slopes, dt)
-                    end = self.at(state, slopes, dt)
+                    dt, end = self._bisect(self._along(slopes), state, dt)
                 return end, dt, exited, []
             # Exact slopes but a non-affine domain: scan and bisect.
-            return self._scan(state, dt_request, h, slopes=slopes)
-        return self._scan(state, dt_request, h, slopes=None)
+            return self._scan(self._along(slopes), state, dt_request, h)
+        return self._scan(self._rk4_step, state, dt_request, h)
 
-    def _bisect_exact(
-        self, state: State, slopes: tuple[float, ...], hi: float
-    ) -> float:
-        lo = 0.0
+    def _along(self, slopes: tuple[float, ...]) -> Callable[[State, float], State]:
+        """A step of the exact path: `at` with the slopes fixed."""
+        return lambda s, dt: self.at(s, slopes, dt)
+
+    def _bisect(
+        self, step: Callable[[State, float], State], start: State, hi: float
+    ) -> tuple[float, State]:
+        """(dt, step(start, dt)) for the largest dt in [0, hi] found, to
+        within BISECT_TOLERANCE, with the domain holding; (0.0, start) when
+        no probe holds."""
+        lo, good = 0.0, start
         while hi - lo > BISECT_TOLERANCE:
             mid = 0.5 * (lo + hi)
-            if self.domain(self.at(state, slopes, mid)):
-                lo = mid
+            cand = step(start, mid)
+            if self.domain(cand):
+                lo, good = mid, cand
             else:
                 hi = mid
-        return lo
+        return lo, good
 
     def _scan(
         self,
+        step: Callable[[State, float], State],
         state: State,
         dt_request: float,
         h: float,
-        slopes: tuple[float, ...] | None,
     ) -> tuple[State, float, bool, list[State]]:
         samples: list[State] = []
         elapsed = 0.0
         current = state
         while elapsed < dt_request - BOUNDARY_TOLERANCE:
-            step = min(h, dt_request - elapsed)
-            if slopes is not None:
-                nxt = self.at(current, slopes, step)
-            else:
-                nxt = self._rk4_step(current, step)
+            dt = min(h, dt_request - elapsed)
+            nxt = step(current, dt)
             if not self.domain(nxt):
-                lo, hi = 0.0, step
-                good = current
-                while hi - lo > BISECT_TOLERANCE:
-                    mid = 0.5 * (lo + hi)
-                    cand = (
-                        self.at(current, slopes, mid)
-                        if slopes is not None
-                        else self._rk4_step(current, mid)
-                    )
-                    if self.domain(cand):
-                        lo, good = mid, cand
-                    else:
-                        hi = mid
+                lo, good = self._bisect(step, current, dt)
                 samples.append(good)
                 return good, elapsed + lo, True, samples
             current = nxt
-            elapsed += step
+            elapsed += dt
             samples.append(current)
         return current, elapsed, False, samples
 
 
+FLOW_MAX_STEPS = 20000
+
+
 def flow_states(
-    seg: FlowSegment, state: State, n_samples: int = 64, max_steps: int = 20000
+    seg: FlowSegment, state: State, n_samples: int
 ) -> tuple[list[State], bool]:
     """All-durations sampling of one continuous evolution: the states the
 
@@ -428,8 +424,8 @@ def flow_states(
     checking.
 
     Returns (samples, complete). `complete` is False when the domain
-    never closed within the step budget, i.e. the reachable set was
-    truncated.
+    never closed within FLOW_MAX_STEPS scan steps, i.e. the reachable set
+    was truncated.
     """
     if not seg.domain(state):
         return [], True
@@ -456,7 +452,7 @@ def flow_states(
             h = min(h, span / 128.0)
     samples: list[State] = [state]
     current = state
-    for _ in range(max_steps):
+    for _ in range(FLOW_MAX_STEPS):
         end, dt, exited, _mid = seg.advance(current, h, h)
         if dt > 0.0:
             samples.append(end)
@@ -560,7 +556,7 @@ def compile_program(
         segment = FlowSegment(p)
 
         def fn(s: State, _seg=segment) -> list[State]:
-            samples, complete = flow_states(_seg, s, n_samples=flow_samples)
+            samples, complete = flow_states(_seg, s, flow_samples)
             if not complete:
                 on_truncate()
             return samples
@@ -574,6 +570,8 @@ def compile_program(
 # Schedules and traces
 
 STRATEGIES = ("uniform-random", "lazy-controller", "round-robin")
+# Passes of a run's loop before it stops with `truncated` set.
+MAX_ITERATIONS = 400000
 
 
 @dataclass(frozen=True)
@@ -581,7 +579,6 @@ class Schedule:
     strategy: str = "uniform-random"
     seed: int = 0
     horizon: float = 20.0
-    max_iterations: int = 400000
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -640,49 +637,54 @@ def system_variables(system: MCCS) -> frozenset[str]:
     out = all_vars(system.to_program())
     out |= free_vars(system.env.formula)
     out |= free_vars(system.invariant)
-    for rc in system.controller.choices:
-        if rc.contract is not None:
-            for f in (rc.contract.assume, rc.contract.guarantee, rc.contract.init):
-                out |= free_vars(f)
-    if system.plant.contract is not None:
-        pc = system.plant.contract
-        for f in (pc.assume, pc.guarantee, pc.init):
-            out |= free_vars(f)
+    contracts = [rc.contract for rc in system.controller.choices]
+    for c in [*contracts, system.plant.contract]:
+        if c is not None:
+            out |= c.free_vars()
     return out
+
+
+def alias_root(box: dict, name: str) -> str:
+    """The end of `name`'s chain of `"=other"` aliases in `box`.
+
+    Raises UnboundedVariable when the chain reaches a name missing from
+    `box` or comes back to a name it passed, and ValueError on a string
+    that is not `"=other"`.
+    """
+    seen = {name}
+    while True:
+        if name not in box:
+            raise UnboundedVariable(name)
+        spec = box[name]
+        if not isinstance(spec, str):
+            return name
+        if not spec.startswith("="):
+            raise ValueError(f"bad alias {spec!r} for {name!r}")
+        name = spec[1:]
+        if name in seen:
+            raise UnboundedVariable(name)
+        seen.add(name)
+
+
+def pinned_init(needed: frozenset[str], env_pins: dict, init: dict) -> dict:
+    """`init` plus the environment pins of the `needed` names it omits."""
+    return {**{n: v for n, v in env_pins.items() if n in needed}, **init}
 
 
 def complete_init(system: MCCS, init: dict) -> State:
     """Resolve an initial-state description into a total float state.
 
-    Entries may be numbers or `"=other"` aliases; variables absent from
-    `init` fall back to exact environment bindings (`name = q` conjuncts).
+    Entries may be numbers or chains of `"=other"` aliases; variables
+    absent from `init` fall back to exact environment bindings
+    (`name = q` conjuncts).
     """
     return _complete_init(system_variables(system), system.env.constants(), init)
 
 
 def _complete_init(needed: frozenset[str], env_pins: dict, init: dict) -> State:
-    state: State = {}
-    aliases: list[tuple[str, str]] = []
-    for name, value in init.items():
-        if isinstance(value, str):
-            if not value.startswith("="):
-                raise InitViolatesAssumptions(
-                    f"initial value for {name!r} must be a number or '=var'"
-                )
-            aliases.append((name, value[1:]))
-        else:
-            state[name] = float(value)
-    for name in needed:
-        if name not in state and all(a != name for a, _ in aliases):
-            if name in env_pins:
-                state[name] = float(env_pins[name])
-    for name, target in aliases:
-        if target not in state:
-            raise InitViolatesAssumptions(
-                f"alias {name!r} = {target!r}: target has no value"
-            )
-        state[name] = state[target]
-    missing = sorted(n for n in needed if n not in state)
+    box = pinned_init(needed, env_pins, init)
+    state = {name: float(box[alias_root(box, name)]) for name in box}
+    missing = sorted(needed - state.keys())
     if missing:
         raise InitViolatesAssumptions(
             "no initial value for: " + ", ".join(missing)
@@ -848,7 +850,7 @@ def _run(
 
     while True:
         iterations += 1
-        if iterations > schedule.max_iterations:
+        if iterations > MAX_ITERATIONS:
             trace.truncated = True
             break
         to_horizon = schedule.horizon - state[CLOCK]
@@ -878,25 +880,7 @@ def _run(
         fired: tuple[State, str] | None = None
         advanced = False
 
-        if schedule.strategy == "lazy-controller":
-            target = controllers[expiries.index(next_expiry)]
-            ordering = [target] + [c for c in controllers if c is not target]
-            if evolve_room > 0.0 and not blocked:
-                state, advanced = _evolve(
-                    segment, state, evolve_room, h, record, next_expiry
-                )
-            if not advanced or state[CLOCK] >= next_expiry - 2.0 * eps:
-                fired = try_fire_any(ordering, state)
-        elif schedule.strategy == "round-robin":
-            target = controllers[rr_index % len(controllers)]
-            rr_index += 1
-            ordering = [target] + [c for c in controllers if c is not target]
-            if evolve_room > 0.0 and not blocked:
-                state, advanced = _evolve(
-                    segment, state, evolve_room, h, record, next_expiry
-                )
-            fired = try_fire_any(ordering, state)
-        else:  # uniform-random
+        if schedule.strategy == "uniform-random":
             if evolve_room > eps and not blocked and rng.random() < 0.5:
                 dt = rng.uniform(eps, evolve_room)
                 state, advanced = _evolve(
@@ -906,6 +890,22 @@ def _run(
                 order = list(controllers)
                 rng.shuffle(order)
                 fired = try_fire_any(order, state)
+        else:
+            # Evolve as far as the guards allow, then offer the target the
+            # first firing; lazy-controller fires only near its expiry or when stalled.
+            lazy = schedule.strategy == "lazy-controller"
+            if lazy:
+                target = controllers[expiries.index(next_expiry)]
+            else:
+                target = controllers[rr_index % len(controllers)]
+                rr_index += 1
+            ordering = [target] + [c for c in controllers if c is not target]
+            if evolve_room > 0.0 and not blocked:
+                state, advanced = _evolve(
+                    segment, state, evolve_room, h, record, next_expiry
+                )
+            if not (lazy and advanced and state[CLOCK] < next_expiry - 2.0 * eps):
+                fired = try_fire_any(ordering, state)
 
         if fired is not None:
             state, name = fired

@@ -219,6 +219,25 @@ def test_obligations_parse_the_model_once(runner, corpus_dir, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("theorem", ["auto", "ccs"])
+def test_obligations_build_the_components_once(
+    runner, corpus_dir, monkeypatch, theorem
+):
+    calls = []
+    real_build = dsl.build_components
+
+    def counting_build(*args):
+        calls.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(dsl, "build_components", counting_build)
+    result = invoke(
+        runner, "obligations", corpus_dir / "two_tanks.ccs", "--theorem", theorem
+    )
+    assert result.exit_code == 0
+    assert len(calls) == 1
+
+
 # -- export-kyx -------------------------------------------------------------
 
 
@@ -409,10 +428,14 @@ def test_simulate_bad_schedules_or_horizon_is_exit_2(runner, corpus_dir, option,
         ('{"wl": 5, "fin": "1"}', "'fin'"),
         ('{"wl": 5, "wlm": "="}', "'wlm'"),
         ('{"wl": {"lo": 3}}', "'wl'"),
+        ('{"wl": 5, "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0, "zzz": 5}', "'zzz'"),
+        ('{"wl": 5, "wlm": "=wlx", "fin": 1, "t": 0, "tau_1": 0}', "'wlm'"),
+        ('{"wl": 5, "wlm": "=fin", "fin": "=wlm", "t": 0, "tau_1": 0}', "'wlm'"),
     ],
     ids=[
         "short-pair", "string-pair", "null", "array", "bool", "reversed",
         "infinite", "nan", "huge-int", "bare-string", "empty-alias", "object",
+        "unknown-name", "dangling-alias", "alias-cycle",
     ],
 )
 def test_simulate_malformed_init_is_exit_2(runner, corpus_dir, tmp_path, box, entry):
@@ -426,6 +449,18 @@ def test_simulate_malformed_init_is_exit_2(runner, corpus_dir, tmp_path, box, en
     assert len(result.stderr.splitlines()) == 1
     assert str(init) in result.stderr
     assert entry in result.stderr
+
+
+def test_simulate_resolves_alias_chains_in_any_order(runner, corpus_dir, tmp_path):
+    init = tmp_path / "chain.init.json"
+    init.write_text(
+        '{"wlm": "=wl", "wl": [3.6, 6.4], "fin": "=tau_1", "tau_1": "=t", "t": 0}'
+    )
+    result = invoke(
+        runner, "simulate", corpus_dir / "watertank.ccs", "--init", init
+    )
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.stdout)["variable_ranges"]["fin"][0] == 0.0
 
 
 def test_simulate_odd_output_suffix_is_exit_2(runner, corpus_dir, tmp_path):

@@ -76,6 +76,23 @@ def test_parse_program_text_accepts_top_level_choice():
     assert dsl.parse_program_text(print_program_inline(p)) == p
 
 
+@pytest.mark.parametrize(
+    "follow",
+    [")", "}", "]", "U z := 3", "", "const k = 1", "controller", "plant",
+     "contract", "invariant", "system", "assume", "guarantee", "init"],
+)
+def test_trailing_semicolon_ends_a_statement_list(follow):
+    """`;` before anything that cannot start a statement ends the list:
+    the same program comes out and the same tokens are left."""
+
+    def statements(text):
+        p = dsl._Parser(dsl.tokenize(text))
+        return p.parse_program(), [t.text for t in p.tokens[p.pos:]]
+
+    body = "x := 1; (y := 2 U ?(x > 0)); {x' = 1 & x <= 2}"
+    assert statements(f"{body}; {follow}") == statements(f"{body} {follow}")
+
+
 def test_build_components_allocates_timestamps_in_order(two_tanks_parts):
     sysdecl, rcs, cps, env, invariant = two_tanks_parts
     assert sysdecl.name == "two_tanks"

@@ -49,7 +49,12 @@ from ccskit.components import (
     make_controllable_plant,
     make_reactive_controller,
 )
-from ccskit.errors import DivisionByZero, InitViolatesAssumptions, StuckState
+from ccskit.errors import (
+    DivisionByZero,
+    InitViolatesAssumptions,
+    StuckState,
+    UnboundedVariable,
+)
 from ccskit.simulator import (
     STRATEGIES,
     FlowSegment,
@@ -303,6 +308,20 @@ def test_alias_init_and_environment_pins(watertank):
     with pytest.raises(InitViolatesAssumptions) as e:
         complete_init(watertank, {"wl": 5.0, "wlm": "=wl"})
     assert "fin" in str(e.value)
+
+
+def test_init_alias_chains_resolve_in_any_order(watertank):
+    # Listed target-first: wlm -> fin -> t.
+    state = complete_init(
+        watertank, {"wlm": "=fin", "fin": "=t", "t": 0, "tau_1": 0, "wl": 5.0}
+    )
+    assert state["wlm"] == state["fin"] == state["t"] == 0.0
+    with pytest.raises(UnboundedVariable):
+        complete_init(watertank, {**WT_INIT, "wlm": "=wlx"})
+    with pytest.raises(UnboundedVariable):
+        complete_init(watertank, {**WT_INIT, "wlm": "=fin", "fin": "=wlm"})
+    with pytest.raises(ValueError):
+        complete_init(watertank, {**WT_INIT, "fin": "1"})
 
 
 def _stuck_system():
