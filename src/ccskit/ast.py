@@ -2,9 +2,10 @@
 
 Design notes
 
-* Every node is an immutable `Node`: structural equality and hashing come
-  from the field tuples, so two independently built trees compare equal
-  exactly when they are the same tree. No interning, no identity games.
+* Every node is an immutable `Node`, a `Record`: structural equality and
+  hashing come from the field tuples, so two independently built trees
+  compare equal exactly when they are the same tree. No interning, no
+  identity games.
 * Numeric literals are exact rationals (`fractions.Fraction`). Nothing in
   this module ever converts to float; the simulator does that once at its
   own boundary.
@@ -24,52 +25,73 @@ from operator import attrgetter
 from typing import Iterator, Union
 
 
-class Node:
-    """An immutable syntax node, built positionally from its fields.
+class Record:
+    """An immutable record, built from its fields by position or by name.
 
     Each subclass names its fields, in constructor order, in `__slots__`;
-    that tuple (`_fields`) drives equality, hashing, `repr`, copying,
-    pickling and the generic traversals below.
+    a slot whose name starts with `_` is private state, not a field. The
+    field tuple (`_fields`) drives equality, hashing, `repr`, copying,
+    pickling and `replace`. `_defaults` maps trailing fields to the value
+    an omitted one takes; `_uncompared` names fields that equality,
+    hashing and `repr` leave out.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _uncompared: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        fields = cls._fields = cls.__slots__
-        # attrgetter gives a bare value for one name, and does not bind as
-        # a method, so each class wraps it in a function returning a tuple.
-        if len(fields) == 1:
-            get = attrgetter(fields[0])
-            cls._values = lambda self: (get(self),)
-        elif fields:
-            get = attrgetter(*fields)
-            cls._values = lambda self: get(self)
+        fields = cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+        # Each slot's own setter: the fastest write past __setattr__.
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+        cls._values = _getter(fields)
+        cls._compared = tuple(f for f in fields if f not in cls._uncompared)
+        cls._key = _getter(cls._compared)
 
-    def __init__(self, *values) -> None:
-        if len(values) != len(self._fields):
-            raise TypeError(
-                f"{type(self).__name__} takes {len(self._fields)} fields, "
-                f"got {len(values)}"
-            )
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values, **named) -> None:
+        if named or len(values) != len(self._fields):
+            values = self._complete(values, named)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _complete(cls, values: tuple, named: dict) -> list:
+        """Every field's value, in order: given by position, by name, or
+        the default."""
+        rest = cls._fields[len(values):]
+        if len(values) > len(cls._fields) or not named.keys() <= set(rest):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+        given = {**cls._defaults, **named}
+        try:
+            return [*values, *[given[f] for f in rest]]
+        except KeyError as missing:
+            raise TypeError(f"{cls.__name__} is missing field {missing}") from None
 
     def _values(self) -> tuple:
         """The field values, in `_fields` order."""
         return ()
 
+    def _asdict(self) -> dict:
+        """The compared fields by name, in order."""
+        return dict(zip(self._compared, self._key()))
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        values = [changes.pop(f, v) for f, v in zip(self._fields, self._values())]
+        return type(self)(*values, **changes)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -80,6 +102,24 @@ class Node:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _getter(fields: tuple[str, ...]):
+    """record -> the tuple of the named fields' values. (attrgetter gives a
+    bare value for one name, and does not bind as a method.)"""
+    if not fields:
+        return lambda self: ()
+    get = attrgetter(*fields)
+    if len(fields) == 1:
+        return lambda self: (get(self),)
+    return lambda self: get(self)
+
+
+class Node(Record):
+    """A syntax node: its fields are the children and labels that the
+    generic traversals below walk."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -459,41 +499,46 @@ def print_term(t: Term) -> str:
 
 _F_ATOM, _F_NOT, _F_AND, _F_OR, _F_IMP = 5, 4, 3, 2, 1
 
+# A target syntax: the token between choice alternatives and the prefix of
+# the quantifier keywords (terms print the same in every target).
+CCS_SYNTAX = ("U", "")
 
-def _print_formula(f: Formula, parent_level: int, right_side: bool = False) -> str:
+
+def _print_formula(
+    f: Formula, syntax: tuple[str, str], parent_level: int, right_side: bool = False
+) -> str:
     if isinstance(f, TrueF):
         return "true"
     if isinstance(f, FalseF):
         return "false"
     if isinstance(f, Compare):
         return f"{print_term(f.left)} {f.op} {print_term(f.right)}"
-    if isinstance(f, Forall):
-        return f"forall {f.var} ({_print_formula(f.body, 0)})"
-    if isinstance(f, Exists):
-        return f"exists {f.var} ({_print_formula(f.body, 0)})"
+    if isinstance(f, (Forall, Exists)):
+        keyword = "forall" if isinstance(f, Forall) else "exists"
+        return f"{syntax[1]}{keyword} {f.var} ({_print_formula(f.body, syntax, 0)})"
     if isinstance(f, Box):
-        post = _print_formula(f.post, _F_NOT)
-        return f"[{print_program_inline(f.program)}] {post}"
+        post = _print_formula(f.post, syntax, _F_NOT)
+        return f"[{print_program_inline(f.program, syntax)}] {post}"
     if isinstance(f, Not):
-        text = f"!{_print_formula(f.operand, _F_NOT)}"
+        text = f"!{_print_formula(f.operand, syntax, _F_NOT)}"
         level = _F_NOT
     elif isinstance(f, And):
         text = (
-            f"{_print_formula(f.left, _F_AND)} & "
-            f"{_print_formula(f.right, _F_AND, right_side=True)}"
+            f"{_print_formula(f.left, syntax, _F_AND)} & "
+            f"{_print_formula(f.right, syntax, _F_AND, right_side=True)}"
         )
         level = _F_AND
     elif isinstance(f, Or):
         text = (
-            f"{_print_formula(f.left, _F_OR)} | "
-            f"{_print_formula(f.right, _F_OR, right_side=True)}"
+            f"{_print_formula(f.left, syntax, _F_OR)} | "
+            f"{_print_formula(f.right, syntax, _F_OR, right_side=True)}"
         )
         level = _F_OR
     elif isinstance(f, Implies):
         # Right-associative: the *left* child needs parens at equal level.
         text = (
-            f"{_print_formula(f.left, _F_IMP + 1)} -> "
-            f"{_print_formula(f.right, _F_IMP)}"
+            f"{_print_formula(f.left, syntax, _F_IMP + 1)} -> "
+            f"{_print_formula(f.right, syntax, _F_IMP)}"
         )
         level = _F_IMP
     else:
@@ -503,42 +548,42 @@ def _print_formula(f: Formula, parent_level: int, right_side: bool = False) -> s
     return text
 
 
-def print_formula(f: Formula) -> str:
-    return _print_formula(f, 0)
+def print_formula(f: Formula, syntax: tuple[str, str] = CCS_SYNTAX) -> str:
+    return _print_formula(f, syntax, 0)
 
 
-def _print_statement(p: Program) -> str:
+def _print_statement(p: Program, syntax: tuple[str, str]) -> str:
     """One statement, without a trailing separator."""
     if isinstance(p, Test):
-        return f"?({print_formula(p.condition)})"
+        return f"?({print_formula(p.condition, syntax)})"
     if isinstance(p, Assign):
         return f"{p.var} := {print_term(p.rhs)}"
     if isinstance(p, ODE):
         eqs = ", ".join(f"{v}' = {print_term(rhs)}" for v, rhs in p.equations)
-        return f"{{{eqs} & {print_formula(p.domain)}}}"
+        return f"{{{eqs} & {print_formula(p.domain, syntax)}}}"
     if isinstance(p, Choice):
-        alts = " U ".join(
-            print_program_inline(a) for a in choice_alternatives(p)
+        alts = f" {syntax[0]} ".join(
+            print_program_inline(a, syntax) for a in choice_alternatives(p)
         )
         return f"({alts})"
     if isinstance(p, Loop):
-        return f"({print_program_inline(p.body)})*"
+        return f"({print_program_inline(p.body, syntax)})*"
     if isinstance(p, Seq):
         # A Seq used where a single statement is required (its parent Seq had
         # a non-atomic first element): grouping parens keep the tree shape.
-        return f"({print_program_inline(p)})"
+        return f"({print_program_inline(p, syntax)})"
     raise TypeError(f"not a program: {p!r}")
 
 
-def print_program_inline(p: Program) -> str:
+def print_program_inline(p: Program, syntax: tuple[str, str] = CCS_SYNTAX) -> str:
     """Statements joined by `; ` without a trailing terminator (the form
 
     used inside choices, loop bodies and boxes).
     """
     if isinstance(p, Seq):
-        first = _print_statement(p.first)
-        return f"{first}; {print_program_inline(p.second)}"
-    return _print_statement(p)
+        first = _print_statement(p.first, syntax)
+        return f"{first}; {print_program_inline(p.second, syntax)}"
+    return _print_statement(p, syntax)
 
 
 def print_program(p: Program) -> str:

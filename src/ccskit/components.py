@@ -16,7 +16,6 @@ composition gates and proof-obligation generators consume them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import ast
@@ -32,6 +31,7 @@ from .ast import (
     ODE,
     Program,
     Rational,
+    Record,
     Term,
     Test,
     TrueF,
@@ -61,8 +61,7 @@ CLOCK = "t"
 TIMESTAMP_PREFIX = "tau_"
 
 
-@dataclass(frozen=True)
-class Contract:
+class Contract(Record):
     """Assume/guarantee pair plus the initial-state predicate.
 
     All three are modality-free state predicates; a Box anywhere in them
@@ -70,11 +69,11 @@ class Contract:
     checking, obligation goals) treats them as evaluable at a state.
     """
 
-    assume: Formula = TRUE
-    guarantee: Formula = TRUE
-    init: Formula = TRUE
+    __slots__ = ("assume", "guarantee", "init")
+    _defaults = {"assume": TRUE, "guarantee": TRUE, "init": TRUE}
 
-    def __post_init__(self):
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
         for label, f in (
             ("assume", self.assume),
             ("guarantee", self.guarantee),
@@ -91,15 +90,15 @@ class Contract:
         return free_vars(self.assume) | free_vars(self.guarantee) | free_vars(self.init)
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(Record):
     """Constraints on variables the system never writes (named constants,
 
     disturbance bounds, timing constants). Constancy against a concrete
     system is checked when the closed loop is assembled.
     """
 
-    formula: Formula = TRUE
+    __slots__ = ("formula",)
+    _defaults = {"formula": TRUE}
 
     def constants(self) -> dict[str, Fraction]:
         """Exact bindings from equality conjuncts of the form `name = q`."""
@@ -131,8 +130,7 @@ class TimestampRegistry:
 # Reactive controller
 
 
-@dataclass(frozen=True)
-class ReactiveController:
+class ReactiveController(Record):
     """Discrete control program re-run at least every `reactivity` seconds.
 
     `ctrl` is the bare behaviour; `to_program()` wraps it with the
@@ -141,12 +139,8 @@ class ReactiveController:
         ?(t <= tau + delta); ctrl; tau := t
     """
 
-    name: str
-    ctrl: Program
-    reactivity: Fraction
-    timestamp: str
-    contract: Contract | None = None
-    bound_name: str = ""
+    __slots__ = ("name", "ctrl", "reactivity", "timestamp", "contract", "bound_name")
+    _defaults = {"contract": None, "bound_name": ""}
 
     def guard(self, bound: Fraction | None = None) -> Formula:
         delta = self.reactivity if bound is None else bound
@@ -209,11 +203,8 @@ def make_reactive_controller(
 # one nondeterministic union, all guarded by the same overall bound)
 
 
-@dataclass(frozen=True)
-class MultiChoiceController:
-    name: str
-    choices: tuple[ReactiveController, ...]
-    reactivity: Fraction
+class MultiChoiceController(Record):
+    __slots__ = ("name", "choices", "reactivity")
 
     def to_program(self) -> Program:
         return choice(*(rc.to_program(self.reactivity) for rc in self.choices))
@@ -244,20 +235,17 @@ def as_multi_controller(
 # Controllable plant
 
 
-@dataclass(frozen=True)
-class ControllablePlant:
+class ControllablePlant(Record):
     """ODE that yields to control within `controllability` seconds.
 
     `equations` / `domain` are the user dynamics; the shared clock
     equation t' = 1 and the time bounds are injected by `to_program`.
     """
 
-    name: str
-    equations: tuple[tuple[str, Term], ...]
-    domain: Formula
-    controllability: Fraction
-    contract: Contract | None = None
-    bound_name: str = ""
+    __slots__ = (
+        "name", "equations", "domain", "controllability", "contract", "bound_name"
+    )
+    _defaults = {"contract": None, "bound_name": ""}
 
     @property
     def evolved(self) -> frozenset[str]:
@@ -337,8 +325,7 @@ def make_controllable_plant(
 # Closed loop
 
 
-@dataclass(frozen=True)
-class MCCS:
+class MCCS(Record):
     """Closed loop of a controller family and a plant:
 
         ( {plant & t >= 0 & H & /\\_i t <= tau_i + delta}  U  ctrl_1  U ... )*
@@ -347,11 +334,8 @@ class MCCS:
     monitoring and obligation generation.
     """
 
-    name: str
-    controller: MultiChoiceController
-    plant: ControllablePlant
-    env: Environment = EMPTY_ENVIRONMENT
-    invariant: Formula = TRUE
+    __slots__ = ("name", "controller", "plant", "env", "invariant")
+    _defaults = {"env": EMPTY_ENVIRONMENT, "invariant": TRUE}
 
     def guarded_ode(self) -> ODE:
         guards = tuple(
@@ -475,4 +459,4 @@ def contract_validity_goal(
 
 def with_contract(component, contract: Contract):
     """Functional update helper (components are frozen)."""
-    return replace(component, contract=contract)
+    return component.replace(contract=contract)

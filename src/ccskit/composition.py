@@ -14,12 +14,11 @@ raises a named error; nothing is silently repaired.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from .ast import conj, conjuncts
+from .ast import Record, conj, conjuncts
 from .components import (
     MCCS,
     Contract,
@@ -42,16 +41,15 @@ from .statics import bound_vars, free_vars
 # Scheduling cost
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record):
     """Maps controller names to the resource each one runs on.
 
     `default` (if set) is the resource for unmapped controllers; without
     it, looking up an unmapped name is an error.
     """
 
-    mapping: dict[str, str] = field(default_factory=dict)
-    default: str | None = None
+    __slots__ = ("mapping", "default")
+    _defaults = {"default": None}
 
     def resource(self, name: str) -> str:
         if name in self.mapping:
@@ -94,23 +92,18 @@ def cost(cm: CostModel, controllers: Iterable[ReactiveController]) -> Fraction:
 # Non-interference gates
 
 
-@dataclass(frozen=True)
-class Violation:
-    gate: str
-    severity: str  # "error" | "warning"
-    description: str
-    variables: frozenset[str]
+class Violation(Record):
+    # severity is "error" or "warning"; variables a frozenset of names.
+    __slots__ = ("gate", "severity", "description", "variables")
 
     def describe(self) -> str:
         names = ", ".join(sorted(self.variables))
         return f"{self.gate}: {self.description} ({names})"
 
 
-@dataclass(frozen=True)
-class NonInterferenceReport:
-    gate: str
-    violations: tuple[Violation, ...] = ()
-    warnings: tuple[Violation, ...] = ()
+class NonInterferenceReport(Record):
+    __slots__ = ("gate", "violations", "warnings")
+    _defaults = {"violations": (), "warnings": ()}
 
     @property
     def ok(self) -> bool:

@@ -38,7 +38,6 @@ which `parse` reads back as an exact division.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ast import (
@@ -61,6 +60,7 @@ from .ast import (
     Plus,
     Program,
     Rational,
+    Record,
     Term,
     Test,
     Times,
@@ -119,12 +119,19 @@ KEYWORDS = frozenset(
 # Tokens
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number" | "name" | "op" | "eof"
-    text: str
-    line: int
-    col: int
+_set = object.__setattr__
+
+
+class Token(Record):
+    # kind is "number", "name", "op" or "eof".
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        # One per token: spelled out, as it runs faster than Record's loop.
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 _TOKEN_RE = re.compile(
@@ -164,54 +171,35 @@ def tokenize(text: str) -> list[Token]:
 # Declarations
 
 
-@dataclass(frozen=True)
-class ConstDecl:
-    name: str
-    value: Fraction
+class ConstDecl(Record):
+    __slots__ = ("name", "value")
 
 
-@dataclass(frozen=True)
-class ControllerDecl:
-    name: str
-    reactivity: Fraction
-    body: Program
+class ControllerDecl(Record):
+    __slots__ = ("name", "reactivity", "body")
 
 
-@dataclass(frozen=True)
-class PlantDecl:
-    name: str
-    controllability: Fraction
-    equations: tuple[tuple[str, Term], ...]
-    domain: Formula
+class PlantDecl(Record):
+    __slots__ = ("name", "controllability", "equations", "domain")
 
 
-@dataclass(frozen=True)
-class ContractDecl:
-    component: str
-    contract: Contract
+class ContractDecl(Record):
+    __slots__ = ("component", "contract")
 
 
-@dataclass(frozen=True)
-class InvariantDecl:
-    name: str
-    formula: Formula
+class InvariantDecl(Record):
+    __slots__ = ("name", "formula")
 
 
-@dataclass(frozen=True)
-class SystemDecl:
-    name: str
-    controllers: tuple[str, ...]
-    plants: tuple[str, ...]
+class SystemDecl(Record):
+    __slots__ = ("name", "controllers", "plants")
 
 
-@dataclass(frozen=True)
-class ModelSource:
-    consts: tuple[ConstDecl, ...] = ()
-    controllers: tuple[ControllerDecl, ...] = ()
-    plants: tuple[PlantDecl, ...] = ()
-    contracts: tuple[ContractDecl, ...] = ()
-    invariants: tuple[InvariantDecl, ...] = ()
-    systems: tuple[SystemDecl, ...] = ()
+class ModelSource(Record):
+    __slots__ = (
+        "consts", "controllers", "plants", "contracts", "invariants", "systems"
+    )
+    _defaults = dict.fromkeys(__slots__, ())
 
 
 # ---------------------------------------------------------------------------

@@ -129,11 +129,11 @@ class BoundOccursInBehavior(CcsError):
 
 
 class UnboundedVariable(CcsError):
-    """Bounded checking needs an interval for every sampled variable."""
+    """A sampled variable has no interval, or an alias chain no end value."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, message: str | None = None):
         self.name = name
-        super().__init__(f"no interval given for variable {name!r}")
+        super().__init__(message or f"no interval given for variable {name!r}")
 
 
 class InitViolatesAssumptions(CcsError):

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
-from dataclasses import dataclass, replace as _dc_replace
 from typing import Callable
 
 from .ast import (
@@ -49,6 +47,7 @@ from .ast import (
     Not,
     Or,
     Program,
+    Record,
     TRUE,
     Variable,
     choice,
@@ -90,26 +89,28 @@ HINTS = frozenset(
 STATUSES = ("open", "discharged", "failed")
 
 
-@dataclass(frozen=True)
-class ProofObligation:
-    id: str
-    theorem: str
-    case: str
-    hint: str
-    goal: Formula
-    status: str = "open"
-    notes: tuple[str, ...] = ()
+class ProofObligation(Record):
+    # `_free_vars` caches the goal's free variables; it is not a field.
+    __slots__ = (
+        "id", "theorem", "case", "hint", "goal", "status", "notes", "_free_vars"
+    )
+    _defaults = {"status": "open", "notes": ()}
 
-    def __post_init__(self):
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
         if self.hint not in HINTS:
             raise ValueError(f"unknown hint {self.hint!r}")
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
 
-    @functools.cached_property
+    @property
     def free_vars(self) -> frozenset[str]:
         """The goal's free variables, computed on first use."""
-        return free_vars(self.goal)
+        try:
+            return self._free_vars
+        except AttributeError:
+            object.__setattr__(self, "_free_vars", free_vars(self.goal))
+            return self._free_vars
 
     @property
     def provenance(self) -> str:
@@ -496,7 +497,7 @@ def obligations_plants(
     )
 
     def ghosted(p: ControllablePlant, other: ControllablePlant) -> Program:
-        kept = _dc_replace(p, domain=conj(p.domain, other.domain))
+        kept = p.replace(domain=conj(p.domain, other.domain))
         return kept.to_program(bound=bound)
 
     return _obligation_list("thm3", [
@@ -558,24 +559,13 @@ def obligations_plants(
 # Bounded counterexample search
 
 
-@dataclass(frozen=True)
-class BoundedCheckResult:
-    status: str  # holds | counterexample | inconclusive
-    checked: int
-    total: int
-    counterexample: dict[str, float] | None
-    initial: dict[str, float] | None
-    caveat: str
+class BoundedCheckResult(Record):
+    # status is "holds", "counterexample" or "inconclusive"; counterexample
+    # and initial are states (name -> float) or None.
+    __slots__ = ("status", "checked", "total", "counterexample", "initial", "caveat")
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "checked": self.checked,
-            "total": self.total,
-            "counterexample": self.counterexample,
-            "initial": self.initial,
-            "caveat": self.caveat,
-        }
+        return self._asdict()
 
 
 def _axis(spec, grid: int) -> tuple[float, ...]:
@@ -803,14 +793,15 @@ def _caveat(grid: int, flow_samples: int, incomplete: bool, checked: int) -> str
 # Prover-file rendering
 
 
+# KeYmaera X writes a choice `++` and the quantifiers `\forall`, `\exists`.
+KYX_SYNTAX = ("++", "\\")
+
+
 def render_kyx(ob: ProofObligation) -> str:
     """One obligation as a standalone prover problem file."""
     names = sorted(all_vars(ob.goal))
     decls = "\n".join(f"  Real {n};" for n in names)
-    body = print_formula(ob.goal)
-    body = body.replace(" U ", " ++ ")
-    # Whole words only: `noforall` is a legal identifier, `forall` a keyword.
-    body = re.sub(r"\b(forall|exists)\b", r"\\\1", body)
+    body = print_formula(ob.goal, KYX_SYNTAX)
     lines = [f"/* {ob.id} ({ob.provenance}) */", f"/* hint: {ob.hint} */"]
     for note in ob.notes:
         lines.append(f"/* note: {note} */")

@@ -38,7 +38,6 @@ import csv
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .ast import (
@@ -61,6 +60,7 @@ from .ast import (
     Plus,
     Program,
     Rational,
+    Record,
     Seq,
     Term,
     Test,
@@ -574,13 +574,12 @@ STRATEGIES = ("uniform-random", "lazy-controller", "round-robin")
 MAX_ITERATIONS = 400000
 
 
-@dataclass(frozen=True)
-class Schedule:
-    strategy: str = "uniform-random"
-    seed: int = 0
-    horizon: float = 20.0
+class Schedule(Record):
+    __slots__ = ("strategy", "seed", "horizon")
+    _defaults = {"strategy": "uniform-random", "seed": 0, "horizon": 20.0}
 
-    def __post_init__(self):
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; pick one of {STRATEGIES}"
@@ -591,28 +590,30 @@ class Schedule:
             )
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    time: float
-    event: str
-    values: dict[str, float]
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class MonitorViolation:
-    time: float
-    monitor: str
-    formula_text: str
-    values: dict[str, float]
+class TracePoint(Record):
+    __slots__ = ("time", "event", "values")
+
+    def __init__(self, time: float, event: str, values: dict[str, float]) -> None:
+        # One per kept sample: spelled out, as it runs faster than Record's loop.
+        _set(self, "time", time)
+        _set(self, "event", event)
+        _set(self, "values", values)
 
 
-@dataclass
-class Trace:
-    points: list[TracePoint] = field(default_factory=list)
-    violations: list[MonitorViolation] = field(default_factory=list)
-    end_time: float = 0.0
-    truncated: bool = False
-    max_invariant_residual: float = 0.0
+class MonitorViolation(Record):
+    __slots__ = ("time", "monitor", "formula_text", "values")
+
+
+class Trace(Record):
+    """One run's kept points and monitor violations, its end time, whether
+    it stopped at MAX_ITERATIONS and its largest invariant residual."""
+
+    __slots__ = (
+        "points", "violations", "end_time", "truncated", "max_invariant_residual"
+    )
 
     def variables(self) -> list[str]:
         return sorted(self.points[0].values.keys()) if self.points else []
@@ -651,19 +652,24 @@ def alias_root(box: dict, name: str) -> str:
     `box` or comes back to a name it passed, and ValueError on a string
     that is not `"=other"`.
     """
-    seen = {name}
-    while True:
-        if name not in box:
-            raise UnboundedVariable(name)
+    chain = [name]
+    while name in box:
         spec = box[name]
         if not isinstance(spec, str):
             return name
         if not spec.startswith("="):
             raise ValueError(f"bad alias {spec!r} for {name!r}")
         name = spec[1:]
-        if name in seen:
-            raise UnboundedVariable(name)
-        seen.add(name)
+        if name in chain:
+            loop = " -> ".join(map(repr, [*chain, name]))
+            message = f"the alias chain of {chain[0]!r} loops: {loop}"
+            raise UnboundedVariable(name, message)
+        chain.append(name)
+    if len(chain) == 1:
+        raise UnboundedVariable(name)
+    via = "".join(f" via {n!r}" for n in chain[1:-1])
+    message = f"{chain[0]!r} aliases {name!r}{via}, which has no value or interval"
+    raise UnboundedVariable(name, message)
 
 
 def pinned_init(needed: frozenset[str], env_pins: dict, init: dict) -> dict:
@@ -784,9 +790,7 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
     def keep(event: str, s: State) -> None:
         points.append(TracePoint(s[CLOCK], event, dict(s)))
 
-    trace = _run(CompiledSystem(system), schedule, init, keep)
-    trace.points = points
-    return trace
+    return _run(CompiledSystem(system), schedule, init, keep, points)
 
 
 def _run(
@@ -794,11 +798,13 @@ def _run(
     schedule: Schedule,
     init: dict,
     on_point: Callable[[str, State], None],
+    points: list[TracePoint],
 ) -> Trace:
     """`run` over a compiled system, streaming its samples.
 
     Every sample goes to `on_point(event, state)`, which must copy
-    `state` to keep it; the returned Trace holds no points.
+    `state` to keep it; the returned Trace holds `points`, which
+    `on_point` may have filled.
     """
     state = _complete_init(cs.variables, cs.env_pins, init)
     if not cs.init_hold(state):
@@ -813,12 +819,18 @@ def _run(
     all_hold = cs.all_hold
     residual = cs.residual
 
-    trace = Trace()
+    violations: list[MonitorViolation] = []
+    max_residual = 0.0
+    truncated = False
 
-    def record(event: str, s: State) -> None:
-        on_point(event, s)
-        if residual is not None:
-            trace.max_invariant_residual = residual(s, trace.max_invariant_residual)
+    if residual is None:
+        record = on_point
+    else:
+
+        def record(event: str, s: State) -> None:
+            nonlocal max_residual
+            on_point(event, s)
+            max_residual = residual(s, max_residual)
 
     def boundary(s: State) -> None:
         record("loop-boundary", s)
@@ -826,9 +838,7 @@ def _run(
             return
         for name, fn, text in cs.monitor_checks:
             if not fn(s):
-                trace.violations.append(
-                    MonitorViolation(s[CLOCK], name, text, dict(s))
-                )
+                violations.append(MonitorViolation(s[CLOCK], name, text, dict(s)))
 
     def try_fire_any(order: Iterable, s: State) -> tuple[State, str] | None:
         """The first controller in `order` whose guard has not expired and
@@ -851,7 +861,7 @@ def _run(
     while True:
         iterations += 1
         if iterations > MAX_ITERATIONS:
-            trace.truncated = True
+            truncated = True
             break
         to_horizon = schedule.horizon - state[CLOCK]
         if to_horizon <= BOUNDARY_TOLERANCE:
@@ -937,8 +947,7 @@ def _run(
         boundary(state)
 
     # Every pass of the loop ends at a boundary, so the last point is one.
-    trace.end_time = state[CLOCK]
-    return trace
+    return Trace(points, violations, state[CLOCK], truncated, max_residual)
 
 
 def _evolve(
@@ -970,35 +979,24 @@ def _evolve(
 # Batches
 
 
-@dataclass
-class BatchSummary:
-    runs: int
-    strategy: str
-    seed: int
-    horizon: float
-    violations: dict[str, int]
-    runs_with_violations: int
-    variable_ranges: dict[str, tuple[float, float]]
-    max_invariant_residual: float
-    total_points: int
-    stuck_runs: int = 0
-    # Run 0's full trace, when run_batch was asked to keep it.
-    first_trace: Trace | None = field(default=None, repr=False, compare=False)
+class BatchSummary(Record):
+    # first_trace is run 0's full trace, when run_batch was asked to keep
+    # it; equality and repr leave it out.
+    __slots__ = (
+        "runs", "strategy", "seed", "horizon", "violations", "runs_with_violations",
+        "variable_ranges", "max_invariant_residual", "total_points", "stuck_runs",
+        "first_trace",
+    )
+    _defaults = {"stuck_runs": 0, "first_trace": None}
+    _uncompared = ("first_trace",)
 
     def to_json(self) -> dict:
         return {
-            "runs": self.runs,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "horizon": self.horizon,
+            **self._asdict(),
             "violations": dict(sorted(self.violations.items())),
-            "runs_with_violations": self.runs_with_violations,
             "variable_ranges": {
                 k: [lo, hi] for k, (lo, hi) in sorted(self.variable_ranges.items())
             },
-            "max_invariant_residual": self.max_invariant_residual,
-            "total_points": self.total_points,
-            "stuck_runs": self.stuck_runs,
         }
 
 
@@ -1081,14 +1079,13 @@ def run_batch(
                 points.append(TracePoint(s[CLOCK], event, dict(s)))
 
         try:
-            trace = _run(cs, schedule, init, aggregate)
+            trace = _run(cs, schedule, init, aggregate, points)
         except StuckState:
             if keep:
                 raise
             stuck += 1
             continue
         if keep:
-            trace.points = points
             first_trace = trace
         if trace.violations:
             runs_with += 1

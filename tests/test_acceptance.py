@@ -120,9 +120,7 @@ def test_criterion_3_scheduling_cost_is_exact_rational():
 
 
 def _with_reactivity(ctrl, delta):
-    import dataclasses
-
-    return dataclasses.replace(ctrl, reactivity=delta)
+    return ctrl.replace(reactivity=delta)
 
 
 def test_criterion_4_schedulability_gate(two_tanks, corpus_dir):

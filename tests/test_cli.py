@@ -52,6 +52,24 @@ def test_version_from_source_tree():
     assert proc.stderr == ""
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    """Every `ccs` command pays for what importing the CLI loads; the
+    records build on the AST's base, so `dataclasses` is not among it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import ccskit.cli, sys; print('dataclasses' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 # -- check ------------------------------------------------------------------
 
 

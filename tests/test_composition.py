@@ -39,15 +39,15 @@ def _controllers(n=2):
 
 def test_cost_shared_resource_adds():
     a, b = _controllers()
-    a = a.__class__(**{**a.__dict__, "reactivity": Fraction(1, 20)})
-    b = b.__class__(**{**b.__dict__, "reactivity": Fraction(1, 50)})
+    a = a.replace(reactivity=Fraction(1, 20))
+    b = b.replace(reactivity=Fraction(1, 50))
     assert cost(CostModel.uniform(), [a, b]) == Fraction(7, 100)
 
 
 def test_cost_independent_resources_take_max():
     a, b = _controllers()
-    a = a.__class__(**{**a.__dict__, "reactivity": Fraction(1, 20)})
-    b = b.__class__(**{**b.__dict__, "reactivity": Fraction(1, 50)})
+    a = a.replace(reactivity=Fraction(1, 20))
+    b = b.replace(reactivity=Fraction(1, 50))
     cm = CostModel(mapping={a.name: "ecu0", b.name: "ecu1"})
     assert cost(cm, [a, b]) == Fraction(1, 20)
 
@@ -65,8 +65,8 @@ def test_cost_requires_every_controller_mapped():
 
 def test_cost_is_exact_rational_arithmetic():
     a, b = _controllers()
-    a = a.__class__(**{**a.__dict__, "reactivity": Fraction(1, 10)})
-    b = b.__class__(**{**b.__dict__, "reactivity": Fraction(1, 5)})
+    a = a.replace(reactivity=Fraction(1, 10))
+    b = b.replace(reactivity=Fraction(1, 5))
     total = cost(CostModel.uniform(), [a, b])
     assert total == Fraction(3, 10)
     assert isinstance(total, Fraction)
@@ -85,7 +85,7 @@ def test_compose_controllers_reemits_every_choice_at_joint_bound():
 def test_compose_controllers_rejects_shared_writes():
     a, _ = _controllers()
     clash = randgen.rand_controller(rng_pool, 0)  # same slice, same outputs
-    clash = clash.__class__(**{**clash.__dict__, "name": "c0b", "timestamp": "tau_9"})
+    clash = clash.replace(name="c0b", timestamp="tau_9")
     with pytest.raises(InterferenceError) as e:
         compose_controllers(a, clash, CostModel.uniform())
     assert "y0a" in str(e.value)
@@ -93,7 +93,7 @@ def test_compose_controllers_rejects_shared_writes():
 
 def test_compose_controllers_rejects_shared_timestamps():
     a, b = _controllers()
-    b = b.__class__(**{**b.__dict__, "timestamp": a.timestamp})
+    b = b.replace(timestamp=a.timestamp)
     # the shared stamp is itself a shared write, so the interference gate
     # catches it; the dedicated freshness check is the backstop
     with pytest.raises((InterferenceError, NonFreshTimestamp)) as e:
@@ -113,7 +113,7 @@ def test_compose_plants_takes_min_bound_and_conjoins():
 def test_compose_plants_self_composition_keeps_bound():
     pa = randgen.rand_plant(rng_pool, 0)
     pb = randgen.rand_plant(rng_pool, 1)
-    pb = pb.__class__(**{**pb.__dict__, "controllability": pa.controllability})
+    pb = pb.replace(controllability=pa.controllability)
     assert compose_plants(pa, pb).controllability == pa.controllability
 
 
@@ -121,9 +121,9 @@ def test_compose_plants_rejects_coupled_dynamics():
     from ccskit.ast import Compare, num, var
 
     pa = randgen.rand_plant(rng_pool, 0)
-    pa = pa.__class__(**{**pa.__dict__, "equations": (("x0", var("x1")),)})
+    pa = pa.replace(equations=(("x0", var("x1")),))
     pb = randgen.rand_plant(rng_pool, 1)
-    pb = pb.__class__(**{**pb.__dict__, "equations": (("x1", var("x0")),)})
+    pb = pb.replace(equations=(("x1", var("x0")),))
     with pytest.raises(InterferenceError):
         compose_plants(pa, pb)
 
@@ -131,7 +131,7 @@ def test_compose_plants_rejects_coupled_dynamics():
 def test_non_interference_reports_name_offenders():
     a, _ = _controllers()
     clash = randgen.rand_controller(rng_pool, 0)
-    clash = clash.__class__(**{**clash.__dict__, "name": "cx", "timestamp": "tau_8"})
+    clash = clash.replace(name="cx", timestamp="tau_8")
     report = non_interference_controllers(a, clash)
     assert not report.ok
     offending = set().union(*(v.variables for v in report.violations))
@@ -154,16 +154,14 @@ def test_ctrl_plant_gate_passes_on_corpus(watertank):
 
 def test_compose_mccs_checks_schedulability():
     """Each loop schedulable alone (0.3 <= 0.5) but not together (0.6 > 0.5)."""
-    from dataclasses import replace
-
     from ccskit.components import make_ccs
 
     cm = CostModel.uniform()
     systems = []
     for slot in (0, 1):
         base = randgen.rand_mccs(rng_pool, slot)
-        rc = replace(base.controller.choices[0], reactivity=Fraction(3, 10))
-        plant = replace(base.plant, controllability=Fraction(1, 2))
+        rc = base.controller.choices[0].replace(reactivity=Fraction(3, 10))
+        plant = base.plant.replace(controllability=Fraction(1, 2))
         systems.append(make_ccs(rc, plant, name=f"s{slot}"))
     with pytest.raises(ReactivityExceedsControllability):
         compose_mccs(systems[0], systems[1], cm)

@@ -370,6 +370,18 @@ def test_check_bounded_rejects_alias_cycles_and_missing_targets():
         check_bounded(goal, {"a": "=b"}, grid=3)
 
 
+def test_check_bounded_alias_errors_name_the_entry_and_its_target():
+    goal = Compare("<=", var("a"), num(7))
+    with pytest.raises(UnboundedVariable, match=r"^'a' aliases 'b', which has no value"):
+        check_bounded(goal, {"a": "=b"}, grid=3)
+    with pytest.raises(UnboundedVariable) as cycle:
+        check_bounded(goal, {"a": "=b", "b": "=c", "c": "=a"}, grid=3)
+    assert str(cycle.value) == "the alias chain of 'a' loops: 'a' -> 'b' -> 'c' -> 'a'"
+    with pytest.raises(UnboundedVariable) as unboxed:
+        check_bounded(goal, {}, grid=3)
+    assert str(unboxed.value) == "no interval given for variable 'a'"
+
+
 def test_zero_checked_points_is_inconclusive():
     goal = Implies(Compare("<", var("x"), num(0)), Compare("=", var("x"), num(9)))
     res = check_bounded(goal, {"x": [0, 1]}, grid=3)

@@ -324,6 +324,21 @@ def test_init_alias_chains_resolve_in_any_order(watertank):
         complete_init(watertank, {**WT_INIT, "fin": "1"})
 
 
+def test_init_alias_errors_name_the_entry_and_its_target(watertank):
+    with pytest.raises(UnboundedVariable) as missing:
+        complete_init(watertank, {**WT_INIT, "wlm": "=wlx"})
+    assert str(missing.value) == "'wlm' aliases 'wlx', which has no value or interval"
+    assert missing.value.name == "wlx"
+    with pytest.raises(UnboundedVariable) as indirect:
+        complete_init(watertank, {**WT_INIT, "wlm": "=a", "a": "=wlx"})
+    assert str(indirect.value) == (
+        "'wlm' aliases 'wlx' via 'a', which has no value or interval"
+    )
+    with pytest.raises(UnboundedVariable) as cycle:
+        complete_init(watertank, {**WT_INIT, "wlm": "=fin", "fin": "=wlm"})
+    assert str(cycle.value) == "the alias chain of 'wlm' loops: 'wlm' -> 'fin' -> 'wlm'"
+
+
 def _stuck_system():
     """x rises into the wall x <= 0, and the only controller needs x < 0."""
     ctrl = make_reactive_controller(
