@@ -20,16 +20,13 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
 from . import __version__, dsl
 from .components import MCCS
-from .composition import (
-    CostModel,
-    non_interference_controllers,
-    non_interference_ctrl_plant,
-)
+from .composition import CostModel, non_interference_controllers
 from .errors import CcsError, ParseError, UnboundedVariable
 from .obligations import (
     ProofObligation,
@@ -54,20 +51,24 @@ from .statics import bound_vars, free_vars, must_bound_vars
 FORMATS = ["json", "text"]
 
 
+def _fail(message: str, code: int = 2) -> NoReturn:
+    """Exit with `code` after one line on stderr."""
+    click.echo(message, err=True)
+    sys.exit(code)
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as e:
-        click.echo(f"cannot read {path}: {e}", err=True)
-        sys.exit(2)
+        _fail(f"cannot read {path}: {e}")
 
 
 def _read_json(path: str, what: str):
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        click.echo(f"bad {what} {path}: {e}", err=True)
-        sys.exit(2)
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
+        _fail(f"bad {what} {path}: {e}")
 
 
 def _cost_model(path: str | None) -> CostModel | None:
@@ -75,22 +76,27 @@ def _cost_model(path: str | None) -> CostModel | None:
         return None
     try:
         return CostModel.from_file(path)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
-        click.echo(f"bad cost model {path}: {e}", err=True)
-        sys.exit(2)
+    except (OSError, ValueError, RecursionError) as e:
+        _fail(f"bad cost model {path}: {e}")
+
+
+def _too_deep(path: str) -> NoReturn:
+    """Exit 2: the input at `path` nests past Python's recursion limit."""
+    _fail(f"{path}: input nests too deeply to process")
 
 
 def _model(path: str, build, *args):
-    """`build(*args)` on the model at `path`: a parse error exits 2, a
-    rejected model exits 1, each with one line naming the file."""
+    """`build(*args)` on the model at `path`: a parse error or input
+    nested too deeply exits 2, a rejected model exits 1, each with one
+    line naming the file."""
     try:
         return build(*args)
     except ParseError as e:
-        click.echo(f"{path}: parse error: {e}", err=True)
-        sys.exit(2)
+        _fail(f"{path}: parse error: {e}")
+    except RecursionError:
+        _too_deep(path)
     except CcsError as e:
-        click.echo(f"{path}: rejected ({type(e).__name__}): {e}", err=True)
-        sys.exit(1)
+        _fail(f"{path}: rejected ({type(e).__name__}): {e}", 1)
 
 
 def _load(path: str, system: str | None, cost_model: CostModel | None) -> MCCS:
@@ -107,9 +113,8 @@ def _check_init_box(box, path: str, system: MCCS) -> None:
     `[lo, hi]` pairs of them with lo <= hi, or `"=name"` aliases whose
     chain ends at one of those or at a constant the system pins."""
 
-    def reject(problem: str):
-        click.echo(f"bad init file {path}: {problem}", err=True)
-        sys.exit(2)
+    def reject(problem: str) -> NoReturn:
+        _fail(f"bad init file {path}: {problem}")
 
     if not isinstance(box, dict):
         reject(f"expected a JSON object, got {type(box).__name__}")
@@ -181,13 +186,11 @@ def check(
     """Run all construction gates on MODEL and report the result."""
     sys_ = _load(model, system, _cost_model(cost_model_path))
     warnings = []
-    reports = [non_interference_ctrl_plant(sys_.controller, sys_.plant)]
     atoms = sys_.controller.choices
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):
-            reports.append(non_interference_controllers(atoms[i], atoms[j]))
-    for report in reports:
-        warnings.extend(w.describe() for w in report.warnings)
+            report = non_interference_controllers(atoms[i], atoms[j])
+            warnings.extend(w.describe() for w in report.warnings)
 
     payload = {
         "system": sys_.name,
@@ -259,8 +262,7 @@ def compose(
     try:
         text = dsl.serialize_composed(sys_)
     except CcsError as e:
-        click.echo(f"cannot serialize ({type(e).__name__}): {e}", err=True)
-        sys.exit(1)
+        _fail(f"cannot serialize ({type(e).__name__}): {e}", 1)
     Path(output).write_text(text)
     click.echo(f"wrote {output}")
     click.echo(
@@ -287,35 +289,27 @@ def _gather_obligations(
         elif len(cps) >= 2:
             theorem = "plants"
         else:
-            click.echo(
-                f"{sysdecl.name!r} has no decomposable composition", err=True
-            )
-            sys.exit(2)
+            _fail(f"{sysdecl.name!r} has no decomposable composition")
     try:
         if theorem == "ccs":
             return obligations_ccs(_model(model, dsl.assemble, parts, cost_model))
         if theorem == "controllers":
             if len(rcs) != 2:
-                click.echo(
+                _fail(
                     f"--theorem controllers needs exactly two controllers, "
-                    f"{sysdecl.name!r} has {len(rcs)}",
-                    err=True,
+                    f"{sysdecl.name!r} has {len(rcs)}"
                 )
-                sys.exit(2)
             return obligations_controllers(
                 rcs[0], rcs[1], cost_model=cost_model, env=env, invariant=invariant
             )
         if len(cps) != 2:
-            click.echo(
+            _fail(
                 f"--theorem plants needs exactly two plants, "
-                f"{sysdecl.name!r} has {len(cps)}",
-                err=True,
+                f"{sysdecl.name!r} has {len(cps)}"
             )
-            sys.exit(2)
         return obligations_plants(cps[0], cps[1], env=env, invariant=invariant)
     except CcsError as e:
-        click.echo(f"rejected ({type(e).__name__}): {e}", err=True)
-        sys.exit(1)
+        _fail(f"rejected ({type(e).__name__}): {e}", 1)
 
 
 @main.command()
@@ -365,17 +359,21 @@ def export_kyx(obligations_json: str, out_dir: str):
     """Write one prover problem file per obligation in OBLIGATIONS_JSON."""
     data = _read_json(obligations_json, "obligations file")
     if not isinstance(data, list):
-        click.echo(f"{obligations_json}: expected a JSON array", err=True)
-        sys.exit(2)
+        _fail(f"{obligations_json}: expected a JSON array")
     try:
         obs = [obligation_from_json(d) for d in data]
     except (KeyError, TypeError, ValueError, ParseError) as e:
-        click.echo(f"{obligations_json}: bad obligation entry: {e}", err=True)
-        sys.exit(2)
+        _fail(f"{obligations_json}: bad obligation entry: {e}")
+    except RecursionError:
+        _too_deep(obligations_json)
+    try:
+        texts = [render_kyx(ob) for ob in obs]
+    except RecursionError:
+        _too_deep(obligations_json)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for ob in obs:
-        (directory / kyx_filename(ob)).write_text(render_kyx(ob))
+    for ob, text in zip(obs, texts):
+        (directory / kyx_filename(ob)).write_text(text)
     click.echo(f"wrote {len(obs)} problem files to {out_dir}")
 
 
@@ -430,19 +428,14 @@ def simulate(
 ):
     """Run seeded schedule batches and report monitor violations."""
     if schedules < 1:
-        click.echo(f"--schedules must be at least 1, got {schedules}", err=True)
-        sys.exit(2)
+        _fail(f"--schedules must be at least 1, got {schedules}")
     if not (math.isfinite(horizon) and horizon > 0):
-        click.echo(f"--horizon must be finite and positive, got {horizon}", err=True)
-        sys.exit(2)
+        _fail(f"--horizon must be finite and positive, got {horizon}")
     sys_ = _load(model, system, _cost_model(cost_model_path))
     if init_path is None:
         candidate = _default_init_path(model)
         if not candidate.exists():
-            click.echo(
-                f"no --init given and {candidate} does not exist", err=True
-            )
-            sys.exit(2)
+            _fail(f"no --init given and {candidate} does not exist")
         init_path = str(candidate)
     init_box = _read_json(init_path, "init file")
     _check_init_box(init_box, init_path, sys_)
@@ -451,12 +444,10 @@ def simulate(
     json_paths = [p for p in outputs if p.endswith(".json")]
     odd = [p for p in outputs if not (p.endswith(".csv") or p.endswith(".json"))]
     if odd:
-        click.echo(
+        _fail(
             "cannot tell what to write to " + ", ".join(odd)
-            + " (expected a .csv or .json suffix)",
-            err=True,
+            + " (expected a .csv or .json suffix)"
         )
-        sys.exit(2)
 
     try:
         summary = run_batch(
@@ -467,8 +458,7 @@ def simulate(
             write_trace_csv(summary.first_trace, path)
             click.echo(f"wrote trace of run 0 to {path}", err=True)
     except CcsError as e:
-        click.echo(f"simulation failed ({type(e).__name__}): {e}", err=True)
-        sys.exit(1)
+        _fail(f"simulation failed ({type(e).__name__}): {e}", 1)
     payload = json.dumps(summary.to_json(), indent=2)
     for path in json_paths:
         Path(path).write_text(payload + "\n")

@@ -11,7 +11,7 @@ strategies are provided:
 * round-robin: controllers fire cyclically near each expiry.
 
 A controller program means what the bounded checker takes it to mean:
-`compile_program` gives the set of its final states, and a firing takes
+`compile_program` gives the list of its final states, and a firing takes
 the only one, or a seeded uniform draw when there are several. A program
 with no final state (every branch failed a test) cannot fire.
 
@@ -27,8 +27,8 @@ boundary; violations are recorded, never fatal. Identical
 
 Everything a step evaluates is compiled once per system to Python
 source by one emitter (`emit_term`/`emit_formula`): the flow's slopes,
-advance and domain gaps, each controller's tests-and-assignments
-branches, one check that every monitor holds at a boundary, and one
+advance and domain gaps, each controller's whole program as one
+expression, one check that every monitor holds at a boundary, and one
 invariant residual per sample.
 """
 
@@ -71,6 +71,7 @@ from .ast import (
     choice_alternatives,
     conjuncts,
     print_formula,
+    print_program_inline,
     print_term,
 )
 from .components import MCCS, CLOCK
@@ -121,37 +122,34 @@ def compile_source(params: str, src: str) -> Callable:
     return eval(f"lambda {params}: {src}", _GLOBALS)
 
 
-def emit_term(t: Term, depth: int = 0) -> str:
+def emit_term(t: Term) -> str:
     """`t` as a Python expression over the state `s`.
 
-    Division evaluates its denominator first and raises DivisionByZero
-    with the printed term when it is zero, before touching the
-    numerator. It keeps the denominator in `_d<depth>`; a numerator is
-    emitted one level deeper, so nested divisions never share a name
-    while one is live.
+    Division evaluates its denominator first, as `d` of a one-element
+    comprehension (Python rejects `:=` in the iterables where a program's
+    assignments put their terms), and raises DivisionByZero with the
+    printed term when it is zero, before touching the numerator.
     """
     if isinstance(t, Variable):
         return f"s[{t.name!r}]"
     if isinstance(t, Rational):
         return repr(float(t.value))
     if isinstance(t, Neg):
-        return f"(-{emit_term(t.operand, depth)})"
+        return f"(-{emit_term(t.operand)})"
     if isinstance(t, Divide):
-        d = f"_d{depth}"
         return (
-            f"({emit_term(t.left, depth + 1)} / {d} "
-            f"if ({d} := {emit_term(t.right, depth)}) != 0.0 "
-            f"else _dz({print_term(t)!r}))"
+            f"[{emit_term(t.left)} / d for d in [{emit_term(t.right)}] "
+            f"if d != 0.0 or _dz({print_term(t)!r})][0]"
         )
     if isinstance(t, (Plus, Minus, Times)):
         op = "+" if isinstance(t, Plus) else "-" if isinstance(t, Minus) else "*"
-        left = emit_term(t.left, depth)
+        left = emit_term(t.left)
         # Python groups `a - b + c` as `(a - b) + c`, so a left operand of
         # the same precedence drops its parentheses and the long chains the
         # parser builds do not nest past Python's limit.
         if isinstance(t.left, (Times,) if op == "*" else (Plus, Minus)):
             left = left[1:-1]
-        return f"({left} {op} {emit_term(t.right, depth)})"
+        return f"({left} {op} {emit_term(t.right)})"
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -472,23 +470,36 @@ def _state_key(s: State) -> tuple:
     return tuple(sorted((k, round(v, 12)) for k, v in s.items()))
 
 
-def _emit_program(p: Program) -> str | None:
-    """The list of final states of `p` as one expression over `s`, when
-    `p` is built from tests and assignments by choice and test-guarded
-    sequence (a controller's usual branch shape); None otherwise.
+def _emit_program(p: Program, helper: Callable[[Program], str]) -> str:
+    """The list of final states of `p`, in branch order, as one expression
+    over the state `s`. A choice adds its alternatives' lists; a sequence
+    starting with a test is its rest if the test holds, any other one a
+    comprehension along its right spine: a test is an `if` clause, any
+    other statement rebinds `s` to each of its final states. A sequence
+    nested on the left stays one statement, which runs to its end before
+    the rest starts. Loops and ODEs are the helper calls `helper` returns.
     """
     if isinstance(p, Test):
         return f"([s] if {emit_formula(p.condition)} else [])"
     if isinstance(p, Assign):
         return f"[{_emit_update([(p.var, emit_term(p.rhs))])}]"
-    if isinstance(p, Seq) and isinstance(p.first, Test):
-        then = _emit_program(p.second)
-        return then and f"({then} if {emit_formula(p.first.condition)} else [])"
     if isinstance(p, Choice):
-        alts = [_emit_program(a) for a in choice_alternatives(p)]
-        if all(alts):
-            return "(" + " + ".join(alts) + ")"
-    return None
+        # Bare `+` binds tighter than anywhere a choice lands: more nesting fits.
+        return " + ".join(_emit_program(a, helper) for a in choice_alternatives(p))
+    if isinstance(p, Seq):
+        if isinstance(p.first, Test):
+            then = _emit_program(p.second, helper)
+            return f"({then} if {emit_formula(p.first.condition)} else [])"
+        src, rest = f"[s for s in {_emit_program(p.first, helper)}", p
+        while isinstance(rest, Seq):
+            rest = rest.second
+            st = rest.first if isinstance(rest, Seq) else rest
+            if isinstance(st, Test):
+                src += f" if {emit_formula(st.condition)}"
+            else:
+                src += f" for s in {_emit_program(st, helper)}"
+        return src + "]"
+    return helper(p)
 
 
 def compile_program(
@@ -497,73 +508,70 @@ def compile_program(
     flow_samples: int = 32,
     on_truncate: Callable[[], None] = lambda: None,
 ) -> Callable[[State], list[State]]:
-    """The relational semantics of `p`, compiled once: a closure mapping a
-    state to every final state of `p` from it, in branch order.
+    """The relational semantics of `p`, compiled once to one generated
+    expression (see _emit_program): a function from a state to every
+    final state of `p` from it, in branch order, duplicates kept.
 
     A failed test yields no state, a choice the states of each
     alternative in turn. A loop yields the distinct states (by
     `_state_key`) reachable in at most `unroll` passes of its body, and
-    an ODE the `flow_samples`-point sampling of `flow_states`.
+    an ODE the `flow_samples`-point sampling of `flow_states`; these two
+    run as Python helpers, which the expression reads from its `_h`
+    argument, so programs of one shape share one compiled function.
     `on_truncate()` is called whenever a loop or a flow has more states
     than those bounds reach. The bounded checker enumerates the result;
     the simulator fires one of its states.
+
+    Raises CcsError when Python will not compile the expression: each
+    level of `(?(x >= 0); P; y := i U z := 1)` nests two of the 200
+    parentheses Python allows, so P can nest 99 levels deep.
     """
+    helpers: list[Callable[[State], list[State]]] = []
 
-    def sub(q: Program) -> Callable[[State], list[State]]:
-        return compile_program(q, unroll, flow_samples, on_truncate)
+    def helper(q: Program) -> str:
+        if isinstance(q, Loop):
+            body = compile_program(q.body, unroll, flow_samples, on_truncate)
 
-    src = _emit_program(p)
-    if src is not None:
-        return compile_source("s", src)
-    if isinstance(p, Seq):
-        first = sub(p.first)
-        second = sub(p.second)
+            def fn(s: State, _b=body) -> list[State]:
+                seen = {_state_key(s): s}
+                frontier = [s]
+                for _ in range(unroll):
+                    nxt = []
+                    for st in frontier:
+                        for r in _b(st):
+                            k = _state_key(r)
+                            if k not in seen:
+                                seen[k] = r
+                                nxt.append(r)
+                    frontier = nxt
+                    if not frontier:
+                        break
+                if frontier:
+                    on_truncate()
+                return list(seen.values())
 
-        def fn(s: State, _a=first, _b=second) -> list[State]:
-            mids = _a(s)
-            if len(mids) == 1:
-                return _b(mids[0])
-            return [r for m in mids for r in _b(m)]
+        elif isinstance(q, ODE):
 
-    elif isinstance(p, Choice):
-        alts = tuple(sub(a) for a in choice_alternatives(p))
+            def fn(s: State, _seg=FlowSegment(q)) -> list[State]:
+                samples, complete = flow_states(_seg, s, flow_samples)
+                if not complete:
+                    on_truncate()
+                return samples
 
-        def fn(s: State, _alts=alts) -> list[State]:
-            return [r for alt in _alts for r in alt(s)]
+        else:
+            raise TypeError(f"not a program: {q!r}")
+        helpers.append(fn)
+        return f"_h[{len(helpers) - 1}](s)"
 
-    elif isinstance(p, Loop):
-        body = sub(p.body)
-
-        def fn(s: State, _b=body) -> list[State]:
-            seen = {_state_key(s): s}
-            frontier = [s]
-            for _ in range(unroll):
-                nxt = []
-                for st in frontier:
-                    for r in _b(st):
-                        k = _state_key(r)
-                        if k not in seen:
-                            seen[k] = r
-                            nxt.append(r)
-                frontier = nxt
-                if not frontier:
-                    break
-            if frontier:
-                on_truncate()
-            return list(seen.values())
-
-    elif isinstance(p, ODE):
-        segment = FlowSegment(p)
-
-        def fn(s: State, _seg=segment) -> list[State]:
-            samples, complete = flow_states(_seg, s, flow_samples)
-            if not complete:
-                on_truncate()
-            return samples
-
-    else:
-        raise TypeError(f"not a program: {p!r}")
-    return fn
+    src = _emit_program(p, helper)
+    try:
+        fn = compile_source("_h, s" if helpers else "s", src)
+    except (SyntaxError, RecursionError, MemoryError) as e:
+        raise CcsError(
+            f"program nests too deeply to compile ({type(e).__name__}): "
+            f"{print_program_inline(p)[:80]}"
+        ) from None
+    return functools.partial(fn, tuple(helpers)) if helpers else fn
 
 
 # ---------------------------------------------------------------------------

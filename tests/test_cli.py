@@ -135,6 +135,24 @@ def test_check_parse_error_is_exit_2(runner, tmp_path):
     assert "parse error" in result.stderr
 
 
+_TOO_DEEP = {
+    "3000-term-sum": "wl" + " + 0" * 2999,
+    "600-parentheses": "(" * 600 + "wl" + ")" * 600,
+}
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("rhs", list(_TOO_DEEP.values()), ids=list(_TOO_DEEP))
+def test_model_nested_too_deeply_is_exit_2(runner, corpus_dir, tmp_path, command, rhs):
+    model = tmp_path / "deep.ccs"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    model.write_text(text.replace("wlm := wl;", f"wlm := {rhs};"))
+    (tmp_path / "deep.init.json").write_text((corpus_dir / "watertank.init.json").read_text())
+    result = invoke(runner, command, model)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"{model}: input nests too deeply to process\n"
+
+
 def test_check_cost_model_file(runner, corpus_dir, tmp_path):
     split = tmp_path / "split.json"
     split.write_text(json.dumps({"wlctrl1": "ecu0", "wlctrl2": "ecu1"}))
@@ -143,6 +161,20 @@ def test_check_cost_model_file(runner, corpus_dir, tmp_path):
     )
     payload = json.loads(result.stdout)
     assert payload["scheduling"]["cost"] == "0.05"  # max, not sum
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [("{", "Expecting property name"), ("[" * 100000 + "]" * 100000, "recursion depth")],
+    ids=["malformed", "too-deep"],
+)
+def test_check_bad_cost_model_is_exit_2(runner, corpus_dir, tmp_path, text, problem):
+    bad = tmp_path / "cost.json"
+    bad.write_text(text)
+    result = invoke(runner, "check", corpus_dir / "watertank.ccs", "--cost-model", bad)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"bad cost model {bad}: ")
+    assert problem in result.stderr and len(result.stderr.splitlines()) == 1
 
 
 # -- compose ----------------------------------------------------------------
@@ -286,6 +318,24 @@ def test_export_kyx_rejects_malformed_entry(runner, tmp_path):
     result = invoke(runner, "export-kyx", bad, "-o", tmp_path / "kyx")
     assert result.exit_code == 2
     assert "bad obligation entry" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda g: "(" * 600 + g + ")" * 600, lambda g: f"{g} & 0 <= 0" + " + 0" * 2999],
+    ids=["600-parentheses", "3000-term-sum"],
+)
+def test_export_kyx_goal_nested_too_deeply_is_exit_2(runner, corpus_dir, tmp_path, wrap):
+    obs_path = tmp_path / "obs.json"
+    invoke(runner, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
+    obs = json.loads(obs_path.read_text())
+    obs[0]["goal"] = wrap(obs[0]["goal"])
+    obs_path.write_text(json.dumps(obs))
+    out_dir = tmp_path / "kyx"
+    result = invoke(runner, "export-kyx", obs_path, "-o", out_dir)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"{obs_path}: input nests too deeply to process\n"
+    assert not out_dir.exists()
 
 
 # -- simulate ---------------------------------------------------------------
@@ -449,11 +499,12 @@ def test_simulate_bad_schedules_or_horizon_is_exit_2(runner, corpus_dir, option,
         ('{"wl": 5, "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0, "zzz": 5}', "'zzz'"),
         ('{"wl": 5, "wlm": "=wlx", "fin": 1, "t": 0, "tau_1": 0}', "'wlm'"),
         ('{"wl": 5, "wlm": "=fin", "fin": "=wlm", "t": 0, "tau_1": 0}', "'wlm'"),
+        ("[" * 100000 + "]" * 100000, "recursion depth"),
     ],
     ids=[
         "short-pair", "string-pair", "null", "array", "bool", "reversed",
         "infinite", "nan", "huge-int", "bare-string", "empty-alias", "object",
-        "unknown-name", "dangling-alias", "alias-cycle",
+        "unknown-name", "dangling-alias", "alias-cycle", "too-deep",
     ],
 )
 def test_simulate_malformed_init_is_exit_2(runner, corpus_dir, tmp_path, box, entry):

@@ -22,6 +22,8 @@ import randgen
 from ccskit import dsl
 from ccskit.ast import (
     And,
+    Assign,
+    Choice,
     Compare,
     Divide,
     FalseF,
@@ -34,13 +36,17 @@ from ccskit.ast import (
     Or,
     Plus,
     Rational,
+    Seq,
+    Test as Guard,
     Times,
     TRUE,
     TrueF,
     Variable,
+    choice,
     conj,
     num,
     print_term,
+    seq,
     var,
 )
 from ccskit.components import (
@@ -50,6 +56,7 @@ from ccskit.components import (
     make_reactive_controller,
 )
 from ccskit.errors import (
+    CcsError,
     DivisionByZero,
     InitViolatesAssumptions,
     StuckState,
@@ -79,7 +86,8 @@ WT_INIT = {"wl": 5.0, "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
 # Python keywords, names of the generated code's own parameter and helpers,
 # quotes and backslashes: variables are only ever string keys.
 AWKWARD_NAMES = [
-    "x", "lambda", "if", "not", "s", "_div", "_dz", "_d0", "'", '"', "\\", "a'b\\c"
+    "x", "lambda", "if", "not", "s", "d", "_h", "_div", "_dz", "_d0", "'", '"', "\\",
+    "a'b\\c",
 ]
 
 
@@ -418,6 +426,93 @@ def test_loops_yield_the_distinct_states_within_the_unroll_bound():
     )
     assert [s["x"] for s in counter({"x": 0.0})] == [0.0, 1.0, 2.0, 3.0]
     assert truncated == [1]
+
+
+def _tree_program(p, s):
+    """Every final state of a discrete program, as a list in branch order
+    with duplicates kept: a sequence runs its first part to the end
+    before its second part starts."""
+    if isinstance(p, Assign):
+        return [{**s, p.var: _tree_term(p.rhs, s)}]
+    if isinstance(p, Guard):
+        return [s] if _tree_formula(p.condition, s) else []
+    if isinstance(p, Seq):
+        return [r for m in _tree_program(p.first, s) for r in _tree_program(p.second, m)]
+    assert isinstance(p, Choice)
+    return _tree_program(p.left, s) + _tree_program(p.right, s)
+
+
+def _listed(fn, *args):
+    """The final states as text, so that -0.0 and NaN compare, or the
+    error raised."""
+    try:
+        return repr(fn(*args))
+    except (DivisionByZero, KeyError) as e:
+        return type(e).__name__, str(e)
+
+
+_PROGRAM_NAMES = ["x", "s", "d", "_h"]
+_PROGRAMS = st.recursive(
+    st.one_of(
+        st.builds(Assign, st.sampled_from(_PROGRAM_NAMES), randgen.terms(_PROGRAM_NAMES)),
+        st.builds(Guard, randgen.formulas(_PROGRAM_NAMES)),
+    ),
+    lambda sub: st.one_of(st.builds(Seq, sub, sub), st.builds(Choice, sub, sub)),
+    max_leaves=8,
+)
+
+
+@settings(deadline=None)
+@given(_PROGRAMS, st.fixed_dictionaries({n: _VALUES for n in _PROGRAM_NAMES}))
+def test_compiled_programs_list_the_reference_states_in_order(p, s):
+    """Order decides which state a firing draws and which counterexample
+    the checker reports first, so it is compared, not just the set."""
+    assert _listed(compile_program(p), s) == _listed(_tree_program, p, s)
+
+
+@pytest.mark.parametrize(
+    "s, expected",
+    [
+        ({"y": 3.0, "z": 2.0}, [(1.5, 1.5, 3.0), (1.5, 1.5, 3.0), (1.5, 2.5, 1.0)]),
+        ({"y": -3.0, "z": 2.0}, [(-1.5, -1.5, 0.6), (-1.5, -1.5, 0.6), (-1.5, -0.5, 1.0)]),
+        ({"y": 3.0, "z": 0.0}, ("DivisionByZero", "division by zero in y / z")),
+        ({"y": 2.0, "z": 2.0}, ("DivisionByZero", "division by zero in x / (w - 1)")),
+    ],
+)
+def test_a_division_assigned_before_more_statements(s, expected):
+    p = dsl.parse_program_text(
+        "x := y / z; (w := x U w := x U w := x + 1); ?(w != 0); y := x / (w - 1)"
+    )
+    got = _listed(compile_program(p), s)
+    assert got == _listed(_tree_program, p, s)
+    if isinstance(expected, list):
+        expected = repr([{**s, "x": x, "w": w, "y": y} for x, w, y in expected])
+    assert got == expected
+
+
+def test_a_sequence_nested_on_the_left_runs_to_its_end_first():
+    """Every final state of `a; b` is computed before `c` starts on any,
+    so the first error raised is b's, as the reference raises it."""
+    ab = Seq(dsl.parse_program_text("x := 1 U x := 0"), dsl.parse_program_text("y := 1 / x"))
+    p = Seq(ab, dsl.parse_program_text("z := 1 / 0"))
+    got = _listed(compile_program(p), {"x": 0.0})
+    assert got == _listed(_tree_program, p, {"x": 0.0})
+    assert got == ("DivisionByZero", "division by zero in 1 / x")
+
+
+def test_long_sequences_compile_and_deep_nesting_is_a_ccs_error():
+    """A sequence is one flat comprehension, so a thousand statements
+    compile. Nesting past what Python will compile raises CcsError,
+    naming the program, instead of a SyntaxError."""
+    step = dsl.parse_program_text("x := x + 1")
+    assert compile_program(seq(*[step] * 1000))({"x": 0.0}) == [{"x": 1000.0}]
+    p = Assign("z", num(0))
+    for i in range(120):
+        guarded = seq(Guard(Compare(">=", var("x"), num(0))), p, Assign("y", num(i)))
+        p = choice(guarded, Assign("z", num(1)))
+    named = r"^program nests too deeply to compile \(\w+\): \(\?\(x >= 0\); "
+    with pytest.raises(CcsError, match=named):
+        compile_program(p)
 
 
 def test_monitor_violations_name_the_guarantee(corpus_dir):
