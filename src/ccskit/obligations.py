@@ -23,17 +23,22 @@ Rule tags: thm1 (controller + plant), thm2 (controller pair), thm3
 `check_bounded` is not a prover. It grids the antecedent box, unrolls
 loops, samples ODE flows, and reports `holds` only in the sense of
 "no counterexample in this finite exploration"; the caveat field always
-spells out the truncations. Each call compiles its goal once into one
-closure: box- and quantifier-free parts through the simulator's one
-compiler (`emit_formula`, `compile_source`), programs through its
-`compile_program` (the same semantics a simulated controller firing
-uses).
+spells out the truncations. A goal compiles once into one closure over
+tuple states: box- and quantifier-free parts through the simulator's
+one compiler (`emit_formula`, `compile_source`), programs through its
+`compile_program_over` (the same semantics a simulated controller
+firing uses). The layout is the domain box's names plus those the
+goal binds, sorted; an obligation keeps its compiled goal, so later
+calls at any grid reuse it. Witness states become dicts only in the
+result, without the slots the search never set.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from operator import itemgetter
 from typing import Callable
 
 from .ast import (
@@ -73,8 +78,15 @@ from .composition import (
     raise_on_violations,
 )
 from .errors import BoundOccursInBehavior, CcsError, UnboundedVariable
-from .simulator import alias_root, compile_program, compile_source, emit_formula
-from .statics import all_vars, bound_vars, free_vars
+from .simulator import (
+    alias_root,
+    compile_program_over,
+    compile_setter,
+    compile_source,
+    emit_formula,
+    slots_of,
+)
+from .statics import all_vars, bound_vars, free_and_bound_vars, free_vars
 
 HINTS = frozenset(
     {
@@ -90,9 +102,12 @@ STATUSES = ("open", "discharged", "failed")
 
 
 class ProofObligation(Record):
-    # `_free_vars` caches the goal's free variables; it is not a field.
+    # `_names` caches the goal's free and bound variables, and `_compiled`
+    # the goal as check_bounded last compiled it (see _compiled_goal);
+    # neither is a field.
     __slots__ = (
-        "id", "theorem", "case", "hint", "goal", "status", "notes", "_free_vars"
+        "id", "theorem", "case", "hint", "goal", "status", "notes", "_names",
+        "_compiled",
     )
     _defaults = {"status": "open", "notes": ()}
 
@@ -106,11 +121,14 @@ class ProofObligation(Record):
     @property
     def free_vars(self) -> frozenset[str]:
         """The goal's free variables, computed on first use."""
+        return self._free_and_bound()[0]
+
+    def _free_and_bound(self) -> tuple[frozenset[str], tuple[str, ...]]:
         try:
-            return self._free_vars
+            return self._names
         except AttributeError:
-            object.__setattr__(self, "_free_vars", free_vars(self.goal))
-            return self._free_vars
+            object.__setattr__(self, "_names", free_and_bound_vars(self.goal))
+            return self._names
 
     @property
     def provenance(self) -> str:
@@ -598,83 +616,86 @@ def _has_modality(f: Formula) -> bool:
     return False
 
 
-Verdict = tuple[bool, dict | None]
+Verdict = tuple[bool, tuple | None]
+Axis = Callable[[str], tuple[float, ...]]
+Cut = Callable[[], None]
 
 
 def _compile_goal(
     f: Formula,
-    compile_prog: Callable[[Program], Callable[[dict], list[dict]]],
-    axis: Callable[[str], tuple[float, ...]],
-    truncated: Callable[[], None],
-) -> Callable[[dict], Verdict]:
-    """`f` compiled once into a closure from a state to (verdict, failing
-    state). The failing state is the reached state where a subformula
-    went false, which for box goals is more useful than the initial
-    point; every failure carries one.
+    slots: dict[str, int],
+    compile_prog: Callable[[Program], Callable[[tuple, Cut], list[tuple]]],
+) -> Callable[[tuple, Axis, Cut], Verdict]:
+    """`f` compiled once into a function `(s, axis, cut)` from a state
+    to (verdict, failing state). The failing state is the reached state
+    where a subformula went false, which for box goals is more useful
+    than the initial point; every failure carries one.
 
     A subformula with no box or quantifier is one function compiled from
-    the simulator's `emit_formula` source. Quantifiers look their axis up
-    when reached, and call `truncated()` when their grid ran out without
-    deciding them.
+    the simulator's `emit_formula` source. The grid and the truncation
+    flag are arguments, so one compiled goal serves every grid: a
+    quantifier looks its axis up through `axis(name)` when reached, and
+    calls `cut()` when its grid ran out without deciding it, as programs
+    do when a loop or flow is cut short.
     """
     if not _has_modality(f):
-        leaf = f"(True, None) if {emit_formula(f)} else (False, s)"
-        return compile_source("s", leaf)
+        leaf = f"(True, None) if {emit_formula(f, slots)} else (False, s)"
+        return compile_source("s, axis, cut", leaf)
     if isinstance(f, Not):
-        inner = _compile_goal(f.operand, compile_prog, axis, truncated)
+        inner = _compile_goal(f.operand, slots, compile_prog)
 
-        def fn(s, _i=inner):
-            return (False, s) if _i(s)[0] else (True, None)
+        def fn(s, axis, cut, _i=inner):
+            return (False, s) if _i(s, axis, cut)[0] else (True, None)
 
     elif isinstance(f, (And, Or, Implies)):
-        left = _compile_goal(f.left, compile_prog, axis, truncated)
-        right = _compile_goal(f.right, compile_prog, axis, truncated)
+        left = _compile_goal(f.left, slots, compile_prog)
+        right = _compile_goal(f.right, slots, compile_prog)
         if isinstance(f, And):
 
-            def fn(s, _l=left, _r=right):
-                ok, w = _l(s)
-                return _r(s) if ok else (False, w)
+            def fn(s, axis, cut, _l=left, _r=right):
+                ok, w = _l(s, axis, cut)
+                return _r(s, axis, cut) if ok else (False, w)
 
         elif isinstance(f, Or):
 
-            def fn(s, _l=left, _r=right):
-                return (True, None) if _l(s)[0] else _r(s)
+            def fn(s, axis, cut, _l=left, _r=right):
+                return (True, None) if _l(s, axis, cut)[0] else _r(s, axis, cut)
 
         else:
 
-            def fn(s, _l=left, _r=right):
-                return _r(s) if _l(s)[0] else (True, None)
+            def fn(s, axis, cut, _l=left, _r=right):
+                return _r(s, axis, cut) if _l(s, axis, cut)[0] else (True, None)
 
     elif isinstance(f, Box):
         reach = compile_prog(f.program)
-        post = _compile_goal(f.post, compile_prog, axis, truncated)
+        post = _compile_goal(f.post, slots, compile_prog)
 
-        def fn(s, _reach=reach, _post=post):
-            for r in _reach(s):
-                ok, w = _post(r)
+        def fn(s, axis, cut, _reach=reach, _post=post):
+            for r in _reach(s, cut):
+                ok, w = _post(r, axis, cut)
                 if not ok:
                     return False, w
             return True, None
 
     elif isinstance(f, Forall):
-        body = _compile_goal(f.body, compile_prog, axis, truncated)
+        body = _compile_goal(f.body, slots, compile_prog)
 
-        def fn(s, _v=f.var, _b=body):
+        def fn(s, axis, cut, _v=f.var, _set=compile_setter(slots, f.var), _b=body):
             for x in axis(_v):
-                ok, w = _b({**s, _v: x})
+                ok, w = _b(_set(s, x), axis, cut)
                 if not ok:
                     return False, w
-            truncated()
+            cut()
             return True, None
 
     elif isinstance(f, Exists):
-        body = _compile_goal(f.body, compile_prog, axis, truncated)
+        body = _compile_goal(f.body, slots, compile_prog)
 
-        def fn(s, _v=f.var, _b=body):
+        def fn(s, axis, cut, _v=f.var, _set=compile_setter(slots, f.var), _b=body):
             for x in axis(_v):
-                if _b({**s, _v: x})[0]:
+                if _b(_set(s, x), axis, cut)[0]:
                     return True, None
-            truncated()
+            cut()
             return False, s
 
     else:
@@ -682,8 +703,53 @@ def _compile_goal(
     return fn
 
 
-def _holds(s: dict) -> Verdict:
-    return True, None
+def _compiled_goal(
+    goal: Formula,
+    ob: ProofObligation | None,
+    flow_samples: int,
+    roots: dict[str, str],
+    written: tuple[str, ...],
+    box_names: tuple[str, ...],
+) -> tuple[tuple[str, ...], Callable, Callable, Callable]:
+    """(layout, point, antecedent, consequent) for `goal`, whose free
+    names have the gridded `roots` and which binds the `written` names.
+
+    The layout is the names of the domain box (`box_names`) and the
+    `written` names, sorted: every name the goal reads or writes, as the
+    box holds every free name and its root. Goals checked against one
+    box so share the compiled code of their common programs and flows.
+    `point(combo)` is the state of one grid point, whose combo holds a
+    coordinate per sorted root and then None: each free name takes its
+    root's coordinate, and every other slot is unset. An implication's sides are compiled apart, so a point
+    counts as checked only when the antecedent holds; any other goal
+    has the antecedent `true`.
+
+    An obligation `ob` keeps the last result in its `_compiled` slot,
+    keyed by `flow_samples`, `roots` and `box_names` (which with the
+    goal fix the layout), so checking it again at another grid compiles
+    nothing.
+    """
+    key = (flow_samples, roots, box_names)
+    cached = getattr(ob, "_compiled", None)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    keys = sorted(set(roots.values()))
+    layout = tuple(sorted({*written, *box_names}))
+    slots = slots_of(layout)
+    column = {k: i for i, k in enumerate(keys)}
+    at = [column.get(roots.get(n, n), len(keys)) for n in layout]
+    point = itemgetter(*at) if len(at) > 1 else lambda c: tuple(c[i] for i in at)
+    compile_prog = functools.partial(
+        compile_program_over,
+        slots=slots,
+        unroll=CHECK_UNROLL,
+        flow_samples=flow_samples,
+    )
+    sides = (goal.left, goal.right) if isinstance(goal, Implies) else (TRUE, goal)
+    compiled = (layout, point, *(_compile_goal(f, slots, compile_prog) for f in sides))
+    if ob is not None:
+        object.__setattr__(ob, "_compiled", (key, compiled))
+    return compiled
 
 
 MAX_GRID_POINTS = 200000
@@ -703,67 +769,56 @@ def check_bounded(
     interval (gridded), or an "=other" alias. Implication goals count a
     point as checked only when the antecedent held there; zero checked
     points is reported as inconclusive, never as holds.
+
+    States are tuples over a layout of the box's names and the goal's
+    (see _compiled_goal). A slot holds None until set: free names and
+    their roots are set at each grid point, the rest only once a program
+    or quantifier writes them. The counterexample and initial states are
+    dicts in layout order, without the unset slots.
     """
-    if isinstance(goal, ProofObligation):
-        names, goal = goal.free_vars, goal.goal
+    ob = goal if isinstance(goal, ProofObligation) else None
+    if ob is not None:
+        (names, written), goal = ob._free_and_bound(), ob.goal
     else:
-        names = free_vars(goal)
-    gridded: set[str] = set()
-    # (name, gridded variable it copies), each alias chain followed once.
-    aliases: list[tuple[str, str]] = []
-    for n in sorted(names):
-        root = alias_root(domain_box, n)
-        gridded.add(root)
-        if root != n:
-            aliases.append((n, root))
-    keys = sorted(gridded)
+        names, written = free_and_bound_vars(goal)
+    # Each free name's gridded root, each alias chain followed once.
+    roots = {n: alias_root(domain_box, n) for n in sorted(names)}
+    keys = sorted(set(roots.values()))
     axes = [_axis(domain_box[n], grid) for n in keys]
 
-    n_points = 1
-    for axis in axes:
-        n_points *= len(axis)
+    n_points = math.prod(len(axis) for axis in axes)
     if n_points > MAX_GRID_POINTS:
         raise CcsError(
             f"grid of {n_points} points exceeds the {MAX_GRID_POINTS} cap; "
             "pin more variables or lower the grid"
         )
 
-    # Non-empty once a loop, a flow or a quantifier grid has cut the search
-    # short. No closure refers back to another, so the compiled goal is
-    # freed on return without waiting for the garbage collector.
-    cut_short: set[bool] = set()
-    truncated = functools.partial(cut_short.add, True)
-    compile_prog = functools.partial(
-        compile_program,
-        unroll=CHECK_UNROLL,
-        flow_samples=flow_samples,
-        on_truncate=truncated,
+    layout, point, pre, post = _compiled_goal(
+        goal, ob, flow_samples, roots, written, tuple(domain_box)
     )
+    # Non-empty once a loop, a flow or a quantifier grid has cut the search
+    # short. No function refers back to another, so nothing this call
+    # makes waits for the garbage collector.
+    cut_short: set[bool] = set()
+    cut = functools.partial(cut_short.add, True)
     axis_of = functools.partial(_quantifier_axis, domain_box, grid)
-    if isinstance(goal, Implies):
-        pre = _compile_goal(goal.left, compile_prog, axis_of, truncated)
-        post = _compile_goal(goal.right, compile_prog, axis_of, truncated)
-    else:
-        pre, post = _holds, _compile_goal(goal, compile_prog, axis_of, truncated)
 
     checked = 0
     total = 0
-    for combo in itertools.product(*axes) if axes else [()]:
-        state = dict(zip(keys, combo))
-        for n, root in aliases:
-            state[n] = state[root]
+    for combo in itertools.product(*axes, (None,)):
+        state = point(combo)
         total += 1
-        if not pre(state)[0]:
+        if not pre(state, axis_of, cut)[0]:
             continue
         checked += 1
-        ok, witness = post(state)
+        ok, witness = post(state, axis_of, cut)
         if not ok:
             return BoundedCheckResult(
                 status="counterexample",
                 checked=checked,
                 total=total,
-                counterexample=dict(witness),
-                initial=dict(state),
+                counterexample=_named(layout, witness),
+                initial=_named(layout, state),
                 caveat=_caveat(grid, flow_samples, bool(cut_short), checked),
             )
     status = "holds" if checked > 0 else "inconclusive"
@@ -775,6 +830,11 @@ def check_bounded(
         initial=None,
         caveat=_caveat(grid, flow_samples, bool(cut_short), checked),
     )
+
+
+def _named(layout: tuple[str, ...], s: tuple) -> dict[str, float]:
+    """A state as a dict in layout order, without its unset slots."""
+    return {n: v for n, v in zip(layout, s) if v is not None}
 
 
 def _caveat(grid: int, flow_samples: int, incomplete: bool, checked: int) -> str:

@@ -30,6 +30,15 @@ source by one emitter (`emit_term`/`emit_formula`): the flow's slopes,
 advance and domain gaps, each controller's whole program as one
 expression, one check that every monitor holds at a boundary, and one
 invariant residual per sample.
+
+A state is a tuple of floats over a layout, an ordered tuple of
+variable names; the generated code reads and writes slot `s[i]` and
+rebuilds a state as one full-width tuple. A run's layout is
+`sorted(system_variables)`, the CSV's column order (an init naming
+extra variables gets its own layout, compiled on first use). Dicts
+are built only where a state leaves the module: `TracePoint.values`,
+`MonitorViolation.values`, the CSV, and the dict wrappers
+`compile_term`/`compile_formula`/`compile_program` for library callers.
 """
 
 from __future__ import annotations
@@ -82,7 +91,7 @@ from .errors import (
     StuckState,
     UnboundedVariable,
 )
-from .statics import all_vars, free_vars
+from .statics import all_vars, free_and_bound_vars, free_vars
 
 # Equality comparisons share the invariant-residual budget: a conjunct
 # `a = b` holds when |a - b| <= 1e-9, which float drift over a 20s run of
@@ -91,7 +100,16 @@ EQ_TOLERANCE = 1e-9
 BOUNDARY_TOLERANCE = 1e-12
 BISECT_TOLERANCE = 1e-9
 
-State = dict[str, float]
+# A state is a tuple of floats over a layout, an ordered tuple of variable
+# names: slot i holds the value of layout[i], or None while a variable the
+# checker only binds is unset. Dicts (name -> float) appear only where a
+# state leaves the package.
+State = tuple
+Slots = dict[str, int]  # a layout's name -> slot index
+
+
+def slots_of(layout: Iterable[str]) -> Slots:
+    return {n: i for i, n in enumerate(layout)}
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +118,13 @@ State = dict[str, float]
 # One compiler. emit_term/emit_formula print a term or formula as one
 # Python expression over the state `s`, with the float operations of a
 # direct evaluation in the same order: no term is reordered or rewritten,
-# so results are bit for bit those of walking the tree. Variables appear
-# only as string keys (`s['name']`), so any name is safe. compile_source
-# turns a source into a function once per distinct text; its cache holds
-# strings, not AST nodes, and systems and goals that print the same
-# expression share one function. A caller that evaluates a node many
-# times still compiles it once and keeps the function (see CompiledSystem,
-# and check_bounded, which compiles its goal once per call).
+# so results are bit for bit those of walking the tree. A variable is its
+# slot `s[i]`, so no name ever reaches the source. compile_source turns a
+# source into a function once per distinct text; its cache holds strings,
+# not AST nodes, and systems and goals that print the same expression
+# share one function. A caller that evaluates a node many times compiles
+# it once and keeps the function (see CompiledSystem, and check_bounded,
+# which keeps each obligation's compiled goal on the obligation).
 
 
 def _division_by_zero(text: str):
@@ -122,63 +140,77 @@ def compile_source(params: str, src: str) -> Callable:
     return eval(f"lambda {params}: {src}", _GLOBALS)
 
 
-def emit_term(t: Term) -> str:
+def emit_term(t: Term, slots: Slots, depth: int | None = 0) -> str:
     """`t` as a Python expression over the state `s`.
 
-    Division evaluates its denominator first, as `d` of a one-element
-    comprehension (Python rejects `:=` in the iterables where a program's
-    assignments put their terms), and raises DivisionByZero with the
-    printed term when it is zero, before touching the numerator.
+    Division evaluates its denominator first and raises DivisionByZero
+    with the printed term when it is zero, before touching the numerator.
+    It keeps the denominator in `_d<depth>`; a numerator is emitted one
+    level deeper, so nested divisions never share a name while one is
+    live. Python rejects `:=` in a comprehension's iterable, where a
+    program's statements land: with `depth=None` the denominator is
+    instead `d` of a one-element comprehension, which costs about three
+    times as much per call.
     """
     if isinstance(t, Variable):
-        return f"s[{t.name!r}]"
+        return f"s[{slots[t.name]}]"
     if isinstance(t, Rational):
         return repr(float(t.value))
     if isinstance(t, Neg):
-        return f"(-{emit_term(t.operand)})"
+        return f"(-{emit_term(t.operand, slots, depth)})"
     if isinstance(t, Divide):
+        text = repr(print_term(t))
+        if depth is None:
+            return (
+                f"[{emit_term(t.left, slots, None)} / d for d in "
+                f"[{emit_term(t.right, slots, None)}] if d != 0.0 or _dz({text})][0]"
+            )
+        d = f"_d{depth}"
         return (
-            f"[{emit_term(t.left)} / d for d in [{emit_term(t.right)}] "
-            f"if d != 0.0 or _dz({print_term(t)!r})][0]"
+            f"({emit_term(t.left, slots, depth + 1)} / {d} "
+            f"if ({d} := {emit_term(t.right, slots, depth)}) != 0.0 else _dz({text}))"
         )
     if isinstance(t, (Plus, Minus, Times)):
         op = "+" if isinstance(t, Plus) else "-" if isinstance(t, Minus) else "*"
-        left = emit_term(t.left)
+        left = emit_term(t.left, slots, depth)
         # Python groups `a - b + c` as `(a - b) + c`, so a left operand of
         # the same precedence drops its parentheses and the long chains the
         # parser builds do not nest past Python's limit.
         if isinstance(t.left, (Times,) if op == "*" else (Plus, Minus)):
             left = left[1:-1]
-        return f"({left} {op} {emit_term(t.right)})"
+        return f"({left} {op} {emit_term(t.right, slots, depth)})"
     raise TypeError(f"not a term: {t!r}")
 
 
-def emit_formula(f: Formula) -> str:
+def emit_formula(f: Formula, slots: Slots, depth: int | None = 0) -> str:
     """`f`, free of boxes and quantifiers, as a Python expression over
-    the state `s`. `=` and `!=` compare within EQ_TOLERANCE (1e-9).
-    And chains print flat, as `and` short-circuits the same way whatever
-    the grouping; Or chains as Python groups them, left first.
+    the state `s`, its terms as emit_term prints them at `depth`. `=`
+    and `!=` compare within EQ_TOLERANCE (1e-9). And chains print flat,
+    as `and` short-circuits the same way whatever the grouping; Or
+    chains as Python groups them, left first.
     """
     if isinstance(f, TrueF):
         return "True"
     if isinstance(f, FalseF):
         return "False"
     if isinstance(f, Compare):
-        left, right = emit_term(f.left), emit_term(f.right)
+        left, right = emit_term(f.left, slots, depth), emit_term(f.right, slots, depth)
         if f.op in ("=", "!="):
             op = "<=" if f.op == "=" else ">"
             return f"(abs({left} - {right}) {op} {EQ_TOLERANCE!r})"
         return f"({left} {f.op} {right})"
     if isinstance(f, Not):
-        return f"(not {emit_formula(f.operand)})"
+        return f"(not {emit_formula(f.operand, slots, depth)})"
     if isinstance(f, And):
-        return "(" + " and ".join(emit_formula(c) for c in conjuncts(f)) + ")"
+        parts = (emit_formula(c, slots, depth) for c in conjuncts(f))
+        return "(" + " and ".join(parts) + ")"
     if isinstance(f, Or):
-        left = emit_formula(f.left)
+        left = emit_formula(f.left, slots, depth)
         left = left[1:-1] if isinstance(f.left, Or) else left
-        return f"({left} or {emit_formula(f.right)})"
+        return f"({left} or {emit_formula(f.right, slots, depth)})"
     if isinstance(f, Implies):
-        return f"((not {emit_formula(f.left)}) or {emit_formula(f.right)})"
+        left = emit_formula(f.left, slots, depth)
+        return f"((not {left}) or {emit_formula(f.right, slots, depth)})"
     if isinstance(f, (Box, Forall, Exists)):
         raise CcsError(
             "formula is not modality/quantifier-free: " + print_formula(f)
@@ -186,23 +218,59 @@ def emit_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _tuple_source(items: Iterable[str]) -> str:
+    """The tuple of the `items` sources."""
+    return "(" + "".join(f"{e}, " for e in items) + ")"
+
+
 def _compile_tuple(params: str, items: Iterable[str]) -> Callable:
     """A function of `params` returning the tuple of the `items` sources."""
-    return compile_source(params, "(" + "".join(f"{e}, " for e in items) + ")")
+    return compile_source(params, _tuple_source(items))
 
 
-def _emit_update(updates: Iterable[tuple[str, str]]) -> str:
-    """A copy of the state `s` with each (name, source) pair assigned."""
-    return "{**s, " + "".join(f"{n!r}: {e}, " for n, e in updates) + "}"
+def _emit_update(width: int, updates: dict[int, str]) -> str:
+    """A copy of the state `s` with each slot in `updates` set to its
+    source, as one full-width tuple (no slicing: it is the cheaper form)."""
+    return _tuple_source(updates.get(i, f"s[{i}]") for i in range(width))
 
 
-def compile_term(t: Term) -> Callable[[State], float]:
-    return compile_source("s", emit_term(t))
+def compile_setter(slots: Slots, name: str) -> Callable[[State, float], State]:
+    """`(s, x)` -> a copy of the state `s` with `name` set to x."""
+    return compile_source("s, x", _emit_update(len(slots), {slots[name]: "x"}))
 
 
-def compile_formula(f: Formula) -> Callable[[State], bool]:
-    """`f` as a function from a state to its truth value (see emit_formula)."""
-    return compile_source("s", emit_formula(f))
+class _ByName:
+    """A dict state read through a layout: `v[i]` is `d[layout[i]]`, so a
+    name the dict lacks raises KeyError when it is read, as it would."""
+
+    __slots__ = ("d", "layout")
+
+    def __init__(self, d: dict, layout: tuple[str, ...]) -> None:
+        self.d = d
+        self.layout = layout
+
+    def __getitem__(self, i: int) -> float:
+        return self.d[self.layout[i]]
+
+
+@functools.lru_cache(maxsize=256)
+def _on_dicts(src: str, layout: tuple[str, ...]) -> Callable[[dict], object]:
+    fn = compile_source("s", src)
+    return lambda d: fn(_ByName(d, layout))
+
+
+def compile_term(t: Term) -> Callable[[dict], float]:
+    """`t` as a function of a dict state (name -> float), for library
+    callers: the tuple code of emit_term, reading the dict by name."""
+    layout = tuple(sorted(free_vars(t)))
+    return _on_dicts(emit_term(t, slots_of(layout)), layout)
+
+
+def compile_formula(f: Formula) -> Callable[[dict], bool]:
+    """`f` as a function of a dict state to its truth value (see
+    emit_formula and compile_term)."""
+    layout = tuple(sorted(free_vars(f)))
+    return _on_dicts(emit_formula(f, slots_of(layout)), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +304,20 @@ def _is_affine(t: Term, moving: frozenset[str]) -> bool:
 
 
 class FlowSegment:
-    """Integrates one ODE node from a start state.
+    """Integrates one ODE node from a start state over the layout `slots`.
 
     Exact linear advance when every right-hand side is constant over the
     segment; RK4 otherwise. Instances are cheap, stateless descriptions;
     all methods are pure in the start state.
     """
 
-    def __init__(self, ode: ODE):
+    def __init__(self, ode: ODE, slots: Slots):
         self.vars = tuple(v for v, _ in ode.equations)
         self.moving = frozenset(self.vars)
         self.exact = all(
             not (free_vars(rhs) & self.moving) for _, rhs in ode.equations
         )
-        self.domain = compile_formula(ode.domain)
+        self.domain = compile_source("s", emit_formula(ode.domain, slots))
         parts = conjuncts(ode.domain)
         self.domain_affine = self.exact and all(
             isinstance(c, Compare)
@@ -260,26 +328,30 @@ class FlowSegment:
         # slopes(state): the right-hand sides, in equation order.
         # at(state, slopes, dt): state + slopes * dt on the evolved
         # variables; _shift(state, k, c): state + c * k, as RK4 writes it.
-        self.slopes = _compile_tuple("s", [emit_term(e) for _, e in ode.equations])
-        moved = [(v, f"s[{v!r}]", f"k[{i}]") for i, v in enumerate(self.vars)]
+        self.slopes = _compile_tuple(
+            "s", [emit_term(e, slots) for _, e in ode.equations]
+        )
+        moved = list(enumerate(slots[v] for v in self.vars))
+        width = len(slots)
         self.at = compile_source(
-            "s, k, dt", _emit_update((v, f"({x} + ({k} * dt))") for v, x, k in moved)
+            "s, k, dt",
+            _emit_update(width, {i: f"(s[{i}] + (k[{j}] * dt))" for j, i in moved}),
         )
         if not self.exact:
             self._shift = compile_source(
-                "s, k, c", _emit_update((v, f"({x} + (c * {k}))") for v, x, k in moved)
+                "s, k, c",
+                _emit_update(width, {i: f"(s[{i}] + (c * k[{j}]))" for j, i in moved}),
             )
         # exit_time_affine reads each domain conjunct's op and, through
         # gaps(state), its `left - right`.
         affine = parts if self.domain_affine else []
         self.affine_ops = tuple(c.op for c in affine)
-        self.gaps = _compile_tuple(
-            "s", [f"({emit_term(c.left)} - {emit_term(c.right)})" for c in affine]
-        )
-        # (x, e) per domain conjunct `x <= e` or `x < e` on an evolved x;
-        # flow_states sizes its scan step from them when it scans.
+        gaps = (f"({emit_term(c.left, slots)} - {emit_term(c.right, slots)})" for c in affine)
+        self.gaps = _compile_tuple("s", gaps)
+        # (slot of x, e) per domain conjunct `x <= e` or `x < e` on an
+        # evolved x; flow_states sizes its scan step from them when it scans.
         self.upper_bounds = tuple(
-            (c.left.name, compile_term(c.right))
+            (slots[c.left.name], compile_source("s", emit_term(c.right, slots)))
             for c in ([] if self.domain_affine else parts)
             if isinstance(c, Compare)
             and c.op in ("<=", "<")
@@ -432,19 +504,18 @@ def flow_states(
         exit_dt = seg.exit_time_affine(state, slopes)
         if exit_dt < 0.0:
             return [], True
-        if math.isinf(exit_dt):
-            horizon = 1e6
-            times = [horizon * i / n_samples for i in range(n_samples + 1)]
-            return [seg.at(state, slopes, dt) for dt in times], False
-        times = [exit_dt * i / n_samples for i in range(n_samples + 1)]
-        return [seg.at(state, slopes, dt) for dt in times], True
+        # A domain that never closes is sampled up to a horizon of 1e6.
+        closes = not math.isinf(exit_dt)
+        span = exit_dt if closes else 1e6
+        times = [span * i / n_samples for i in range(n_samples + 1)]
+        return [seg.at(state, slopes, dt) for dt in times], closes
     # Step-wise scan: pick a step from any clock-style bound, else a
     # conservative default, and walk until the domain exits.
     h = 0.01
-    for name, bound in seg.upper_bounds:
+    for i, bound in seg.upper_bounds:
         try:
-            span = bound(state) - state.get(name, 0.0)
-        except (KeyError, DivisionByZero):
+            span = bound(state) - state[i]
+        except (TypeError, DivisionByZero):  # TypeError: an unset slot
             continue
         if span > 0.0:
             h = min(h, span / 128.0)
@@ -467,10 +538,10 @@ LOOP_CAP = 8
 
 
 def _state_key(s: State) -> tuple:
-    return tuple(sorted((k, round(v, 12)) for k, v in s.items()))
+    return tuple(None if v is None else round(v, 12) for v in s)
 
 
-def _emit_program(p: Program, helper: Callable[[Program], str]) -> str:
+def _emit_program(p: Program, slots: Slots, helper: Callable[[Program], str]) -> str:
     """The list of final states of `p`, in branch order, as one expression
     over the state `s`. A choice adds its alternatives' lists; a sequence
     starting with a test is its rest if the test holds, any other one a
@@ -478,39 +549,46 @@ def _emit_program(p: Program, helper: Callable[[Program], str]) -> str:
     other statement rebinds `s` to each of its final states. A sequence
     nested on the left stays one statement, which runs to its end before
     the rest starts. Loops and ODEs are the helper calls `helper` returns.
+    Every term takes emit_term's comprehension form, as most of them land
+    in a comprehension's iterable.
     """
     if isinstance(p, Test):
-        return f"([s] if {emit_formula(p.condition)} else [])"
+        return f"([s] if {emit_formula(p.condition, slots, None)} else [])"
     if isinstance(p, Assign):
-        return f"[{_emit_update([(p.var, emit_term(p.rhs))])}]"
+        rhs = emit_term(p.rhs, slots, None)
+        return f"[{_emit_update(len(slots), {slots[p.var]: rhs})}]"
     if isinstance(p, Choice):
         # Bare `+` binds tighter than anywhere a choice lands: more nesting fits.
-        return " + ".join(_emit_program(a, helper) for a in choice_alternatives(p))
+        return " + ".join(
+            _emit_program(a, slots, helper) for a in choice_alternatives(p)
+        )
     if isinstance(p, Seq):
         if isinstance(p.first, Test):
-            then = _emit_program(p.second, helper)
-            return f"({then} if {emit_formula(p.first.condition)} else [])"
-        src, rest = f"[s for s in {_emit_program(p.first, helper)}", p
+            then = _emit_program(p.second, slots, helper)
+            return f"({then} if {emit_formula(p.first.condition, slots, None)} else [])"
+        src, rest = f"[s for s in {_emit_program(p.first, slots, helper)}", p
         while isinstance(rest, Seq):
             rest = rest.second
             st = rest.first if isinstance(rest, Seq) else rest
             if isinstance(st, Test):
-                src += f" if {emit_formula(st.condition)}"
+                src += f" if {emit_formula(st.condition, slots, None)}"
             else:
-                src += f" for s in {_emit_program(st, helper)}"
+                src += f" for s in {_emit_program(st, slots, helper)}"
         return src + "]"
     return helper(p)
 
 
-def compile_program(
-    p: Program,
-    unroll: int = LOOP_CAP,
-    flow_samples: int = 32,
-    on_truncate: Callable[[], None] = lambda: None,
-) -> Callable[[State], list[State]]:
-    """The relational semantics of `p`, compiled once to one generated
-    expression (see _emit_program): a function from a state to every
-    final state of `p` from it, in branch order, duplicates kept.
+def _ignore() -> None:
+    """A program's `cut` where nobody asks about truncation."""
+
+
+def compile_program_over(
+    p: Program, slots: Slots, unroll: int = LOOP_CAP, flow_samples: int = 32
+) -> Callable[[State, Callable[[], None]], list[State]]:
+    """The relational semantics of `p` over the layout `slots`, compiled
+    once to one generated expression (see _emit_program): a function
+    `(s, cut)` giving every final state of `p` from `s`, in branch order,
+    duplicates kept.
 
     A failed test yields no state, a choice the states of each
     alternative in turn. A loop yields the distinct states (by
@@ -518,27 +596,28 @@ def compile_program(
     an ODE the `flow_samples`-point sampling of `flow_states`; these two
     run as Python helpers, which the expression reads from its `_h`
     argument, so programs of one shape share one compiled function.
-    `on_truncate()` is called whenever a loop or a flow has more states
-    than those bounds reach. The bounded checker enumerates the result;
-    the simulator fires one of its states.
+    `cut()` is called whenever a loop or a flow has more states than
+    those bounds reach. The bounded checker enumerates the result; the
+    simulator fires one of its states.
 
     Raises CcsError when Python will not compile the expression: each
     level of `(?(x >= 0); P; y := i U z := 1)` nests two of the 200
-    parentheses Python allows, so P can nest 99 levels deep.
+    parentheses Python allows, so P can nest 99 levels deep, and past
+    about 200 levels printing the expression recurses too deeply.
     """
-    helpers: list[Callable[[State], list[State]]] = []
+    helpers: list[Callable[[State, Callable[[], None]], list[State]]] = []
 
     def helper(q: Program) -> str:
         if isinstance(q, Loop):
-            body = compile_program(q.body, unroll, flow_samples, on_truncate)
+            body = compile_program_over(q.body, slots, unroll, flow_samples)
 
-            def fn(s: State, _b=body) -> list[State]:
+            def fn(s: State, cut, _b=body) -> list[State]:
                 seen = {_state_key(s): s}
                 frontier = [s]
                 for _ in range(unroll):
                     nxt = []
                     for st in frontier:
-                        for r in _b(st):
+                        for r in _b(st, cut):
                             k = _state_key(r)
                             if k not in seen:
                                 seen[k] = r
@@ -547,31 +626,68 @@ def compile_program(
                     if not frontier:
                         break
                 if frontier:
-                    on_truncate()
+                    cut()
                 return list(seen.values())
 
         elif isinstance(q, ODE):
 
-            def fn(s: State, _seg=FlowSegment(q)) -> list[State]:
+            def fn(s: State, cut, _seg=FlowSegment(q, slots)) -> list[State]:
                 samples, complete = flow_states(_seg, s, flow_samples)
                 if not complete:
-                    on_truncate()
+                    cut()
                 return samples
 
         else:
             raise TypeError(f"not a program: {q!r}")
         helpers.append(fn)
-        return f"_h[{len(helpers) - 1}](s)"
+        return f"_h[{len(helpers) - 1}](s, cut)"
 
-    src = _emit_program(p, helper)
     try:
-        fn = compile_source("_h, s" if helpers else "s", src)
+        src = _emit_program(p, slots, helper)
+        fn = compile_source("_h, s, cut" if helpers else "s, cut", src)
     except (SyntaxError, RecursionError, MemoryError) as e:
-        raise CcsError(
-            f"program nests too deeply to compile ({type(e).__name__}): "
-            f"{print_program_inline(p)[:80]}"
-        ) from None
+        raise _too_deep(p, e) from None
     return functools.partial(fn, tuple(helpers)) if helpers else fn
+
+
+def _too_deep(p: Program, e: Exception) -> CcsError:
+    try:
+        text = print_program_inline(p)[:80]
+    except RecursionError:
+        text = "(too deep to print)"
+    return CcsError(
+        f"program nests too deeply to compile ({type(e).__name__}): {text}"
+    )
+
+
+def compile_program(
+    p: Program,
+    unroll: int = LOOP_CAP,
+    flow_samples: int = 32,
+    on_truncate: Callable[[], None] = _ignore,
+) -> Callable[[dict], list[dict]]:
+    """`compile_program_over` on dict states, for library callers: a
+    function from a dict state (name -> float) to every final state of
+    `p` from it as a dict, calling `on_truncate()` for each cut. The dict
+    must hold every name `p` reads before writing it. An output state
+    lists the input's names first, in their order, then the other names
+    the path wrote, in the order `p` first writes them.
+    """
+    try:
+        free, written = free_and_bound_vars(p)
+    except RecursionError as e:
+        raise _too_deep(p, e) from None
+    layout = (*sorted(free.difference(written)), *written)
+    fn = compile_program_over(p, slots_of(layout), unroll, flow_samples)
+
+    def on_dicts(d: dict) -> list[dict]:
+        finals = fn(tuple(d.get(n) for n in layout), on_truncate)
+        return [
+            {**d, **{n: v for n, v in zip(layout, r) if v is not None}}
+            for r in finals
+        ]
+
+    return on_dicts
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +801,7 @@ def pinned_init(needed: frozenset[str], env_pins: dict, init: dict) -> dict:
     return {**{n: v for n, v in env_pins.items() if n in needed}, **init}
 
 
-def complete_init(system: MCCS, init: dict) -> State:
+def complete_init(system: MCCS, init: dict) -> dict[str, float]:
     """Resolve an initial-state description into a total float state.
 
     Entries may be numbers or chains of `"=other"` aliases; variables
@@ -695,7 +811,9 @@ def complete_init(system: MCCS, init: dict) -> State:
     return _complete_init(system_variables(system), system.env.constants(), init)
 
 
-def _complete_init(needed: frozenset[str], env_pins: dict, init: dict) -> State:
+def _complete_init(
+    needed: frozenset[str], env_pins: dict, init: dict
+) -> dict[str, float]:
     box = pinned_init(needed, env_pins, init)
     state = {name: float(box[alias_root(box, name)]) for name in box}
     missing = sorted(needed - state.keys())
@@ -736,54 +854,75 @@ def _monitors(system: MCCS) -> list[tuple[str, Formula]]:
 
 
 class CompiledSystem:
-    """One closed loop, compiled once for any number of runs: the guarded
-
-    flow segment, the controller programs, the monitors, the init
-    obligations and the invariant's equality conjuncts (whose |lhs - rhs|
-    is the residual), plus the step sizes derived from the time bounds.
+    """One closed loop, compiled once for any number of runs over one
+    layout (by default `sorted(system_variables)`, the CSV's column
+    order): the guarded flow segment, the controller programs, the
+    monitors, the init obligations and the invariant's equality conjuncts
+    (whose |lhs - rhs| is the residual), plus the step sizes derived from
+    the time bounds.
     """
 
-    def __init__(self, system: MCCS):
+    def __init__(self, system: MCCS, layout: tuple[str, ...] | None = None):
+        self.system = system
         self.variables = system_variables(system)
+        self.layout = tuple(sorted(self.variables)) if layout is None else layout
+        slots = self.slots = slots_of(self.layout)
+        self.clock = slots[CLOCK]
         self.env_pins = system.env.constants()
         self.init_obligations = _init_obligations(system)
-        self.init_hold = _all_hold(self.init_obligations)
+        self.init_hold = self.holds(*(f for _, f in self.init_obligations))
         self.delta = float(system.controller.reactivity)
         cap = float(system.plant.controllability)
         self.h = min(self.delta, cap) / 100.0
         self.eps = self.h / 10.0
-        self.segment = FlowSegment(system.guarded_ode())
+        self.segment = FlowSegment(system.guarded_ode(), slots)
+        # (name, timestamp slot, program) per controller; a firing stamps
+        # its timestamp with the clock, so the program ends `tau := t`.
         self.controllers = [
-            (rc.name, rc.timestamp, compile_program(rc.ctrl))
+            (
+                rc.name,
+                slots[rc.timestamp],
+                compile_program_over(
+                    Seq(rc.ctrl, Assign(rc.timestamp, Variable(CLOCK))), slots
+                ),
+            )
             for rc in system.controller.choices
         ]
         self.monitors = _monitors(system)
-        self.all_hold = _all_hold(self.monitors)
+        self.all_hold = self.holds(*(f for _, f in self.monitors))
         # residual(s, m): the larger of m and each |lhs - rhs| over the
         # invariant's equality conjuncts, kept in order as a running
-        # maximum would; None when there are none.
-        gaps = [
-            f"abs({emit_term(c.left)} - {emit_term(c.right)})"
+        # maximum would.
+        gaps = "".join(
+            f", abs({emit_term(c.left, slots)} - {emit_term(c.right, slots)})"
             for c in conjuncts(system.invariant)
             if isinstance(c, Compare) and c.op == "="
-        ]
-        self.residual = (
-            compile_source("s, m", f"max(m, {', '.join(gaps)})") if gaps else None
         )
+        self.residual = compile_source("s, m", f"max(m{gaps})" if gaps else "m")
+        self._layouts: dict[tuple[str, ...], CompiledSystem] = {}
+
+    def for_layout(self, layout: tuple[str, ...]) -> CompiledSystem:
+        """This system over `layout`, compiled on first use: a run whose
+        init names variables the system lacks keeps them as columns."""
+        if layout == self.layout:
+            return self
+        if layout not in self._layouts:
+            self._layouts[layout] = CompiledSystem(self.system, layout)
+        return self._layouts[layout]
+
+    def holds(self, *formulas: Formula) -> Callable[[State], bool]:
+        """One function: every formula holds. Only when it is false need
+        the formulas be checked one by one, to name the failing ones."""
+        src = " and ".join(emit_formula(f, self.slots) for f in formulas)
+        return compile_source("s", src or "True")
+
+    def named(self, s: State) -> dict[str, float]:
+        return dict(zip(self.layout, s))
 
     @functools.cached_property
     def monitor_checks(self) -> list[tuple[str, Callable[[State], bool], str]]:
         """(name, holds, text) per monitor, compiled on the first violation."""
-        return [
-            (name, compile_formula(f), print_formula(f)) for name, f in self.monitors
-        ]
-
-
-def _all_hold(labelled: list[tuple[str, Formula]]) -> Callable[[State], bool]:
-    """One function: every formula holds. Only when it is false need the
-    formulas be checked one by one, to name the failing ones."""
-    src = " and ".join(emit_formula(f) for _, f in labelled)
-    return compile_source("s", src or "True")
+        return [(name, self.holds(f), print_formula(f)) for name, f in self.monitors]
 
 
 def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
@@ -793,52 +932,41 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
     environment or any component's assume/init clause, and StuckState
     when a guard has expired but no controller run is enabled.
     """
-    points: list[TracePoint] = []
-
-    def keep(event: str, s: State) -> None:
-        points.append(TracePoint(s[CLOCK], event, dict(s)))
-
-    return _run(CompiledSystem(system), schedule, init, keep, points)
+    return _run(CompiledSystem(system), schedule, init, True)[0]
 
 
 def _run(
-    cs: CompiledSystem,
-    schedule: Schedule,
-    init: dict,
-    on_point: Callable[[str, State], None],
-    points: list[TracePoint],
-) -> Trace:
-    """`run` over a compiled system, streaming its samples.
-
-    Every sample goes to `on_point(event, state)`, which must copy
-    `state` to keep it; the returned Trace holds `points`, which
-    `on_point` may have filled.
+    cs: CompiledSystem, schedule: Schedule, init: dict, keep: bool
+) -> tuple[Trace, tuple[str, ...], list[State]]:
+    """`run` over a compiled system. Returns the trace, whose points are
+    filled only with `keep`, the run's layout and every sampled state.
     """
-    state = _complete_init(cs.variables, cs.env_pins, init)
+    values = _complete_init(cs.variables, cs.env_pins, init)
+    cs = cs.for_layout(tuple(sorted(values)))
+    state = tuple(values[n] for n in cs.layout)
     if not cs.init_hold(state):
         for label, f in cs.init_obligations:
-            if not compile_formula(f)(state):
+            if not cs.holds(f)(state):
                 raise InitViolatesAssumptions(f"{label}: {print_formula(f)}")
 
-    delta, h, eps = cs.delta, cs.h, cs.eps
+    delta, eps, clock = cs.delta, cs.eps, cs.clock
     rng = random.Random(schedule.seed)
-    segment = cs.segment
     controllers = cs.controllers
     all_hold = cs.all_hold
     residual = cs.residual
 
     violations: list[MonitorViolation] = []
+    events: list[str] = []
+    states: list[State] = []
     max_residual = 0.0
     truncated = False
 
-    if residual is None:
-        record = on_point
-    else:
-
-        def record(event: str, s: State) -> None:
-            nonlocal max_residual
-            on_point(event, s)
-            max_residual = residual(s, max_residual)
+    def record(event: str, s: State) -> None:
+        nonlocal max_residual
+        if keep:
+            events.append(event)
+        states.append(s)
+        max_residual = residual(s, max_residual)
 
     def boundary(s: State) -> None:
         record("loop-boundary", s)
@@ -846,18 +974,17 @@ def _run(
             return
         for name, fn, text in cs.monitor_checks:
             if not fn(s):
-                violations.append(MonitorViolation(s[CLOCK], name, text, dict(s)))
+                violations.append(MonitorViolation(s[clock], name, text, cs.named(s)))
 
     def try_fire_any(order: Iterable, s: State) -> tuple[State, str] | None:
         """The first controller in `order` whose guard has not expired and
         whose program has a final state fires."""
         for name, timestamp, program in order:
-            if s[CLOCK] > s[timestamp] + delta + BOUNDARY_TOLERANCE:
+            if s[clock] > s[timestamp] + delta + BOUNDARY_TOLERANCE:
                 continue
-            outs = program(s)
+            outs = program(s, _ignore)
             if outs:
                 after = outs[0] if len(outs) == 1 else rng.choice(outs)
-                after[timestamp] = after[CLOCK]
                 return after, name
         return None
 
@@ -871,13 +998,13 @@ def _run(
         if iterations > MAX_ITERATIONS:
             truncated = True
             break
-        to_horizon = schedule.horizon - state[CLOCK]
+        to_horizon = schedule.horizon - state[clock]
         if to_horizon <= BOUNDARY_TOLERANCE:
             break
 
         expiries = [state[timestamp] + delta for _, timestamp, _ in controllers]
         next_expiry = min(expiries)
-        guard_room = next_expiry - state[CLOCK]
+        guard_room = next_expiry - state[clock]
 
         if (
             to_horizon <= eps
@@ -885,9 +1012,7 @@ def _run(
         ):
             # Only a sliver left before the horizon and no guard forces a
             # firing first: run out the clock and finish.
-            state, _moved = _evolve(
-                segment, state, to_horizon, h, record, next_expiry
-            )
+            state, _moved = _evolve(cs, state, to_horizon, record, next_expiry)
             boundary(state)
             break
 
@@ -901,9 +1026,7 @@ def _run(
         if schedule.strategy == "uniform-random":
             if evolve_room > eps and not blocked and rng.random() < 0.5:
                 dt = rng.uniform(eps, evolve_room)
-                state, advanced = _evolve(
-                    segment, state, dt, h, record, next_expiry
-                )
+                state, advanced = _evolve(cs, state, dt, record, next_expiry)
             if not advanced:
                 order = list(controllers)
                 rng.shuffle(order)
@@ -919,10 +1042,8 @@ def _run(
                 rr_index += 1
             ordering = [target] + [c for c in controllers if c is not target]
             if evolve_room > 0.0 and not blocked:
-                state, advanced = _evolve(
-                    segment, state, evolve_room, h, record, next_expiry
-                )
-            if not (lazy and advanced and state[CLOCK] < next_expiry - 2.0 * eps):
+                state, advanced = _evolve(cs, state, evolve_room, record, next_expiry)
+            if not (lazy and advanced and state[clock] < next_expiry - 2.0 * eps):
                 fired = try_fire_any(ordering, state)
 
         if fired is not None:
@@ -931,21 +1052,19 @@ def _run(
             blocked = False
         elif not advanced:
             if blocked:
-                raise StuckState(state[CLOCK])
+                raise StuckState(state[clock])
             # One grace pass: evolve right up to the guard boundary, after
             # which a controller must fire or the system is stuck.
             remaining = min(guard_room, to_horizon)
             if remaining > BOUNDARY_TOLERANCE:
-                state, moved = _evolve(
-                    segment, state, remaining, h, record, next_expiry
-                )
+                state, moved = _evolve(cs, state, remaining, record, next_expiry)
                 blocked = not moved
             else:
                 blocked = True
             if blocked:
                 fired = try_fire_any(controllers, state)
                 if fired is None:
-                    raise StuckState(state[CLOCK])
+                    raise StuckState(state[clock])
                 state, name = fired
                 record(f"ctrl-fired({name})", state)
                 blocked = False
@@ -954,29 +1073,33 @@ def _run(
 
         boundary(state)
 
+    points = (
+        [TracePoint(s[clock], e, cs.named(s)) for e, s in zip(events, states)]
+        if keep
+        else []
+    )
     # Every pass of the loop ends at a boundary, so the last point is one.
-    return Trace(points, violations, state[CLOCK], truncated, max_residual)
+    trace = Trace(points, violations, state[clock], truncated, max_residual)
+    return trace, cs.layout, states
 
 
 def _evolve(
-    segment: FlowSegment,
+    cs: CompiledSystem,
     state: State,
     dt_request: float,
-    h: float,
     record,
     next_expiry: float,
 ) -> tuple[State, bool]:
     """Advance the plant, recording samples; returns (state, moved)."""
-    end, dt, exited, mid_samples = segment.advance(state, dt_request, h)
+    end, dt, exited, mid_samples = cs.segment.advance(state, dt_request, cs.h)
     if dt <= 0.0:
         return state, False
     for s in mid_samples[:-1]:
         record("ode-step", s)
     # Snap the clock when we stopped within float wiggle of a guard expiry
     # so subsequent guard tests are exact.
-    if abs(end[CLOCK] - next_expiry) <= 2.0 * BOUNDARY_TOLERANCE:
-        end = dict(end)
-        end[CLOCK] = next_expiry
+    if abs(end[cs.clock] - next_expiry) <= 2.0 * BOUNDARY_TOLERANCE:
+        end = end[: cs.clock] + (next_expiry,) + end[cs.clock + 1 :]
         record("guard-expiry", end)
     else:
         record("ode-step", end)
@@ -1070,24 +1193,11 @@ def run_batch(
     first_trace = None
     for i in range(n_schedules):
         schedule, init = batch_member(seed, i, init_box, strategy, horizon)
-        # This run's samples as value rows, reduced to ranges and merged
-        # into the batch only if the run finishes. Every state of a run
-        # has its initial state's variables in the same order: flows and
-        # programs only overwrite them.
-        names: list[str] = []
-        rows: list[tuple[float, ...]] = []
+        # This run's sampled states, reduced to ranges and merged into the
+        # batch only if the run finishes.
         keep = keep_first and i == 0
-        points: list[TracePoint] = []
-
-        def aggregate(event: str, s: State) -> None:
-            if not rows:
-                names.extend(s)
-            rows.append(tuple(s.values()))
-            if keep:
-                points.append(TracePoint(s[CLOCK], event, dict(s)))
-
         try:
-            trace = _run(cs, schedule, init, aggregate, points)
+            trace, layout, states = _run(cs, schedule, init, keep)
         except StuckState:
             if keep:
                 raise
@@ -1099,11 +1209,11 @@ def run_batch(
             runs_with += 1
             for v in trace.violations:
                 violations[v.monitor] = violations.get(v.monitor, 0) + 1
-        for name, column in zip(names, zip(*rows)):
+        for name, column in zip(layout, zip(*states)):
             lo, hi = ranges.get(name, (column[0], column[0]))
             ranges[name] = (min(lo, *column), max(hi, *column))
         max_residual = max(max_residual, trace.max_invariant_residual)
-        total_points += len(rows)
+        total_points += len(states)
     return BatchSummary(
         runs=n_schedules,
         strategy=strategy,

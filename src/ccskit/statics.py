@@ -39,7 +39,6 @@ from .ast import (
     Times,
     TrueF,
     Variable,
-    walk,
 )
 
 VarSet = frozenset[str]
@@ -49,48 +48,74 @@ EMPTY: VarSet = frozenset()
 
 def free_vars(node: Node) -> VarSet:
     """Variables whose initial value can influence the meaning of `node`."""
-    if isinstance(node, Variable):
-        return frozenset((node.name,))
-    if isinstance(node, Rational):
-        return EMPTY
-    if isinstance(node, (Plus, Minus, Times, Divide)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Neg):
-        return free_vars(node.operand)
-    if isinstance(node, (TrueF, FalseF)):
-        return EMPTY
-    if isinstance(node, Compare):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Not):
-        return free_vars(node.operand)
-    if isinstance(node, (And, Or, Implies)):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, (Forall, Exists)):
-        return free_vars(node.body) - {node.var}
-    if isinstance(node, Box):
-        return free_vars(node.program) | (
-            free_vars(node.post) - must_bound_vars(node.program)
-        )
-    if isinstance(node, Test):
-        return free_vars(node.condition)
-    if isinstance(node, Assign):
-        return free_vars(node.rhs)
-    if isinstance(node, ODE):
-        # Evolved variables are read (their initial values seed the flow);
-        # domain-only variables count as free reads, never as bound.
-        out = frozenset(v for v, _ in node.equations)
-        for _, rhs in node.equations:
-            out |= free_vars(rhs)
-        return out | free_vars(node.domain)
-    if isinstance(node, Seq):
-        return free_vars(node.first) | (
-            free_vars(node.second) - must_bound_vars(node.first)
-        )
-    if isinstance(node, Choice):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, Loop):
-        return free_vars(node.body)
-    raise TypeError(f"not an AST node: {node!r}")
+    return free_and_bound_vars(node)[0]
+
+
+def free_and_bound_vars(node: Node) -> tuple[VarSet, tuple[str, ...]]:
+    """`free_vars(node)`, and the names `node` writes or quantifies (for
+    a formula or program, `bound_vars(node)`) in the order it first binds
+    them, from one walk."""
+    free: set[str] = set()
+    written: dict[str, None] = {}
+    _add_free(node, EMPTY, free, written)
+    return frozenset(free), tuple(written)
+
+
+def _add_free(
+    node: Node, bound: VarSet, free: set[str], written: dict[str, None]
+) -> None:
+    """Add to `free` the free variables of `node` outside `bound`, the
+    names bound on every path to it, and to `written` the names it binds:
+    FV(a; b) = FV(a) u (FV(b) \\ MBV(a)), FV([a]p) = FV(a) u (FV(p) \\ MBV(a))
+    and FV(Q x. p) = FV(p) \\ {x}."""
+    # Loops down each last child, so a long right-nested chain, such as
+    # the sequence `seq` builds, does not recurse.
+    while True:
+        if isinstance(node, Variable):
+            if node.name not in bound:
+                free.add(node.name)
+            return
+        if isinstance(node, (Plus, Minus, Times, Divide, Compare, And, Or, Implies)):
+            _add_free(node.left, bound, free, written)
+            node = node.right
+        elif isinstance(node, (Neg, Not)):
+            node = node.operand
+        elif isinstance(node, (Rational, TrueF, FalseF)):
+            return
+        elif isinstance(node, Box):
+            _add_free(node.program, bound, free, written)
+            bound = bound | must_bound_vars(node.program)
+            node = node.post
+        elif isinstance(node, (Forall, Exists)):
+            written[node.var] = None
+            bound = bound | {node.var}
+            node = node.body
+        elif isinstance(node, Test):
+            node = node.condition
+        elif isinstance(node, Assign):
+            written[node.var] = None
+            node = node.rhs
+        elif isinstance(node, Seq):
+            _add_free(node.first, bound, free, written)
+            bound = bound | must_bound_vars(node.first)
+            node = node.second
+        elif isinstance(node, Choice):
+            _add_free(node.left, bound, free, written)
+            node = node.right
+        elif isinstance(node, Loop):
+            node = node.body
+        elif isinstance(node, ODE):
+            # Evolved variables are read (their initial values seed the
+            # flow); domain-only variables count as free reads, never as
+            # bound.
+            evolved = [v for v, _ in node.equations]
+            written.update(dict.fromkeys(evolved))
+            free.update(v for v in evolved if v not in bound)
+            for _, rhs in node.equations:
+                _add_free(rhs, bound, free, written)
+            node = node.domain
+        else:
+            raise TypeError(f"not an AST node: {node!r}")
 
 
 def bound_vars(node: Formula | Program) -> VarSet:
@@ -145,15 +170,8 @@ def must_bound_vars(program: Program) -> VarSet:
 
 
 def all_vars(node: Node) -> VarSet:
-    """Every variable name occurring syntactically in `node`."""
-    out: set[str] = set()
-    for sub in walk(node):
-        if isinstance(sub, Variable):
-            out.add(sub.name)
-        elif isinstance(sub, Assign):
-            out.add(sub.var)
-        elif isinstance(sub, ODE):
-            out.update(v for v, _ in sub.equations)
-        elif isinstance(sub, (Forall, Exists)):
-            out.add(sub.var)
-    return frozenset(out)
+    """Every variable name occurring syntactically in `node`: the free
+    ones and, for a formula or program, the bound ones, as a name that is
+    not free is only read after it is bound."""
+    free, written = free_and_bound_vars(node)
+    return free.union(written)

@@ -536,3 +536,61 @@ def test_bounded_verdicts_are_pinned(model, corpus_dir):
         verdicts.append([res.status, res.checked, res.total, res.counterexample])
     digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
     assert digest == VERDICT_PINS[model]
+
+
+# -- each obligation compiled once --------------------------------------------
+
+
+def test_a_checked_obligation_compiles_nothing_at_another_grid(watertank, monkeypatch):
+    import ccskit.obligations
+    import ccskit.simulator
+
+    obs = obligations_ccs(watertank)
+    for ob in obs:
+        check_bounded(ob, WT_BOX, grid=2, flow_samples=8)
+    calls = []
+
+    def counting(emit):
+        def fn(*args, **kwargs):
+            calls.append(emit.__name__)
+            return emit(*args, **kwargs)
+
+        return fn
+
+    for module in (ccskit.simulator, ccskit.obligations):
+        for name in ("emit_formula", "emit_term"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    warm = [check_bounded(ob, WT_BOX, grid=3, flow_samples=8).to_json() for ob in obs]
+    assert calls == []
+    cold = [check_bounded(ob.replace(), WT_BOX, grid=3, flow_samples=8).to_json() for ob in obs]
+    assert calls
+    assert warm == cold
+
+
+def test_a_warm_obligation_is_the_cold_one(watertank):
+    import pickle
+
+    warm, cold = obligations_ccs(watertank)[5], obligations_ccs(watertank)[5]
+    check_bounded(warm, WT_BOX, grid=2, flow_samples=8)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    assert pickle.loads(pickle.dumps(warm)) == cold
+
+
+def test_a_finished_check_leaves_no_reference_cycle(watertank):
+    import gc
+
+    obs = obligations_ccs(watertank)
+    gc.collect()
+    gc.disable()
+    try:
+        for grid in (2, 3):  # cold, then warm
+            for ob in obs:
+                check_bounded(ob, WT_BOX, grid=grid, flow_samples=8)
+            for goal, box, _ in SHAPES.values():
+                check_bounded(goal, box, grid=grid)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

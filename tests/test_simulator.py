@@ -23,6 +23,7 @@ from ccskit import dsl
 from ccskit.ast import (
     And,
     Assign,
+    Box,
     Choice,
     Compare,
     Divide,
@@ -62,6 +63,7 @@ from ccskit.errors import (
     StuckState,
     UnboundedVariable,
 )
+from ccskit.obligations import check_bounded
 from ccskit.simulator import (
     STRATEGIES,
     FlowSegment,
@@ -70,21 +72,25 @@ from ccskit.simulator import (
     batch_schedule_seed,
     compile_formula,
     compile_program,
+    _on_dicts,
     compile_term,
     complete_init,
+    emit_term,
     run,
     run_batch,
     sample_init,
+    slots_of,
     write_trace_csv,
 )
+from ccskit.statics import all_vars
 
 WT_INIT = {"wl": 5.0, "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
 
 
 # -- the term and formula compiler -------------------------------------------
 
-# Python keywords, names of the generated code's own parameter and helpers,
-# quotes and backslashes: variables are only ever string keys.
+# Python keywords, names of the generated code's own parameters and helpers,
+# quotes and backslashes: variables are only ever slots, never names.
 AWKWARD_NAMES = [
     "x", "lambda", "if", "not", "s", "d", "_h", "_div", "_dz", "_d0", "'", '"', "\\",
     "a'b\\c",
@@ -153,10 +159,20 @@ _VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]), st.floats
 _STATES = st.fixed_dictionaries({}, optional={n: _VALUES for n in AWKWARD_NAMES})
 
 
+def _comprehension_form(t):
+    """`t` compiled in the division form of a program's assignments,
+    which sit in comprehension iterables, as a function of a dict."""
+    layout = tuple(sorted(all_vars(t)))
+    return _on_dicts(emit_term(t, slots_of(layout), depth=None), layout)
+
+
 @settings(deadline=None)
 @given(randgen.terms(AWKWARD_NAMES), _STATES)
 def test_compiled_terms_match_tree_evaluation_bit_for_bit(t, s):
-    assert _outcome(compile_term(t), s) == _outcome(_tree_term, t, s)
+    """Both division forms: `:=` (compile_term) and the comprehension."""
+    expected = _outcome(_tree_term, t, s)
+    assert _outcome(compile_term(t), s) == expected
+    assert _outcome(_comprehension_form(t), s) == expected
 
 
 @settings(deadline=None)
@@ -167,12 +183,13 @@ def test_compiled_formulas_match_tree_evaluation(f, s):
 
 def test_division_by_zero_names_the_printed_term():
     t = Divide(var("x"), Minus(var("y"), var("y")))
-    with pytest.raises(DivisionByZero) as e:
-        compile_term(t)({"x": 1.0, "y": 3.0})
-    assert e.value.term_text == print_term(t) == "x / (y - y)"
-    # The denominator is checked before the numerator is read.
-    with pytest.raises(DivisionByZero):
-        compile_term(t)({"y": 3.0})
+    for form in (compile_term, _comprehension_form):
+        with pytest.raises(DivisionByZero) as e:
+            form(t)({"x": 1.0, "y": 3.0})
+        assert e.value.term_text == print_term(t) == "x / (y - y)"
+        # The denominator is checked before the numerator is read.
+        with pytest.raises(DivisionByZero):
+            form(t)({"y": 3.0})
 
 
 def test_nested_divisions_keep_their_own_denominators():
@@ -183,7 +200,7 @@ def test_nested_divisions_keep_their_own_denominators():
         Divide(x, Divide(y, z)),
         Divide(Divide(x, y), Divide(y, z)),
     ):
-        assert compile_term(t)(s) == _tree_term(t, s)
+        assert compile_term(t)(s) == _comprehension_form(t)(s) == _tree_term(t, s)
 
 
 def test_long_chains_compile():
@@ -208,17 +225,18 @@ def test_equal_sources_share_one_compiled_function():
 def test_rk4_steps_follow_the_classic_formula_bit_for_bit():
     """A flow whose slopes read evolved variables takes RK4 steps, with
     the floating-point operations of the textbook formula in its order."""
-    seg = FlowSegment(ODE((("x", Neg(var("x"))), ("y", Times(var("x"), var("y")))), TRUE))
+    ode = ODE((("x", Neg(var("x"))), ("y", Times(var("x"), var("y")))), TRUE)
+    seg = FlowSegment(ode, {"t": 0, "x": 1, "y": 2})
     assert not seg.exact
 
     def f(s):
-        return (-s["x"], s["x"] * s["y"])
+        return (-s[1], s[1] * s[2])
 
     def shift(s, k, c):
-        return {**s, "x": s["x"] + c * k[0], "y": s["y"] + c * k[1]}
+        return (s[0], s[1] + c * k[0], s[2] + c * k[1])
 
     h = 0.37
-    for s in ({"x": 1.3, "y": -0.7, "t": 2.0}, {"x": -0.0, "y": 1e-300, "t": 0.0}):
+    for s in ((2.0, 1.3, -0.7), (0.0, -0.0, 1e-300)):
         k1 = f(s)
         k2 = f(shift(s, k1, 0.5 * h))
         k3 = f(shift(s, k2, 0.5 * h))
@@ -226,9 +244,8 @@ def test_rk4_steps_follow_the_classic_formula_bit_for_bit():
         k = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
         expected = shift(s, k, h / 6.0)
         got = seg._rk4_step(s, h)
-        assert list(got) == list(expected)
-        assert [struct.pack("d", v) for v in got.values()] == [
-            struct.pack("d", v) for v in expected.values()
+        assert [struct.pack("d", v) for v in got] == [
+            struct.pack("d", v) for v in expected
         ]
 
 
@@ -515,6 +532,18 @@ def test_long_sequences_compile_and_deep_nesting_is_a_ccs_error():
         compile_program(p)
 
 
+@pytest.mark.parametrize("depth", [200, 300, 600])
+def test_programs_nested_past_the_interpreter_stack_are_a_ccs_error(depth):
+    """Only the API can build these. Emitting or printing them exhausts
+    the interpreter stack, which must surface as CcsError."""
+    p = Assign("z", num(0))
+    for i in range(depth):
+        guarded = seq(Guard(Compare(">=", var("x"), num(0))), p, Assign("y", num(i)))
+        p = choice(guarded, Assign("z", num(1)))
+    with pytest.raises(CcsError, match=r"^program nests too deeply to compile"):
+        compile_program(p)
+
+
 def test_monitor_violations_name_the_guarantee(corpus_dir):
     late = dsl.load_file(corpus_dir / "watertank_late_ctrl.ccs")
     trace = run(late, Schedule(seed=2, horizon=20.0), WT_INIT)
@@ -737,3 +766,82 @@ def test_stuck_members_stay_out_of_batch_aggregates(strategy):
     assert violations == {}
     # A stuck member ends at the wall; no point of it may widen the range.
     assert summary.variable_ranges["x"][1] < -0.5
+
+
+# -- tuple states: names stay out of the generated code ----------------------
+
+
+def test_awkward_names_in_a_checked_goal():
+    """Each name is pinned to its index; the program adds one to each in
+    turn, and the postcondition wants the last one left alone, so the
+    witness is the whole shifted state. `w` is bound only: it stays out
+    of the initial state and shows in the witness."""
+    names = AWKWARD_NAMES
+    bumps = seq(*(Assign(n, Plus(var(n), num(1))) for n in names), Assign("w", var("x")))
+    box = {n: float(i) for i, n in enumerate(names)}
+    holds = Box(bumps, conj(*(Compare("=", var(n), num(i + 1)) for i, n in enumerate(names))))
+    assert check_bounded(holds, box, grid=2).status == "holds"
+    last = len(names) - 1
+    fails = Box(bumps, Compare("<=", var(names[-1]), num(last)))
+    res = check_bounded(fails, box, grid=2)
+    assert res.status == "counterexample"
+    assert res.initial == box
+    assert res.counterexample == {**{n: i + 1.0 for i, n in enumerate(names)}, "w": 1.0}
+    # Witness dicts follow the layout: the sorted variables.
+    assert list(res.counterexample) == sorted(res.counterexample)
+
+
+def test_awkward_names_in_a_run(tmp_path):
+    """A controller that copies `'` into `lambda` and a plant that moves
+    `"` at the rate held in `\\`: every name survives to the trace, its
+    violations and the CSV header."""
+    ctrl = make_reactive_controller(
+        "copy",
+        Assign("lambda", Plus(var("'"), num(1))),
+        Fraction(1, 20),
+        "if",
+        contract=Contract(guarantee=Compare("<=", var("lambda"), num(0))),
+    )
+    plant = make_controllable_plant(
+        "move",
+        (('"', var("\\")),),
+        Compare("<=", var('"'), num(100)),
+        Fraction(1, 5),
+        contract=Contract(),
+    )
+    system = make_ccs(ctrl, plant, name="awkward")
+    init = {"lambda": 0, "'": 2, '"': 0, "\\": 3, "t": 0, "if": 0}
+    trace = run(system, Schedule(strategy="round-robin", seed=1, horizon=0.5), init)
+    assert trace.variables() == sorted(init)
+    for p in trace.points:
+        assert p.values['"'] == pytest.approx(3.0 * p.values["t"], abs=1e-9)
+    fired = [p.values for p in trace.points if p.event.startswith("ctrl-fired")]
+    assert fired and all(v["lambda"] == 3.0 and v["if"] == v["t"] for v in fired)
+    assert trace.violations and {v.monitor for v in trace.violations} == {"G[copy]"}
+    assert all(v.values["lambda"] == 3.0 for v in trace.violations)
+    path = tmp_path / "awkward.csv"
+    write_trace_csv(trace, path)
+    with open(path, newline="") as fh:
+        assert next(csv.reader(fh)) == ["time", "event", *sorted(init)]
+
+
+def test_extra_init_names_become_columns_of_their_own_run(watertank, tmp_path):
+    """A library caller's init may name variables the system lacks. That
+    run gets its own layout, compiled on first use: the extra names keep
+    their values in every point and in the CSV, and every other value is
+    the run without them, bit for bit."""
+    schedule = Schedule(seed=3, horizon=2.0)
+    plain = run(watertank, schedule, WT_INIT)
+    extra = run(watertank, schedule, {**WT_INIT, "zzz": 5, "aaa": "=wl"})
+    assert extra.variables() == sorted(["aaa", *plain.variables(), "zzz"])
+    assert len(extra.points) == len(plain.points)
+    for p, q in zip(plain.points, extra.points):
+        assert (q.values.pop("zzz"), q.values.pop("aaa")) == (5.0, 5.0)
+        assert (q.time, q.event, q.values) == (p.time, p.event, p.values)
+    path = tmp_path / "extra.csv"
+    write_trace_csv(run(watertank, schedule, {**WT_INIT, "zzz": 5}), path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["zzz"] == "5.0" for row in rows)
+    box = {"wl": [3.6, 6.4], "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0, "zzz": 2}
+    assert run_batch(watertank, 2, 1, box).variable_ranges["zzz"] == (2.0, 2.0)

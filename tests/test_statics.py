@@ -17,23 +17,41 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import randgen
 from ccskit.ast import (
+    And,
     Assign,
+    Box,
     Choice,
     Compare,
+    Exists,
+    FalseF,
+    Forall,
+    Loop,
     Minus,
+    Neg,
+    Not,
     ODE,
     Plus,
     Rational,
     Seq,
+    Term,
     Test as Guard,
+    TrueF,
     Variable,
     num,
     var,
+    walk,
 )
 from ccskit.dsl import parse_program_text
 from ccskit.simulator import compile_program
-from ccskit.statics import all_vars, bound_vars, free_vars, must_bound_vars
+from ccskit.statics import (
+    all_vars,
+    bound_vars,
+    free_and_bound_vars,
+    free_vars,
+    must_bound_vars,
+)
 
 
 # --- the worked example kept as a golden vector ----------------------------
@@ -88,6 +106,96 @@ def test_ode_keeps_evolved_variable_free():
 def test_all_vars_is_the_union():
     p = _example()
     assert all_vars(p) == free_vars(p) | bound_vars(p)
+
+
+def _walked_vars(node) -> frozenset:
+    """The reference for all_vars: the names in `node`, collected through
+    the generic `walk`."""
+    out = set()
+    for sub in walk(node):
+        if isinstance(sub, Variable):
+            out.add(sub.name)
+        elif isinstance(sub, Assign):
+            out.add(sub.var)
+        elif isinstance(sub, ODE):
+            out.update(v for v, _ in sub.equations)
+        elif isinstance(sub, (Forall, Exists)):
+            out.add(sub.var)
+    return frozenset(out)
+
+
+_VAR_NAMES = ["w", "x", "y"]
+_FORMULAS = randgen.formulas(_VAR_NAMES)
+_ANY_PROGRAMS = st.recursive(
+    st.one_of(
+        st.builds(Assign, st.sampled_from(_VAR_NAMES), randgen.terms(_VAR_NAMES)),
+        st.builds(Guard, _FORMULAS),
+        st.builds(
+            lambda v, rhs, domain: ODE(((v, rhs),), domain),
+            st.sampled_from(_VAR_NAMES),
+            randgen.terms(_VAR_NAMES),
+            _FORMULAS,
+        ),
+    ),
+    lambda sub: st.one_of(st.builds(Seq, sub, sub), st.builds(Choice, sub, sub), sub.map(Loop)),
+    max_leaves=5,
+)
+_NODES = st.one_of(
+    randgen.terms(_VAR_NAMES),
+    _ANY_PROGRAMS,
+    st.recursive(
+        _FORMULAS,
+        lambda sub: st.one_of(
+            st.builds(Box, _ANY_PROGRAMS, sub),
+            st.builds(Forall, st.sampled_from(_VAR_NAMES), sub),
+            st.builds(Exists, st.sampled_from(_VAR_NAMES), sub),
+            sub.map(Not),
+            st.builds(And, sub, sub),
+        ),
+        max_leaves=4,
+    ),
+)
+
+
+def _equation_free_vars(node) -> frozenset:
+    """The reference for free_vars: the set equations, node by node."""
+    fv = _equation_free_vars
+    if isinstance(node, Variable):
+        return frozenset({node.name})
+    if isinstance(node, (Rational, TrueF, FalseF)):
+        return frozenset()
+    if isinstance(node, (Neg, Not)):
+        return fv(node.operand)
+    if isinstance(node, (Forall, Exists)):
+        return fv(node.body) - {node.var}
+    if isinstance(node, Box):
+        return fv(node.program) | (fv(node.post) - must_bound_vars(node.program))
+    if isinstance(node, Seq):
+        return fv(node.first) | (fv(node.second) - must_bound_vars(node.first))
+    if isinstance(node, Guard):
+        return fv(node.condition)
+    if isinstance(node, Assign):
+        return fv(node.rhs)
+    if isinstance(node, Loop):
+        return fv(node.body)
+    if isinstance(node, ODE):
+        out = frozenset(v for v, _ in node.equations) | fv(node.domain)
+        return out.union(*(fv(rhs) for _, rhs in node.equations))
+    return fv(node.left) | fv(node.right)
+
+
+@given(_NODES)
+@settings(max_examples=300, deadline=None)
+def test_variable_sets_match_their_reference_definitions(node):
+    """The one direct recursion finds the free names the set equations
+    give and the bound names `bound_vars` gives, each bound name once;
+    together they are the names the generic walk finds, as a formula or
+    program has no variable that is neither free nor bound."""
+    free, written = free_and_bound_vars(node)
+    assert free == free_vars(node) == _equation_free_vars(node)
+    assert len(set(written)) == len(written)
+    assert set(written) == (set() if isinstance(node, Term) else bound_vars(node))
+    assert all_vars(node) == free | set(written) == _walked_vars(node)
 
 
 def test_corpus_controller_sets(watertank):
