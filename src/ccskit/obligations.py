@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import itemgetter
 from typing import Callable
 
 from .ast import (
@@ -83,6 +82,7 @@ from .simulator import (
     compile_program_over,
     compile_setter,
     compile_source,
+    compile_tuple,
     emit_formula,
     slots_of,
 )
@@ -720,9 +720,9 @@ def _compiled_goal(
     box so share the compiled code of their common programs and flows.
     `point(combo)` is the state of one grid point, whose combo holds a
     coordinate per sorted root and then None: each free name takes its
-    root's coordinate, and every other slot is unset. An implication's sides are compiled apart, so a point
-    counts as checked only when the antecedent holds; any other goal
-    has the antecedent `true`.
+    root's coordinate, and every other slot is unset. An implication's
+    sides are compiled apart, so a point counts as checked only when the
+    antecedent holds; any other goal has the antecedent `true`.
 
     An obligation `ob` keeps the last result in its `_compiled` slot,
     keyed by `flow_samples`, `roots` and `box_names` (which with the
@@ -737,8 +737,9 @@ def _compiled_goal(
     layout = tuple(sorted({*written, *box_names}))
     slots = slots_of(layout)
     column = {k: i for i, k in enumerate(keys)}
-    at = [column.get(roots.get(n, n), len(keys)) for n in layout]
-    point = itemgetter(*at) if len(at) > 1 else lambda c: tuple(c[i] for i in at)
+    point = compile_tuple(
+        "c", (f"c[{column.get(roots.get(n, n), len(keys))}]" for n in layout)
+    )
     compile_prog = functools.partial(
         compile_program_over,
         slots=slots,

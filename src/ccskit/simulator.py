@@ -34,11 +34,12 @@ invariant residual per sample.
 A state is a tuple of floats over a layout, an ordered tuple of
 variable names; the generated code reads and writes slot `s[i]` and
 rebuilds a state as one full-width tuple. A run's layout is
-`sorted(system_variables)`, the CSV's column order (an init naming
-extra variables gets its own layout, compiled on first use). Dicts
-are built only where a state leaves the module: `TracePoint.values`,
-`MonitorViolation.values`, the CSV, and the dict wrappers
-`compile_term`/`compile_formula`/`compile_program` for library callers.
+`sorted(system_variables)`, the CSV's column order; an init entry
+naming no variable of the system only serves as an alias target and is
+not part of the state. Dicts are built only where a state leaves the
+module: `TracePoint.values`, `MonitorViolation.values`, the CSV, and
+the dict wrappers `compile_term`/`compile_formula`/`compile_program`
+for library callers.
 """
 
 from __future__ import annotations
@@ -155,7 +156,8 @@ def emit_term(t: Term, slots: Slots, depth: int | None = 0) -> str:
     if isinstance(t, Variable):
         return f"s[{slots[t.name]}]"
     if isinstance(t, Rational):
-        return repr(float(t.value))
+        # float(Fraction), without its generic dispatch.
+        return repr(t.value.numerator / t.value.denominator)
     if isinstance(t, Neg):
         return f"(-{emit_term(t.operand, slots, depth)})"
     if isinstance(t, Divide):
@@ -223,7 +225,7 @@ def _tuple_source(items: Iterable[str]) -> str:
     return "(" + "".join(f"{e}, " for e in items) + ")"
 
 
-def _compile_tuple(params: str, items: Iterable[str]) -> Callable:
+def compile_tuple(params: str, items: Iterable[str]) -> Callable:
     """A function of `params` returning the tuple of the `items` sources."""
     return compile_source(params, _tuple_source(items))
 
@@ -328,7 +330,7 @@ class FlowSegment:
         # slopes(state): the right-hand sides, in equation order.
         # at(state, slopes, dt): state + slopes * dt on the evolved
         # variables; _shift(state, k, c): state + c * k, as RK4 writes it.
-        self.slopes = _compile_tuple(
+        self.slopes = compile_tuple(
             "s", [emit_term(e, slots) for _, e in ode.equations]
         )
         moved = list(enumerate(slots[v] for v in self.vars))
@@ -347,7 +349,7 @@ class FlowSegment:
         affine = parts if self.domain_affine else []
         self.affine_ops = tuple(c.op for c in affine)
         gaps = (f"({emit_term(c.left, slots)} - {emit_term(c.right, slots)})" for c in affine)
-        self.gaps = _compile_tuple("s", gaps)
+        self.gaps = compile_tuple("s", gaps)
         # (slot of x, e) per domain conjunct `x <= e` or `x < e` on an
         # evolved x; flow_states sizes its scan step from them when it scans.
         self.upper_bounds = tuple(
@@ -669,9 +671,10 @@ def compile_program(
     """`compile_program_over` on dict states, for library callers: a
     function from a dict state (name -> float) to every final state of
     `p` from it as a dict, calling `on_truncate()` for each cut. The dict
-    must hold every name `p` reads before writing it. An output state
-    lists the input's names first, in their order, then the other names
-    the path wrote, in the order `p` first writes them.
+    must hold every free name of `p` (KeyError names the first missing
+    one, sorted). An output state lists the input's names first, in their
+    order, then the other names the path wrote, in the order `p` first
+    binds them (whatever order that path wrote them in).
     """
     try:
         free, written = free_and_bound_vars(p)
@@ -681,7 +684,8 @@ def compile_program(
     fn = compile_program_over(p, slots_of(layout), unroll, flow_samples)
 
     def on_dicts(d: dict) -> list[dict]:
-        finals = fn(tuple(d.get(n) for n in layout), on_truncate)
+        start = tuple(d[n] if n in free else d.get(n) for n in layout)
+        finals = fn(start, on_truncate)
         return [
             {**d, **{n: v for n, v in zip(layout, r) if v is not None}}
             for r in finals
@@ -854,18 +858,17 @@ def _monitors(system: MCCS) -> list[tuple[str, Formula]]:
 
 
 class CompiledSystem:
-    """One closed loop, compiled once for any number of runs over one
-    layout (by default `sorted(system_variables)`, the CSV's column
-    order): the guarded flow segment, the controller programs, the
-    monitors, the init obligations and the invariant's equality conjuncts
-    (whose |lhs - rhs| is the residual), plus the step sizes derived from
-    the time bounds.
+    """One closed loop, compiled once for any number of runs over the
+    layout `sorted(system_variables)`, the CSV's column order: the
+    guarded flow segment, the controller programs, the monitors, the init
+    obligations and the invariant's equality conjuncts (whose |lhs - rhs|
+    is the residual), plus the step sizes derived from the time bounds.
     """
 
-    def __init__(self, system: MCCS, layout: tuple[str, ...] | None = None):
+    def __init__(self, system: MCCS):
         self.system = system
         self.variables = system_variables(system)
-        self.layout = tuple(sorted(self.variables)) if layout is None else layout
+        self.layout = tuple(sorted(self.variables))
         slots = self.slots = slots_of(self.layout)
         self.clock = slots[CLOCK]
         self.env_pins = system.env.constants()
@@ -876,15 +879,14 @@ class CompiledSystem:
         self.h = min(self.delta, cap) / 100.0
         self.eps = self.h / 10.0
         self.segment = FlowSegment(system.guarded_ode(), slots)
-        # (name, timestamp slot, program) per controller; a firing stamps
-        # its timestamp with the clock, so the program ends `tau := t`.
+        # (name, timestamp slot, program, stamp) per controller; a firing
+        # sets its timestamp to the clock with `stamp(s, t)`.
         self.controllers = [
             (
                 rc.name,
                 slots[rc.timestamp],
-                compile_program_over(
-                    Seq(rc.ctrl, Assign(rc.timestamp, Variable(CLOCK))), slots
-                ),
+                compile_program_over(rc.ctrl, slots),
+                compile_setter(slots, rc.timestamp),
             )
             for rc in system.controller.choices
         ]
@@ -899,16 +901,6 @@ class CompiledSystem:
             if isinstance(c, Compare) and c.op == "="
         )
         self.residual = compile_source("s, m", f"max(m{gaps})" if gaps else "m")
-        self._layouts: dict[tuple[str, ...], CompiledSystem] = {}
-
-    def for_layout(self, layout: tuple[str, ...]) -> CompiledSystem:
-        """This system over `layout`, compiled on first use: a run whose
-        init names variables the system lacks keeps them as columns."""
-        if layout == self.layout:
-            return self
-        if layout not in self._layouts:
-            self._layouts[layout] = CompiledSystem(self.system, layout)
-        return self._layouts[layout]
 
     def holds(self, *formulas: Formula) -> Callable[[State], bool]:
         """One function: every formula holds. Only when it is false need
@@ -937,12 +929,11 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
 
 def _run(
     cs: CompiledSystem, schedule: Schedule, init: dict, keep: bool
-) -> tuple[Trace, tuple[str, ...], list[State]]:
+) -> tuple[Trace, list[State]]:
     """`run` over a compiled system. Returns the trace, whose points are
-    filled only with `keep`, the run's layout and every sampled state.
+    filled only with `keep`, and every sampled state.
     """
     values = _complete_init(cs.variables, cs.env_pins, init)
-    cs = cs.for_layout(tuple(sorted(values)))
     state = tuple(values[n] for n in cs.layout)
     if not cs.init_hold(state):
         for label, f in cs.init_obligations:
@@ -979,13 +970,13 @@ def _run(
     def try_fire_any(order: Iterable, s: State) -> tuple[State, str] | None:
         """The first controller in `order` whose guard has not expired and
         whose program has a final state fires."""
-        for name, timestamp, program in order:
+        for name, timestamp, program, stamp in order:
             if s[clock] > s[timestamp] + delta + BOUNDARY_TOLERANCE:
                 continue
             outs = program(s, _ignore)
             if outs:
                 after = outs[0] if len(outs) == 1 else rng.choice(outs)
-                return after, name
+                return stamp(after, after[clock]), name
         return None
 
     boundary(state)
@@ -1002,7 +993,7 @@ def _run(
         if to_horizon <= BOUNDARY_TOLERANCE:
             break
 
-        expiries = [state[timestamp] + delta for _, timestamp, _ in controllers]
+        expiries = [state[timestamp] + delta for _, timestamp, _, _ in controllers]
         next_expiry = min(expiries)
         guard_room = next_expiry - state[clock]
 
@@ -1080,7 +1071,7 @@ def _run(
     )
     # Every pass of the loop ends at a boundary, so the last point is one.
     trace = Trace(points, violations, state[clock], truncated, max_residual)
-    return trace, cs.layout, states
+    return trace, states
 
 
 def _evolve(
@@ -1197,7 +1188,7 @@ def run_batch(
         # batch only if the run finishes.
         keep = keep_first and i == 0
         try:
-            trace, layout, states = _run(cs, schedule, init, keep)
+            trace, states = _run(cs, schedule, init, keep)
         except StuckState:
             if keep:
                 raise
@@ -1209,7 +1200,7 @@ def run_batch(
             runs_with += 1
             for v in trace.violations:
                 violations[v.monitor] = violations.get(v.monitor, 0) + 1
-        for name, column in zip(layout, zip(*states)):
+        for name, column in zip(cs.layout, zip(*states)):
             lo, hi = ranges.get(name, (column[0], column[0]))
             ranges[name] = (min(lo, *column), max(hi, *column))
         max_residual = max(max_residual, trace.max_invariant_residual)

@@ -119,33 +119,9 @@ def _add_free(
 
 
 def bound_vars(node: Formula | Program) -> VarSet:
-    """Variables written (assigned or evolved) somewhere in `node`."""
-    if isinstance(node, (TrueF, FalseF, Compare)):
-        return EMPTY
-    if isinstance(node, Not):
-        return bound_vars(node.operand)
-    if isinstance(node, (And, Or, Implies)):
-        return bound_vars(node.left) | bound_vars(node.right)
-    if isinstance(node, (Forall, Exists)):
-        return bound_vars(node.body) | {node.var}
-    if isinstance(node, Box):
-        return bound_vars(node.program) | bound_vars(node.post)
-    if isinstance(node, Test):
-        return EMPTY
-    if isinstance(node, Assign):
-        return frozenset((node.var,))
-    if isinstance(node, ODE):
-        return frozenset(v for v, _ in node.equations)
-    if isinstance(node, (Seq, Choice)):
-        a, b = (
-            (node.first, node.second)
-            if isinstance(node, Seq)
-            else (node.left, node.right)
-        )
-        return bound_vars(a) | bound_vars(b)
-    if isinstance(node, Loop):
-        return bound_vars(node.body)
-    raise TypeError(f"not a formula or program: {node!r}")
+    """Variables written (assigned or evolved) or quantified somewhere in
+    `node`."""
+    return frozenset(free_and_bound_vars(node)[1])
 
 
 def must_bound_vars(program: Program) -> VarSet:

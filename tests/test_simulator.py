@@ -487,6 +487,20 @@ def test_compiled_programs_list_the_reference_states_in_order(p, s):
     assert _listed(compile_program(p), s) == _listed(_tree_program, p, s)
 
 
+def test_compiled_programs_on_partial_dicts():
+    """A dict state must hold every free name of the program, or KeyError
+    names the one missing, as the reference raises when it reads it. The
+    names a path adds follow the input's own, in the order the program
+    first binds them, whatever order that path wrote them in."""
+    p = dsl.parse_program_text("(x := 1 U y := 2); y := 3; x := 4")
+    got = compile_program(p)({"z": 0.0})
+    assert got == _tree_program(p, {"z": 0.0}) == [{"z": 0.0, "x": 4.0, "y": 3.0}] * 2
+    assert [list(r) for r in got] == [["z", "x", "y"]] * 2
+    q = dsl.parse_program_text("y := x + 1; z := w")
+    assert _listed(compile_program(q), {"x": 1.0}) == ("KeyError", "'w'")
+    assert _listed(_tree_program, q, {"x": 1.0}) == ("KeyError", "'w'")
+
+
 @pytest.mark.parametrize(
     "s, expected",
     [
@@ -825,23 +839,19 @@ def test_awkward_names_in_a_run(tmp_path):
         assert next(csv.reader(fh)) == ["time", "event", *sorted(init)]
 
 
-def test_extra_init_names_become_columns_of_their_own_run(watertank, tmp_path):
-    """A library caller's init may name variables the system lacks. That
-    run gets its own layout, compiled on first use: the extra names keep
-    their values in every point and in the CSV, and every other value is
-    the run without them, bit for bit."""
+def test_init_names_outside_the_system_are_not_state(watertank, tmp_path):
+    """A library caller's init may name variables the system lacks (the
+    CLI rejects them). Such a name can be an alias target, but it is not
+    part of the state: the run, its CSV and its batch are bit for bit the
+    run with the alias resolved."""
     schedule = Schedule(seed=3, horizon=2.0)
     plain = run(watertank, schedule, WT_INIT)
-    extra = run(watertank, schedule, {**WT_INIT, "zzz": 5, "aaa": "=wl"})
-    assert extra.variables() == sorted(["aaa", *plain.variables(), "zzz"])
-    assert len(extra.points) == len(plain.points)
-    for p, q in zip(plain.points, extra.points):
-        assert (q.values.pop("zzz"), q.values.pop("aaa")) == (5.0, 5.0)
-        assert (q.time, q.event, q.values) == (p.time, p.event, p.values)
-    path = tmp_path / "extra.csv"
-    write_trace_csv(run(watertank, schedule, {**WT_INIT, "zzz": 5}), path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows and all(row["zzz"] == "5.0" for row in rows)
-    box = {"wl": [3.6, 6.4], "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0, "zzz": 2}
-    assert run_batch(watertank, 2, 1, box).variable_ranges["zzz"] == (2.0, 2.0)
+    extra = run(watertank, schedule, {**WT_INIT, "zzz": 5, "aaa": "=wl", "wlm": "=aaa"})
+    assert extra == plain and extra.variables() == plain.variables()
+    assert [p.values for p in extra.points] == [p.values for p in plain.points]
+    paths = tmp_path / "plain.csv", tmp_path / "extra.csv"
+    for trace, path in zip((plain, extra), paths):
+        write_trace_csv(trace, path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    box = {"wl": [3.6, 6.4], "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
+    assert run_batch(watertank, 2, 1, {**box, "zzz": 2}) == run_batch(watertank, 2, 1, box)

@@ -35,7 +35,6 @@ from ccskit.ast import (
     Plus,
     Rational,
     Seq,
-    Term,
     Test as Guard,
     TrueF,
     Variable,
@@ -108,20 +107,23 @@ def test_all_vars_is_the_union():
     assert all_vars(p) == free_vars(p) | bound_vars(p)
 
 
-def _walked_vars(node) -> frozenset:
-    """The reference for all_vars: the names in `node`, collected through
-    the generic `walk`."""
+def _walked_bound_vars(node) -> frozenset:
+    """The reference for bound_vars: the names assigned, evolved or
+    quantified in `node`, collected through the generic `walk`."""
     out = set()
     for sub in walk(node):
-        if isinstance(sub, Variable):
-            out.add(sub.name)
-        elif isinstance(sub, Assign):
+        if isinstance(sub, (Assign, Forall, Exists)):
             out.add(sub.var)
         elif isinstance(sub, ODE):
             out.update(v for v, _ in sub.equations)
-        elif isinstance(sub, (Forall, Exists)):
-            out.add(sub.var)
     return frozenset(out)
+
+
+def _walked_vars(node) -> frozenset:
+    """The reference for all_vars: the names read in `node` plus
+    `_walked_bound_vars`."""
+    read = {sub.name for sub in walk(node) if isinstance(sub, Variable)}
+    return frozenset(read) | _walked_bound_vars(node)
 
 
 _VAR_NAMES = ["w", "x", "y"]
@@ -188,13 +190,13 @@ def _equation_free_vars(node) -> frozenset:
 @settings(max_examples=300, deadline=None)
 def test_variable_sets_match_their_reference_definitions(node):
     """The one direct recursion finds the free names the set equations
-    give and the bound names `bound_vars` gives, each bound name once;
+    give and the bound names the generic walk finds, each bound name once;
     together they are the names the generic walk finds, as a formula or
     program has no variable that is neither free nor bound."""
     free, written = free_and_bound_vars(node)
     assert free == free_vars(node) == _equation_free_vars(node)
     assert len(set(written)) == len(written)
-    assert set(written) == (set() if isinstance(node, Term) else bound_vars(node))
+    assert set(written) == bound_vars(node) == _walked_bound_vars(node)
     assert all_vars(node) == free | set(written) == _walked_vars(node)
 
 
