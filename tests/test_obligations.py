@@ -39,7 +39,11 @@ from ccskit.components import (
     make_reactive_controller,
     with_contract,
 )
-from ccskit.errors import BoundOccursInBehavior, UnboundedVariable
+from ccskit.errors import (
+    BoundOccursInBehavior,
+    ReactivityExceedsControllability,
+    UnboundedVariable,
+)
 from ccskit.obligations import (
     ProofObligation,
     check_bounded,
@@ -183,6 +187,44 @@ def test_golden_file_matches_plants(golden_dir, two_tanks_parts):
     obs = obligations_plants(cps[0], cps[1], env=env, invariant=invariant)
     assert [o.to_json() for o in obs] == _golden(
         golden_dir, "two_tanks_plants_obligations.json"
+    )
+
+
+@pytest.mark.parametrize(
+    "fname,model",
+    [
+        ("watertank_tight_obligations.json", "watertank_tight"),
+        ("watertank_late_ctrl_obligations.json", "watertank_late_ctrl"),
+    ],
+)
+def test_golden_files_match_other_closed_loops(fname, model, golden_dir, corpus_dir):
+    system = dsl.load_file(corpus_dir / f"{model}.ccs")
+    emitted = [o.to_json() for o in obligations_ccs(system)]
+    assert emitted == _golden(golden_dir, fname)
+
+
+@pytest.fixture(scope="module")
+def two_tanks_slow_parts(corpus_dir):
+    return dsl.build_components((corpus_dir / "two_tanks_slow.ccs").read_text())
+
+
+def test_golden_files_match_the_slow_pairs(golden_dir, two_tanks_slow_parts):
+    _, rcs, cps, env, invariant = two_tanks_slow_parts
+    obs = obligations_controllers(rcs[0], rcs[1], env=env, invariant=invariant)
+    assert [o.to_json() for o in obs] == _golden(
+        golden_dir, "two_tanks_slow_controllers_obligations.json"
+    )
+    obs = obligations_plants(cps[0], cps[1], env=env, invariant=invariant)
+    assert [o.to_json() for o in obs] == _golden(
+        golden_dir, "two_tanks_slow_plants_obligations.json"
+    )
+
+
+def test_slow_closed_loop_has_no_obligations(two_tanks_slow_parts):
+    with pytest.raises(ReactivityExceedsControllability) as e:
+        obligations_ccs(dsl.assemble(two_tanks_slow_parts))
+    assert str(e.value) == (
+        "controller scheduling cost 0.2 exceeds plant controllability 0.15"
     )
 
 
