@@ -759,23 +759,15 @@ def source_of_system(system: MCCS) -> ModelSource:
     reproduces the original joint bound when that is how the system was
     built. Only constant-pinning environments can be represented.
     """
-    pins = system.env.constants()
-    pinned_names = set()
     for c in conjuncts(system.env.formula):
-        if isinstance(c, TrueF):
-            continue
-        if isinstance(c, Compare) and c.op == "=":
-            if isinstance(c.left, Variable) and isinstance(c.right, Rational):
-                pinned_names.add(c.left.name)
-                continue
-            if isinstance(c.right, Variable) and isinstance(c.left, Rational):
-                pinned_names.add(c.right.name)
-                continue
-        raise CcsError(
-            "environment constraint is not a constant pin and cannot be "
-            "written as a const declaration: " + print_formula(c)
-        )
-    consts = tuple(ConstDecl(n, pins[n]) for n in sorted(pinned_names))
+        if not isinstance(c, TrueF) and not Environment(c).constants():
+            raise CcsError(
+                "environment constraint is not a constant pin and cannot be "
+                "written as a const declaration: " + print_formula(c)
+            )
+    consts = tuple(
+        ConstDecl(n, q) for n, q in sorted(system.env.constants().items())
+    )
     controllers = tuple(
         ControllerDecl(rc.name, rc.reactivity, rc.ctrl)
         for rc in system.controller.choices

@@ -1,10 +1,13 @@
 """Proof decomposition for composed systems, plus a bounded falsifier.
 
-Each composition rule unfolds into a fixed obligation list: loop
-induction with the invariant `A_a & G_a & A_b & G_b & J` gives one base
-case, one use case and eight induction steps (one per loop branch and
-invariant conjunct), and the cross-component invariant J and the mutual
-assumptions contribute their own side conditions. An obligation is a
+Each composition rule unfolds into a fixed obligation list by one loop
+induction over a loop of two sides a and b, with the invariant
+`A_a & G_a & A_b & G_b & J` (`_loop_induction`): one base case, one use
+case, one induction step per loop branch and invariant conjunct, J's
+establishment and its maintenance by each side, and the two mutual
+compatibility conditions. A rule supplies only what differs: the two
+contracts and programs, J, the environment, the controller timestamps,
+its steps, and the notes whose wording is its own. An obligation is a
 closed dL formula plus a discharge hint naming the argument expected to
 close it:
 
@@ -61,6 +64,7 @@ from .ast import (
 )
 from .components import (
     CLOCK,
+    Contract,
     MCCS,
     ControllablePlant,
     Environment,
@@ -76,7 +80,7 @@ from .composition import (
     non_interference_controllers,
     raise_on_violations,
 )
-from .errors import BoundOccursInBehavior, CcsError, UnboundedVariable
+from .errors import BoundOccursInBehavior, CcsError
 from .simulator import (
     alias_root,
     compile_program_over,
@@ -166,10 +170,89 @@ def obligation_from_json(data: dict) -> ProofObligation:
     )
 
 
-def _obligation_list(theorem: str, rows) -> list[ProofObligation]:
-    """One obligation per `(case, hint, goal, *notes)` row, with id
-    `<theorem>.<case>` and dots for dashes.
+# ---------------------------------------------------------------------------
+# Loop induction over a two-sided loop
+
+
+def _fmt_names(names) -> str:
+    return "{" + ", ".join(sorted(names)) + "}"
+
+
+def _loop_invariant(ca: Contract, cb: Contract, J: Formula) -> Formula:
+    return conj(ca.assume, ca.guarantee, cb.assume, cb.guarantee, J)
+
+
+def _loop_induction(
+    theorem: str,
+    a: tuple[str, Contract, Program],
+    b: tuple[str, Contract, Program],
+    env: Formula,
+    J: Formula,
+    timestamps: tuple[str, ...],
+    steps: list[tuple],
+    base_note: str,
+    survive_notes: tuple[str, str] = (
+        "the first side's assumption survives the second side's runs",
+        "the second side's assumption survives the first side's runs",
+    ),
+) -> list[ProofObligation]:
+    """Loop induction with the invariant `inv = A_a & G_a & A_b & G_b & J`
+    over a loop of two sides, each a (label, contract, own program).
+
+    The obligations, with ids `<theorem>.<case>` and dots for dashes:
+    base and use; `step-<i>` for the i-th `(hint, program, post, *notes)`
+    of `steps`, with the goal `inv -> [program] post`; J's establishment
+    from both inits (`jcmp-init`) and its maintenance by each side's own
+    program (`jcmp-<label>`); and the two compatibility conditions, a's
+    assumption surviving b's runs (`compat-ab`) and the converse. Base
+    and jcmp-init also assume that every controller timestamp starts
+    equal to the global clock (the closed loop is assembled that way),
+    which is what makes measurement-style invariants true at time zero.
     """
+    (label_a, ca, own_a), (label_b, cb, own_b) = a, b
+    A_a, G_a, I_a = ca.assume, ca.guarantee, ca.init
+    A_b, G_b, I_b = cb.assume, cb.guarantee, cb.init
+    inv = _loop_invariant(ca, cb, J)
+    timing = [Compare("=", Variable(ts), Variable(CLOCK)) for ts in timestamps]
+    timing_notes = ["timestamps equal the clock on loop entry"] if timing else []
+    rows = [
+        (
+            "base",
+            "component-proof-reuse",
+            Implies(conj(env, I_a, I_b, *timing, A_a, A_b), inv),
+            base_note,
+        ),
+        (
+            "use",
+            "component-proof-reuse",
+            Implies(inv, conj(G_a, G_b)),
+            "propositional: both guarantees are conjuncts of the loop invariant",
+        ),
+        *(
+            (f"step-{i}", hint, Implies(inv, Box(program, post)), *notes)
+            for i, (hint, program, post, *notes) in enumerate(steps, 1)
+        ),
+        (
+            "jcmp-init",
+            "composition-invariant",
+            Implies(conj(I_a, I_b, *timing), J),
+            *timing_notes,
+        ),
+        (f"jcmp-{label_a}", "composition-invariant", Implies(J, Box(own_a, J))),
+        (f"jcmp-{label_b}", "composition-invariant", Implies(J, Box(own_b, J))),
+        (
+            "compat-ab",
+            "compatibility",
+            Implies(A_a, Box(own_b, Implies(conj(G_b, J), A_a))),
+            survive_notes[0],
+        ),
+        (
+            "compat-ba",
+            "compatibility",
+            Implies(A_b, Box(own_a, Implies(conj(G_a, J), A_b))),
+            survive_notes[1],
+        ),
+    ]
     return [
         ProofObligation(
             id=f"{theorem}.{case}".replace("-", "."),
@@ -187,19 +270,6 @@ def _obligation_list(theorem: str, rows) -> list[ProofObligation]:
 # Closed-loop systems: 15 obligations
 
 
-def _timing_init(timestamps: tuple[str, ...]) -> list[Formula]:
-    """Loop-entry clock facts: every controller timestamp starts equal to
-
-    the global clock (the closed loop is assembled that way), which is
-    what makes measurement-style invariants true at time zero.
-    """
-    return [Compare("=", Variable(ts), Variable(CLOCK)) for ts in timestamps]
-
-
-def _fmt_names(names) -> str:
-    return "{" + ", ".join(sorted(names)) + "}"
-
-
 def obligations_ccs(system: MCCS) -> list[ProofObligation]:
     """The full decomposition for one closed loop: always exactly 15.
 
@@ -214,116 +284,92 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
     plant = system.plant
     cc = ctrl.contract
     pc = plant.require_contract()
-    env = system.env.formula
     J = system.invariant
-    A_c, G_c, I_c = cc.assume, cc.guarantee, cc.init
-    A_p, G_p, I_p = pc.assume, pc.guarantee, pc.init
+    A_c, G_c = cc.assume, cc.guarantee
+    A_p, G_p = pc.assume, pc.guarantee
 
-    inv = conj(A_c, G_c, A_p, G_p, J)
-    timing = _timing_init(ctrl.timestamps)
+    inv = _loop_invariant(cc, pc, J)
     ctrl_prog = ctrl.to_program()
     ctrl_bare = choice(*(rc.ctrl for rc in ctrl.choices))
-    delta = ctrl.reactivity
-    plant_delta: Program = plant.to_program(bound=delta)
+    plant_delta: Program = plant.to_program(bound=ctrl.reactivity)
     plant_own: Program = plant.to_program()
-    delta_txt = fraction_to_text(delta)
-    cap_txt = fraction_to_text(plant.controllability)
+    link_note = (
+        f"link: {fraction_to_text(ctrl.reactivity)} <= "
+        f"{fraction_to_text(plant.controllability)} (arithmetic, auto-discharged)"
+    )
     theorem = "thm1" if len(ctrl.choices) == 1 else "thm4"
 
-    return _obligation_list(theorem, [
+    steps = [
         (
-            "base",
             "component-proof-reuse",
-            Implies(conj(env, I_c, I_p, *timing, A_c, A_p), inv),
-            "each component's contract supplies its own conjuncts; the "
-            "timestamp equalities hold on loop entry and close the invariant",
-        ),
-        (
-            "use",
-            "component-proof-reuse",
-            Implies(inv, conj(G_c, G_p)),
-            "propositional: both guarantees are conjuncts of the loop invariant",
-        ),
-        (
-            "step-1",
-            "component-proof-reuse",
-            Implies(inv, Box(ctrl_prog, conj(A_c, G_c))),
+            ctrl_prog,
+            conj(A_c, G_c),
             "reuses the controller's own inductive step: "
             + print_formula(Implies(G_c, Box(ctrl_bare, G_c))),
         ),
         (
-            "step-2",
             "composition-invariant",
-            Implies(inv, Box(ctrl_prog, J)),
+            ctrl_prog,
+            J,
             f"reuses the maintenance condition {theorem}.jcmp.ctrl",
         ),
         (
-            "step-3",
             "fv-bv-separation",
-            Implies(inv, Box(ctrl_prog, G_p)),
+            ctrl_prog,
+            G_p,
             "controller writes "
             + _fmt_names(bound_vars(ctrl_prog))
             + " avoid the plant guarantee's free variables "
             + _fmt_names(free_vars(G_p)),
         ),
         (
-            "step-4",
             "compatibility",
-            Implies(inv, Box(ctrl_prog, A_p)),
+            ctrl_prog,
+            A_p,
             f"follows from step-1 and step-2 with {theorem}.compat.ba",
         ),
         (
-            "step-5",
             "fv-bv-separation",
-            Implies(inv, Box(plant_delta, G_c)),
+            plant_delta,
+            G_c,
             "evolved variables "
             + _fmt_names(plant.evolved | {CLOCK})
             + " avoid the controller guarantee's free variables "
             + _fmt_names(free_vars(G_c)),
         ),
-        (
-            "step-6",
-            "differential-refinement",
-            Implies(inv, Box(plant_own, conj(A_p, G_p))),
-            "in-system runs are cut short at the reactivity: "
-            + print_formula(Implies(inv, Box(plant_delta, conj(A_p, G_p)))),
-            f"link: {delta_txt} <= {cap_txt} (arithmetic, auto-discharged)",
+        *(
+            (
+                "differential-refinement",
+                plant_own,
+                post,
+                "in-system runs are cut short at the reactivity: "
+                + print_formula(Implies(inv, Box(plant_delta, post))),
+                link_note,
+            )
+            for post in (conj(A_p, G_p), J)
         ),
         (
-            "step-7",
-            "differential-refinement",
-            Implies(inv, Box(plant_own, J)),
-            "in-system runs are cut short at the reactivity: "
-            + print_formula(Implies(inv, Box(plant_delta, J))),
-            f"link: {delta_txt} <= {cap_txt} (arithmetic, auto-discharged)",
-        ),
-        (
-            "step-8",
             "compatibility",
-            Implies(inv, Box(plant_delta, A_c)),
+            plant_delta,
+            A_c,
             f"follows from step-6 and step-7 with {theorem}.compat.ab",
         ),
+    ]
+    return _loop_induction(
+        theorem,
+        ("ctrl", cc, ctrl_prog),
+        ("plant", pc, plant_own),
+        system.env.formula,
+        J,
+        ctrl.timestamps,
+        steps,
+        "each component's contract supplies its own conjuncts; the "
+        "timestamp equalities hold on loop entry and close the invariant",
         (
-            "jcmp-init",
-            "composition-invariant",
-            Implies(conj(I_c, I_p, *timing), J),
-            "timestamps equal the clock on loop entry",
-        ),
-        ("jcmp-ctrl", "composition-invariant", Implies(J, Box(ctrl_prog, J))),
-        ("jcmp-plant", "composition-invariant", Implies(J, Box(plant_own, J))),
-        (
-            "compat-ab",
-            "compatibility",
-            Implies(A_c, Box(plant_own, Implies(conj(G_p, J), A_c))),
             "the controller's assumption survives any plant run",
-        ),
-        (
-            "compat-ba",
-            "compatibility",
-            Implies(A_p, Box(ctrl_prog, Implies(conj(G_c, J), A_p))),
             "the plant's assumption survives any controller run",
         ),
-    ])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,109 +420,72 @@ def obligations_controllers(
     prog_b = choice(*(rc.to_program(bound=joint) for rc in bm.choices))
     own_a = am.to_program()
     own_b = bm.to_program()
-    e = env.formula
-    A_a, G_a, I_a = am.contract.assume, am.contract.guarantee, am.contract.init
-    A_b, G_b, I_b = bm.contract.assume, bm.contract.guarantee, bm.contract.init
+    A_a, G_a = am.contract.assume, am.contract.guarantee
+    A_b, G_b = bm.contract.assume, bm.contract.guarantee
     J = invariant
-    inv = conj(A_a, G_a, A_b, G_b, J)
-    timing = _timing_init(am.timestamps + bm.timestamps)
-    joint_txt = fraction_to_text(joint)
 
-    reuse_note = (
-        "the bound name {name} occurs in neither behavior nor guarantee, so "
-        "the standalone proof transfers to the joint bound " + joint_txt + ": "
-    )
-    return _obligation_list("thm2", [
-        (
-            "base",
+    def reuse_step(m: MultiChoiceController, prog: Program, own: Program):
+        clause = conj(m.contract.assume, m.contract.guarantee)
+        return (
             "component-proof-reuse",
-            Implies(conj(e, I_a, I_b, *timing, A_a, A_b), inv),
-            "each side's contract supplies its own conjuncts; the timestamp "
-            "equalities hold on loop entry and close the invariant",
-        ),
+            prog,
+            clause,
+            "the bound name "
+            + ", ".join(rc.bound_name for rc in m.choices)
+            + " occurs in neither behavior nor guarantee, so the standalone "
+            f"proof transfers to the joint bound {fraction_to_text(joint)}: "
+            + print_formula(Implies(clause, Box(own, clause))),
+        )
+
+    def writes_note(prog: Program, guarantee: Formula) -> str:
+        return (
+            "writes "
+            + _fmt_names(bound_vars(prog))
+            + " avoid the other guarantee's free variables "
+            + _fmt_names(free_vars(guarantee))
+        )
+
+    steps = [
+        reuse_step(am, prog_a, own_a),
         (
-            "use",
-            "component-proof-reuse",
-            Implies(inv, conj(G_a, G_b)),
-            "propositional: both guarantees are conjuncts of the loop invariant",
-        ),
-        (
-            "step-1",
-            "component-proof-reuse",
-            Implies(inv, Box(prog_a, conj(A_a, G_a))),
-            reuse_note.format(name=", ".join(rc.bound_name for rc in am.choices))
-            + print_formula(Implies(conj(A_a, G_a), Box(own_a, conj(A_a, G_a)))),
-        ),
-        (
-            "step-2",
             "composition-invariant",
-            Implies(inv, Box(prog_a, J)),
+            prog_a,
+            J,
             "the bound name does not occur in the invariant; reuses thm2.jcmp.a",
         ),
+        ("fv-bv-separation", prog_a, G_b, writes_note(prog_a, G_b)),
         (
-            "step-3",
-            "fv-bv-separation",
-            Implies(inv, Box(prog_a, G_b)),
-            "writes "
-            + _fmt_names(bound_vars(prog_a))
-            + " avoid the other guarantee's free variables "
-            + _fmt_names(free_vars(G_b)),
-        ),
-        (
-            "step-4",
             "compatibility",
-            Implies(inv, Box(prog_a, A_b)),
+            prog_a,
+            A_b,
             "follows from step-1 and step-2 with thm2.compat.ba",
         ),
+        ("fv-bv-separation", prog_b, G_a, writes_note(prog_b, G_a)),
+        reuse_step(bm, prog_b, own_b),
         (
-            "step-5",
-            "fv-bv-separation",
-            Implies(inv, Box(prog_b, G_a)),
-            "writes "
-            + _fmt_names(bound_vars(prog_b))
-            + " avoid the other guarantee's free variables "
-            + _fmt_names(free_vars(G_a)),
-        ),
-        (
-            "step-6",
-            "component-proof-reuse",
-            Implies(inv, Box(prog_b, conj(A_b, G_b))),
-            reuse_note.format(name=", ".join(rc.bound_name for rc in bm.choices))
-            + print_formula(Implies(conj(A_b, G_b), Box(own_b, conj(A_b, G_b)))),
-        ),
-        (
-            "step-7",
             "composition-invariant",
-            Implies(inv, Box(prog_b, J)),
+            prog_b,
+            J,
             "the bound name does not occur in the invariant; reuses thm2.jcmp.b",
         ),
         (
-            "step-8",
             "compatibility",
-            Implies(inv, Box(prog_b, A_a)),
+            prog_b,
+            A_a,
             "follows from step-6 and step-7 with thm2.compat.ab",
         ),
-        (
-            "jcmp-init",
-            "composition-invariant",
-            Implies(conj(I_a, I_b, *timing), J),
-            "timestamps equal the clock on loop entry",
-        ),
-        ("jcmp-a", "composition-invariant", Implies(J, Box(own_a, J))),
-        ("jcmp-b", "composition-invariant", Implies(J, Box(own_b, J))),
-        (
-            "compat-ab",
-            "compatibility",
-            Implies(A_a, Box(own_b, Implies(conj(G_b, J), A_a))),
-            "the first side's assumption survives the second side's runs",
-        ),
-        (
-            "compat-ba",
-            "compatibility",
-            Implies(A_b, Box(own_a, Implies(conj(G_a, J), A_b))),
-            "the second side's assumption survives the first side's runs",
-        ),
-    ])
+    ]
+    return _loop_induction(
+        "thm2",
+        ("a", am.contract, own_a),
+        ("b", bm.contract, own_b),
+        env.formula,
+        J,
+        am.timestamps + bm.timestamps,
+        steps,
+        "each side's contract supplies its own conjuncts; the timestamp "
+        "equalities hold on loop entry and close the invariant",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +511,8 @@ def obligations_plants(
     joint = compose_plants(a, b)
     ca = a.require_contract()
     cb = b.require_contract()
-    e = env.formula
-    A_a, G_a, I_a = ca.assume, ca.guarantee, ca.init
-    A_b, G_b, I_b = cb.assume, cb.guarantee, cb.init
     J = invariant
-    inv = conj(A_a, G_a, A_b, G_b, J)
+    inv = _loop_invariant(ca, cb, J)
     bound = joint.controllability
     joint_prog = joint.to_program()
     min_txt = (
@@ -514,63 +520,39 @@ def obligations_plants(
         f"{fraction_to_text(b.controllability)}) = {fraction_to_text(bound)}"
     )
 
-    def ghosted(p: ControllablePlant, other: ControllablePlant) -> Program:
-        kept = p.replace(domain=conj(p.domain, other.domain))
-        return kept.to_program(bound=bound)
+    def reuse_step(p: ControllablePlant, other: ControllablePlant):
+        clause = conj(p.contract.assume, p.contract.guarantee)
+        ghosted = p.replace(domain=conj(p.domain, other.domain)).to_program(bound=bound)
+        return (
+            "component-proof-reuse",
+            joint_prog,
+            clause,
+            f"joint time bound {min_txt}",
+            "the other side's equations are removable ghosts here; retained "
+            "goal over own dynamics: "
+            + print_formula(Implies(inv, Box(ghosted, clause))),
+        )
 
-    return _obligation_list("thm3", [
+    steps = [
+        reuse_step(a, b),
+        reuse_step(b, a),
         (
-            "base",
-            "component-proof-reuse",
-            Implies(conj(e, I_a, I_b, A_a, A_b), inv),
-            "each side's contract supplies its own conjuncts",
-        ),
-        (
-            "use",
-            "component-proof-reuse",
-            Implies(inv, conj(G_a, G_b)),
-            "propositional: both guarantees are conjuncts of the loop invariant",
-        ),
-        (
-            "step-1",
-            "component-proof-reuse",
-            Implies(inv, Box(joint_prog, conj(A_a, G_a))),
-            f"joint time bound {min_txt}",
-            "the other side's equations are removable ghosts here; retained "
-            "goal over own dynamics: "
-            + print_formula(Implies(inv, Box(ghosted(a, b), conj(A_a, G_a)))),
-        ),
-        (
-            "step-2",
-            "component-proof-reuse",
-            Implies(inv, Box(joint_prog, conj(A_b, G_b))),
-            f"joint time bound {min_txt}",
-            "the other side's equations are removable ghosts here; retained "
-            "goal over own dynamics: "
-            + print_formula(Implies(inv, Box(ghosted(b, a), conj(A_b, G_b)))),
-        ),
-        (
-            "step-3",
             "composition-invariant",
-            Implies(inv, Box(joint_prog, J)),
+            joint_prog,
+            J,
             "reuses thm3.jcmp.a and thm3.jcmp.b over the joint flow",
         ),
-        ("jcmp-init", "composition-invariant", Implies(conj(I_a, I_b), J)),
-        ("jcmp-a", "composition-invariant", Implies(J, Box(a.to_program(), J))),
-        ("jcmp-b", "composition-invariant", Implies(J, Box(b.to_program(), J))),
-        (
-            "compat-ab",
-            "compatibility",
-            Implies(A_a, Box(b.to_program(), Implies(conj(G_b, J), A_a))),
-            "the first side's assumption survives the second side's runs",
-        ),
-        (
-            "compat-ba",
-            "compatibility",
-            Implies(A_b, Box(a.to_program(), Implies(conj(G_a, J), A_b))),
-            "the second side's assumption survives the first side's runs",
-        ),
-    ])
+    ]
+    return _loop_induction(
+        "thm3",
+        ("a", ca, a.to_program()),
+        ("b", cb, b.to_program()),
+        env.formula,
+        J,
+        (),
+        steps,
+        "each side's contract supplies its own conjuncts",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +580,7 @@ def _axis(spec, grid: int) -> tuple[float, ...]:
 
 
 def _quantifier_axis(domain_box: dict, grid: int, name: str) -> tuple[float, ...]:
-    if name not in domain_box:
-        raise UnboundedVariable(name)
-    return _axis(domain_box[name], grid)
+    return _axis(domain_box[alias_root(domain_box, name)], grid)
 
 
 def _has_modality(f: Formula) -> bool:

@@ -11,9 +11,9 @@ strategies are provided:
 * round-robin: controllers fire cyclically near each expiry.
 
 A controller program means what the bounded checker takes it to mean:
-`compile_program` gives the list of its final states, and a firing takes
-the only one, or a seeded uniform draw when there are several. A program
-with no final state (every branch failed a test) cannot fire.
+`compile_program_over` gives the list of its final states, and a firing
+takes the only one, or a seeded uniform draw when there are several. A
+program with no final state (every branch failed a test) cannot fire.
 
 Integration uses an exact closed form whenever every right-hand side is
 constant over a segment (none of its free variables are evolved), which
@@ -37,9 +37,7 @@ rebuilds a state as one full-width tuple. A run's layout is
 `sorted(system_variables)`, the CSV's column order; an init entry
 naming no variable of the system only serves as an alias target and is
 not part of the state. Dicts are built only where a state leaves the
-module: `TracePoint.values`, `MonitorViolation.values`, the CSV, and
-the dict wrappers `compile_term`/`compile_formula`/`compile_program`
-for library callers.
+module: `TracePoint.values`, `MonitorViolation.values` and the CSV.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ from .errors import (
     StuckState,
     UnboundedVariable,
 )
-from .statics import all_vars, free_and_bound_vars, free_vars
+from .statics import all_vars, free_vars
 
 # Equality comparisons share the invariant-residual budget: a conjunct
 # `a = b` holds when |a - b| <= 1e-9, which float drift over a 20s run of
@@ -239,40 +237,6 @@ def _emit_update(width: int, updates: dict[int, str]) -> str:
 def compile_setter(slots: Slots, name: str) -> Callable[[State, float], State]:
     """`(s, x)` -> a copy of the state `s` with `name` set to x."""
     return compile_source("s, x", _emit_update(len(slots), {slots[name]: "x"}))
-
-
-class _ByName:
-    """A dict state read through a layout: `v[i]` is `d[layout[i]]`, so a
-    name the dict lacks raises KeyError when it is read, as it would."""
-
-    __slots__ = ("d", "layout")
-
-    def __init__(self, d: dict, layout: tuple[str, ...]) -> None:
-        self.d = d
-        self.layout = layout
-
-    def __getitem__(self, i: int) -> float:
-        return self.d[self.layout[i]]
-
-
-@functools.lru_cache(maxsize=256)
-def _on_dicts(src: str, layout: tuple[str, ...]) -> Callable[[dict], object]:
-    fn = compile_source("s", src)
-    return lambda d: fn(_ByName(d, layout))
-
-
-def compile_term(t: Term) -> Callable[[dict], float]:
-    """`t` as a function of a dict state (name -> float), for library
-    callers: the tuple code of emit_term, reading the dict by name."""
-    layout = tuple(sorted(free_vars(t)))
-    return _on_dicts(emit_term(t, slots_of(layout)), layout)
-
-
-def compile_formula(f: Formula) -> Callable[[dict], bool]:
-    """`f` as a function of a dict state to its truth value (see
-    emit_formula and compile_term)."""
-    layout = tuple(sorted(free_vars(f)))
-    return _on_dicts(emit_formula(f, slots_of(layout)), layout)
 
 
 # ---------------------------------------------------------------------------
@@ -660,38 +624,6 @@ def _too_deep(p: Program, e: Exception) -> CcsError:
     return CcsError(
         f"program nests too deeply to compile ({type(e).__name__}): {text}"
     )
-
-
-def compile_program(
-    p: Program,
-    unroll: int = LOOP_CAP,
-    flow_samples: int = 32,
-    on_truncate: Callable[[], None] = _ignore,
-) -> Callable[[dict], list[dict]]:
-    """`compile_program_over` on dict states, for library callers: a
-    function from a dict state (name -> float) to every final state of
-    `p` from it as a dict, calling `on_truncate()` for each cut. The dict
-    must hold every free name of `p` (KeyError names the first missing
-    one, sorted). An output state lists the input's names first, in their
-    order, then the other names the path wrote, in the order `p` first
-    binds them (whatever order that path wrote them in).
-    """
-    try:
-        free, written = free_and_bound_vars(p)
-    except RecursionError as e:
-        raise _too_deep(p, e) from None
-    layout = (*sorted(free.difference(written)), *written)
-    fn = compile_program_over(p, slots_of(layout), unroll, flow_samples)
-
-    def on_dicts(d: dict) -> list[dict]:
-        start = tuple(d[n] if n in free else d.get(n) for n in layout)
-        finals = fn(start, on_truncate)
-        return [
-            {**d, **{n: v for n, v in zip(layout, r) if v is not None}}
-            for r in finals
-        ]
-
-    return on_dicts
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ import pytest
 from ccskit import dsl
 from ccskit.ast import (
     Compare,
+    conj,
     num,
     print_formula,
     print_program_inline,
 )
+from ccskit.components import Environment
 from ccskit.composition import CostModel
 from ccskit.errors import CcsError, ParseError, UnresolvedName
 
@@ -149,6 +151,17 @@ def test_serialize_composed_round_trips_to_equivalent_system(two_tanks, golden_d
     assert again.plant.controllability == two_tanks.plant.controllability
     assert again.plant.equations == two_tanks.plant.equations
     assert again.invariant == two_tanks.invariant
+
+
+def test_serialize_composed_rejects_an_environment_bound(watertank):
+    bound = dsl.parse_formula_text("fout <= 1")
+    env = Environment(conj(watertank.env.formula, bound))
+    with pytest.raises(CcsError) as e:
+        dsl.serialize_composed(watertank.replace(env=env))
+    assert str(e.value) == (
+        "environment constraint is not a constant pin and cannot be "
+        "written as a const declaration: fout <= 1"
+    )
 
 
 def test_source_of_system_keeps_component_programs(watertank):

@@ -550,6 +550,17 @@ def test_check_bounded_goal_shapes(shape):
     assert check_bounded(goal, box, grid=3).to_json() == expected
 
 
+def test_check_bounded_follows_aliases_of_quantified_names():
+    goal = dsl.parse_formula_text("forall v (v >= 0 -> x + v >= 0)")
+    aliased = check_bounded(goal, {"x": [0, 1], "w": [0, 2], "v": "=w"}, grid=3)
+    direct = check_bounded(goal, {"x": [0, 1], "w": [0, 2], "v": [0, 2]}, grid=3)
+    assert aliased.status == "holds"
+    assert aliased.to_json() == direct.to_json()
+    with pytest.raises(UnboundedVariable) as broken:
+        check_bounded(goal, {"x": [0, 1], "v": "=w"}, grid=3)
+    assert str(broken.value) == "'v' aliases 'w', which has no value or interval"
+
+
 def test_check_bounded_axes_quantifiers_when_reached():
     goal = Forall("z", Compare(">=", var("z"), var("x")))
     with pytest.raises(UnboundedVariable):

@@ -70,10 +70,8 @@ from ccskit.simulator import (
     Schedule,
     batch_member,
     batch_schedule_seed,
-    compile_formula,
-    compile_program,
-    _on_dicts,
-    compile_term,
+    compile_program_over,
+    compile_source,
     complete_init,
     emit_term,
     run,
@@ -82,7 +80,7 @@ from ccskit.simulator import (
     slots_of,
     write_trace_csv,
 )
-from ccskit.statics import all_vars
+from dict_states import formula_on_dicts, program_on_dicts, term_on_dicts
 
 WT_INIT = {"wl": 5.0, "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
 
@@ -162,28 +160,27 @@ _STATES = st.fixed_dictionaries({}, optional={n: _VALUES for n in AWKWARD_NAMES}
 def _comprehension_form(t):
     """`t` compiled in the division form of a program's assignments,
     which sit in comprehension iterables, as a function of a dict."""
-    layout = tuple(sorted(all_vars(t)))
-    return _on_dicts(emit_term(t, slots_of(layout), depth=None), layout)
+    return term_on_dicts(t, depth=None)
 
 
 @settings(deadline=None)
 @given(randgen.terms(AWKWARD_NAMES), _STATES)
 def test_compiled_terms_match_tree_evaluation_bit_for_bit(t, s):
-    """Both division forms: `:=` (compile_term) and the comprehension."""
+    """Both division forms: `:=` (the default) and the comprehension."""
     expected = _outcome(_tree_term, t, s)
-    assert _outcome(compile_term(t), s) == expected
+    assert _outcome(term_on_dicts(t), s) == expected
     assert _outcome(_comprehension_form(t), s) == expected
 
 
 @settings(deadline=None)
 @given(randgen.formulas(AWKWARD_NAMES), _STATES)
 def test_compiled_formulas_match_tree_evaluation(f, s):
-    assert _outcome(compile_formula(f), s) == _outcome(_tree_formula, f, s)
+    assert _outcome(formula_on_dicts(f), s) == _outcome(_tree_formula, f, s)
 
 
 def test_division_by_zero_names_the_printed_term():
     t = Divide(var("x"), Minus(var("y"), var("y")))
-    for form in (compile_term, _comprehension_form):
+    for form in (term_on_dicts, _comprehension_form):
         with pytest.raises(DivisionByZero) as e:
             form(t)({"x": 1.0, "y": 3.0})
         assert e.value.term_text == print_term(t) == "x / (y - y)"
@@ -200,26 +197,30 @@ def test_nested_divisions_keep_their_own_denominators():
         Divide(x, Divide(y, z)),
         Divide(Divide(x, y), Divide(y, z)),
     ):
-        assert compile_term(t)(s) == _comprehension_form(t)(s) == _tree_term(t, s)
+        assert term_on_dicts(t)(s) == _comprehension_form(t)(s) == _tree_term(t, s)
 
 
 def test_long_chains_compile():
     """Chains as long as these nest no deeper in the generated source
     than Python's parser allows."""
     chain = conj(*(Compare("<=", var("x"), num(i)) for i in range(400)))
-    holds = compile_formula(chain)
+    holds = formula_on_dicts(chain)
     assert holds({"x": 0.0}) and not holds({"x": 1.0})
     s = {"x": 0.5, "y": 2.0}
     sums = (" + ".join(["x"] * 400), " - ".join(["x", "y"] * 200), " * ".join(["y"] * 400))
     for text in sums:
         t = dsl.parse_term_text(text)
-        assert _outcome(compile_term(t), s) == _outcome(_tree_term, t, s)
-    anyof = dsl.parse_formula_text(" | ".join(f"x = {i}" for i in range(400)))
-    assert compile_formula(anyof)({"x": 399.0}) and not compile_formula(anyof)({"x": 0.5})
+        assert _outcome(term_on_dicts(t), s) == _outcome(_tree_term, t, s)
+    anyof = formula_on_dicts(
+        dsl.parse_formula_text(" | ".join(f"x = {i}" for i in range(400)))
+    )
+    assert anyof({"x": 399.0}) and not anyof({"x": 0.5})
 
 
 def test_equal_sources_share_one_compiled_function():
-    assert compile_term(Plus(var("x"), num(1))) is compile_term(Plus(var("x"), num(1)))
+    slots = slots_of(("x",))
+    first = compile_source("s", emit_term(Plus(var("x"), num(1)), slots))
+    assert compile_source("s", emit_term(Plus(var("x"), num(1)), slots)) is first
 
 
 def test_rk4_steps_follow_the_classic_formula_bit_for_bit():
@@ -433,13 +434,13 @@ def test_firing_draws_among_several_final_states():
 def test_loops_yield_the_distinct_states_within_the_unroll_bound():
     body = dsl.parse_program_text("?(x < 2); x := x + 1")
     truncated = []
-    loop = compile_program(Loop(body), unroll=3, on_truncate=lambda: truncated.append(1))
+    loop = program_on_dicts(Loop(body), unroll=3, cut=lambda: truncated.append(1))
     assert loop({"x": 0.0}) == [{"x": 0.0}, {"x": 1.0}, {"x": 2.0}]
     assert truncated == []
-    counter = compile_program(
+    counter = program_on_dicts(
         Loop(dsl.parse_program_text("x := x + 1")),
         unroll=3,
-        on_truncate=lambda: truncated.append(1),
+        cut=lambda: truncated.append(1),
     )
     assert [s["x"] for s in counter({"x": 0.0})] == [0.0, 1.0, 2.0, 3.0]
     assert truncated == [1]
@@ -461,9 +462,9 @@ def _tree_program(p, s):
 
 def _listed(fn, *args):
     """The final states as text, so that -0.0 and NaN compare, or the
-    error raised."""
+    error raised. A state lists its names sorted."""
     try:
-        return repr(fn(*args))
+        return repr([sorted(r.items()) for r in fn(*args)])
     except (DivisionByZero, KeyError) as e:
         return type(e).__name__, str(e)
 
@@ -484,21 +485,7 @@ _PROGRAMS = st.recursive(
 def test_compiled_programs_list_the_reference_states_in_order(p, s):
     """Order decides which state a firing draws and which counterexample
     the checker reports first, so it is compared, not just the set."""
-    assert _listed(compile_program(p), s) == _listed(_tree_program, p, s)
-
-
-def test_compiled_programs_on_partial_dicts():
-    """A dict state must hold every free name of the program, or KeyError
-    names the one missing, as the reference raises when it reads it. The
-    names a path adds follow the input's own, in the order the program
-    first binds them, whatever order that path wrote them in."""
-    p = dsl.parse_program_text("(x := 1 U y := 2); y := 3; x := 4")
-    got = compile_program(p)({"z": 0.0})
-    assert got == _tree_program(p, {"z": 0.0}) == [{"z": 0.0, "x": 4.0, "y": 3.0}] * 2
-    assert [list(r) for r in got] == [["z", "x", "y"]] * 2
-    q = dsl.parse_program_text("y := x + 1; z := w")
-    assert _listed(compile_program(q), {"x": 1.0}) == ("KeyError", "'w'")
-    assert _listed(_tree_program, q, {"x": 1.0}) == ("KeyError", "'w'")
+    assert _listed(program_on_dicts(p), s) == _listed(_tree_program, p, s)
 
 
 @pytest.mark.parametrize(
@@ -514,10 +501,11 @@ def test_a_division_assigned_before_more_statements(s, expected):
     p = dsl.parse_program_text(
         "x := y / z; (w := x U w := x U w := x + 1); ?(w != 0); y := x / (w - 1)"
     )
-    got = _listed(compile_program(p), s)
+    got = _listed(program_on_dicts(p), s)
     assert got == _listed(_tree_program, p, s)
     if isinstance(expected, list):
-        expected = repr([{**s, "x": x, "w": w, "y": y} for x, w, y in expected])
+        states = [{**s, "x": x, "w": w, "y": y} for x, w, y in expected]
+        expected = _listed(lambda: states)
     assert got == expected
 
 
@@ -526,7 +514,7 @@ def test_a_sequence_nested_on_the_left_runs_to_its_end_first():
     so the first error raised is b's, as the reference raises it."""
     ab = Seq(dsl.parse_program_text("x := 1 U x := 0"), dsl.parse_program_text("y := 1 / x"))
     p = Seq(ab, dsl.parse_program_text("z := 1 / 0"))
-    got = _listed(compile_program(p), {"x": 0.0})
+    got = _listed(program_on_dicts(p), {"x": 0.0})
     assert got == _listed(_tree_program, p, {"x": 0.0})
     assert got == ("DivisionByZero", "division by zero in 1 / x")
 
@@ -536,14 +524,14 @@ def test_long_sequences_compile_and_deep_nesting_is_a_ccs_error():
     compile. Nesting past what Python will compile raises CcsError,
     naming the program, instead of a SyntaxError."""
     step = dsl.parse_program_text("x := x + 1")
-    assert compile_program(seq(*[step] * 1000))({"x": 0.0}) == [{"x": 1000.0}]
+    assert program_on_dicts(seq(*[step] * 1000))({"x": 0.0}) == [{"x": 1000.0}]
     p = Assign("z", num(0))
     for i in range(120):
         guarded = seq(Guard(Compare(">=", var("x"), num(0))), p, Assign("y", num(i)))
         p = choice(guarded, Assign("z", num(1)))
     named = r"^program nests too deeply to compile \(\w+\): \(\?\(x >= 0\); "
     with pytest.raises(CcsError, match=named):
-        compile_program(p)
+        compile_program_over(p, slots_of("xyz"))
 
 
 @pytest.mark.parametrize("depth", [200, 300, 600])
@@ -555,7 +543,7 @@ def test_programs_nested_past_the_interpreter_stack_are_a_ccs_error(depth):
         guarded = seq(Guard(Compare(">=", var("x"), num(0))), p, Assign("y", num(i)))
         p = choice(guarded, Assign("z", num(1)))
     with pytest.raises(CcsError, match=r"^program nests too deeply to compile"):
-        compile_program(p)
+        compile_program_over(p, slots_of("xyz"))
 
 
 def test_monitor_violations_name_the_guarantee(corpus_dir):

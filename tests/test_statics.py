@@ -8,8 +8,9 @@ toolkit leans on:
     agree on FV(p) and on every must-bound variable,
   * frame: variables outside BV(p) never change.
 
-The same interpreter is the oracle for `compile_program`, the one
-program semantics that the simulator and the bounded checker share.
+The same interpreter is the oracle for `compile_program_over`, the one
+program semantics that the simulator and the bounded checker share,
+run on dict states through the `dict_states` adapter.
 """
 
 import time
@@ -43,7 +44,6 @@ from ccskit.ast import (
     walk,
 )
 from ccskit.dsl import parse_program_text
-from ccskit.simulator import compile_program
 from ccskit.statics import (
     all_vars,
     bound_vars,
@@ -51,6 +51,7 @@ from ccskit.statics import (
     free_vars,
     must_bound_vars,
 )
+from dict_states import program_on_dicts
 
 
 # --- the worked example kept as a golden vector ----------------------------
@@ -316,14 +317,14 @@ def test_frame_property(p, store):
 def test_compiled_program_has_the_reference_semantics(p, store):
     # Integer stores keep float arithmetic exact, so the sets must match.
     start = {n: float(v) for n, v in store.items()}
-    got = {frozenset(s.items()) for s in compile_program(p)(start)}
+    got = {frozenset(s.items()) for s in program_on_dicts(p)(start)}
     want = {frozenset((n, float(v)) for n, v in end) for end in _runs(p, store)}
     assert got == want
 
 
 def test_a_test_failing_after_a_choice_leaves_the_other_branch():
     p = parse_program_text("(fin := 0; ?(wl > 5)) U fin := 1")
-    assert compile_program(p)({"wl": 4.0, "fin": 9.0}) == [{"wl": 4.0, "fin": 1.0}]
+    assert program_on_dicts(p)({"wl": 4.0, "fin": 9.0}) == [{"wl": 4.0, "fin": 1.0}]
 
 
 @given(_programs(3))

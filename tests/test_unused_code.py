@@ -1,0 +1,82 @@
+"""Every public top-level name in the package is used or exported.
+
+A `def`, `class` or assignment whose name has no leading underscore must
+be referenced (as a name, an attribute or an import) somewhere in the
+package outside its own definition, or be exported from
+`ccskit/__init__.py` (an import there is such a reference). Click
+commands are exempt: the command line reaches them through their group.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ccskit"
+
+
+def _is_click_command(decorator: ast.expr) -> bool:
+    f = decorator.func if isinstance(decorator, ast.Call) else decorator
+    while isinstance(f, ast.Attribute):
+        if f.attr in ("command", "group"):
+            return True
+        f = f.value
+    return isinstance(f, ast.Name) and f.id == "click"
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if any(_is_click_command(d) for d in stmt.decorator_list):
+            return []
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _referenced_names(stmt: ast.stmt) -> set[str]:
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unused_public_names(src: Path = SRC) -> list[str]:
+    """`module.name` for each public top-level name nothing else uses."""
+    statements = [
+        (path.stem, stmt)
+        for path in sorted(src.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    refs = [_referenced_names(stmt) for _, stmt in statements]
+    unused = []
+    for i, (module, stmt) in enumerate(statements):
+        for name in _defined_names(stmt):
+            if name.startswith("_"):
+                continue
+            if not any(name in r for j, r in enumerate(refs) if j != i):
+                unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_public_name_is_used_or_exported():
+    assert unused_public_names() == []
+
+
+def test_the_check_sees_a_name_nothing_uses(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import used\n")
+    (tmp_path / "a.py").write_text(
+        "import click\n"
+        "LIMIT = 3\n"
+        "def used():\n    return LIMIT\n"
+        "def lonely():\n    return lonely()\n"
+        "def _private():\n    pass\n"
+        "@click.group()\ndef main():\n    pass\n"
+        "@main.command()\ndef go():\n    pass\n"
+    )
+    assert unused_public_names(tmp_path) == ["a.lonely"]
