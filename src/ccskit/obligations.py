@@ -207,7 +207,8 @@ def _loop_induction(
     assumption surviving b's runs (`compat-ab`) and the converse. Base
     and jcmp-init also assume that every controller timestamp starts
     equal to the global clock (the closed loop is assembled that way),
-    which is what makes measurement-style invariants true at time zero.
+    which is what makes measurement-style invariants true at time zero;
+    jcmp-init notes this when there are timestamps.
     """
     (label_a, ca, own_a), (label_b, cb, own_b) = a, b
     A_a, G_a, I_a = ca.assume, ca.guarantee, ca.init
@@ -363,9 +364,9 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
         J,
         ctrl.timestamps,
         steps,
-        "each component's contract supplies its own conjuncts; the "
+        base_note="each component's contract supplies its own conjuncts; the "
         "timestamp equalities hold on loop entry and close the invariant",
-        (
+        survive_notes=(
             "the controller's assumption survives any plant run",
             "the plant's assumption survives any controller run",
         ),
@@ -483,8 +484,8 @@ def obligations_controllers(
         J,
         am.timestamps + bm.timestamps,
         steps,
-        "each side's contract supplies its own conjuncts; the timestamp "
-        "equalities hold on loop entry and close the invariant",
+        base_note="each side's contract supplies its own conjuncts; the "
+        "timestamp equalities hold on loop entry and close the invariant",
     )
 
 
@@ -551,7 +552,7 @@ def obligations_plants(
         J,
         (),
         steps,
-        "each side's contract supplies its own conjuncts",
+        base_note="each side's contract supplies its own conjuncts",
     )
 
 

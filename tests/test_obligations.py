@@ -162,14 +162,16 @@ def test_multi_controller_systems_tag_thm4(two_tanks):
 
 
 @pytest.mark.parametrize(
-    "fname,loader",
+    "fname,model",
     [
         ("watertank_obligations.json", "watertank"),
         ("two_tanks_obligations.json", "two_tanks"),
+        ("watertank_tight_obligations.json", "watertank_tight"),
+        ("watertank_late_ctrl_obligations.json", "watertank_late_ctrl"),
     ],
 )
-def test_golden_files_match_ccs(fname, loader, golden_dir, request):
-    system = request.getfixturevalue(loader)
+def test_golden_files_match_ccs(fname, model, golden_dir, corpus_dir):
+    system = dsl.load_file(corpus_dir / f"{model}.ccs")
     emitted = [o.to_json() for o in obligations_ccs(system)]
     assert emitted == _golden(golden_dir, fname)
 
@@ -188,19 +190,6 @@ def test_golden_file_matches_plants(golden_dir, two_tanks_parts):
     assert [o.to_json() for o in obs] == _golden(
         golden_dir, "two_tanks_plants_obligations.json"
     )
-
-
-@pytest.mark.parametrize(
-    "fname,model",
-    [
-        ("watertank_tight_obligations.json", "watertank_tight"),
-        ("watertank_late_ctrl_obligations.json", "watertank_late_ctrl"),
-    ],
-)
-def test_golden_files_match_other_closed_loops(fname, model, golden_dir, corpus_dir):
-    system = dsl.load_file(corpus_dir / f"{model}.ccs")
-    emitted = [o.to_json() for o in obligations_ccs(system)]
-    assert emitted == _golden(golden_dir, fname)
 
 
 @pytest.fixture(scope="module")
