@@ -454,11 +454,14 @@ def simulate(
             sys_, schedules, seed, init_box, strategy=strategy, horizon=horizon,
             keep_first=bool(csv_paths),
         )
+    except CcsError as e:
+        _fail(f"simulation failed ({type(e).__name__}): {e}", 1)
+    if summary.first_trace is not None:
         for path in csv_paths:
             write_trace_csv(summary.first_trace, path)
             click.echo(f"wrote trace of run 0 to {path}", err=True)
-    except CcsError as e:
-        _fail(f"simulation failed ({type(e).__name__}): {e}", 1)
+    elif csv_paths:
+        click.echo("run 0 is stuck: wrote no trace to " + ", ".join(csv_paths), err=True)
     payload = json.dumps(summary.to_json(), indent=2)
     for path in json_paths:
         Path(path).write_text(payload + "\n")

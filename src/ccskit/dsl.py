@@ -619,10 +619,12 @@ def serialize_model(m: ModelSource) -> str:
 
 
 def _environment(m: ModelSource) -> Environment:
-    pins = [
-        Compare("=", Variable(c.name), Rational(c.value)) for c in m.consts
-    ]
-    return Environment(conj(*pins))
+    pins: dict[str, Formula] = {}
+    for c in m.consts:
+        if c.name in pins:
+            raise CcsError(f"two const declarations for {c.name!r}")
+        pins[c.name] = Compare("=", Variable(c.name), Rational(c.value))
+    return Environment(conj(*pins.values()))
 
 
 Parts = tuple[
@@ -757,17 +759,24 @@ def source_of_system(system: MCCS) -> ModelSource:
     Controller atoms keep their original reactivities; reloading the
     output recomposes them under the uniform cost model, which
     reproduces the original joint bound when that is how the system was
-    built. Only constant-pinning environments can be represented.
+    built. Only environments pinning each name to one constant can be
+    represented.
     """
+    pins: dict[str, Fraction] = {}
     for c in conjuncts(system.env.formula):
-        if not isinstance(c, TrueF) and not Environment(c).constants():
+        pin = Environment(c).constants()
+        if not pin and not isinstance(c, TrueF):
             raise CcsError(
                 "environment constraint is not a constant pin and cannot be "
                 "written as a const declaration: " + print_formula(c)
             )
-    consts = tuple(
-        ConstDecl(n, q) for n, q in sorted(system.env.constants().items())
-    )
+        for name, value in pin.items():
+            if pins.setdefault(name, value) != value:
+                raise CcsError(
+                    f"environment pins {name!r} to two values, "
+                    f"{fraction_to_text(pins[name])} and {fraction_to_text(value)}"
+                )
+    consts = tuple(ConstDecl(n, q) for n, q in sorted(pins.items()))
     controllers = tuple(
         ControllerDecl(rc.name, rc.reactivity, rc.ctrl)
         for rc in system.controller.choices

@@ -913,14 +913,8 @@ def _run(
 
     boundary(state)
     rr_index = 0
-    blocked = False  # previous evolve made no progress
-    iterations = 0
 
-    while True:
-        iterations += 1
-        if iterations > MAX_ITERATIONS:
-            truncated = True
-            break
+    for _ in range(MAX_ITERATIONS):
         to_horizon = schedule.horizon - state[clock]
         if to_horizon <= BOUNDARY_TOLERANCE:
             break
@@ -947,7 +941,7 @@ def _run(
         advanced = False
 
         if schedule.strategy == "uniform-random":
-            if evolve_room > eps and not blocked and rng.random() < 0.5:
+            if evolve_room > eps and rng.random() < 0.5:
                 dt = rng.uniform(eps, evolve_room)
                 state, advanced = _evolve(cs, state, dt, record, next_expiry)
             if not advanced:
@@ -964,7 +958,7 @@ def _run(
                 target = controllers[rr_index % len(controllers)]
                 rr_index += 1
             ordering = [target] + [c for c in controllers if c is not target]
-            if evolve_room > 0.0 and not blocked:
+            if evolve_room > 0.0:
                 state, advanced = _evolve(cs, state, evolve_room, record, next_expiry)
             if not (lazy and advanced and state[clock] < next_expiry - 2.0 * eps):
                 fired = try_fire_any(ordering, state)
@@ -972,29 +966,19 @@ def _run(
         if fired is not None:
             state, name = fired
             record(f"ctrl-fired({name})", state)
-            blocked = False
         elif not advanced:
-            if blocked:
-                raise StuckState(state[clock])
-            # One grace pass: evolve right up to the guard boundary, after
-            # which a controller must fire or the system is stuck.
+            # Every controller failed to fire on this state, and firing
+            # depends on the state alone: evolve right up to the guard
+            # boundary, or the system is stuck.
             remaining = min(guard_room, to_horizon)
             if remaining > BOUNDARY_TOLERANCE:
-                state, moved = _evolve(cs, state, remaining, record, next_expiry)
-                blocked = not moved
-            else:
-                blocked = True
-            if blocked:
-                fired = try_fire_any(controllers, state)
-                if fired is None:
-                    raise StuckState(state[clock])
-                state, name = fired
-                record(f"ctrl-fired({name})", state)
-                blocked = False
-        else:
-            blocked = False
+                state, advanced = _evolve(cs, state, remaining, record, next_expiry)
+            if not advanced:
+                raise StuckState(state[clock])
 
         boundary(state)
+    else:
+        truncated = True
 
     points = (
         [TracePoint(s[clock], e, cs.named(s)) for e, s in zip(events, states)]
@@ -1035,7 +1019,7 @@ def _evolve(
 
 class BatchSummary(Record):
     # first_trace is run 0's full trace, when run_batch was asked to keep
-    # it; equality and repr leave it out.
+    # it and run 0 was not stuck; equality and repr leave it out.
     __slots__ = (
         "runs", "strategy", "seed", "horizon", "violations", "runs_with_violations",
         "variable_ranges", "max_invariant_residual", "total_points", "stuck_runs",
@@ -1066,12 +1050,15 @@ def sample_init(init_box: dict, rng: random.Random) -> dict:
     """Draw one init description: intervals sampled uniformly, numbers
 
     kept, `"=var"` aliases passed through for complete_init to resolve.
+    An interval with hi < lo raises ValueError, as check_bounded does.
     """
     out: dict = {}
     for name in sorted(init_box):
         spec = init_box[name]
         if isinstance(spec, (list, tuple)):
             lo, hi = float(spec[0]), float(spec[1])
+            if hi < lo:
+                raise ValueError(f"empty interval [{lo}, {hi}]")
             out[name] = lo if lo == hi else rng.uniform(lo, hi)
         else:
             out[name] = spec
@@ -1103,8 +1090,9 @@ def run_batch(
     `init_box`. Deterministic in (system, n_schedules, seed, init_box):
     run i is `batch_member(seed, i, init_box, strategy, horizon)`.
 
-    With `keep_first`, `first_trace` is run 0's trace as `run` returns
-    it, and a stuck run 0 raises its StuckState as `run` does.
+    A stuck run counts in `stuck_runs` and adds nothing else. With
+    `keep_first`, `first_trace` is run 0's trace as `run` returns it, or
+    None when run 0 is stuck.
     """
     cs = CompiledSystem(system)
     violations: dict[str, int] = {name: 0 for name, _ in cs.monitors}
@@ -1122,8 +1110,6 @@ def run_batch(
         try:
             trace, states = _run(cs, schedule, init, keep)
         except StuckState:
-            if keep:
-                raise
             stuck += 1
             continue
         if keep:

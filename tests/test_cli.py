@@ -18,7 +18,7 @@ import ccskit.simulator
 from ccskit import dsl
 from ccskit.cli import main
 from ccskit.errors import StuckState
-from ccskit.simulator import batch_member, run, write_trace_csv
+from ccskit.simulator import batch_member, run, run_batch, write_trace_csv
 
 
 @pytest.fixture()
@@ -114,6 +114,15 @@ def test_check_interference_is_exit_1(runner, corpus_dir):
     assert result.exit_code == 1
     assert "rejected (InterferenceError)" in result.stderr
     assert "fin" in result.stderr
+
+
+def test_check_two_consts_of_one_name_is_exit_1(runner, corpus_dir, tmp_path):
+    model = tmp_path / "double.ccs"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    model.write_text(text.replace("const fout = 0.75", "const fout = 0.75\nconst fout = 1"))
+    result = invoke(runner, "check", model)
+    assert result.exit_code == 1
+    assert result.stderr == f"{model}: rejected (CcsError): two const declarations for 'fout'\n"
 
 
 def test_check_unschedulable_is_exit_1(runner, corpus_dir):
@@ -449,16 +458,19 @@ def test_simulate_stuck_first_run_with_csv_is_exit_1(runner, tmp_path):
     model.write_text(STUCK_MODEL)
     box = {"x": 0, "y": 0, "t": 0, "tau_1": 0}
     (tmp_path / "stuck.init.json").write_text(json.dumps(box))
-    with pytest.raises(StuckState) as stuck:
+    with pytest.raises(StuckState):
         run(dsl.load(STUCK_MODEL), *batch_member(0, 0, box, "uniform-random", 1.0))
     trace_path = tmp_path / "run0.csv"
     result = invoke(
         runner, "simulate", model, "--schedules", 2, "--horizon", 1,
         "--out", trace_path,
     )
+    # The summary is the one printed without a CSV; only the trace is missing.
+    summary = run_batch(dsl.load(STUCK_MODEL), 2, 0, box, horizon=1.0)
     assert result.exit_code == 1
-    assert result.stdout == ""
-    assert result.stderr == f"simulation failed (StuckState): {stuck.value}\n"
+    assert json.loads(result.stdout) == summary.to_json()
+    assert summary.stuck_runs == 2
+    assert result.stderr == f"run 0 is stuck: wrote no trace to {trace_path}\n"
     assert not trace_path.exists()
 
 

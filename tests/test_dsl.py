@@ -134,13 +134,39 @@ def test_two_contracts_for_one_component_are_rejected():
     text = (
         "controller c every 0.1 { x := 1; }\n"
         "plant p within 0.5 { y' = 1 & y >= 0 }\n"
-        "contract c { guarantee x = 1 }\n"
-        "contract c { guarantee x = 1 }\n"
-        "contract p { guarantee y >= 0 }\n"
+        "contract c { assume true guarantee x = 1 init true }\n"
+        "contract c { assume true guarantee x = 1 init true }\n"
+        "contract p { assume true guarantee y >= 0 init true }\n"
         "system s = c | p\n"
     )
-    with pytest.raises(CcsError):
+    with pytest.raises(CcsError) as e:
         dsl.build_components(text)
+    assert str(e.value) == "two contracts declared for 'c'"
+
+
+def test_two_consts_of_one_name_are_rejected():
+    text = (
+        "const k = 0.75\n"
+        "const k = 1\n"
+        "controller c every 0.1 { x := k; }\n"
+        "plant p within 0.5 { y' = 1 & y >= 0 }\n"
+        "contract c { assume true guarantee true init true }\n"
+        "contract p { assume true guarantee y >= 0 init true }\n"
+        "system s = c | p\n"
+    )
+    with pytest.raises(CcsError) as e:
+        dsl.build_components(text)
+    assert str(e.value) == "two const declarations for 'k'"
+
+
+def test_serialize_composed_rejects_a_name_pinned_to_two_values(watertank):
+    env = Environment(conj(watertank.env.formula, dsl.parse_formula_text("fout = 1")))
+    with pytest.raises(CcsError) as e:
+        dsl.source_of_system(watertank.replace(env=env))
+    assert str(e.value) == "environment pins 'fout' to two values, 0.75 and 1"
+    # The same pin twice is one const.
+    again = Environment(conj(watertank.env.formula, dsl.parse_formula_text("0.75 = fout")))
+    assert dsl.source_of_system(watertank.replace(env=again)) == dsl.source_of_system(watertank)
 
 
 def test_serialize_composed_round_trips_to_equivalent_system(two_tanks, golden_dir):

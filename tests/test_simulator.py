@@ -586,6 +586,16 @@ def test_sample_init_draws_inside_the_box():
     assert draw["fin"] == 1
 
 
+def test_an_empty_init_interval_is_rejected_as_the_checker_rejects_it(watertank):
+    box = {"wl": [6.4, 3.6], "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
+    with pytest.raises(ValueError, match=r"^empty interval \[6\.4, 3\.6\]$"):
+        sample_init(box, random.Random(0))
+    with pytest.raises(ValueError, match=r"^empty interval \[6\.4, 3\.6\]$"):
+        run_batch(watertank, 1, 0, box)
+    with pytest.raises(ValueError, match=r"^empty interval \[6\.4, 3\.6\]$"):
+        check_bounded(dsl.parse_formula_text("wl >= 0"), box)
+
+
 def test_run_batch_is_deterministic(watertank):
     box = {"wl": [3.6, 6.4], "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
     s1 = run_batch(watertank, 20, 7, box)
