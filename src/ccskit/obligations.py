@@ -26,18 +26,21 @@ Rule tags: thm1 (controller + plant), thm2 (controller pair), thm3
 `check_bounded` is not a prover. It grids the antecedent box, unrolls
 loops, samples ODE flows, and reports `holds` only in the sense of
 "no counterexample in this finite exploration"; the caveat field always
-spells out the truncations. A goal compiles once into one closure over
-tuple states: box- and quantifier-free parts through the simulator's
-one compiler (`emit_formula`, `compile_source`), programs through its
+spells out the truncations. Each side of a goal compiles once to one
+generated Python expression over tuple states (`_emit_goal`, then the
+simulator's `compile_source`): its box- and quantifier-free parts are
+the simulator's `emit_formula`, its boxes enumerate the final states of
 `compile_program_over` (the same semantics a simulated controller
-firing uses). The layout is the domain box's names plus those the
-goal binds, sorted; an obligation keeps its compiled goal, so later
-calls at any grid reuse it. Witness states become dicts only in the
-result, without the slots the search never set.
+firing uses), and its quantifiers the grid of their variable. The
+layout is the domain box's names plus those the goal binds, sorted; an
+obligation keeps its compiled goal, so later calls at any grid reuse
+it. Witness states become dicts only in the result, without the slots
+the search never set.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -82,12 +85,13 @@ from .composition import (
 )
 from .errors import BoundOccursInBehavior, CcsError
 from .simulator import (
+    Slots,
     alias_root,
+    compile_node,
     compile_program_over,
-    compile_setter,
-    compile_source,
     compile_tuple,
     emit_formula,
+    emit_update,
     slots_of,
 )
 from .statics import all_vars, bound_vars, free_and_bound_vars, free_vars
@@ -580,8 +584,10 @@ def _axis(spec, grid: int) -> tuple[float, ...]:
     return (float(spec),)
 
 
-def _quantifier_axis(domain_box: dict, grid: int, name: str) -> tuple[float, ...]:
-    return _axis(domain_box[alias_root(domain_box, name)], grid)
+def _quantifier_axis(
+    domain_box: dict, grid: int, layout: tuple[str, ...], i: int
+) -> tuple[float, ...]:
+    return _axis(domain_box[alias_root(domain_box, layout[i])], grid)
 
 
 def _has_modality(f: Formula) -> bool:
@@ -597,91 +603,59 @@ def _has_modality(f: Formula) -> bool:
     return False
 
 
-Verdict = tuple[bool, tuple | None]
-Axis = Callable[[str], tuple[float, ...]]
-Cut = Callable[[], None]
+def _emit_goal(f: Formula, slots: Slots, program: Callable[[Program], str]) -> str:
+    """`f` as one Python expression over the state `s`, true when `f`
+    holds there. When it is false, the last `fail` call it made saw the
+    witness: the reached state where a box- and quantifier-free part
+    went false, or where a negation or an exists failed.
+
+    A box enumerates the final states of the program that `program`
+    names the compiled function of, and a quantifier the states with its
+    slot set to each coordinate of `axis(slot)`. A forall that held, or
+    an exists that found no value, calls `cut()`: its grid ran out
+    without deciding it, as a loop or flow cut short does.
+    """
+    if not _has_modality(f):
+        return f"({emit_formula(f, slots)} or fail(s))"
+    if isinstance(f, Not):
+        return f"((not {_emit_goal(f.operand, slots, program)}) or fail(s))"
+    if isinstance(f, (And, Or, Implies)):
+        left = _emit_goal(f.left, slots, program)
+        right = _emit_goal(f.right, slots, program)
+        if isinstance(f, Implies):
+            return f"((not {left}) or {right})"
+        return f"({left} {'and' if isinstance(f, And) else 'or'} {right})"
+    if isinstance(f, Box):
+        post = _emit_goal(f.post, slots, program)
+        return f"all({post} for s in {program(f.program)})"
+    if isinstance(f, (Forall, Exists)):
+        i = slots[f.var]
+        body = _emit_goal(f.body, slots, program)
+        states = f"[{emit_update(len(slots), {i: 'x'})} for x in axis({i})]"
+        if isinstance(f, Forall):
+            return f"(all({body} for s in {states}) and not cut())"
+        return f"(any({body} for s in {states}) or cut() or fail(s))"
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _compile_goal(
-    f: Formula,
-    slots: dict[str, int],
-    compile_prog: Callable[[Program], Callable[[tuple, Cut], list[tuple]]],
-) -> Callable[[tuple, Axis, Cut], Verdict]:
-    """`f` compiled once into a function `(s, axis, cut)` from a state
-    to (verdict, failing state). The failing state is the reached state
-    where a subformula went false, which for box goals is more useful
-    than the initial point; every failure carries one.
+    f: Formula, slots: Slots, compile_prog: Callable[[Program], Callable]
+) -> Callable[[tuple, Callable, Callable, Callable], bool | None]:
+    """`f` compiled once to a function `(s, axis, cut, fail)` of the
+    generated expression of `_emit_goal`, its programs compiled by
+    `compile_prog`. The compiled source makes that function over the
+    tuple `_p` of the programs, so a call goes through no partial.
+    Raises CcsError when Python will not compile it."""
+    programs: list[Callable] = []
 
-    A subformula with no box or quantifier is one function compiled from
-    the simulator's `emit_formula` source. The grid and the truncation
-    flag are arguments, so one compiled goal serves every grid: a
-    quantifier looks its axis up through `axis(name)` when reached, and
-    calls `cut()` when its grid ran out without deciding it, as programs
-    do when a loop or flow is cut short.
-    """
-    if not _has_modality(f):
-        leaf = f"(True, None) if {emit_formula(f, slots)} else (False, s)"
-        return compile_source("s, axis, cut", leaf)
-    if isinstance(f, Not):
-        inner = _compile_goal(f.operand, slots, compile_prog)
+    def program(p: Program) -> str:
+        programs.append(compile_prog(p))
+        return f"_p[{len(programs) - 1}](s, cut)"
 
-        def fn(s, axis, cut, _i=inner):
-            return (False, s) if _i(s, axis, cut)[0] else (True, None)
-
-    elif isinstance(f, (And, Or, Implies)):
-        left = _compile_goal(f.left, slots, compile_prog)
-        right = _compile_goal(f.right, slots, compile_prog)
-        if isinstance(f, And):
-
-            def fn(s, axis, cut, _l=left, _r=right):
-                ok, w = _l(s, axis, cut)
-                return _r(s, axis, cut) if ok else (False, w)
-
-        elif isinstance(f, Or):
-
-            def fn(s, axis, cut, _l=left, _r=right):
-                return (True, None) if _l(s, axis, cut)[0] else _r(s, axis, cut)
-
-        else:
-
-            def fn(s, axis, cut, _l=left, _r=right):
-                return _r(s, axis, cut) if _l(s, axis, cut)[0] else (True, None)
-
-    elif isinstance(f, Box):
-        reach = compile_prog(f.program)
-        post = _compile_goal(f.post, slots, compile_prog)
-
-        def fn(s, axis, cut, _reach=reach, _post=post):
-            for r in _reach(s, cut):
-                ok, w = _post(r, axis, cut)
-                if not ok:
-                    return False, w
-            return True, None
-
-    elif isinstance(f, Forall):
-        body = _compile_goal(f.body, slots, compile_prog)
-
-        def fn(s, axis, cut, _v=f.var, _set=compile_setter(slots, f.var), _b=body):
-            for x in axis(_v):
-                ok, w = _b(_set(s, x), axis, cut)
-                if not ok:
-                    return False, w
-            cut()
-            return True, None
-
-    elif isinstance(f, Exists):
-        body = _compile_goal(f.body, slots, compile_prog)
-
-        def fn(s, axis, cut, _v=f.var, _set=compile_setter(slots, f.var), _b=body):
-            for x in axis(_v):
-                if _b(_set(s, x), axis, cut)[0]:
-                    return True, None
-            cut()
-            return False, s
-
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return fn
+    make = compile_node(
+        f, "_p", lambda: f"lambda s, axis, cut, fail: {_emit_goal(f, slots, program)}"
+    )
+    return make(tuple(programs))
 
 
 def _compiled_goal(
@@ -702,8 +676,10 @@ def _compiled_goal(
     `point(combo)` is the state of one grid point, whose combo holds a
     coordinate per sorted root and then None: each free name takes its
     root's coordinate, and every other slot is unset. An implication's
-    sides are compiled apart, so a point counts as checked only when the
-    antecedent holds; any other goal has the antecedent `true`.
+    sides are compiled apart (see _compile_goal), so a point counts as
+    checked only when the antecedent holds; any other goal has the
+    antecedent `true`. The grid and the truncation flag are arguments,
+    so one compiled goal serves every grid.
 
     An obligation `ob` keeps the last result in its `_compiled` slot,
     keyed by `flow_samples`, `roots` and `box_names` (which with the
@@ -779,27 +755,29 @@ def check_bounded(
         goal, ob, flow_samples, roots, written, tuple(domain_box)
     )
     # Non-empty once a loop, a flow or a quantifier grid has cut the search
-    # short. No function refers back to another, so nothing this call
-    # makes waits for the garbage collector.
+    # short; `witness` holds the state the last `fail` call saw. No
+    # function refers back to another, so nothing this call makes waits
+    # for the garbage collector.
     cut_short: set[bool] = set()
     cut = functools.partial(cut_short.add, True)
-    axis_of = functools.partial(_quantifier_axis, domain_box, grid)
+    witness: collections.deque[tuple] = collections.deque(maxlen=1)
+    fail = witness.append
+    axis_of = functools.partial(_quantifier_axis, domain_box, grid, layout)
 
     checked = 0
     total = 0
     for combo in itertools.product(*axes, (None,)):
         state = point(combo)
         total += 1
-        if not pre(state, axis_of, cut)[0]:
+        if not pre(state, axis_of, cut, fail):
             continue
         checked += 1
-        ok, witness = post(state, axis_of, cut)
-        if not ok:
+        if not post(state, axis_of, cut, fail):
             return BoundedCheckResult(
                 status="counterexample",
                 checked=checked,
                 total=total,
-                counterexample=_named(layout, witness),
+                counterexample=_named(layout, witness[0]),
                 initial=_named(layout, state),
                 caveat=_caveat(grid, flow_samples, bool(cut_short), checked),
             )

@@ -77,6 +77,7 @@ from .ast import (
     Variable,
     Choice,
     choice_alternatives,
+    conj,
     conjuncts,
     print_formula,
     print_program_inline,
@@ -130,7 +131,10 @@ def _division_by_zero(text: str):
     raise DivisionByZero(text)
 
 
-_GLOBALS = {"__builtins__": {}, "abs": abs, "max": max, "_dz": _division_by_zero}
+_GLOBALS = {
+    "__builtins__": {}, "abs": abs, "all": all, "any": any, "max": max,
+    "_dz": _division_by_zero,
+}
 
 
 @functools.lru_cache(maxsize=2048)
@@ -139,17 +143,14 @@ def compile_source(params: str, src: str) -> Callable:
     return eval(f"lambda {params}: {src}", _GLOBALS)
 
 
-def emit_term(t: Term, slots: Slots, depth: int | None = 0) -> str:
+def emit_term(t: Term, slots: Slots) -> str:
     """`t` as a Python expression over the state `s`.
 
     Division evaluates its denominator first and raises DivisionByZero
-    with the printed term when it is zero, before touching the numerator.
-    It keeps the denominator in `_d<depth>`; a numerator is emitted one
-    level deeper, so nested divisions never share a name while one is
-    live. Python rejects `:=` in a comprehension's iterable, where a
-    program's statements land: with `depth=None` the denominator is
-    instead `d` of a one-element comprehension, which costs about three
-    times as much per call.
+    with the printed term when it is zero, before touching the numerator:
+    the denominator is `d` of a one-element comprehension, a form that
+    also compiles inside another comprehension's iterable, where a
+    program's statements land.
     """
     if isinstance(t, Variable):
         return f"s[{slots[t.name]}]"
@@ -157,60 +158,54 @@ def emit_term(t: Term, slots: Slots, depth: int | None = 0) -> str:
         # float(Fraction), without its generic dispatch.
         return repr(t.value.numerator / t.value.denominator)
     if isinstance(t, Neg):
-        return f"(-{emit_term(t.operand, slots, depth)})"
+        return f"(-{emit_term(t.operand, slots)})"
     if isinstance(t, Divide):
         text = repr(print_term(t))
-        if depth is None:
-            return (
-                f"[{emit_term(t.left, slots, None)} / d for d in "
-                f"[{emit_term(t.right, slots, None)}] if d != 0.0 or _dz({text})][0]"
-            )
-        d = f"_d{depth}"
         return (
-            f"({emit_term(t.left, slots, depth + 1)} / {d} "
-            f"if ({d} := {emit_term(t.right, slots, depth)}) != 0.0 else _dz({text}))"
+            f"[{emit_term(t.left, slots)} / d for d in "
+            f"[{emit_term(t.right, slots)}] if d != 0.0 or _dz({text})][0]"
         )
     if isinstance(t, (Plus, Minus, Times)):
         op = "+" if isinstance(t, Plus) else "-" if isinstance(t, Minus) else "*"
-        left = emit_term(t.left, slots, depth)
+        left = emit_term(t.left, slots)
         # Python groups `a - b + c` as `(a - b) + c`, so a left operand of
         # the same precedence drops its parentheses and the long chains the
         # parser builds do not nest past Python's limit.
         if isinstance(t.left, (Times,) if op == "*" else (Plus, Minus)):
             left = left[1:-1]
-        return f"({left} {op} {emit_term(t.right, slots, depth)})"
+        return f"({left} {op} {emit_term(t.right, slots)})"
     raise TypeError(f"not a term: {t!r}")
 
 
-def emit_formula(f: Formula, slots: Slots, depth: int | None = 0) -> str:
+def emit_formula(f: Formula, slots: Slots) -> str:
     """`f`, free of boxes and quantifiers, as a Python expression over
-    the state `s`, its terms as emit_term prints them at `depth`. `=`
-    and `!=` compare within EQ_TOLERANCE (1e-9). And chains print flat,
-    as `and` short-circuits the same way whatever the grouping; Or
-    chains as Python groups them, left first.
+    the state `s`, its terms as emit_term prints them. `=` and `!=`
+    compare within EQ_TOLERANCE (1e-9). And chains print flat, as `and`
+    short-circuits the same way whatever the grouping; Or chains as
+    Python groups them, left first.
     """
     if isinstance(f, TrueF):
         return "True"
     if isinstance(f, FalseF):
         return "False"
     if isinstance(f, Compare):
-        left, right = emit_term(f.left, slots, depth), emit_term(f.right, slots, depth)
+        left, right = emit_term(f.left, slots), emit_term(f.right, slots)
         if f.op in ("=", "!="):
             op = "<=" if f.op == "=" else ">"
             return f"(abs({left} - {right}) {op} {EQ_TOLERANCE!r})"
         return f"({left} {f.op} {right})"
     if isinstance(f, Not):
-        return f"(not {emit_formula(f.operand, slots, depth)})"
+        return f"(not {emit_formula(f.operand, slots)})"
     if isinstance(f, And):
-        parts = (emit_formula(c, slots, depth) for c in conjuncts(f))
+        parts = (emit_formula(c, slots) for c in conjuncts(f))
         return "(" + " and ".join(parts) + ")"
     if isinstance(f, Or):
-        left = emit_formula(f.left, slots, depth)
+        left = emit_formula(f.left, slots)
         left = left[1:-1] if isinstance(f.left, Or) else left
-        return f"({left} or {emit_formula(f.right, slots, depth)})"
+        return f"({left} or {emit_formula(f.right, slots)})"
     if isinstance(f, Implies):
-        left = emit_formula(f.left, slots, depth)
-        return f"((not {left}) or {emit_formula(f.right, slots, depth)})"
+        left = emit_formula(f.left, slots)
+        return f"((not {left}) or {emit_formula(f.right, slots)})"
     if isinstance(f, (Box, Forall, Exists)):
         raise CcsError(
             "formula is not modality/quantifier-free: " + print_formula(f)
@@ -228,7 +223,7 @@ def compile_tuple(params: str, items: Iterable[str]) -> Callable:
     return compile_source(params, _tuple_source(items))
 
 
-def _emit_update(width: int, updates: dict[int, str]) -> str:
+def emit_update(width: int, updates: dict[int, str]) -> str:
     """A copy of the state `s` with each slot in `updates` set to its
     source, as one full-width tuple (no slicing: it is the cheaper form)."""
     return _tuple_source(updates.get(i, f"s[{i}]") for i in range(width))
@@ -236,7 +231,7 @@ def _emit_update(width: int, updates: dict[int, str]) -> str:
 
 def compile_setter(slots: Slots, name: str) -> Callable[[State, float], State]:
     """`(s, x)` -> a copy of the state `s` with `name` set to x."""
-    return compile_source("s, x", _emit_update(len(slots), {slots[name]: "x"}))
+    return compile_source("s, x", emit_update(len(slots), {slots[name]: "x"}))
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +296,12 @@ class FlowSegment:
         width = len(slots)
         self.at = compile_source(
             "s, k, dt",
-            _emit_update(width, {i: f"(s[{i}] + (k[{j}] * dt))" for j, i in moved}),
+            emit_update(width, {i: f"(s[{i}] + (k[{j}] * dt))" for j, i in moved}),
         )
         if not self.exact:
             self._shift = compile_source(
                 "s, k, c",
-                _emit_update(width, {i: f"(s[{i}] + (c * k[{j}]))" for j, i in moved}),
+                emit_update(width, {i: f"(s[{i}] + (c * k[{j}]))" for j, i in moved}),
             )
         # exit_time_affine reads each domain conjunct's op and, through
         # gaps(state), its `left - right`.
@@ -344,7 +339,8 @@ class FlowSegment:
         bound = math.inf
         # The domain holds at `state` (callers check it first), so no gap
         # raises there, nor at the probe: it only moves evolved variables,
-        # which no denominator of an affine term reads.
+        # which no denominator of an affine term reads. `dt < bound` picks
+        # what min(bound, dt) would, ties and NaN included.
         probe = self.gaps(self.at(state, slopes, 1.0))
         for op, g0, p1 in zip(self.affine_ops, self.gaps(state), probe):
             g1 = p1 - g0  # slope of l - r in dt
@@ -352,14 +348,14 @@ class FlowSegment:
                 ok0 = g0 <= 0.0 if op == "<=" else g0 < 0.0
                 if not ok0:
                     return 0.0 if self.domain(state) else -1.0
-                if g1 > 0.0:
-                    bound = min(bound, -g0 / g1)
+                if g1 > 0.0 and (dt := -g0 / g1) < bound:
+                    bound = dt
             elif op in (">=", ">"):
                 ok0 = g0 >= 0.0 if op == ">=" else g0 > 0.0
                 if not ok0:
                     return 0.0 if self.domain(state) else -1.0
-                if g1 < 0.0:
-                    bound = min(bound, -g0 / g1)
+                if g1 < 0.0 and (dt := -g0 / g1) < bound:
+                    bound = dt
             elif op == "=":
                 if abs(g0) > EQ_TOLERANCE:
                     return -1.0
@@ -394,15 +390,23 @@ class FlowSegment:
                 exit_dt = self.exit_time_affine(state, slopes)
                 if exit_dt < 0.0:
                     return state, 0.0, True, []
-                dt = min(dt_request, exit_dt)
-                exited = exit_dt <= dt_request
-                end = self.at(state, slopes, dt)
-                if exited and not self.domain(end):
-                    dt, end = self._bisect(self._along(slopes), state, dt)
-                return end, dt, exited, []
+                if exit_dt <= dt_request:
+                    dt, end = self.last_inside(state, slopes, exit_dt)
+                    return end, dt, True, []
+                return self.at(state, slopes, dt_request), dt_request, False, []
             # Exact slopes but a non-affine domain: scan and bisect.
             return self._scan(self._along(slopes), state, dt_request, h)
         return self._scan(self._rk4_step, state, dt_request, h)
+
+    def last_inside(
+        self, state: State, slopes: tuple[float, ...], exit_dt: float
+    ) -> tuple[float, State]:
+        """(dt, end) for the last state inside the domain by `exit_dt` on
+        the exact path: bisected when an open domain fails at its exit."""
+        end = self.at(state, slopes, exit_dt)
+        if self.domain(end):
+            return exit_dt, end
+        return self._bisect(self._along(slopes), state, exit_dt)
 
     def _along(self, slopes: tuple[float, ...]) -> Callable[[State, float], State]:
         """A step of the exact path: `at` with the slopes fixed."""
@@ -456,8 +460,8 @@ def flow_states(
     """All-durations sampling of one continuous evolution: the states the
 
     segment's ODE can stop in, starting from `state`, sampled at
-    `n_samples` points plus the exact domain boundary. Used by bounded
-    checking.
+    `n_samples` points plus the last state inside the domain. Used by
+    bounded checking.
 
     Returns (samples, complete). `complete` is False when the domain
     never closed within FLOW_MAX_STEPS scan steps, i.e. the reachable set
@@ -473,8 +477,11 @@ def flow_states(
         # A domain that never closes is sampled up to a horizon of 1e6.
         closes = not math.isinf(exit_dt)
         span = exit_dt if closes else 1e6
-        times = [span * i / n_samples for i in range(n_samples + 1)]
-        return [seg.at(state, slopes, dt) for dt in times], closes
+        at, n = seg.at, n_samples
+        samples = [at(state, slopes, span * i / n) for i in range(n)]
+        # span * n / n, not span: the last time rounds as the others do.
+        samples.append(seg.last_inside(state, slopes, span * n / n)[1])
+        return samples, closes
     # Step-wise scan: pick a step from any clock-style bound, else a
     # conservative default, and walk until the domain exits.
     h = 0.01
@@ -515,14 +522,12 @@ def _emit_program(p: Program, slots: Slots, helper: Callable[[Program], str]) ->
     other statement rebinds `s` to each of its final states. A sequence
     nested on the left stays one statement, which runs to its end before
     the rest starts. Loops and ODEs are the helper calls `helper` returns.
-    Every term takes emit_term's comprehension form, as most of them land
-    in a comprehension's iterable.
     """
     if isinstance(p, Test):
-        return f"([s] if {emit_formula(p.condition, slots, None)} else [])"
+        return f"([s] if {emit_formula(p.condition, slots)} else [])"
     if isinstance(p, Assign):
-        rhs = emit_term(p.rhs, slots, None)
-        return f"[{_emit_update(len(slots), {slots[p.var]: rhs})}]"
+        rhs = emit_term(p.rhs, slots)
+        return f"[{emit_update(len(slots), {slots[p.var]: rhs})}]"
     if isinstance(p, Choice):
         # Bare `+` binds tighter than anywhere a choice lands: more nesting fits.
         return " + ".join(
@@ -531,13 +536,13 @@ def _emit_program(p: Program, slots: Slots, helper: Callable[[Program], str]) ->
     if isinstance(p, Seq):
         if isinstance(p.first, Test):
             then = _emit_program(p.second, slots, helper)
-            return f"({then} if {emit_formula(p.first.condition, slots, None)} else [])"
+            return f"({then} if {emit_formula(p.first.condition, slots)} else [])"
         src, rest = f"[s for s in {_emit_program(p.first, slots, helper)}", p
         while isinstance(rest, Seq):
             rest = rest.second
             st = rest.first if isinstance(rest, Seq) else rest
             if isinstance(st, Test):
-                src += f" if {emit_formula(st.condition, slots, None)}"
+                src += f" if {emit_formula(st.condition, slots)}"
             else:
                 src += f" for s in {_emit_program(st, slots, helper)}"
         return src + "]"
@@ -560,8 +565,9 @@ def compile_program_over(
     alternative in turn. A loop yields the distinct states (by
     `_state_key`) reachable in at most `unroll` passes of its body, and
     an ODE the `flow_samples`-point sampling of `flow_states`; these two
-    run as Python helpers, which the expression reads from its `_h`
-    argument, so programs of one shape share one compiled function.
+    run as Python helpers, which the expression reads from the tuple
+    `_h` its compiled source makes it over, so programs of one shape
+    share one compiled source and a call goes through no partial.
     `cut()` is called whenever a loop or a flow has more states than
     those bounds reach. The bounded checker enumerates the result; the
     simulator fires one of its states.
@@ -608,22 +614,29 @@ def compile_program_over(
         helpers.append(fn)
         return f"_h[{len(helpers) - 1}](s, cut)"
 
-    try:
-        src = _emit_program(p, slots, helper)
-        fn = compile_source("_h, s, cut" if helpers else "s, cut", src)
-    except (SyntaxError, RecursionError, MemoryError) as e:
-        raise _too_deep(p, e) from None
-    return functools.partial(fn, tuple(helpers)) if helpers else fn
-
-
-def _too_deep(p: Program, e: Exception) -> CcsError:
-    try:
-        text = print_program_inline(p)[:80]
-    except RecursionError:
-        text = "(too deep to print)"
-    return CcsError(
-        f"program nests too deeply to compile ({type(e).__name__}): {text}"
+    make = compile_node(
+        p, "_h", lambda: f"lambda s, cut: {_emit_program(p, slots, helper)}"
     )
+    return make(tuple(helpers))
+
+
+def compile_node(
+    node: Program | Formula, params: str, emit: Callable[[], str]
+) -> Callable:
+    """`compile_source(params, emit())`, where `emit` prints `node`.
+    Raises CcsError naming the node when printing or compiling the
+    source nests past Python's limits."""
+    try:
+        return compile_source(params, emit())
+    except (SyntaxError, RecursionError, MemoryError) as e:
+        program = isinstance(node, Program)
+        try:
+            text = (print_program_inline if program else print_formula)(node)[:80]
+        except RecursionError:
+            text = "(too deep to print)"
+        what = "program" if program else "formula"
+        problem = f"nests too deeply to compile ({type(e).__name__})"
+        raise CcsError(f"{what} {problem}: {text}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -836,9 +849,16 @@ class CompiledSystem:
 
     def holds(self, *formulas: Formula) -> Callable[[State], bool]:
         """One function: every formula holds. Only when it is false need
-        the formulas be checked one by one, to name the failing ones."""
-        src = " and ".join(emit_formula(f, self.slots) for f in formulas)
-        return compile_source("s", src or "True")
+        the formulas be checked one by one, to name the failing ones.
+        Raises CcsError naming a formula nested too deeply."""
+        whole, src = conj(*formulas), (emit_formula(f, self.slots) for f in formulas)
+        try:
+            return compile_node(whole, "s", lambda: " and ".join(src) or "True")
+        except CcsError:
+            if len(formulas) > 1:
+                for f in formulas:  # the formula nested too deeply raises, named
+                    self.holds(f)
+            raise
 
     def named(self, s: State) -> dict[str, float]:
         return dict(zip(self.layout, s))

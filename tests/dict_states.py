@@ -36,20 +36,20 @@ class ByName:
         return self.d[self.layout[i]]
 
 
-def _on_dicts(emit, node, depth):
+def _on_dicts(emit, node):
     layout = tuple(sorted(all_vars(node)))
-    fn = compile_source("s", emit(node, slots_of(layout), depth))
+    fn = compile_source("s", emit(node, slots_of(layout)))
     return lambda d: fn(ByName(d, layout))
 
 
-def term_on_dicts(t, depth=0):
-    """`t` as a function of a dict state, at emit_term's `depth`."""
-    return _on_dicts(emit_term, t, depth)
+def term_on_dicts(t):
+    """`t` as a function of a dict state."""
+    return _on_dicts(emit_term, t)
 
 
 def formula_on_dicts(f):
     """`f` as a function of a dict state to its truth value."""
-    return _on_dicts(emit_formula, f, 0)
+    return _on_dicts(emit_formula, f)
 
 
 def program_on_dicts(p, unroll=LOOP_CAP, cut=lambda: None):

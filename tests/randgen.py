@@ -8,7 +8,9 @@ variables. Shared read-only inputs u0/u1 exercise the free-variable
 side of the gates without tripping them.
 
 `terms` and `formulas` are hypothesis strategies over every term and
-formula constructor, for the compiler tests.
+formula constructor, for the compiler tests; `goals` nests them under
+boxes over slot 0's programs and flows, quantifiers and connectives,
+for the bounded checker's tests.
 """
 
 from __future__ import annotations
@@ -25,9 +27,13 @@ from ccskit.ast import (
     And,
     Assign,
     Choice,
+    Box,
     Compare,
     Divide,
+    Exists,
+    Forall,
     Implies,
+    Loop,
     Minus,
     Neg,
     Not,
@@ -157,4 +163,44 @@ def formulas(names) -> st.SearchStrategy:
             *(st.builds(op, sub, sub) for op in (And, Or, Implies)),
         ),
         max_leaves=6,
+    )
+
+
+# Every name slot 0's programs and plant flows read or write.
+GOAL_NAMES = ("t", *INPUTS, "x0", *_own_vars(0))
+
+
+def programs() -> st.SearchStrategy:
+    """Slot 0's discrete programs and plant flows, as `_discrete` and
+    `rand_plant` build them from a seed, and loops of the programs."""
+
+    def build(seed: int, kind: str):
+        rng = random.Random(seed)
+        if kind == "flow":
+            return rand_plant(rng, 0).to_program()
+        p = _discrete(rng, _own_vars(0))
+        return Loop(p) if kind == "loop" else p
+
+    kinds = st.sampled_from(["program", "flow", "loop"])
+    return st.builds(build, st.integers(0, 2**16), kinds)
+
+
+def goals() -> st.SearchStrategy:
+    """Goals over GOAL_NAMES: comparisons of names, small integers and
+    their sums, under negations, connectives, boxes over `programs()`
+    and quantifiers of those names. No division, so that few checks end
+    in an error before the first box is entered."""
+    small = st.one_of(
+        st.sampled_from(GOAL_NAMES).map(Variable), st.integers(-2, 2).map(num)
+    )
+    terms = st.one_of(small, st.builds(Plus, small, small))
+    return st.recursive(
+        st.builds(Compare, st.sampled_from(COMPARISON_OPS), terms, terms),
+        lambda sub: st.one_of(
+            sub.map(Not),
+            *(st.builds(op, sub, sub) for op in (And, Or, Implies)),
+            st.builds(Box, programs(), sub),
+            *(st.builds(q, st.sampled_from(GOAL_NAMES), sub) for q in (Forall, Exists)),
+        ),
+        max_leaves=5,
     )

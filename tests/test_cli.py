@@ -162,6 +162,21 @@ def test_model_nested_too_deeply_is_exit_2(runner, corpus_dir, tmp_path, command
     assert result.stderr == f"{model}: input nests too deeply to process\n"
 
 
+def test_simulate_guarantee_nested_too_deeply_is_one_line(runner, corpus_dir, tmp_path):
+    """A monitor Python will not compile fails the simulation with one
+    line naming it, as a program nested too deeply does."""
+    model = tmp_path / "deep.ccs"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    model.write_text(text.replace("guarantee 3 <= wl", "guarantee " + "!" * 250 + "(3 <= wl)"))
+    (tmp_path / "deep.init.json").write_text((corpus_dir / "watertank.init.json").read_text())
+    result = invoke(runner, "simulate", model, "--schedules", 1)
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        "simulation failed (CcsError): formula nests too deeply to compile "
+        "(SyntaxError): " + "!" * 80 + "\n"
+    )
+
+
 def test_check_cost_model_file(runner, corpus_dir, tmp_path):
     split = tmp_path / "split.json"
     split.write_text(json.dumps({"wlctrl1": "ecu0", "wlctrl2": "ecu1"}))

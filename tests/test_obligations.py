@@ -6,16 +6,20 @@ maintenance trio, the two compatibility goals) and frozen; these tests
 keep the emitters pinned to them.
 """
 
+import functools
 import hashlib
+import itertools
 import json
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccskit import dsl
+import randgen
 from ccskit.ast import (
+    And,
     Assign,
     Box,
     Choice,
@@ -41,10 +45,12 @@ from ccskit.components import (
 )
 from ccskit.errors import (
     BoundOccursInBehavior,
+    CcsError,
     ReactivityExceedsControllability,
     UnboundedVariable,
 )
 from ccskit.obligations import (
+    CHECK_UNROLL,
     ProofObligation,
     check_bounded,
     kyx_filename,
@@ -54,6 +60,14 @@ from ccskit.obligations import (
     obligations_plants,
     render_kyx,
 )
+from ccskit.simulator import (
+    compile_program_over,
+    compile_setter,
+    compile_source,
+    emit_formula,
+    slots_of,
+)
+from ccskit.statics import free_and_bound_vars
 
 WT_BOX = {
     "wl": [3, 7],
@@ -556,6 +570,180 @@ def test_check_bounded_axes_quantifiers_when_reached():
         check_bounded(goal, {"x": [0, 1]}, grid=3)
     with pytest.raises(ValueError, match="empty interval"):
         check_bounded(goal, {"x": [0, 1], "z": [1, 0]}, grid=3)
+
+
+def test_check_bounded_goal_nested_too_deeply_is_a_ccs_error():
+    f = Compare(">=", var("x"), num(0))
+    for _ in range(250):
+        f = Not(f)
+    for goal, text in ((f, "!!!!"), (Box(Assign("x", num(1)), f), r"\[x := 1\] !!!!")):
+        named = rf"^formula nests too deeply to compile \(SyntaxError\): {text}"
+        with pytest.raises(CcsError, match=named):
+            check_bounded(goal, {"x": [0, 1]})
+
+
+# -- reference semantics ---------------------------------------------------------
+
+
+def _has_modality(f):
+    if isinstance(f, (Box, Forall, Exists)):
+        return True
+    if isinstance(f, Not):
+        return _has_modality(f.operand)
+    if isinstance(f, (And, Or, Implies)):
+        return _has_modality(f.left) or _has_modality(f.right)
+    return False
+
+
+def _tree_goal(f, slots, compile_prog):
+    """`f` as a closure `(s, axis, cut)` -> (verdict, failing state): the
+    reached state where a box- and quantifier-free part went false, the
+    state a negation or an exists failed at, or None when `f` holds. A
+    quantifier reads its values from `axis(name)` and calls `cut()` when
+    its grid ran out without deciding it."""
+    if not _has_modality(f):
+        leaf = compile_source("s", emit_formula(f, slots))
+        return lambda s, axis, cut: (True, None) if leaf(s) else (False, s)
+    if isinstance(f, Not):
+        inner = _tree_goal(f.operand, slots, compile_prog)
+        return lambda s, axis, cut: (
+            (False, s) if inner(s, axis, cut)[0] else (True, None)
+        )
+    if isinstance(f, (And, Or, Implies)):
+        left = _tree_goal(f.left, slots, compile_prog)
+        right = _tree_goal(f.right, slots, compile_prog)
+
+        def connective(s, axis, cut):
+            ok, w = left(s, axis, cut)
+            if isinstance(f, And):
+                return right(s, axis, cut) if ok else (False, w)
+            if isinstance(f, Or):
+                return (True, None) if ok else right(s, axis, cut)
+            return right(s, axis, cut) if ok else (True, None)
+
+        return connective
+    if isinstance(f, Box):
+        reach = compile_prog(f.program)
+        post = _tree_goal(f.post, slots, compile_prog)
+
+        def box(s, axis, cut):
+            for r in reach(s, cut):
+                ok, w = post(r, axis, cut)
+                if not ok:
+                    return False, w
+            return True, None
+
+        return box
+    body = _tree_goal(f.body, slots, compile_prog)
+    bind = compile_setter(slots, f.var)
+
+    def quantifier(s, axis, cut):
+        for x in axis(f.var):
+            ok, w = body(bind(s, x), axis, cut)
+            if ok != isinstance(f, Forall):
+                return (ok, None) if ok else (False, w)
+        cut()
+        return (True, None) if isinstance(f, Forall) else (False, s)
+
+    return quantifier
+
+
+def _grid(spec, grid):
+    if isinstance(spec, list):
+        lo, hi = map(float, spec)
+        if hi == lo or grid <= 1:
+            return (lo,)
+        return tuple(lo + (hi - lo) * i / (grid - 1) for i in range(grid))
+    return (float(spec),)
+
+
+def _tree_check(goal, box, grid, flow_samples):
+    """check_bounded's result over `_tree_goal`, for a box of numbers and
+    intervals (no aliases) that names every name of `goal`."""
+    free, written = free_and_bound_vars(goal)
+    keys = sorted(free)
+    layout = tuple(sorted({*written, *box}))
+    slots = slots_of(layout)
+    compile_prog = functools.partial(
+        compile_program_over, slots=slots, unroll=CHECK_UNROLL,
+        flow_samples=flow_samples,
+    )
+    sides = (goal.left, goal.right) if isinstance(goal, Implies) else (TRUE, goal)
+    pre, post = (_tree_goal(f, slots, compile_prog) for f in sides)
+    cut_short = []
+
+    def cut():
+        cut_short.append(True)
+
+    def axis(name):
+        return _grid(box[name], grid)
+
+    def named(s):
+        return {n: v for n, v in zip(layout, s) if v is not None}
+
+    def result(status, checked, total, counterexample=None, initial=None):
+        caveat = (
+            f"bounded search: grid {grid} per axis, loops unrolled {CHECK_UNROLL} "
+            f"deep, flows sampled at {flow_samples} points"
+        )
+        if cut_short:
+            caveat += "; some behavior was truncated at these bounds"
+        if checked == 0:
+            caveat += "; no grid point satisfied the antecedent"
+        return _result(status, checked, total, counterexample, initial, caveat)
+
+    checked = total = 0
+    for combo in itertools.product(*(_grid(box[n], grid) for n in keys)):
+        s = tuple(combo[keys.index(n)] if n in free else None for n in layout)
+        total += 1
+        if not pre(s, axis, cut)[0]:
+            continue
+        checked += 1
+        ok, w = post(s, axis, cut)
+        if not ok:
+            return result("counterexample", checked, total, named(w), named(s))
+    return result("holds" if checked else "inconclusive", checked, total)
+
+
+def _outcome(fn, *args):
+    """A result as JSON text, or the error raised."""
+    try:
+        return json.dumps(fn(*args))
+    except (CcsError, TypeError) as e:
+        return type(e).__name__, str(e)
+
+
+_SPECS = st.one_of(
+    st.integers(-2, 2), st.tuples(st.integers(-2, 2), st.integers(0, 2)).map(
+        lambda p: [p[0], p[0] + p[1]]
+    )
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    randgen.goals(),
+    st.fixed_dictionaries({n: _SPECS for n in randgen.GOAL_NAMES}),
+    st.integers(1, 3),
+    st.integers(1, 4),
+)
+# A box whose post fails in two final states: the witness is the first.
+@example(
+    Box(
+        Choice(Assign("y0a", num(1)), Assign("y0a", num(2))),
+        Compare(">", var("y0a"), num(5)),
+    ),
+    dict.fromkeys(randgen.GOAL_NAMES, 0),
+    1,
+    1,
+)
+def test_check_bounded_matches_the_tree_semantics(goal, box, grid, flow_samples):
+    """Every field of the result, or the error, equals what evaluating
+    the goal node by node gives, on goals nesting boxes over programs,
+    loops and flows, quantifiers and connectives."""
+    expected = _outcome(_tree_check, goal, box, grid, flow_samples)
+    got = _outcome(lambda: check_bounded(goal, box, grid, flow_samples).to_json())
+    assert got == expected
 
 
 # sha256 of [status, checked, total, counterexample] per obligation, grid 5,

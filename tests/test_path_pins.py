@@ -198,7 +198,7 @@ CHECK_PINS = {
     ("decay", "x < 0.54"): "5a0835c70755644223caeb4af730de9749ec8965047aaf8bff9819aed7abda29",
     ("bowl", "x < 1.9999"): "5f6794058445385974c96dca7d5a700a8116b47f5f56c467771e025892f526bb",
     ("bowl", "x * x <= 4"): "0f1ca72a59650dc7dec2a652afea42b4f46532e3a2ad3be8fb22e14115955f6b",
-    ("rail", "x < 1.9999"): "af10c4c416d313c28c0bee965fb13a21151bb915d84f160e881955384f1dc7d7",
+    ("rail", "x < 1.9999"): "5c041b9d7a6dc8e0ad1590203ac9794d90ad3ca1919a6bcad7da533972ae9d4f",
     ("rail", "y = 0"): "04bf605412d637352bba9269ffecf8af678119d23d6859257fd2d73308902980",
 }
 
@@ -209,6 +209,15 @@ def test_flow_checks_are_pinned(model, post):
     goal = Box(ode, dsl.parse_formula_text(post))
     result = check_bounded(goal, CHECK_BOXES[model], grid=3, flow_samples=8)
     assert _digest(result.to_json()) == CHECK_PINS[model, post]
+
+
+@pytest.mark.parametrize("edge", ["x < 2", "x != 2"])
+def test_an_open_domain_is_sampled_inside_its_exit(edge):
+    """The exact path's last sample is the last state the domain holds
+    in, not the exit point it excludes."""
+    goal = dsl.parse_formula_text(f"x = 1.9 -> [{{x' = 1, t' = 1 & {edge}}}] {edge}")
+    result = check_bounded(goal, {"x": [1.8, 1.9], "t": 0}, grid=2)
+    assert (result.status, result.checked, result.counterexample) == ("holds", 1, None)
 
 
 OPEN_FLOW_PIN = "bd231ed5fa90ef20698bcf469fcaf0d25f5513bc03ddaff66221b1c48c0ba612"

@@ -157,19 +157,10 @@ _VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]), st.floats
 _STATES = st.fixed_dictionaries({}, optional={n: _VALUES for n in AWKWARD_NAMES})
 
 
-def _comprehension_form(t):
-    """`t` compiled in the division form of a program's assignments,
-    which sit in comprehension iterables, as a function of a dict."""
-    return term_on_dicts(t, depth=None)
-
-
 @settings(deadline=None)
 @given(randgen.terms(AWKWARD_NAMES), _STATES)
 def test_compiled_terms_match_tree_evaluation_bit_for_bit(t, s):
-    """Both division forms: `:=` (the default) and the comprehension."""
-    expected = _outcome(_tree_term, t, s)
-    assert _outcome(term_on_dicts(t), s) == expected
-    assert _outcome(_comprehension_form(t), s) == expected
+    assert _outcome(term_on_dicts(t), s) == _outcome(_tree_term, t, s)
 
 
 @settings(deadline=None)
@@ -180,13 +171,12 @@ def test_compiled_formulas_match_tree_evaluation(f, s):
 
 def test_division_by_zero_names_the_printed_term():
     t = Divide(var("x"), Minus(var("y"), var("y")))
-    for form in (term_on_dicts, _comprehension_form):
-        with pytest.raises(DivisionByZero) as e:
-            form(t)({"x": 1.0, "y": 3.0})
-        assert e.value.term_text == print_term(t) == "x / (y - y)"
-        # The denominator is checked before the numerator is read.
-        with pytest.raises(DivisionByZero):
-            form(t)({"y": 3.0})
+    with pytest.raises(DivisionByZero) as e:
+        term_on_dicts(t)({"x": 1.0, "y": 3.0})
+    assert e.value.term_text == print_term(t) == "x / (y - y)"
+    # The denominator is checked before the numerator is read.
+    with pytest.raises(DivisionByZero):
+        term_on_dicts(t)({"y": 3.0})
 
 
 def test_nested_divisions_keep_their_own_denominators():
@@ -197,7 +187,7 @@ def test_nested_divisions_keep_their_own_denominators():
         Divide(x, Divide(y, z)),
         Divide(Divide(x, y), Divide(y, z)),
     ):
-        assert term_on_dicts(t)(s) == _comprehension_form(t)(s) == _tree_term(t, s)
+        assert term_on_dicts(t)(s) == _tree_term(t, s)
 
 
 def test_long_chains_compile():
