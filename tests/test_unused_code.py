@@ -6,6 +6,10 @@ definition. For a public name, an export from `ccskit/__init__.py` (an
 import there) is such a reference; a private one (a leading underscore)
 must be used by other code of its module. Click commands are exempt: the
 command line reaches them through their group.
+
+Every name a module imports is read somewhere in that module, except
+the imports of `ccskit/__init__.py` (they are the package's exports) and
+`from __future__` imports.
 """
 
 import ast
@@ -63,6 +67,28 @@ def unused_names(src: Path = SRC) -> list[str]:
     return unused
 
 
+def unused_imports(src: Path = SRC) -> list[str]:
+    """`module.name` for each imported name its module never reads."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        unused += [f"{path.stem}.{name}" for name in imported if name not in read]
+    return unused
+
+
 def _is_private(qualified: str) -> bool:
     return qualified.partition(".")[2].startswith("_")
 
@@ -75,13 +101,19 @@ def test_every_private_name_is_used():
     assert [n for n in unused_names() if _is_private(n)] == []
 
 
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
 def test_the_check_sees_a_name_nothing_uses(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import used\n")
     (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
         "import click\n"
+        "from math import pi, tau\n"
         "LIMIT = 3\n"
         "_SCALE = 2\n"
-        "def used():\n    return _helper() * LIMIT\n"
+        "def used():\n    return _helper() * LIMIT * pi\n"
         "def _helper():\n    return _SCALE\n"
         "def lonely():\n    return lonely()\n"
         "def _private():\n    return _private()\n"
@@ -89,3 +121,4 @@ def test_the_check_sees_a_name_nothing_uses(tmp_path):
         "@main.command()\ndef go():\n    pass\n"
     )
     assert unused_names(tmp_path) == ["a.lonely", "a._private"]
+    assert unused_imports(tmp_path) == ["a.tau"]
