@@ -74,11 +74,7 @@ class Contract(Record):
 
     def __init__(self, *values, **named):
         super().__init__(*values, **named)
-        for label, f in (
-            ("assume", self.assume),
-            ("guarantee", self.guarantee),
-            ("init", self.init),
-        ):
+        for label, f in zip(self._fields, self._values()):
             for sub in walk(f):
                 if isinstance(sub, ast.Box):
                     raise InvalidContract(
@@ -88,6 +84,12 @@ class Contract(Record):
     def free_vars(self) -> frozenset[str]:
         """The free variables of the three clauses together."""
         return free_vars(self.assume) | free_vars(self.guarantee) | free_vars(self.init)
+
+
+def joint_contract(*contracts: Contract) -> Contract:
+    """The contracts conjoined clause by clause."""
+    clauses = zip(*(c._values() for c in contracts))
+    return Contract(*(conj(*clause) for clause in clauses))
 
 
 class Environment(Record):
@@ -211,12 +213,7 @@ class MultiChoiceController(Record):
 
     @property
     def contract(self) -> Contract:
-        parts = [rc.require_contract() for rc in self.choices]
-        return Contract(
-            assume=conj(*(p.assume for p in parts)),
-            guarantee=conj(*(p.guarantee for p in parts)),
-            init=conj(*(p.init for p in parts)),
-        )
+        return joint_contract(*(rc.require_contract() for rc in self.choices))
 
     @property
     def timestamps(self) -> tuple[str, ...]:
@@ -368,34 +365,26 @@ def make_ccs(
     """
     ctrl = as_multi_controller(controller)
 
-    seen: set[str] = set()
-    for rc in ctrl.choices:
-        if rc.timestamp in seen:
-            raise NonFreshTimestamp(
-                f"timestamp {rc.timestamp!r} used by two controllers"
-            )
-        seen.add(rc.timestamp)
+    stamps = ctrl.timestamps
+    for i, stamp in enumerate(stamps):
+        if stamp in stamps[:i]:
+            raise NonFreshTimestamp(f"timestamp {stamp!r} used by two controllers")
+    # Where a timestamp may not occur, in the order they are checked; a
+    # controller's own contract (the owner) may read its own timestamp.
     plant_vars = plant.evolved | plant.rhs_free_vars() | free_vars(plant.domain)
+    places = [(None, f"plant {plant.name!r}", plant_vars)]
+    places += [
+        (rc, f"the contract of {rc.name!r}", rc.contract.free_vars())
+        for rc in ctrl.choices
+        if rc.contract is not None
+    ]
+    if plant.contract is not None:
+        pc_vars = plant.contract.free_vars()
+        places.append((None, f"the contract of plant {plant.name!r}", pc_vars))
     for rc in ctrl.choices:
-        if rc.timestamp in plant_vars:
-            raise NonFreshTimestamp(
-                f"timestamp {rc.timestamp!r} occurs in plant {plant.name!r}"
-            )
-        for other in ctrl.choices:
-            if (
-                other is not rc
-                and other.contract is not None
-                and rc.timestamp in other.contract.free_vars()
-            ):
-                raise NonFreshTimestamp(
-                    f"timestamp {rc.timestamp!r} occurs in the contract of "
-                    f"{other.name!r}"
-                )
-        if plant.contract is not None and rc.timestamp in plant.contract.free_vars():
-            raise NonFreshTimestamp(
-                f"timestamp {rc.timestamp!r} occurs in the contract of "
-                f"plant {plant.name!r}"
-            )
+        for owner, place, names in places:
+            if owner is not rc and rc.timestamp in names:
+                raise NonFreshTimestamp(f"timestamp {rc.timestamp!r} occurs in {place}")
 
     if ctrl.reactivity > plant.controllability:
         raise ReactivityExceedsControllability(

@@ -8,7 +8,10 @@ operator associative and commutative by construction, which the property
 suite pins down.
 
 Every operator is gated: it either returns a well-formed composite or
-raises a named error; nothing is silently repaired.
+raises a named error; nothing is silently repaired. Each
+non-interference gate is a list of `(description, variables)` rows, one
+per side condition; its report keeps, in row order, the rows whose
+variables are not empty.
 """
 
 from __future__ import annotations
@@ -21,19 +24,15 @@ from typing import Iterable
 from .ast import Record, conj, conjuncts
 from .components import (
     MCCS,
-    Contract,
     ControllablePlant,
     Environment,
     MultiChoiceController,
     ReactiveController,
     as_multi_controller,
+    joint_contract,
     make_ccs,
 )
-from .errors import (
-    InterferenceError,
-    NonFreshTimestamp,
-    UnmappedController,
-)
+from .errors import InterferenceError, UnmappedController
 from .statics import bound_vars, free_vars
 
 
@@ -116,17 +115,14 @@ def raise_on_violations(report: NonInterferenceReport) -> NonInterferenceReport:
     return report
 
 
-def _check(gate: str, desc: str, overlap: frozenset[str], sink: list[Violation]):
-    if overlap:
-        sink.append(Violation(gate, "error", desc, overlap))
+def _report(gate: str, errors, warnings=()) -> NonInterferenceReport:
+    """The report of `gate` from `(description, variables)` rows: each
+    row whose variables are not empty, in row order."""
 
+    def kept(severity: str, rows) -> tuple[Violation, ...]:
+        return tuple(Violation(gate, severity, d, names) for d, names in rows if names)
 
-def _controller_writes(c: MultiChoiceController) -> frozenset[str]:
-    """All variables the controller family writes, timestamps included."""
-    out: frozenset[str] = frozenset()
-    for rc in c.choices:
-        out |= bound_vars(rc.to_program())
-    return out
+    return NonInterferenceReport(gate, kept("error", errors), kept("warning", warnings))
 
 
 def non_interference_ctrl_plant(
@@ -140,33 +136,21 @@ def non_interference_ctrl_plant(
     write sets are disjoint.
     """
     c = as_multi_controller(ctrl)
-    g_ctrl = c.contract.guarantee
-    g_plant = plant.require_contract().guarantee
-    ctrl_writes: frozenset[str] = frozenset()
-    for rc in c.choices:
-        ctrl_writes |= bound_vars(rc.ctrl)
+    g_ctrl = free_vars(c.contract.guarantee)
+    g_plant = free_vars(plant.require_contract().guarantee)
+    writes = frozenset().union(*(bound_vars(rc.ctrl) for rc in c.choices))
     evolved = plant.evolved
-
-    errors: list[Violation] = []
-    _check(
+    return _report(
         "ctrl-plant",
-        f"guarantee of {c.name!r} reads variables evolved by {plant.name!r}",
-        free_vars(g_ctrl) & evolved,
-        errors,
+        [
+            (f"guarantee of {c.name!r} reads variables evolved by {plant.name!r}",
+             g_ctrl & evolved),
+            (f"guarantee of {plant.name!r} reads variables written by {c.name!r}",
+             g_plant & writes),
+            (f"{c.name!r} and {plant.name!r} write the same variables",
+             writes & evolved),
+        ],
     )
-    _check(
-        "ctrl-plant",
-        f"guarantee of {plant.name!r} reads variables written by {c.name!r}",
-        free_vars(g_plant) & ctrl_writes,
-        errors,
-    )
-    _check(
-        "ctrl-plant",
-        f"{c.name!r} and {plant.name!r} write the same variables",
-        ctrl_writes & evolved,
-        errors,
-    )
-    return NonInterferenceReport("ctrl-plant", tuple(errors))
 
 
 def non_interference_controllers(
@@ -177,53 +161,29 @@ def non_interference_controllers(
 
     neither guarantee may read what the other side writes. A guarantee
     reading its *own* writer's variables is reported as a warning only:
-    it is the normal shape of an actuation guarantee.
+    it is the normal shape of an actuation guarantee. The write sets
+    include the timestamps, so a shared timestamp is a shared write.
     """
     ma, mb = as_multi_controller(a), as_multi_controller(b)
-    writes_a, writes_b = _controller_writes(ma), _controller_writes(mb)
-    g_a, g_b = ma.contract.guarantee, mb.contract.guarantee
-
-    errors: list[Violation] = []
-    warnings: list[Violation] = []
-    _check(
-        "controllers",
-        f"{ma.name!r} and {mb.name!r} write the same variables",
-        writes_a & writes_b,
-        errors,
+    w_a, w_b = (
+        frozenset().union(*(bound_vars(rc.to_program()) for rc in m.choices))
+        for m in (ma, mb)
     )
-    _check(
+    g_a, g_b = free_vars(ma.contract.guarantee), free_vars(mb.contract.guarantee)
+    return _report(
         "controllers",
-        f"guarantee of {ma.name!r} reads variables written by {mb.name!r}",
-        free_vars(g_a) & writes_b,
-        errors,
+        [
+            (f"{ma.name!r} and {mb.name!r} write the same variables", w_a & w_b),
+            (f"guarantee of {ma.name!r} reads variables written by {mb.name!r}",
+             g_a & w_b),
+            (f"guarantee of {mb.name!r} reads variables written by {ma.name!r}",
+             g_b & w_a),
+        ],
+        [
+            (f"guarantee of {m.name!r} reads its own written variables", g & w)
+            for m, g, w in ((ma, g_a, w_a), (mb, g_b, w_b))
+        ],
     )
-    _check(
-        "controllers",
-        f"guarantee of {mb.name!r} reads variables written by {ma.name!r}",
-        free_vars(g_b) & writes_a,
-        errors,
-    )
-    self_a = free_vars(g_a) & writes_a
-    if self_a:
-        warnings.append(
-            Violation(
-                "controllers",
-                "warning",
-                f"guarantee of {ma.name!r} reads its own written variables",
-                self_a,
-            )
-        )
-    self_b = free_vars(g_b) & writes_b
-    if self_b:
-        warnings.append(
-            Violation(
-                "controllers",
-                "warning",
-                f"guarantee of {mb.name!r} reads its own written variables",
-                self_b,
-            )
-        )
-    return NonInterferenceReport("controllers", tuple(errors), tuple(warnings))
 
 
 def non_interference_plants(
@@ -234,39 +194,23 @@ def non_interference_plants(
     other's variables, feeds them into its right-hand sides, or lets its
     guarantee depend on them.
     """
-    g_a, g_b = a.require_contract().guarantee, b.require_contract().guarantee
-    errors: list[Violation] = []
-    _check(
+    g_a = free_vars(a.require_contract().guarantee)
+    g_b = free_vars(b.require_contract().guarantee)
+    return _report(
         "plants",
-        f"{a.name!r} and {b.name!r} evolve the same variables",
-        a.evolved & b.evolved,
-        errors,
+        [
+            (f"{a.name!r} and {b.name!r} evolve the same variables",
+             a.evolved & b.evolved),
+            (f"dynamics of {b.name!r} read variables evolved by {a.name!r}",
+             a.evolved & b.rhs_free_vars()),
+            (f"dynamics of {a.name!r} read variables evolved by {b.name!r}",
+             b.evolved & a.rhs_free_vars()),
+            (f"guarantee of {b.name!r} reads variables evolved by {a.name!r}",
+             a.evolved & g_b),
+            (f"guarantee of {a.name!r} reads variables evolved by {b.name!r}",
+             b.evolved & g_a),
+        ],
     )
-    _check(
-        "plants",
-        f"dynamics of {b.name!r} read variables evolved by {a.name!r}",
-        a.evolved & b.rhs_free_vars(),
-        errors,
-    )
-    _check(
-        "plants",
-        f"dynamics of {a.name!r} read variables evolved by {b.name!r}",
-        b.evolved & a.rhs_free_vars(),
-        errors,
-    )
-    _check(
-        "plants",
-        f"guarantee of {b.name!r} reads variables evolved by {a.name!r}",
-        a.evolved & free_vars(g_b),
-        errors,
-    )
-    _check(
-        "plants",
-        f"guarantee of {a.name!r} reads variables evolved by {b.name!r}",
-        b.evolved & free_vars(g_a),
-        errors,
-    )
-    return NonInterferenceReport("plants", tuple(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +229,9 @@ def compose_controllers(
     """
     ma, mb = as_multi_controller(a), as_multi_controller(b)
     raise_on_violations(non_interference_controllers(ma, mb))
-    stamps_a = set(ma.timestamps)
-    for s in mb.timestamps:
-        if s in stamps_a:
-            raise NonFreshTimestamp(f"timestamp {s!r} used on both sides")
     atoms = ma.choices + mb.choices
-    bound = cost(cm, atoms)
-    return MultiChoiceController(
-        name=f"{ma.name}__{mb.name}", choices=atoms, reactivity=bound
-    )
+    name = f"{ma.name}__{mb.name}"
+    return MultiChoiceController(name=name, choices=atoms, reactivity=cost(cm, atoms))
 
 
 def compose_plants(a: ControllablePlant, b: ControllablePlant) -> ControllablePlant:
@@ -304,17 +242,12 @@ def compose_plants(a: ControllablePlant, b: ControllablePlant) -> ControllablePl
     stored).
     """
     raise_on_violations(non_interference_plants(a, b))
-    ca, cb = a.require_contract(), b.require_contract()
     return ControllablePlant(
         name=f"{a.name}__{b.name}",
         equations=a.equations + b.equations,
         domain=conj(*conjuncts(a.domain), *conjuncts(b.domain)),
         controllability=min(a.controllability, b.controllability),
-        contract=Contract(
-            assume=conj(ca.assume, cb.assume),
-            guarantee=conj(ca.guarantee, cb.guarantee),
-            init=conj(ca.init, cb.init),
-        ),
+        contract=joint_contract(a.require_contract(), b.require_contract()),
         bound_name=f"Delta_{a.name}__{b.name}",
     )
 
@@ -332,19 +265,10 @@ def compose_mccs(a: MCCS, b: MCCS, cm: CostModel) -> MCCS:
 
     controller = compose_controllers(a.controller, b.controller, cm)
     plant = compose_plants(a.plant, b.plant)
-    env = (
-        a.env
-        if a.env == b.env
-        else Environment(conj(a.env.formula, b.env.formula))
-    )
+    env = a.env if a.env == b.env else Environment(conj(a.env.formula, b.env.formula))
     invariant = conj(a.invariant, b.invariant)
+    name = f"{a.name}__{b.name}"
     # make_ccs re-checks ctrl/plant interference, environment constancy and
     # the cost <= controllability side condition.
-    return make_ccs(
-        controller,
-        plant,
-        env=env,
-        invariant=invariant,
-        name=f"{a.name}__{b.name}",
-    )
+    return make_ccs(controller, plant, env=env, invariant=invariant, name=name)
 

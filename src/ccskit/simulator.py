@@ -83,7 +83,7 @@ from .ast import (
     print_program_inline,
     print_term,
 )
-from .components import MCCS, CLOCK
+from .components import MCCS, CLOCK, Contract
 from .errors import (
     CcsError,
     DivisionByZero,
@@ -707,14 +707,19 @@ def write_trace_csv(trace: Trace, path) -> None:
 # System runtime
 
 
+def _contracts(system: MCCS) -> list[tuple[str, Contract]]:
+    """(name, contract) of each component that has one: the controllers
+    in order, then the plant."""
+    components = (*system.controller.choices, system.plant)
+    return [(c.name, c.contract) for c in components if c.contract is not None]
+
+
 def system_variables(system: MCCS) -> frozenset[str]:
     out = all_vars(system.to_program())
     out |= free_vars(system.env.formula)
     out |= free_vars(system.invariant)
-    contracts = [rc.contract for rc in system.controller.choices]
-    for c in [*contracts, system.plant.contract]:
-        if c is not None:
-            out |= c.free_vars()
+    for _, contract in _contracts(system):
+        out |= contract.free_vars()
     return out
 
 
@@ -774,29 +779,15 @@ def _complete_init(
 
 
 def _init_obligations(system: MCCS) -> list[tuple[str, Formula]]:
-    out: list[tuple[str, Formula]] = []
-    for c in conjuncts(system.env.formula):
-        out.append(("environment", c))
-    for rc in system.controller.choices:
-        if rc.contract is not None:
-            out.append((f"assume[{rc.name}]", rc.contract.assume))
-            out.append((f"init[{rc.name}]", rc.contract.init))
-    if system.plant.contract is not None:
-        pc = system.plant.contract
-        out.append((f"assume[{system.plant.name}]", pc.assume))
-        out.append((f"init[{system.plant.name}]", pc.init))
+    out = [("environment", c) for c in conjuncts(system.env.formula)]
+    for name, contract in _contracts(system):
+        out.append((f"assume[{name}]", contract.assume))
+        out.append((f"init[{name}]", contract.init))
     return out
 
 
 def _monitors(system: MCCS) -> list[tuple[str, Formula]]:
-    out: list[tuple[str, Formula]] = []
-    for rc in system.controller.choices:
-        if rc.contract is not None:
-            out.append((f"G[{rc.name}]", rc.contract.guarantee))
-    if system.plant.contract is not None:
-        out.append(
-            (f"G[{system.plant.name}]", system.plant.contract.guarantee)
-        )
+    out = [(f"G[{name}]", contract.guarantee) for name, contract in _contracts(system)]
     if not isinstance(system.invariant, TrueF):
         out.append(("invariant", system.invariant))
     return out
