@@ -64,6 +64,13 @@ def _read_text(path: str) -> str:
         _fail(f"cannot read {path}: {e}")
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        _fail(f"cannot write {path}: {e}")
+
+
 def _read_json(path: str, what: str):
     try:
         return json.loads(Path(path).read_text())
@@ -263,7 +270,7 @@ def compose(
         text = dsl.serialize_composed(sys_)
     except CcsError as e:
         _fail(f"cannot serialize ({type(e).__name__}): {e}", 1)
-    Path(output).write_text(text)
+    _write_text(output, text)
     click.echo(f"wrote {output}")
     click.echo(
         f"  {sys_.name}: scheduling cost "
@@ -338,7 +345,7 @@ def obligations(
     obs = _gather_obligations(model, system, theorem, _cost_model(cost_model_path))
     payload = json.dumps([ob.to_json() for ob in obs], indent=2)
     if out is not None:
-        Path(out).write_text(payload + "\n")
+        _write_text(out, payload + "\n")
         click.echo(f"wrote {len(obs)} obligations to {out}")
     elif fmt == "json":
         click.echo(payload)
@@ -366,14 +373,26 @@ def export_kyx(obligations_json: str, out_dir: str):
         _fail(f"{obligations_json}: bad obligation entry: {e}")
     except RecursionError:
         _too_deep(obligations_json)
+    entries: dict[str, int] = {}  # file name -> index of its entry
+    for i, ob in enumerate(obs):
+        name = kyx_filename(ob)
+        entry = f"{obligations_json}: entry {i} (id {ob.id!r})"
+        if not ob.id or "/" in name or "\0" in name:
+            _fail(f"{entry}: the id is not a plain file name")
+        if name in entries:
+            _fail(f"{entry}: the id repeats that of entry {entries[name]}")
+        entries[name] = i
     try:
         texts = [render_kyx(ob) for ob in obs]
     except RecursionError:
         _too_deep(obligations_json)
     directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    for ob, text in zip(obs, texts):
-        (directory / kyx_filename(ob)).write_text(text)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        _fail(f"cannot write {out_dir}: {e}")
+    for name, text in zip(entries, texts):
+        _write_text(directory / name, text)
     click.echo(f"wrote {len(obs)} problem files to {out_dir}")
 
 
@@ -458,13 +477,16 @@ def simulate(
         _fail(f"simulation failed ({type(e).__name__}): {e}", 1)
     if summary.first_trace is not None:
         for path in csv_paths:
-            write_trace_csv(summary.first_trace, path)
+            try:
+                write_trace_csv(summary.first_trace, path)
+            except OSError as e:
+                _fail(f"cannot write {path}: {e}")
             click.echo(f"wrote trace of run 0 to {path}", err=True)
     elif csv_paths:
         click.echo("run 0 is stuck: wrote no trace to " + ", ".join(csv_paths), err=True)
     payload = json.dumps(summary.to_json(), indent=2)
     for path in json_paths:
-        Path(path).write_text(payload + "\n")
+        _write_text(path, payload + "\n")
         click.echo(f"wrote summary to {path}", err=True)
     if not json_paths:
         click.echo(payload)

@@ -362,6 +362,60 @@ def test_export_kyx_goal_nested_too_deeply_is_exit_2(runner, corpus_dir, tmp_pat
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "bad_id, problem",
+    [
+        ("../../escaped", "the id is not a plain file name"),
+        ("sub/dir/x", "the id is not a plain file name"),
+        ("nul\0byte", "the id is not a plain file name"),
+        ("", "the id is not a plain file name"),
+        ("thm1.base", "the id repeats that of entry 0"),
+    ],
+    ids=["parent-path", "subdirectory", "nul-byte", "empty", "repeated"],
+)
+def test_export_kyx_rejects_an_id_that_is_no_file_name(
+    runner, corpus_dir, tmp_path, bad_id, problem
+):
+    """An id must name one file of its own inside the output directory;
+    the check comes before anything is written."""
+    obs_path = tmp_path / "obs.json"
+    invoke(runner, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
+    obs = json.loads(obs_path.read_text())
+    assert obs[0]["id"] == "thm1.base"
+    obs[2]["id"] = bad_id
+    obs_path.write_text(json.dumps(obs))
+    out_dir = tmp_path / "a" / "b" / "kyx"
+    result = invoke(runner, "export-kyx", obs_path, "-o", out_dir)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"{obs_path}: entry 2 (id {bad_id!r}): {problem}\n"
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["obligations", "MODEL", "-o", "BLOCKED/obs.json"],
+        ["compose", "MODEL", "-o", "BLOCKED/composed.ccs"],
+        ["simulate", "MODEL", "--out", "BLOCKED/run.csv"],
+        ["simulate", "MODEL", "--out", "BLOCKED/summary.json"],
+        ["export-kyx", "OBS", "-o", "BLOCKED/kyx"],
+    ],
+    ids=["obligations", "compose", "simulate-csv", "simulate-json", "export-kyx"],
+)
+def test_unwritable_output_path_is_exit_2(runner, corpus_dir, tmp_path, args):
+    """An output path under a regular file ends with one line naming it."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    obs_path = tmp_path / "obs.json"
+    invoke(runner, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
+    names = {"MODEL": corpus_dir / "watertank.ccs", "OBS": obs_path}
+    args = [str(names.get(a, a)).replace("BLOCKED", str(blocker)) for a in args]
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"cannot write {args[-1]}: ")
+    assert result.stderr.count("\n") == 1
+
+
 # -- simulate ---------------------------------------------------------------
 
 
