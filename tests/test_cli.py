@@ -1,37 +1,46 @@
-"""End-to-end exercises of every subcommand through CliRunner.
+"""End-to-end exercises of every subcommand, run in this process.
 
 Exit-code contract under test: 0 clean, 1 the model or its runs are
 bad, 2 the invocation or input file is bad.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 import ccskit
 import ccskit.simulator
 from ccskit import dsl
 from ccskit.cli import main
 from ccskit.errors import StuckState
-from ccskit.simulator import batch_member, run, run_batch, write_trace_csv
+from ccskit.simulator import STRATEGIES, batch_member, run, run_batch, write_trace_csv
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
 
 
-def invoke(runner, *args):
-    return runner.invoke(main, [str(a) for a in args])
+def invoke(capsys, *args) -> Result:
+    """`ccs args` in this process; a return, or an exit with no code, is exit 0."""
+    capsys.readouterr()
+    try:
+        main([str(a) for a in args])
+        code = 0
+    except SystemExit as e:
+        code = 0 if e.code is None else e.code
+    return Result(code, *capsys.readouterr())
 
 
-def test_version(runner):
-    result = invoke(runner, "--version")
+def test_version(capsys):
+    result = invoke(capsys, "--version")
     assert result.exit_code == 0
     assert "version" in result.stdout
 
@@ -50,6 +59,25 @@ def test_version_from_source_tree():
     assert proc.returncode == 0
     assert proc.stdout == f"ccs, version {ccskit.__version__}\n"
     assert proc.stderr == ""
+
+
+def test_closed_stdout_is_exit_1_with_empty_stderr(corpus_dir):
+    """A reader that has closed the pipe ends the command with exit 1 and
+    nothing on stderr, not a traceback."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccskit.cli", "obligations", corpus_dir / "two_tanks.ccs"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
@@ -73,8 +101,8 @@ def test_cli_import_leaves_dataclasses_unloaded():
 # -- check ------------------------------------------------------------------
 
 
-def test_check_clean_model_json(runner, corpus_dir):
-    result = invoke(runner, "check", corpus_dir / "watertank.ccs")
+def test_check_clean_model_json(capsys, corpus_dir):
+    result = invoke(capsys, "check", corpus_dir / "watertank.ccs")
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     assert payload["system"] == "watertank"
@@ -86,8 +114,8 @@ def test_check_clean_model_json(runner, corpus_dir):
     assert "variables" not in payload
 
 
-def test_check_vars_flag(runner, corpus_dir):
-    result = invoke(runner, "check", corpus_dir / "watertank.ccs", "--vars")
+def test_check_vars_flag(capsys, corpus_dir):
+    result = invoke(capsys, "check", corpus_dir / "watertank.ccs", "--vars")
     payload = json.loads(result.stdout)
     tables = payload["variables"]
     assert set(tables) == {"system", "wlctrl", "tank"}
@@ -98,9 +126,9 @@ def test_check_vars_flag(runner, corpus_dir):
         assert all(v == sorted(v) for v in triple.values())
 
 
-def test_check_text_format(runner, corpus_dir):
+def test_check_text_format(capsys, corpus_dir):
     result = invoke(
-        runner, "check", corpus_dir / "two_tanks.ccs", "--format", "text"
+        capsys, "check", corpus_dir / "two_tanks.ccs", "--format", "text"
     )
     assert result.exit_code == 0
     lines = result.stdout.splitlines()
@@ -109,37 +137,37 @@ def test_check_text_format(runner, corpus_dir):
     assert any("scheduling cost 0.07 <= bound 0.15" in line for line in lines)
 
 
-def test_check_interference_is_exit_1(runner, corpus_dir):
-    result = invoke(runner, "check", corpus_dir / "bad_shared_output.ccs")
+def test_check_interference_is_exit_1(capsys, corpus_dir):
+    result = invoke(capsys, "check", corpus_dir / "bad_shared_output.ccs")
     assert result.exit_code == 1
     assert "rejected (InterferenceError)" in result.stderr
     assert "fin" in result.stderr
 
 
-def test_check_two_consts_of_one_name_is_exit_1(runner, corpus_dir, tmp_path):
+def test_check_two_consts_of_one_name_is_exit_1(capsys, corpus_dir, tmp_path):
     model = tmp_path / "double.ccs"
     text = (corpus_dir / "watertank.ccs").read_text()
     model.write_text(text.replace("const fout = 0.75", "const fout = 0.75\nconst fout = 1"))
-    result = invoke(runner, "check", model)
+    result = invoke(capsys, "check", model)
     assert result.exit_code == 1
     assert result.stderr == f"{model}: rejected (CcsError): two const declarations for 'fout'\n"
 
 
-def test_check_unschedulable_is_exit_1(runner, corpus_dir):
-    result = invoke(runner, "check", corpus_dir / "two_tanks_slow.ccs")
+def test_check_unschedulable_is_exit_1(capsys, corpus_dir):
+    result = invoke(capsys, "check", corpus_dir / "two_tanks_slow.ccs")
     assert result.exit_code == 1
     assert "ReactivityExceedsControllability" in result.stderr
 
 
-def test_check_missing_file_is_exit_2(runner, tmp_path):
-    result = invoke(runner, "check", tmp_path / "nope.ccs")
+def test_check_missing_file_is_exit_2(capsys, tmp_path):
+    result = invoke(capsys, "check", tmp_path / "nope.ccs")
     assert result.exit_code == 2
 
 
-def test_check_parse_error_is_exit_2(runner, tmp_path):
+def test_check_parse_error_is_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.ccs"
     bad.write_text("controller oops {\n  program: ?(;\n}\n")
-    result = invoke(runner, "check", bad)
+    result = invoke(capsys, "check", bad)
     assert result.exit_code == 2
     assert "parse error" in result.stderr
 
@@ -152,24 +180,24 @@ _TOO_DEEP = {
 
 @pytest.mark.parametrize("command", ["check", "simulate"])
 @pytest.mark.parametrize("rhs", list(_TOO_DEEP.values()), ids=list(_TOO_DEEP))
-def test_model_nested_too_deeply_is_exit_2(runner, corpus_dir, tmp_path, command, rhs):
+def test_model_nested_too_deeply_is_exit_2(capsys, corpus_dir, tmp_path, command, rhs):
     model = tmp_path / "deep.ccs"
     text = (corpus_dir / "watertank.ccs").read_text()
     model.write_text(text.replace("wlm := wl;", f"wlm := {rhs};"))
     (tmp_path / "deep.init.json").write_text((corpus_dir / "watertank.init.json").read_text())
-    result = invoke(runner, command, model)
+    result = invoke(capsys, command, model)
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == f"{model}: input nests too deeply to process\n"
 
 
-def test_simulate_guarantee_nested_too_deeply_is_one_line(runner, corpus_dir, tmp_path):
+def test_simulate_guarantee_nested_too_deeply_is_one_line(capsys, corpus_dir, tmp_path):
     """A monitor Python will not compile fails the simulation with one
     line naming it, as a program nested too deeply does."""
     model = tmp_path / "deep.ccs"
     text = (corpus_dir / "watertank.ccs").read_text()
     model.write_text(text.replace("guarantee 3 <= wl", "guarantee " + "!" * 250 + "(3 <= wl)"))
     (tmp_path / "deep.init.json").write_text((corpus_dir / "watertank.init.json").read_text())
-    result = invoke(runner, "simulate", model, "--schedules", 1)
+    result = invoke(capsys, "simulate", model, "--schedules", 1)
     assert (result.exit_code, result.stdout) == (1, "")
     assert result.stderr == (
         "simulation failed (CcsError): formula nests too deeply to compile "
@@ -177,11 +205,11 @@ def test_simulate_guarantee_nested_too_deeply_is_one_line(runner, corpus_dir, tm
     )
 
 
-def test_check_cost_model_file(runner, corpus_dir, tmp_path):
+def test_check_cost_model_file(capsys, corpus_dir, tmp_path):
     split = tmp_path / "split.json"
     split.write_text(json.dumps({"wlctrl1": "ecu0", "wlctrl2": "ecu1"}))
     result = invoke(
-        runner, "check", corpus_dir / "two_tanks.ccs", "--cost-model", split
+        capsys, "check", corpus_dir / "two_tanks.ccs", "--cost-model", split
     )
     payload = json.loads(result.stdout)
     assert payload["scheduling"]["cost"] == "0.05"  # max, not sum
@@ -192,10 +220,10 @@ def test_check_cost_model_file(runner, corpus_dir, tmp_path):
     [("{", "Expecting property name"), ("[" * 100000 + "]" * 100000, "recursion depth")],
     ids=["malformed", "too-deep"],
 )
-def test_check_bad_cost_model_is_exit_2(runner, corpus_dir, tmp_path, text, problem):
+def test_check_bad_cost_model_is_exit_2(capsys, corpus_dir, tmp_path, text, problem):
     bad = tmp_path / "cost.json"
     bad.write_text(text)
-    result = invoke(runner, "check", corpus_dir / "watertank.ccs", "--cost-model", bad)
+    result = invoke(capsys, "check", corpus_dir / "watertank.ccs", "--cost-model", bad)
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr.startswith(f"bad cost model {bad}: ")
     assert problem in result.stderr and len(result.stderr.splitlines()) == 1
@@ -204,9 +232,9 @@ def test_check_bad_cost_model_is_exit_2(runner, corpus_dir, tmp_path, text, prob
 # -- compose ----------------------------------------------------------------
 
 
-def test_compose_matches_golden_and_reloads(runner, corpus_dir, golden_dir, tmp_path):
+def test_compose_matches_golden_and_reloads(capsys, corpus_dir, golden_dir, tmp_path):
     out = tmp_path / "flat.ccs"
-    result = invoke(runner, "compose", corpus_dir / "two_tanks.ccs", "-o", out)
+    result = invoke(capsys, "compose", corpus_dir / "two_tanks.ccs", "-o", out)
     assert result.exit_code == 0
     assert out.read_text() == (golden_dir / "two_tanks_composed.ccs").read_text()
     flat = dsl.load_file(out)
@@ -214,10 +242,10 @@ def test_compose_matches_golden_and_reloads(runner, corpus_dir, golden_dir, tmp_
     assert "scheduling cost 0.07 <= bound 0.15" in result.stdout
 
 
-def test_compose_rejects_bad_model(runner, corpus_dir, tmp_path):
+def test_compose_rejects_bad_model(capsys, corpus_dir, tmp_path):
     out = tmp_path / "flat.ccs"
     result = invoke(
-        runner, "compose", corpus_dir / "bad_shared_output.ccs", "-o", out
+        capsys, "compose", corpus_dir / "bad_shared_output.ccs", "-o", out
     )
     assert result.exit_code == 1
     assert not out.exists()
@@ -226,8 +254,8 @@ def test_compose_rejects_bad_model(runner, corpus_dir, tmp_path):
 # -- obligations ------------------------------------------------------------
 
 
-def test_obligations_auto_single_pair(runner, corpus_dir):
-    result = invoke(runner, "obligations", corpus_dir / "watertank.ccs")
+def test_obligations_auto_single_pair(capsys, corpus_dir):
+    result = invoke(capsys, "obligations", corpus_dir / "watertank.ccs")
     assert result.exit_code == 0
     entries = json.loads(result.stdout)
     assert len(entries) == 15
@@ -235,51 +263,51 @@ def test_obligations_auto_single_pair(runner, corpus_dir):
     assert sum(e["id"].startswith("thm1.step.") for e in entries) == 8
 
 
-def test_obligations_auto_multi_atom(runner, corpus_dir):
-    result = invoke(runner, "obligations", corpus_dir / "two_tanks.ccs")
+def test_obligations_auto_multi_atom(capsys, corpus_dir):
+    result = invoke(capsys, "obligations", corpus_dir / "two_tanks.ccs")
     entries = json.loads(result.stdout)
     assert all(e["id"].startswith("thm4.") for e in entries)
 
 
-def test_obligations_explicit_theorems(runner, corpus_dir):
+def test_obligations_explicit_theorems(capsys, corpus_dir):
     ctrl = invoke(
-        runner, "obligations", corpus_dir / "two_tanks.ccs", "--theorem", "controllers"
+        capsys, "obligations", corpus_dir / "two_tanks.ccs", "--theorem", "controllers"
     )
     assert len(json.loads(ctrl.stdout)) == 15
     assert all(e["id"].startswith("thm2.") for e in json.loads(ctrl.stdout))
     plants = invoke(
-        runner, "obligations", corpus_dir / "two_tanks.ccs", "--theorem", "plants"
+        capsys, "obligations", corpus_dir / "two_tanks.ccs", "--theorem", "plants"
     )
     assert len(json.loads(plants.stdout)) == 10
     assert all(e["id"].startswith("thm3.") for e in json.loads(plants.stdout))
 
 
-def test_obligations_wrong_shape_is_exit_2(runner, corpus_dir):
+def test_obligations_wrong_shape_is_exit_2(capsys, corpus_dir):
     result = invoke(
-        runner, "obligations", corpus_dir / "watertank.ccs", "--theorem", "controllers"
+        capsys, "obligations", corpus_dir / "watertank.ccs", "--theorem", "controllers"
     )
     assert result.exit_code == 2
     assert "exactly two controllers" in result.stderr
 
 
-def test_obligations_to_file(runner, corpus_dir, tmp_path):
+def test_obligations_to_file(capsys, corpus_dir, tmp_path):
     out = tmp_path / "obs.json"
-    result = invoke(runner, "obligations", corpus_dir / "watertank.ccs", "-o", out)
+    result = invoke(capsys, "obligations", corpus_dir / "watertank.ccs", "-o", out)
     assert result.exit_code == 0
     assert "wrote 15 obligations to" in result.stdout
     assert len(json.loads(out.read_text())) == 15
 
 
-def test_obligations_text_format(runner, corpus_dir):
+def test_obligations_text_format(capsys, corpus_dir):
     result = invoke(
-        runner, "obligations", corpus_dir / "watertank.ccs", "--format", "text"
+        capsys, "obligations", corpus_dir / "watertank.ccs", "--format", "text"
     )
     lines = result.stdout.splitlines()
     assert lines[-1] == "15 obligations"
     assert any("thm1.step.3" in line and "[fv-bv-separation]" in line for line in lines)
 
 
-def test_obligations_parse_the_model_once(runner, corpus_dir, monkeypatch):
+def test_obligations_parse_the_model_once(capsys, corpus_dir, monkeypatch):
     calls = []
     real_parse = dsl.parse
 
@@ -288,14 +316,14 @@ def test_obligations_parse_the_model_once(runner, corpus_dir, monkeypatch):
         return real_parse(text)
 
     monkeypatch.setattr(dsl, "parse", counting_parse)
-    result = invoke(runner, "obligations", corpus_dir / "watertank.ccs")
+    result = invoke(capsys, "obligations", corpus_dir / "watertank.ccs")
     assert result.exit_code == 0
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("theorem", ["auto", "ccs"])
 def test_obligations_build_the_components_once(
-    runner, corpus_dir, monkeypatch, theorem
+    capsys, corpus_dir, monkeypatch, theorem
 ):
     calls = []
     real_build = dsl.build_components
@@ -306,7 +334,7 @@ def test_obligations_build_the_components_once(
 
     monkeypatch.setattr(dsl, "build_components", counting_build)
     result = invoke(
-        runner, "obligations", corpus_dir / "two_tanks.ccs", "--theorem", theorem
+        capsys, "obligations", corpus_dir / "two_tanks.ccs", "--theorem", theorem
     )
     assert result.exit_code == 0
     assert len(calls) == 1
@@ -315,11 +343,11 @@ def test_obligations_build_the_components_once(
 # -- export-kyx -------------------------------------------------------------
 
 
-def test_export_kyx_writes_one_file_per_obligation(runner, corpus_dir, tmp_path):
+def test_export_kyx_writes_one_file_per_obligation(capsys, corpus_dir, tmp_path):
     obs_path = tmp_path / "obs.json"
-    invoke(runner, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
+    invoke(capsys, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
     out_dir = tmp_path / "kyx"
-    result = invoke(runner, "export-kyx", obs_path, "-o", out_dir)
+    result = invoke(capsys, "export-kyx", obs_path, "-o", out_dir)
     assert result.exit_code == 0
     files = sorted(p.name for p in out_dir.iterdir())
     assert len(files) == 15
@@ -328,18 +356,18 @@ def test_export_kyx_writes_one_file_per_obligation(runner, corpus_dir, tmp_path)
     assert "Problem" in body and body.rstrip().endswith("End.")
 
 
-def test_export_kyx_rejects_non_array(runner, tmp_path):
+def test_export_kyx_rejects_non_array(capsys, tmp_path):
     bad = tmp_path / "obs.json"
     bad.write_text('{"id": "thm1.base"}')
-    result = invoke(runner, "export-kyx", bad, "-o", tmp_path / "kyx")
+    result = invoke(capsys, "export-kyx", bad, "-o", tmp_path / "kyx")
     assert result.exit_code == 2
     assert "expected a JSON array" in result.stderr
 
 
-def test_export_kyx_rejects_malformed_entry(runner, tmp_path):
+def test_export_kyx_rejects_malformed_entry(capsys, tmp_path):
     bad = tmp_path / "obs.json"
     bad.write_text('[{"id": "thm1.base"}]')
-    result = invoke(runner, "export-kyx", bad, "-o", tmp_path / "kyx")
+    result = invoke(capsys, "export-kyx", bad, "-o", tmp_path / "kyx")
     assert result.exit_code == 2
     assert "bad obligation entry" in result.stderr
 
@@ -349,14 +377,14 @@ def test_export_kyx_rejects_malformed_entry(runner, tmp_path):
     [lambda g: "(" * 600 + g + ")" * 600, lambda g: f"{g} & 0 <= 0" + " + 0" * 2999],
     ids=["600-parentheses", "3000-term-sum"],
 )
-def test_export_kyx_goal_nested_too_deeply_is_exit_2(runner, corpus_dir, tmp_path, wrap):
+def test_export_kyx_goal_nested_too_deeply_is_exit_2(capsys, corpus_dir, tmp_path, wrap):
     obs_path = tmp_path / "obs.json"
-    invoke(runner, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
+    invoke(capsys, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
     obs = json.loads(obs_path.read_text())
     obs[0]["goal"] = wrap(obs[0]["goal"])
     obs_path.write_text(json.dumps(obs))
     out_dir = tmp_path / "kyx"
-    result = invoke(runner, "export-kyx", obs_path, "-o", out_dir)
+    result = invoke(capsys, "export-kyx", obs_path, "-o", out_dir)
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == f"{obs_path}: input nests too deeply to process\n"
     assert not out_dir.exists()
@@ -374,18 +402,18 @@ def test_export_kyx_goal_nested_too_deeply_is_exit_2(runner, corpus_dir, tmp_pat
     ids=["parent-path", "subdirectory", "nul-byte", "empty", "repeated"],
 )
 def test_export_kyx_rejects_an_id_that_is_no_file_name(
-    runner, corpus_dir, tmp_path, bad_id, problem
+    capsys, corpus_dir, tmp_path, bad_id, problem
 ):
     """An id must name one file of its own inside the output directory;
     the check comes before anything is written."""
     obs_path = tmp_path / "obs.json"
-    invoke(runner, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
+    invoke(capsys, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
     obs = json.loads(obs_path.read_text())
     assert obs[0]["id"] == "thm1.base"
     obs[2]["id"] = bad_id
     obs_path.write_text(json.dumps(obs))
     out_dir = tmp_path / "a" / "b" / "kyx"
-    result = invoke(runner, "export-kyx", obs_path, "-o", out_dir)
+    result = invoke(capsys, "export-kyx", obs_path, "-o", out_dir)
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == f"{obs_path}: entry 2 (id {bad_id!r}): {problem}\n"
     assert not (tmp_path / "a").exists()
@@ -402,15 +430,15 @@ def test_export_kyx_rejects_an_id_that_is_no_file_name(
     ],
     ids=["obligations", "compose", "simulate-csv", "simulate-json", "export-kyx"],
 )
-def test_unwritable_output_path_is_exit_2(runner, corpus_dir, tmp_path, args):
+def test_unwritable_output_path_is_exit_2(capsys, corpus_dir, tmp_path, args):
     """An output path under a regular file ends with one line naming it."""
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     obs_path = tmp_path / "obs.json"
-    invoke(runner, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
+    invoke(capsys, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
     names = {"MODEL": corpus_dir / "watertank.ccs", "OBS": obs_path}
     args = [str(names.get(a, a)).replace("BLOCKED", str(blocker)) for a in args]
-    result = invoke(runner, *args)
+    result = invoke(capsys, *args)
     assert result.exit_code == 2
     assert result.stderr.startswith(f"cannot write {args[-1]}: ")
     assert result.stderr.count("\n") == 1
@@ -419,9 +447,9 @@ def test_unwritable_output_path_is_exit_2(runner, corpus_dir, tmp_path, args):
 # -- simulate ---------------------------------------------------------------
 
 
-def test_simulate_uses_init_convention(runner, corpus_dir):
+def test_simulate_uses_init_convention(capsys, corpus_dir):
     result = invoke(
-        runner,
+        capsys,
         "simulate", corpus_dir / "watertank.ccs",
         "--schedules", 5, "--seed", 3, "--horizon", 10,
     )
@@ -432,17 +460,17 @@ def test_simulate_uses_init_convention(runner, corpus_dir):
     assert all(v == 0 for v in payload["violations"].values())
 
 
-def test_simulate_missing_init_is_exit_2(runner, corpus_dir, tmp_path):
+def test_simulate_missing_init_is_exit_2(capsys, corpus_dir, tmp_path):
     model = tmp_path / "orphan.ccs"
     model.write_text((corpus_dir / "watertank.ccs").read_text())
-    result = invoke(runner, "simulate", model)
+    result = invoke(capsys, "simulate", model)
     assert result.exit_code == 2
     assert "orphan.init.json does not exist" in result.stderr
 
 
-def test_simulate_violations_are_exit_1(runner, corpus_dir):
+def test_simulate_violations_are_exit_1(capsys, corpus_dir):
     result = invoke(
-        runner,
+        capsys,
         "simulate", corpus_dir / "watertank_late_ctrl.ccs",
         "--schedules", 5, "--seed", 3, "--horizon", 10,
     )
@@ -451,11 +479,11 @@ def test_simulate_violations_are_exit_1(runner, corpus_dir):
     assert payload["violations"]["G[tank]"] > 0
 
 
-def test_simulate_output_files(runner, corpus_dir, tmp_path):
+def test_simulate_output_files(capsys, corpus_dir, tmp_path):
     trace_path = tmp_path / "run0.csv"
     summary_path = tmp_path / "batch.json"
     result = invoke(
-        runner,
+        capsys,
         "simulate", corpus_dir / "watertank.ccs",
         "--schedules", 3, "--seed", 1, "--horizon", 5,
         "--out", trace_path, "--out", summary_path,
@@ -468,7 +496,7 @@ def test_simulate_output_files(runner, corpus_dir, tmp_path):
 
 
 def test_simulate_writes_every_csv_from_the_batch(
-    runner, corpus_dir, tmp_path, monkeypatch
+    capsys, corpus_dir, tmp_path, monkeypatch
 ):
     """Run 0's trace comes from the batch itself: `--out x.csv` adds no
     simulation, however many CSVs are asked for."""
@@ -482,7 +510,7 @@ def test_simulate_writes_every_csv_from_the_batch(
     monkeypatch.setattr(ccskit.simulator, "_run", counting_run)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     result = invoke(
-        runner,
+        capsys,
         "simulate", corpus_dir / "watertank.ccs",
         "--schedules", 3, "--seed", 1, "--horizon", 2,
         "--out", first, "--out", second,
@@ -522,7 +550,7 @@ system stuck = noop | wall
 """
 
 
-def test_simulate_stuck_first_run_with_csv_is_exit_1(runner, tmp_path):
+def test_simulate_stuck_first_run_with_csv_is_exit_1(capsys, tmp_path):
     model = tmp_path / "stuck.ccs"
     model.write_text(STUCK_MODEL)
     box = {"x": 0, "y": 0, "t": 0, "tau_1": 0}
@@ -531,7 +559,7 @@ def test_simulate_stuck_first_run_with_csv_is_exit_1(runner, tmp_path):
         run(dsl.load(STUCK_MODEL), *batch_member(0, 0, box, "uniform-random", 1.0))
     trace_path = tmp_path / "run0.csv"
     result = invoke(
-        runner, "simulate", model, "--schedules", 2, "--horizon", 1,
+        capsys, "simulate", model, "--schedules", 2, "--horizon", 1,
         "--out", trace_path,
     )
     # The summary is the one printed without a CSV; only the trace is missing.
@@ -554,8 +582,8 @@ def test_simulate_stuck_first_run_with_csv_is_exit_1(runner, tmp_path):
         ("--horizon", "0"),
     ],
 )
-def test_simulate_bad_schedules_or_horizon_is_exit_2(runner, corpus_dir, option, value):
-    result = invoke(runner, "simulate", corpus_dir / "watertank.ccs", option, value)
+def test_simulate_bad_schedules_or_horizon_is_exit_2(capsys, corpus_dir, option, value):
+    result = invoke(capsys, "simulate", corpus_dir / "watertank.ccs", option, value)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
@@ -588,11 +616,11 @@ def test_simulate_bad_schedules_or_horizon_is_exit_2(runner, corpus_dir, option,
         "unknown-name", "dangling-alias", "alias-cycle", "too-deep",
     ],
 )
-def test_simulate_malformed_init_is_exit_2(runner, corpus_dir, tmp_path, box, entry):
+def test_simulate_malformed_init_is_exit_2(capsys, corpus_dir, tmp_path, box, entry):
     init = tmp_path / "box.init.json"
     init.write_text(box)
     result = invoke(
-        runner, "simulate", corpus_dir / "watertank.ccs", "--init", init
+        capsys, "simulate", corpus_dir / "watertank.ccs", "--init", init
     )
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -601,21 +629,21 @@ def test_simulate_malformed_init_is_exit_2(runner, corpus_dir, tmp_path, box, en
     assert entry in result.stderr
 
 
-def test_simulate_resolves_alias_chains_in_any_order(runner, corpus_dir, tmp_path):
+def test_simulate_resolves_alias_chains_in_any_order(capsys, corpus_dir, tmp_path):
     init = tmp_path / "chain.init.json"
     init.write_text(
         '{"wlm": "=wl", "wl": [3.6, 6.4], "fin": "=tau_1", "tau_1": "=t", "t": 0}'
     )
     result = invoke(
-        runner, "simulate", corpus_dir / "watertank.ccs", "--init", init
+        capsys, "simulate", corpus_dir / "watertank.ccs", "--init", init
     )
     assert result.exit_code == 0, result.stderr
     assert json.loads(result.stdout)["variable_ranges"]["fin"][0] == 0.0
 
 
-def test_simulate_odd_output_suffix_is_exit_2(runner, corpus_dir, tmp_path):
+def test_simulate_odd_output_suffix_is_exit_2(capsys, corpus_dir, tmp_path):
     result = invoke(
-        runner,
+        capsys,
         "simulate", corpus_dir / "watertank.ccs",
         "--out", tmp_path / "trace.txt",
     )
@@ -623,8 +651,68 @@ def test_simulate_odd_output_suffix_is_exit_2(runner, corpus_dir, tmp_path):
     assert "cannot tell what to write to" in result.stderr
 
 
-def test_simulate_strategy_choice_is_enforced(runner, corpus_dir):
+def test_simulate_strategy_choice_is_enforced(capsys, corpus_dir):
     result = invoke(
-        runner, "simulate", corpus_dir / "watertank.ccs", "--strategy", "eager"
+        capsys, "simulate", corpus_dir / "watertank.ccs", "--strategy", "eager"
     )
     assert result.exit_code == 2
+
+
+# -- output pin -------------------------------------------------------------
+
+
+def _pinned_invocations(model: Path):
+    """Each command line the output pin runs on `model`. OUT/ stands for a
+    fresh directory of the invocation's own, OBS for the obligations file
+    the `-o` run wrote; export-kyx runs only when that run wrote one."""
+    yield ["check", model]
+    yield ["check", model, "--format", "text"]
+    yield ["check", model, "--vars"]
+    yield ["check", model, "--vars", "--format", "text"]
+    yield ["compose", model, "-o", "OUT/composed.ccs"]
+    for theorem in ["auto", "ccs", "controllers", "plants"]:
+        for fmt in ["json", "text"]:
+            yield ["obligations", model, "--theorem", theorem, "--format", fmt]
+    yield ["obligations", model, "-o", "OUT/obs.json"]
+    yield ["export-kyx", "OBS", "-o", "OUT/kyx"]
+    for strategy in STRATEGIES:
+        args = ["simulate", model, "--schedules", 2, "--horizon", 3, "--strategy", strategy]
+        yield args
+        yield args + ["--out", "OUT/run.csv", "--out", "OUT/summary.json"]
+
+
+# sha256 over the args, exit code, stdout, stderr and written files of every
+# invocation above on every corpus model, with the corpus and the test's
+# temporary directory written as CORPUS and TMP. Usage errors are left out:
+# their text is not part of the contract.
+OUTPUT_PIN = "6971ffdc6a055dbe198d5b2661c1141a99a6f39a8e5e009b19258833f265d910"
+
+
+def test_command_outputs_are_pinned(capsys, corpus_dir, tmp_path):
+    def plain(text: str) -> str:
+        return text.replace(str(tmp_path), "TMP").replace(str(corpus_dir), "CORPUS")
+
+    digest = hashlib.sha256()
+    count = 0
+    for model in sorted(corpus_dir.glob("*.ccs")):
+        obs = None
+        for args in _pinned_invocations(model):
+            if args[0] == "export-kyx" and not obs.exists():
+                continue
+            outdir = tmp_path / str(count)
+            outdir.mkdir()
+            count += 1
+            args = [obs if a == "OBS" else a for a in args]
+            args = [str(a).replace("OUT/", f"{outdir}/") for a in args]
+            if args[-1].endswith("obs.json"):
+                obs = Path(args[-1])
+            code, out, err = invoke(capsys, *args)
+            files = [
+                [plain(str(f.relative_to(outdir))), plain(f.read_text())]
+                for f in sorted(outdir.rglob("*"))
+                if f.is_file()
+            ]
+            record = [[plain(a) for a in args], code, plain(out), plain(err), files]
+            digest.update(json.dumps(record).encode() + b"\n")
+    assert count == 124
+    assert digest.hexdigest() == OUTPUT_PIN
