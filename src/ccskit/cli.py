@@ -11,18 +11,19 @@ so pipelines can consume results without scraping.
 
 Exit codes: 0 clean, 1 the analysis found a problem with the model
 (gate failure, monitor violation, stuck run), 2 bad input (parse
-errors, missing files, wrong usage).
+errors, missing files, wrong usage). Every failure, a usage error too,
+ends with one line on stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
-
-import click
 
 from . import __version__, dsl
 from .components import MCCS
@@ -48,12 +49,10 @@ from .simulator import (
 )
 from .statics import bound_vars, free_vars, must_bound_vars
 
-FORMATS = ["json", "text"]
-
 
 def _fail(message: str, code: int = 2) -> NoReturn:
     """Exit with `code` after one line on stderr."""
-    click.echo(message, err=True)
+    print(message, file=sys.stderr)
     sys.exit(code)
 
 
@@ -151,12 +150,6 @@ def _check_init_box(box, path: str, system: MCCS) -> None:
             )
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="ccs")
-def main() -> None:
-    """Assemble, check, decompose and simulate timed component models."""
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -175,21 +168,7 @@ def _variable_report(system: MCCS) -> dict:
     return out
 
 
-@main.command()
-@click.argument("model", type=click.Path(exists=True, dir_okay=False))
-@click.option("--system", default=None, help="system name when the file has several")
-@click.option(
-    "--cost-model", "cost_model_path", default=None, help="JSON name -> resource map"
-)
-@click.option("--vars", "show_vars", is_flag=True, help="include FV/BV/MBV tables")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="json")
-def check(
-    model: str,
-    system: str | None,
-    cost_model_path: str | None,
-    show_vars: bool,
-    fmt: str,
-):
+def check(model, system, cost_model_path, show_vars, fmt):
     """Run all construction gates on MODEL and report the result."""
     sys_ = _load(model, system, _cost_model(cost_model_path))
     warnings = []
@@ -220,45 +199,33 @@ def check(
         payload["variables"] = _variable_report(sys_)
 
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
         return
-    click.echo(f"ok {sys_.name}")
+    print(f"ok {sys_.name}")
     for rc in atoms:
-        click.echo(f"  controller {rc.name} (reactivity {fraction_to_text(rc.reactivity)})")
-    click.echo(
+        print(f"  controller {rc.name} (reactivity {fraction_to_text(rc.reactivity)})")
+    print(
         f"  plant {sys_.plant.name} "
         f"(controllability {fraction_to_text(sys_.plant.controllability)})"
     )
-    click.echo(
+    print(
         f"  scheduling cost {payload['scheduling']['cost']} <= "
         f"bound {payload['scheduling']['bound']}"
     )
     for w in warnings:
-        click.echo(f"  warning: {w}")
+        print(f"  warning: {w}")
     if show_vars:
         for name, triple in payload["variables"].items():
-            click.echo(f"  {name}:")
-            click.echo(f"    FV:  {', '.join(triple['fv']) or '-'}")
-            click.echo(f"    BV:  {', '.join(triple['bv']) or '-'}")
-            click.echo(f"    MBV: {', '.join(triple['mbv']) or '-'}")
+            print(f"  {name}:")
+            print(f"    FV:  {', '.join(triple['fv']) or '-'}")
+            print(f"    BV:  {', '.join(triple['bv']) or '-'}")
+            print(f"    MBV: {', '.join(triple['mbv']) or '-'}")
 
 
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.argument("model", type=click.Path(exists=True, dir_okay=False))
-@click.option("--system", default=None, help="system name when the file has several")
-@click.option(
-    "--cost-model", "cost_model_path", default=None, help="JSON name -> resource map"
-)
-@click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-def compose(
-    model: str,
-    system: str | None,
-    cost_model_path: str | None,
-    output: str,
-):
+def compose(model, system, cost_model_path, output):
     """Compose MODEL's declared system and write the flattened file.
 
     Controllers merge under the cost model (reactivities on a shared
@@ -271,8 +238,8 @@ def compose(
     except CcsError as e:
         _fail(f"cannot serialize ({type(e).__name__}): {e}", 1)
     _write_text(output, text)
-    click.echo(f"wrote {output}")
-    click.echo(
+    print(f"wrote {output}")
+    print(
         f"  {sys_.name}: scheduling cost "
         f"{fraction_to_text(sys_.controller.reactivity)} <= bound "
         f"{fraction_to_text(sys_.plant.controllability)}"
@@ -319,50 +286,26 @@ def _gather_obligations(
         _fail(f"rejected ({type(e).__name__}): {e}", 1)
 
 
-@main.command()
-@click.argument("model", type=click.Path(exists=True, dir_okay=False))
-@click.option("--system", default=None, help="system name when the file has several")
-@click.option(
-    "--theorem",
-    type=click.Choice(["auto", "ccs", "controllers", "plants"]),
-    default="auto",
-    help="which decomposition to emit (auto picks by system shape)",
-)
-@click.option(
-    "--cost-model", "cost_model_path", default=None, help="JSON name -> resource map"
-)
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="json")
-@click.option("-o", "--out", default=None, type=click.Path(dir_okay=False))
-def obligations(
-    model: str,
-    system: str | None,
-    theorem: str,
-    cost_model_path: str | None,
-    fmt: str,
-    out: str | None,
-):
+def obligations(model, system, theorem, cost_model_path, fmt, out):
     """Emit the proof obligations for MODEL."""
     obs = _gather_obligations(model, system, theorem, _cost_model(cost_model_path))
     payload = json.dumps([ob.to_json() for ob in obs], indent=2)
     if out is not None:
         _write_text(out, payload + "\n")
-        click.echo(f"wrote {len(obs)} obligations to {out}")
+        print(f"wrote {len(obs)} obligations to {out}")
     elif fmt == "json":
-        click.echo(payload)
+        print(payload)
     else:
         width = max(len(ob.id) for ob in obs)
         for ob in obs:
-            click.echo(f"{ob.id.ljust(width)}  [{ob.hint}]  {ob.status}")
-        click.echo(f"{len(obs)} obligations")
+            print(f"{ob.id.ljust(width)}  [{ob.hint}]  {ob.status}")
+        print(f"{len(obs)} obligations")
 
 
 # ---------------------------------------------------------------------------
 
 
-@main.command("export-kyx")
-@click.argument("obligations_json", type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def export_kyx(obligations_json: str, out_dir: str):
+def export_kyx(obligations_json, out_dir):
     """Write one prover problem file per obligation in OBLIGATIONS_JSON."""
     data = _read_json(obligations_json, "obligations file")
     if not isinstance(data, list):
@@ -393,7 +336,7 @@ def export_kyx(obligations_json: str, out_dir: str):
         _fail(f"cannot write {out_dir}: {e}")
     for name, text in zip(entries, texts):
         _write_text(directory / name, text)
-    click.echo(f"wrote {len(obs)} problem files to {out_dir}")
+    print(f"wrote {len(obs)} problem files to {out_dir}")
 
 
 # ---------------------------------------------------------------------------
@@ -403,48 +346,8 @@ def _default_init_path(model: str) -> Path:
     return Path(model).with_suffix("").with_name(Path(model).stem + ".init.json")
 
 
-@main.command()
-@click.argument("model", type=click.Path(exists=True, dir_okay=False))
-@click.option("--system", default=None, help="system name when the file has several")
-@click.option("--schedules", default=1, show_default=True, help="number of runs")
-@click.option("--seed", default=0, show_default=True, help="batch seed")
-@click.option("--horizon", default=20.0, show_default=True, help="time horizon")
-@click.option(
-    "--strategy",
-    type=click.Choice(list(STRATEGIES)),
-    default="uniform-random",
-    show_default=True,
-)
-@click.option(
-    "--init",
-    "init_path",
-    default=None,
-    type=click.Path(dir_okay=False),
-    help="JSON file: variable -> number, [lo, hi] interval, or \"=var\" alias "
-    "(default: <model>.init.json beside the model)",
-)
-@click.option(
-    "--out",
-    "outputs",
-    multiple=True,
-    type=click.Path(dir_okay=False),
-    help="output path; .csv writes the trace of run 0, .json the batch summary "
-    "(repeatable)",
-)
-@click.option(
-    "--cost-model", "cost_model_path", default=None, help="JSON name -> resource map"
-)
-def simulate(
-    model: str,
-    system: str | None,
-    schedules: int,
-    seed: int,
-    horizon: float,
-    strategy: str,
-    init_path: str | None,
-    outputs: tuple[str, ...],
-    cost_model_path: str | None,
-):
+def simulate(model, system, schedules, seed, horizon, strategy, init_path, outputs,
+             cost_model_path):
     """Run seeded schedule batches and report monitor violations."""
     if schedules < 1:
         _fail(f"--schedules must be at least 1, got {schedules}")
@@ -481,16 +384,99 @@ def simulate(
                 write_trace_csv(summary.first_trace, path)
             except OSError as e:
                 _fail(f"cannot write {path}: {e}")
-            click.echo(f"wrote trace of run 0 to {path}", err=True)
+            print(f"wrote trace of run 0 to {path}", file=sys.stderr)
     elif csv_paths:
-        click.echo("run 0 is stuck: wrote no trace to " + ", ".join(csv_paths), err=True)
+        print("run 0 is stuck: wrote no trace to " + ", ".join(csv_paths), file=sys.stderr)
     payload = json.dumps(summary.to_json(), indent=2)
     for path in json_paths:
         _write_text(path, payload + "\n")
-        click.echo(f"wrote summary to {path}", err=True)
+        print(f"wrote summary to {path}", file=sys.stderr)
     if not json_paths:
-        click.echo(payload)
+        print(payload)
     if summary.runs_with_violations or summary.stuck_runs:
+        sys.exit(1)
+
+
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects abbreviated options; a usage error exits 2 with one line."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str) -> NoReturn:
+        _fail(f"{self.prog}: {message}")
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Assemble, check, decompose and simulate timed component models."""
+    parser = _Parser(prog="ccs", description=main.__doc__)
+    parser.add_argument("--version", action="version", version=f"ccs, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    model = _Parser(add_help=False)
+    model.add_argument("model", metavar="MODEL")
+    model.add_argument("--system", help="system name when the file has several")
+    model.add_argument(
+        "--cost-model", dest="cost_model_path", metavar="FILE", help="JSON name -> resource map"
+    )
+    formatted = _Parser(add_help=False)
+    formatted.add_argument("--format", dest="fmt", choices=["json", "text"], default="json")
+
+    def command(run, *parents):
+        doc = run.__doc__
+        sub = commands.add_parser(
+            run.__name__.replace("_", "-"), parents=parents,
+            help=doc.partition("\n")[0], description=doc,
+        )
+        sub.set_defaults(run=run)
+        return sub
+
+    sub = command(check, model, formatted)
+    sub.add_argument(
+        "--vars", dest="show_vars", action="store_true", help="include FV/BV/MBV tables"
+    )
+    command(compose, model).add_argument("-o", "--output", required=True)
+    sub = command(obligations, model, formatted)
+    sub.add_argument(
+        "--theorem", choices=["auto", "ccs", "controllers", "plants"], default="auto",
+        help="which decomposition to emit (auto picks by system shape)",
+    )
+    sub.add_argument("-o", "--out")
+    sub = command(export_kyx)
+    sub.add_argument("obligations_json", metavar="OBLIGATIONS_JSON")
+    sub.add_argument("-o", "--out", dest="out_dir", required=True)
+    sub = command(simulate, model)
+    sub.add_argument("--schedules", type=int, default=1, help="number of runs (default %(default)s)")
+    sub.add_argument("--seed", type=int, default=0, help="batch seed (default %(default)s)")
+    sub.add_argument("--horizon", type=float, default=20.0, help="time horizon (default %(default)s)")
+    sub.add_argument(
+        "--strategy", choices=STRATEGIES, default="uniform-random",
+        help="scheduling strategy (default %(default)s)",
+    )
+    sub.add_argument(
+        "--init", dest="init_path", metavar="FILE",
+        help='JSON file: variable -> number, [lo, hi] interval, or "=var" alias '
+        "(default: <model>.init.json beside the model)",
+    )
+    sub.add_argument(
+        "--out", dest="outputs", metavar="PATH", action="append", default=[],
+        help="output path; .csv writes the trace of run 0, .json the batch summary "
+        "(repeatable)",
+    )
+
+    args = vars(parser.parse_args(argv))
+    run = args.pop("run")
+    try:
+        try:
+            run(**args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: exit 1, with stdout pointed at /dev/null
+        # so that the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
 
 

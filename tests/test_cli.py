@@ -82,20 +82,48 @@ def test_closed_stdout_is_exit_1_with_empty_stderr(corpus_dir):
 
 def test_cli_import_leaves_dataclasses_unloaded():
     """Every `ccs` command pays for what importing the CLI loads; the
-    records build on the AST's base, so `dataclasses` is not among it."""
+    records build on the AST's base, so `dataclasses` is not among it,
+    and the command line is parsed by `argparse`, so every module it loads
+    besides ccskit's own is from the standard library."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import ccskit.cli, sys; print('dataclasses' in sys.modules)",
+            "import sys; before = set(sys.modules); import ccskit.cli; "
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print('dataclasses' in sys.modules, sorted(new - sys.stdlib_module_names))",
         ],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False ['ccskit']\n", "")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "MODEL", "--strategy", "eager"],
+        ["simulate", "MODEL", "--schedules", "x"],
+        ["check", "MODEL", "--form", "text"],
+        ["check", "MODEL", "--frobnicate"],
+        ["compose", "MODEL"],
+        ["check"],
+        [],
+    ],
+    ids=[
+        "unknown-strategy", "non-integer-schedules", "abbreviated-option",
+        "unknown-option", "compose-without-output", "check-without-model",
+        "no-subcommand",
+    ],
+)
+def test_usage_error_is_exit_2_with_one_line(capsys, corpus_dir, args):
+    model = corpus_dir / "watertank.ccs"
+    result = invoke(capsys, *[model if a == "MODEL" else a for a in args])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert len(result.stderr.splitlines()) == 1
 
 
 # -- check ------------------------------------------------------------------
@@ -160,8 +188,11 @@ def test_check_unschedulable_is_exit_1(capsys, corpus_dir):
 
 
 def test_check_missing_file_is_exit_2(capsys, tmp_path):
-    result = invoke(capsys, "check", tmp_path / "nope.ccs")
-    assert result.exit_code == 2
+    for model in [tmp_path / "nope.ccs", tmp_path]:
+        result = invoke(capsys, "check", model)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith(f"cannot read {model}: ")
+        assert len(result.stderr.splitlines()) == 1
 
 
 def test_check_parse_error_is_exit_2(capsys, tmp_path):
@@ -650,12 +681,6 @@ def test_simulate_odd_output_suffix_is_exit_2(capsys, corpus_dir, tmp_path):
     assert result.exit_code == 2
     assert "cannot tell what to write to" in result.stderr
 
-
-def test_simulate_strategy_choice_is_enforced(capsys, corpus_dir):
-    result = invoke(
-        capsys, "simulate", corpus_dir / "watertank.ccs", "--strategy", "eager"
-    )
-    assert result.exit_code == 2
 
 
 # -- output pin -------------------------------------------------------------

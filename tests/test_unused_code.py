@@ -4,8 +4,7 @@ A top-level `def`, `class` or assignment must be referenced (as a name,
 an attribute or an import) somewhere in the package outside its own
 definition. For a public name, an export from `ccskit/__init__.py` (an
 import there) is such a reference; a private one (a leading underscore)
-must be used by other code of its module. Click commands are exempt: the
-command line reaches them through their group.
+must be used by other code of its module.
 
 Every name a module imports is read somewhere in that module, except
 the imports of `ccskit/__init__.py` (they are the package's exports) and
@@ -18,19 +17,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "ccskit"
 
 
-def _is_click_command(decorator: ast.expr) -> bool:
-    f = decorator.func if isinstance(decorator, ast.Call) else decorator
-    while isinstance(f, ast.Attribute):
-        if f.attr in ("command", "group"):
-            return True
-        f = f.value
-    return isinstance(f, ast.Name) and f.id == "click"
-
-
 def _defined_names(stmt: ast.stmt) -> list[str]:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        if any(_is_click_command(d) for d in stmt.decorator_list):
-            return []
         return [stmt.name]
     if isinstance(stmt, ast.Assign):
         return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
@@ -109,7 +97,6 @@ def test_the_check_sees_a_name_nothing_uses(tmp_path):
     (tmp_path / "__init__.py").write_text("from .a import used\n")
     (tmp_path / "a.py").write_text(
         "from __future__ import annotations\n"
-        "import click\n"
         "from math import pi, tau\n"
         "LIMIT = 3\n"
         "_SCALE = 2\n"
@@ -117,8 +104,6 @@ def test_the_check_sees_a_name_nothing_uses(tmp_path):
         "def _helper():\n    return _SCALE\n"
         "def lonely():\n    return lonely()\n"
         "def _private():\n    return _private()\n"
-        "@click.group()\ndef main():\n    pass\n"
-        "@main.command()\ndef go():\n    pass\n"
     )
     assert unused_names(tmp_path) == ["a.lonely", "a._private"]
     assert unused_imports(tmp_path) == ["a.tau"]
