@@ -1,4 +1,5 @@
-"""End-to-end exercises of every subcommand, run in this process.
+"""End-to-end exercises of every subcommand through `main(args)`, in this
+process unless a test needs a fresh interpreter.
 
 Exit-code contract under test: 0 clean, 1 the model or its runs are
 bad, 2 the invocation or input file is bad.
