@@ -117,17 +117,6 @@ class Environment(Record):
 EMPTY_ENVIRONMENT = Environment()
 
 
-class TimestampRegistry:
-    """Per-system allocator for fresh timestamp names tau_1, tau_2, ..."""
-
-    def __init__(self):
-        self._allocated = 0
-
-    def allocate(self) -> str:
-        self._allocated += 1
-        return f"{TIMESTAMP_PREFIX}{self._allocated}"
-
-
 # ---------------------------------------------------------------------------
 # Reactive controller
 

@@ -84,8 +84,7 @@ from .components import (
     Environment,
     MultiChoiceController,
     ReactiveController,
-    TimestampRegistry,
-    as_multi_controller,
+    TIMESTAMP_PREFIX,
     make_ccs,
     make_controllable_plant,
     make_reactive_controller,
@@ -666,9 +665,8 @@ def build_components(source: ModelSource | str, system: str | None = None) -> Pa
             raise UnresolvedName(d.component, "contract declarations")
         contracts[d.component] = d.contract
 
-    registry = TimestampRegistry()
     rcs: list[ReactiveController] = []
-    for name in sysdecl.controllers:
+    for i, name in enumerate(sysdecl.controllers, 1):
         if name not in controllers:
             raise UnresolvedName(name, f"system {sysdecl.name!r}")
         d = controllers[name]
@@ -677,7 +675,7 @@ def build_components(source: ModelSource | str, system: str | None = None) -> Pa
                 name=d.name,
                 ctrl=d.body,
                 reactivity=d.reactivity,
-                timestamp=registry.allocate(),
+                timestamp=f"{TIMESTAMP_PREFIX}{i}",
                 contract=contracts.get(name),
             )
         )
@@ -733,7 +731,7 @@ def assemble(parts: Parts, cost_model: CostModel | None = None) -> MCCS:
         plant = compose_plants(plant, p)
 
     return make_ccs(
-        as_multi_controller(controller),
+        controller,
         plant,
         env=env,
         invariant=invariant,

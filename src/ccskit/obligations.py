@@ -26,13 +26,12 @@ Rule tags: thm1 (controller + plant), thm2 (controller pair), thm3
 `check_bounded` is not a prover. It grids the antecedent box, unrolls
 loops, samples ODE flows, and reports `holds` only in the sense of
 "no counterexample in this finite exploration"; the caveat field always
-spells out the truncations. Each side of a goal compiles once to one
-generated Python expression over tuple states (`_emit_goal`, then the
-simulator's `compile_source`): its box- and quantifier-free parts are
-the simulator's `emit_formula`, its boxes enumerate the final states of
-`compile_program_over` (the same semantics a simulated controller
-firing uses), and its quantifiers the grid of their variable. The
-layout is the domain box's names plus those the goal binds, sorted; an
+spells out the truncations. Each side of a goal compiles once, by the
+simulator's `compile_goal`, to one function over tuple states: its
+boxes enumerate the final states of the program semantics a simulated
+controller firing uses, and its quantifiers the grid of their
+variable; this module prints no generated code itself. The layout is
+the domain box's names plus those the goal binds, sorted; an
 obligation keeps its compiled goal, so later calls at any grid reuse
 it. Witness states become dicts only in the result, without the slots
 the search never set.
@@ -47,15 +46,10 @@ import math
 from typing import Callable
 
 from .ast import (
-    And,
     Box,
     Compare,
-    Exists,
-    Forall,
     Formula,
     Implies,
-    Not,
-    Or,
     Program,
     Record,
     TRUE,
@@ -84,16 +78,7 @@ from .composition import (
     raise_on_violations,
 )
 from .errors import BoundOccursInBehavior, CcsError
-from .simulator import (
-    Slots,
-    alias_root,
-    compile_node,
-    compile_program_over,
-    compile_tuple,
-    emit_formula,
-    emit_update,
-    slots_of,
-)
+from .simulator import alias_root, compile_goal, compile_tuple, slots_of
 from .statics import all_vars, bound_vars, free_and_bound_vars, free_vars
 
 HINTS = frozenset(
@@ -590,74 +575,6 @@ def _quantifier_axis(
     return _axis(domain_box[alias_root(domain_box, layout[i])], grid)
 
 
-def _has_modality(f: Formula) -> bool:
-    """True when `f` has a box or a quantifier. Only connectives can hold
-    one (terms hold no formulas), so only they are descended.
-    """
-    if isinstance(f, (Box, Forall, Exists)):
-        return True
-    if isinstance(f, Not):
-        return _has_modality(f.operand)
-    if isinstance(f, (And, Or, Implies)):
-        return _has_modality(f.left) or _has_modality(f.right)
-    return False
-
-
-def _emit_goal(f: Formula, slots: Slots, program: Callable[[Program], str]) -> str:
-    """`f` as one Python expression over the state `s`, true when `f`
-    holds there. When it is false, the last `fail` call it made saw the
-    witness: the reached state where a box- and quantifier-free part
-    went false, or where a negation or an exists failed.
-
-    A box enumerates the final states of the program that `program`
-    names the compiled function of, and a quantifier the states with its
-    slot set to each coordinate of `axis(slot)`. A forall that held, or
-    an exists that found no value, calls `cut()`: its grid ran out
-    without deciding it, as a loop or flow cut short does.
-    """
-    if not _has_modality(f):
-        return f"({emit_formula(f, slots)} or fail(s))"
-    if isinstance(f, Not):
-        return f"((not {_emit_goal(f.operand, slots, program)}) or fail(s))"
-    if isinstance(f, (And, Or, Implies)):
-        left = _emit_goal(f.left, slots, program)
-        right = _emit_goal(f.right, slots, program)
-        if isinstance(f, Implies):
-            return f"((not {left}) or {right})"
-        return f"({left} {'and' if isinstance(f, And) else 'or'} {right})"
-    if isinstance(f, Box):
-        post = _emit_goal(f.post, slots, program)
-        return f"all({post} for s in {program(f.program)})"
-    if isinstance(f, (Forall, Exists)):
-        i = slots[f.var]
-        body = _emit_goal(f.body, slots, program)
-        states = f"[{emit_update(len(slots), {i: 'x'})} for x in axis({i})]"
-        if isinstance(f, Forall):
-            return f"(all({body} for s in {states}) and not cut())"
-        return f"(any({body} for s in {states}) or cut() or fail(s))"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _compile_goal(
-    f: Formula, slots: Slots, compile_prog: Callable[[Program], Callable]
-) -> Callable[[tuple, Callable, Callable, Callable], bool | None]:
-    """`f` compiled once to a function `(s, axis, cut, fail)` of the
-    generated expression of `_emit_goal`, its programs compiled by
-    `compile_prog`. The compiled source makes that function over the
-    tuple `_p` of the programs, so a call goes through no partial.
-    Raises CcsError when Python will not compile it."""
-    programs: list[Callable] = []
-
-    def program(p: Program) -> str:
-        programs.append(compile_prog(p))
-        return f"_p[{len(programs) - 1}](s, cut)"
-
-    make = compile_node(
-        f, "_p", lambda: f"lambda s, axis, cut, fail: {_emit_goal(f, slots, program)}"
-    )
-    return make(tuple(programs))
-
-
 def _compiled_goal(
     goal: Formula,
     ob: ProofObligation | None,
@@ -676,7 +593,7 @@ def _compiled_goal(
     `point(combo)` is the state of one grid point, whose combo holds a
     coordinate per sorted root and then None: each free name takes its
     root's coordinate, and every other slot is unset. An implication's
-    sides are compiled apart (see _compile_goal), so a point counts as
+    sides are compiled apart (see compile_goal), so a point counts as
     checked only when the antecedent holds; any other goal has the
     antecedent `true`. The grid and the truncation flag are arguments,
     so one compiled goal serves every grid.
@@ -697,14 +614,10 @@ def _compiled_goal(
     point = compile_tuple(
         "c", (f"c[{column.get(roots.get(n, n), len(keys))}]" for n in layout)
     )
-    compile_prog = functools.partial(
-        compile_program_over,
-        slots=slots,
-        unroll=CHECK_UNROLL,
-        flow_samples=flow_samples,
-    )
     sides = (goal.left, goal.right) if isinstance(goal, Implies) else (TRUE, goal)
-    compiled = (layout, point, *(_compile_goal(f, slots, compile_prog) for f in sides))
+    compiled = (
+        layout, point, *(compile_goal(f, slots, CHECK_UNROLL, flow_samples) for f in sides)
+    )
     if ob is not None:
         object.__setattr__(ob, "_compiled", (key, compiled))
     return compiled
@@ -732,8 +645,12 @@ def check_bounded(
     (see _compiled_goal). A slot holds None until set: free names and
     their roots are set at each grid point, the rest only once a program
     or quantifier writes them. The counterexample and initial states are
-    dicts in layout order, without the unset slots.
+    dicts in layout order, without the unset slots. Raises ValueError
+    when `grid` or `flow_samples` is below 1.
     """
+    for name, value in (("grid", grid), ("flow_samples", flow_samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
     ob = goal if isinstance(goal, ProofObligation) else None
     if ob is not None:
         (names, written), goal = ob._free_and_bound(), ob.goal

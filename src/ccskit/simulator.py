@@ -29,7 +29,10 @@ Everything a step evaluates is compiled once per system to Python
 source by one emitter (`emit_term`/`emit_formula`): the flow's slopes,
 advance and domain gaps, each controller's whole program as one
 expression, one check that every monitor holds at a boundary, and one
-invariant residual per sample.
+invariant residual per sample. The bounded checker's goals go through
+the same compiler: `_compile` is the one entry for a whole program, a
+checker goal (`compile_goal`) or a monitor check, and its one helper
+table holds the loops, flows and box programs the generated code calls.
 
 A state is a tuple of floats over a layout, an ordered tuple of
 variable names; the generated code reads and writes slot `s[i]` and
@@ -492,16 +495,14 @@ def flow_states(
             continue
         if span > 0.0:
             h = min(h, span / 128.0)
-    samples: list[State] = [state]
-    current = state
-    for _ in range(FLOW_MAX_STEPS):
-        end, dt, exited, _mid = seg.advance(current, h, h)
-        if dt > 0.0:
-            samples.append(end)
-            current = end
-        if exited:
-            return samples, True
-    return samples, False
+    # One walk, given room for a step more than it keeps, so that float
+    # drift in its elapsed time cannot shorten the last step that counts.
+    _end, _dt, exited, walk = seg.advance(state, (FLOW_MAX_STEPS + 1) * h, h)
+    samples = [state, *walk[:FLOW_MAX_STEPS]]
+    complete = exited and len(walk) <= FLOW_MAX_STEPS
+    if complete and samples[-1] is samples[-2]:
+        samples.pop()  # the exit's bisection found no room past the last step
+    return samples, complete
 
 
 # ---------------------------------------------------------------------------
@@ -549,33 +550,82 @@ def _emit_program(p: Program, slots: Slots, helper: Callable[[Program], str]) ->
     return helper(p)
 
 
+def _has_modality(f: Formula) -> bool:
+    """True when `f` has a box or a quantifier. Only connectives can hold
+    one (terms hold no formulas), so only they are descended.
+    """
+    if isinstance(f, (Box, Forall, Exists)):
+        return True
+    if isinstance(f, Not):
+        return _has_modality(f.operand)
+    if isinstance(f, (And, Or, Implies)):
+        return _has_modality(f.left) or _has_modality(f.right)
+    return False
+
+
+def _emit_goal(f: Formula, slots: Slots, helper: Callable[[Program], str]) -> str:
+    """`f` as one Python expression over the state `s`, true when `f`
+    holds there. When it is false, the last `fail` call it made saw the
+    witness: the reached state where a box- and quantifier-free part
+    went false, or where a negation or an exists failed.
+
+    A box enumerates the final states of its program, which `helper`
+    returns the call of, and a quantifier the states with its slot set
+    to each coordinate of `axis(slot)`. A forall that held, or an exists
+    that found no value, calls `cut()`: its grid ran out without
+    deciding it, as a loop or flow cut short does.
+    """
+    if not _has_modality(f):
+        return f"({emit_formula(f, slots)} or fail(s))"
+    if isinstance(f, Not):
+        return f"((not {_emit_goal(f.operand, slots, helper)}) or fail(s))"
+    if isinstance(f, (And, Or, Implies)):
+        left = _emit_goal(f.left, slots, helper)
+        right = _emit_goal(f.right, slots, helper)
+        if isinstance(f, Implies):
+            return f"((not {left}) or {right})"
+        return f"({left} {'and' if isinstance(f, And) else 'or'} {right})"
+    if isinstance(f, Box):
+        post = _emit_goal(f.post, slots, helper)
+        return f"all({post} for s in {helper(f.program)})"
+    if isinstance(f, (Forall, Exists)):
+        i = slots[f.var]
+        body = _emit_goal(f.body, slots, helper)
+        states = f"[{emit_update(len(slots), {i: 'x'})} for x in axis({i})]"
+        if isinstance(f, Forall):
+            return f"(all({body} for s in {states}) and not cut())"
+        return f"(any({body} for s in {states}) or cut() or fail(s))"
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def _ignore() -> None:
     """A program's `cut` where nobody asks about truncation."""
 
 
-def compile_program_over(
-    p: Program, slots: Slots, unroll: int = LOOP_CAP, flow_samples: int = 32
-) -> Callable[[State, Callable[[], None]], list[State]]:
-    """The relational semantics of `p` over the layout `slots`, compiled
-    once to one generated expression (see _emit_program): a function
-    `(s, cut)` giving every final state of `p` from `s`, in branch order,
-    duplicates kept.
+def _compile(
+    node: Program | Formula,
+    params: str,
+    emit: Callable[[Program | Formula, Slots, Callable[[Program], str]], str],
+    slots: Slots,
+    unroll: int = LOOP_CAP,
+    flow_samples: int = 32,
+) -> Callable:
+    """`lambda <params>: <emit(node, slots, helper)>`, the source `emit`
+    prints for `node` over the layout `slots`, compiled once: the one
+    compile entry for programs, checker goals and a system's monitors.
 
-    A failed test yields no state, a choice the states of each
-    alternative in turn. A loop yields the distinct states (by
-    `_state_key`) reachable in at most `unroll` passes of its body, and
-    an ODE the `flow_samples`-point sampling of `flow_states`; these two
-    run as Python helpers, which the expression reads from the tuple
-    `_h` its compiled source makes it over, so programs of one shape
-    share one compiled source and a call goes through no partial.
-    `cut()` is called whenever a loop or a flow has more states than
-    those bounds reach. The bounded checker enumerates the result; the
-    simulator fires one of its states.
+    `helper(q)` is the call text `(s, cut)` of a program `q` that runs as
+    a Python helper: a loop yields the distinct states (by `_state_key`)
+    reachable in at most `unroll` passes of its body, an ODE the
+    `flow_samples`-point sampling of `flow_states`, and any other
+    program what `compile_program_over` gives. The expression reads them
+    from the tuple `_h` its compiled source makes it over, so sources of
+    one shape share one compiled source and a call goes through no
+    partial. `cut()` is called whenever a loop or a flow has more states
+    than those bounds reach.
 
-    Raises CcsError when Python will not compile the expression: each
-    level of `(?(x >= 0); P; y := i U z := 1)` nests two of the 200
-    parentheses Python allows, so P can nest 99 levels deep, and past
-    about 200 levels printing the expression recurses too deeply.
+    Raises CcsError naming `node` when printing or compiling the source
+    nests past Python's limits.
     """
     helpers: list[Callable[[State, Callable[[], None]], list[State]]] = []
 
@@ -609,25 +659,15 @@ def compile_program_over(
                     cut()
                 return samples
 
+        elif isinstance(q, Program):
+            fn = compile_program_over(q, slots, unroll, flow_samples)
         else:
             raise TypeError(f"not a program: {q!r}")
         helpers.append(fn)
         return f"_h[{len(helpers) - 1}](s, cut)"
 
-    make = compile_node(
-        p, "_h", lambda: f"lambda s, cut: {_emit_program(p, slots, helper)}"
-    )
-    return make(tuple(helpers))
-
-
-def compile_node(
-    node: Program | Formula, params: str, emit: Callable[[], str]
-) -> Callable:
-    """`compile_source(params, emit())`, where `emit` prints `node`.
-    Raises CcsError naming the node when printing or compiling the
-    source nests past Python's limits."""
     try:
-        return compile_source(params, emit())
+        make = compile_source("_h", f"lambda {params}: {emit(node, slots, helper)}")
     except (SyntaxError, RecursionError, MemoryError) as e:
         program = isinstance(node, Program)
         try:
@@ -637,6 +677,38 @@ def compile_node(
         what = "program" if program else "formula"
         problem = f"nests too deeply to compile ({type(e).__name__})"
         raise CcsError(f"{what} {problem}: {text}") from None
+    return make(tuple(helpers))
+
+
+def compile_program_over(
+    p: Program, slots: Slots, unroll: int = LOOP_CAP, flow_samples: int = 32
+) -> Callable[[State, Callable[[], None]], list[State]]:
+    """The relational semantics of `p` over the layout `slots`, compiled
+    once to one generated expression (see _emit_program): a function
+    `(s, cut)` giving every final state of `p` from `s`, in branch order,
+    duplicates kept.
+
+    A failed test yields no state, a choice the states of each
+    alternative in turn, and loops and ODEs what `_compile`'s helpers
+    give at the bounds `unroll` and `flow_samples`. The bounded checker
+    enumerates the result; the simulator fires one of its states.
+
+    Raises CcsError when Python will not compile the expression: each
+    level of `(?(x >= 0); P; y := i U z := 1)` nests two of the 200
+    parentheses Python allows, so P can nest 99 levels deep, and past
+    about 200 levels printing the expression recurses too deeply.
+    """
+    return _compile(p, "s, cut", _emit_program, slots, unroll, flow_samples)
+
+
+def compile_goal(
+    f: Formula, slots: Slots, unroll: int = LOOP_CAP, flow_samples: int = 32
+) -> Callable[[State, Callable, Callable, Callable], bool]:
+    """`f` compiled once to a function `(s, axis, cut, fail)` of the
+    expression `_emit_goal` prints, its box programs run as `_compile`'s
+    helpers at the bounds `unroll` and `flow_samples`. Raises CcsError
+    when Python will not compile it."""
+    return _compile(f, "s, axis, cut, fail", _emit_goal, slots, unroll, flow_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +914,11 @@ class CompiledSystem:
         """One function: every formula holds. Only when it is false need
         the formulas be checked one by one, to name the failing ones.
         Raises CcsError naming a formula nested too deeply."""
-        whole, src = conj(*formulas), (emit_formula(f, self.slots) for f in formulas)
+        src = (emit_formula(f, self.slots) for f in formulas)
         try:
-            return compile_node(whole, "s", lambda: " and ".join(src) or "True")
+            return _compile(
+                conj(*formulas), "s", lambda *_: " and ".join(src) or "True", self.slots
+            )
         except CcsError:
             if len(formulas) > 1:
                 for f in formulas:  # the formula nested too deeply raises, named

@@ -32,9 +32,12 @@ from ccskit.ast import (
     Or,
     Plus,
     TRUE,
+    Test as Guard,
     Times,
+    choice,
     num,
     print_formula,
+    seq,
     var,
 )
 from ccskit.components import (
@@ -580,6 +583,38 @@ def test_check_bounded_goal_nested_too_deeply_is_a_ccs_error():
         named = rf"^formula nests too deeply to compile \(SyntaxError\): {text}"
         with pytest.raises(CcsError, match=named):
             check_bounded(goal, {"x": [0, 1]})
+
+
+def test_check_bounded_box_program_nested_too_deeply_names_the_program():
+    """The box program compiles on its own, so the error names it, not
+    the goal around it."""
+    p = Assign("z", num(0))
+    for i in range(120):
+        guarded = seq(Guard(Compare(">=", var("x"), num(0))), p, Assign("y", num(i)))
+        p = choice(guarded, Assign("z", num(1)))
+    goal = Implies(Compare(">=", var("x"), num(0)), Box(p, Compare(">=", var("x"), num(0))))
+    named = r"^program nests too deeply to compile \(\w+\): \(\?\(x >= 0\); "
+    with pytest.raises(CcsError, match=named):
+        check_bounded(goal, {"x": [0, 1], "y": 0, "z": 0})
+
+
+@pytest.mark.parametrize(
+    "grid,flow_samples,bad",
+    [(5, 0, "flow_samples"), (5, -1, "flow_samples"), (0, 32, "grid"), (-3, 32, "grid")],
+)
+def test_check_bounded_rejects_a_grid_or_flow_samples_below_one(grid, flow_samples, bad):
+    goal = dsl.parse_formula_text("x >= 0 -> [{x' = 1, t' = 1 & t <= 1}] x >= 0")
+    with pytest.raises(ValueError, match=rf"^{bad} must be at least 1, got -?\d"):
+        check_bounded(goal, {"x": [0, 1], "t": 0}, grid=grid, flow_samples=flow_samples)
+
+
+def test_a_scanned_flow_starting_at_its_bound_is_not_truncated():
+    """A start within 1.28e-10 of a bound `x <= 1` makes the scan step at
+    most 1e-12; the scan still walks to the domain's exit."""
+    goal = dsl.parse_formula_text("[{x' = 1, t' = 1 & x * x <= 4 & x <= 1}] x <= 1")
+    result = check_bounded(goal, {"x": 1 - 1e-11, "t": 0})
+    assert result.status == "holds"
+    assert "truncated" not in result.caveat
 
 
 # -- reference semantics ---------------------------------------------------------

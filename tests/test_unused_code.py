@@ -9,6 +9,9 @@ must be used by other code of its module.
 Every name a module imports is read somewhere in that module, except
 the imports of `ccskit/__init__.py` (they are the package's exports) and
 `from __future__` imports.
+
+Only `simulator.py`, the one compiler, turns text into code: no other
+module reads `eval`, `exec`, `compile_source` or `_compile`.
 """
 
 import ast
@@ -77,6 +80,20 @@ def unused_imports(src: Path = SRC) -> list[str]:
     return unused
 
 
+COMPILERS = frozenset({"eval", "exec", "compile_source", "_compile"})
+
+
+def compiler_uses(src: Path = SRC) -> list[str]:
+    """`module.name` for each of COMPILERS a module other than
+    `simulator.py` reads, calls or imports."""
+    uses = []
+    for path in sorted(src.glob("*.py")):
+        if path.name != "simulator.py":
+            names = _referenced_names(ast.parse(path.read_text()))
+            uses += [f"{path.stem}.{name}" for name in sorted(names & COMPILERS)]
+    return uses
+
+
 def _is_private(qualified: str) -> bool:
     return qualified.partition(".")[2].startswith("_")
 
@@ -107,3 +124,21 @@ def test_the_check_sees_a_name_nothing_uses(tmp_path):
     )
     assert unused_names(tmp_path) == ["a.lonely", "a._private"]
     assert unused_imports(tmp_path) == ["a.tau"]
+
+
+def test_only_the_simulator_compiles_code():
+    assert compiler_uses() == []
+
+
+def test_the_check_sees_code_compiled_outside_the_simulator(tmp_path):
+    (tmp_path / "simulator.py").write_text("def _compile(src):\n    return eval(src)\n")
+    (tmp_path / "a.py").write_text(
+        "from .simulator import _compile\n"
+        "def f(src):\n    return _compile(src)\n"
+        "def g(src):\n    return exec(src)\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "import re\nfrom . import simulator\nPATTERN = re.compile('x')\n"
+        "def h(src):\n    return simulator.compile_source('s', src)\n"
+    )
+    assert compiler_uses(tmp_path) == ["a._compile", "a.exec", "b.compile_source"]
