@@ -78,7 +78,7 @@ from .composition import (
     raise_on_violations,
 )
 from .errors import BoundOccursInBehavior, CcsError
-from .simulator import alias_root, compile_goal, compile_tuple, slots_of
+from .simulator import alias_root, box_interval, compile_goal, compile_tuple, slots_of
 from .statics import all_vars, bound_vars, free_and_bound_vars, free_vars
 
 HINTS = frozenset(
@@ -560,9 +560,7 @@ class BoundedCheckResult(Record):
 
 def _axis(spec, grid: int) -> tuple[float, ...]:
     if isinstance(spec, (list, tuple)):
-        lo, hi = float(spec[0]), float(spec[1])
-        if hi < lo:
-            raise ValueError(f"empty interval [{lo}, {hi}]")
+        lo, hi = box_interval(spec)
         if hi == lo or grid <= 1:
             return (lo,)
         return tuple(lo + (hi - lo) * i / (grid - 1) for i in range(grid))

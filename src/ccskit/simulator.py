@@ -28,11 +28,13 @@ boundary; violations are recorded, never fatal. Identical
 Everything a step evaluates is compiled once per system to Python
 source by one emitter (`emit_term`/`emit_formula`): the flow's slopes,
 advance and domain gaps, each controller's whole program as one
-expression, one check that every monitor holds at a boundary, and one
-invariant residual per sample. The bounded checker's goals go through
-the same compiler: `_compile` is the one entry for a whole program, a
-checker goal (`compile_goal`) or a monitor check, and its one helper
-table holds the loops, flows and box programs the generated code calls.
+expression, and one tuple of the monitors' truths at a boundary. A run
+only records, appending each point's state and event code; the trace,
+the invariant residual and a batch's ranges are taken from those after
+the run. The bounded checker's goals go through the same compiler:
+`_compile` is the one entry for a whole program, a checker goal
+(`compile_goal`) or a system's monitors, and its one helper table holds
+the loops, flows and box programs the generated code calls.
 
 A state is a tuple of floats over a layout, an ordered tuple of
 variable names; the generated code reads and writes slot `s[i]` and
@@ -49,6 +51,7 @@ import csv
 import functools
 import math
 import random
+from itertools import chain
 from typing import Callable, Iterable
 
 from .ast import (
@@ -134,10 +137,7 @@ def _division_by_zero(text: str):
     raise DivisionByZero(text)
 
 
-_GLOBALS = {
-    "__builtins__": {}, "abs": abs, "all": all, "any": any, "max": max,
-    "_dz": _division_by_zero,
-}
+_GLOBALS = dict(__builtins__={}, abs=abs, all=all, any=any, _dz=_division_by_zero)
 
 
 @functools.lru_cache(maxsize=2048)
@@ -210,9 +210,7 @@ def emit_formula(f: Formula, slots: Slots) -> str:
         left = emit_formula(f.left, slots)
         return f"((not {left}) or {emit_formula(f.right, slots)})"
     if isinstance(f, (Box, Forall, Exists)):
-        raise CcsError(
-            "formula is not modality/quantifier-free: " + print_formula(f)
-        )
+        raise CcsError("formula is not modality/quantifier-free: " + print_formula(f))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -243,12 +241,9 @@ def compile_setter(slots: Slots, name: str) -> Callable[[State, float], State]:
 
 def _is_affine(t: Term, moving: frozenset[str]) -> bool:
     """Affine in the evolved variables (degree <= 1), so comparisons of
-
     such terms cross zero at most once along a constant-slope segment.
     """
-    if isinstance(t, Variable):
-        return True
-    if isinstance(t, Rational):
+    if isinstance(t, (Variable, Rational)):
         return True
     if isinstance(t, Neg):
         return _is_affine(t.operand, moving)
@@ -278,9 +273,7 @@ class FlowSegment:
     def __init__(self, ode: ODE, slots: Slots):
         self.vars = tuple(v for v, _ in ode.equations)
         self.moving = frozenset(self.vars)
-        self.exact = all(
-            not (free_vars(rhs) & self.moving) for _, rhs in ode.equations
-        )
+        self.exact = all(not (free_vars(rhs) & self.moving) for _, rhs in ode.equations)
         self.domain = compile_source("s", emit_formula(ode.domain, slots))
         parts = conjuncts(ode.domain)
         self.domain_affine = self.exact and all(
@@ -292,9 +285,7 @@ class FlowSegment:
         # slopes(state): the right-hand sides, in equation order.
         # at(state, slopes, dt): state + slopes * dt on the evolved
         # variables; _shift(state, k, c): state + c * k, as RK4 writes it.
-        self.slopes = compile_tuple(
-            "s", [emit_term(e, slots) for _, e in ode.equations]
-        )
+        self.slopes = compile_tuple("s", [emit_term(e, slots) for _, e in ode.equations])
         moved = list(enumerate(slots[v] for v in self.vars))
         width = len(slots)
         self.at = compile_source(
@@ -461,7 +452,6 @@ def flow_states(
     seg: FlowSegment, state: State, n_samples: int
 ) -> tuple[list[State], bool]:
     """All-durations sampling of one continuous evolution: the states the
-
     segment's ODE can stop in, starting from `state`, sampled at
     `n_samples` points plus the last state inside the domain. Used by
     bounded checking.
@@ -531,9 +521,7 @@ def _emit_program(p: Program, slots: Slots, helper: Callable[[Program], str]) ->
         return f"[{emit_update(len(slots), {slots[p.var]: rhs})}]"
     if isinstance(p, Choice):
         # Bare `+` binds tighter than anywhere a choice lands: more nesting fits.
-        return " + ".join(
-            _emit_program(a, slots, helper) for a in choice_alternatives(p)
-        )
+        return " + ".join(_emit_program(a, slots, helper) for a in choice_alternatives(p))
     if isinstance(p, Seq):
         if isinstance(p.first, Test):
             then = _emit_program(p.second, slots, helper)
@@ -624,9 +612,12 @@ def _compile(
     partial. `cut()` is called whenever a loop or a flow has more states
     than those bounds reach.
 
-    Raises CcsError naming `node` when printing or compiling the source
-    nests past Python's limits.
+    Raises ValueError when `flow_samples` is below 1, and CcsError
+    naming `node` when printing or compiling the source nests past
+    Python's limits.
     """
+    if flow_samples < 1:
+        raise ValueError(f"flow_samples must be at least 1, got {flow_samples!r}")
     helpers: list[Callable[[State, Callable[[], None]], list[State]]] = []
 
     def helper(q: Program) -> str:
@@ -693,10 +684,11 @@ def compile_program_over(
     give at the bounds `unroll` and `flow_samples`. The bounded checker
     enumerates the result; the simulator fires one of its states.
 
-    Raises CcsError when Python will not compile the expression: each
-    level of `(?(x >= 0); P; y := i U z := 1)` nests two of the 200
-    parentheses Python allows, so P can nest 99 levels deep, and past
-    about 200 levels printing the expression recurses too deeply.
+    Raises ValueError when `flow_samples` is below 1, and CcsError when
+    Python will not compile the expression: each level of
+    `(?(x >= 0); P; y := i U z := 1)` nests two of the 200 parentheses
+    Python allows, so P can nest 99 levels deep, and past about 200
+    levels printing the expression recurses too deeply.
     """
     return _compile(p, "s, cut", _emit_program, slots, unroll, flow_samples)
 
@@ -706,8 +698,9 @@ def compile_goal(
 ) -> Callable[[State, Callable, Callable, Callable], bool]:
     """`f` compiled once to a function `(s, axis, cut, fail)` of the
     expression `_emit_goal` prints, its box programs run as `_compile`'s
-    helpers at the bounds `unroll` and `flow_samples`. Raises CcsError
-    when Python will not compile it."""
+    helpers at the bounds `unroll` and `flow_samples`. Raises ValueError
+    when `flow_samples` is below 1, and CcsError when Python will not
+    compile it."""
     return _compile(f, "s, axis, cut, fail", _emit_goal, slots, unroll, flow_samples)
 
 
@@ -730,9 +723,7 @@ class Schedule(Record):
                 f"unknown strategy {self.strategy!r}; pick one of {STRATEGIES}"
             )
         if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(
-                f"horizon must be finite and positive, got {self.horizon!r}"
-            )
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
 
 
 _set = object.__setattr__
@@ -742,7 +733,7 @@ class TracePoint(Record):
     __slots__ = ("time", "event", "values")
 
     def __init__(self, time: float, event: str, values: dict[str, float]) -> None:
-        # One per kept sample: spelled out, as it runs faster than Record's loop.
+        # One per recorded point: spelled out, as it runs faster than Record's loop.
         _set(self, "time", time)
         _set(self, "event", event)
         _set(self, "values", values)
@@ -753,7 +744,7 @@ class MonitorViolation(Record):
 
 
 class Trace(Record):
-    """One run's kept points and monitor violations, its end time, whether
+    """One run's points and monitor violations, its end time, whether
     it stopped at MAX_ITERATIONS and its largest invariant residual."""
 
     __slots__ = (
@@ -770,9 +761,7 @@ def write_trace_csv(trace: Trace, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["time", "event", *names])
         for p in trace.points:
-            writer.writerow(
-                [repr(p.time), p.event, *(repr(p.values[n]) for n in names)]
-            )
+            writer.writerow([repr(p.time), p.event, *(repr(p.values[n]) for n in names)])
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +811,18 @@ def alias_root(box: dict, name: str) -> str:
     raise UnboundedVariable(name, message)
 
 
+def box_interval(spec: list | tuple) -> tuple[float, float]:
+    """An init or domain box's `[lo, hi]` entry as two floats. Raises
+    ValueError unless it holds two finite numbers with lo <= hi."""
+    bounds = tuple(map(float, spec))
+    if len(bounds) != 2 or not all(map(math.isfinite, bounds)):
+        raise ValueError(f"an interval is [lo, hi] of two finite numbers, got {spec!r}")
+    lo, hi = bounds
+    if hi < lo:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    return bounds
+
+
 def pinned_init(needed: frozenset[str], env_pins: dict, init: dict) -> dict:
     """`init` plus the environment pins of the `needed` names it omits."""
     return {**{n: v for n, v in env_pins.items() if n in needed}, **init}
@@ -844,9 +845,7 @@ def _complete_init(
     state = {name: float(box[alias_root(box, name)]) for name in box}
     missing = sorted(needed - state.keys())
     if missing:
-        raise InitViolatesAssumptions(
-            "no initial value for: " + ", ".join(missing)
-        )
+        raise InitViolatesAssumptions("no initial value for: " + ", ".join(missing))
     return state
 
 
@@ -865,6 +864,11 @@ def _monitors(system: MCCS) -> list[tuple[str, Formula]]:
     return out
 
 
+# A recorded point's event code: its index into CompiledSystem.events,
+# whose entries past these three are the controllers' firings.
+BOUNDARY, ODE_STEP, GUARD_EXPIRY = range(3)
+
+
 class CompiledSystem:
     """One closed loop, compiled once for any number of runs over the
     layout `sorted(system_variables)`, the CSV's column order: the
@@ -874,7 +878,6 @@ class CompiledSystem:
     """
 
     def __init__(self, system: MCCS):
-        self.system = system
         self.variables = system_variables(system)
         self.layout = tuple(sorted(self.variables))
         slots = self.slots = slots_of(self.layout)
@@ -887,51 +890,56 @@ class CompiledSystem:
         self.h = min(self.delta, cap) / 100.0
         self.eps = self.h / 10.0
         self.segment = FlowSegment(system.guarded_ode(), slots)
-        # (name, timestamp slot, program, stamp) per controller; a firing
-        # sets its timestamp to the clock with `stamp(s, t)`.
+        choices = system.controller.choices
+        self.events = (
+            "loop-boundary", "ode-step", "guard-expiry",
+            *(f"ctrl-fired({rc.name})" for rc in choices),
+        )
+        # (event code, timestamp slot, program, stamp) per controller; a
+        # firing sets its timestamp to the clock with `stamp(s, t)`.
         self.controllers = [
-            (
-                rc.name,
-                slots[rc.timestamp],
-                compile_program_over(rc.ctrl, slots),
-                compile_setter(slots, rc.timestamp),
-            )
-            for rc in system.controller.choices
+            (code, slots[rc.timestamp], compile_program_over(rc.ctrl, slots),
+             compile_setter(slots, rc.timestamp))
+            for code, rc in enumerate(choices, GUARD_EXPIRY + 1)
         ]
-        self.monitors = _monitors(system)
-        self.all_hold = self.holds(*(f for _, f in self.monitors))
-        # residual(s, m): the larger of m and each |lhs - rhs| over the
-        # invariant's equality conjuncts, kept in order as a running
-        # maximum would.
-        gaps = "".join(
-            f", abs({emit_term(c.left, slots)} - {emit_term(c.right, slots)})"
+        # truths(s): whether each monitor holds at s, in the order of the
+        # (name, text) pairs of `monitors`.
+        monitors = _monitors(system)
+        self.truths = self.compiled([f for _, f in monitors], _tuple_source)
+        self.monitors = [(name, print_formula(f)) for name, f in monitors]
+        self.gaps = compile_tuple("s", (
+            f"abs({emit_term(c.left, slots)} - {emit_term(c.right, slots)})"
             for c in conjuncts(system.invariant)
             if isinstance(c, Compare) and c.op == "="
-        )
-        self.residual = compile_source("s, m", f"max(m{gaps})" if gaps else "m")
+        ))
 
-    def holds(self, *formulas: Formula) -> Callable[[State], bool]:
-        """One function: every formula holds. Only when it is false need
-        the formulas be checked one by one, to name the failing ones.
-        Raises CcsError naming a formula nested too deeply."""
+    def compiled(self, formulas, join: Callable[[Iterable[str]], str]) -> Callable:
+        """One function of the state: the source `join` makes of the
+        formulas' sources. Raises CcsError naming a formula nested too
+        deeply."""
         src = (emit_formula(f, self.slots) for f in formulas)
         try:
-            return _compile(
-                conj(*formulas), "s", lambda *_: " and ".join(src) or "True", self.slots
-            )
+            return _compile(conj(*formulas), "s", lambda *_: join(src), self.slots)
         except CcsError:
             if len(formulas) > 1:
                 for f in formulas:  # the formula nested too deeply raises, named
-                    self.holds(f)
+                    self.compiled([f], join)
             raise
+
+    def holds(self, *formulas: Formula) -> Callable[[State], bool]:
+        """One function: every formula holds, evaluated as an `and` chain
+        that stops at the first false one."""
+        return self.compiled(formulas, lambda src: " and ".join(src) or "True")
 
     def named(self, s: State) -> dict[str, float]:
         return dict(zip(self.layout, s))
 
-    @functools.cached_property
-    def monitor_checks(self) -> list[tuple[str, Callable[[State], bool], str]]:
-        """(name, holds, text) per monitor, compiled on the first violation."""
-        return [(name, self.holds(f), print_formula(f)) for name, f in self.monitors]
+    def residual(self, states: Iterable[State]) -> float:
+        """The largest |lhs - rhs| of the invariant's equality conjuncts
+        over `states`, or 0.0: one `max` from 0.0 over the gaps in
+        state-then-conjunct order, which is bit for bit their running
+        maximum, NaN, -0.0 and inf included."""
+        return max(chain((0.0,), chain.from_iterable(map(self.gaps, states))))
 
 
 def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
@@ -941,14 +949,17 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
     environment or any component's assume/init clause, and StuckState
     when a guard has expired but no controller run is enabled.
     """
-    return _run(CompiledSystem(system), schedule, init, True)[0]
+    cs = CompiledSystem(system)
+    return _trace(cs, *_run(cs, schedule, init))
 
 
 def _run(
-    cs: CompiledSystem, schedule: Schedule, init: dict, keep: bool
-) -> tuple[Trace, list[State]]:
-    """`run` over a compiled system. Returns the trace, whose points are
-    filled only with `keep`, and every sampled state.
+    cs: CompiledSystem, schedule: Schedule, init: dict
+) -> tuple[list[int], list[State], list[MonitorViolation], bool]:
+    """`run` over a compiled system, which only records: each point
+    appends its state and its event's code (an index into `cs.events`).
+    Returns the codes, the states, the monitor violations and whether the
+    run stopped at MAX_ITERATIONS, from which `_trace` builds the trace.
     """
     values = _complete_init(cs.variables, cs.env_pins, init)
     state = tuple(values[n] for n in cs.layout)
@@ -957,43 +968,54 @@ def _run(
             if not cs.holds(f)(state):
                 raise InitViolatesAssumptions(f"{label}: {print_formula(f)}")
 
-    delta, eps, clock = cs.delta, cs.eps, cs.clock
+    delta, eps, clock, h = cs.delta, cs.eps, cs.clock, cs.h
     rng = random.Random(schedule.seed)
-    controllers = cs.controllers
-    all_hold = cs.all_hold
-    residual = cs.residual
+    controllers, monitors, truths = cs.controllers, cs.monitors, cs.truths
+    advance = cs.segment.advance
 
-    violations: list[MonitorViolation] = []
-    events: list[str] = []
+    events: list[int] = []
     states: list[State] = []
-    max_residual = 0.0
+    violations: list[MonitorViolation] = []
+    mark, push = events.append, states.append
     truncated = False
 
-    def record(event: str, s: State) -> None:
-        nonlocal max_residual
-        if keep:
-            events.append(event)
-        states.append(s)
-        max_residual = residual(s, max_residual)
-
     def boundary(s: State) -> None:
-        record("loop-boundary", s)
-        if all_hold(s):
-            return
-        for name, fn, text in cs.monitor_checks:
-            if not fn(s):
-                violations.append(MonitorViolation(s[clock], name, text, cs.named(s)))
+        push(s)
+        mark(BOUNDARY)
+        held = truths(s)
+        if False in held:
+            for (name, text), ok in zip(monitors, held):
+                if not ok:
+                    violations.append(MonitorViolation(s[clock], name, text, cs.named(s)))
 
-    def try_fire_any(order: Iterable, s: State) -> tuple[State, str] | None:
+    def evolve(s: State, dt_request: float, next_expiry: float) -> tuple[State, bool]:
+        """Advance the plant, recording samples; returns (state, moved)."""
+        end, dt, _exited, samples = advance(s, dt_request, h)
+        if dt <= 0.0:
+            return s, False
+        for mid in samples[:-1]:
+            push(mid)
+            mark(ODE_STEP)
+        # Snap the clock when we stopped within float wiggle of a guard
+        # expiry so subsequent guard tests are exact.
+        if abs(end[clock] - next_expiry) <= 2.0 * BOUNDARY_TOLERANCE:
+            end = end[:clock] + (next_expiry,) + end[clock + 1 :]
+            mark(GUARD_EXPIRY)
+        else:
+            mark(ODE_STEP)
+        push(end)
+        return end, True
+
+    def try_fire_any(order: Iterable, s: State) -> tuple[State, int] | None:
         """The first controller in `order` whose guard has not expired and
         whose program has a final state fires."""
-        for name, timestamp, program, stamp in order:
+        for code, timestamp, program, stamp in order:
             if s[clock] > s[timestamp] + delta + BOUNDARY_TOLERANCE:
                 continue
             outs = program(s, _ignore)
             if outs:
                 after = outs[0] if len(outs) == 1 else rng.choice(outs)
-                return stamp(after, after[clock]), name
+                return stamp(after, after[clock]), code
         return None
 
     boundary(state)
@@ -1008,13 +1030,10 @@ def _run(
         next_expiry = min(expiries)
         guard_room = next_expiry - state[clock]
 
-        if (
-            to_horizon <= eps
-            and guard_room >= to_horizon - BOUNDARY_TOLERANCE
-        ):
+        if to_horizon <= eps and guard_room >= to_horizon - BOUNDARY_TOLERANCE:
             # Only a sliver left before the horizon and no guard forces a
             # firing first: run out the clock and finish.
-            state, _moved = _evolve(cs, state, to_horizon, record, next_expiry)
+            state, _moved = evolve(state, to_horizon, next_expiry)
             boundary(state)
             break
 
@@ -1022,13 +1041,13 @@ def _run(
         # controller can still fire) but never short of the horizon.
         evolve_room = min(guard_room - eps, to_horizon)
 
-        fired: tuple[State, str] | None = None
+        fired: tuple[State, int] | None = None
         advanced = False
 
         if schedule.strategy == "uniform-random":
             if evolve_room > eps and rng.random() < 0.5:
                 dt = rng.uniform(eps, evolve_room)
-                state, advanced = _evolve(cs, state, dt, record, next_expiry)
+                state, advanced = evolve(state, dt, next_expiry)
             if not advanced:
                 order = list(controllers)
                 rng.shuffle(order)
@@ -1044,58 +1063,38 @@ def _run(
                 rr_index += 1
             ordering = [target] + [c for c in controllers if c is not target]
             if evolve_room > 0.0:
-                state, advanced = _evolve(cs, state, evolve_room, record, next_expiry)
+                state, advanced = evolve(state, evolve_room, next_expiry)
             if not (lazy and advanced and state[clock] < next_expiry - 2.0 * eps):
                 fired = try_fire_any(ordering, state)
 
         if fired is not None:
-            state, name = fired
-            record(f"ctrl-fired({name})", state)
+            state, code = fired
+            push(state)
+            mark(code)
         elif not advanced:
             # Every controller failed to fire on this state, and firing
             # depends on the state alone: evolve right up to the guard
             # boundary, or the system is stuck.
             remaining = min(guard_room, to_horizon)
             if remaining > BOUNDARY_TOLERANCE:
-                state, advanced = _evolve(cs, state, remaining, record, next_expiry)
+                state, advanced = evolve(state, remaining, next_expiry)
             if not advanced:
                 raise StuckState(state[clock])
 
         boundary(state)
     else:
         truncated = True
-
-    points = (
-        [TracePoint(s[clock], e, cs.named(s)) for e, s in zip(events, states)]
-        if keep
-        else []
-    )
-    # Every pass of the loop ends at a boundary, so the last point is one.
-    trace = Trace(points, violations, state[clock], truncated, max_residual)
-    return trace, states
+    return events, states, violations, truncated
 
 
-def _evolve(
-    cs: CompiledSystem,
-    state: State,
-    dt_request: float,
-    record,
-    next_expiry: float,
-) -> tuple[State, bool]:
-    """Advance the plant, recording samples; returns (state, moved)."""
-    end, dt, exited, mid_samples = cs.segment.advance(state, dt_request, cs.h)
-    if dt <= 0.0:
-        return state, False
-    for s in mid_samples[:-1]:
-        record("ode-step", s)
-    # Snap the clock when we stopped within float wiggle of a guard expiry
-    # so subsequent guard tests are exact.
-    if abs(end[cs.clock] - next_expiry) <= 2.0 * BOUNDARY_TOLERANCE:
-        end = end[: cs.clock] + (next_expiry,) + end[cs.clock + 1 :]
-        record("guard-expiry", end)
-    else:
-        record("ode-step", end)
-    return end, True
+def _trace(
+    cs: CompiledSystem, events: list[int], states: list, violations: list, truncated: bool
+) -> Trace:
+    """The trace of a run `_run` recorded. Every pass of the loop ends at
+    a boundary, so the last state is where the run ended."""
+    names, clock = cs.events, cs.clock
+    points = [TracePoint(s[clock], names[e], cs.named(s)) for e, s in zip(events, states)]
+    return Trace(points, violations, states[-1][clock], truncated, cs.residual(states))
 
 
 # ---------------------------------------------------------------------------
@@ -1125,7 +1124,6 @@ class BatchSummary(Record):
 
 def batch_schedule_seed(seed: int, index: int) -> int:
     """Per-run seed derivation; `batch_member` builds a whole member of
-
     a batch from it.
     """
     return (seed * 1_000_003 + index) % (2**63)
@@ -1133,17 +1131,15 @@ def batch_schedule_seed(seed: int, index: int) -> int:
 
 def sample_init(init_box: dict, rng: random.Random) -> dict:
     """Draw one init description: intervals sampled uniformly, numbers
-
     kept, `"=var"` aliases passed through for complete_init to resolve.
-    An interval with hi < lo raises ValueError, as check_bounded does.
+    An interval `box_interval` rejects raises ValueError, as in
+    check_bounded.
     """
     out: dict = {}
     for name in sorted(init_box):
         spec = init_box[name]
         if isinstance(spec, (list, tuple)):
-            lo, hi = float(spec[0]), float(spec[1])
-            if hi < lo:
-                raise ValueError(f"empty interval [{lo}, {hi}]")
+            lo, hi = box_interval(spec)
             out[name] = lo if lo == hi else rng.uniform(lo, hi)
         else:
             out[name] = spec
@@ -1171,7 +1167,6 @@ def run_batch(
     keep_first: bool = False,
 ) -> BatchSummary:
     """`n_schedules` independent seeded runs with inits drawn from
-
     `init_box`. Deterministic in (system, n_schedules, seed, init_box):
     run i is `batch_member(seed, i, init_box, strategy, horizon)`.
 
@@ -1189,24 +1184,25 @@ def run_batch(
     first_trace = None
     for i in range(n_schedules):
         schedule, init = batch_member(seed, i, init_box, strategy, horizon)
-        # This run's sampled states, reduced to ranges and merged into the
-        # batch only if the run finishes.
-        keep = keep_first and i == 0
         try:
-            trace, states = _run(cs, schedule, init, keep)
+            events, states, found, truncated = _run(cs, schedule, init)
         except StuckState:
             stuck += 1
             continue
-        if keep:
-            first_trace = trace
-        if trace.violations:
+        if keep_first and i == 0:
+            first_trace = _trace(cs, events, states, found, truncated)
+            residual = first_trace.max_invariant_residual
+        else:
+            residual = cs.residual(states)
+        if found:
             runs_with += 1
-            for v in trace.violations:
+            for v in found:
                 violations[v.monitor] = violations.get(v.monitor, 0) + 1
+        # A finished run's states, reduced to ranges and merged into the batch.
         for name, column in zip(cs.layout, zip(*states)):
             lo, hi = ranges.get(name, (column[0], column[0]))
             ranges[name] = (min(lo, *column), max(hi, *column))
-        max_residual = max(max_residual, trace.max_invariant_residual)
+        max_residual = max(max_residual, residual)
         total_points += len(states)
     return BatchSummary(
         runs=n_schedules,

@@ -64,6 +64,7 @@ from ccskit.obligations import (
     render_kyx,
 )
 from ccskit.simulator import (
+    compile_goal,
     compile_program_over,
     compile_setter,
     compile_source,
@@ -606,6 +607,19 @@ def test_check_bounded_rejects_a_grid_or_flow_samples_below_one(grid, flow_sampl
     goal = dsl.parse_formula_text("x >= 0 -> [{x' = 1, t' = 1 & t <= 1}] x >= 0")
     with pytest.raises(ValueError, match=rf"^{bad} must be at least 1, got -?\d"):
         check_bounded(goal, {"x": [0, 1], "t": 0}, grid=grid, flow_samples=flow_samples)
+
+
+@pytest.mark.parametrize("flow_samples", [0, -2])
+def test_both_compile_entries_reject_flow_samples_below_one(flow_samples):
+    """Rejected when compiling, not when a flow first runs (0 used to
+    divide by zero there, and -2 to give one sample)."""
+    flow = dsl.parse_program_text("{x' = 1, t' = 1 & t <= 1}")
+    slots = slots_of(["t", "x"])
+    message = rf"^flow_samples must be at least 1, got {flow_samples}$"
+    with pytest.raises(ValueError, match=message):
+        compile_program_over(flow, slots, flow_samples=flow_samples)
+    with pytest.raises(ValueError, match=message):
+        compile_goal(Box(flow, TRUE), slots, flow_samples=flow_samples)
 
 
 def test_a_scanned_flow_starting_at_its_bound_is_not_truncated():

@@ -52,6 +52,7 @@ from ccskit.ast import (
 )
 from ccskit.components import (
     Contract,
+    MultiChoiceController,
     make_ccs,
     make_controllable_plant,
     make_reactive_controller,
@@ -66,6 +67,7 @@ from ccskit.errors import (
 from ccskit.obligations import check_bounded
 from ccskit.simulator import (
     STRATEGIES,
+    CompiledSystem,
     FlowSegment,
     Schedule,
     batch_member,
@@ -309,6 +311,28 @@ def test_round_robin_alternates_controllers(two_tanks, corpus_dir):
     fired = [p.event for p in trace.points if p.event.startswith("ctrl-fired")]
     assert len(fired) > 10
     assert all(a != b for a, b in zip(fired, fired[1:]))
+
+
+def test_every_controller_of_a_loop_wider_than_a_byte_fires():
+    """A recorded point's event code is a plain int: 256 controllers,
+    codes 3 to 258, all fire and each firing names its controller."""
+    n = 256
+    ctrls = tuple(
+        make_reactive_controller(
+            f"c{i}", dsl.parse_program_text("?(x >= 0)"), Fraction(1, 20), f"tau_{i}",
+            contract=Contract(),
+        )
+        for i in range(1, n + 1)
+    )
+    plant = make_controllable_plant(
+        "level", (("x", num(0)),), Compare("<=", var("x"), num(10)), Fraction(1, 5),
+        contract=Contract(),
+    )
+    loop = make_ccs(MultiChoiceController("many", ctrls, Fraction(1, 20)), plant, name="many")
+    init = {"x": 0, "t": 0, **{f"tau_{i}": 0 for i in range(1, n + 1)}}
+    trace = run(loop, Schedule(seed=0, horizon=0.05), init)
+    fired = {p.event for p in trace.points if p.event.startswith("ctrl-fired")}
+    assert fired == {f"ctrl-fired(c{i})" for i in range(1, n + 1)}
 
 
 def test_init_outside_assumptions_is_rejected(watertank):
@@ -584,6 +608,42 @@ def test_an_empty_init_interval_is_rejected_as_the_checker_rejects_it(watertank)
         run_batch(watertank, 1, 0, box)
     with pytest.raises(ValueError, match=r"^empty interval \[6\.4, 3\.6\]$"):
         check_bounded(dsl.parse_formula_text("wl >= 0"), box)
+    # Anything but two finite numbers is no interval, in either box.
+    for bad in ([0, 1, 2], [1], [], [0, math.nan], [-math.inf, 1]):
+        box["wl"] = bad
+        message = r"^an interval is \[lo, hi\] of two finite numbers, got \["
+        with pytest.raises(ValueError, match=message):
+            sample_init(box, random.Random(0))
+        with pytest.raises(ValueError, match=message):
+            run_batch(watertank, 1, 0, box)
+        with pytest.raises(ValueError, match=message):
+            check_bounded(dsl.parse_formula_text("wl >= 0"), box)
+
+
+@pytest.mark.parametrize("special", [math.nan, -0.0, math.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_the_residual_is_the_running_maximum_bit_for_bit(two_tanks, special, where):
+    """One `max` over a run's gaps equals the running maximum
+    `m = max(m, *gaps(s))` from 0.0, with NaN, -0.0 and inf in either of
+    two_tanks' two `=` conjuncts at the first, a middle and the last
+    state. Every slot but wl1 and wl2 is 0.0, so the gaps are abs(wl1)
+    and abs(wl2)."""
+    cs = CompiledSystem(two_tanks)
+    pack = struct.Struct(">d").pack
+    for column in (0, 1):
+        wl = [[3.0, -1.0, 7.5, -0.5, 2.0], [-2.0, 4.0, 0.25, 6.0, -6.5]]
+        wl[column][where] = special
+        states = []
+        for a, b in zip(*wl):
+            s = [0.0] * len(cs.layout)
+            s[cs.slots["wl1"]], s[cs.slots["wl2"]] = a, b
+            states.append(tuple(s))
+        m = 0.0
+        for s in states:
+            assert len(cs.gaps(s)) == 2
+            m = max(m, *cs.gaps(s))
+        assert pack(cs.residual(states)) == pack(m)
+    assert cs.residual([]) == 0.0
 
 
 def test_run_batch_is_deterministic(watertank):

@@ -10,6 +10,10 @@ Every name a module imports is read somewhere in that module, except
 the imports of `ccskit/__init__.py` (they are the package's exports) and
 `from __future__` imports.
 
+Every parameter a function or lambda declares is read in its body,
+except those of dunder methods, `self`, `cls` and names starting with
+`_`.
+
 Only `simulator.py`, the one compiler, turns text into code: no other
 module reads `eval`, `exec`, `compile_source` or `_compile`.
 """
@@ -80,6 +84,38 @@ def unused_imports(src: Path = SRC) -> list[str]:
     return unused
 
 
+def unread_parameters(src: Path = SRC) -> list[str]:
+    """`module.function.parameter` for each parameter its function or
+    lambda never reads, skipping dunder methods, `self`, `cls` and
+    `_`-prefixed names."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "<lambda>")
+            if name[:2] == name[-2:] == "__":
+                continue
+            a = fn.args
+            declared = (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.stem}.{name}.{p.arg}"
+                for p in declared
+                if p is not None
+                and p.arg not in read
+                and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")
+            ]
+    return unread
+
+
 COMPILERS = frozenset({"eval", "exec", "compile_source", "_compile"})
 
 
@@ -124,6 +160,26 @@ def test_the_check_sees_a_name_nothing_uses(tmp_path):
     )
     assert unused_names(tmp_path) == ["a.lonely", "a._private"]
     assert unused_imports(tmp_path) == ["a.tau"]
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_the_check_sees_a_parameter_nothing_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(used, unused, _private, *rest, keep=False, **extra):\n"
+        "    return used, rest\n"
+        "def outer(n):\n    def inner(m):\n        return n\n    return inner\n"
+        "g = lambda s, t: s\n"
+        "class C:\n"
+        "    def __init__(self, x):\n        pass\n"
+        "    def method(self, y):\n        return self\n"
+        "    @classmethod\n    def make(cls, z):\n        return z\n"
+    )
+    assert sorted(unread_parameters(tmp_path)) == [
+        "a.<lambda>.t", "a.f.extra", "a.f.keep", "a.f.unused", "a.inner.m", "a.method.y",
+    ]
 
 
 def test_only_the_simulator_compiles_code():
