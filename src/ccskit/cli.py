@@ -42,6 +42,7 @@ from .ast import fraction_to_text
 from .simulator import (
     STRATEGIES,
     alias_root,
+    box_interval,
     pinned_init,
     run_batch,
     system_variables,
@@ -109,11 +110,6 @@ def _load(path: str, system: str | None, cost_model: CostModel | None) -> MCCS:
     return _model(path, dsl.load, _read_text(path), system, cost_model)
 
 
-def _finite(x) -> bool:
-    """A JSON number, not a boolean, that converts to a finite float."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
-
-
 def _check_init_box(box, path: str, system: MCCS) -> None:
     """Exit 2 unless `box` maps variables of `system` to finite numbers,
     `[lo, hi]` pairs of them with lo <= hi, or `"=name"` aliases whose
@@ -125,13 +121,12 @@ def _check_init_box(box, path: str, system: MCCS) -> None:
     if not isinstance(box, dict):
         reject(f"expected a JSON object, got {type(box).__name__}")
     for name, spec in box.items():
-        if isinstance(spec, str):
-            ok = len(spec) > 1 and spec.startswith("=")
-        elif isinstance(spec, list):
-            ok = len(spec) == 2 and all(map(_finite, spec)) and spec[0] <= spec[1]
-        else:
-            ok = _finite(spec)
-        if not ok:
+        try:  # a number x is read as the interval [x, x]
+            if not isinstance(spec, str):
+                box_interval(spec if isinstance(spec, list) else [spec, spec])
+            elif len(spec) < 2 or not spec.startswith("="):
+                raise ValueError(spec)
+        except ValueError:
             reject(
                 f"entry {name!r} is {json.dumps(spec)}; "
                 'expected a finite number, [lo, hi] with lo <= hi, or "=name"'

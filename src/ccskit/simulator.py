@@ -31,10 +31,12 @@ advance and domain gaps, each controller's whole program as one
 expression, and one tuple of the monitors' truths at a boundary. A run
 only records, appending each point's state and event code; the trace,
 the invariant residual and a batch's ranges are taken from those after
-the run. The bounded checker's goals go through the same compiler:
-`_compile` is the one entry for a whole program, a checker goal
-(`compile_goal`) or a system's monitors, and its one helper table holds
-the loops, flows and box programs the generated code calls.
+the run, a batch's over each state once (a boundary records again the
+state just recorded). The CSV costs one `repr` per distinct float
+object in a column. The bounded checker's goals go through the same
+compiler: `_compile` is the one entry for a whole program, a checker
+goal (`compile_goal`) or a system's monitors, and its one helper table
+holds the loops, flows and box programs the generated code calls.
 
 A state is a tuple of floats over a layout, an ordered tuple of
 variable names; the generated code reads and writes slot `s[i]` and
@@ -49,10 +51,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import random
-from itertools import chain
-from typing import Callable, Iterable
+from itertools import chain, compress
+from numbers import Real
+from operator import is_, is_not, itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .ast import (
     And,
@@ -756,12 +761,41 @@ class Trace(Record):
 
 
 def write_trace_csv(trace: Trace, path) -> None:
+    """The header `time,event,<variables>`, then one line per point: the
+    repr of its time, its event and the repr of each value, in the bytes
+    csv.writer writes. Lines are streamed, and each costs only what
+    differs from the line before (see _csv_lines)."""
     names = trace.variables()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "event", *names])
-        for p in trace.points:
-            writer.writerow([repr(p.time), p.event, *(repr(p.values[n]) for n in names)])
+        csv.writer(fh).writerow(["time", "event", *names])
+        fh.writelines(_csv_lines(trace.points, names))
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it as one field of a longer row."""
+    out = io.StringIO()
+    csv.writer(out).writerow((text, ""))
+    return out.getvalue()[:-3]  # less the `,\r\n` of the empty last field
+
+
+def _csv_lines(points: list[TracePoint], names: list[str]) -> Iterator[str]:
+    """Each point's CSV line. An event text is quoted once per call. A
+    time or value that `is` the object in its column of the line before
+    reuses that line's text; when every value is, so does their joined
+    text. A float's repr needs no quoting, so the bytes are those of a
+    csv.writer row."""
+    fields = {e: _csv_field(e) for e in {p.event for p in points}}
+    get = itemgetter(*names) if len(names) > 1 else lambda v: tuple(v[n] for n in names)
+    time, text = object(), ""
+    row, texts, tail = (object(),) * len(names), [""] * len(names), ""
+    for p in points:
+        if p.time is not time:
+            time, text = p.time, repr(p.time)
+        values = get(p.values)
+        if not all(map(is_, values, row)):
+            texts = [t if v is r else repr(v) for v, r, t in zip(values, row, texts)]
+            row, tail = values, ",".join(("", *texts))
+        yield f"{text},{fields[p.event]}{tail}\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -812,9 +846,13 @@ def alias_root(box: dict, name: str) -> str:
 
 
 def box_interval(spec: list | tuple) -> tuple[float, float]:
-    """An init or domain box's `[lo, hi]` entry as two floats. Raises
-    ValueError unless it holds two finite numbers with lo <= hi."""
-    bounds = tuple(map(float, spec))
+    """An init or domain box's `[lo, hi]` entry as two floats. Raises ValueError
+    unless it holds two reals, not bools, that convert to finite floats, lo <= hi."""
+    reals = all(isinstance(x, Real) and not isinstance(x, bool) for x in spec)
+    try:
+        bounds = tuple(map(float, spec)) if reals else ()
+    except OverflowError:  # an int too large for a float
+        bounds = ()
     if len(bounds) != 2 or not all(map(math.isfinite, bounds)):
         raise ValueError(f"an interval is [lo, hi] of two finite numbers, got {spec!r}")
     lo, hi = bounds
@@ -1189,17 +1227,19 @@ def run_batch(
         except StuckState:
             stuck += 1
             continue
+        # A state recorded again right after itself cannot move a min or max.
+        distinct = list(compress(states, map(is_not, states, chain((None,), states))))
         if keep_first and i == 0:
             first_trace = _trace(cs, events, states, found, truncated)
             residual = first_trace.max_invariant_residual
         else:
-            residual = cs.residual(states)
+            residual = cs.residual(distinct)
         if found:
             runs_with += 1
             for v in found:
                 violations[v.monitor] = violations.get(v.monitor, 0) + 1
         # A finished run's states, reduced to ranges and merged into the batch.
-        for name, column in zip(cs.layout, zip(*states)):
+        for name, column in zip(cs.layout, zip(*distinct)):
             lo, hi = ranges.get(name, (column[0], column[0]))
             ranges[name] = (min(lo, *column), max(hi, *column))
         max_residual = max(max_residual, residual)

@@ -634,6 +634,9 @@ def test_simulate_bad_schedules_or_horizon_is_exit_2(capsys, corpus_dir, option,
         ('{"wl": [3.6, Infinity]}', "'wl'"),
         ('{"wl": NaN}', "'wl'"),
         ('{"wl": 1' + "0" * 400 + "}", "'wl'"),
+        ('{"wl": [0, 1' + "0" * 400 + "]}", "'wl'"),
+        ('{"wl": [null, 1]}', "'wl'"),
+        ('{"wl": [false, 1]}', "'wl'"),
         ('{"wl": 5, "fin": "1"}', "'fin'"),
         ('{"wl": 5, "wlm": "="}', "'wlm'"),
         ('{"wl": {"lo": 3}}', "'wl'"),
@@ -644,7 +647,8 @@ def test_simulate_bad_schedules_or_horizon_is_exit_2(capsys, corpus_dir, option,
     ],
     ids=[
         "short-pair", "string-pair", "null", "array", "bool", "reversed",
-        "infinite", "nan", "huge-int", "bare-string", "empty-alias", "object",
+        "infinite", "nan", "huge-int", "huge-int-pair", "null-pair",
+        "bool-pair", "bare-string", "empty-alias", "object",
         "unknown-name", "dangling-alias", "alias-cycle", "too-deep",
     ],
 )

@@ -70,6 +70,8 @@ from ccskit.simulator import (
     CompiledSystem,
     FlowSegment,
     Schedule,
+    Trace,
+    TracePoint,
     batch_member,
     batch_schedule_seed,
     compile_program_over,
@@ -609,7 +611,10 @@ def test_an_empty_init_interval_is_rejected_as_the_checker_rejects_it(watertank)
     with pytest.raises(ValueError, match=r"^empty interval \[6\.4, 3\.6\]$"):
         check_bounded(dsl.parse_formula_text("wl >= 0"), box)
     # Anything but two finite numbers is no interval, in either box.
-    for bad in ([0, 1, 2], [1], [], [0, math.nan], [-math.inf, 1]):
+    # A bound is a real number, not a bool, that converts to a finite float.
+    bad_intervals = ([0, 1, 2], [1], [], [0, math.nan], [-math.inf, 1], [0, 10**400],
+                     [None, 1], [False, 1], [0, True], ["0", 1], [0, 1j])
+    for bad in bad_intervals:
         box["wl"] = bad
         message = r"^an interval is \[lo, hi\] of two finite numbers, got \["
         with pytest.raises(ValueError, match=message):
@@ -780,18 +785,25 @@ def _summary_from_runs(system, n: int, seed: int, box: dict, strategy: str, hori
     return ranges, violations, residual, points, stuck
 
 
+def _bits(ranges: dict) -> dict:
+    pack = struct.Struct(">d").pack
+    return {name: (pack(lo), pack(hi)) for name, (lo, hi) in ranges.items()}
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("model", ["watertank_late_ctrl", "two_tanks"])
+@pytest.mark.parametrize("model", ["watertank", "watertank_late_ctrl", "two_tanks"])
 def test_batch_aggregates_match_member_runs(model, strategy, corpus_dir):
+    """The batch's reductions, which skip a state recorded twice in a
+    row, are bit for bit those over every point of the full traces."""
     system = dsl.load_file(corpus_dir / f"{model}.ccs")
     box = json.loads((corpus_dir / f"{model}.init.json").read_text())
     summary = run_batch(system, 3, 11, box, strategy, horizon=6.0)
     ranges, violations, residual, points, stuck = _summary_from_runs(
         system, 3, 11, box, strategy, 6.0
     )
-    assert summary.variable_ranges == ranges
+    assert _bits(summary.variable_ranges) == _bits(ranges)
     assert summary.total_points == points
-    assert summary.max_invariant_residual == residual
+    assert struct.pack(">d", summary.max_invariant_residual) == struct.pack(">d", residual)
     assert {k: c for k, c in summary.violations.items() if c} == violations
     assert summary.stuck_runs == stuck == 0
 
@@ -853,12 +865,14 @@ def test_awkward_names_in_a_checked_goal():
     assert list(res.counterexample) == sorted(res.counterexample)
 
 
-def test_awkward_names_in_a_run(tmp_path):
+AWKWARD_INIT = {"lambda": 0, "'": 2, '"': 0, "\\": 3, "t": 0, "if": 0}
+
+
+def _awkward_system(controller: str = "copy"):
     """A controller that copies `'` into `lambda` and a plant that moves
-    `"` at the rate held in `\\`: every name survives to the trace, its
-    violations and the CSV header."""
+    `"` at the rate held in `\\`, over the variables of AWKWARD_INIT."""
     ctrl = make_reactive_controller(
-        "copy",
+        controller,
         Assign("lambda", Plus(var("'"), num(1))),
         Fraction(1, 20),
         "if",
@@ -871,9 +885,14 @@ def test_awkward_names_in_a_run(tmp_path):
         Fraction(1, 5),
         contract=Contract(),
     )
-    system = make_ccs(ctrl, plant, name="awkward")
-    init = {"lambda": 0, "'": 2, '"': 0, "\\": 3, "t": 0, "if": 0}
-    trace = run(system, Schedule(strategy="round-robin", seed=1, horizon=0.5), init)
+    return make_ccs(ctrl, plant, name="awkward")
+
+
+def test_awkward_names_in_a_run(tmp_path):
+    """Every name of the awkward system survives to the trace, its
+    violations and the CSV header."""
+    init = AWKWARD_INIT
+    trace = run(_awkward_system(), Schedule(strategy="round-robin", seed=1, horizon=0.5), init)
     assert trace.variables() == sorted(init)
     for p in trace.points:
         assert p.values['"'] == pytest.approx(3.0 * p.values["t"], abs=1e-9)
@@ -903,3 +922,69 @@ def test_init_names_outside_the_system_are_not_state(watertank, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     box = {"wl": [3.6, 6.4], "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
     assert run_batch(watertank, 2, 1, {**box, "zzz": 2}) == run_batch(watertank, 2, 1, box)
+
+
+# -- the CSV writer against one csv.writer row per point ---------------------
+
+
+def _reference_csv(trace, path) -> None:
+    """The run CSV as csv.writer writes it, one row per point: the
+    writer's first form, kept as the reference for its bytes."""
+    names = trace.variables()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "event", *names])
+        for p in trace.points:
+            writer.writerow([repr(p.time), p.event, *(repr(p.values[n]) for n in names)])
+
+
+def _assert_csv_is_the_reference(trace, tmp_path) -> None:
+    written, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
+    write_trace_csv(trace, written)
+    _reference_csv(trace, reference)
+    assert written.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("model", sorted({model for model, _ in TRACE_PINS}))
+def test_run_0_csv_is_the_reference(model, strategy, corpus_dir, tmp_path):
+    system = dsl.load_file(corpus_dir / f"{model}.ccs")
+    box = json.loads((corpus_dir / f"{model}.init.json").read_text())
+    trace = run(system, *batch_member(PIN_SEED, 0, box, strategy, 20.0))
+    _assert_csv_is_the_reference(trace, tmp_path)
+
+
+@pytest.mark.parametrize("controller", ["copy", 'co,p"y\nnext'])
+def test_awkward_names_csv_is_the_reference(controller, tmp_path):
+    """Names and events that need quoting: a `,`, a `"` and a newline in
+    the controller's name land in its `ctrl-fired(...)` events."""
+    system = _awkward_system(controller)
+    trace = run(system, Schedule(strategy="round-robin", seed=1, horizon=0.5), AWKWARD_INIT)
+    assert f"ctrl-fired({controller})" in {p.event for p in trace.points}
+    _assert_csv_is_the_reference(trace, tmp_path)
+
+
+def _hand_trace(rows) -> Trace:
+    return Trace([TracePoint(*row) for row in rows], [], 0.0, False, 0.0)
+
+
+def test_hand_built_csv_is_the_reference(tmp_path):
+    """Special floats; -0.0 after a distinct 0.0 object, which must not
+    reuse its text although the two are equal; one float object across
+    rows; a quoted and an empty event; one variable; no points."""
+    zero, minus_zero, same = float("0.0"), float("-0.0"), float("2.5")
+    cases = [
+        [
+            (0.0, "start", {"a": math.nan, "b": math.inf, "c": 1e-300}),
+            (0.5, "a,b", {"a": -math.inf, "b": math.nan, "c": -1e-300}),
+            (1.0, 'say "hi"', {"a": zero, "b": same, "c": same}),
+            (1.0, "", {"a": minus_zero, "b": same, "c": same}),
+            (same, "", {"a": minus_zero, "b": same, "c": zero}),
+            (same, "start", {"a": zero, "b": zero, "c": float("0.0")}),
+        ],
+        [(zero, "only", {"x": zero}), (zero, "only", {"x": minus_zero}), (same, "x", {"x": same})],
+        [],
+    ]
+    for rows in cases:
+        _assert_csv_is_the_reference(_hand_trace(rows), tmp_path)
+    assert (tmp_path / "written.csv").read_bytes() == b"time,event\r\n"
