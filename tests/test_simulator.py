@@ -8,6 +8,7 @@ to the exact path rather than an approximation of it.
 """
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import randgen
 from ccskit import dsl
@@ -45,6 +46,7 @@ from ccskit.ast import (
     Variable,
     choice,
     conj,
+    conjuncts,
     num,
     print_term,
     seq,
@@ -76,8 +78,10 @@ from ccskit.simulator import (
     batch_schedule_seed,
     compile_program_over,
     compile_source,
+    compile_tuple,
     complete_init,
     emit_term,
+    flow_states,
     run,
     run_batch,
     sample_init,
@@ -242,6 +246,204 @@ def test_rk4_steps_follow_the_classic_formula_bit_for_bit():
         assert [struct.pack("d", v) for v in got] == [
             struct.pack("d", v) for v in expected
         ]
+
+
+# -- the exact step against the interpretive exit-time loop -----------------
+
+# A flow over (a, b, t, x, y) whose slopes read only a and b, so it takes
+# the exact path, and whose domain conjuncts are affine in t, x and y.
+_FLOW_LAYOUT = ("a", "b", "t", "x", "y")
+_FLOW_SLOTS = slots_of(_FLOW_LAYOUT)
+_MOVING = [var("t"), var("x"), var("y")]
+_SLOPE_TERMS = st.sampled_from([
+    num(0), num(1), num(-2), var("a"), Neg(var("b")), Minus(var("a"), var("b")),
+    Divide(num(1), var("b")),
+])
+_AFFINE_PARTS = st.one_of(
+    st.sampled_from([*_MOVING, var("a"), num(0), num(3)]),
+    st.builds(Times, st.sampled_from([num(2), num(-1), var("a")]), st.sampled_from(_MOVING)),
+    st.builds(Divide, st.sampled_from(_MOVING), st.sampled_from([num(4), var("b")])),
+)
+_AFFINE_TERMS = st.lists(_AFFINE_PARTS, min_size=1, max_size=3).map(
+    lambda parts: functools.reduce(Plus, parts)
+)
+_CONJUNCTS = st.builds(
+    Compare, st.sampled_from(["<=", "<", ">=", ">", "=", "!="]), _AFFINE_TERMS, _AFFINE_TERMS
+)
+_FLOWS = st.builds(
+    lambda slopes, parts: ODE(tuple(zip(("t", "x", "y"), slopes)), conj(*parts)),
+    st.tuples(_SLOPE_TERMS, _SLOPE_TERMS, _SLOPE_TERMS),
+    st.lists(_CONJUNCTS, min_size=1, max_size=4),
+)
+_FLOW_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+_FLOW_STATES = st.tuples(*[_FLOW_VALUES] * len(_FLOW_LAYOUT))
+_REQUESTS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 0.25, 1.0, 10.0, math.nan]),
+    st.floats(min_value=0.0, max_value=1e6),
+)
+
+
+def _reference_exit_time(ode, seg, state, slopes):
+    """The exit time as one loop that reads each conjunct's op at run time,
+    over each conjunct's gap `left - right` at the start and at the probe
+    state one time unit along."""
+    parts = conjuncts(ode.domain)
+    gaps = compile_tuple(
+        "s", [f"({emit_term(c.left, _FLOW_SLOTS)} - {emit_term(c.right, _FLOW_SLOTS)})" for c in parts]
+    )
+    bound = math.inf
+    probe = gaps(seg.at(state, slopes, 1.0))
+    for op, g0, p1 in zip((c.op for c in parts), gaps(state), probe):
+        g1 = p1 - g0  # slope of l - r in dt
+        if op in ("<=", "<"):
+            ok0 = g0 <= 0.0 if op == "<=" else g0 < 0.0
+            if not ok0:
+                return 0.0 if seg.domain(state) else -1.0
+            if g1 > 0.0 and (dt := -g0 / g1) < bound:
+                bound = dt
+        elif op in (">=", ">"):
+            ok0 = g0 >= 0.0 if op == ">=" else g0 > 0.0
+            if not ok0:
+                return 0.0 if seg.domain(state) else -1.0
+            if g1 < 0.0 and (dt := -g0 / g1) < bound:
+                bound = dt
+        elif op == "=":
+            if abs(g0) > 1e-9:
+                return -1.0
+            if abs(g1) > 1e-9:
+                bound = min(bound, 0.0)
+        else:  # !=
+            if abs(g0) <= 1e-9:
+                return -1.0
+            if g1 != 0.0:
+                crossing = -g0 / g1
+                if crossing > 0.0:
+                    bound = min(bound, crossing)
+    return bound
+
+
+def _reference_slopes(ode):
+    return compile_tuple("s", [emit_term(e, _FLOW_SLOTS) for _, e in ode.equations])
+
+
+def _reference_exit(ode, seg, state):
+    """(slopes, exit time) at `state`."""
+    slopes = _reference_slopes(ode)(state)
+    return slopes, _reference_exit_time(ode, seg, state, slopes)
+
+
+def _generated_exit_time(seg, state):
+    slopes = seg.slopes(state)
+    return slopes, seg.exit_time_affine(state, slopes)
+
+
+def _generated_step(seg, state, dt):
+    return seg.advance(state, dt, 0.01)[:2]
+
+
+def _reference_last_inside(seg, state, slopes, exit_dt):
+    """(end, dt): the state at `exit_dt`, or the last one inside the
+    domain found by bisection to within 1e-9."""
+    end = seg.at(state, slopes, exit_dt)
+    if seg.domain(end):
+        return end, exit_dt
+    lo, good, hi = 0.0, state, exit_dt
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        cand = seg.at(state, slopes, mid)
+        if seg.domain(cand):
+            lo, good = mid, cand
+        else:
+            hi = mid
+    return good, lo
+
+
+def _reference_advance(ode, seg, state, dt_request):
+    if not seg.domain(state) or dt_request <= 0.0:
+        return state, 0.0
+    slopes = _reference_slopes(ode)(state)
+    exit_dt = _reference_exit_time(ode, seg, state, slopes)
+    if exit_dt < 0.0:
+        return state, 0.0
+    if exit_dt <= dt_request:
+        return _reference_last_inside(seg, state, slopes, exit_dt)
+    return seg.at(state, slopes, dt_request), dt_request
+
+
+def _reference_flow_states(ode, seg, state, n):
+    if not seg.domain(state):
+        return [], True
+    slopes = _reference_slopes(ode)(state)
+    exit_dt = _reference_exit_time(ode, seg, state, slopes)
+    if exit_dt < 0.0:
+        return [], True
+    closes = not math.isinf(exit_dt)
+    span = exit_dt if closes else 1e6
+    samples = [seg.at(state, slopes, span * i / n) for i in range(n)]
+    samples.append(_reference_last_inside(seg, state, slopes, span * n / n)[0])
+    return samples, closes
+
+
+def _exact_bits(fn, *args):
+    """What `fn` returns with every float as its big-endian bytes (so -0.0
+    and NaN payloads count), or the error it raised."""
+
+    def bits(v):
+        if isinstance(v, float):
+            return struct.pack(">d", v)
+        if isinstance(v, (tuple, list)):
+            return type(v)(map(bits, v))
+        return v
+
+    try:
+        return bits(fn(*args))
+    except DivisionByZero as e:
+        return type(e).__name__, str(e)
+
+
+_INF_GAP = (0.0, 0.0, 0.0, math.inf, 0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FLOWS, _FLOW_STATES, _REQUESTS, st.integers(min_value=1, max_value=4))
+@example(  # a `<` conjunct whose gap is -0.0 at the start
+    ODE((("t", num(1)), ("x", num(0)), ("y", num(1))), conj(Compare("<", var("x"), num(0)))),
+    (0.0, 0.0, 0.0, -0.0, 0.0), 1.0, 2,
+)
+@example(  # inf - inf: the domain holds but the gap is NaN
+    ODE((("t", num(1)), ("x", num(0)), ("y", var("a"))),
+        conj(Compare("<=", var("x"), Times(num(2), var("x"))), Compare(">=", var("y"), num(0)))),
+    _INF_GAP, 0.5, 3,
+)
+@example(  # zero slopes: nothing ever exits
+    ODE((("t", num(0)), ("x", num(0)), ("y", num(0))), conj(Compare("<=", var("x"), num(3)))),
+    (0.0, 0.0, 0.0, 1.0, 0.0), 5.0, 2,
+)
+@example(  # an inf slope times the probe's 1.0, and a NaN one
+    ODE((("t", num(1)), ("x", var("a")), ("y", var("b"))),
+        conj(Compare("<=", var("x"), num(3)), Compare(">", var("y"), num(-1)))),
+    (math.inf, math.nan, 0.0, 1.0, 0.0), 0.25, 1,
+)
+def test_the_exact_step_matches_the_interpretive_exit_time_bit_for_bit(ode, state, dt, n):
+    """The generated exit time, the exact step and flow_states give what
+    the loop reading each conjunct's op at run time gives, bit for bit:
+    every op, conjuncts false at the start, zero, inf and NaN slopes."""
+    seg = FlowSegment(ode, _FLOW_SLOTS)
+    assert seg.domain_affine
+    holds = _exact_bits(seg.domain, state)
+    if holds is True:  # the exit time is only asked for inside the domain
+        assert _exact_bits(_generated_exit_time, seg, state) == _exact_bits(
+            _reference_exit, ode, seg, state
+        )
+    assert _exact_bits(_generated_step, seg, state, dt) == _exact_bits(
+        _reference_advance, ode, seg, state, dt
+    )
+    assert _exact_bits(flow_states, seg, state, n) == _exact_bits(
+        _reference_flow_states, ode, seg, state, n
+    )
 
 
 def test_strategy_names_are_validated():
