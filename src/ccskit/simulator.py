@@ -26,17 +26,25 @@ boundary; violations are recorded, never fatal. Identical
 (system, schedule, init) inputs give bit-identical traces.
 
 Everything a step evaluates is compiled once per system to Python
-source by one emitter (`emit_term`/`emit_formula`): the flow's slopes,
-advance and domain gaps, each controller's whole program as one
-expression, and one tuple of the monitors' truths at a boundary. A run
-only records, appending each point's state and event code; the trace,
-the invariant residual and a batch's ranges are taken from those after
-the run, a batch's over each state once (a boundary records again the
-state just recorded). The CSV costs one `repr` per distinct float
-object in a column. The bounded checker's goals go through the same
-compiler: `_compile` is the one entry for a whole program, a checker
-goal (`compile_goal`) or a system's monitors, and its one helper table
-holds the loops, flows and box programs the generated code calls.
+source by one emitter (`emit_term`/`emit_formula`). An exact flow whose
+domain is affine has one generated step per segment: one call tests the
+domain, takes the slopes, computes the exit time, with each domain
+conjunct's branch chosen when it is compiled, and returns the end state
+and the time taken. Its rare cases (a state outside the domain, a
+conjunct false at the start, an exit within the step) run plain code,
+and the bounded checker's `flow_states` takes the same generated exit
+time. Each controller's whole program is one expression, and a loop
+boundary is one generated call that records the state and tests every
+monitor. A system with one controller takes a lean pass: no list of
+expiries and no shuffled order, as shuffling one controller draws
+nothing from the rng. A run only records, appending each point's state
+and event code; the trace, the invariant residual and a batch's ranges
+are taken from those after the run, over each state once (a boundary
+records again the state just recorded). The CSV costs one `repr` per
+distinct float object in a line. The bounded checker's goals go through
+the same compiler: `_compile` is the one entry for a whole program, a
+checker goal (`compile_goal`) or a system's monitors, and its one helper
+table holds the loops, flows and box programs the generated code calls.
 
 A state is a tuple of floats over a layout, an ordered tuple of
 variable names; the generated code reads and writes slot `s[i]` and
@@ -142,7 +150,7 @@ def _division_by_zero(text: str):
     raise DivisionByZero(text)
 
 
-_GLOBALS = dict(__builtins__={}, abs=abs, all=all, any=any, _dz=_division_by_zero)
+_GLOBALS = dict(__builtins__={}, abs=abs, all=all, any=any, min=min, _dz=_division_by_zero)
 
 
 @functools.lru_cache(maxsize=2048)
@@ -152,7 +160,8 @@ def compile_source(params: str, src: str) -> Callable:
 
 
 def emit_term(t: Term, slots: Slots) -> str:
-    """`t` as a Python expression over the state `s`.
+    """`t` as a Python expression over the state `s`. A variable is its
+    slot `s[i]`, or the source `slots` maps it to in place of an index.
 
     Division evaluates its denominator first and raises DivisionByZero
     with the printed term when it is zero, before touching the numerator:
@@ -161,7 +170,8 @@ def emit_term(t: Term, slots: Slots) -> str:
     program's statements land.
     """
     if isinstance(t, Variable):
-        return f"s[{slots[t.name]}]"
+        slot = slots[t.name]
+        return f"s[{slot}]" if isinstance(slot, int) else slot
     if isinstance(t, Rational):
         # float(Fraction), without its generic dispatch.
         return repr(t.value.numerator / t.value.denominator)
@@ -267,12 +277,55 @@ def _is_affine(t: Term, moving: frozenset[str]) -> bool:
     raise TypeError(f"not a term: {t!r}")
 
 
+# An exact flow's domain conjunct `l op r`, by op: the test of its gap
+# `{g} := l - r` at the start, which holds only when both the conjunct and
+# the exit time's own test of the gap do, and its candidate exit time from
+# `{slope}`, the gap's slope in dt (inf when it never exits).
+_EXIT_TESTS = {
+    **{op: f"({{g}} := {{gap}}) {op} 0.0" for op in ("<=", "<", ">=", ">")},
+    "=": f"abs({{g}} := {{gap}}) <= {EQ_TOLERANCE!r}",
+    "!=": f"abs({{g}} := {{gap}}) > {EQ_TOLERANCE!r}",
+}
+_EXIT_CANDIDATES = {
+    **dict.fromkeys(("<=", "<"), "(-{g} / _r if (_r := {slope}) > 0.0 else 1e999)"),
+    **dict.fromkeys((">=", ">"), "(-{g} / _r if (_r := {slope}) < 0.0 else 1e999)"),
+    "=": f"(0.0 if abs({{slope}}) > {EQ_TOLERANCE!r} else 1e999)",
+    "!=": "(_d if (_r := {slope}) != 0.0 and (_d := -{g} / _r) > 0.0 else 1e999)",
+}
+
+
+def _emit_exit_time(ode: ODE, slots: Slots) -> tuple[str, str, str]:
+    """The sources `(slopes, held, exit)` FlowSegment makes the exit time
+    and the step of a `domain_affine` flow of. `slopes` binds slope j to
+    `_kj` as a tuple's items; `held` tests each conjunct's gap at the
+    start, in order; `exit`, run after both, is `min` over inf and each
+    conjunct's candidate, its gap's slope taken against the state one
+    time unit along (each evolved slot plus its `_kj`, the `_kj * 1.0` of
+    `at`). `min` keeps the first of equal values and skips NaN, as a
+    running minimum does."""
+    k = {v: f"_k{j}" for j, (v, _) in enumerate(ode.equations)}
+    slopes = "".join(f"{k[v]} := {emit_term(e, slots)}, " for v, e in ode.equations)
+    probe = {**slots, **{v: f"(s[{slots[v]}] + {kv})" for v, kv in k.items()}}
+    tests, candidates = [], []
+    for i, c in enumerate(conjuncts(ode.domain)):
+        g = f"_g{i}"
+        gap = f"({emit_term(c.left, slots)} - {emit_term(c.right, slots)})"
+        slope = f"({emit_term(c.left, probe)} - {emit_term(c.right, probe)}) - {g}"
+        tests.append(_EXIT_TESTS[c.op].format(g=g, gap=gap))
+        candidates.append(_EXIT_CANDIDATES[c.op].format(g=g, slope=slope))
+    return slopes, " and ".join(tests), f"min(1e999, {', '.join(candidates)})"
+
+
 class FlowSegment:
     """Integrates one ODE node from a start state over the layout `slots`.
 
     Exact linear advance when every right-hand side is constant over the
     segment; RK4 otherwise. Instances are cheap, stateless descriptions;
     all methods are pure in the start state.
+
+    A `domain_affine` segment (exact, each domain conjunct a comparison
+    affine in the evolved variables) has one generated `step` and its
+    `exit_time`; any other one advances by `scan`.
     """
 
     def __init__(self, ode: ODE, slots: Slots):
@@ -287,32 +340,31 @@ class FlowSegment:
             and _is_affine(c.right, self.moving)
             for c in parts
         )
-        # slopes(state): the right-hand sides, in equation order.
-        # at(state, slopes, dt): state + slopes * dt on the evolved
-        # variables; _shift(state, k, c): state + c * k, as RK4 writes it.
-        self.slopes = compile_tuple("s", [emit_term(e, slots) for _, e in ode.equations])
+        # at(state, slopes, dt): state + slopes * dt on the evolved variables.
         moved = list(enumerate(slots[v] for v in self.vars))
         width = len(slots)
         self.at = compile_source(
             "s, k, dt",
             emit_update(width, {i: f"(s[{i}] + (k[{j}] * dt))" for j, i in moved}),
         )
+        if self.domain_affine:
+            # The sources exit_time and step are compiled from on first use.
+            self._exit_parts = _emit_exit_time(ode, slots)
+            self._end = emit_update(width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
+            return
+        # slopes(state): the right-hand sides, in equation order;
+        # _shift(state, k, c): state + c * k, as RK4 writes it.
+        self.slopes = compile_tuple("s", [emit_term(e, slots) for _, e in ode.equations])
         if not self.exact:
             self._shift = compile_source(
                 "s, k, c",
                 emit_update(width, {i: f"(s[{i}] + (c * k[{j}]))" for j, i in moved}),
             )
-        # exit_time_affine reads each domain conjunct's op and, through
-        # gaps(state), its `left - right`.
-        affine = parts if self.domain_affine else []
-        self.affine_ops = tuple(c.op for c in affine)
-        gaps = (f"({emit_term(c.left, slots)} - {emit_term(c.right, slots)})" for c in affine)
-        self.gaps = compile_tuple("s", gaps)
         # (slot of x, e) per domain conjunct `x <= e` or `x < e` on an
-        # evolved x; flow_states sizes its scan step from them when it scans.
+        # evolved x; flow_states sizes its scan step from them.
         self.upper_bounds = tuple(
             (slots[c.left.name], compile_source("s", emit_term(c.right, slots)))
-            for c in ([] if self.domain_affine else parts)
+            for c in parts
             if isinstance(c, Compare)
             and c.op in ("<=", "<")
             and isinstance(c.left, Variable)
@@ -328,83 +380,50 @@ class FlowSegment:
         k = tuple(a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4))
         return shift(state, k, h / 6.0)
 
-    def exit_time_affine(self, state: State, slopes: tuple[float, ...]) -> float:
-        """Largest dt >= 0 with the whole domain true on [0, dt].
+    @functools.cached_property
+    def exit_time(self) -> Callable[[State], tuple[tuple[float, ...], float]]:
+        """`exit_time(state)` -> (slopes, the largest dt >= 0 with the
+        domain true on [0, dt], math.inf if none): 0.0 when a conjunct is
+        false at the start, -1.0 outside the domain. Compiled on first use."""
+        slopes, held, exit_dt = self._exit_parts
+        src = f"(({slopes}), {exit_dt} if {held} else (0.0 if _in(s) else -1.0))"
+        return compile_source("_in", f"lambda s: {src}")(self.domain)
 
-        Only valid when `domain_affine`: every conjunct is a comparison of
-        terms affine in the evolved variables, hence linear in dt.
-        Returns math.inf when nothing ever exits.
-        """
-        bound = math.inf
-        # The domain holds at `state` (callers check it first), so no gap
-        # raises there, nor at the probe: it only moves evolved variables,
-        # which no denominator of an affine term reads. `dt < bound` picks
-        # what min(bound, dt) would, ties and NaN included.
-        probe = self.gaps(self.at(state, slopes, 1.0))
-        for op, g0, p1 in zip(self.affine_ops, self.gaps(state), probe):
-            g1 = p1 - g0  # slope of l - r in dt
-            if op in ("<=", "<"):
-                ok0 = g0 <= 0.0 if op == "<=" else g0 < 0.0
-                if not ok0:
-                    return 0.0 if self.domain(state) else -1.0
-                if g1 > 0.0 and (dt := -g0 / g1) < bound:
-                    bound = dt
-            elif op in (">=", ">"):
-                ok0 = g0 >= 0.0 if op == ">=" else g0 > 0.0
-                if not ok0:
-                    return 0.0 if self.domain(state) else -1.0
-                if g1 < 0.0 and (dt := -g0 / g1) < bound:
-                    bound = dt
-            elif op == "=":
-                if abs(g0) > EQ_TOLERANCE:
-                    return -1.0
-                if abs(g1) > EQ_TOLERANCE:
-                    bound = min(bound, 0.0)
-            else:  # !=
-                if abs(g0) <= EQ_TOLERANCE:
-                    return -1.0
-                if g1 != 0.0:
-                    crossing = -g0 / g1
-                    if crossing > 0.0:
-                        bound = min(bound, crossing)
-        return bound
+    @functools.cached_property
+    def step(self) -> Callable[[State, float], tuple[State, float]]:
+        """`step(state, dt_request)` -> (end, dt): evolve for up to
+        dt_request within the domain, ending on `last_inside` when it exits
+        sooner, with the exit time inline. When dt_request is not > 0, a
+        test fails or there is no slope (an empty, false tuple),
+        `_slow_step` answers. Compiled on first use."""
+        slopes, held, exit_dt = self._exit_parts
+        src = (
+            f"(_last(s, _k, _e) if (_e := {exit_dt}) <= dt else ({self._end}, dt)) "
+            f"if dt > 0.0 and {held} and (_k := ({slopes})) else _slow(s, dt)"
+        )
+        return compile_source("_last, _slow", f"lambda s, dt: {src}")(
+            self.last_inside, self._slow_step
+        )
 
-    def advance(
-        self, state: State, dt_request: float, h: float
-    ) -> tuple[State, float, bool, list[State]]:
-        """Evolve for up to dt_request within the domain.
-
-        Returns (end state, dt achieved, exited_domain, intermediate
-        samples for non-exact integration). Domain exits are located to
-        within 1e-9 by bisection.
-        """
-        if not self.domain(state):
-            return state, 0.0, True, []
-        if dt_request <= 0.0:
-            return state, 0.0, False, []
-
-        if self.exact:
-            slopes = self.slopes(state)
-            if self.domain_affine:
-                exit_dt = self.exit_time_affine(state, slopes)
-                if exit_dt < 0.0:
-                    return state, 0.0, True, []
-                if exit_dt <= dt_request:
-                    dt, end = self.last_inside(state, slopes, exit_dt)
-                    return end, dt, True, []
-                return self.at(state, slopes, dt_request), dt_request, False, []
-            # Exact slopes but a non-affine domain: scan and bisect.
-            return self._scan(self._along(slopes), state, dt_request, h)
-        return self._scan(self._rk4_step, state, dt_request, h)
+    def _slow_step(self, state: State, dt_request: float) -> tuple[State, float]:
+        """`step` in plain code, for the cases the generated one hands on."""
+        if not self.domain(state) or dt_request <= 0.0:
+            return state, 0.0
+        slopes, exit_dt = self.exit_time(state)
+        if exit_dt < 0.0:
+            return state, 0.0
+        if exit_dt <= dt_request:
+            return self.last_inside(state, slopes, exit_dt)
+        return self.at(state, slopes, dt_request), dt_request
 
     def last_inside(
         self, state: State, slopes: tuple[float, ...], exit_dt: float
-    ) -> tuple[float, State]:
-        """(dt, end) for the last state inside the domain by `exit_dt` on
+    ) -> tuple[State, float]:
+        """(end, dt) for the last state inside the domain by `exit_dt` on
         the exact path: bisected when an open domain fails at its exit."""
         end = self.at(state, slopes, exit_dt)
         if self.domain(end):
-            return exit_dt, end
+            return end, exit_dt
         return self._bisect(self._along(slopes), state, exit_dt)
 
     def _along(self, slopes: tuple[float, ...]) -> Callable[[State, float], State]:
@@ -413,35 +432,42 @@ class FlowSegment:
 
     def _bisect(
         self, step: Callable[[State, float], State], start: State, hi: float
-    ) -> tuple[float, State]:
-        """(dt, step(start, dt)) for the largest dt in [0, hi] found, to
-        within BISECT_TOLERANCE, with the domain holding; (0.0, start) when
-        no probe holds."""
+    ) -> tuple[State, float]:
+        """(step(start, dt), dt) for the largest dt in [0, hi] found, to
+        within BISECT_TOLERANCE or until no float lies between the bounds,
+        with the domain holding; (start, 0.0) when no probe holds."""
         lo, good = 0.0, start
         while hi - lo > BISECT_TOLERANCE:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             cand = step(start, mid)
             if self.domain(cand):
                 lo, good = mid, cand
             else:
                 hi = mid
-        return lo, good
+        return good, lo
 
-    def _scan(
-        self,
-        step: Callable[[State, float], State],
-        state: State,
-        dt_request: float,
-        h: float,
+    def scan(
+        self, state: State, dt_request: float, h: float
     ) -> tuple[State, float, bool, list[State]]:
+        """Evolve a segment that is not `domain_affine` for up to dt_request
+        within the domain, in steps of at most h along the exact path or by
+        RK4. Returns (end state, dt achieved, exited_domain, the state after
+        each step); an exit is bisected to within 1e-9."""
+        if not self.domain(state):
+            return state, 0.0, True, []
         samples: list[State] = []
+        if dt_request <= 0.0:
+            return state, 0.0, False, samples
+        step = self._along(self.slopes(state)) if self.exact else self._rk4_step
         elapsed = 0.0
         current = state
         while elapsed < dt_request - BOUNDARY_TOLERANCE:
             dt = min(h, dt_request - elapsed)
             nxt = step(current, dt)
             if not self.domain(nxt):
-                lo, good = self._bisect(step, current, dt)
+                good, lo = self._bisect(step, current, dt)
                 samples.append(good)
                 return good, elapsed + lo, True, samples
             current = nxt
@@ -467,9 +493,8 @@ def flow_states(
     """
     if not seg.domain(state):
         return [], True
-    if seg.exact and seg.domain_affine:
-        slopes = seg.slopes(state)
-        exit_dt = seg.exit_time_affine(state, slopes)
+    if seg.domain_affine:
+        slopes, exit_dt = seg.exit_time(state)
         if exit_dt < 0.0:
             return [], True
         # A domain that never closes is sampled up to a horizon of 1e6.
@@ -478,7 +503,7 @@ def flow_states(
         at, n = seg.at, n_samples
         samples = [at(state, slopes, span * i / n) for i in range(n)]
         # span * n / n, not span: the last time rounds as the others do.
-        samples.append(seg.last_inside(state, slopes, span * n / n)[1])
+        samples.append(seg.last_inside(state, slopes, span * n / n)[0])
         return samples, closes
     # Step-wise scan: pick a step from any clock-style bound, else a
     # conservative default, and walk until the domain exits.
@@ -492,7 +517,7 @@ def flow_states(
             h = min(h, span / 128.0)
     # One walk, given room for a step more than it keeps, so that float
     # drift in its elapsed time cannot shorten the last step that counts.
-    _end, _dt, exited, walk = seg.advance(state, (FLOW_MAX_STEPS + 1) * h, h)
+    _end, _dt, exited, walk = seg.scan(state, (FLOW_MAX_STEPS + 1) * h, h)
     samples = [state, *walk[:FLOW_MAX_STEPS]]
     complete = exited and len(walk) <= FLOW_MAX_STEPS
     if complete and samples[-1] is samples[-2]:
@@ -782,19 +807,22 @@ def _csv_lines(points: list[TracePoint], names: list[str]) -> Iterator[str]:
     """Each point's CSV line. An event text is quoted once per call. A
     time or value that `is` the object in its column of the line before
     reuses that line's text; when every value is, so does their joined
-    text. A float's repr needs no quoting, so the bytes are those of a
-    csv.writer row."""
+    text. A time that `is` the value in the clock column (a run's trace
+    takes its time from there) reuses that value's text. A float's repr
+    needs no quoting, so the bytes are those of a csv.writer row."""
     fields = {e: _csv_field(e) for e in {p.event for p in points}}
     get = itemgetter(*names) if len(names) > 1 else lambda v: tuple(v[n] for n in names)
+    tick = names.index(CLOCK) if CLOCK in names else None
     time, text = object(), ""
     row, texts, tail = (object(),) * len(names), [""] * len(names), ""
     for p in points:
-        if p.time is not time:
-            time, text = p.time, repr(p.time)
         values = get(p.values)
         if not all(map(is_, values, row)):
             texts = [t if v is r else repr(v) for v, r, t in zip(values, row, texts)]
             row, tail = values, ",".join(("", *texts))
+        if p.time is not time:
+            time = p.time
+            text = texts[tick] if tick is not None and time is row[tick] else repr(time)
         yield f"{text},{fields[p.event]}{tail}\r\n"
 
 
@@ -940,10 +968,15 @@ class CompiledSystem:
              compile_setter(slots, rc.timestamp))
             for code, rc in enumerate(choices, GUARD_EXPIRY + 1)
         ]
-        # truths(s): whether each monitor holds at s, in the order of the
-        # (name, text) pairs of `monitors`.
+        # boundary(push, mark, report): for one run, a function that records
+        # a state as a loop boundary (list.append returns None) and calls
+        # report(s) when a monitor fails there.
         monitors = _monitors(system)
-        self.truths = self.compiled([f for _, f in monitors], _tuple_source)
+        self.monitor_formulas = [f for _, f in monitors]
+        self.boundary = self.compiled(self.monitor_formulas, lambda src: (
+            f"lambda s: push(s) or mark({BOUNDARY}) or "
+            f"({' and '.join(src) or 'True'}) or report(s)"
+        ), "push, mark, report")
         self.monitors = [(name, print_formula(f)) for name, f in monitors]
         self.gaps = compile_tuple("s", (
             f"abs({emit_term(c.left, slots)} - {emit_term(c.right, slots)})"
@@ -951,18 +984,26 @@ class CompiledSystem:
             if isinstance(c, Compare) and c.op == "="
         ))
 
-    def compiled(self, formulas, join: Callable[[Iterable[str]], str]) -> Callable:
-        """One function of the state: the source `join` makes of the
+    def compiled(
+        self, formulas, join: Callable[[Iterable[str]], str], params: str = "s"
+    ) -> Callable:
+        """One function of `params`: the source `join` makes of the
         formulas' sources. Raises CcsError naming a formula nested too
         deeply."""
         src = (emit_formula(f, self.slots) for f in formulas)
         try:
-            return _compile(conj(*formulas), "s", lambda *_: join(src), self.slots)
+            return _compile(conj(*formulas), params, lambda *_: join(src), self.slots)
         except CcsError:
             if len(formulas) > 1:
                 for f in formulas:  # the formula nested too deeply raises, named
-                    self.compiled([f], join)
+                    self.compiled([f], join, params)
             raise
+
+    @functools.cached_property
+    def truths(self) -> Callable[[State], tuple[bool, ...]]:
+        """Whether each monitor holds at a state, in the order of
+        `monitors`: compiled on a run's first failing boundary."""
+        return self.compiled(self.monitor_formulas, _tuple_source)
 
     def holds(self, *formulas: Formula) -> Callable[[State], bool]:
         """One function: every formula holds, evaluated as an `and` chain
@@ -988,7 +1029,8 @@ def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
     when a guard has expired but no controller run is enabled.
     """
     cs = CompiledSystem(system)
-    return _trace(cs, *_run(cs, schedule, init))
+    events, states, violations, truncated = _run(cs, schedule, init)
+    return _trace(cs, events, states, violations, truncated, cs.residual(_distinct(states)))
 
 
 def _run(
@@ -1008,8 +1050,8 @@ def _run(
 
     delta, eps, clock, h = cs.delta, cs.eps, cs.clock, cs.h
     rng = random.Random(schedule.seed)
-    controllers, monitors, truths = cs.controllers, cs.monitors, cs.truths
-    advance = cs.segment.advance
+    controllers = cs.controllers
+    seg = cs.segment
 
     events: list[int] = []
     states: list[State] = []
@@ -1017,23 +1059,30 @@ def _run(
     mark, push = events.append, states.append
     truncated = False
 
-    def boundary(s: State) -> None:
-        push(s)
-        mark(BOUNDARY)
-        held = truths(s)
-        if False in held:
-            for (name, text), ok in zip(monitors, held):
-                if not ok:
-                    violations.append(MonitorViolation(s[clock], name, text, cs.named(s)))
+    def report(s: State) -> None:
+        for (name, text), ok in zip(cs.monitors, cs.truths(s)):
+            if not ok:
+                violations.append(MonitorViolation(s[clock], name, text, cs.named(s)))
+
+    boundary = cs.boundary(push, mark, report)
+
+    if seg.domain_affine:
+        advance = seg.step
+    else:
+
+        def advance(s: State, dt_request: float) -> tuple[State, float]:
+            """`scan`, recording each state it steps through before its end."""
+            end, dt, _exited, samples = seg.scan(s, dt_request, h)
+            for mid in samples[:-1]:
+                push(mid)
+                mark(ODE_STEP)
+            return end, dt
 
     def evolve(s: State, dt_request: float, next_expiry: float) -> tuple[State, bool]:
         """Advance the plant, recording samples; returns (state, moved)."""
-        end, dt, _exited, samples = advance(s, dt_request, h)
+        end, dt = advance(s, dt_request)
         if dt <= 0.0:
             return s, False
-        for mid in samples[:-1]:
-            push(mid)
-            mark(ODE_STEP)
         # Snap the clock when we stopped within float wiggle of a guard
         # expiry so subsequent guard tests are exact.
         if abs(end[clock] - next_expiry) <= 2.0 * BOUNDARY_TOLERANCE:
@@ -1057,15 +1106,23 @@ def _run(
         return None
 
     boundary(state)
-    rr_index = 0
+    horizon, uniform = schedule.horizon, schedule.strategy == "uniform-random"
+    lazy = schedule.strategy == "lazy-controller"
+    # A lone controller is every order of the controllers, and shuffling a
+    # list of one draws nothing from the rng: its pass builds no expiries
+    # and no order.
+    single, order, rr_index = len(controllers) == 1, controllers, 0
 
     for _ in range(MAX_ITERATIONS):
-        to_horizon = schedule.horizon - state[clock]
+        to_horizon = horizon - state[clock]
         if to_horizon <= BOUNDARY_TOLERANCE:
             break
 
-        expiries = [state[timestamp] + delta for _, timestamp, _, _ in controllers]
-        next_expiry = min(expiries)
+        if single:
+            next_expiry = state[controllers[0][1]] + delta
+        else:
+            expiries = [state[timestamp] + delta for _, timestamp, _, _ in controllers]
+            next_expiry = min(expiries)
         guard_room = next_expiry - state[clock]
 
         if to_horizon <= eps and guard_room >= to_horizon - BOUNDARY_TOLERANCE:
@@ -1082,28 +1139,29 @@ def _run(
         fired: tuple[State, int] | None = None
         advanced = False
 
-        if schedule.strategy == "uniform-random":
+        if uniform:
             if evolve_room > eps and rng.random() < 0.5:
                 dt = rng.uniform(eps, evolve_room)
                 state, advanced = evolve(state, dt, next_expiry)
             if not advanced:
-                order = list(controllers)
-                rng.shuffle(order)
+                if not single:
+                    order = list(controllers)
+                    rng.shuffle(order)
                 fired = try_fire_any(order, state)
         else:
             # Evolve as far as the guards allow, then offer the target the
             # first firing; lazy-controller fires only near its expiry or when stalled.
-            lazy = schedule.strategy == "lazy-controller"
-            if lazy:
-                target = controllers[expiries.index(next_expiry)]
-            else:
-                target = controllers[rr_index % len(controllers)]
-                rr_index += 1
-            ordering = [target] + [c for c in controllers if c is not target]
+            if not single:
+                if lazy:
+                    target = controllers[expiries.index(next_expiry)]
+                else:
+                    target = controllers[rr_index % len(controllers)]
+                    rr_index += 1
+                order = [target] + [c for c in controllers if c is not target]
             if evolve_room > 0.0:
                 state, advanced = evolve(state, evolve_room, next_expiry)
             if not (lazy and advanced and state[clock] < next_expiry - 2.0 * eps):
-                fired = try_fire_any(ordering, state)
+                fired = try_fire_any(order, state)
 
         if fired is not None:
             state, code = fired
@@ -1125,14 +1183,23 @@ def _run(
     return events, states, violations, truncated
 
 
+def _distinct(states: list[State]) -> list[State]:
+    """`states` less each state recorded again right after itself (a
+    boundary records again the state just recorded): a repeat cannot
+    move a min, a max or the residual."""
+    return list(compress(states, map(is_not, states, chain((None,), states))))
+
+
 def _trace(
-    cs: CompiledSystem, events: list[int], states: list, violations: list, truncated: bool
+    cs: CompiledSystem, events: list, states: list, violations: list, truncated: bool,
+    residual: float,
 ) -> Trace:
-    """The trace of a run `_run` recorded. Every pass of the loop ends at
-    a boundary, so the last state is where the run ended."""
+    """The trace of a run `_run` recorded, whose residual is `residual`.
+    Every pass of the loop ends at a boundary, so the last state is where
+    the run ended."""
     names, clock = cs.events, cs.clock
     points = [TracePoint(s[clock], names[e], cs.named(s)) for e, s in zip(events, states)]
-    return Trace(points, violations, states[-1][clock], truncated, cs.residual(states))
+    return Trace(points, violations, states[-1][clock], truncated, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -1227,13 +1294,10 @@ def run_batch(
         except StuckState:
             stuck += 1
             continue
-        # A state recorded again right after itself cannot move a min or max.
-        distinct = list(compress(states, map(is_not, states, chain((None,), states))))
+        distinct = _distinct(states)
+        residual = cs.residual(distinct)
         if keep_first and i == 0:
-            first_trace = _trace(cs, events, states, found, truncated)
-            residual = first_trace.max_invariant_residual
-        else:
-            residual = cs.residual(distinct)
+            first_trace = _trace(cs, events, states, found, truncated, residual)
         if found:
             runs_with += 1
             for v in found:
