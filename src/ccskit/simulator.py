@@ -349,7 +349,7 @@ class FlowSegment:
         )
         if self.domain_affine:
             # The sources exit_time and step are compiled from on first use.
-            self._exit_parts = _emit_exit_time(ode, slots)
+            self._exit_parts, self._domain_formula = _emit_exit_time(ode, slots), ode.domain
             self._end = emit_update(width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
             return
         # slopes(state): the right-hand sides, in equation order;
@@ -387,7 +387,7 @@ class FlowSegment:
         false at the start, -1.0 outside the domain. Compiled on first use."""
         slopes, held, exit_dt = self._exit_parts
         src = f"(({slopes}), {exit_dt} if {held} else (0.0 if _in(s) else -1.0))"
-        return compile_source("_in", f"lambda s: {src}")(self.domain)
+        return self._generated("_in", f"lambda s: {src}", self.domain)
 
     @functools.cached_property
     def step(self) -> Callable[[State, float], tuple[State, float]]:
@@ -401,9 +401,20 @@ class FlowSegment:
             f"(_last(s, _k, _e) if (_e := {exit_dt}) <= dt else ({self._end}, dt)) "
             f"if dt > 0.0 and {held} and (_k := ({slopes})) else _slow(s, dt)"
         )
-        return compile_source("_last, _slow", f"lambda s, dt: {src}")(
-            self.last_inside, self._slow_step
+        return self._generated(
+            "_last, _slow", f"lambda s, dt: {src}", self.last_inside, self._slow_step
         )
+
+    def _generated(self, params: str, src: str, *helpers: Callable) -> Callable:
+        """`lambda <params>: <src>` called with `helpers`. Raises CcsError,
+        as `_compile` does, when Python will not compile it."""
+        try:
+            return compile_source(params, src)(*helpers)
+        except (SyntaxError, RecursionError, MemoryError) as e:
+            text = print_formula(self._domain_formula)[:80]
+            raise CcsError(
+                f"flow domain nests too deeply to compile ({type(e).__name__}): {text}"
+            ) from None
 
     def _slow_step(self, state: State, dt_request: float) -> tuple[State, float]:
         """`step` in plain code, for the cases the generated one hands on."""

@@ -472,6 +472,21 @@ def test_the_exact_step_matches_the_interpretive_exit_time_bit_for_bit(ode, stat
     )
 
 
+def test_an_exact_flow_nested_too_deeply_is_a_ccs_error():
+    """The exact step and exit time compile on first use, a few levels of
+    nesting deeper than the domain: a domain that compiles but whose step
+    does not raises CcsError naming the domain, never a SyntaxError."""
+    bound = var("x")
+    for _ in range(196):
+        bound = Plus(num(1), bound)
+    seg = FlowSegment(ODE((("x", num(1)),), Compare("<=", var("x"), bound)), {"x": 0})
+    named = r"^flow domain nests too deeply to compile \(SyntaxError\): x <= 1 \+ \(1"
+    with pytest.raises(CcsError, match=named):
+        flow_states(seg, (0.0,), 2)
+    with pytest.raises(CcsError, match=named):
+        seg.step((0.0,), 1.0)
+
+
 def test_strategy_names_are_validated():
     with pytest.raises(ValueError):
         Schedule(strategy="chaotic")
