@@ -165,8 +165,9 @@ def non_interference_controllers(
     include the timestamps, so a shared timestamp is a shared write.
     """
     ma, mb = as_multi_controller(a), as_multi_controller(b)
+    # A choice's guarded program writes its body's writes and its stamp.
     w_a, w_b = (
-        frozenset().union(*(bound_vars(rc.to_program()) for rc in m.choices))
+        frozenset().union(*(bound_vars(rc.ctrl) | {rc.timestamp} for rc in m.choices))
         for m in (ma, mb)
     )
     g_a, g_b = free_vars(ma.contract.guarantee), free_vars(mb.contract.guarantee)

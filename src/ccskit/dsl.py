@@ -240,8 +240,15 @@ class _Parser:
         return tok.text
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind != "eof" and tok.text == text
+
+    def accept(self, text: str) -> bool:
+        """Whether the next token is `text`, consumed when it is."""
+        tok = self.tokens[self.pos]
+        found = tok.kind != "eof" and tok.text == text
+        self.pos += found
+        return found
 
     # -- terms
 
@@ -265,8 +272,7 @@ class _Parser:
         return out
 
     def _unary(self) -> Term:
-        if self.at("-"):
-            self.advance()
+        if self.accept("-"):
             return Neg(self._unary())
         return self._primary()
 
@@ -278,8 +284,7 @@ class _Parser:
         if tok.kind == "name" and tok.text not in KEYWORDS:
             self.advance()
             return Variable(tok.text)
-        if self.at("("):
-            self.advance()
+        if self.accept("("):
             inner = self.parse_term()
             self.expect(")")
             return inner
@@ -289,38 +294,32 @@ class _Parser:
 
     def parse_formula(self) -> Formula:
         left = self._or_formula()
-        if self.at("->"):
-            self.advance()
+        if self.accept("->"):
             return Implies(left, self.parse_formula())
         return left
 
     def _or_formula(self) -> Formula:
         out = self._and_formula()
-        while self.at("|"):
-            self.advance()
+        while self.accept("|"):
             out = Or(out, self._and_formula())
         return out
 
     def _and_formula(self) -> Formula:
         out = self._not_formula()
-        while self.at("&"):
-            self.advance()
+        while self.accept("&"):
             out = And(out, self._not_formula())
         return out
 
     def _not_formula(self) -> Formula:
-        if self.at("!"):
-            self.advance()
+        if self.accept("!"):
             return Not(self._not_formula())
         return self._atom_formula()
 
     def _atom_formula(self) -> Formula:
         tok = self.peek()
-        if tok.text == "true":
-            self.advance()
+        if self.accept("true"):
             return TRUE
-        if tok.text == "false":
-            self.advance()
+        if self.accept("false"):
             return FALSE
         if tok.text in ("forall", "exists"):
             self.advance()
@@ -329,8 +328,7 @@ class _Parser:
             body = self.parse_formula()
             self.expect(")")
             return Forall(name, body) if tok.text == "forall" else Exists(name, body)
-        if self.at("["):
-            self.advance()
+        if self.accept("["):
             prog = self.parse_program()
             self.expect("]")
             return Box(prog, self._not_formula())
@@ -366,15 +364,13 @@ class _Parser:
     def parse_choice(self) -> Program:
         """Statement lists separated by `U`."""
         alternatives = [self.parse_program()]
-        while self.at("U"):
-            self.advance()
+        while self.accept("U"):
             alternatives.append(self.parse_program())
         return choice(*alternatives)
 
     def parse_program(self) -> Program:
         statements = [self._statement()]
-        while self.at(";"):
-            self.advance()
+        while self.accept(";"):
             if not self._starts_statement():
                 break
             statements.append(self._statement())
@@ -382,23 +378,19 @@ class _Parser:
 
     def _statement(self) -> Program:
         tok = self.peek()
-        if self.at("?"):
-            self.advance()
+        if self.accept("?"):
             self.expect("(")
             condition = self.parse_formula()
             self.expect(")")
             return Test(condition)
-        if self.at("{"):
-            self.advance()
+        if self.accept("{"):
             equations, domain = self._ode_body()
             self.expect("}")
             return ODE(equations, domain)
-        if self.at("("):
-            self.advance()
+        if self.accept("("):
             inner = self.parse_choice()
             self.expect(")")
-            if self.at("*"):
-                self.advance()
+            if self.accept("*"):
                 return Loop(inner)
             return inner
         if tok.kind == "name" and tok.text not in KEYWORDS:
@@ -414,13 +406,10 @@ class _Parser:
             self.expect("'")
             self.expect("=")
             equations.append((name, self.parse_term()))
-            if self.at(","):
-                self.advance()
-                continue
-            break
+            if not self.accept(","):
+                break
         domain: Formula = TRUE
-        if self.at("&"):
-            self.advance()
+        if self.accept("&"):
             domain = self.parse_formula()
         return tuple(equations), domain
 
@@ -449,16 +438,13 @@ class _Parser:
         systems: list[SystemDecl] = []
         const_env: dict[str, Fraction] = {}
         while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.text == "const":
-                self.advance()
+            if self.accept("const"):
                 name = self.expect_name("a constant name")
                 self.expect("=")
                 value = self.parse_const_expr(const_env)
                 consts.append(ConstDecl(name, value))
                 const_env[name] = value
-            elif tok.text == "controller":
-                self.advance()
+            elif self.accept("controller"):
                 name = self.expect_name("a controller name")
                 self.expect("every")
                 reactivity = self.parse_const_expr(const_env)
@@ -466,8 +452,7 @@ class _Parser:
                 body = self.parse_program()
                 self.expect("}")
                 controllers.append(ControllerDecl(name, reactivity, body))
-            elif tok.text == "plant":
-                self.advance()
+            elif self.accept("plant"):
                 name = self.expect_name("a plant name")
                 self.expect("within")
                 bound = self.parse_const_expr(const_env)
@@ -475,8 +460,7 @@ class _Parser:
                 equations, domain = self._ode_body()
                 self.expect("}")
                 plants.append(PlantDecl(name, bound, equations, domain))
-            elif tok.text == "contract":
-                self.advance()
+            elif self.accept("contract"):
                 component = self.expect_name("a component name")
                 self.expect("{")
                 self.expect("assume")
@@ -489,23 +473,19 @@ class _Parser:
                 contracts.append(
                     ContractDecl(component, Contract(assume, guarantee, init))
                 )
-            elif tok.text == "invariant":
-                self.advance()
+            elif self.accept("invariant"):
                 name = self.expect_name("a system name")
                 self.expect(":")
                 invariants.append(InvariantDecl(name, self.parse_formula()))
-            elif tok.text == "system":
-                self.advance()
+            elif self.accept("system"):
                 name = self.expect_name("a system name")
                 self.expect("=")
                 ctrl_names = [self.expect_name("a controller name")]
-                while self.at(","):
-                    self.advance()
+                while self.accept(","):
                     ctrl_names.append(self.expect_name("a controller name"))
                 self.expect("|")
                 plant_names = [self.expect_name("a plant name")]
-                while self.at(","):
-                    self.advance()
+                while self.accept(","):
                     plant_names.append(self.expect_name("a plant name"))
                 systems.append(
                     SystemDecl(name, tuple(ctrl_names), tuple(plant_names))

@@ -38,10 +38,11 @@ boundary is one generated call that records the state and tests every
 monitor. A system with one controller takes a lean pass: no list of
 expiries and no shuffled order, as shuffling one controller draws
 nothing from the rng. A run only records, appending each point's state
-and event code; the trace, the invariant residual and a batch's ranges
-are taken from those after the run, over each state once (a boundary
-records again the state just recorded). The CSV costs one `repr` per
-distinct float object in a line. The bounded checker's goals go through
+and event code; the residual and a batch's ranges are taken from those
+after the run, over each state once (a boundary records again the state
+just recorded). Its trace builds points only when they are read, and
+its CSV comes from the record: one `repr` per distinct float object in
+a column. The bounded checker's goals go through
 the same compiler: `_compile` is the one entry for a whole program, a
 checker goal (`compile_goal`) or a system's monitors, and its one helper
 table holds the loops, flows and box programs the generated code calls.
@@ -52,7 +53,7 @@ rebuilds a state as one full-width tuple. A run's layout is
 `sorted(system_variables)`, the CSV's column order; an init entry
 naming no variable of the system only serves as an alias target and is
 not part of the state. Dicts are built only where a state leaves the
-module: `TracePoint.values`, `MonitorViolation.values` and the CSV.
+module: `TracePoint.values` and `MonitorViolation.values`.
 """
 
 from __future__ import annotations
@@ -774,7 +775,7 @@ class TracePoint(Record):
     __slots__ = ("time", "event", "values")
 
     def __init__(self, time: float, event: str, values: dict[str, float]) -> None:
-        # One per recorded point: spelled out, as it runs faster than Record's loop.
+        # One per point a trace builds: spelled out, as it runs faster than Record's loop.
         _set(self, "time", time)
         _set(self, "event", event)
         _set(self, "values", values)
@@ -786,11 +787,23 @@ class MonitorViolation(Record):
 
 class Trace(Record):
     """One run's points and monitor violations, its end time, whether
-    it stopped at MAX_ITERATIONS and its largest invariant residual."""
+    it stopped at MAX_ITERATIONS and its largest invariant residual. A
+    trace `run` returns builds its points from `_record` on first read."""
 
     __slots__ = (
-        "points", "violations", "end_time", "truncated", "max_invariant_residual"
+        "points", "violations", "end_time", "truncated", "max_invariant_residual",
+        "_record",
     )
+
+    def __getattr__(self, name: str):
+        # Reached only while a slot is unset: a recorded trace's points.
+        if name != "points":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        layout, clock, names, codes, states = self._record
+        _set(self, "points", [
+            TracePoint(s[clock], names[e], dict(zip(layout, s))) for e, s in zip(codes, states)
+        ])
+        return self.points
 
     def variables(self) -> list[str]:
         return sorted(self.points[0].values.keys()) if self.points else []
@@ -799,12 +812,23 @@ class Trace(Record):
 def write_trace_csv(trace: Trace, path) -> None:
     """The header `time,event,<variables>`, then one line per point: the
     repr of its time, its event and the repr of each value, in the bytes
-    csv.writer writes. Lines are streamed, and each costs only what
-    differs from the line before (see _csv_lines)."""
-    names = trace.variables()
+    csv.writer writes. A recorded trace is written from its record's
+    states even once its points are built, each event quoted once per
+    code; a hand-built one from its points. Lines are streamed, and each
+    costs only what differs from the line before (see _csv_lines)."""
+    try:
+        names, tick, events, codes, states = trace._record
+    except AttributeError:  # a hand-built trace
+        names, points = trace.variables(), trace.points
+        tick = names.index(CLOCK) if CLOCK in names else None
+        fields = {e: _csv_field(e) for e in {p.event for p in points}}
+        lines = ((p.time, fields[p.event], [p.values[n] for n in names]) for p in points)
+    else:  # the layout is sorted, and a point's time is its clock slot
+        fields = [_csv_field(e) for e in events]
+        lines = zip(map(itemgetter(tick), states), map(fields.__getitem__, codes), states)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["time", "event", *names])
-        fh.writelines(_csv_lines(trace.points, names))
+        fh.writelines(_csv_lines(lines, len(names), tick))
 
 
 def _csv_field(text: str) -> str:
@@ -814,27 +838,23 @@ def _csv_field(text: str) -> str:
     return out.getvalue()[:-3]  # less the `,\r\n` of the empty last field
 
 
-def _csv_lines(points: list[TracePoint], names: list[str]) -> Iterator[str]:
-    """Each point's CSV line. An event text is quoted once per call. A
-    time or value that `is` the object in its column of the line before
-    reuses that line's text; when every value is, so does their joined
-    text. A time that `is` the value in the clock column (a run's trace
-    takes its time from there) reuses that value's text. A float's repr
-    needs no quoting, so the bytes are those of a csv.writer row."""
-    fields = {e: _csv_field(e) for e in {p.event for p in points}}
-    get = itemgetter(*names) if len(names) > 1 else lambda v: tuple(v[n] for n in names)
-    tick = names.index(CLOCK) if CLOCK in names else None
+def _csv_lines(lines: Iterable[tuple], width: int, tick: int | None) -> Iterator[str]:
+    """The CSV line of each (time, quoted event field, row of `width`
+    values) in `lines`. A time or value that `is` the object in its column
+    of the line before reuses that line's text; when every value is, so
+    does their joined text. A time that `is` the value in column `tick` (a
+    run's time is its clock slot) reuses that value's text. A float's
+    repr needs no quoting, so the bytes are those of a csv.writer row."""
     time, text = object(), ""
-    row, texts, tail = (object(),) * len(names), [""] * len(names), ""
-    for p in points:
-        values = get(p.values)
-        if not all(map(is_, values, row)):
-            texts = [t if v is r else repr(v) for v, r, t in zip(values, row, texts)]
+    row, texts, tail = (object(),) * width, [""] * width, ""
+    for t, event, values in lines:
+        if values is not row and not all(map(is_, values, row)):
+            texts = [x if v is r else repr(v) for v, r, x in zip(values, row, texts)]
             row, tail = values, ",".join(("", *texts))
-        if p.time is not time:
-            time = p.time
-            text = texts[tick] if tick is not None and time is row[tick] else repr(time)
-        yield f"{text},{fields[p.event]}{tail}\r\n"
+        if t is not time:
+            time = t
+            text = texts[tick] if tick is not None and t is row[tick] else repr(t)
+        yield f"{text},{event}{tail}\r\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1021,9 +1041,6 @@ class CompiledSystem:
         that stops at the first false one."""
         return self.compiled(formulas, lambda src: " and ".join(src) or "True")
 
-    def named(self, s: State) -> dict[str, float]:
-        return dict(zip(self.layout, s))
-
     def residual(self, states: Iterable[State]) -> float:
         """The largest |lhs - rhs| of the invariant's equality conjuncts
         over `states`, or 0.0: one `max` from 0.0 over the gaps in
@@ -1073,7 +1090,7 @@ def _run(
     def report(s: State) -> None:
         for (name, text), ok in zip(cs.monitors, cs.truths(s)):
             if not ok:
-                violations.append(MonitorViolation(s[clock], name, text, cs.named(s)))
+                violations.append(MonitorViolation(s[clock], name, text, dict(zip(cs.layout, s))))
 
     boundary = cs.boundary(push, mark, report)
 
@@ -1205,12 +1222,15 @@ def _trace(
     cs: CompiledSystem, events: list, states: list, violations: list, truncated: bool,
     residual: float,
 ) -> Trace:
-    """The trace of a run `_run` recorded, whose residual is `residual`.
-    Every pass of the loop ends at a boundary, so the last state is where
-    the run ended."""
-    names, clock = cs.events, cs.clock
-    points = [TracePoint(s[clock], names[e], cs.named(s)) for e, s in zip(events, states)]
-    return Trace(points, violations, states[-1][clock], truncated, residual)
+    """The trace of a run `_run` recorded, whose residual is `residual`,
+    its record (layout, clock slot, event names, codes, states). Every pass
+    of the loop ends at a boundary, so the last state is where it ended."""
+    trace = Trace.__new__(Trace)
+    record = (cs.layout, cs.clock, cs.events, events, states)
+    values = (violations, states[-1][cs.clock], truncated, residual, record)
+    for name, value in zip(Trace.__slots__[1:], values):  # every slot but `points`
+        _set(trace, name, value)
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -1309,10 +1329,9 @@ def run_batch(
         residual = cs.residual(distinct)
         if keep_first and i == 0:
             first_trace = _trace(cs, events, states, found, truncated, residual)
-        if found:
-            runs_with += 1
-            for v in found:
-                violations[v.monitor] = violations.get(v.monitor, 0) + 1
+        runs_with += bool(found)
+        for v in found:
+            violations[v.monitor] += 1
         # A finished run's states, reduced to ranges and merged into the batch.
         for name, column in zip(cs.layout, zip(*distinct)):
             lo, hi = ranges.get(name, (column[0], column[0]))

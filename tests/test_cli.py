@@ -557,6 +557,28 @@ def test_simulate_writes_every_csv_from_the_batch(
     assert first.read_bytes() == expected.read_bytes()
 
 
+def test_simulate_csv_builds_no_trace_point(capsys, corpus_dir, tmp_path, monkeypatch):
+    """Run 0's CSV is written from the run's record: `--out x.csv`
+    builds no TracePoint, and so no dict, per point."""
+    made = []
+    real_point = ccskit.simulator.TracePoint
+
+    def counting_point(*args):
+        made.append(args)
+        return real_point(*args)
+
+    monkeypatch.setattr(ccskit.simulator, "TracePoint", counting_point)
+    path = tmp_path / "run0.csv"
+    result = invoke(
+        capsys,
+        "simulate", corpus_dir / "two_tanks.ccs",
+        "--schedules", 2, "--seed", 1, "--horizon", 2, "--out", path,
+    )
+    assert result.exit_code == 0
+    assert path.read_bytes().count(b"\r\n") > 100
+    assert made == []
+
+
 STUCK_MODEL = """
 controller noop every 0.05 {
   ?(x < 0); y := 1;

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 import math
+import pickle
 import random
 import struct
 from fractions import Fraction
@@ -19,6 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ccskit.simulator
 import randgen
 from ccskit import dsl
 from ccskit.ast import (
@@ -1002,6 +1004,56 @@ def test_seeded_traces_and_batches_are_pinned(model, strategy, corpus_dir, tmp_p
     ) == TRACE_PINS[model, strategy]
 
 
+# -- a recorded trace against the eager build ---------------------------------
+
+RUN_MODELS = sorted({model for model, _ in TRACE_PINS})
+
+
+def _eager_trace(system, schedule: Schedule, init: dict) -> Trace:
+    """The run's trace with every point built at once, one TracePoint
+    and one dict per recorded state: the reference for a trace whose
+    points are built when first read."""
+    cs = CompiledSystem(system)
+    events, states, violations, truncated = ccskit.simulator._run(cs, schedule, init)
+
+    def named(s):
+        return dict(zip(cs.layout, s))
+
+    points = [TracePoint(s[cs.clock], cs.events[e], named(s)) for e, s in zip(events, states)]
+    residual = cs.residual(ccskit.simulator._distinct(states))
+    return Trace(points, violations, states[-1][cs.clock], truncated, residual)
+
+
+def _hash_or_error(trace: Trace):
+    try:
+        return hash(trace)
+    except TypeError as e:  # a trace's points are a list
+        return str(e)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("model", RUN_MODELS)
+def test_recorded_trace_is_the_eager_trace(model, strategy, corpus_dir):
+    """A trace `run` returns is the eager trace in its points, its
+    variables, `==`, hash, `repr` and pickling, each tried on a trace
+    whose points were not read yet; so is run 0's trace of a batch."""
+    system = dsl.load_file(corpus_dir / f"{model}.ccs")
+    box = json.loads((corpus_dir / f"{model}.init.json").read_text())
+    member = batch_member(PIN_SEED, 0, box, strategy, 20.0)
+    eager = _eager_trace(system, *member)
+    recorded = run(system, *member)
+    assert recorded.variables() == eager.variables()
+    assert recorded.points == eager.points
+    assert recorded.variables() == eager.variables()
+    assert run(system, *member) == eager and eager == run(system, *member)
+    assert repr(run(system, *member)) == repr(eager)
+    assert _hash_or_error(run(system, *member)) == _hash_or_error(eager)
+    assert pickle.dumps(run(system, *member)) == pickle.dumps(eager)
+    assert pickle.loads(pickle.dumps(run(system, *member))) == eager
+    batch = run_batch(system, 2, PIN_SEED, box, strategy, keep_first=True)
+    assert batch.first_trace == recorded
+
+
 # -- streamed batch aggregation ----------------------------------------------
 
 
@@ -1195,6 +1247,29 @@ def test_run_0_csv_is_the_reference(model, strategy, corpus_dir, tmp_path):
     box = json.loads((corpus_dir / f"{model}.init.json").read_text())
     trace = run(system, *batch_member(PIN_SEED, 0, box, strategy, 20.0))
     _assert_csv_is_the_reference(trace, tmp_path)
+
+
+@pytest.mark.parametrize("model", RUN_MODELS)
+def test_csv_after_the_points_are_read_is_the_reference(model, corpus_dir, tmp_path, monkeypatch):
+    """A trace whose points were read first (perfbench's replay counts
+    its events) is still written from its record: no point is built
+    again, and the bytes are the reference's."""
+    made = []
+    real_point = ccskit.simulator.TracePoint
+
+    def counting_point(*args):
+        made.append(args)
+        return real_point(*args)
+
+    monkeypatch.setattr(ccskit.simulator, "TracePoint", counting_point)
+    system = dsl.load_file(corpus_dir / f"{model}.ccs")
+    box = json.loads((corpus_dir / f"{model}.init.json").read_text())
+    trace = run(system, *batch_member(PIN_SEED, 0, box, "uniform-random", 20.0))
+    assert made == []
+    points = trace.points
+    assert len(made) == len(points)
+    _assert_csv_is_the_reference(trace, tmp_path)
+    assert len(made) == len(points)
 
 
 @pytest.mark.parametrize("controller", ["copy", 'co,p"y\nnext'])
