@@ -97,6 +97,15 @@ class Record:
     def __reduce__(self):
         return type(self), self._values()
 
+    def _kept(self, slot: str, make):
+        """The private `slot`, set to `make()` on first use: a per-record
+        cache that equality, hashing, `repr` and pickling leave out."""
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            object.__setattr__(self, slot, make())
+            return getattr(self, slot)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

@@ -130,8 +130,13 @@ class ReactiveController(Record):
         ?(t <= tau + delta); ctrl; tau := t
     """
 
-    __slots__ = ("name", "ctrl", "reactivity", "timestamp", "contract", "bound_name")
+    __slots__ = ("name", "ctrl", "reactivity", "timestamp", "contract", "bound_name", "_writes")
     _defaults = {"contract": None, "bound_name": ""}
+
+    @property
+    def writes(self) -> frozenset[str]:
+        """`bound_vars(ctrl)`, kept on the record once taken."""
+        return self._kept("_writes", lambda: bound_vars(self.ctrl))
 
     def guard(self, bound: Fraction | None = None) -> Formula:
         delta = self.reactivity if bound is None else bound
@@ -394,7 +399,10 @@ def make_ccs(
         invariant=invariant,
     )
 
-    written = bound_vars(system.to_program())
+    # bound_vars(system.to_program()): a choice's guard binds nothing.
+    written = bound_vars(system.guarded_ode()).union(
+        *(rc.writes | {rc.timestamp} for rc in ctrl.choices)
+    )
     clash = free_vars(env.formula) & written
     if clash:
         raise EnvironmentNotConstant(clash)

@@ -117,11 +117,7 @@ class ProofObligation(Record):
         return self._free_and_bound()[0]
 
     def _free_and_bound(self) -> tuple[frozenset[str], tuple[str, ...]]:
-        try:
-            return self._names
-        except AttributeError:
-            object.__setattr__(self, "_names", free_and_bound_vars(self.goal))
-            return self._names
+        return self._kept("_names", lambda: free_and_bound_vars(self.goal))
 
     @property
     def provenance(self) -> str:

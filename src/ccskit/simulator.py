@@ -25,27 +25,25 @@ Guarantees and the composition invariant are monitored at every loop
 boundary; violations are recorded, never fatal. Identical
 (system, schedule, init) inputs give bit-identical traces.
 
-Everything a step evaluates is compiled once per system to Python
-source by one emitter (`emit_term`/`emit_formula`). An exact flow whose
-domain is affine has one generated step per segment: one call tests the
-domain, takes the slopes, computes the exit time, with each domain
-conjunct's branch chosen when it is compiled, and returns the end state
-and the time taken. Its rare cases (a state outside the domain, a
-conjunct false at the start, an exit within the step) run plain code,
-and the bounded checker's `flow_states` takes the same generated exit
-time. Each controller's whole program is one expression, and a loop
-boundary is one generated call that records the state and tests every
-monitor. A system with one controller takes a lean pass: no list of
-expiries and no shuffled order, as shuffling one controller draws
-nothing from the rng. A run only records, appending each point's state
-and event code; the residual and a batch's ranges are taken from those
-after the run, over each state once (a boundary records again the state
-just recorded). Its trace builds points only when they are read, and
-its CSV comes from the record: one `repr` per distinct float object in
-a column. The bounded checker's goals go through
-the same compiler: `_compile` is the one entry for a whole program, a
-checker goal (`compile_goal`) or a system's monitors, and its one helper
-table holds the loops, flows and box programs the generated code calls.
+Everything a run evaluates is compiled once per system to Python source
+by one emitter (`emit_term`/`emit_formula`). A run is one generated
+pass per (system, strategy): the schedule loop as one function, with
+each controller's event code, timestamp slot and stamp inline, and the
+monitors, the clock's snap onto an expiry and, for an exact flow whose
+domain is affine, the segment's one-expression step (domain, slopes and
+exit time) written out where they are used. Rare cases call plain code:
+an exit within the step, a stall, a flow that scans. With two
+controllers a uniform-random pass draws the shuffle inline, as
+`rng.shuffle` of two draws it; three or more shuffle a list. A run only
+records each point's state and event code. Its residual and a batch's
+ranges are taken after it, over its states less repeats: one generated
+`max` over the gaps, and per slot a `min` and a `max` equal to
+`min(lo, *column)` bit for bit. Its trace builds points only when read,
+and its CSV comes from the record: one `repr` per distinct float object
+in a column. The bounded checker's goals go through the same compiler:
+`_compile` is the one entry for a whole program, a checker goal
+(`compile_goal`) or a system's monitors, and its one helper table holds
+the loops, flows and box programs the generated code calls.
 
 A state is a tuple of floats over a layout, an ordered tuple of
 variable names; the generated code reads and writes slot `s[i]` and
@@ -151,13 +149,20 @@ def _division_by_zero(text: str):
     raise DivisionByZero(text)
 
 
-_GLOBALS = dict(__builtins__={}, abs=abs, all=all, any=any, min=min, _dz=_division_by_zero)
+_GLOBALS = dict(__builtins__={}, abs=abs, all=all, any=any, chain=chain, len=len, max=max,
+                min=min, range=range, _dz=_division_by_zero)
 
 
 @functools.lru_cache(maxsize=2048)
 def compile_source(params: str, src: str) -> Callable:
-    """`lambda <params>: <src>` as a function, compiled once per text."""
-    return eval(f"lambda {params}: {src}", _GLOBALS)
+    """`lambda <params>: <src>` as a function, compiled once per text. A
+    `src` that starts with a newline is instead the indented body of a
+    `def`."""
+    if src[:1] != "\n":
+        return eval(f"lambda {params}: {src}", _GLOBALS)
+    scope: dict = {}
+    exec(f"def f({params}):{src}", _GLOBALS, scope)
+    return scope["f"]
 
 
 def emit_term(t: Term, slots: Slots) -> str:
@@ -246,11 +251,6 @@ def emit_update(width: int, updates: dict[int, str]) -> str:
     return _tuple_source(updates.get(i, f"s[{i}]") for i in range(width))
 
 
-def compile_setter(slots: Slots, name: str) -> Callable[[State, float], State]:
-    """`(s, x)` -> a copy of the state `s` with `name` set to x."""
-    return compile_source("s, x", emit_update(len(slots), {slots[name]: "x"}))
-
-
 # ---------------------------------------------------------------------------
 # Continuous flow
 
@@ -333,7 +333,7 @@ class FlowSegment:
         self.vars = tuple(v for v, _ in ode.equations)
         self.moving = frozenset(self.vars)
         self.exact = all(not (free_vars(rhs) & self.moving) for _, rhs in ode.equations)
-        self.domain = compile_source("s", emit_formula(ode.domain, slots))
+        self._domain = emit_formula(ode.domain, slots)
         parts = conjuncts(ode.domain)
         self.domain_affine = self.exact and all(
             isinstance(c, Compare)
@@ -341,17 +341,19 @@ class FlowSegment:
             and _is_affine(c.right, self.moving)
             for c in parts
         )
-        # at(state, slopes, dt): state + slopes * dt on the evolved variables.
         moved = list(enumerate(slots[v] for v in self.vars))
         width = len(slots)
-        self.at = compile_source(
-            "s, k, dt",
-            emit_update(width, {i: f"(s[{i}] + (k[{j}] * dt))" for j, i in moved}),
-        )
+        self._at = emit_update(width, {i: f"(s[{i}] + (k[{j}] * dt))" for j, i in moved})
         if self.domain_affine:
-            # The sources exit_time and step are compiled from on first use.
+            # The sources exit_time and step are compiled from on first use;
+            # a run's pass inlines the step's.
             self._exit_parts, self._domain_formula = _emit_exit_time(ode, slots), ode.domain
-            self._end = emit_update(width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
+            slopes, held, exit_dt = self._exit_parts
+            end = emit_update(width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
+            self.step_source = (
+                f"(_last(s, _k, _e) if (_e := {exit_dt}) <= dt else ({end}, dt)) "
+                f"if dt > 0.0 and {held} and (_k := ({slopes})) else _slow(s, dt)"
+            )
             return
         # slopes(state): the right-hand sides, in equation order;
         # _shift(state, k, c): state + c * k, as RK4 writes it.
@@ -371,6 +373,12 @@ class FlowSegment:
             and isinstance(c.left, Variable)
             and c.left.name in self.moving
         )
+
+    # domain(state) tests the domain, and at(state, slopes, dt) is state +
+    # slopes * dt on the evolved variables. A run's pass inlines the tests
+    # of a domain-affine segment, so each compiles on first use.
+    domain = functools.cached_property(lambda self: compile_source("s", self._domain))
+    at = functools.cached_property(lambda self: compile_source("s, k, dt", self._at))
 
     def _rk4_step(self, state: State, h: float) -> State:
         f, shift = self.slopes, self._shift
@@ -397,13 +405,9 @@ class FlowSegment:
         sooner, with the exit time inline. When dt_request is not > 0, a
         test fails or there is no slope (an empty, false tuple),
         `_slow_step` answers. Compiled on first use."""
-        slopes, held, exit_dt = self._exit_parts
-        src = (
-            f"(_last(s, _k, _e) if (_e := {exit_dt}) <= dt else ({self._end}, dt)) "
-            f"if dt > 0.0 and {held} and (_k := ({slopes})) else _slow(s, dt)"
-        )
         return self._generated(
-            "_last, _slow", f"lambda s, dt: {src}", self.last_inside, self._slow_step
+            "_last, _slow", f"lambda s, dt: {self.step_source}", self.last_inside,
+            self._slow_step,
         )
 
     def _generated(self, params: str, src: str, *helpers: Callable) -> Callable:
@@ -806,7 +810,8 @@ class Trace(Record):
         return self.points
 
     def variables(self) -> list[str]:
-        return sorted(self.points[0].values.keys()) if self.points else []
+        record = getattr(self, "_record", None)  # a recorded trace's layout is sorted
+        return list(record[0]) if record else sorted(self.points[0].values) if self.points else []
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -965,6 +970,10 @@ def _monitors(system: MCCS) -> list[tuple[str, Formula]]:
 # whose entries past these three are the controllers' firings.
 BOUNDARY, ODE_STEP, GUARD_EXPIRY = range(3)
 
+# `rng.shuffle` of two items, drawn inline by the run pass: `_randbelow(2)` draws
+# `getrandbits(2)` until below 2, and a 0 swaps them, so `keep` is 1 when they stay.
+DRAW_TWO = ("while (keep := bits(2)) > 1:", "    pass")
+
 
 class CompiledSystem:
     """One closed loop, compiled once for any number of runs over the
@@ -972,6 +981,7 @@ class CompiledSystem:
     guarded flow segment, the controller programs, the monitors, the init
     obligations and the invariant's equality conjuncts (whose |lhs - rhs|
     is the residual), plus the step sizes derived from the time bounds.
+    A strategy's run pass is compiled on its first run.
     """
 
     def __init__(self, system: MCCS):
@@ -986,48 +996,49 @@ class CompiledSystem:
         cap = float(system.plant.controllability)
         self.h = min(self.delta, cap) / 100.0
         self.eps = self.h / 10.0
-        self.segment = FlowSegment(system.guarded_ode(), slots)
+        self.segment = seg = FlowSegment(system.guarded_ode(), slots)
         choices = system.controller.choices
         self.events = (
             "loop-boundary", "ode-step", "guard-expiry",
             *(f"ctrl-fired({rc.name})" for rc in choices),
         )
-        # (event code, timestamp slot, program, stamp) per controller; a
-        # firing sets its timestamp to the clock with `stamp(s, t)`.
-        self.controllers = [
-            (code, slots[rc.timestamp], compile_program_over(rc.ctrl, slots),
-             compile_setter(slots, rc.timestamp))
+        # (event code, timestamp slot, program) per controller; a pass
+        # takes them with each one first, the others after it in order.
+        ctrls = self.controllers = tuple(
+            (code, slots[rc.timestamp], compile_program_over(rc.ctrl, slots))
             for code, rc in enumerate(choices, GUARD_EXPIRY + 1)
-        ]
-        # boundary(push, mark, report): for one run, a function that records
-        # a state as a loop boundary (list.append returns None) and calls
-        # report(s) when a monitor fails there.
+        )
+        orders = tuple((c, *(o for o in ctrls if o is not c)) for c in ctrls)
+        self.helpers = (
+            seg.last_inside, seg._slow_step, seg.scan, self.violated, StuckState, _ignore,
+            ctrls, orders, *(p for _, _, p in ctrls if len(ctrls) <= 2),
+        )
+        self._passes: dict[str, Callable] = {}
         monitors = _monitors(system)
         self.monitor_formulas = [f for _, f in monitors]
-        self.boundary = self.compiled(self.monitor_formulas, lambda src: (
-            f"lambda s: push(s) or mark({BOUNDARY}) or "
-            f"({' and '.join(src) or 'True'}) or report(s)"
-        ), "push, mark, report")
         self.monitors = [(name, print_formula(f)) for name, f in monitors]
-        self.gaps = compile_tuple("s", (
+        self._gaps = _tuple_source(
             f"abs({emit_term(c.left, slots)} - {emit_term(c.right, slots)})"
             for c in conjuncts(system.invariant)
             if isinstance(c, Compare) and c.op == "="
-        ))
+        )
+        # residual(states): the largest |lhs - rhs| of the invariant's `=`
+        # conjuncts over `states`, or 0.0: one `max` from 0.0 over the gaps in
+        # state-then-conjunct order, bit for bit their running maximum.
+        residual = f"max(chain((0.0,), (g for s in states for g in {self._gaps})))"
+        self.residual = _compile(system.invariant, "states", lambda *_: residual, slots)
 
-    def compiled(
-        self, formulas, join: Callable[[Iterable[str]], str], params: str = "s"
-    ) -> Callable:
-        """One function of `params`: the source `join` makes of the
+    def compiled(self, formulas, join: Callable[[Iterable[str]], str]) -> Callable:
+        """One function of the state `s`: the source `join` makes of the
         formulas' sources. Raises CcsError naming a formula nested too
         deeply."""
         src = (emit_formula(f, self.slots) for f in formulas)
         try:
-            return _compile(conj(*formulas), params, lambda *_: join(src), self.slots)
+            return _compile(conj(*formulas), "s", lambda *_: join(src), self.slots)
         except CcsError:
             if len(formulas) > 1:
                 for f in formulas:  # the formula nested too deeply raises, named
-                    self.compiled([f], join, params)
+                    self.compiled([f], join)
             raise
 
     @functools.cached_property
@@ -1036,17 +1047,143 @@ class CompiledSystem:
         `monitors`: compiled on a run's first failing boundary."""
         return self.compiled(self.monitor_formulas, _tuple_source)
 
+    @functools.cached_property
+    def gaps(self) -> Callable[[State], tuple[float, ...]]:
+        """The gaps `residual` takes at one state, compiled on first use."""
+        return compile_source("s", self._gaps)
+
     def holds(self, *formulas: Formula) -> Callable[[State], bool]:
         """One function: every formula holds, evaluated as an `and` chain
         that stops at the first false one."""
         return self.compiled(formulas, lambda src: " and ".join(src) or "True")
 
-    def residual(self, states: Iterable[State]) -> float:
-        """The largest |lhs - rhs| of the invariant's equality conjuncts
-        over `states`, or 0.0: one `max` from 0.0 over the gaps in
-        state-then-conjunct order, which is bit for bit their running
-        maximum, NaN, -0.0 and inf included."""
-        return max(chain((0.0,), chain.from_iterable(map(self.gaps, states))))
+    def violated(self, s: State) -> list[MonitorViolation]:
+        """A violation of each monitor that fails at `s`, in order."""
+        return [
+            MonitorViolation(s[self.clock], name, text, dict(zip(self.layout, s)))
+            for (name, text), ok in zip(self.monitors, self.truths(s)) if not ok
+        ]
+
+    def run_pass(self, strategy: str) -> Callable:
+        """`pass(state, horizon, push, mark, violations, rng, helpers)`,
+        which records a run under `strategy`, compiled on first use.
+        Raises CcsError naming a monitor or flow domain too deeply nested
+        for Python to compile."""
+        if strategy not in self._passes:
+            try:
+                src = self._pass_source(strategy)
+                params = "s, horizon, push, mark, violations, rng, h"
+                self._passes[strategy] = compile_source(params, src)
+            except (SyntaxError, RecursionError, MemoryError) as e:
+                self.truths  # each raises CcsError naming what nests too deeply
+                if self.segment.domain_affine:
+                    self.segment.step
+                raise CcsError(f"run pass nests too deeply ({type(e).__name__})") from None
+        return self._passes[strategy]
+
+    def _pass_source(self, strategy: str) -> str:
+        """`_run`'s loop over the state `s` under `strategy` as one body,
+        each constant of the system inline. A pass starts at a boundary,
+        which records `s` and tests the monitors. Evolving inlines the
+        segment's step (or calls `scan`; a stall calls the plain-code step)
+        and the snap onto the expiry `nx`; the `last` pass runs out the
+        clock. Firing tests a guard, runs the program and stamps, with
+        each controller's code and slots. Two controllers take one of two
+        orders by `keep`, which uniform-random draws by DRAW_TWO; three or
+        more go through an `order` that `rng.shuffle` or the target picks.
+        Returns whether the run stopped at MAX_ITERATIONS.
+        """
+        c, n, seg, width = self.clock, len(self.controllers), self.segment, len(self.layout)
+        tol, eps, delta = BOUNDARY_TOLERANCE, self.eps, self.delta
+        uniform, lazy = strategy == "uniform-random", strategy == "lazy-controller"
+        # A snap is rare, and slices compile smaller than a full-width tuple.
+        snap = f"end[:{c}] + (nx,) + end[{c + 1}:]"
+
+        def evolve(request: str, slow: bool = False) -> list[str]:  # `s` toward `nx`
+            if not seg.domain_affine:
+                head = [f"end, dt, _x, samples = scan(s, {request}, {self.h!r})",
+                        "for m in samples[:-1]:", f"    push(m) or mark({ODE_STEP})"]
+            else:
+                head = [f"end, dt = _slow(s, {request})"] if slow else [
+                    f"dt = {request}", f"end, dt = {seg.step_source}"]
+            return [*head, "if not dt <= 0.0:",
+                    f"    s, code = ({snap}, {GUARD_EXPIRY}) if abs(end[{c}] - nx) <= "
+                    f"{2.0 * tol!r} else (end, {ODE_STEP})",
+                    "    push(s) or mark(code)", "    moved = True"]
+
+        def enabled(t, program: str) -> str:
+            guard = f"not s[{c}] > s[{t}] + {delta!r} + {tol!r}"
+            return f"{guard} and (outs := {program}(s, ignore))"
+
+        def fired(code, t) -> list[str]:
+            stamp = f"s[:t] + (s[{c}],) + s[t + 1:]" if n > 2 else emit_update(width, {t: f"s[{c}]"})
+            return ["s = outs[0] if len(outs) == 1 else choice(outs)", f"s = {stamp}",
+                    f"push(s) or mark({code})"]
+
+        # Nothing fired or moved: evolve up to the guard, or the run is stuck.
+        stall = ["rem = to_horizon if to_horizon < room else room", f"if rem > {tol!r}:",
+                 *_indent(evolve("rem", slow=True)), "if not moved:", f"    raise stuck(s[{c}])"]
+
+        def fire(otherwise: list[str]) -> list[str]:
+            if n > 2:
+                return ["for code, t, p in order:", f"    if {enabled('t', 'p')}:",
+                        *_indent(_indent([*fired("code", "t"), "break"])),
+                        "else:", *_indent(otherwise)]
+            (code0, t0, _), *second = self.controllers
+            lines = [f"if {enabled(t0, 'p0')}:", *_indent(fired(code0, t0))]
+            if second:  # 0 fires first when `keep`, else if 1, tried first (`f1`), did not
+                (code1, t1, _), = second
+                lines[0] = (f"if ({enabled(t0, 'p0')} if keep else "
+                            f"not (f1 := {enabled(t1, 'p1')}) and {enabled(t0, 'p0')}):")
+                lines += [f"elif ({enabled(t1, 'p1')} if keep else f1):", *_indent(fired(code1, t1))]
+            return [*lines, "else:", *_indent(otherwise)]
+
+        expiries = [f"s[{t}] + {delta!r}" for _, t, _ in self.controllers]
+        if n == 1:
+            nx, pick = [f"nx = {expiries[0]}"], []
+        elif n == 2:
+            nx = [f"e0, e1 = {', '.join(expiries)}", "nx = e0 if (keep := not e1 < e0) else e1"]
+            pick = [*DRAW_TWO] if uniform else [] if lazy else ["keep = rr = not rr"]
+        else:
+            nx = [f"nx = min(ex := [{', '.join(expiries)}])"]
+            pick = (["order = [*ctrls]", "shuffle(order)"] if uniform
+                    else ["order = orders[ex.index(nx)]"] if lazy
+                    else [f"order = orders[rr % {n}]", "rr += 1"])
+        if uniform:
+            body = [f"if last or ev > {eps!r} and random() < 0.5:",
+                    *_indent(evolve(f"to_horizon if last else uniform({eps!r}, ev)")),
+                    "if not (moved or last):", *_indent([*pick, *fire(stall)])]
+        else:
+            wait = f" or moved and s[{c}] < nx - {2.0 * eps!r}" if lazy else ""
+            body = [*pick, "if last or ev > 0.0:", *_indent(evolve("to_horizon if last else ev")),
+                    f"if not (last{wait}):", *_indent(fire(["if not moved:", *_indent(stall)]))]
+        monitors = " and ".join(emit_formula(f, self.slots) for f in self.monitor_formulas)
+        record = f"push(s) or mark({BOUNDARY})"
+        boundary = f"{record} or ({monitors or 'True'}) or violations.extend(violated(s))"
+        programs = "".join(f"p{i}, " for i in range(n)) if n <= 2 else ""
+        lines = [
+            "random, uniform, choice, bits, shuffle = "
+            "rng.random, rng.uniform, rng.choice, rng.getrandbits, rng.shuffle",
+            f"_last, _slow, scan, violated, stuck, ignore, ctrls, orders, {programs}= h",
+            "last, rr = False, 0",
+            f"for _ in range({MAX_ITERATIONS}):",
+            *_indent([
+                boundary, f"if last or (to_horizon := horizon - s[{c}]) <= {tol!r}:", "    break",
+                *nx, f"room = nx - s[{c}]",
+                f"last = to_horizon <= {eps!r} and room >= to_horizon - {tol!r}",
+                f"ev = to_horizon if to_horizon < (ev := room - {eps!r}) else ev",
+                "moved = False", *body,
+            ]),
+            "else:  # the last pass's boundary; a `last` pass was not cut short",
+            f"    {record} or violations.extend(violated(s))",
+            "    return not last",
+            "return False",
+        ]
+        return "".join(f"\n    {line}" for line in lines)
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
 
 
 def run(system: MCCS, schedule: Schedule, init: dict) -> Trace:
@@ -1069,145 +1206,18 @@ def _run(
     Returns the codes, the states, the monitor violations and whether the
     run stopped at MAX_ITERATIONS, from which `_trace` builds the trace.
     """
+    run_pass = cs.run_pass(schedule.strategy)
     values = _complete_init(cs.variables, cs.env_pins, init)
     state = tuple(values[n] for n in cs.layout)
     if not cs.init_hold(state):
         for label, f in cs.init_obligations:
             if not cs.holds(f)(state):
                 raise InitViolatesAssumptions(f"{label}: {print_formula(f)}")
-
-    delta, eps, clock, h = cs.delta, cs.eps, cs.clock, cs.h
-    rng = random.Random(schedule.seed)
-    controllers = cs.controllers
-    seg = cs.segment
-
-    events: list[int] = []
-    states: list[State] = []
-    violations: list[MonitorViolation] = []
-    mark, push = events.append, states.append
-    truncated = False
-
-    def report(s: State) -> None:
-        for (name, text), ok in zip(cs.monitors, cs.truths(s)):
-            if not ok:
-                violations.append(MonitorViolation(s[clock], name, text, dict(zip(cs.layout, s))))
-
-    boundary = cs.boundary(push, mark, report)
-
-    if seg.domain_affine:
-        advance = seg.step
-    else:
-
-        def advance(s: State, dt_request: float) -> tuple[State, float]:
-            """`scan`, recording each state it steps through before its end."""
-            end, dt, _exited, samples = seg.scan(s, dt_request, h)
-            for mid in samples[:-1]:
-                push(mid)
-                mark(ODE_STEP)
-            return end, dt
-
-    def evolve(s: State, dt_request: float, next_expiry: float) -> tuple[State, bool]:
-        """Advance the plant, recording samples; returns (state, moved)."""
-        end, dt = advance(s, dt_request)
-        if dt <= 0.0:
-            return s, False
-        # Snap the clock when we stopped within float wiggle of a guard
-        # expiry so subsequent guard tests are exact.
-        if abs(end[clock] - next_expiry) <= 2.0 * BOUNDARY_TOLERANCE:
-            end = end[:clock] + (next_expiry,) + end[clock + 1 :]
-            mark(GUARD_EXPIRY)
-        else:
-            mark(ODE_STEP)
-        push(end)
-        return end, True
-
-    def try_fire_any(order: Iterable, s: State) -> tuple[State, int] | None:
-        """The first controller in `order` whose guard has not expired and
-        whose program has a final state fires."""
-        for code, timestamp, program, stamp in order:
-            if s[clock] > s[timestamp] + delta + BOUNDARY_TOLERANCE:
-                continue
-            outs = program(s, _ignore)
-            if outs:
-                after = outs[0] if len(outs) == 1 else rng.choice(outs)
-                return stamp(after, after[clock]), code
-        return None
-
-    boundary(state)
-    horizon, uniform = schedule.horizon, schedule.strategy == "uniform-random"
-    lazy = schedule.strategy == "lazy-controller"
-    # A lone controller is every order of the controllers, and shuffling a
-    # list of one draws nothing from the rng: its pass builds no expiries
-    # and no order.
-    single, order, rr_index = len(controllers) == 1, controllers, 0
-
-    for _ in range(MAX_ITERATIONS):
-        to_horizon = horizon - state[clock]
-        if to_horizon <= BOUNDARY_TOLERANCE:
-            break
-
-        if single:
-            next_expiry = state[controllers[0][1]] + delta
-        else:
-            expiries = [state[timestamp] + delta for _, timestamp, _, _ in controllers]
-            next_expiry = min(expiries)
-        guard_room = next_expiry - state[clock]
-
-        if to_horizon <= eps and guard_room >= to_horizon - BOUNDARY_TOLERANCE:
-            # Only a sliver left before the horizon and no guard forces a
-            # firing first: run out the clock and finish.
-            state, _moved = evolve(state, to_horizon, next_expiry)
-            boundary(state)
-            break
-
-        # The eps backoff keeps evolution short of guard expiries (so a
-        # controller can still fire) but never short of the horizon.
-        evolve_room = min(guard_room - eps, to_horizon)
-
-        fired: tuple[State, int] | None = None
-        advanced = False
-
-        if uniform:
-            if evolve_room > eps and rng.random() < 0.5:
-                dt = rng.uniform(eps, evolve_room)
-                state, advanced = evolve(state, dt, next_expiry)
-            if not advanced:
-                if not single:
-                    order = list(controllers)
-                    rng.shuffle(order)
-                fired = try_fire_any(order, state)
-        else:
-            # Evolve as far as the guards allow, then offer the target the
-            # first firing; lazy-controller fires only near its expiry or when stalled.
-            if not single:
-                if lazy:
-                    target = controllers[expiries.index(next_expiry)]
-                else:
-                    target = controllers[rr_index % len(controllers)]
-                    rr_index += 1
-                order = [target] + [c for c in controllers if c is not target]
-            if evolve_room > 0.0:
-                state, advanced = evolve(state, evolve_room, next_expiry)
-            if not (lazy and advanced and state[clock] < next_expiry - 2.0 * eps):
-                fired = try_fire_any(order, state)
-
-        if fired is not None:
-            state, code = fired
-            push(state)
-            mark(code)
-        elif not advanced:
-            # Every controller failed to fire on this state, and firing
-            # depends on the state alone: evolve right up to the guard
-            # boundary, or the system is stuck.
-            remaining = min(guard_room, to_horizon)
-            if remaining > BOUNDARY_TOLERANCE:
-                state, advanced = evolve(state, remaining, next_expiry)
-            if not advanced:
-                raise StuckState(state[clock])
-
-        boundary(state)
-    else:
-        truncated = True
+    events, states, violations = [], [], []
+    truncated = run_pass(
+        state, schedule.horizon, states.append, events.append, violations,
+        random.Random(schedule.seed), cs.helpers,
+    )
     return events, states, violations, truncated
 
 
@@ -1218,13 +1228,25 @@ def _distinct(states: list[State]) -> list[State]:
     return list(compress(states, map(is_not, states, chain((None,), states))))
 
 
+def _ranges(distinct: list[State], ranges: list[tuple[float, float]]) -> list[tuple]:
+    """Each slot's (lo, hi) in `ranges` widened over its column of
+    `distinct`, bit for bit `(min(lo, *column), max(hi, *column))`: a NaN
+    the fold starts from sticks, a later one is skipped, and of equal
+    values the first is kept. `min(lo, min(column))` is that fold unless
+    the column starts with NaN, which `min(column)` would keep."""
+    return [
+        (min(lo, min(c)), max(hi, max(c))) if c[0] == c[0] else (min(lo, *c), max(hi, *c))
+        for (lo, hi), c in zip(ranges, zip(*distinct))
+    ]
+
+
 def _trace(
     cs: CompiledSystem, events: list, states: list, violations: list, truncated: bool,
     residual: float,
 ) -> Trace:
     """The trace of a run `_run` recorded, whose residual is `residual`,
-    its record (layout, clock slot, event names, codes, states). Every pass
-    of the loop ends at a boundary, so the last state is where it ended."""
+    its record (layout, clock slot, event names, codes, states). A run
+    records a boundary last, at the state where it ended."""
     trace = Trace.__new__(Trace)
     record = (cs.layout, cs.clock, cs.events, events, states)
     values = (violations, states[-1][cs.clock], truncated, residual, record)
@@ -1313,7 +1335,7 @@ def run_batch(
     cs = CompiledSystem(system)
     violations: dict[str, int] = {name: 0 for name, _ in cs.monitors}
     runs_with = 0
-    ranges: dict[str, tuple[float, float]] = {}
+    ranges = None  # each slot's (lo, hi) over the finished runs
     max_residual = 0.0
     total_points = 0
     stuck = 0
@@ -1332,10 +1354,7 @@ def run_batch(
         runs_with += bool(found)
         for v in found:
             violations[v.monitor] += 1
-        # A finished run's states, reduced to ranges and merged into the batch.
-        for name, column in zip(cs.layout, zip(*distinct)):
-            lo, hi = ranges.get(name, (column[0], column[0]))
-            ranges[name] = (min(lo, *column), max(hi, *column))
+        ranges = _ranges(distinct, ranges or [(v, v) for v in distinct[0]])
         max_residual = max(max_residual, residual)
         total_points += len(states)
     return BatchSummary(
@@ -1345,7 +1364,7 @@ def run_batch(
         horizon=horizon,
         violations=violations,
         runs_with_violations=runs_with,
-        variable_ranges=ranges,
+        variable_ranges=dict(zip(cs.layout, ranges or ())),
         max_invariant_residual=max_residual,
         total_points=total_points,
         stuck_runs=stuck,

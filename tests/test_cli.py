@@ -237,6 +237,25 @@ def test_simulate_guarantee_nested_too_deeply_is_one_line(capsys, corpus_dir, tm
     )
 
 
+def test_simulate_invariant_nested_too_deeply_is_one_line(capsys, corpus_dir, tmp_path):
+    """An invariant equality Python will not compile, in the monitors or
+    in the residual taken from its gaps, fails the simulation with one
+    line naming it."""
+    deep = "wlm"
+    for _ in range(110):
+        deep = f"(1 / {deep})"
+    model = tmp_path / "deep.ccs"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    model.write_text(text.replace("wl = (fin - fout) * (t - tau_1) + wlm", f"wl = {deep}"))
+    (tmp_path / "deep.init.json").write_text((corpus_dir / "watertank.init.json").read_text())
+    result = invoke(capsys, "simulate", model, "--schedules", 1)
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        "simulation failed (CcsError): formula nests too deeply to compile "
+        "(SyntaxError): " + ("wl = " + "1 / (" * 20)[:80] + "\n"
+    )
+
+
 def test_check_cost_model_file(capsys, corpus_dir, tmp_path):
     split = tmp_path / "split.json"
     split.write_text(json.dumps({"wlctrl1": "ecu0", "wlctrl2": "ecu1"}))

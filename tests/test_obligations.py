@@ -66,7 +66,6 @@ from ccskit.obligations import (
 from ccskit.simulator import (
     compile_goal,
     compile_program_over,
-    compile_setter,
     compile_source,
     emit_formula,
     slots_of,
@@ -684,7 +683,10 @@ def _tree_goal(f, slots, compile_prog):
 
         return box
     body = _tree_goal(f.body, slots, compile_prog)
-    bind = compile_setter(slots, f.var)
+    i = slots[f.var]
+
+    def bind(s, x):  # a copy of the state `s` with `f.var` set to x
+        return s[:i] + (x,) + s[i + 1:]
 
     def quantifier(s, axis, cut):
         for x in axis(f.var):

@@ -1054,6 +1054,29 @@ def test_recorded_trace_is_the_eager_trace(model, strategy, corpus_dir):
     assert batch.first_trace == recorded
 
 
+@pytest.mark.parametrize("model", RUN_MODELS)
+def test_a_recorded_trace_lists_its_variables_without_building_points(
+    model, corpus_dir, monkeypatch
+):
+    """`variables()` of a trace `run` returns reads its record's layout:
+    no TracePoint is built, and the names are the eager trace's."""
+    system = dsl.load_file(corpus_dir / f"{model}.ccs")
+    box = json.loads((corpus_dir / f"{model}.init.json").read_text())
+    member = batch_member(PIN_SEED, 0, box, "uniform-random", 20.0)
+    eager = _eager_trace(system, *member)
+    made = []
+    real_point = ccskit.simulator.TracePoint
+
+    def counting_point(*args):
+        made.append(args)
+        return real_point(*args)
+
+    monkeypatch.setattr(ccskit.simulator, "TracePoint", counting_point)
+    recorded = run(system, *member)
+    assert recorded.variables() == eager.variables()
+    assert made == []
+
+
 # -- streamed batch aggregation ----------------------------------------------
 
 
