@@ -41,9 +41,11 @@ ranges are taken after it, over its states less repeats: one generated
 `min(lo, *column)` bit for bit. Its trace builds points only when read,
 and its CSV comes from the record: one `repr` per distinct float object
 in a column. The bounded checker's goals go through the same compiler:
-`_compile` is the one entry for a whole program, a checker goal
-(`compile_goal`) or a system's monitors, and its one helper table holds
-the loops, flows and box programs the generated code calls.
+`_compile` compiles a whole program or a checker goal (`compile_goal`),
+its one helper table holding the loops, flows and box programs the
+generated code calls. Every source is compiled inside `_guarded`, the
+one place where a source Python will not compile raises CcsError naming
+the program, formula or flow domain it was printed from.
 
 A state is a tuple of floats over a layout, an ordered tuple of
 variable names; the generated code reads and writes slot `s[i]` and
@@ -251,6 +253,32 @@ def emit_update(width: int, updates: dict[int, str]) -> str:
     return _tuple_source(updates.get(i, f"s[{i}]") for i in range(width))
 
 
+def _ignore() -> None:
+    """A program's `cut` where nobody asks about truncation, and the
+    `narrow` of a source that is not composite."""
+
+
+def _guarded(node: Program | Formula, make: Callable, narrow: Callable = _ignore,
+             what: str = "") -> Callable:
+    """`make()`, which prints and compiles a source for `node`: the one
+    place where Python's failing to (SyntaxError, RecursionError or
+    MemoryError) raises CcsError naming `what`, by default `node`'s kind
+    (a program or a formula), and the first 80 characters of `node`. A
+    composite source calls `narrow` first, which raises that error for a
+    part that fails alone."""
+    try:
+        return make()
+    except (SyntaxError, RecursionError, MemoryError) as e:
+        narrow()
+        program = isinstance(node, Program)
+        try:
+            text = (print_program_inline if program else print_formula)(node)[:80]
+        except RecursionError:
+            text = "(too deep to print)"
+        what = what or ("program" if program else "formula")
+        raise CcsError(f"{what} nests too deeply to compile ({type(e).__name__}): {text}") from None
+
+
 # ---------------------------------------------------------------------------
 # Continuous flow
 
@@ -330,6 +358,7 @@ class FlowSegment:
     """
 
     def __init__(self, ode: ODE, slots: Slots):
+        self.ode = ode
         self.vars = tuple(v for v, _ in ode.equations)
         self.moving = frozenset(self.vars)
         self.exact = all(not (free_vars(rhs) & self.moving) for _, rhs in ode.equations)
@@ -347,8 +376,7 @@ class FlowSegment:
         if self.domain_affine:
             # The sources exit_time and step are compiled from on first use;
             # a run's pass inlines the step's.
-            self._exit_parts, self._domain_formula = _emit_exit_time(ode, slots), ode.domain
-            slopes, held, exit_dt = self._exit_parts
+            slopes, held, exit_dt = self._exit_parts = _emit_exit_time(ode, slots)
             end = emit_update(width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
             self.step_source = (
                 f"(_last(s, _k, _e) if (_e := {exit_dt}) <= dt else ({end}, dt)) "
@@ -356,29 +384,32 @@ class FlowSegment:
             )
             return
         # slopes(state): the right-hand sides, in equation order;
-        # _shift(state, k, c): state + c * k, as RK4 writes it.
-        self.slopes = compile_tuple("s", [emit_term(e, slots) for _, e in ode.equations])
+        # _shift(state, k, c): state + c * k, as RK4 writes it. A failure
+        # names the ODE, as a program.
+        self.slopes = _guarded(ode, lambda: compile_tuple(
+            "s", [emit_term(e, slots) for _, e in ode.equations]))
         if not self.exact:
-            self._shift = compile_source(
-                "s, k, c",
-                emit_update(width, {i: f"(s[{i}] + (c * k[{j}]))" for j, i in moved}),
-            )
+            self._shift = _guarded(ode, lambda: compile_source(
+                "s, k, c", emit_update(width, {i: f"(s[{i}] + (c * k[{j}]))" for j, i in moved})))
         # (slot of x, e) per domain conjunct `x <= e` or `x < e` on an
         # evolved x; flow_states sizes its scan step from them.
-        self.upper_bounds = tuple(
+        self.upper_bounds = _guarded(ode.domain, lambda: tuple(
             (slots[c.left.name], compile_source("s", emit_term(c.right, slots)))
             for c in parts
             if isinstance(c, Compare)
             and c.op in ("<=", "<")
             and isinstance(c.left, Variable)
             and c.left.name in self.moving
-        )
+        ), what="flow domain")
 
     # domain(state) tests the domain, and at(state, slopes, dt) is state +
     # slopes * dt on the evolved variables. A run's pass inlines the tests
-    # of a domain-affine segment, so each compiles on first use.
-    domain = functools.cached_property(lambda self: compile_source("s", self._domain))
-    at = functools.cached_property(lambda self: compile_source("s, k, dt", self._at))
+    # of a domain-affine segment, so each compiles on first use. A failure
+    # to compile these, exit_time or step names the flow domain.
+    domain = functools.cached_property(lambda self: _guarded(
+        self.ode.domain, lambda: compile_source("s", self._domain), what="flow domain"))
+    at = functools.cached_property(lambda self: _guarded(
+        self.ode.domain, lambda: compile_source("s, k, dt", self._at), what="flow domain"))
 
     def _rk4_step(self, state: State, h: float) -> State:
         f, shift = self.slopes, self._shift
@@ -396,7 +427,8 @@ class FlowSegment:
         false at the start, -1.0 outside the domain. Compiled on first use."""
         slopes, held, exit_dt = self._exit_parts
         src = f"(({slopes}), {exit_dt} if {held} else (0.0 if _in(s) else -1.0))"
-        return self._generated("_in", f"lambda s: {src}", self.domain)
+        return _guarded(self.ode.domain, lambda: compile_source(
+            "_in", f"lambda s: {src}")(self.domain), what="flow domain")
 
     @functools.cached_property
     def step(self) -> Callable[[State, float], tuple[State, float]]:
@@ -405,29 +437,15 @@ class FlowSegment:
         sooner, with the exit time inline. When dt_request is not > 0, a
         test fails or there is no slope (an empty, false tuple),
         `_slow_step` answers. Compiled on first use."""
-        return self._generated(
-            "_last, _slow", f"lambda s, dt: {self.step_source}", self.last_inside,
-            self._slow_step,
-        )
-
-    def _generated(self, params: str, src: str, *helpers: Callable) -> Callable:
-        """`lambda <params>: <src>` called with `helpers`. Raises CcsError,
-        as `_compile` does, when Python will not compile it."""
-        try:
-            return compile_source(params, src)(*helpers)
-        except (SyntaxError, RecursionError, MemoryError) as e:
-            text = print_formula(self._domain_formula)[:80]
-            raise CcsError(
-                f"flow domain nests too deeply to compile ({type(e).__name__}): {text}"
-            ) from None
+        src = f"lambda s, dt: {self.step_source}"
+        return _guarded(self.ode.domain, lambda: compile_source("_last, _slow", src)(
+            self.last_inside, self._slow_step), what="flow domain")
 
     def _slow_step(self, state: State, dt_request: float) -> tuple[State, float]:
         """`step` in plain code, for the cases the generated one hands on."""
         if not self.domain(state) or dt_request <= 0.0:
             return state, 0.0
         slopes, exit_dt = self.exit_time(state)
-        if exit_dt < 0.0:
-            return state, 0.0
         if exit_dt <= dt_request:
             return self.last_inside(state, slopes, exit_dt)
         return self.at(state, slopes, dt_request), dt_request
@@ -511,8 +529,6 @@ def flow_states(
         return [], True
     if seg.domain_affine:
         slopes, exit_dt = seg.exit_time(state)
-        if exit_dt < 0.0:
-            return [], True
         # A domain that never closes is sampled up to a horizon of 1e6.
         closes = not math.isinf(exit_dt)
         span = exit_dt if closes else 1e6
@@ -632,10 +648,6 @@ def _emit_goal(f: Formula, slots: Slots, helper: Callable[[Program], str]) -> st
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _ignore() -> None:
-    """A program's `cut` where nobody asks about truncation."""
-
-
 def _compile(
     node: Program | Formula,
     params: str,
@@ -646,7 +658,7 @@ def _compile(
 ) -> Callable:
     """`lambda <params>: <emit(node, slots, helper)>`, the source `emit`
     prints for `node` over the layout `slots`, compiled once: the one
-    compile entry for programs, checker goals and a system's monitors.
+    compile entry for programs and checker goals.
 
     `helper(q)` is the call text `(s, cut)` of a program `q` that runs as
     a Python helper: a loop yields the distinct states (by `_state_key`)
@@ -659,8 +671,8 @@ def _compile(
     than those bounds reach.
 
     Raises ValueError when `flow_samples` is below 1, and CcsError
-    naming `node` when printing or compiling the source nests past
-    Python's limits.
+    naming `node` (see `_guarded`) when printing or compiling the source
+    nests past Python's limits.
     """
     if flow_samples < 1:
         raise ValueError(f"flow_samples must be at least 1, got {flow_samples!r}")
@@ -703,18 +715,8 @@ def _compile(
         helpers.append(fn)
         return f"_h[{len(helpers) - 1}](s, cut)"
 
-    try:
-        make = compile_source("_h", f"lambda {params}: {emit(node, slots, helper)}")
-    except (SyntaxError, RecursionError, MemoryError) as e:
-        program = isinstance(node, Program)
-        try:
-            text = (print_program_inline if program else print_formula)(node)[:80]
-        except RecursionError:
-            text = "(too deep to print)"
-        what = "program" if program else "formula"
-        problem = f"nests too deeply to compile ({type(e).__name__})"
-        raise CcsError(f"{what} {problem}: {text}") from None
-    return make(tuple(helpers))
+    return _guarded(node, lambda: compile_source(
+        "_h", f"lambda {params}: {emit(node, slots, helper)}")(tuple(helpers)))
 
 
 def compile_program_over(
@@ -1025,21 +1027,19 @@ class CompiledSystem:
         # residual(states): the largest |lhs - rhs| of the invariant's `=`
         # conjuncts over `states`, or 0.0: one `max` from 0.0 over the gaps in
         # state-then-conjunct order, bit for bit their running maximum.
+        self.invariant = system.invariant
         residual = f"max(chain((0.0,), (g for s in states for g in {self._gaps})))"
-        self.residual = _compile(system.invariant, "states", lambda *_: residual, slots)
+        self.residual = _guarded(self.invariant, lambda: compile_source("states", residual))
 
     def compiled(self, formulas, join: Callable[[Iterable[str]], str]) -> Callable:
         """One function of the state `s`: the source `join` makes of the
         formulas' sources. Raises CcsError naming a formula nested too
-        deeply."""
-        src = (emit_formula(f, self.slots) for f in formulas)
-        try:
-            return _compile(conj(*formulas), "s", lambda *_: join(src), self.slots)
-        except CcsError:
-            if len(formulas) > 1:
-                for f in formulas:  # the formula nested too deeply raises, named
-                    self.compiled([f], join)
-            raise
+        deeply, each of several tried alone first."""
+        return _guarded(
+            conj(*formulas),
+            lambda: compile_source("s", join(emit_formula(f, self.slots) for f in formulas)),
+            lambda: len(formulas) > 1 and [self.compiled([f], join) for f in formulas],
+        )
 
     @functools.cached_property
     def truths(self) -> Callable[[State], tuple[bool, ...]]:
@@ -1050,7 +1050,7 @@ class CompiledSystem:
     @functools.cached_property
     def gaps(self) -> Callable[[State], tuple[float, ...]]:
         """The gaps `residual` takes at one state, compiled on first use."""
-        return compile_source("s", self._gaps)
+        return _guarded(self.invariant, lambda: compile_source("s", self._gaps))
 
     def holds(self, *formulas: Formula) -> Callable[[State], bool]:
         """One function: every formula holds, evaluated as an `and` chain
@@ -1067,18 +1067,16 @@ class CompiledSystem:
     def run_pass(self, strategy: str) -> Callable:
         """`pass(state, horizon, push, mark, violations, rng, helpers)`,
         which records a run under `strategy`, compiled on first use.
-        Raises CcsError naming a monitor or flow domain too deeply nested
-        for Python to compile."""
+        Raises CcsError naming what Python will not compile: a monitor, as
+        `truths` compiles them at the pass's nesting, or the flow domain, as
+        `step` does; when neither fails alone, the monitors."""
         if strategy not in self._passes:
-            try:
-                src = self._pass_source(strategy)
-                params = "s, horizon, push, mark, violations, rng, h"
-                self._passes[strategy] = compile_source(params, src)
-            except (SyntaxError, RecursionError, MemoryError) as e:
-                self.truths  # each raises CcsError naming what nests too deeply
-                if self.segment.domain_affine:
-                    self.segment.step
-                raise CcsError(f"run pass nests too deeply ({type(e).__name__})") from None
+            seg, params = self.segment, "s, horizon, push, mark, violations, rng, h"
+            self._passes[strategy] = _guarded(
+                conj(*self.monitor_formulas),
+                lambda: compile_source(params, self._pass_source(strategy)),
+                lambda: (self.truths, seg.domain_affine and seg.step),
+            )
         return self._passes[strategy]
 
     def _pass_source(self, strategy: str) -> str:

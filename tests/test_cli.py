@@ -237,6 +237,45 @@ def test_simulate_guarantee_nested_too_deeply_is_one_line(capsys, corpus_dir, tm
     )
 
 
+@pytest.mark.parametrize("nots", [250, 400])
+def test_simulate_flow_domain_nested_too_deeply_is_one_line(capsys, corpus_dir, tmp_path, nots):
+    """A plant domain that parses and checks but that Python will not
+    compile fails the simulation with one line naming the flow domain:
+    it is compiled when the first run scans the flow."""
+    model = tmp_path / "deep.ccs"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    plant = "wl' = fin - fout & wl >= 0"
+    model.write_text(text.replace(plant, f"{plant} & {'!' * nots}(wl < -1)"))
+    (tmp_path / "deep.init.json").write_text((corpus_dir / "watertank.init.json").read_text())
+    assert invoke(capsys, "check", model).exit_code == 0
+    result = invoke(capsys, "simulate", model, "--schedules", 1)
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        "simulation failed (CcsError): flow domain nests too deeply to compile "
+        "(SyntaxError): " + ("t >= 0 & wl >= 0 & " + "!" * nots)[:80] + "\n"
+    )
+
+
+def test_simulate_flow_right_hand_side_nested_too_deeply_is_one_line(
+    capsys, corpus_dir, tmp_path
+):
+    """A right-hand side Python will not compile, on the RK4 path, fails
+    the simulation with one line naming the ODE as a program."""
+    deep = "wl"
+    for _ in range(110):
+        deep = f"(1 / {deep})"
+    model = tmp_path / "deep.ccs"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    model.write_text(text.replace("wl' = fin - fout &", f"wl' = fin - fout + 0 * {deep} &"))
+    (tmp_path / "deep.init.json").write_text((corpus_dir / "watertank.init.json").read_text())
+    result = invoke(capsys, "simulate", model, "--schedules", 1)
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        "simulation failed (CcsError): program nests too deeply to compile "
+        "(SyntaxError): " + ("{wl' = fin - fout + 0 * " + "(1 / " * 20)[:80] + "\n"
+    )
+
+
 def test_simulate_invariant_nested_too_deeply_is_one_line(capsys, corpus_dir, tmp_path):
     """An invariant equality Python will not compile, in the monitors or
     in the residual taken from its gaps, fails the simulation with one

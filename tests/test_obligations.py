@@ -585,6 +585,17 @@ def test_check_bounded_goal_nested_too_deeply_is_a_ccs_error():
             check_bounded(goal, {"x": [0, 1]})
 
 
+def test_check_bounded_flow_domain_nested_too_deeply_is_a_ccs_error():
+    """A box's flow whose domain Python will not compile raises CcsError
+    naming the domain when the search reaches the flow."""
+    goal = dsl.parse_formula_text(
+        "x >= 0 -> [{x' = 1 & x >= 0 & " + "!" * 250 + "(x < -1)}] x >= 0"
+    )
+    named = r"^flow domain nests too deeply to compile \(SyntaxError\): x >= 0 & !!!!"
+    with pytest.raises(CcsError, match=named):
+        check_bounded(goal, {"x": [0, 1]}, grid=2)
+
+
 def test_check_bounded_box_program_nested_too_deeply_names_the_program():
     """The box program compiles on its own, so the error names it, not
     the goal around it."""

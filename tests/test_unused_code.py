@@ -15,7 +15,10 @@ except those of dunder methods, `self`, `cls` and names starting with
 `_`.
 
 Only `simulator.py`, the one compiler, turns text into code: no other
-module reads `eval`, `exec`, `compile_source` or `_compile`.
+module reads `eval`, `exec`, `compile_source` or `_compile`. There,
+every call of `compile_source` or `compile_tuple` runs inside its one
+guard, `_guarded`, which holds the one `except` clause naming
+SyntaxError.
 """
 
 import ast
@@ -198,3 +201,69 @@ def test_the_check_sees_code_compiled_outside_the_simulator(tmp_path):
         "def h(src):\n    return simulator.compile_source('s', src)\n"
     )
     assert compiler_uses(tmp_path) == ["a._compile", "a.exec", "b.compile_source"]
+
+
+GUARD = "_guarded"
+GUARDED = frozenset({"compile_source", "compile_tuple"})
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name a call of a bare name calls, else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id
+    return None
+
+
+def unguarded_compiles(path: Path = SRC / "simulator.py") -> list[str]:
+    """`name:line` for each call of GUARDED in `path` that is not within
+    the arguments of a call of GUARD, leaving out the definitions of
+    GUARDED themselves."""
+    tree = ast.parse(path.read_text())
+    covered = [
+        arg
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in GUARDED
+        for arg in node.body
+    ]
+    covered += [
+        arg
+        for call in ast.walk(tree)
+        if _called(call) == GUARD
+        for arg in (*call.args, *call.keywords)
+    ]
+    inside = {id(node) for arg in covered for node in ast.walk(arg)}
+    return [
+        f"{_called(node)}:{node.lineno}"
+        for node in ast.walk(tree)
+        if _called(node) in GUARDED and id(node) not in inside
+    ]
+
+
+def syntax_error_handlers(path: Path = SRC / "simulator.py") -> list[int]:
+    """The line of each `except` clause in `path` that names SyntaxError."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and any(isinstance(n, ast.Name) and n.id == "SyntaxError" for n in ast.walk(node.type))
+    )
+
+
+def test_every_compile_runs_inside_the_one_guard():
+    assert unguarded_compiles() == []
+    assert len(syntax_error_handlers()) == 1
+
+
+def test_the_check_sees_a_compile_outside_the_guard(tmp_path):
+    path = tmp_path / "simulator.py"
+    path.write_text(
+        "def compile_tuple(params, items):\n    return compile_source(params, items)\n"
+        "def f(src):\n    return _guarded(src, lambda: compile_source('s', src))\n"
+        "def g(src):\n    try:\n        return compile_tuple('s', [src])\n"
+        "    except (SyntaxError, ValueError):\n        raise\n"
+        "def _guarded(node, make):\n    try:\n        return make()\n"
+        "    except SyntaxError:\n        raise\n"
+    )
+    assert unguarded_compiles(path) == ["compile_tuple:7"]
+    assert syntax_error_handlers(path) == [8, 13]
