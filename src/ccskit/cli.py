@@ -13,11 +13,17 @@ Exit codes: 0 clean, 1 the analysis found a problem with the model
 (gate failure, monitor violation, stuck run), 2 bad input (parse
 errors, missing files, wrong usage). Every failure, a usage error too,
 ends with one line on stderr.
+
+Both ways of running `ccs`, the installed script and `python -m
+ccskit.cli`, exit through `script`, which freezes the heap after the
+command so that the interpreter's shutdown collections have nothing to
+walk. `main(argv)` itself leaves the collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -475,5 +481,13 @@ def main(argv: list[str] | None = None) -> None:
         sys.exit(1)
 
 
+def script() -> None:
+    """The `ccs` process: `main()`, then freeze every object it leaves."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    script()

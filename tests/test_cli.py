@@ -5,6 +5,7 @@ Exit-code contract under test: 0 clean, 1 the model or its runs are
 bad, 2 the invocation or input file is bad.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -79,6 +80,80 @@ def test_closed_stdout_is_exit_1_with_empty_stderr(corpus_dir):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_process_entry_matches_main_on_every_exit_path(
+    capsys, corpus_dir, tmp_path, monkeypatch
+):
+    """`python -m ccskit.cli`, which exits through `script`, gives the exit
+    code, stdout, stderr and written bytes that `main` gives in this
+    process: on a return, `sys.exit(1)`, `_fail`, a usage error and
+    `--version`. Each side writes its files into a directory of its own."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    cases = [
+        ["--version"],
+        ["check", corpus_dir / "watertank.ccs"],
+        ["check", corpus_dir / "bad_shared_output.ccs"],
+        ["simulate", corpus_dir / "watertank_late_ctrl.ccs", "--schedules", "2"],
+        ["check", corpus_dir / "watertank.ccs", "--frobnicate"],
+        ["simulate", corpus_dir / "watertank.ccs", "--schedules", "2",
+         "--out", "run.csv", "--out", "s.json"],
+    ]
+    spawned, inproc = tmp_path / "spawned", tmp_path / "inproc"
+    spawned.mkdir()
+    inproc.mkdir()
+    procs = [  # started together: each is mostly interpreter start-up
+        subprocess.Popen(
+            [sys.executable, "-m", "ccskit.cli", *map(str, args)],
+            cwd=spawned, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        for args in cases
+    ]
+    streams = [p.communicate(timeout=60) for p in procs]
+    monkeypatch.chdir(inproc)
+    expected = [tuple(invoke(capsys, *args)) for args in cases]
+    assert [(p.returncode, *out_err) for p, out_err in zip(procs, streams)] == expected
+    assert [code for code, _, _ in expected] == [0, 0, 1, 1, 2, 0]
+    written = {d: {f.name: f.read_bytes() for f in d.iterdir()} for d in (spawned, inproc)}
+    assert sorted(written[inproc]) == ["run.csv", "s.json"]
+    assert written[spawned] == written[inproc]
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["--version"], 0), (["check", "bad_shared_output.ccs"], 1), (["check"], 2)],
+    ids=["exit-0", "exit-1", "exit-2"],
+)
+def test_main_leaves_the_collector_as_it_was(capsys, corpus_dir, args, code):
+    """Only the process entry freezes the heap; `main` run in-process does
+    not touch the collector."""
+    before = (gc.get_freeze_count(), gc.isenabled())
+    args = [corpus_dir / a if a.endswith(".ccs") else a for a in args]
+    assert invoke(capsys, *args).exit_code == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_process_entry_freezes_the_heap_before_shutdown(corpus_dir):
+    """An `atexit` hook, which runs before the interpreter's shutdown
+    collections, sees a frozen heap after `python -m ccskit.cli`'s block."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import atexit, gc, runpy, sys; "
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+            "sys.argv = ['ccs', 'check', sys.argv[1], '--format', 'text']; "
+            "runpy.run_module('ccskit.cli', run_name='__main__', alter_sys=True)",
+            str(corpus_dir / "watertank.ccs"),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.splitlines()[-1], proc.stderr) == (0, "True", "")
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
