@@ -17,7 +17,8 @@ ends with one line on stderr.
 Both ways of running `ccs`, the installed script and `python -m
 ccskit.cli`, exit through `script`, which freezes the heap after the
 command so that the interpreter's shutdown collections have nothing to
-walk. `main(argv)` itself leaves the collector as it was.
+walk; it also points a stdout whose reader has closed at /dev/null.
+`main(argv)` itself leaves the collector and stdout as they were.
 """
 
 from __future__ import annotations
@@ -474,17 +475,20 @@ def main(argv: list[str] | None = None) -> None:
             run(**args)
         finally:
             sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout: exit 1, with stdout pointed at /dev/null
-        # so that the flush at interpreter exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout
         sys.exit(1)
 
 
 def script() -> None:
-    """The `ccs` process: `main()`, then freeze every object it leaves."""
+    """The `ccs` process: `main()`, then freeze every object it leaves. A
+    stdout whose reader has closed is pointed at /dev/null, so that the
+    flush at interpreter exit does not fail again."""
     try:
         main()
+    except SystemExit as e:
+        if isinstance(e.__context__, BrokenPipeError):  # main's exit 1 on a closed pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
     finally:
         gc.freeze()
 

@@ -43,9 +43,12 @@ and its CSV comes from the record: one `repr` per distinct float object
 in a column. The bounded checker's goals go through the same compiler:
 `_compile` compiles a whole program or a checker goal (`compile_goal`),
 its one helper table holding the loops, flows and box programs the
-generated code calls. Every source is compiled inside `_guarded`, the
-one place where a source Python will not compile raises CcsError naming
-the program, formula or flow domain it was printed from.
+generated code calls. A goal's boxes and quantifiers are generated
+loops, each in a def of its own, and an exact flow with an affine
+domain is sampled by one generated function (`flow_states`) with its
+domain test and exit time inline. Every source is compiled inside
+`_guarded`, the one place where a source Python will not compile raises
+CcsError naming the program, formula or flow domain it was printed from.
 
 A state is a tuple of floats over a layout, an ordered tuple of
 variable names; the generated code reads and writes slot `s[i]` and
@@ -151,8 +154,8 @@ def _division_by_zero(text: str):
     raise DivisionByZero(text)
 
 
-_GLOBALS = dict(__builtins__={}, abs=abs, all=all, any=any, chain=chain, len=len, max=max,
-                min=min, range=range, _dz=_division_by_zero)
+_GLOBALS = dict(__builtins__={}, abs=abs, chain=chain, len=len, max=max, min=min,
+                range=range, _dz=_division_by_zero)
 
 
 @functools.lru_cache(maxsize=2048)
@@ -354,7 +357,8 @@ class FlowSegment:
 
     A `domain_affine` segment (exact, each domain conjunct a comparison
     affine in the evolved variables) has one generated `step` and its
-    `exit_time`; any other one advances by `scan`.
+    `exit_time`, and `flow_states` samples it by one generated function;
+    any other one advances by `scan`.
     """
 
     def __init__(self, ode: ODE, slots: Slots):
@@ -377,7 +381,8 @@ class FlowSegment:
             # The sources exit_time and step are compiled from on first use;
             # a run's pass inlines the step's.
             slopes, held, exit_dt = self._exit_parts = _emit_exit_time(ode, slots)
-            end = emit_update(width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
+            end = self._end = emit_update(
+                width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
             self.step_source = (
                 f"(_last(s, _k, _e) if (_e := {exit_dt}) <= dt else ({end}, dt)) "
                 f"if dt > 0.0 and {held} and (_k := ({slopes})) else _slow(s, dt)"
@@ -392,7 +397,7 @@ class FlowSegment:
             self._shift = _guarded(ode, lambda: compile_source(
                 "s, k, c", emit_update(width, {i: f"(s[{i}] + (c * k[{j}]))" for j, i in moved})))
         # (slot of x, e) per domain conjunct `x <= e` or `x < e` on an
-        # evolved x; flow_states sizes its scan step from them.
+        # evolved x; `scanned` sizes its scan step from them.
         self.upper_bounds = _guarded(ode.domain, lambda: tuple(
             (slots[c.left.name], compile_source("s", emit_term(c.right, slots)))
             for c in parts
@@ -403,9 +408,10 @@ class FlowSegment:
         ), what="flow domain")
 
     # domain(state) tests the domain, and at(state, slopes, dt) is state +
-    # slopes * dt on the evolved variables. A run's pass inlines the tests
-    # of a domain-affine segment, so each compiles on first use. A failure
-    # to compile these, exit_time or step names the flow domain.
+    # slopes * dt on the evolved variables. A run's pass and the checker's
+    # sampler inline them for a domain-affine segment, so each compiles on
+    # first use, on a rare path. A failure to compile these, exit_time or
+    # step names the flow domain.
     domain = functools.cached_property(lambda self: _guarded(
         self.ode.domain, lambda: compile_source("s", self._domain), what="flow domain"))
     at = functools.cached_property(lambda self: _guarded(
@@ -509,52 +515,62 @@ class FlowSegment:
             samples.append(current)
         return current, elapsed, False, samples
 
+    def scanned(self, state: State, cut: Callable[[], None]) -> list[State]:
+        """`flow_states` of a segment that is not `domain_affine`: the start
+        and each `scan` step's end, with `cut()` past FLOW_MAX_STEPS steps."""
+        if not self.domain(state):
+            return []
+        # A step from any clock-style bound, else a conservative default.
+        h = 0.01
+        for i, bound in self.upper_bounds:
+            try:
+                span = bound(state) - state[i]
+            except (TypeError, DivisionByZero):  # TypeError: an unset slot
+                continue
+            if span > 0.0:
+                h = min(h, span / 128.0)
+        # One walk, given room for a step more than it keeps, so that float
+        # drift in its elapsed time cannot shorten the last step that counts.
+        _end, _dt, exited, walk = self.scan(state, (FLOW_MAX_STEPS + 1) * h, h)
+        samples = [state, *walk[:FLOW_MAX_STEPS]]
+        if not (exited and len(walk) <= FLOW_MAX_STEPS):
+            cut()
+        elif samples[-1] is samples[-2]:
+            samples.pop()  # the exit's bisection found no room past the last step
+        return samples
+
 
 FLOW_MAX_STEPS = 20000
 
 
-def flow_states(
-    seg: FlowSegment, state: State, n_samples: int
-) -> tuple[list[State], bool]:
-    """All-durations sampling of one continuous evolution: the states the
-    segment's ODE can stop in, starting from `state`, sampled at
-    `n_samples` points plus the last state inside the domain. Used by
-    bounded checking.
-
-    Returns (samples, complete). `complete` is False when the domain
-    never closed within FLOW_MAX_STEPS scan steps, i.e. the reachable set
-    was truncated.
-    """
-    if not seg.domain(state):
-        return [], True
-    if seg.domain_affine:
-        slopes, exit_dt = seg.exit_time(state)
-        # A domain that never closes is sampled up to a horizon of 1e6.
-        closes = not math.isinf(exit_dt)
-        span = exit_dt if closes else 1e6
-        at, n = seg.at, n_samples
-        samples = [at(state, slopes, span * i / n) for i in range(n)]
-        # span * n / n, not span: the last time rounds as the others do.
-        samples.append(seg.last_inside(state, slopes, span * n / n)[0])
-        return samples, closes
-    # Step-wise scan: pick a step from any clock-style bound, else a
-    # conservative default, and walk until the domain exits.
-    h = 0.01
-    for i, bound in seg.upper_bounds:
-        try:
-            span = bound(state) - state[i]
-        except (TypeError, DivisionByZero):  # TypeError: an unset slot
-            continue
-        if span > 0.0:
-            h = min(h, span / 128.0)
-    # One walk, given room for a step more than it keeps, so that float
-    # drift in its elapsed time cannot shorten the last step that counts.
-    _end, _dt, exited, walk = seg.scan(state, (FLOW_MAX_STEPS + 1) * h, h)
-    samples = [state, *walk[:FLOW_MAX_STEPS]]
-    complete = exited and len(walk) <= FLOW_MAX_STEPS
-    if complete and samples[-1] is samples[-2]:
-        samples.pop()  # the exit's bisection found no room past the last step
-    return samples, complete
+def flow_states(seg: FlowSegment, n_samples: int) -> Callable[[State, Callable], list[State]]:
+    """All-durations sampling of one continuous evolution, for bounded
+    checking: a function `(state, cut)` giving the states the ODE can
+    stop in from `state`, none outside the domain, and calling `cut()`
+    when it truncates. A `domain_affine` segment gets one generated
+    function per source, shared through compile_source's cache, with the
+    domain test and exit time inline: the states at `span * i / n` for
+    i <= n, the last one bisected by the plain-code `last_inside` when an
+    open domain fails there; `span` is the exit time, or 1e6 (truncated)
+    when the domain never closes. Any other segment scans (`scanned`)."""
+    if not seg.domain_affine:
+        return seg.scanned
+    slopes, held, exit_dt = seg._exit_parts
+    n = n_samples
+    # `_t` lies in [0, inf]: exit_time's value, as the domain holds at `s`.
+    # The last `dt` is `_sp * n / n`, not `_sp`: it rounds as the others do.
+    src = (
+        f"\n def states(s, cut):\n  if not {seg._domain}:\n   return []"
+        f"\n  _k = ({slopes})\n  _t = {exit_dt} if {held} else 0.0"
+        f"\n  _sp = _t if _t < 1e999 else 1e6"
+        f"\n  out = []\n  for i in range({n + 1}):"
+        f"\n   dt = _sp * i / {n}\n   out.append({seg._end})"
+        f"\n  s, _s = out[-1], s\n  if not {seg._domain}:"
+        f"\n   out[-1] = _last(_s, _k, dt)[0]"
+        f"\n  if _t == 1e999:\n   cut()\n  return out\n return states"
+    )
+    return _guarded(seg.ode.domain, lambda: compile_source("_last", src)(seg.last_inside),
+                    what="flow domain")
 
 
 # ---------------------------------------------------------------------------
@@ -613,14 +629,27 @@ def _has_modality(f: Formula) -> bool:
     return False
 
 
-def _emit_goal(f: Formula, slots: Slots, helper: Callable[[Program], str]) -> str:
+def _loop(defs: list[str], head: str, test: str, found: bool) -> str:
+    """The call of a loop def appended to `defs`: it returns `found` on
+    the first pass of `head` (a `for` line, then any lines at its body's
+    three-space indent) where `test` holds, else `not found`."""
+    name = f"_l{len(defs)}"
+    defs.append(f"\n def {name}(s, axis, cut, fail):\n  {head}\n   if {test}:"
+                f"\n    return {found}\n  return {not found}")
+    return f"{name}(s, axis, cut, fail)"
+
+
+def _emit_goal(f: Formula, slots: Slots, helper: Callable[[Program], str],
+               defs: list[str]) -> str:
     """`f` as one Python expression over the state `s`, true when `f`
     holds there. When it is false, the last `fail` call it made saw the
     witness: the reached state where a box- and quantifier-free part
     went false, or where a negation or an exists failed.
 
-    A box enumerates the final states of its program, which `helper`
-    returns the call of, and a quantifier the states with its slot set
+    Each box and quantifier is the call of a loop def appended to
+    `defs`, which runs in its own scope and so rebinds a local `s`. A
+    box's loop takes the final states of its program, which `helper`
+    returns the call of, and a quantifier's the states with its slot set
     to each coordinate of `axis(slot)`. A forall that held, or an exists
     that found no value, calls `cut()`: its grid ran out without
     deciding it, as a loop or flow cut short does.
@@ -628,47 +657,58 @@ def _emit_goal(f: Formula, slots: Slots, helper: Callable[[Program], str]) -> st
     if not _has_modality(f):
         return f"({emit_formula(f, slots)} or fail(s))"
     if isinstance(f, Not):
-        return f"((not {_emit_goal(f.operand, slots, helper)}) or fail(s))"
+        return f"((not {_emit_goal(f.operand, slots, helper, defs)}) or fail(s))"
     if isinstance(f, (And, Or, Implies)):
-        left = _emit_goal(f.left, slots, helper)
-        right = _emit_goal(f.right, slots, helper)
+        left = _emit_goal(f.left, slots, helper, defs)
+        right = _emit_goal(f.right, slots, helper, defs)
         if isinstance(f, Implies):
             return f"((not {left}) or {right})"
         return f"({left} {'and' if isinstance(f, And) else 'or'} {right})"
     if isinstance(f, Box):
-        post = _emit_goal(f.post, slots, helper)
-        return f"all({post} for s in {helper(f.program)})"
+        post = _emit_goal(f.post, slots, helper, defs)
+        return _loop(defs, f"for s in {helper(f.program)}:", f"not {post}", False)
     if isinstance(f, (Forall, Exists)):
         i = slots[f.var]
-        body = _emit_goal(f.body, slots, helper)
-        states = f"[{emit_update(len(slots), {i: 'x'})} for x in axis({i})]"
+        body = _emit_goal(f.body, slots, helper, defs)
+        head = f"for x in axis({i}):\n   s = {emit_update(len(slots), {i: 'x'})}"
         if isinstance(f, Forall):
-            return f"(all({body} for s in {states}) and not cut())"
-        return f"(any({body} for s in {states}) or cut() or fail(s))"
+            return f"({_loop(defs, head, f'not {body}', False)} and not cut())"
+        return f"({_loop(defs, head, body, True)} or cut() or fail(s))"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _goal_source(f: Formula, slots: Slots, helper: Callable[[Program], str]) -> str:
+    """The source over `_h` of `f`'s function `(s, axis, cut, fail)`: a
+    lambda of `_emit_goal`'s expression, or the body of a def that makes
+    its loop defs and returns that lambda, or the one loop the side is."""
+    defs: list[str] = []
+    expr = _emit_goal(f, slots, helper, defs)
+    side = f"lambda s, axis, cut, fail: {expr}"
+    if not defs:
+        return side
+    last = f"_l{len(defs) - 1}"
+    return "".join(defs) + f"\n return {last if expr == last + '(s, axis, cut, fail)' else side}"
 
 
 def _compile(
     node: Program | Formula,
-    params: str,
     emit: Callable[[Program | Formula, Slots, Callable[[Program], str]], str],
     slots: Slots,
     unroll: int = LOOP_CAP,
     flow_samples: int = 32,
 ) -> Callable:
-    """`lambda <params>: <emit(node, slots, helper)>`, the source `emit`
-    prints for `node` over the layout `slots`, compiled once: the one
-    compile entry for programs and checker goals.
+    """What the source `emit(node, slots, helper)` makes, compiled once:
+    the one compile entry for programs and checker goals. The source is
+    a `lambda` or a `def` body over the tuple `_h` of helpers, so sources
+    of one shape share one compiled source and a call goes through no
+    partial.
 
-    `helper(q)` is the call text `(s, cut)` of a program `q` that runs as
-    a Python helper: a loop yields the distinct states (by `_state_key`)
+    `helper(q)` is the call text `_h[i](s, cut)` of a program `q` that
+    runs as a helper: a loop yields the distinct states (by `_state_key`)
     reachable in at most `unroll` passes of its body, an ODE the
-    `flow_samples`-point sampling of `flow_states`, and any other
-    program what `compile_program_over` gives. The expression reads them
-    from the tuple `_h` its compiled source makes it over, so sources of
-    one shape share one compiled source and a call goes through no
-    partial. `cut()` is called whenever a loop or a flow has more states
-    than those bounds reach.
+    `flow_samples`-point sampler `flow_states` makes, and any other
+    program what `compile_program_over` gives. `cut()` is called
+    whenever a loop or a flow has more states than those bounds reach.
 
     Raises ValueError when `flow_samples` is below 1, and CcsError
     naming `node` (see `_guarded`) when printing or compiling the source
@@ -701,13 +741,7 @@ def _compile(
                 return list(seen.values())
 
         elif isinstance(q, ODE):
-
-            def fn(s: State, cut, _seg=FlowSegment(q, slots)) -> list[State]:
-                samples, complete = flow_states(_seg, s, flow_samples)
-                if not complete:
-                    cut()
-                return samples
-
+            fn = flow_states(FlowSegment(q, slots), flow_samples)
         elif isinstance(q, Program):
             fn = compile_program_over(q, slots, unroll, flow_samples)
         else:
@@ -715,8 +749,7 @@ def _compile(
         helpers.append(fn)
         return f"_h[{len(helpers) - 1}](s, cut)"
 
-    return _guarded(node, lambda: compile_source(
-        "_h", f"lambda {params}: {emit(node, slots, helper)}")(tuple(helpers)))
+    return _guarded(node, lambda: compile_source("_h", emit(node, slots, helper))(tuple(helpers)))
 
 
 def compile_program_over(
@@ -738,18 +771,19 @@ def compile_program_over(
     Python allows, so P can nest 99 levels deep, and past about 200
     levels printing the expression recurses too deeply.
     """
-    return _compile(p, "s, cut", _emit_program, slots, unroll, flow_samples)
+    return _compile(p, lambda p, slots, helper: "lambda s, cut: " + _emit_program(
+        p, slots, helper), slots, unroll, flow_samples)
 
 
 def compile_goal(
     f: Formula, slots: Slots, unroll: int = LOOP_CAP, flow_samples: int = 32
 ) -> Callable[[State, Callable, Callable, Callable], bool]:
-    """`f` compiled once to a function `(s, axis, cut, fail)` of the
-    expression `_emit_goal` prints, its box programs run as `_compile`'s
-    helpers at the bounds `unroll` and `flow_samples`. Raises ValueError
-    when `flow_samples` is below 1, and CcsError when Python will not
-    compile it."""
-    return _compile(f, "s, axis, cut, fail", _emit_goal, slots, unroll, flow_samples)
+    """`f` compiled once to a function `(s, axis, cut, fail)`: the
+    expression `_emit_goal` prints, with its loop defs, its box programs
+    run as `_compile`'s helpers at the bounds `unroll` and
+    `flow_samples`. Raises ValueError when `flow_samples` is below 1, and
+    CcsError when Python will not compile it."""
+    return _compile(f, _goal_source, slots, unroll, flow_samples)
 
 
 # ---------------------------------------------------------------------------

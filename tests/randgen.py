@@ -9,8 +9,9 @@ side of the gates without tripping them.
 
 `terms` and `formulas` are hypothesis strategies over every term and
 formula constructor, for the compiler tests; `goals` nests them under
-boxes over slot 0's programs and flows, quantifiers and connectives,
-for the bounded checker's tests.
+boxes over slot 0's programs and flows (or `affine_flows`, whose
+domains may be open or never close), quantifiers and connectives, for
+the bounded checker's tests.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from ccskit.ast import (
     Minus,
     Neg,
     Not,
+    ODE,
     Or,
     Plus,
     Rational,
@@ -44,6 +46,7 @@ from ccskit.ast import (
     Test,
     Times,
     Variable,
+    conj,
     num,
 )
 from ccskit.components import (
@@ -185,11 +188,37 @@ def programs() -> st.SearchStrategy:
     return st.builds(build, st.integers(0, 2**16), kinds)
 
 
-def goals() -> st.SearchStrategy:
+def affine_flows() -> st.SearchStrategy:
+    """Flows of x0 and t at slopes that read no evolved name, in a domain
+    comparing x0, t or their sum with a small integer by any operator: it
+    may be open at its exit, hold only on a boundary, or never close."""
+    slope = st.one_of(st.integers(-2, 2).map(num), st.sampled_from(INPUTS).map(Variable))
+    evolved = st.sampled_from([Variable("x0"), Variable("t"), Plus(Variable("x0"), Variable("t"))])
+    conjunct = st.builds(
+        Compare, st.sampled_from(COMPARISON_OPS), evolved, st.integers(-2, 3).map(num)
+    )
+    return st.builds(
+        lambda a, b, parts: ODE((("x0", a), ("t", b)), conj(*parts)),
+        slope, slope, st.lists(conjunct, min_size=1, max_size=3),
+    )
+
+
+def goal_boxes() -> st.SearchStrategy:
+    """Domain boxes over GOAL_NAMES: each name a small integer or an
+    interval [lo, lo + 0..2]."""
+    entry = st.one_of(
+        st.integers(-2, 2),
+        st.tuples(st.integers(-2, 2), st.integers(0, 2)).map(lambda p: [p[0], p[0] + p[1]]),
+    )
+    return st.fixed_dictionaries({n: entry for n in GOAL_NAMES})
+
+
+def goals(boxed: st.SearchStrategy | None = None) -> st.SearchStrategy:
     """Goals over GOAL_NAMES: comparisons of names, small integers and
-    their sums, under negations, connectives, boxes over `programs()`
-    and quantifiers of those names. No division, so that few checks end
-    in an error before the first box is entered."""
+    their sums, under negations, connectives, boxes over `boxed`
+    (`programs()` by default) and quantifiers of those names. No
+    division, so that few checks end in an error before the first box is
+    entered."""
     small = st.one_of(
         st.sampled_from(GOAL_NAMES).map(Variable), st.integers(-2, 2).map(num)
     )
@@ -199,7 +228,7 @@ def goals() -> st.SearchStrategy:
         lambda sub: st.one_of(
             sub.map(Not),
             *(st.builds(op, sub, sub) for op in (And, Or, Implies)),
-            st.builds(Box, programs(), sub),
+            st.builds(Box, programs() if boxed is None else boxed, sub),
             *(st.builds(q, st.sampled_from(GOAL_NAMES), sub) for q in (Forall, Exists)),
         ),
         max_leaves=5,

@@ -5,6 +5,7 @@ Exit-code contract under test: 0 clean, 1 the model or its runs are
 bad, 2 the invocation or input file is bad.
 """
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -80,6 +81,31 @@ def test_closed_stdout_is_exit_1_with_empty_stderr(corpus_dir):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_main_on_a_closed_stdout_leaves_fd_1_as_it_was(corpus_dir, monkeypatch):
+    """In this process, `main` on a pipe whose reader has closed exits 1,
+    leaves fd 1 pointing where it did and opens no descriptor: only
+    `script`, whose process is about to exit, points stdout elsewhere."""
+    read, write = os.pipe()
+    os.close(read)
+    saved = os.dup(1)
+    stdout = open(1, "w", closefd=False)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        os.dup2(write, 1)
+        before = os.fstat(1)[1:3], len(os.listdir("/dev/fd"))  # (inode, device), count
+        with pytest.raises(SystemExit) as exited:
+            main(["obligations", str(corpus_dir / "two_tanks.ccs")])
+        after = os.fstat(1)[1:3], len(os.listdir("/dev/fd"))
+        with contextlib.suppress(BrokenPipeError):
+            stdout.close()  # drops what the closed pipe did not take
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+        os.close(write)
+    assert exited.value.code == 1
+    assert after == before
 
 
 def test_process_entry_matches_main_on_every_exit_path(

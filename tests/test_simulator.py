@@ -91,6 +91,7 @@ from ccskit.simulator import (
     write_trace_csv,
 )
 from dict_states import formula_on_dicts, program_on_dicts, term_on_dicts
+from test_obligations import TT_BOX, WT_BOX
 
 WT_INIT = {"wl": 5.0, "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
 
@@ -225,12 +226,13 @@ def test_equal_sources_share_one_compiled_function():
 
 # Sources compiled from a cold cache: building each corpus model's
 # CompiledSystem and then one short run (which compiles the exact step on
-# first use), and checking watertank's obligations at grid 2. Each is a
-# ceiling: a change that compiles more on the cold path shows here first.
+# first use), and checking watertank's and two_tanks' obligations at grid
+# 2, over the boxes of tests/test_obligations.py. Each is a ceiling: a
+# change that compiles more on the cold path shows here first.
 COLD_COMPILES = {
     "two_tanks": 10, "watertank": 8, "watertank_late_ctrl": 8, "watertank_tight": 9,
 }
-COLD_CHECK_COMPILES = 21
+COLD_CHECK_COMPILES = {"watertank": 18, "two_tanks": 18}
 
 
 def test_cold_compiles_stay_within_their_ceilings(corpus_dir):
@@ -243,13 +245,14 @@ def test_cold_compiles_stay_within_their_ceilings(corpus_dir):
         run(system, Schedule("lazy-controller", 0, 1.0), sample_init(box, random.Random(0)))
         counts[model] = compile_source.cache_info().misses
     assert all(counts[m] <= ceiling for m, ceiling in COLD_COMPILES.items()), counts
-    wt = dsl.load_file(corpus_dir / "watertank.ccs")
-    box = {"wl": [3, 7], "wlm": "=wl", "fin": [0, 1], "fout": 0.75, "t": 0, "tau_1": 0}
-    obligations = obligations_ccs(wt)
-    compile_source.cache_clear()
-    for ob in obligations:
-        check_bounded(ob, box, grid=2, flow_samples=8)
-    assert compile_source.cache_info().misses <= COLD_CHECK_COMPILES
+    checks = {}
+    for model, box in (("watertank", WT_BOX), ("two_tanks", TT_BOX)):
+        obligations = obligations_ccs(dsl.load_file(corpus_dir / f"{model}.ccs"))
+        compile_source.cache_clear()
+        for ob in obligations:
+            check_bounded(ob, box, grid=2, flow_samples=8)
+        checks[model] = compile_source.cache_info().misses
+    assert all(checks[m] <= c for m, c in COLD_CHECK_COMPILES.items()), checks
 
 
 def test_rk4_steps_follow_the_classic_formula_bit_for_bit():
@@ -412,6 +415,12 @@ def _reference_flow_states(ode, seg, state, n):
     return samples, closes
 
 
+def _sampled(seg, state, n):
+    """flow_states' samples from `state`, and whether it left `cut` uncalled."""
+    cut_short = []
+    return flow_states(seg, n)(state, lambda: cut_short.append(True)), not cut_short
+
+
 def _exact_bits(fn, *args):
     """What `fn` returns with every float but NaN as its big-endian bytes
     (so -0.0 counts), or the error it raised. Every NaN is one value: the
@@ -469,7 +478,7 @@ def test_the_exact_step_matches_the_interpretive_exit_time_bit_for_bit(ode, stat
     assert _exact_bits(seg.step, state, dt) == _exact_bits(
         _reference_advance, ode, seg, state, dt
     )
-    assert _exact_bits(flow_states, seg, state, n) == _exact_bits(
+    assert _exact_bits(_sampled, seg, state, n) == _exact_bits(
         _reference_flow_states, ode, seg, state, n
     )
 
@@ -484,7 +493,7 @@ def test_an_exact_flow_nested_too_deeply_is_a_ccs_error():
     seg = FlowSegment(ODE((("x", num(1)),), Compare("<=", var("x"), bound)), {"x": 0})
     named = r"^flow domain nests too deeply to compile \(SyntaxError\): x <= 1 \+ \(1"
     with pytest.raises(CcsError, match=named):
-        flow_states(seg, (0.0,), 2)
+        _sampled(seg, (0.0,), 2)
     with pytest.raises(CcsError, match=named):
         seg.step((0.0,), 1.0)
 
