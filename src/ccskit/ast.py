@@ -126,9 +126,18 @@ def _getter(fields: tuple[str, ...]):
 
 class Node(Record):
     """A syntax node: its fields are the children and labels that the
-    generic traversals below walk."""
+    generic traversals below walk.
 
-    __slots__ = ()
+    Its private slots keep what is derived from it, set on first use by
+    the one function that derives it: `_vars` its free and bound names
+    (`statics.free_and_bound_vars`; terms and comparisons keep none),
+    `_modal` its `modality` and `_emitted` its last Python source with
+    the layout it was printed over (`simulator.emit_formula`; terms keep
+    none). Equality, hashing, `repr`, pickling and `replace` leave the
+    slots out, as they do every private slot.
+    """
+
+    __slots__ = ("_vars", "_modal", "_emitted")
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +378,37 @@ def walk(node: Node) -> Iterator[Node]:
     yield node
     for child in children(node):
         yield from walk(child)
+
+
+# A formula's modality: 0 when it holds no box and no quantifier.
+QUANTIFIED, BOXED = 1, 2
+
+
+def modality(f: Formula) -> int:
+    """BOXED when `f` holds a box, else QUANTIFIED when it holds a
+    quantifier, else 0. Only connectives and quantifiers can hold one
+    (terms hold no formulas), so only they are descended, and each keeps
+    its modality once found."""
+    if isinstance(f, (Compare, TrueF, FalseF)):
+        return 0
+    found = getattr(f, "_modal", None)
+    if found is not None:
+        return found
+    if isinstance(f, Box):
+        found = BOXED
+    elif isinstance(f, (Forall, Exists)):
+        found = max(QUANTIFIED, modality(f.body))
+    elif isinstance(f, Not):
+        found = modality(f.operand)
+    elif isinstance(f, (And, Or, Implies)):
+        found = max(modality(f.left), modality(f.right))
+    else:
+        return 0
+    _keep_modality(f, found)
+    return found
+
+
+_keep_modality = Node._modal.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ Both ways of running `ccs`, the installed script and `python -m
 ccskit.cli`, exit through `script`, which freezes the heap after the
 command so that the interpreter's shutdown collections have nothing to
 walk; it also points a stdout whose reader has closed at /dev/null.
-`main(argv)` itself leaves the collector and stdout as they were.
+`main(argv)` itself leaves the collector and stdout as they were. A
+command started with fd 1 closed, where Python sets `sys.stdout` to
+None, ends as one on a closed pipe does: exit 1 once it has run.
 """
 
 from __future__ import annotations
@@ -474,7 +476,10 @@ def main(argv: list[str] | None = None) -> None:
         try:
             run(**args)
         finally:
-            sys.stdout.flush()
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        if sys.stdout is None:  # started with fd 1 closed: the output went nowhere
+            raise BrokenPipeError
     except BrokenPipeError:  # the reader closed stdout
         sys.exit(1)
 
@@ -482,11 +487,13 @@ def main(argv: list[str] | None = None) -> None:
 def script() -> None:
     """The `ccs` process: `main()`, then freeze every object it leaves. A
     stdout whose reader has closed is pointed at /dev/null, so that the
-    flush at interpreter exit does not fail again."""
+    flush at interpreter exit does not fail again; a missing one (fd 1
+    closed at start) has nothing to flush."""
     try:
         main()
     except SystemExit as e:
-        if isinstance(e.__context__, BrokenPipeError):  # main's exit 1 on a closed pipe
+        # main's exit 1 on a closed pipe
+        if isinstance(e.__context__, BrokenPipeError) and sys.stdout is not None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise
     finally:

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import ast
 from .ast import (
+    BOXED,
     TRUE,
     And,
     Assign,
@@ -40,6 +41,7 @@ from .ast import (
     conj,
     conjuncts,
     fraction_to_text,
+    modality,
     seq,
     seq_statements,
     walk,
@@ -75,11 +77,8 @@ class Contract(Record):
     def __init__(self, *values, **named):
         super().__init__(*values, **named)
         for label, f in zip(self._fields, self._values()):
-            for sub in walk(f):
-                if isinstance(sub, ast.Box):
-                    raise InvalidContract(
-                        f"contract {label} clause contains a box modality"
-                    )
+            if modality(f) == BOXED:
+                raise InvalidContract(f"contract {label} clause contains a box modality")
 
     def free_vars(self) -> frozenset[str]:
         """The free variables of the three clauses together."""
@@ -200,14 +199,17 @@ def make_reactive_controller(
 
 
 class MultiChoiceController(Record):
-    __slots__ = ("name", "choices", "reactivity")
+    __slots__ = ("name", "choices", "reactivity", "_contract")
 
     def to_program(self) -> Program:
         return choice(*(rc.to_program(self.reactivity) for rc in self.choices))
 
     @property
     def contract(self) -> Contract:
-        return joint_contract(*(rc.require_contract() for rc in self.choices))
+        """The choices' joint contract, kept on the record once built."""
+        return self._kept(
+            "_contract", lambda: joint_contract(*(rc.require_contract() for rc in self.choices))
+        )
 
     @property
     def timestamps(self) -> tuple[str, ...]:

@@ -95,9 +95,9 @@ STATUSES = ("open", "discharged", "failed")
 
 
 class ProofObligation(Record):
-    # `_names` caches the goal's free and bound variables, and `_compiled`
-    # the goal as check_bounded last compiled it (see _compiled_goal);
-    # neither is a field.
+    # `_names` keeps the goal's free variables, and `_compiled` the goal
+    # as check_bounded last compiled it (see _compiled_goal); neither is a
+    # field.
     __slots__ = (
         "id", "theorem", "case", "hint", "goal", "status", "notes", "_names",
         "_compiled",
@@ -114,10 +114,7 @@ class ProofObligation(Record):
     @property
     def free_vars(self) -> frozenset[str]:
         """The goal's free variables, computed on first use."""
-        return self._free_and_bound()[0]
-
-    def _free_and_bound(self) -> tuple[frozenset[str], tuple[str, ...]]:
-        return self._kept("_names", lambda: free_and_bound_vars(self.goal))
+        return self._kept("_names", lambda: free_vars(self.goal))
 
     @property
     def provenance(self) -> str:
@@ -647,9 +644,8 @@ def check_bounded(
             raise ValueError(f"{name} must be at least 1, got {value!r}")
     ob = goal if isinstance(goal, ProofObligation) else None
     if ob is not None:
-        (names, written), goal = ob._free_and_bound(), ob.goal
-    else:
-        names, written = free_and_bound_vars(goal)
+        goal = ob.goal
+    names, written = free_and_bound_vars(goal)
     # Each free name's gridded root, each alias chain followed once.
     roots = {n: alias_root(domain_box, n) for n in sorted(names)}
     keys = sorted(set(roots.values()))

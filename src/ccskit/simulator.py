@@ -69,7 +69,8 @@ import random
 from itertools import chain, compress
 from numbers import Real
 from operator import is_, is_not, itemgetter
-from typing import Callable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .ast import (
     And,
@@ -85,6 +86,7 @@ from .ast import (
     Loop,
     Minus,
     Neg,
+    Node,
     Not,
     ODE,
     Or,
@@ -102,6 +104,7 @@ from .ast import (
     choice_alternatives,
     conj,
     conjuncts,
+    modality,
     print_formula,
     print_program_inline,
     print_term,
@@ -128,11 +131,17 @@ BISECT_TOLERANCE = 1e-9
 # checker only binds is unset. Dicts (name -> float) appear only where a
 # state leaves the package.
 State = tuple
-Slots = dict[str, int]  # a layout's name -> slot index
+Slots = Mapping[str, int]  # a layout's name -> slot index
+_LAYOUTS: dict[tuple[str, ...], Slots] = {}
 
 
 def slots_of(layout: Iterable[str]) -> Slots:
-    return {n: i for i, n in enumerate(layout)}
+    """The layout's name -> slot index, as one read-only mapping per
+    layout: the emitters key each node's kept source on its identity."""
+    layout = tuple(layout)
+    if layout not in _LAYOUTS:
+        _LAYOUTS[layout] = MappingProxyType({n: i for i, n in enumerate(layout)})
+    return _LAYOUTS[layout]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +151,11 @@ def slots_of(layout: Iterable[str]) -> Slots:
 # Python expression over the state `s`, with the float operations of a
 # direct evaluation in the same order: no term is reordered or rewritten,
 # so results are bit for bit those of walking the tree. A variable is its
-# slot `s[i]`, so no name ever reaches the source. compile_source turns a
+# slot `s[i]`, so no name ever reaches the source. Each compound formula
+# keeps the last source printed from it with the slots mapping it was
+# printed over (see ast.Node): the formulas of a composition share their
+# contract and invariant nodes, and a layout has one mapping (slots_of),
+# so a shared formula prints once per layout. compile_source turns a
 # source into a function once per distinct text; its cache holds strings,
 # not AST nodes, and systems and goals that print the same expression
 # share one function. A caller that evaluates a node many times compiles
@@ -211,33 +224,46 @@ def emit_formula(f: Formula, slots: Slots) -> str:
     the state `s`, its terms as emit_term prints them. `=` and `!=`
     compare within EQ_TOLERANCE (1e-9). And chains print flat, as `and`
     short-circuits the same way whatever the grouping; Or chains as
-    Python groups them, left first.
+    Python groups them, left first. A compound formula keeps the last
+    source printed from it with its `slots` (see ast.Node), so one that
+    many goals share prints once per layout. A term keeps nothing: few
+    are printed twice over one layout.
     """
     if isinstance(f, TrueF):
         return "True"
     if isinstance(f, FalseF):
         return "False"
+    kept = getattr(f, "_emitted", None)
+    if kept is not None and kept[0] is slots:
+        return kept[1]
     if isinstance(f, Compare):
         left, right = emit_term(f.left, slots), emit_term(f.right, slots)
         if f.op in ("=", "!="):
             op = "<=" if f.op == "=" else ">"
-            return f"(abs({left} - {right}) {op} {EQ_TOLERANCE!r})"
-        return f"({left} {f.op} {right})"
-    if isinstance(f, Not):
-        return f"(not {emit_formula(f.operand, slots)})"
-    if isinstance(f, And):
+            text = f"(abs({left} - {right}) {op} {EQ_TOLERANCE!r})"
+        else:
+            text = f"({left} {f.op} {right})"
+    elif isinstance(f, Not):
+        text = f"(not {emit_formula(f.operand, slots)})"
+    elif isinstance(f, And):
         parts = (emit_formula(c, slots) for c in conjuncts(f))
-        return "(" + " and ".join(parts) + ")"
-    if isinstance(f, Or):
+        text = "(" + " and ".join(parts) + ")"
+    elif isinstance(f, Or):
         left = emit_formula(f.left, slots)
         left = left[1:-1] if isinstance(f.left, Or) else left
-        return f"({left} or {emit_formula(f.right, slots)})"
-    if isinstance(f, Implies):
+        text = f"({left} or {emit_formula(f.right, slots)})"
+    elif isinstance(f, Implies):
         left = emit_formula(f.left, slots)
-        return f"((not {left}) or {emit_formula(f.right, slots)})"
-    if isinstance(f, (Box, Forall, Exists)):
+        text = f"((not {left}) or {emit_formula(f.right, slots)})"
+    elif isinstance(f, (Box, Forall, Exists)):
         raise CcsError("formula is not modality/quantifier-free: " + print_formula(f))
-    raise TypeError(f"not a formula: {f!r}")
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    _keep_source(f, (slots, text))
+    return text
+
+
+_keep_source = Node._emitted.__set__
 
 
 def _tuple_source(items: Iterable[str]) -> str:
@@ -616,19 +642,6 @@ def _emit_program(p: Program, slots: Slots, helper: Callable[[Program], str]) ->
     return helper(p)
 
 
-def _has_modality(f: Formula) -> bool:
-    """True when `f` has a box or a quantifier. Only connectives can hold
-    one (terms hold no formulas), so only they are descended.
-    """
-    if isinstance(f, (Box, Forall, Exists)):
-        return True
-    if isinstance(f, Not):
-        return _has_modality(f.operand)
-    if isinstance(f, (And, Or, Implies)):
-        return _has_modality(f.left) or _has_modality(f.right)
-    return False
-
-
 def _loop(defs: list[str], head: str, test: str, found: bool) -> str:
     """The call of a loop def appended to `defs`: it returns `found` on
     the first pass of `head` (a `for` line, then any lines at its body's
@@ -654,7 +667,7 @@ def _emit_goal(f: Formula, slots: Slots, helper: Callable[[Program], str],
     that found no value, calls `cut()`: its grid ran out without
     deciding it, as a loop or flow cut short does.
     """
-    if not _has_modality(f):
+    if not modality(f):
         return f"({emit_formula(f, slots)} or fail(s))"
     if isinstance(f, Not):
         return f"((not {_emit_goal(f.operand, slots, helper, defs)}) or fail(s))"
@@ -1080,11 +1093,6 @@ class CompiledSystem:
         """Whether each monitor holds at a state, in the order of
         `monitors`: compiled on a run's first failing boundary."""
         return self.compiled(self.monitor_formulas, _tuple_source)
-
-    @functools.cached_property
-    def gaps(self) -> Callable[[State], tuple[float, ...]]:
-        """The gaps `residual` takes at one state, compiled on first use."""
-        return _guarded(self.invariant, lambda: compile_source("s", self._gaps))
 
     def holds(self, *formulas: Formula) -> Callable[[State], bool]:
         """One function: every formula holds, evaluated as an `and` chain

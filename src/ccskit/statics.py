@@ -3,6 +3,10 @@
 These are the workhorses behind every non-interference gate: composition
 soundness reduces to emptiness checks over the sets computed here, so the
 equations follow the standard static semantics of dynamic logic exactly.
+Each formula and program node but a comparison keeps its free and
+bound names once computed, from its children's (see `ast.Node`): a
+composition rule states every obligation over the same contract and
+invariant nodes, so those are walked once, not once per obligation.
 
 The must-bound set MBV(p) contains the variables written on *every* path
 through p; it is what makes sequencing precise
@@ -29,7 +33,6 @@ from .ast import (
     Minus,
     Neg,
     Node,
-    Not,
     Or,
     Plus,
     Program,
@@ -54,68 +57,103 @@ def free_vars(node: Node) -> VarSet:
 def free_and_bound_vars(node: Node) -> tuple[VarSet, tuple[str, ...]]:
     """`free_vars(node)`, and the names `node` writes or quantifies (for
     a formula or program, `bound_vars(node)`) in the order it first binds
-    them, from one walk."""
-    free: set[str] = set()
-    written: dict[str, None] = {}
-    _add_free(node, EMPTY, free, written)
-    return frozenset(free), tuple(written)
+    them: FV(a; b) = FV(a) u (FV(b) \\ MBV(a)), FV([a]p) = FV(a) u
+    (FV(p) \\ MBV(a)) and FV(Q x. p) = FV(p) \\ {x}, and a node binds its
+    own names before its children's, which bind theirs left to right.
 
-
-def _add_free(
-    node: Node, bound: VarSet, free: set[str], written: dict[str, None]
-) -> None:
-    """Add to `free` the free variables of `node` outside `bound`, the
-    names bound on every path to it, and to `written` the names it binds:
-    FV(a; b) = FV(a) u (FV(b) \\ MBV(a)), FV([a]p) = FV(a) u (FV(p) \\ MBV(a))
-    and FV(Q x. p) = FV(p) \\ {x}."""
-    # Loops down each last child, so a long right-nested chain, such as
-    # the sequence `seq` builds, does not recurse.
+    Each formula and program node keeps its pair once computed (see
+    Node), so a subtree that many formulas share is walked once. A term,
+    comparison or truth constant keeps nothing: its names are one walk,
+    cheaper than keeping them.
+    """
+    if isinstance(node, _UNKEPT):
+        names: set[str] = set()
+        _add_names(node, names)
+        return frozenset(names), ()
+    kept = getattr(node, "_vars", None)
+    if kept is not None:
+        return kept
+    # Down each last child (a compound node's last field) to a node whose
+    # pair is at hand, then back up, so that a long right-nested chain,
+    # such as the sequence `seq` builds, does not recurse.
+    spine = []
     while True:
-        if isinstance(node, Variable):
-            if node.name not in bound:
-                free.add(node.name)
-            return
-        if isinstance(node, (Plus, Minus, Times, Divide, Compare, And, Or, Implies)):
-            _add_free(node.left, bound, free, written)
-            node = node.right
-        elif isinstance(node, (Neg, Not)):
-            node = node.operand
-        elif isinstance(node, (Rational, TrueF, FalseF)):
-            return
-        elif isinstance(node, Box):
-            _add_free(node.program, bound, free, written)
-            bound = bound | must_bound_vars(node.program)
-            node = node.post
+        if not isinstance(node, Node):
+            raise TypeError(f"not an AST node: {node!r}")
+        spine.append(node)
+        node = getattr(node, node._fields[-1])
+        if isinstance(node, _UNKEPT) or getattr(node, "_vars", None) is not None:
+            break
+    free, written = free_and_bound_vars(node)
+    for node in reversed(spine):
+        if isinstance(node, (And, Or, Implies, Choice)):
+            first_free, first_written = free_and_bound_vars(node.left)
+            free = _union(first_free, free)
+            if first_written:
+                written = _then(first_written, written)
+        elif isinstance(node, (Seq, Box)):
+            first = node.first if isinstance(node, Seq) else node.program
+            first_free, first_written = free_and_bound_vars(first)
+            free = _union(first_free, free - must_bound_vars(first))
+            written = _then(first_written, written)
         elif isinstance(node, (Forall, Exists)):
-            written[node.var] = None
-            bound = bound | {node.var}
-            node = node.body
-        elif isinstance(node, Test):
-            node = node.condition
+            free, written = free - {node.var}, _then((node.var,), written)
         elif isinstance(node, Assign):
-            written[node.var] = None
-            node = node.rhs
-        elif isinstance(node, Seq):
-            _add_free(node.first, bound, free, written)
-            bound = bound | must_bound_vars(node.first)
-            node = node.second
-        elif isinstance(node, Choice):
-            _add_free(node.left, bound, free, written)
-            node = node.right
-        elif isinstance(node, Loop):
-            node = node.body
+            written = _then((node.var,), written)
         elif isinstance(node, ODE):
             # Evolved variables are read (their initial values seed the
             # flow); domain-only variables count as free reads, never as
             # bound.
-            evolved = [v for v, _ in node.equations]
-            written.update(dict.fromkeys(evolved))
-            free.update(v for v in evolved if v not in bound)
+            evolved = tuple(v for v, _ in node.equations)
+            names = set(evolved)
             for _, rhs in node.equations:
-                _add_free(rhs, bound, free, written)
-            node = node.domain
+                _add_names(rhs, names)
+            free, written = free.union(names), _then(evolved, written)
+        # A negation, test or loop has its one child's pair.
+        _keep_vars(node, (free, written))
+    return free, written
+
+
+# The nodes that keep no pair: terms, comparisons and truth constants.
+_UNKEPT = (Variable, Rational, Plus, Minus, Times, Divide, Neg, Compare, TrueF, FalseF)
+
+
+def _add_names(node: Node, names: set[str]) -> None:
+    """Add to `names` the variables of the term or comparison `node`
+    (none for a truth constant)."""
+    # Loops down each right operand, so a right-nested chain does not
+    # recurse.
+    while True:
+        if isinstance(node, Variable):
+            names.add(node.name)
+            return
+        if isinstance(node, (Rational, TrueF, FalseF)):
+            return
+        if isinstance(node, Neg):
+            node = node.operand
+        elif isinstance(node, (Plus, Minus, Times, Divide, Compare)):
+            _add_names(node.left, names)
+            node = node.right
         else:
-            raise TypeError(f"not an AST node: {node!r}")
+            raise TypeError(f"not a term: {node!r}")
+
+
+_keep_vars = Node._vars.__set__
+
+
+def _union(a: VarSet, b: VarSet) -> VarSet:
+    """`a | b`, or whichever of the two holds the other: a kept set is
+    then shared, not copied."""
+    if a <= b:
+        return b
+    return a if b <= a else a | b
+
+
+def _then(first: tuple[str, ...], then: tuple[str, ...]) -> tuple[str, ...]:
+    """The names of `first` and then those of `then` it lacks, in order."""
+    if not then or first == then:
+        return first
+    return tuple(dict.fromkeys(first + then)) if first else then
 
 
 def bound_vars(node: Formula | Program) -> VarSet:

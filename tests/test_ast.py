@@ -19,7 +19,9 @@ from ccskit.ast import (
     Divide,
     Exists,
     FALSE,
+    FalseF,
     Forall,
+    Formula,
     Implies,
     Loop,
     Minus,
@@ -30,9 +32,11 @@ from ccskit.ast import (
     Plus,
     Rational,
     Seq,
+    Term,
     Test as Guard,
     TRUE,
     Times,
+    TrueF,
     Variable,
     canonical_key,
     choice,
@@ -40,6 +44,7 @@ from ccskit.ast import (
     conj,
     conjuncts,
     fraction_to_text,
+    modality,
     normalize_ac,
     num,
     pretty_print,
@@ -52,6 +57,7 @@ from ccskit.ast import (
     walk,
 )
 from ccskit.obligations import obligations_ccs
+from ccskit.simulator import emit_formula, emit_term, slots_of
 from ccskit.statics import all_vars
 
 
@@ -222,6 +228,31 @@ def test_nodes_copy_pickle_and_stay_immutable(node):
 
 def test_nodes_carry_no_instance_dict():
     assert not [n for n in ONE_OF_EACH if hasattr(n, "__dict__")]
+
+
+_KEPT = ("_vars", "_modal", "_emitted")
+
+
+@pytest.mark.parametrize("node", ONE_OF_EACH, ids=lambda n: type(n).__name__)
+def test_kept_facts_are_not_fields(node):
+    """What a formula or program node keeps once derived (its names,
+    modality and last source; a term keeps nothing) changes neither
+    equality, hashing, `repr` nor pickling, and no copy, pickle or
+    `replace` carries it."""
+    before = (repr(node), hash(node), pickle.dumps(node))
+    fresh = pickle.loads(before[2])
+    all_vars(node)
+    if isinstance(node, Term):
+        emit_term(node, slots_of(("x",)))
+    elif isinstance(node, Formula) and not modality(node):
+        emit_formula(node, slots_of(("x",)))
+    keeps_nothing = isinstance(node, (Term, TrueF, FalseF))
+    assert keeps_nothing == all(getattr(node, slot, None) is None for slot in _KEPT)
+    assert (repr(node), hash(node), pickle.dumps(node)) == before
+    assert node == fresh and hash(node) == hash(fresh)
+    for clone in (copy.copy(node), copy.deepcopy(node), fresh, node.replace()):
+        assert clone == node
+        assert all(getattr(clone, slot, None) is None for slot in _KEPT)
 
 
 def test_constructors_check_their_fields():

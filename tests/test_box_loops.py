@@ -17,10 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import randgen
 from ccskit import dsl, simulator
-from ccskit.ast import ODE, And, Box, Compare, Forall, Implies, Not, Or, Variable, conj, num
+from ccskit.ast import ODE, And, Box, Compare, Forall, Implies, Not, Or, Variable, conj, modality, num
 from ccskit.errors import CcsError
 from ccskit.obligations import check_bounded, obligations_ccs
-from ccskit.simulator import _has_modality, emit_formula, emit_update
+from ccskit.simulator import emit_formula, emit_update
 from test_obligations import TT_BOX, WT_BOX
 
 
@@ -28,7 +28,7 @@ def _generator_goal(f, slots, helper):
     """A goal side as one expression: a box is `all` over a generator of
     its program's states, a quantifier `all` or `any` over the list of
     states with its slot set to each coordinate."""
-    if not _has_modality(f):
+    if not modality(f):
         return f"({emit_formula(f, slots)} or fail(s))"
     if isinstance(f, Not):
         return f"((not {_generator_goal(f.operand, slots, helper)}) or fail(s))"

@@ -83,6 +83,29 @@ def test_closed_stdout_is_exit_1_with_empty_stderr(corpus_dir):
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [(["check", "watertank.ccs"], 1), (["check", "missing.ccs"], 2), (["--version"], 0)],
+)
+def test_a_command_started_with_fd_1_closed_ends_as_on_a_closed_pipe(corpus_dir, args, code):
+    """Started with fd 1 closed (`ccs check MODEL >&-`), where Python sets
+    `sys.stdout` to None, a command that ran exits 1 as on a closed pipe,
+    with nothing on stderr; bad input still exits 2 and `--version`,
+    which argparse then writes to stderr, 0. No traceback either way."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccskit.cli", *args],
+        cwd=corpus_dir,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(1),
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert b"Traceback" not in proc.stderr
+    assert (proc.stderr == b"") == (code == 1)
+
+
 def test_main_on_a_closed_stdout_leaves_fd_1_as_it_was(corpus_dir, monkeypatch):
     """In this process, `main` on a pipe whose reader has closed exits 1,
     leaves fd 1 pointing where it did and opens no descriptor: only

@@ -5,12 +5,17 @@ from fractions import Fraction
 import pytest
 
 from ccskit.ast import (
+    And,
     Assign,
     Box,
     Compare,
+    Exists,
+    Forall,
     Implies,
     Loop,
     ODE,
+    Not,
+    Or,
     TRUE,
     choice_alternatives,
     conj,
@@ -23,6 +28,7 @@ from ccskit.components import (
     Contract,
     Environment,
     contract_validity_goal,
+    joint_contract,
     make_ccs,
     make_controllable_plant,
     make_reactive_controller,
@@ -104,6 +110,23 @@ def test_contract_rejects_modalities():
     boxed = Box(Assign("x", num(1)), TRUE)
     with pytest.raises(InvalidContract):
         Contract(guarantee=boxed)
+
+
+def test_contract_finds_a_box_under_any_connective_or_quantifier():
+    """A box anywhere in a clause is rejected, with the clause named; a
+    quantifier alone is not a box."""
+    boxed = Box(Assign("x", num(1)), Compare("<=", var("x"), num(2)))
+    cmp = Compare(">=", var("y"), num(0))
+    for clause in (Not(Or(cmp, boxed)), Implies(cmp, Forall("x", And(cmp, boxed)))):
+        with pytest.raises(InvalidContract, match=r"^contract init clause contains a box modality$"):
+            Contract(init=clause)
+    assert Contract(assume=Exists("x", cmp)).assume == Exists("x", cmp)
+
+
+def test_a_controller_family_keeps_its_joint_contract(two_tanks):
+    family = two_tanks.controller
+    assert family.contract is family.contract
+    assert family.contract == joint_contract(*(rc.contract for rc in family.choices))
 
 
 def test_make_ccs_loop_shape():

@@ -82,6 +82,7 @@ from ccskit.simulator import (
     compile_source,
     compile_tuple,
     complete_init,
+    emit_formula,
     emit_term,
     flow_states,
     run,
@@ -216,6 +217,22 @@ def test_long_chains_compile():
         dsl.parse_formula_text(" | ".join(f"x = {i}" for i in range(400)))
     )
     assert anyof({"x": 399.0}) and not anyof({"x": 0.5})
+
+
+def test_a_formula_prints_once_per_layout():
+    """A layout has one read-only slot mapping, and a formula keeps the
+    source last printed over it: printing it again over that layout hands
+    back the same text, over another layout its own."""
+    f = dsl.parse_formula_text("x <= 1 & y + x > 2")
+    xy, yx = slots_of("xy"), slots_of("yx")
+    assert slots_of(["x", "y"]) is xy
+    with pytest.raises(TypeError):
+        xy["z"] = 2
+    first = emit_formula(f, xy)
+    assert first == "((s[0] <= 1.0) and ((s[1] + s[0]) > 2.0))"
+    assert emit_formula(f, xy) is first
+    assert emit_formula(f, yx) == "((s[1] <= 1.0) and ((s[0] + s[1]) > 2.0))"
+    assert emit_formula(f, xy) == first
 
 
 def test_equal_sources_share_one_compiled_function():
@@ -888,6 +905,7 @@ def test_the_residual_is_the_running_maximum_bit_for_bit(two_tanks, special, whe
     state. Every slot but wl1 and wl2 is 0.0, so the gaps are abs(wl1)
     and abs(wl2)."""
     cs = CompiledSystem(two_tanks)
+    gaps = compile_source("s", cs._gaps)  # the gaps `residual` takes at one state
     pack = struct.Struct(">d").pack
     for column in (0, 1):
         wl = [[3.0, -1.0, 7.5, -0.5, 2.0], [-2.0, 4.0, 0.25, 6.0, -6.5]]
@@ -899,8 +917,8 @@ def test_the_residual_is_the_running_maximum_bit_for_bit(two_tanks, special, whe
             states.append(tuple(s))
         m = 0.0
         for s in states:
-            assert len(cs.gaps(s)) == 2
-            m = max(m, *cs.gaps(s))
+            assert len(gaps(s)) == 2
+            m = max(m, *gaps(s))
         assert pack(cs.residual(states)) == pack(m)
     assert cs.residual([]) == 0.0
 

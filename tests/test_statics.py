@@ -11,39 +11,63 @@ toolkit leans on:
 The same interpreter is the oracle for `compile_program_over`, the one
 program semantics that the simulator and the bounded checker share,
 run on dict states through the `dict_states` adapter.
+
+The free and bound names each node keeps are checked against one walk
+of the whole tree that keeps nothing, on generated nodes and on every
+corpus obligation, with the stack that walk needs and, on the check
+sets, one computation per distinct node.
 """
 
+import sys
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import randgen
+from ccskit import statics
 from ccskit.ast import (
+    TRUE,
     And,
     Assign,
     Box,
     Choice,
     Compare,
+    Divide,
     Exists,
     FalseF,
     Forall,
+    Implies,
     Loop,
     Minus,
     Neg,
     Not,
     ODE,
+    Or,
     Plus,
     Rational,
     Seq,
     Test as Guard,
+    Times,
     TrueF,
     Variable,
+    children,
+    conj,
     num,
+    seq,
     var,
     walk,
 )
-from ccskit.dsl import parse_program_text
+from ccskit.components import Contract, make_ccs, with_contract
+from ccskit.dsl import load_file, parse_program_text
+from ccskit.errors import CcsError
+from ccskit.obligations import (
+    check_bounded,
+    obligations_ccs,
+    obligations_controllers,
+    obligations_plants,
+)
 from ccskit.statics import (
     all_vars,
     bound_vars,
@@ -52,6 +76,7 @@ from ccskit.statics import (
     must_bound_vars,
 )
 from dict_states import program_on_dicts
+from test_obligations import TT_BOX, WT_BOX
 
 
 # --- the worked example kept as a golden vector ----------------------------
@@ -208,6 +233,194 @@ def test_corpus_controller_sets(watertank):
     assert must_bound_vars(prog) == frozenset({"wlm", "fin", "tau_1"})
     assert free_vars(prog) == frozenset({"wl", "t", "tau_1", "fin"})
     assert bound_vars(watertank.plant.to_program()) == frozenset({"wl", "t"})
+
+
+# --- the kept pair against a walk that keeps nothing ----------------------
+
+
+def _walked_free_and_bound(node) -> tuple[frozenset, tuple]:
+    """The reference for free_and_bound_vars: one walk of the whole tree
+    that keeps nothing on it, adding each free name outside the names
+    bound on every path to it and each bound name in walk order."""
+    free: set[str] = set()
+    written: dict[str, None] = {}
+    _walk_free(node, frozenset(), free, written)
+    return frozenset(free), tuple(written)
+
+
+def _walk_free(node, bound, free, written) -> None:
+    # Loops down each last child, so a long right-nested chain does not
+    # recurse.
+    while True:
+        if isinstance(node, Variable):
+            if node.name not in bound:
+                free.add(node.name)
+            return
+        if isinstance(node, (Plus, Minus, Times, Divide, Compare, And, Or, Implies)):
+            _walk_free(node.left, bound, free, written)
+            node = node.right
+        elif isinstance(node, (Neg, Not)):
+            node = node.operand
+        elif isinstance(node, (Rational, TrueF, FalseF)):
+            return
+        elif isinstance(node, Box):
+            _walk_free(node.program, bound, free, written)
+            bound = bound | must_bound_vars(node.program)
+            node = node.post
+        elif isinstance(node, (Forall, Exists)):
+            written[node.var] = None
+            bound = bound | {node.var}
+            node = node.body
+        elif isinstance(node, Guard):
+            node = node.condition
+        elif isinstance(node, Assign):
+            written[node.var] = None
+            node = node.rhs
+        elif isinstance(node, Seq):
+            _walk_free(node.first, bound, free, written)
+            bound = bound | must_bound_vars(node.first)
+            node = node.second
+        elif isinstance(node, Choice):
+            _walk_free(node.left, bound, free, written)
+            node = node.right
+        elif isinstance(node, Loop):
+            node = node.body
+        elif isinstance(node, ODE):
+            evolved = [v for v, _ in node.equations]
+            written.update(dict.fromkeys(evolved))
+            free.update(v for v in evolved if v not in bound)
+            for _, rhs in node.equations:
+                _walk_free(rhs, bound, free, written)
+            node = node.domain
+        else:
+            raise TypeError(f"not an AST node: {node!r}")
+
+
+def _assert_kept_pair_is_the_walked_one(node) -> None:
+    expected = _walked_free_and_bound(node)
+    assert free_and_bound_vars(node) == expected
+    assert free_and_bound_vars(node) == expected  # now kept on the node
+
+
+@given(st.one_of(_NODES, randgen.goals(), randgen.programs(), randgen.goals(randgen.affine_flows())))
+@settings(max_examples=500, deadline=None)
+def test_kept_pair_is_the_walked_one(node):
+    """Free names and bound names in first-bind order, as one walk of
+    the whole tree finds them, on the first call and from the node."""
+    _assert_kept_pair_is_the_walked_one(node)
+
+
+@given(randgen.goals(), randgen.goals())
+@settings(max_examples=200, deadline=None)
+def test_a_shared_subtree_keeps_one_pair_in_every_context(a, b):
+    """A subtree whose pair is kept before its parents are built gives
+    each parent what a walk of that parent finds."""
+    free_and_bound_vars(a)
+    for node in (And(a, b), Box(Seq(Assign("x0", var("u0")), Loop(Guard(a))), a), Forall("x0", a)):
+        _assert_kept_pair_is_the_walked_one(node)
+
+
+def _corpus_goals(corpus_dir, two_tanks_parts) -> list:
+    goals = []
+    for path in sorted(corpus_dir.glob("*.ccs")):
+        try:
+            system = load_file(path)
+        except CcsError:
+            continue
+        goals += [ob.goal for ob in obligations_ccs(system)]
+    _, rcs, cps, env, invariant = two_tanks_parts
+    obs = obligations_controllers(rcs[0], rcs[1], env=env, invariant=invariant)
+    obs += obligations_plants(cps[0], cps[1], env=env, invariant=invariant)
+    return goals + [ob.goal for ob in obs]
+
+
+def test_every_corpus_obligation_keeps_the_walked_pair(corpus_dir, two_tanks_parts):
+    goals = _corpus_goals(corpus_dir, two_tanks_parts)
+    assert len(goals) > 60
+    for goal in goals:
+        _assert_kept_pair_is_the_walked_one(goal)
+
+
+def _distinct_nodes(roots) -> dict[int, object]:
+    seen: dict[int, object] = {}
+    todo = list(roots)
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(children(node))
+    return seen
+
+
+def test_the_check_sets_compute_each_pair_once_per_distinct_node(corpus_dir, monkeypatch):
+    """Checking the 60 obligations of the four check sets computes the
+    free and bound names of each distinct formula and program node at
+    most once, however many goals share it, and keeps them there: at
+    most 849 pairs for 7,352 tree nodes. Terms and comparisons keep
+    nothing."""
+    wt, tt, tight = (load_file(corpus_dir / f"{m}.ccs") for m in ("watertank", "two_tanks", "watertank_tight"))
+    vacuous = make_ccs(
+        with_contract(wt.controller.choices[0], Contract()),
+        with_contract(wt.plant, Contract()),
+        env=wt.env,
+        invariant=TRUE,
+        name="vacuous",
+    )
+    sets = [(wt, WT_BOX), (tt, TT_BOX), (vacuous, WT_BOX), (tight, WT_BOX)]
+    obligations = [(ob, box) for system, box in sets for ob in obligations_ccs(system)]
+    assert len(obligations) == 60
+    computed: list = []
+    keep = statics._keep_vars
+    monkeypatch.setattr(statics, "_keep_vars", lambda node, pair: computed.append(node) or keep(node, pair))
+    for ob, box in obligations:
+        check_bounded(ob, box, grid=2, flow_samples=8)
+    distinct = _distinct_nodes(ob.goal for ob, _ in obligations)
+    assert len(distinct) <= 849
+    assert len({id(n) for n in computed}) == len(computed)
+    assert {id(n) for n in computed} <= distinct.keys()
+    atoms = (Variable, Rational, Plus, Minus, Times, Divide, Neg, Compare, TrueF, FalseF)
+    assert all(n._vars for n in distinct.values() if not isinstance(n, atoms))
+
+
+def _least_recursion_limit(fn) -> int:
+    """The least recursion limit, from this call's depth, under which
+    `fn()` returns without RecursionError."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    lo, hi = depth + 2, depth + 10000
+    limit = sys.getrecursionlimit()
+    try:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            sys.setrecursionlimit(mid)
+            try:
+                fn()
+                hi = mid
+            except RecursionError:
+                lo = mid + 1
+    finally:
+        sys.setrecursionlimit(limit)
+    return lo
+
+
+_cmp_x = Compare("<=", var("x"), num(1))
+
+
+@pytest.mark.parametrize("shape", ["right-nested seq", "left-nested conj"])
+def test_long_chains_need_no_more_recursion_than_the_walk(shape):
+    """A 5,000-long chain needs no deeper stack than the walk that keeps
+    nothing: a right-nested sequence is one loop down its spine, and a
+    left-nested conjunction one frame per level in both."""
+    link = Assign("x", Plus(var("x"), num(1))) if shape == "right-nested seq" else _cmp_x
+    join = seq if shape == "right-nested seq" else conj
+
+    def chain():  # new chain nodes over one shared link
+        return join(*[link] * 5000)
+
+    walked = _least_recursion_limit(lambda: _walked_free_and_bound(chain()))
+    kept = _least_recursion_limit(lambda: free_and_bound_vars(chain()))
+    assert kept <= walked
 
 
 # --- reference interpreter -------------------------------------------------
