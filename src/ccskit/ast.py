@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 
 class Record:
@@ -132,9 +132,10 @@ class Node(Record):
     the one function that derives it: `_vars` its free and bound names
     (`statics.free_and_bound_vars`; terms and comparisons keep none),
     `_modal` its `modality` and `_emitted` its last Python source with
-    the layout it was printed over (`simulator.emit_formula`; terms keep
-    none). Equality, hashing, `repr`, pickling and `replace` leave the
-    slots out, as they do every private slot.
+    the layout it was printed over (`simulator.emit_formula`, and for a
+    program `simulator.compile_program_over`; terms keep none).
+    Equality, hashing, `repr`, pickling and `replace` leave the slots
+    out, as they do every private slot.
     """
 
     __slots__ = ("_vars", "_modal", "_emitted")
@@ -217,7 +218,10 @@ class Not(Node):
 
 
 class And(Node):
-    __slots__ = ("left", "right")
+    """`left & right`. `_tests` keeps its conjuncts' sources with the
+    layout they were printed over (`simulator.conjunct_tests`)."""
+
+    __slots__ = ("left", "right", "_tests")
 
 
 class Or(Node):
@@ -261,10 +265,12 @@ class ODE(Node):
     """`{x' = e, ... & domain}`: continuous evolution inside the domain.
 
     `equations` is a tuple of `(variable, right-hand side)` pairs; the
-    evolution may stop at any time while the domain still holds.
+    evolution may stop at any time while the domain still holds. `_exit`
+    keeps the sources of its exit time and step with the layout they
+    were printed over (`simulator.FlowSegment`).
     """
 
-    __slots__ = ("equations", "domain")
+    __slots__ = ("equations", "domain", "_exit")
 
 
 class Seq(Node):
@@ -599,6 +605,21 @@ def _print_formula(
 
 def print_formula(f: Formula, syntax: tuple[str, str] = CCS_SYNTAX) -> str:
     return _print_formula(f, syntax, 0)
+
+
+def print_box_implications(
+    pre: Formula, cases: Iterable[tuple[Program, Formula]], syntax: tuple[str, str] = CCS_SYNTAX
+) -> list[str]:
+    """`print_formula(Implies(pre, Box(program, post)), syntax)` for each
+    `(program, post)` of `cases`, with `pre` printed once, and so each
+    program that consecutive cases share."""
+    head = _print_formula(pre, syntax, _F_IMP + 1)
+    out, last, program_text = [], None, ""
+    for program, post in cases:
+        if program is not last:
+            last, program_text = program, print_program_inline(program, syntax)
+        out.append(f"{head} -> [{program_text}] {_print_formula(post, syntax, _F_NOT)}")
+    return out
 
 
 def _print_statement(p: Program, syntax: tuple[str, str]) -> str:

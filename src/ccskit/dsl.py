@@ -619,7 +619,9 @@ def build_components(source: ModelSource | str, system: str | None = None) -> Pa
     """Resolve one system declaration into its gated parts.
 
     Timestamps are allocated tau_1, tau_2, ... in the order controllers
-    are listed in the system declaration.
+    are listed in the system declaration. A contract must name a declared
+    component and an invariant a declared system (UnresolvedName
+    otherwise), each at most once.
     """
     m = parse(source) if isinstance(source, str) else source
     if not m.systems:
@@ -644,6 +646,14 @@ def build_components(source: ModelSource | str, system: str | None = None) -> Pa
         if d.component not in controllers and d.component not in plants:
             raise UnresolvedName(d.component, "contract declarations")
         contracts[d.component] = d.contract
+    systems = {s.name for s in m.systems}
+    invariants: dict[str, Formula] = {}
+    for d in m.invariants:
+        if d.name in invariants:
+            raise CcsError(f"two invariants declared for {d.name!r}")
+        if d.name not in systems:
+            raise UnresolvedName(d.name, "invariant declarations")
+        invariants[d.name] = d.formula
 
     rcs: list[ReactiveController] = []
     for i, name in enumerate(sysdecl.controllers, 1):
@@ -676,11 +686,7 @@ def build_components(source: ModelSource | str, system: str | None = None) -> Pa
             )
         )
 
-    invariant: Formula = TRUE
-    for d in m.invariants:
-        if d.name == sysdecl.name:
-            invariant = d.formula
-    return sysdecl, rcs, cps, _environment(m), invariant
+    return sysdecl, rcs, cps, _environment(m), invariants.get(sysdecl.name, TRUE)
 
 
 def load(

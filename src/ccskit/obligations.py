@@ -26,22 +26,23 @@ Rule tags: thm1 (controller + plant), thm2 (controller pair), thm3
 `check_bounded` is not a prover. It grids the antecedent box, unrolls
 loops, samples ODE flows, and reports `holds` only in the sense of
 "no counterexample in this finite exploration"; the caveat field always
-spells out the truncations. Each side of a goal compiles once, by the
-simulator's `compile_goal`, to one function over tuple states: its
-boxes enumerate the final states of the program semantics a simulated
-controller firing uses, and its quantifiers the grid of their
-variable; this module prints no generated code itself. The layout is
-the domain box's names plus those the goal binds, sorted; an
-obligation keeps its compiled goal, so later calls at any grid reuse
-it. Witness states become dicts only in the result, without the slots
-the search never set.
+spells out the truncations. A goal compiles once, by the simulator's
+`compile_check`, to one generated grid search per grid shape over tuple
+states: the antecedent's conjuncts are tested at the outermost loop
+that binds their names, and the consequent is the function
+`compile_goal` makes, whose boxes enumerate the final states of the
+program semantics a simulated controller firing uses, and whose
+quantifiers the grid of their variable; this module prints no
+generated code itself. The layout is the domain box's names plus those
+the goal binds, sorted; an obligation keeps its compiled goal, so later
+calls at any grid of the same shape reuse it. Witness states become
+dicts only in the result, without the slots the search never set.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from typing import Callable
 
@@ -57,6 +58,7 @@ from .ast import (
     choice,
     conj,
     fraction_to_text,
+    print_box_implications,
     print_formula,
 )
 from .components import (
@@ -78,7 +80,7 @@ from .composition import (
     raise_on_violations,
 )
 from .errors import BoundOccursInBehavior, CcsError
-from .simulator import alias_root, box_interval, compile_goal, compile_tuple, slots_of
+from .simulator import alias_root, box_interval, compile_check, slots_of
 from .statics import all_vars, bound_vars, free_and_bound_vars, free_vars
 
 HINTS = frozenset(
@@ -281,6 +283,8 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
         f"{fraction_to_text(plant.controllability)} (arithmetic, auto-discharged)"
     )
     theorem = "thm1" if len(ctrl.choices) == 1 else "thm4"
+    refined = (conj(A_p, G_p), J)
+    refinement_notes = print_box_implications(inv, [(plant_delta, post) for post in refined])
 
     steps = [
         (
@@ -325,11 +329,10 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
                 "differential-refinement",
                 plant_own,
                 post,
-                "in-system runs are cut short at the reactivity: "
-                + print_formula(Implies(inv, Box(plant_delta, post))),
+                "in-system runs are cut short at the reactivity: " + note,
                 link_note,
             )
-            for post in (conj(A_p, G_p), J)
+            for post, note in zip(refined, refinement_notes)
         ),
         (
             "compatibility",
@@ -503,22 +506,27 @@ def obligations_plants(
         f"{fraction_to_text(b.controllability)}) = {fraction_to_text(bound)}"
     )
 
-    def reuse_step(p: ControllablePlant, other: ControllablePlant):
-        clause = conj(p.contract.assume, p.contract.guarantee)
-        ghosted = p.replace(domain=conj(p.domain, other.domain)).to_program(bound=bound)
-        return (
-            "component-proof-reuse",
-            joint_prog,
-            clause,
-            f"joint time bound {min_txt}",
-            "the other side's equations are removable ghosts here; retained "
-            "goal over own dynamics: "
-            + print_formula(Implies(inv, Box(ghosted, clause))),
-        )
+    # Each side's reuse case: its clause, over its own dynamics with the
+    # other side's equations as ghosts.
+    clauses = [conj(p.contract.assume, p.contract.guarantee) for p in (a, b)]
+    ghosted = [
+        p.replace(domain=conj(p.domain, other.domain)).to_program(bound=bound)
+        for p, other in ((a, b), (b, a))
+    ]
+    retained = print_box_implications(inv, zip(ghosted, clauses))
 
     steps = [
-        reuse_step(a, b),
-        reuse_step(b, a),
+        *(
+            (
+                "component-proof-reuse",
+                joint_prog,
+                clause,
+                f"joint time bound {min_txt}",
+                "the other side's equations are removable ghosts here; retained "
+                "goal over own dynamics: " + note,
+            )
+            for clause, note in zip(clauses, retained)
+        ),
         (
             "composition-invariant",
             joint_prog,
@@ -573,41 +581,38 @@ def _compiled_goal(
     roots: dict[str, str],
     written: tuple[str, ...],
     box_names: tuple[str, ...],
-) -> tuple[tuple[str, ...], Callable, Callable, Callable]:
-    """(layout, point, antecedent, consequent) for `goal`, whose free
-    names have the gridded `roots` and which binds the `written` names.
+) -> tuple[tuple[str, ...], Callable]:
+    """(layout, search_of) for `goal`, whose free names have the gridded
+    `roots` and which binds the `written` names: `search_of(looped)` is
+    the grid search of compile_check over a grid of that shape.
 
     The layout is the names of the domain box (`box_names`) and the
     `written` names, sorted: every name the goal reads or writes, as the
     box holds every free name and its root. Goals checked against one
     box so share the compiled code of their common programs and flows.
-    `point(combo)` is the state of one grid point, whose combo holds a
-    coordinate per sorted root and then None: each free name takes its
-    root's coordinate, and every other slot is unset. An implication's
-    sides are compiled apart (see compile_goal), so a point counts as
-    checked only when the antecedent holds; any other goal has the
-    antecedent `true`. The grid and the truncation flag are arguments,
-    so one compiled goal serves every grid.
+    At a grid point each free name and each root holds the coordinate of
+    its root's axis, one per sorted root, and every other slot is unset.
+    An implication's sides are compiled apart (see compile_check); any
+    other goal has the antecedent `true`. The grid and the truncation
+    flag are arguments of the search, so one search serves every grid of
+    its shape.
 
-    An obligation `ob` keeps the last result in its `_compiled` slot,
-    keyed by `flow_samples`, `roots` and `box_names` (which with the
-    goal fix the layout), so checking it again at another grid compiles
-    nothing.
+    An obligation `ob` keeps the result in its `_compiled` slot, keyed by
+    `flow_samples`, `roots` and `box_names` (which with the goal fix the
+    layout), so checking it again at another grid of a shape it was
+    checked at compiles nothing.
     """
     key = (flow_samples, roots, box_names)
     cached = getattr(ob, "_compiled", None)
     if cached is not None and cached[0] == key:
         return cached[1]
-    keys = sorted(set(roots.values()))
     layout = tuple(sorted({*written, *box_names}))
-    slots = slots_of(layout)
-    column = {k: i for i, k in enumerate(keys)}
-    point = compile_tuple(
-        "c", (f"c[{column.get(roots.get(n, n), len(keys))}]" for n in layout)
-    )
+    column = {k: i for i, k in enumerate(sorted(set(roots.values())))}
+    columns = tuple(column.get(roots.get(n, n)) for n in layout)
     sides = (goal.left, goal.right) if isinstance(goal, Implies) else (TRUE, goal)
     compiled = (
-        layout, point, *(compile_goal(f, slots, CHECK_UNROLL, flow_samples) for f in sides)
+        layout,
+        compile_check(*sides, slots_of(layout), columns, CHECK_UNROLL, flow_samples),
     )
     if ob is not None:
         object.__setattr__(ob, "_compiled", (key, compiled))
@@ -635,9 +640,12 @@ def check_bounded(
     States are tuples over a layout of the box's names and the goal's
     (see _compiled_goal). A slot holds None until set: free names and
     their roots are set at each grid point, the rest only once a program
-    or quantifier writes them. The counterexample and initial states are
-    dicts in layout order, without the unset slots. Raises ValueError
-    when `grid` or `flow_samples` is below 1.
+    or quantifier writes them. The points are searched in the order of
+    the axes' product by one generated function (see compile_check),
+    which tests each antecedent conjunct at the outermost loop that binds
+    its names and counts a block it skips in `total`. The counterexample
+    and initial states are dicts in layout order, without the unset
+    slots. Raises ValueError when `grid` or `flow_samples` is below 1.
     """
     for name, value in (("grid", grid), ("flow_samples", flow_samples)):
         if value < 1:
@@ -658,9 +666,8 @@ def check_bounded(
             "pin more variables or lower the grid"
         )
 
-    layout, point, pre, post = _compiled_goal(
-        goal, ob, flow_samples, roots, written, tuple(domain_box)
-    )
+    layout, search_of = _compiled_goal(goal, ob, flow_samples, roots, written, tuple(domain_box))
+    search = search_of(tuple(len(axis) > 1 for axis in axes))
     # Non-empty once a loop, a flow or a quantifier grid has cut the search
     # short; `witness` holds the state the last `fail` call saw. No
     # function refers back to another, so nothing this call makes waits
@@ -668,33 +675,16 @@ def check_bounded(
     cut_short: set[bool] = set()
     cut = functools.partial(cut_short.add, True)
     witness: collections.deque[tuple] = collections.deque(maxlen=1)
-    fail = witness.append
     axis_of = functools.partial(_quantifier_axis, domain_box, grid, layout)
 
-    checked = 0
-    total = 0
-    for combo in itertools.product(*axes, (None,)):
-        state = point(combo)
-        total += 1
-        if not pre(state, axis_of, cut, fail):
-            continue
-        checked += 1
-        if not post(state, axis_of, cut, fail):
-            return BoundedCheckResult(
-                status="counterexample",
-                checked=checked,
-                total=total,
-                counterexample=_named(layout, witness[0]),
-                initial=_named(layout, state),
-                caveat=_caveat(grid, flow_samples, bool(cut_short), checked),
-            )
-    status = "holds" if checked > 0 else "inconclusive"
+    checked, total, initial = search(axes, axis_of, cut, witness.append)
+    found = initial is not None
     return BoundedCheckResult(
-        status=status,
+        status="counterexample" if found else "holds" if checked > 0 else "inconclusive",
         checked=checked,
         total=total,
-        counterexample=None,
-        initial=None,
+        counterexample=_named(layout, witness[0]) if found else None,
+        initial=_named(layout, initial) if found else None,
         caveat=_caveat(grid, flow_samples, bool(cut_short), checked),
     )
 

@@ -46,7 +46,10 @@ its one helper table holding the loops, flows and box programs the
 generated code calls. A goal's boxes and quantifiers are generated
 loops, each in a def of its own, and an exact flow with an affine
 domain is sampled by one generated function (`flow_states`) with its
-domain test and exit time inline. Every source is compiled inside
+domain test and exit time inline. The checker's grid search is
+generated too (`compile_check`): one nested `for` per axis of more than
+one value, with each antecedent conjunct tested at the outermost loop
+that binds what it reads. Every source is compiled inside
 `_guarded`, the one place where a source Python will not compile raises
 CcsError naming the program, formula or flow domain it was printed from.
 
@@ -66,6 +69,7 @@ import functools
 import io
 import math
 import random
+import re
 from itertools import chain, compress
 from numbers import Real
 from operator import is_, is_not, itemgetter
@@ -264,6 +268,8 @@ def emit_formula(f: Formula, slots: Slots) -> str:
 
 
 _keep_source = Node._emitted.__set__
+_keep_exit = ODE._exit.__set__
+_keep_tests = And._tests.__set__
 
 
 def _tuple_source(items: Iterable[str]) -> str:
@@ -405,14 +411,19 @@ class FlowSegment:
         self._at = emit_update(width, {i: f"(s[{i}] + (k[{j}] * dt))" for j, i in moved})
         if self.domain_affine:
             # The sources exit_time and step are compiled from on first use;
-            # a run's pass inlines the step's.
-            slopes, held, exit_dt = self._exit_parts = _emit_exit_time(ode, slots)
-            end = self._end = emit_update(
-                width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
-            self.step_source = (
-                f"(_last(s, _k, _e) if (_e := {exit_dt}) <= dt else ({end}, dt)) "
-                f"if dt > 0.0 and {held} and (_k := ({slopes})) else _slow(s, dt)"
-            )
+            # a run's pass inlines the step's. The ODE keeps them with the
+            # layout they were printed over.
+            kept = getattr(ode, "_exit", None)
+            if kept is None or kept[0] is not slots:
+                slopes, held, exit_dt = exit_parts = _emit_exit_time(ode, slots)
+                end = emit_update(width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
+                step = (
+                    f"(_last(s, _k, _e) if (_e := {exit_dt}) <= dt else ({end}, dt)) "
+                    f"if dt > 0.0 and {held} and (_k := ({slopes})) else _slow(s, dt)"
+                )
+                kept = (slots, exit_parts, end, step)
+                _keep_exit(ode, kept)
+            _, self._exit_parts, self._end, self.step_source = kept
             return
         # slopes(state): the right-hand sides, in equation order;
         # _shift(state, k, c): state + c * k, as RK4 writes it. A failure
@@ -784,8 +795,22 @@ def compile_program_over(
     Python allows, so P can nest 99 levels deep, and past about 200
     levels printing the expression recurses too deeply.
     """
-    return _compile(p, lambda p, slots, helper: "lambda s, cut: " + _emit_program(
-        p, slots, helper), slots, unroll, flow_samples)
+    return _compile(p, _program_source, slots, unroll, flow_samples)
+
+
+def _program_source(p: Program, slots: Slots, helper: Callable[[Program], str]) -> str:
+    """`lambda s, cut: ` and the expression of `p` (see _emit_program). A
+    program that runs no helper keeps its source with `slots`, as a
+    formula does (see emit_formula): the obligations of a composition
+    share their programs, so a shared one prints once per layout."""
+    kept = getattr(p, "_emitted", None)
+    if kept is not None and kept[0] is slots:
+        return kept[1]
+    helped = []
+    text = "lambda s, cut: " + _emit_program(p, slots, lambda q: helped.append(q) or helper(q))
+    if not helped:
+        _keep_source(p, (slots, text))
+    return text
 
 
 def compile_goal(
@@ -797,6 +822,142 @@ def compile_goal(
     `flow_samples`. Raises ValueError when `flow_samples` is below 1, and
     CcsError when Python will not compile it."""
     return _compile(f, _goal_source, slots, unroll, flow_samples)
+
+
+def conjunct_tests(f: Formula, slots: Slots) -> tuple[str, ...] | None:
+    """The texts of `f`'s conjuncts over the state `s`, as emit_formula
+    prints them, in order and each once, less `True`: tests a grid
+    search may run apart and reorder, as none can raise. None when `f`
+    has a box or a quantifier, or divides (a `_dz(` text), which must
+    run whole. An And keeps its tests with `slots`. Raises CcsError
+    naming `f` when it nests too deeply to print (see `_guarded`)."""
+    if modality(f):
+        return None
+    kept = getattr(f, "_tests", None)
+    if kept is not None and kept[0] is slots:
+        return kept[1]
+    texts = _guarded(f, lambda: dict.fromkeys(emit_formula(c, slots) for c in conjuncts(f)))
+    texts.pop("True", None)
+    tests = None if any("_dz(" in t for t in texts) else tuple(texts)
+    if isinstance(f, And):
+        _keep_tests(f, (slots, tests))
+    return tests
+
+
+# A slot read `s[i]` in an emitted formula.
+_SLOT = re.compile(r"s\[(\d+)\]")
+
+
+@functools.lru_cache(maxsize=256)
+def _search_source(tests: tuple[str, ...] | None, columns: tuple[int | None, ...],
+                   looped: tuple[bool, ...]) -> tuple[str, bool]:
+    """The source of `search(axes, axis, cut, fail)` over `pre` and
+    `post` (see compile_check), and whether it calls `pre`. Slot i of a
+    point holds the coordinate `c{k}` of axis k = `columns[i]`, or None.
+
+    A test runs at the outermost loop that binds every slot it reads:
+    level 0 before the loops, level j inside the j-th of the axes with
+    `looped` set. When no test lands in a loop outside the innermost
+    one, nothing is gained by testing apart: the search calls `pre` at
+    each point instead, and its source, which then names no test, is
+    shared by every antecedent over the same columns and shape."""
+    order = [k for k, many in enumerate(looped) if many]
+    level = {k: i for i, k in enumerate(order, 1)}  # a one-value axis is level 0
+    slot_level = [level.get(k, 0) for k in columns]
+    at: list[list[str]] = [[] for _ in range(len(order) + 1)]
+    for t in tests if tests and len(order) > 1 else ():
+        at[max([slot_level[int(i)] for i in _SLOT.findall(t)], default=0)].append(t)
+    if not any(at[1:-1]):
+        return _search_text(columns, looped, None), True
+    rewrites = [(f"s[{i}]", f"c{k}") for i, k in enumerate(columns) if k is not None]
+    joined = []
+    for level_tests in at:
+        text = " and ".join(level_tests)
+        for slot, coordinate in rewrites if text else ():
+            text = text.replace(slot, coordinate)
+        joined.append(text)
+    return _search_text(columns, looped, tuple(joined)), False
+
+
+@functools.lru_cache(maxsize=256)
+def _search_text(columns: tuple[int | None, ...], looped: tuple[bool, ...],
+                 at: tuple[str, ...] | None) -> str:
+    """The source _search_source describes: one `for` per axis with
+    `looped` set, outermost first, the other axes bound before them. The
+    tests `at[j]` of level j run there, and when they fail `total` skips
+    the block of points inside; with `at` None, `pre` runs at each point.
+    Binding the one-value axes first keeps the search within CPython's
+    20 nested blocks: a grid of 200,000 points loops at most 17 axes."""
+    order = [k for k, many in enumerate(looped) if many]
+    depth = len(order)
+    tests = at or ("",) * (depth + 1)
+
+    def block(k: int) -> str:  # the number of points inside level k
+        return " * ".join(f"len(axes[{c}])" for c in order[k:]) or "1"
+
+    lines = [f"c{k} = axes[{k}][0]" for k, many in enumerate(looped) if not many]
+    lines += [f"b{k} = {block(k)}" for k in range(1, depth) if tests[k]]
+    lines.append("checked = total = 0")
+    pad = ""
+    for k in range(depth):
+        if tests[k]:
+            lines.append(f"{pad}if not ({tests[k]}):")
+            lines += [f"{pad} total += b{k}", f"{pad} continue"] if k else [
+                f" return 0, {block(0)}, None"]
+        lines.append(f"{pad}for c{order[k]} in axes[{order[k]}]:")
+        pad += " "
+    state = f"s = {_tuple_source('None' if k is None else f'c{k}' for k in columns)}"
+    if at is None:
+        lines += [f"{pad}total += 1", f"{pad}{state}", f"{pad}if pre(s, axis, cut, fail):",
+                  f"{pad} checked += 1"]
+    else:
+        lines += [f"{pad}total += 1", f"{pad}if {tests[depth] or 'True'}:",
+                  f"{pad} checked += 1", f"{pad} {state}"]
+    lines += [f"{pad} if not post(s, axis, cut, fail):", f"{pad}  return checked, total, s",
+              "return checked, total, None"]
+    return "\n def search(axes, axis, cut, fail):" + "".join(
+        f"\n  {line}" for line in lines) + "\n return search"
+
+
+def _implied(*_args) -> bool:
+    """A consequent whose every conjunct the antecedent tests: it holds
+    wherever a search reaches it."""
+    return True
+
+
+def compile_check(
+    pre: Formula, post: Formula, slots: Slots, columns: tuple[int | None, ...],
+    unroll: int = LOOP_CAP, flow_samples: int = 32,
+) -> Callable[[tuple[bool, ...]], Callable]:
+    """The goal `pre -> post` over the layout `slots`, compiled for a grid
+    search: a function giving the search of a grid shape `looped` (which
+    axes hold more than one value), compiled on first use.
+
+    `search(axes, axis, cut, fail)` goes over the points of the grid
+    `axes` (the coordinates of each axis) in the order of their product.
+    It counts each in `total` and, where `pre` holds, in `checked`, and
+    stops at the first where `post` fails: `(checked, total, that point
+    or None)`. Slot i of a point holds the coordinate of axis
+    `columns[i]`, or None. `pre` is tested by its conjunct_tests, each at
+    the outermost loop that binds what it reads, or whole at each point
+    (see _search_source); `post` by compile_goal at the bounds `unroll`
+    and `flow_samples`, unless `pre` tests each of its conjuncts. Raises
+    CcsError naming `pre` when Python will not compile the search."""
+    tests = conjunct_tests(pre, slots)
+    post_tests = None if tests is None else conjunct_tests(post, slots)
+    implied = post_tests is not None and set(post_tests) <= set(tests)
+    holds = _implied if implied else compile_goal(post, slots, unroll, flow_samples)
+    whole = functools.cache(functools.partial(compile_goal, pre, slots, unroll, flow_samples))
+    searches: dict[tuple[bool, ...], Callable] = {}
+
+    def search(looped: tuple[bool, ...]) -> Callable:
+        if looped not in searches:
+            source, calls_pre = _search_source(tests, columns, looped)
+            searches[looped] = _guarded(pre, lambda: compile_source("pre, post", source)(
+                whole() if calls_pre else None, holds))
+        return searches[looped]
+
+    return search
 
 
 # ---------------------------------------------------------------------------
@@ -923,12 +1084,21 @@ def _contracts(system: MCCS) -> list[tuple[str, Contract]]:
 
 
 def system_variables(system: MCCS) -> frozenset[str]:
-    out = all_vars(system.to_program())
+    """Every name the closed loop reads or writes, read from its
+    components: the names `all_vars(system.to_program())` gives (the
+    clock, the plant's equations and domain, and each controller's
+    timestamp and behaviour) and those of the environment, the invariant
+    and each contract."""
+    plant = system.plant
+    out = {CLOCK, *plant.evolved, *plant.rhs_free_vars(), *free_vars(plant.domain)}
+    for rc in system.controller.choices:
+        out.add(rc.timestamp)
+        out |= all_vars(rc.ctrl)
     out |= free_vars(system.env.formula)
     out |= free_vars(system.invariant)
     for _, contract in _contracts(system):
         out |= contract.free_vars()
-    return out
+    return frozenset(out)
 
 
 def alias_root(box: dict, name: str) -> str:

@@ -306,6 +306,17 @@ def test_check_two_consts_of_one_name_is_exit_1(capsys, corpus_dir, tmp_path):
     assert result.stderr == f"{model}: rejected (CcsError): two const declarations for 'fout'\n"
 
 
+def test_check_an_invariant_naming_no_system_is_exit_1(capsys, corpus_dir, tmp_path):
+    model = tmp_path / "renamed.ccs"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    model.write_text(text.replace("invariant watertank:", "invariant wt:"))
+    result = invoke(capsys, "check", model)
+    assert result.exit_code == 1
+    assert result.stderr == (
+        f"{model}: rejected (UnresolvedName): unresolved name 'wt' in invariant declarations\n"
+    )
+
+
 def test_check_unschedulable_is_exit_1(capsys, corpus_dir):
     result = invoke(capsys, "check", corpus_dir / "two_tanks_slow.ccs")
     assert result.exit_code == 1

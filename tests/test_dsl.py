@@ -144,6 +144,36 @@ def test_two_contracts_for_one_component_are_rejected():
     assert str(e.value) == "two contracts declared for 'c'"
 
 
+_INVARIANT_MODEL = (
+    "controller c every 0.1 { x := 1; }\n"
+    "plant p within 0.5 { y' = 1 & y >= 0 }\n"
+    "contract c { assume true guarantee x = 1 init true }\n"
+    "contract p { assume true guarantee y >= 0 init true }\n"
+    "system s = c | p\n"
+)
+
+
+def test_an_invariant_that_names_no_system_is_rejected():
+    """As a contract that names no component is: the invariant is not
+    silently dropped from the monitors and the obligations."""
+    text = _INVARIANT_MODEL + "invariant inv: x = 1\n"
+    with pytest.raises(UnresolvedName) as e:
+        dsl.build_components(text)
+    assert str(e.value) == "unresolved name 'inv' in invariant declarations"
+
+
+def test_two_invariants_for_one_system_are_rejected():
+    text = _INVARIANT_MODEL + "invariant s: x = 1\ninvariant s: y >= 0\n"
+    with pytest.raises(CcsError) as e:
+        dsl.build_components(text)
+    assert str(e.value) == "two invariants declared for 's'"
+
+
+def test_an_invariant_named_after_its_system_is_kept():
+    *_, invariant = dsl.build_components(_INVARIANT_MODEL + "invariant s: x = 1\n")
+    assert print_formula(invariant) == "x = 1"
+
+
 def test_two_consts_of_one_name_are_rejected():
     text = (
         "const k = 0.75\n"

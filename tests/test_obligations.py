@@ -24,10 +24,12 @@ from ccskit.ast import (
     Box,
     Choice,
     Compare,
+    Divide,
     Exists,
     Forall,
     Implies,
     Loop,
+    Minus,
     Not,
     Or,
     Plus,
@@ -35,6 +37,7 @@ from ccskit.ast import (
     Test as Guard,
     Times,
     choice,
+    conj,
     num,
     print_formula,
     seq,
@@ -63,10 +66,12 @@ from ccskit.obligations import (
     obligations_plants,
     render_kyx,
 )
+from ccskit import simulator
 from ccskit.simulator import (
     compile_goal,
     compile_program_over,
     compile_source,
+    conjunct_tests,
     emit_formula,
     slots_of,
 )
@@ -583,6 +588,13 @@ def test_check_bounded_goal_nested_too_deeply_is_a_ccs_error():
         named = rf"^formula nests too deeply to compile \(SyntaxError\): {text}"
         with pytest.raises(CcsError, match=named):
             check_bounded(goal, {"x": [0, 1]})
+    # As an antecedent, called whole at each point or tested inside the
+    # loop over x, apart from a test on y hoisted out of it.
+    post = Compare(">=", var("x"), num(0))
+    y_low = Compare("<=", var("y"), num(0))
+    for pre, box in ((f, {"x": [0, 1]}), (And(y_low, f), {"x": [0, 1], "y": [0, 1]})):
+        with pytest.raises(CcsError, match=r"^formula nests too deeply to compile \(SyntaxError\): "):
+            check_bounded(Implies(pre, post), box)
 
 
 def test_check_bounded_flow_domain_nested_too_deeply_is_a_ccs_error():
@@ -799,6 +811,170 @@ def test_check_bounded_matches_the_tree_semantics(goal, box, grid, flow_samples)
     expected = _outcome(_tree_check, goal, box, grid, flow_samples)
     got = _outcome(lambda: check_bounded(goal, box, grid, flow_samples).to_json())
     assert got == expected
+
+
+# -- the grid search against the reference -----------------------------------
+
+_DIVISOR = st.sampled_from(
+    [Minus(var("x0"), var("u0")), Plus(var("u1"), num(1)), var("t"), num(2)]
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    randgen.formulas(randgen.GOAL_NAMES),
+    st.builds(
+        Compare, st.sampled_from(["<=", "<", ">=", ">", "=", "!="]),
+        st.builds(Divide, randgen.terms(randgen.GOAL_NAMES), _DIVISOR),
+        randgen.terms(randgen.GOAL_NAMES),
+    ),
+    st.booleans(),
+    randgen.goals(),
+    randgen.goal_boxes(),
+    st.integers(1, 3),
+)
+# `x0 > 5` never holds, so the division by t = 0, which reads only the
+# outer axis t, is never reached: tested apart in the loop over t, it
+# would raise.
+@example(
+    Compare(">", var("x0"), num(5)),
+    Compare(">=", Divide(num(1), var("t")), num(0)),
+    False,
+    Compare(">=", var("x0"), num(0)),
+    {**dict.fromkeys(randgen.GOAL_NAMES, 0), "t": [0, 1], "x0": [0, 2]},
+    2,
+)
+def test_an_antecedent_that_divides_fails_where_the_tree_does(
+    other, divides, first, post, box, grid
+):
+    """An antecedent with a division runs whole at each point, in order:
+    a division by zero is raised at the point the reference raises it,
+    or not at all when the reference finds a counterexample first."""
+    pre = And(divides, other) if first else And(other, divides)
+    goal = Implies(pre, post)
+    expected = _outcome(_tree_check, goal, box, grid, 2)
+    got = _outcome(lambda: check_bounded(goal, box, grid, 2).to_json())
+    assert got == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(randgen.formulas(randgen.GOAL_NAMES[:4]), min_size=1, max_size=3),
+    st.lists(st.integers(0, 2), min_size=2, max_size=7),
+    randgen.goals(),
+    randgen.goal_boxes(),
+    st.integers(1, 3),
+)
+def test_repeated_antecedent_conjuncts_match_the_tree(pool, picks, post, box, grid):
+    """An antecedent whose conjuncts repeat (each tested once) checks as
+    the reference, which evaluates every one of them."""
+    pre = conj(*(pool[i % len(pool)] for i in picks))
+    goal = Implies(pre, post)
+    expected = _outcome(_tree_check, goal, box, grid, 2)
+    got = _outcome(lambda: check_bounded(goal, box, grid, 2).to_json())
+    assert got == expected
+
+
+def test_a_repeated_conjunct_is_tested_once():
+    x_high = Compare(">=", var("x"), num(2))
+    y_low = Compare("<", var("y"), num(1))
+    goal = Implies(conj(x_high, y_low, x_high, y_low), Compare(">", var("x"), var("y")))
+    tests = conjunct_tests(goal.left, slots_of(("x", "y")))
+    assert tests == ("(s[0] >= 2.0)", "(s[1] < 1.0)")
+    source, whole = simulator._search_source(tests, (0, 1), (True, True))
+    assert not whole
+    assert source.count(">= 2.0") == source.count("< 1.0") == 1
+
+
+def test_a_counterexample_after_skipped_blocks_counts_every_point():
+    """`x >= 2` is tested in the outer loop, so the blocks of x = 0 and
+    x = 1 are skipped whole; the counterexample at x = 3, y = 2 is the
+    15th point of the product, the 7th to satisfy the antecedent."""
+    goal = dsl.parse_formula_text("x >= 2 -> y < 2 | x < 3")
+    box = {"x": [0, 3], "y": [0, 3]}
+    result = check_bounded(goal, box, grid=4).to_json()
+    assert result == _tree_check(goal, box, 4, 32)
+    assert (result["status"], result["checked"], result["total"]) == ("counterexample", 7, 15)
+    assert result["initial"] == {"x": 3.0, "y": 2.0}
+
+
+@pytest.mark.parametrize("grid", [1, 2, 3])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 < 2 -> 2 < 1",  # no axis at all
+        "2 < 1 -> 1 < 2",
+        "x >= 1 & y < 2 -> x + y < 2",  # every axis one value (x and y pinned)
+        "x >= 1 -> [x := x + y] x < 3",
+    ],
+)
+def test_searches_with_no_loop_match_the_tree(text, grid):
+    goal = dsl.parse_formula_text(text)
+    box = {"x": 1, "y": 0.5}
+    assert check_bounded(goal, box, grid).to_json() == _tree_check(goal, box, grid, 32)
+
+
+_WIDE = [f"n{i:02d}" for i in range(25)]
+
+
+@pytest.mark.parametrize("grid", [1, 2])
+@pytest.mark.parametrize("hoisted", [True, False])
+def test_twenty_five_names_with_twenty_four_pinned_match_the_tree(grid, hoisted):
+    """25 gridded names, 24 of them one value: the search binds those
+    before its one loop (none at grid 1). The antecedent reads pinned
+    names, and, unless `hoisted` is off, also the looped one alone."""
+    box = {n: i for i, n in enumerate(_WIDE)}
+    box["n12"] = [0, 4]
+    pinned = conj(*(Compare(">=", var(n), num(0)) for n in _WIDE if n != "n12"))
+    looped = Compare("<=", var("n12"), num(3)) if hoisted else TRUE
+    post = Compare("<", Plus(var("n12"), var("n00")), var("n24"))
+    goal = Implies(conj(pinned, looped), post)
+    assert check_bounded(goal, box, grid).to_json() == _tree_check(goal, box, grid, 32)
+
+
+def test_seventeen_looped_axes_nest_one_loop_each():
+    """At grid 2 the cap allows 17 looped axes: one `for` each, inside
+    CPython's limit of 20 nested blocks. A test of the outermost name
+    skips its block; the rest are checked."""
+    names = [f"a{i:02d}" for i in range(17)]
+    box = {n: [0, 1] for n in names}
+    pre = conj(Compare(">=", var(names[0]), num(1)), Compare(">=", var(names[-1]), num(0)))
+    goal = Implies(pre, conj(*(Compare("<=", var(n), num(1)) for n in names)))
+    result = check_bounded(goal, box, grid=2)
+    assert (result.status, result.checked, result.total) == ("holds", 2**16, 2**17)
+
+
+# sha256 of every field of every result over the four check sets of the
+# benchmark (watertank, two_tanks, the contract-free system and
+# watertank_tight) at grids 2, 3 and 5 and 1, 8 and 32 flow samples:
+# 540 results, recorded before the grid search was generated.
+CORPUS_RESULTS_DIGEST = "a13e80357e28b11aaba03c426cb8abbb8b357148e219fa84cee202c1c512e805"
+
+
+def test_the_corpus_results_are_pinned(corpus_dir, watertank):
+    vacuous = make_ccs(
+        with_contract(watertank.controller.choices[0], Contract()),
+        with_contract(watertank.plant, Contract()),
+        env=watertank.env,
+        invariant=TRUE,
+        name="vacuous",
+    )
+    sets = {
+        "watertank": (watertank, WT_BOX),
+        "two_tanks": (dsl.load_file(corpus_dir / "two_tanks.ccs"), TT_BOX),
+        "vacuous": (vacuous, WT_BOX),
+        "watertank_tight": (dsl.load_file(corpus_dir / "watertank_tight.ccs"), WT_BOX),
+    }
+    results = []
+    for name, (system, box) in sets.items():
+        obligations = obligations_ccs(system)
+        for grid, flow_samples in itertools.product((2, 3, 5), (1, 8, 32)):
+            for ob in obligations:
+                result = check_bounded(ob, box, grid, flow_samples).to_json()
+                results.append([name, grid, flow_samples, ob.id, result])
+    assert len(results) == 540
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == CORPUS_RESULTS_DIGEST
 
 
 # sha256 of [status, checked, total, counterexample] per obligation, grid 5,

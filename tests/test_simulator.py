@@ -89,8 +89,10 @@ from ccskit.simulator import (
     run_batch,
     sample_init,
     slots_of,
+    system_variables,
     write_trace_csv,
 )
+from ccskit.statics import all_vars, free_vars
 from dict_states import formula_on_dicts, program_on_dicts, term_on_dicts
 from test_obligations import TT_BOX, WT_BOX
 
@@ -245,14 +247,16 @@ def test_equal_sources_share_one_compiled_function():
 # CompiledSystem and then one short run (which compiles the exact step on
 # first use), and checking watertank's and two_tanks' obligations at grid
 # 2, over the boxes of tests/test_obligations.py. Each is a ceiling: a
-# change that compiles more on the cold path shows here first.
+# change that compiles more on the cold path shows here first. The cold
+# checks' ceilings count the distinct sources and their characters.
 COLD_COMPILES = {
     "two_tanks": 10, "watertank": 8, "watertank_late_ctrl": 8, "watertank_tight": 9,
 }
-COLD_CHECK_COMPILES = {"watertank": 18, "two_tanks": 18}
+COLD_CHECK_COMPILES = {"watertank": 17, "two_tanks": 18}
+COLD_CHECK_CHARS = {"watertank": 6381, "two_tanks": 13385}
 
 
-def test_cold_compiles_stay_within_their_ceilings(corpus_dir):
+def test_cold_compiles_stay_within_their_ceilings(corpus_dir, monkeypatch):
     counts = {}
     for model in COLD_COMPILES:
         system = dsl.load_file(corpus_dir / f"{model}.ccs")
@@ -262,14 +266,44 @@ def test_cold_compiles_stay_within_their_ceilings(corpus_dir):
         run(system, Schedule("lazy-controller", 0, 1.0), sample_init(box, random.Random(0)))
         counts[model] = compile_source.cache_info().misses
     assert all(counts[m] <= ceiling for m, ceiling in COLD_COMPILES.items()), counts
-    checks = {}
+    sources: set[tuple[str, str]] = set()
+
+    def recorded(params, src):
+        sources.add((params, src))
+        return compile_source(params, src)
+
+    monkeypatch.setattr(ccskit.simulator, "compile_source", recorded)
+    checks, chars = {}, {}
     for model, box in (("watertank", WT_BOX), ("two_tanks", TT_BOX)):
         obligations = obligations_ccs(dsl.load_file(corpus_dir / f"{model}.ccs"))
         compile_source.cache_clear()
+        sources.clear()
         for ob in obligations:
             check_bounded(ob, box, grid=2, flow_samples=8)
         checks[model] = compile_source.cache_info().misses
+        chars[model] = sum(len(params) + len(src) for params, src in sources)
     assert all(checks[m] <= c for m, c in COLD_CHECK_COMPILES.items()), checks
+    assert all(chars[m] <= c for m, c in COLD_CHECK_CHARS.items()), chars
+
+
+def test_system_variables_are_those_of_the_closed_loop_program(corpus_dir):
+    """Read from the components, the names are those of the whole
+    closed-loop program and the environment, invariant and contracts,
+    on every corpus model that loads."""
+    loaded = []
+    for path in sorted(corpus_dir.glob("*.ccs")):
+        try:
+            loaded.append(dsl.load_file(path))
+        except CcsError:
+            continue
+    assert len(loaded) == 4
+    for system in loaded:
+        expected = all_vars(system.to_program())
+        expected |= free_vars(system.env.formula) | free_vars(system.invariant)
+        for rc in (*system.controller.choices, system.plant):
+            if rc.contract is not None:
+                expected |= rc.contract.free_vars()
+        assert system_variables(system) == expected
 
 
 def test_rk4_steps_follow_the_classic_formula_bit_for_bit():
