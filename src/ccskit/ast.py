@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 
 class Record:
@@ -131,9 +131,9 @@ class Node(Record):
     Its private slots keep what is derived from it, set on first use by
     the one function that derives it: `_vars` its free and bound names
     (`statics.free_and_bound_vars`; terms and comparisons keep none),
-    `_modal` its `modality` and `_emitted` its last Python source with
-    the layout it was printed over (`simulator.emit_formula`, and for a
-    program `simulator.compile_program_over`; terms keep none).
+    `_modal` its `modality`, and `_emitted`, with its layout, a formula's
+    last Python source (`simulator.emit_formula`; terms keep none) or the
+    function a program last ran as a helper (`simulator._compile`).
     Equality, hashing, `repr`, pickling and `replace` leave the slots
     out, as they do every private slot.
     """
@@ -218,10 +218,7 @@ class Not(Node):
 
 
 class And(Node):
-    """`left & right`. `_tests` keeps its conjuncts' sources with the
-    layout they were printed over (`simulator.conjunct_tests`)."""
-
-    __slots__ = ("left", "right", "_tests")
+    __slots__ = ("left", "right")
 
 
 class Or(Node):
@@ -265,12 +262,10 @@ class ODE(Node):
     """`{x' = e, ... & domain}`: continuous evolution inside the domain.
 
     `equations` is a tuple of `(variable, right-hand side)` pairs; the
-    evolution may stop at any time while the domain still holds. `_exit`
-    keeps the sources of its exit time and step with the layout they
-    were printed over (`simulator.FlowSegment`).
+    evolution may stop at any time while the domain still holds.
     """
 
-    __slots__ = ("equations", "domain", "_exit")
+    __slots__ = ("equations", "domain")
 
 
 class Seq(Node):
@@ -605,21 +600,6 @@ def _print_formula(
 
 def print_formula(f: Formula, syntax: tuple[str, str] = CCS_SYNTAX) -> str:
     return _print_formula(f, syntax, 0)
-
-
-def print_box_implications(
-    pre: Formula, cases: Iterable[tuple[Program, Formula]], syntax: tuple[str, str] = CCS_SYNTAX
-) -> list[str]:
-    """`print_formula(Implies(pre, Box(program, post)), syntax)` for each
-    `(program, post)` of `cases`, with `pre` printed once, and so each
-    program that consecutive cases share."""
-    head = _print_formula(pre, syntax, _F_IMP + 1)
-    out, last, program_text = [], None, ""
-    for program, post in cases:
-        if program is not last:
-            last, program_text = program, print_program_inline(program, syntax)
-        out.append(f"{head} -> [{program_text}] {_print_formula(post, syntax, _F_NOT)}")
-    return out
 
 
 def _print_statement(p: Program, syntax: tuple[str, str]) -> str:

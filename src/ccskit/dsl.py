@@ -205,10 +205,26 @@ class ModelSource(Record):
 # Parser
 
 
+# About the interpreter frames the parser's recursion may hold: one per `!` or
+# unary `-`, two per box, three per program, five per formula or bracketed term.
+# Well under Python's limit of 1000, so a model parses the same from any caller.
+MAX_NESTING = 600
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # the frames held, as MAX_NESTING counts them
+
+    def nest(self, frames: int, node=None):
+        """`node`, once `frames` more frames are counted as held (fewer,
+        released, when negative). Past MAX_NESTING, raise RecursionError:
+        the input nests too deeply."""
+        self.depth += frames
+        if self.depth > MAX_NESTING:
+            raise RecursionError(f"input nests more than {MAX_NESTING} levels deep")
+        return node
 
     # -- primitives
 
@@ -273,7 +289,8 @@ class _Parser:
 
     def _unary(self) -> Term:
         if self.accept("-"):
-            return Neg(self._unary())
+            self.nest(1)
+            return self.nest(-1, Neg(self._unary()))
         return self._primary()
 
     def _primary(self) -> Term:
@@ -285,7 +302,8 @@ class _Parser:
             self.advance()
             return Variable(tok.text)
         if self.accept("("):
-            inner = self.parse_term()
+            self.nest(5)
+            inner = self.nest(-5, self.parse_term())
             self.expect(")")
             return inner
         raise self.error("a term")
@@ -293,10 +311,11 @@ class _Parser:
     # -- formulas
 
     def parse_formula(self) -> Formula:
-        left = self._or_formula()
+        self.nest(5)
+        left = self.nest(-4, self._or_formula())  # past it, only this frame is held
         if self.accept("->"):
-            return Implies(left, self.parse_formula())
-        return left
+            return self.nest(-1, Implies(left, self.parse_formula()))
+        return self.nest(-1, left)
 
     def _or_formula(self) -> Formula:
         out = self._and_formula()
@@ -312,7 +331,8 @@ class _Parser:
 
     def _not_formula(self) -> Formula:
         if self.accept("!"):
-            return Not(self._not_formula())
+            self.nest(1)
+            return self.nest(-1, Not(self._not_formula()))
         return self._atom_formula()
 
     def _atom_formula(self) -> Formula:
@@ -331,18 +351,19 @@ class _Parser:
         if self.accept("["):
             prog = self.parse_program()
             self.expect("]")
-            return Box(prog, self._not_formula())
+            self.nest(2)
+            return self.nest(-2, Box(prog, self._not_formula()))
         if self.at("("):
             # Either a parenthesised formula or a parenthesised term starting
             # a comparison; try the formula reading first and fall back.
-            mark = self.pos
+            mark = self.pos, self.depth
             self.advance()
             try:
                 inner = self.parse_formula()
                 self.expect(")")
                 return inner
             except ParseError:
-                self.pos = mark
+                self.pos, self.depth = mark
         left = self.parse_term()
         op_tok = self.peek()
         if op_tok.text not in ("<=", "<", "=", "!=", ">", ">="):
@@ -369,12 +390,13 @@ class _Parser:
         return choice(*alternatives)
 
     def parse_program(self) -> Program:
+        self.nest(3)
         statements = [self._statement()]
         while self.accept(";"):
             if not self._starts_statement():
                 break
             statements.append(self._statement())
-        return seq(*statements)
+        return self.nest(-3, seq(*statements))
 
     def _statement(self) -> Program:
         tok = self.peek()

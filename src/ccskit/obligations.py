@@ -33,10 +33,8 @@ that binds their names, and the consequent is the function
 `compile_goal` makes, whose boxes enumerate the final states of the
 program semantics a simulated controller firing uses, and whose
 quantifiers the grid of their variable; this module prints no
-generated code itself. The layout is the domain box's names plus those
-the goal binds, sorted; an obligation keeps its compiled goal, so later
-calls at any grid of the same shape reuse it. Witness states become
-dicts only in the result, without the slots the search never set.
+generated code itself. An obligation keeps its compiled goal, and each
+program node the function it runs as, so later calls reuse them.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from .ast import (
     choice,
     conj,
     fraction_to_text,
-    print_box_implications,
     print_formula,
 )
 from .components import (
@@ -283,8 +280,6 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
         f"{fraction_to_text(plant.controllability)} (arithmetic, auto-discharged)"
     )
     theorem = "thm1" if len(ctrl.choices) == 1 else "thm4"
-    refined = (conj(A_p, G_p), J)
-    refinement_notes = print_box_implications(inv, [(plant_delta, post) for post in refined])
 
     steps = [
         (
@@ -329,10 +324,11 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
                 "differential-refinement",
                 plant_own,
                 post,
-                "in-system runs are cut short at the reactivity: " + note,
+                "in-system runs are cut short at the reactivity: "
+                + print_formula(Implies(inv, Box(plant_delta, post))),
                 link_note,
             )
-            for post, note in zip(refined, refinement_notes)
+            for post in (conj(A_p, G_p), J)
         ),
         (
             "compatibility",
@@ -506,27 +502,22 @@ def obligations_plants(
         f"{fraction_to_text(b.controllability)}) = {fraction_to_text(bound)}"
     )
 
-    # Each side's reuse case: its clause, over its own dynamics with the
-    # other side's equations as ghosts.
-    clauses = [conj(p.contract.assume, p.contract.guarantee) for p in (a, b)]
-    ghosted = [
-        p.replace(domain=conj(p.domain, other.domain)).to_program(bound=bound)
-        for p, other in ((a, b), (b, a))
-    ]
-    retained = print_box_implications(inv, zip(ghosted, clauses))
+    def reuse_step(p: ControllablePlant, other: ControllablePlant):
+        clause = conj(p.contract.assume, p.contract.guarantee)
+        ghosted = p.replace(domain=conj(p.domain, other.domain)).to_program(bound=bound)
+        return (
+            "component-proof-reuse",
+            joint_prog,
+            clause,
+            f"joint time bound {min_txt}",
+            "the other side's equations are removable ghosts here; retained "
+            "goal over own dynamics: "
+            + print_formula(Implies(inv, Box(ghosted, clause))),
+        )
 
     steps = [
-        *(
-            (
-                "component-proof-reuse",
-                joint_prog,
-                clause,
-                f"joint time bound {min_txt}",
-                "the other side's equations are removable ghosts here; retained "
-                "goal over own dynamics: " + note,
-            )
-            for clause, note in zip(clauses, retained)
-        ),
+        reuse_step(a, b),
+        reuse_step(b, a),
         (
             "composition-invariant",
             joint_prog,
@@ -559,19 +550,28 @@ class BoundedCheckResult(Record):
         return self._asdict()
 
 
-def _axis(spec, grid: int) -> tuple[float, ...]:
+def _axis(domain_box: dict, name: str, grid: int) -> tuple[float, ...]:
+    """The coordinates of the box entry `name`: an interval's `grid`
+    evenly spaced points, or a number's one value, read as the interval
+    `[x, x]`. Raises ValueError unless the entry holds finite reals (see
+    box_interval), naming a number's entry."""
+    spec = domain_box[name]
     if isinstance(spec, (list, tuple)):
         lo, hi = box_interval(spec)
-        if hi == lo or grid <= 1:
-            return (lo,)
-        return tuple(lo + (hi - lo) * i / (grid - 1) for i in range(grid))
-    return (float(spec),)
+    else:
+        try:
+            lo, hi = box_interval((spec, spec))
+        except ValueError:
+            raise ValueError(f"box entry {name!r} is {spec!r}, not a finite number") from None
+    if hi == lo or grid <= 1:
+        return (lo,)
+    return tuple(lo + (hi - lo) * i / (grid - 1) for i in range(grid))
 
 
 def _quantifier_axis(
     domain_box: dict, grid: int, layout: tuple[str, ...], i: int
 ) -> tuple[float, ...]:
-    return _axis(domain_box[alias_root(domain_box, layout[i])], grid)
+    return _axis(domain_box, alias_root(domain_box, layout[i]), grid)
 
 
 def _compiled_goal(
@@ -637,15 +637,14 @@ def check_bounded(
     point as checked only when the antecedent held there; zero checked
     points is reported as inconclusive, never as holds.
 
-    States are tuples over a layout of the box's names and the goal's
-    (see _compiled_goal). A slot holds None until set: free names and
-    their roots are set at each grid point, the rest only once a program
-    or quantifier writes them. The points are searched in the order of
-    the axes' product by one generated function (see compile_check),
-    which tests each antecedent conjunct at the outermost loop that binds
-    its names and counts a block it skips in `total`. The counterexample
-    and initial states are dicts in layout order, without the unset
-    slots. Raises ValueError when `grid` or `flow_samples` is below 1.
+    States are tuples over a layout of the box's names and the goal's,
+    whose slots hold None until set (see _compiled_goal). The points are
+    searched in the order of the axes' product by one generated function
+    (see compile_check), which tests each antecedent conjunct at the
+    outermost loop that binds its names and counts a block it skips in
+    `total`. The counterexample and initial states are dicts in layout
+    order, without the unset slots. Raises ValueError when `grid` or
+    `flow_samples` is below 1, or a box entry holds no finite reals.
     """
     for name, value in (("grid", grid), ("flow_samples", flow_samples)):
         if value < 1:
@@ -657,7 +656,7 @@ def check_bounded(
     # Each free name's gridded root, each alias chain followed once.
     roots = {n: alias_root(domain_box, n) for n in sorted(names)}
     keys = sorted(set(roots.values()))
-    axes = [_axis(domain_box[n], grid) for n in keys]
+    axes = [_axis(domain_box, n, grid) for n in keys]
 
     n_points = math.prod(len(axis) for axis in axes)
     if n_points > MAX_GRID_POINTS:

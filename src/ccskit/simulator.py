@@ -40,18 +40,13 @@ ranges are taken after it, over its states less repeats: one generated
 `max` over the gaps, and per slot a `min` and a `max` equal to
 `min(lo, *column)` bit for bit. Its trace builds points only when read,
 and its CSV comes from the record: one `repr` per distinct float object
-in a column. The bounded checker's goals go through the same compiler:
-`_compile` compiles a whole program or a checker goal (`compile_goal`),
-its one helper table holding the loops, flows and box programs the
-generated code calls. A goal's boxes and quantifiers are generated
-loops, each in a def of its own, and an exact flow with an affine
-domain is sampled by one generated function (`flow_states`) with its
-domain test and exit time inline. The checker's grid search is
-generated too (`compile_check`): one nested `for` per axis of more than
-one value, with each antecedent conjunct tested at the outermost loop
-that binds what it reads. Every source is compiled inside
-`_guarded`, the one place where a source Python will not compile raises
-CcsError naming the program, formula or flow domain it was printed from.
+in a column. The bounded checker's goals go through the same compiler
+(`_compile`): boxes and quantifiers are generated loops, a box program
+runs as a helper function its node keeps once per layout, an exact flow
+with an affine domain is sampled by one generated function
+(`flow_states`), and the grid search is generated too (`compile_check`).
+Every source is compiled inside `_guarded`, the one place where a source
+Python will not compile raises CcsError naming what it was printed from.
 
 A state is a tuple of floats over a layout, an ordered tuple of
 variable names; the generated code reads and writes slot `s[i]` and
@@ -155,16 +150,12 @@ def slots_of(layout: Iterable[str]) -> Slots:
 # Python expression over the state `s`, with the float operations of a
 # direct evaluation in the same order: no term is reordered or rewritten,
 # so results are bit for bit those of walking the tree. A variable is its
-# slot `s[i]`, so no name ever reaches the source. Each compound formula
-# keeps the last source printed from it with the slots mapping it was
-# printed over (see ast.Node): the formulas of a composition share their
-# contract and invariant nodes, and a layout has one mapping (slots_of),
-# so a shared formula prints once per layout. compile_source turns a
+# slot `s[i]`, so no name ever reaches the source. A shared formula
+# prints once per layout (see emit_formula). compile_source turns a
 # source into a function once per distinct text; its cache holds strings,
 # not AST nodes, and systems and goals that print the same expression
 # share one function. A caller that evaluates a node many times compiles
-# it once and keeps the function (see CompiledSystem, and check_bounded,
-# which keeps each obligation's compiled goal on the obligation).
+# it once and keeps the function (see CompiledSystem, _compile, check_bounded).
 
 
 def _division_by_zero(text: str):
@@ -229,9 +220,10 @@ def emit_formula(f: Formula, slots: Slots) -> str:
     compare within EQ_TOLERANCE (1e-9). And chains print flat, as `and`
     short-circuits the same way whatever the grouping; Or chains as
     Python groups them, left first. A compound formula keeps the last
-    source printed from it with its `slots` (see ast.Node), so one that
-    many goals share prints once per layout. A term keeps nothing: few
-    are printed twice over one layout.
+    source printed from it with its `slots` (see ast.Node): the goals of
+    a composition share their contract and invariant nodes, and a layout
+    has one mapping (slots_of), so a shared formula prints once per
+    layout. A term keeps nothing: few are printed twice over one layout.
     """
     if isinstance(f, TrueF):
         return "True"
@@ -268,8 +260,6 @@ def emit_formula(f: Formula, slots: Slots) -> str:
 
 
 _keep_source = Node._emitted.__set__
-_keep_exit = ODE._exit.__set__
-_keep_tests = And._tests.__set__
 
 
 def _tuple_source(items: Iterable[str]) -> str:
@@ -390,11 +380,13 @@ class FlowSegment:
     A `domain_affine` segment (exact, each domain conjunct a comparison
     affine in the evolved variables) has one generated `step` and its
     `exit_time`, and `flow_states` samples it by one generated function;
-    any other one advances by `scan`.
+    any other one advances by `scan`. A segment holds the ODE's domain
+    (`domain_formula`, which a compile error names), not the ODE: the
+    ODE keeps its sampler (see `_compile`), which refers to the segment.
     """
 
     def __init__(self, ode: ODE, slots: Slots):
-        self.ode = ode
+        self.domain_formula = ode.domain
         self.vars = tuple(v for v, _ in ode.equations)
         self.moving = frozenset(self.vars)
         self.exact = all(not (free_vars(rhs) & self.moving) for _, rhs in ode.equations)
@@ -411,19 +403,13 @@ class FlowSegment:
         self._at = emit_update(width, {i: f"(s[{i}] + (k[{j}] * dt))" for j, i in moved})
         if self.domain_affine:
             # The sources exit_time and step are compiled from on first use;
-            # a run's pass inlines the step's. The ODE keeps them with the
-            # layout they were printed over.
-            kept = getattr(ode, "_exit", None)
-            if kept is None or kept[0] is not slots:
-                slopes, held, exit_dt = exit_parts = _emit_exit_time(ode, slots)
-                end = emit_update(width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
-                step = (
-                    f"(_last(s, _k, _e) if (_e := {exit_dt}) <= dt else ({end}, dt)) "
-                    f"if dt > 0.0 and {held} and (_k := ({slopes})) else _slow(s, dt)"
-                )
-                kept = (slots, exit_parts, end, step)
-                _keep_exit(ode, kept)
-            _, self._exit_parts, self._end, self.step_source = kept
+            # a run's pass inlines the step's.
+            slopes, held, exit_dt = self._exit_parts = _emit_exit_time(ode, slots)
+            end = self._end = emit_update(width, {i: f"(s[{i}] + (_k{j} * dt))" for j, i in moved})
+            self.step_source = (
+                f"(_last(s, _k, _e) if (_e := {exit_dt}) <= dt else ({end}, dt)) "
+                f"if dt > 0.0 and {held} and (_k := ({slopes})) else _slow(s, dt)"
+            )
             return
         # slopes(state): the right-hand sides, in equation order;
         # _shift(state, k, c): state + c * k, as RK4 writes it. A failure
@@ -450,9 +436,9 @@ class FlowSegment:
     # first use, on a rare path. A failure to compile these, exit_time or
     # step names the flow domain.
     domain = functools.cached_property(lambda self: _guarded(
-        self.ode.domain, lambda: compile_source("s", self._domain), what="flow domain"))
+        self.domain_formula, lambda: compile_source("s", self._domain), what="flow domain"))
     at = functools.cached_property(lambda self: _guarded(
-        self.ode.domain, lambda: compile_source("s, k, dt", self._at), what="flow domain"))
+        self.domain_formula, lambda: compile_source("s, k, dt", self._at), what="flow domain"))
 
     def _rk4_step(self, state: State, h: float) -> State:
         f, shift = self.slopes, self._shift
@@ -470,7 +456,7 @@ class FlowSegment:
         false at the start, -1.0 outside the domain. Compiled on first use."""
         slopes, held, exit_dt = self._exit_parts
         src = f"(({slopes}), {exit_dt} if {held} else (0.0 if _in(s) else -1.0))"
-        return _guarded(self.ode.domain, lambda: compile_source(
+        return _guarded(self.domain_formula, lambda: compile_source(
             "_in", f"lambda s: {src}")(self.domain), what="flow domain")
 
     @functools.cached_property
@@ -481,7 +467,7 @@ class FlowSegment:
         test fails or there is no slope (an empty, false tuple),
         `_slow_step` answers. Compiled on first use."""
         src = f"lambda s, dt: {self.step_source}"
-        return _guarded(self.ode.domain, lambda: compile_source("_last, _slow", src)(
+        return _guarded(self.domain_formula, lambda: compile_source("_last, _slow", src)(
             self.last_inside, self._slow_step), what="flow domain")
 
     def _slow_step(self, state: State, dt_request: float) -> tuple[State, float]:
@@ -606,7 +592,7 @@ def flow_states(seg: FlowSegment, n_samples: int) -> Callable[[State, Callable],
         f"\n   out[-1] = _last(_s, _k, dt)[0]"
         f"\n  if _t == 1e999:\n   cut()\n  return out\n return states"
     )
-    return _guarded(seg.ode.domain, lambda: compile_source("_last", src)(seg.last_inside),
+    return _guarded(seg.domain_formula, lambda: compile_source("_last", src)(seg.last_inside),
                     what="flow domain")
 
 
@@ -733,6 +719,8 @@ def _compile(
     `flow_samples`-point sampler `flow_states` makes, and any other
     program what `compile_program_over` gives. `cut()` is called
     whenever a loop or a flow has more states than those bounds reach.
+    `q` keeps the function per layout and bounds (see ast.Node), so a
+    program or flow the obligations of a composition share is built once.
 
     Raises ValueError when `flow_samples` is below 1, and CcsError
     naming `node` (see `_guarded`) when printing or compiling the source
@@ -740,40 +728,43 @@ def _compile(
     """
     if flow_samples < 1:
         raise ValueError(f"flow_samples must be at least 1, got {flow_samples!r}")
+    bounds = (unroll, flow_samples)
     helpers: list[Callable[[State, Callable[[], None]], list[State]]] = []
 
     def helper(q: Program) -> str:
-        if isinstance(q, Loop):
-            body = compile_program_over(q.body, slots, unroll, flow_samples)
-
-            def fn(s: State, cut, _b=body) -> list[State]:
-                seen = {_state_key(s): s}
-                frontier = [s]
-                for _ in range(unroll):
-                    nxt = []
-                    for st in frontier:
-                        for r in _b(st, cut):
-                            k = _state_key(r)
-                            if k not in seen:
-                                seen[k] = r
-                                nxt.append(r)
-                    frontier = nxt
-                    if not frontier:
-                        break
-                if frontier:
-                    cut()
-                return list(seen.values())
-
-        elif isinstance(q, ODE):
-            fn = flow_states(FlowSegment(q, slots), flow_samples)
-        elif isinstance(q, Program):
-            fn = compile_program_over(q, slots, unroll, flow_samples)
-        else:
-            raise TypeError(f"not a program: {q!r}")
-        helpers.append(fn)
+        kept = getattr(q, "_emitted", None)
+        if kept is None or kept[0] is not slots or kept[1] != bounds:
+            kept = (slots, bounds, _helper_function(q, slots, unroll, flow_samples))
+            _keep_source(q, kept)
+        helpers.append(kept[2])
         return f"_h[{len(helpers) - 1}](s, cut)"
 
     return _guarded(node, lambda: compile_source("_h", emit(node, slots, helper))(tuple(helpers)))
+
+
+def _helper_function(q: Program, slots: Slots, unroll: int, flow_samples: int) -> Callable:
+    """The function `(s, cut)` that `_compile`'s `helper` runs `q` as."""
+    if isinstance(q, ODE):
+        return flow_states(FlowSegment(q, slots), flow_samples)
+    if not isinstance(q, Program):
+        raise TypeError(f"not a program: {q!r}")
+    if not isinstance(q, Loop):
+        return compile_program_over(q, slots, unroll, flow_samples)
+    body = compile_program_over(q.body, slots, unroll, flow_samples)
+
+    def unrolled(s: State, cut, _b=body) -> list[State]:
+        seen = {_state_key(s): s}
+        frontier = [s]
+        for _ in range(unroll):  # each pass's new states, each kept once, in order
+            frontier = [seen.setdefault(k, r) for st in frontier for r in _b(st, cut)
+                        if (k := _state_key(r)) not in seen]
+            if not frontier:
+                break
+        if frontier:
+            cut()
+        return list(seen.values())
+
+    return unrolled
 
 
 def compile_program_over(
@@ -795,22 +786,8 @@ def compile_program_over(
     Python allows, so P can nest 99 levels deep, and past about 200
     levels printing the expression recurses too deeply.
     """
-    return _compile(p, _program_source, slots, unroll, flow_samples)
-
-
-def _program_source(p: Program, slots: Slots, helper: Callable[[Program], str]) -> str:
-    """`lambda s, cut: ` and the expression of `p` (see _emit_program). A
-    program that runs no helper keeps its source with `slots`, as a
-    formula does (see emit_formula): the obligations of a composition
-    share their programs, so a shared one prints once per layout."""
-    kept = getattr(p, "_emitted", None)
-    if kept is not None and kept[0] is slots:
-        return kept[1]
-    helped = []
-    text = "lambda s, cut: " + _emit_program(p, slots, lambda q: helped.append(q) or helper(q))
-    if not helped:
-        _keep_source(p, (slots, text))
-    return text
+    return _compile(p, lambda p, slots, helper: "lambda s, cut: " + _emit_program(
+        p, slots, helper), slots, unroll, flow_samples)
 
 
 def compile_goal(
@@ -829,19 +806,13 @@ def conjunct_tests(f: Formula, slots: Slots) -> tuple[str, ...] | None:
     prints them, in order and each once, less `True`: tests a grid
     search may run apart and reorder, as none can raise. None when `f`
     has a box or a quantifier, or divides (a `_dz(` text), which must
-    run whole. An And keeps its tests with `slots`. Raises CcsError
-    naming `f` when it nests too deeply to print (see `_guarded`)."""
+    run whole. Raises CcsError naming `f` when it nests too deeply to
+    print (see `_guarded`)."""
     if modality(f):
         return None
-    kept = getattr(f, "_tests", None)
-    if kept is not None and kept[0] is slots:
-        return kept[1]
     texts = _guarded(f, lambda: dict.fromkeys(emit_formula(c, slots) for c in conjuncts(f)))
     texts.pop("True", None)
-    tests = None if any("_dz(" in t for t in texts) else tuple(texts)
-    if isinstance(f, And):
-        _keep_tests(f, (slots, tests))
-    return tests
+    return None if any("_dz(" in t for t in texts) else tuple(texts)
 
 
 # A slot read `s[i]` in an emitted formula.
@@ -1130,18 +1101,21 @@ def alias_root(box: dict, name: str) -> str:
 
 def box_interval(spec: list | tuple) -> tuple[float, float]:
     """An init or domain box's `[lo, hi]` entry as two floats. Raises ValueError
-    unless it holds two reals, not bools, that convert to finite floats, lo <= hi."""
-    reals = all(isinstance(x, Real) and not isinstance(x, bool) for x in spec)
+    unless it holds two reals, not bools, that convert to finite floats, lo <= hi.
+    Exact floats and ints pass first: the checker reads each entry per call."""
     try:
-        bounds = tuple(map(float, spec)) if reals else ()
-    except OverflowError:  # an int too large for a float
-        bounds = ()
-    if len(bounds) != 2 or not all(map(math.isfinite, bounds)):
+        lo, hi = spec
+        if not (type(lo) in (float, int) and type(hi) in (float, int) or all(
+                isinstance(x, Real) and not isinstance(x, bool) for x in spec)):
+            lo = hi = math.nan
+        lo, hi = float(lo), float(hi)
+    except (ValueError, OverflowError):  # not two items, or an int too large for a float
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"an interval is [lo, hi] of two finite numbers, got {spec!r}")
-    lo, hi = bounds
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    return bounds
+    return lo, hi
 
 
 def pinned_init(needed: frozenset[str], env_pins: dict, init: dict) -> dict:

@@ -48,7 +48,6 @@ from ccskit.ast import (
     normalize_ac,
     num,
     pretty_print,
-    print_box_implications,
     print_formula,
     print_program,
     print_program_inline,
@@ -110,26 +109,6 @@ def test_print_round_corners():
     f = Implies(TRUE, Box(p, Compare(">=", var("x"), num(0))))
     assert print_formula(f) == f"true -> [{inline}] x >= 0"
     assert pretty_print(Times(Plus(var("a"), num(1)), var("b"))) == "(a + 1) * b"
-
-
-def test_box_implications_print_as_print_formula_does():
-    """Whatever the antecedent's and posts' precedence, and whether
-    consecutive cases share a program or not."""
-    x, y = var("x"), var("y")
-    assign, guard = Assign("x", num(1)), Guard(Compare(">", y, num(0)))
-    pres = [
-        Compare(">=", x, num(0)),
-        And(Compare(">=", x, num(0)), Compare("<", y, num(1))),
-        Or(Compare(">=", x, num(0)), Compare("<", y, num(1))),
-        Implies(Compare(">=", x, num(0)), Compare("<", y, num(1))),
-        Not(Compare(">=", x, num(0))),
-    ]
-    posts = [*pres, Box(assign, TRUE), TRUE]
-    programs = [assign, assign, guard, assign]
-    for pre in pres:
-        cases = list(zip(programs, posts))
-        expected = [print_formula(Implies(pre, Box(p, post))) for p, post in cases]
-        assert print_box_implications(pre, cases) == expected
 
 
 def test_all_vars_sees_reads_writes_and_odes():

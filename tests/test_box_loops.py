@@ -9,6 +9,7 @@ same error.
 """
 
 import contextlib
+import copy
 import json
 import math
 
@@ -92,10 +93,12 @@ def _outcome(goal, box, grid, flow_samples):
 
 
 def _both(goal, box, grid, flow_samples):
-    """(result, reference result) of one check."""
+    """(result, reference result) of one check. The reference checks a
+    copy of `goal`: its programs keep none of the functions the first
+    check compiled, so its boxes run what the reference form builds."""
     got = _outcome(goal, box, grid, flow_samples)
     with _reference_form():
-        return got, _outcome(goal, box, grid, flow_samples)
+        return got, _outcome(copy.deepcopy(goal), box, grid, flow_samples)
 
 
 _X0_T = (Variable("x0"), Variable("t"))

@@ -23,6 +23,7 @@ from ccskit import dsl
 from ccskit.cli import main
 from ccskit.errors import StuckState
 from ccskit.simulator import STRATEGIES, batch_member, run, run_batch, write_trace_csv
+from test_dsl import _called_deeper
 
 
 class Result(NamedTuple):
@@ -355,6 +356,30 @@ def test_model_nested_too_deeply_is_exit_2(capsys, corpus_dir, tmp_path, command
     result = invoke(capsys, command, model)
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == f"{model}: input nests too deeply to process\n"
+
+
+def test_a_domain_past_the_nesting_limit_is_exit_2_from_any_caller(capsys, corpus_dir, tmp_path):
+    """Whether a model parses does not hang on the caller's stack. A
+    960-`!` domain, within the interpreter's own limit from a fresh
+    process but not from a deep caller, exits 2 with the same line from
+    a fresh interpreter and from `main` in this process, however deep; a
+    400-`!` domain is accepted from each."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    plant = "wl' = fin - fout & wl >= 0"
+    for nots, code in ((960, 2), (400, 0)):
+        model = tmp_path / f"deep{nots}.ccs"
+        model.write_text(text.replace(plant, f"{plant} & {'!' * nots}(wl < -1)"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccskit.cli", "check", model],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        line = f"{model}: input nests too deeply to process\n" if code else ""
+        assert (proc.returncode, proc.stderr) == (code, line)
+        for frames in (0, 250):
+            result = _called_deeper(frames, lambda: invoke(capsys, "check", model))
+            assert (result.exit_code, result.stderr) == (code, line)
 
 
 def test_simulate_guarantee_nested_too_deeply_is_one_line(capsys, corpus_dir, tmp_path):

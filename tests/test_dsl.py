@@ -34,6 +34,39 @@ def test_parse_serialize_parse_is_identity(name, corpus_dir):
     assert first == second
 
 
+def _nested(n: int) -> dict[str, str]:
+    """A formula text nesting each construct `n` levels deep."""
+    return {
+        "not": "!" * n + "x > 0",
+        "minus": "-" * n + "x > 0",
+        "term-parens": "x > " + "(" * n + "x" + ")" * n,
+        "formula-parens": "(" * n + "x > 0" + ")" * n,
+        "implies": " -> ".join(["x > 0"] * n),
+        "forall": "forall x (" * n + "x > 0" + ")" * n,
+        "box": "[x := 1] " * n + "x > 0",
+        "program-parens": "[" + "(" * n + "x := 1" + ")" * n + "] x > 0",
+        "box-in-test": "[?(" * n + "x > 0" + ")] x > 0" * n,
+    }
+
+
+def _called_deeper(frames: int, fn):
+    """`fn()`, called from `frames` more frames of stack."""
+    return fn() if frames == 0 else _called_deeper(frames - 1, fn)
+
+
+@pytest.mark.parametrize("construct", sorted(_nested(1)))
+def test_the_parser_stops_at_its_own_nesting_limit(construct):
+    """Each construct parses nested 20 deep. Nested past
+    dsl.MAX_NESTING, it raises the parser's RecursionError, before the
+    interpreter's own, also when parsed from 250 frames deeper."""
+    assert dsl.parse_formula_text(_nested(20)[construct])
+    too_deep = _nested(1000)[construct]
+    message = rf"^input nests more than {dsl.MAX_NESTING} levels deep$"
+    for frames in (0, 250):
+        with pytest.raises(RecursionError, match=message):
+            _called_deeper(frames, lambda: dsl.parse_formula_text(too_deep))
+
+
 def test_corpus_has_at_least_six_models(corpus_dir):
     assert len(list(corpus_dir.glob("*.ccs"))) >= 6
 

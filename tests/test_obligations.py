@@ -10,6 +10,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -572,6 +573,23 @@ def test_check_bounded_follows_aliases_of_quantified_names():
     assert str(broken.value) == "'v' aliases 'w', which has no value or interval"
 
 
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf, None, 10**400])
+def test_check_bounded_rejects_a_box_number_that_is_no_finite_real(bad):
+    """A number in the box is read as the interval [x, x]: a bool, NaN,
+    an infinity, None or an int too large for a float raises ValueError
+    naming its entry, whether a free name, an alias's root or a
+    quantified name reads it."""
+    goal = dsl.parse_formula_text("x >= 0 -> x + y >= 0")
+    named = rf"^box entry 'x' is {re.escape(repr(bad))}, not a finite number$"
+    for box in ({"x": bad, "y": [0, 1]}, {"x": bad, "y": "=x"}):
+        with pytest.raises(ValueError, match=named):
+            check_bounded(goal, box)
+    quantified = Forall("x", Compare(">=", var("x"), var("y")))
+    with pytest.raises(ValueError, match=named):
+        check_bounded(quantified, {"x": bad, "y": [0, 1]})
+    assert check_bounded(goal, {"x": 2, "y": [0, 1]}).status == "holds"
+
+
 def test_check_bounded_axes_quantifiers_when_reached():
     goal = Forall("z", Compare(">=", var("z"), var("x")))
     with pytest.raises(UnboundedVariable):
@@ -1038,6 +1056,36 @@ def test_a_warm_obligation_is_the_cold_one(watertank):
     assert repr(warm) == repr(cold)
     assert pickle.dumps(warm) == pickle.dumps(cold)
     assert pickle.loads(pickle.dumps(warm)) == cold
+
+
+def test_each_flow_of_the_benchmark_checks_is_built_once_per_layout(corpus_dir, monkeypatch):
+    """The cold checks of the benchmark's set-up (every obligation of its
+    four check sets at grid 2) build one FlowSegment per distinct (ODE,
+    layout): the obligations of a composition share their flows, and an
+    ODE keeps the sampler made of it. Checking copies of the obligations
+    at another grid, which compiles each goal again, builds none."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "prepare", corpus_dir.parent / "perfbench" / "prepare.py")
+    prepare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(prepare)
+    built = []
+    build = simulator.FlowSegment.__init__
+
+    def counted(seg, ode, slots):
+        built.append((ode, slots))
+        build(seg, ode, slots)
+
+    monkeypatch.setattr(simulator.FlowSegment, "__init__", counted)
+    boxes = prepare.CHECK_BOXES
+    models = ["watertank", "two_tanks", "watertank_tight"]
+    prepared = prepare.prepare(models, [], list(boxes))
+    assert len(built) == len({(id(ode), id(slots)) for ode, slots in built}) == 8
+    for name, obs in prepared["obligations"].items():
+        for ob in obs:
+            check_bounded(ob.replace(), boxes[name], grid=3, flow_samples=prepare.FLOW_SAMPLES)
+    assert len(built) == 8
 
 
 def test_a_finished_check_leaves_no_reference_cycle(watertank):

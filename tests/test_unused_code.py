@@ -14,6 +14,11 @@ Every parameter a function or lambda declares is read in its body,
 except those of dunder methods, `self`, `cls` and names starting with
 `_`.
 
+Every private `__slots__` entry of a package class is read somewhere in
+the package: as an attribute (`Node._vars.__set__`, a writer, is not a
+read), or by name in a `getattr` or `_kept` call. A slot only written
+keeps nothing anyone uses.
+
 Only `simulator.py`, the one compiler, turns text into code: no other
 module reads `eval`, `exec`, `compile_source` or `_compile`. There,
 every call of `compile_source` or `compile_tuple` runs inside its one
@@ -117,6 +122,57 @@ def unread_parameters(src: Path = SRC) -> list[str]:
                 and not p.arg.startswith("_")
             ]
     return unread
+
+
+def _private_slots(cls: ast.ClassDef) -> list[str]:
+    """The `_`-prefixed names of a class's `__slots__` tuple."""
+    return [
+        e.value
+        for stmt in cls.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+        and isinstance(stmt.value, ast.Tuple)
+        for e in stmt.value.elts
+        if isinstance(e, ast.Constant) and e.value.startswith("_")
+    ]
+
+
+def unread_slots(src: Path = SRC) -> list[str]:
+    """`module.Class.slot` for each private slot of a package class that
+    no code of the package reads."""
+    declared, read = [], set()
+    for path in sorted(src.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        setters = [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "__set__"]
+        writers = {id(n.value) for n in setters}
+        for node in nodes:
+            if isinstance(node, ast.ClassDef):
+                declared += [(path.stem, node.name, slot) for slot in _private_slots(node)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if id(node) not in writers:
+                    read.add(node.attr)
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee in ("getattr", "_kept"):
+                    read.update(a.value for a in node.args if isinstance(a, ast.Constant))
+    return [f"{module}.{cls}.{slot}" for module, cls, slot in declared if slot not in read]
+
+
+def test_every_private_slot_is_read():
+    assert unread_slots() == []
+
+
+def test_the_check_sees_a_slot_nothing_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class R:\n"
+        "    __slots__ = ('name', '_seen', '_got', '_made', '_written', '_set')\n"
+        "    def f(self):\n"
+        "        object.__setattr__(self, '_written', 1)\n"
+        "        return self._seen, getattr(self, '_got', None), self._kept('_made', list)\n"
+        "class S(R):\n    __slots__ = ('_alone',)\n"
+        "_keep = R._set.__set__\n"
+    )
+    assert unread_slots(tmp_path) == ["a.R._written", "a.R._set", "a.S._alone"]
 
 
 COMPILERS = frozenset({"eval", "exec", "compile_source", "_compile"})
