@@ -49,6 +49,7 @@ from .obligations import (
 )
 from .ast import fraction_to_text
 from .simulator import (
+    MAX_ITERATIONS,
     STRATEGIES,
     alias_root,
     box_interval,
@@ -122,7 +123,8 @@ def _load(path: str, system: str | None, cost_model: CostModel | None) -> MCCS:
 def _check_init_box(box, path: str, system: MCCS) -> None:
     """Exit 2 unless `box` maps variables of `system` to finite numbers,
     `[lo, hi]` pairs of them with lo <= hi, or `"=name"` aliases whose
-    chain ends at one of those or at a constant the system pins."""
+    chain ends at one of those or at a constant the system pins, and
+    gives each variable the system does not pin a value."""
 
     def reject(problem: str) -> NoReturn:
         _fail(f"bad init file {path}: {problem}")
@@ -152,6 +154,9 @@ def _check_init_box(box, path: str, system: MCCS) -> None:
                 f"entry {name!r} is {json.dumps(spec)}; its alias chain reaches "
                 "no number, interval or constant"
             )
+    missing = sorted(needed - resolvable.keys())
+    if missing:
+        reject("no initial value for: " + ", ".join(missing))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +402,9 @@ def simulate(model, system, schedules, seed, horizon, strategy, init_path, outpu
         print(f"wrote summary to {path}", file=sys.stderr)
     if not json_paths:
         print(payload)
+    if summary.truncated_runs:
+        print(f"{summary.truncated_runs} of {schedules} runs stopped after {MAX_ITERATIONS} "
+              "loop passes, before the horizon", file=sys.stderr)
     if summary.runs_with_violations or summary.stuck_runs:
         sys.exit(1)
 

@@ -207,8 +207,14 @@ class ModelSource(Record):
 
 # About the interpreter frames the parser's recursion may hold: one per `!` or
 # unary `-`, two per box, three per program, five per formula or bracketed term.
-# Well under Python's limit of 1000, so a model parses the same from any caller.
+# The later passes over a tree (printing, emitting, free variables) recurse as
+# deep as the tree: one frame per link of a left-deep `+ - * / & |` chain, which
+# the parser builds in a loop, on top of what encloses it less the brackets.
+# Both are kept under MAX_NESTING, well under Python's limit of 1000, so a
+# model loads the same from any caller.
 MAX_NESTING = 600
+# The left-deep chains of binary operators, loosest first (see _chain).
+_CHAINS = ({"|": Or}, {"&": And}, {"+": Plus, "-": Minus}, {"*": Times, "/": Divide})
 
 
 class _Parser:
@@ -216,12 +222,16 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # the frames held, as MAX_NESTING counts them
+        self.level = 0  # those of them that are levels of the tree, not brackets
+        self.tallest = 0  # the deepest level a chain closed in this scope reaches
 
-    def nest(self, frames: int, node=None):
+    def nest(self, frames: int, node=None, bracket: int = 0):
         """`node`, once `frames` more frames are counted as held (fewer,
-        released, when negative). Past MAX_NESTING, raise RecursionError:
-        the input nests too deeply."""
+        released, when negative), `bracket` of them for no tree level.
+        Past MAX_NESTING, raise RecursionError: the input nests too
+        deeply."""
         self.depth += frames
+        self.level += frames - bracket
         if self.depth > MAX_NESTING:
             raise RecursionError(f"input nests more than {MAX_NESTING} levels deep")
         return node
@@ -255,10 +265,6 @@ class _Parser:
         self.advance()
         return tok.text
 
-    def at(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind != "eof" and tok.text == text
-
     def accept(self, text: str) -> bool:
         """Whether the next token is `text`, consumed when it is."""
         tok = self.tokens[self.pos]
@@ -269,22 +275,34 @@ class _Parser:
     # -- terms
 
     def parse_term(self) -> Term:
-        return self._additive()
+        return self._chain(2)
 
-    def _additive(self) -> Term:
-        out = self._multiplicative()
-        while self.at("+") or self.at("-"):
-            op = self.advance().text
-            right = self._multiplicative()
-            out = Plus(out, right) if op == "+" else Minus(out, right)
-        return out
-
-    def _multiplicative(self) -> Term:
-        out = self._unary()
-        while self.at("*") or self.at("/"):
-            op = self.advance().text
-            right = self._unary()
-            out = Times(out, right) if op == "*" else Divide(out, right)
+    def _chain(self, level: int):
+        """A left-deep chain of the operators of `_CHAINS[level]`: over
+        chains of the next level, or over `!` forms (level 1) or `-`
+        forms (level 3). Its tree is one level per link deeper than its
+        deepest operand: than this level, or than the deepest chain
+        within it, which `tallest` holds once the chain has reset it. On
+        the way out `tallest` holds the deeper of that chain and those
+        closed before it, so the depths of siblings do not add up."""
+        outer, self.tallest = self.tallest, 0
+        ops, make, links = _CHAINS[level], None, -1
+        while True:
+            right = (self._chain(level + 1) if level in (0, 2) else
+                     self._not_formula() if level == 1 else self._unary())
+            out = right if make is None else make(out, right)
+            links += 1
+            make = ops.get(self.tokens[self.pos].text)
+            if make is None:
+                break
+            self.pos += 1
+        if links:
+            peak = max(self.tallest, self.level) + links
+            if peak > MAX_NESTING:
+                raise RecursionError(f"input nests more than {MAX_NESTING} levels deep")
+            self.tallest = peak
+        if outer > self.tallest:
+            self.tallest = outer
         return out
 
     def _unary(self) -> Term:
@@ -302,8 +320,8 @@ class _Parser:
             self.advance()
             return Variable(tok.text)
         if self.accept("("):
-            self.nest(5)
-            inner = self.nest(-5, self.parse_term())
+            self.nest(5, bracket=5)
+            inner = self.nest(-5, self.parse_term(), -5)
             self.expect(")")
             return inner
         raise self.error("a term")
@@ -311,23 +329,11 @@ class _Parser:
     # -- formulas
 
     def parse_formula(self) -> Formula:
-        self.nest(5)
-        left = self.nest(-4, self._or_formula())  # past it, only this frame is held
+        self.nest(5, bracket=4)  # a level only as an implication
+        left = self.nest(-4, self._chain(0), -4)  # past it, only this frame is held
         if self.accept("->"):
             return self.nest(-1, Implies(left, self.parse_formula()))
         return self.nest(-1, left)
-
-    def _or_formula(self) -> Formula:
-        out = self._and_formula()
-        while self.accept("|"):
-            out = Or(out, self._and_formula())
-        return out
-
-    def _and_formula(self) -> Formula:
-        out = self._not_formula()
-        while self.accept("&"):
-            out = And(out, self._not_formula())
-        return out
 
     def _not_formula(self) -> Formula:
         if self.accept("!"):
@@ -353,17 +359,17 @@ class _Parser:
             self.expect("]")
             self.nest(2)
             return self.nest(-2, Box(prog, self._not_formula()))
-        if self.at("("):
+        if tok.text == "(":
             # Either a parenthesised formula or a parenthesised term starting
             # a comparison; try the formula reading first and fall back.
-            mark = self.pos, self.depth
+            mark = self.pos, self.depth, self.level, self.tallest
             self.advance()
             try:
                 inner = self.parse_formula()
                 self.expect(")")
                 return inner
             except ParseError:
-                self.pos, self.depth = mark
+                self.pos, self.depth, self.level, self.tallest = mark
         left = self.parse_term()
         op_tok = self.peek()
         if op_tok.text not in ("<=", "<", "=", "!=", ">", ">="):

@@ -26,14 +26,15 @@ Rule tags: thm1 (controller + plant), thm2 (controller pair), thm3
 `check_bounded` is not a prover. It grids the antecedent box, unrolls
 loops, samples ODE flows, and reports `holds` only in the sense of
 "no counterexample in this finite exploration"; the caveat field always
-spells out the truncations. A goal compiles once, by the simulator's
-`compile_check`, to one generated grid search per grid shape over tuple
-states: the antecedent's conjuncts are tested at the outermost loop
-that binds their names, and the consequent is the function
-`compile_goal` makes, whose boxes enumerate the final states of the
-program semantics a simulated controller firing uses, and whose
-quantifiers the grid of their variable; this module prints no
-generated code itself. An obligation keeps its compiled goal, and each
+spells out the truncations. A goal compiles, by the simulator's
+`compile_check`, to one generated grid search over tuple states for a
+grid shape (which axes hold more than one value): the antecedent's
+conjuncts are tested at the outermost loop that binds their names, and
+the consequent is the function `compile_goal` makes, whose boxes
+enumerate the final states of the program semantics a simulated
+controller firing uses, and whose quantifiers the grid of their
+variable; this module prints no generated code itself. An obligation
+keeps the search of the last grid shape it was checked at, and each
 program node the function it runs as, so later calls reuse them.
 """
 
@@ -581,10 +582,11 @@ def _compiled_goal(
     roots: dict[str, str],
     written: tuple[str, ...],
     box_names: tuple[str, ...],
+    looped: tuple[bool, ...],
 ) -> tuple[tuple[str, ...], Callable]:
-    """(layout, search_of) for `goal`, whose free names have the gridded
-    `roots` and which binds the `written` names: `search_of(looped)` is
-    the grid search of compile_check over a grid of that shape.
+    """(layout, search) for `goal`, whose free names have the gridded
+    `roots` and which binds the `written` names: `search` is the grid
+    search of compile_check over grids of the shape `looped`.
 
     The layout is the names of the domain box (`box_names`) and the
     `written` names, sorted: every name the goal reads or writes, as the
@@ -597,12 +599,13 @@ def _compiled_goal(
     flag are arguments of the search, so one search serves every grid of
     its shape.
 
-    An obligation `ob` keeps the result in its `_compiled` slot, keyed by
-    `flow_samples`, `roots` and `box_names` (which with the goal fix the
-    layout), so checking it again at another grid of a shape it was
-    checked at compiles nothing.
+    An obligation `ob` keeps the last result in its `_compiled` slot,
+    keyed by `flow_samples`, `roots`, `box_names` (which with the goal
+    fix the layout) and `looped`, so checking it again at another grid
+    of the same shape compiles nothing. A new shape replaces it; the
+    sources it compiles again come from compile_source's cache.
     """
-    key = (flow_samples, roots, box_names)
+    key = (flow_samples, roots, box_names, looped)
     cached = getattr(ob, "_compiled", None)
     if cached is not None and cached[0] == key:
         return cached[1]
@@ -610,10 +613,8 @@ def _compiled_goal(
     column = {k: i for i, k in enumerate(sorted(set(roots.values())))}
     columns = tuple(column.get(roots.get(n, n)) for n in layout)
     sides = (goal.left, goal.right) if isinstance(goal, Implies) else (TRUE, goal)
-    compiled = (
-        layout,
-        compile_check(*sides, slots_of(layout), columns, CHECK_UNROLL, flow_samples),
-    )
+    compiled = (layout, compile_check(
+        *sides, slots_of(layout), columns, looped, CHECK_UNROLL, flow_samples))
     if ob is not None:
         object.__setattr__(ob, "_compiled", (key, compiled))
     return compiled
@@ -665,8 +666,8 @@ def check_bounded(
             "pin more variables or lower the grid"
         )
 
-    layout, search_of = _compiled_goal(goal, ob, flow_samples, roots, written, tuple(domain_box))
-    search = search_of(tuple(len(axis) > 1 for axis in axes))
+    layout, search = _compiled_goal(goal, ob, flow_samples, roots, written, tuple(domain_box),
+                                    tuple(len(axis) > 1 for axis in axes))
     # Non-empty once a loop, a flow or a quantifier grid has cut the search
     # short; `witness` holds the state the last `fail` call saw. No
     # function refers back to another, so nothing this call makes waits

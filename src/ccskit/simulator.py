@@ -44,7 +44,8 @@ in a column. The bounded checker's goals go through the same compiler
 (`_compile`): boxes and quantifiers are generated loops, a box program
 runs as a helper function its node keeps once per layout, an exact flow
 with an affine domain is sampled by one generated function
-(`flow_states`), and the grid search is generated too (`compile_check`).
+(`flow_states`), and each grid search is generated too (`compile_check`,
+one per goal and grid shape, which the checker's obligation keeps).
 Every source is compiled inside `_guarded`, the one place where a source
 Python will not compile raises CcsError naming what it was printed from.
 
@@ -819,75 +820,60 @@ def conjunct_tests(f: Formula, slots: Slots) -> tuple[str, ...] | None:
 _SLOT = re.compile(r"s\[(\d+)\]")
 
 
-@functools.lru_cache(maxsize=256)
 def _search_source(tests: tuple[str, ...] | None, columns: tuple[int | None, ...],
                    looped: tuple[bool, ...]) -> tuple[str, bool]:
     """The source of `search(axes, axis, cut, fail)` over `pre` and
-    `post` (see compile_check), and whether it calls `pre`. Slot i of a
-    point holds the coordinate `c{k}` of axis k = `columns[i]`, or None.
+    `post` (see compile_check), and whether it calls `pre`: one `for`
+    per axis with `looped` set, outermost first, the other axes bound
+    before them. Slot i of a point holds the coordinate `c{k}` of axis
+    k = `columns[i]`, or None.
 
     A test runs at the outermost loop that binds every slot it reads:
-    level 0 before the loops, level j inside the j-th of the axes with
-    `looped` set. When no test lands in a loop outside the innermost
+    level 0 before the loops, level j inside the j-th of the looped
+    axes. When the tests of a level fail, `total` skips the block of
+    points inside. When no test lands in a loop outside the innermost
     one, nothing is gained by testing apart: the search calls `pre` at
     each point instead, and its source, which then names no test, is
-    shared by every antecedent over the same columns and shape."""
-    order = [k for k, many in enumerate(looped) if many]
-    level = {k: i for i, k in enumerate(order, 1)}  # a one-value axis is level 0
-    slot_level = [level.get(k, 0) for k in columns]
-    at: list[list[str]] = [[] for _ in range(len(order) + 1)]
-    for t in tests if tests and len(order) > 1 else ():
-        at[max([slot_level[int(i)] for i in _SLOT.findall(t)], default=0)].append(t)
-    if not any(at[1:-1]):
-        return _search_text(columns, looped, None), True
-    rewrites = [(f"s[{i}]", f"c{k}") for i, k in enumerate(columns) if k is not None]
-    joined = []
-    for level_tests in at:
-        text = " and ".join(level_tests)
-        for slot, coordinate in rewrites if text else ():
-            text = text.replace(slot, coordinate)
-        joined.append(text)
-    return _search_text(columns, looped, tuple(joined)), False
-
-
-@functools.lru_cache(maxsize=256)
-def _search_text(columns: tuple[int | None, ...], looped: tuple[bool, ...],
-                 at: tuple[str, ...] | None) -> str:
-    """The source _search_source describes: one `for` per axis with
-    `looped` set, outermost first, the other axes bound before them. The
-    tests `at[j]` of level j run there, and when they fail `total` skips
-    the block of points inside; with `at` None, `pre` runs at each point.
+    the same for every antecedent over the same columns and shape.
     Binding the one-value axes first keeps the search within CPython's
     20 nested blocks: a grid of 200,000 points loops at most 17 axes."""
     order = [k for k, many in enumerate(looped) if many]
     depth = len(order)
-    tests = at or ("",) * (depth + 1)
+    level = {k: i for i, k in enumerate(order, 1)}  # a one-value axis is level 0
+    slot_level = [level.get(k, 0) for k in columns]
+    at: list[list[str]] = [[] for _ in range(depth + 1)]
+    for t in tests if tests and depth > 1 else ():
+        at[max([slot_level[int(i)] for i in _SLOT.findall(t)], default=0)].append(t)
+    calls_pre = not any(at[1:-1])
+    # A test reads the coordinates its slots hold, not a state.
+    texts = ["" if calls_pre else _SLOT.sub(lambda m: f"c{columns[int(m[1])]}", " and ".join(
+        level_tests)) for level_tests in at]
 
     def block(k: int) -> str:  # the number of points inside level k
         return " * ".join(f"len(axes[{c}])" for c in order[k:]) or "1"
 
     lines = [f"c{k} = axes[{k}][0]" for k, many in enumerate(looped) if not many]
-    lines += [f"b{k} = {block(k)}" for k in range(1, depth) if tests[k]]
+    lines += [f"b{k} = {block(k)}" for k in range(1, depth) if texts[k]]
     lines.append("checked = total = 0")
     pad = ""
     for k in range(depth):
-        if tests[k]:
-            lines.append(f"{pad}if not ({tests[k]}):")
+        if texts[k]:
+            lines.append(f"{pad}if not ({texts[k]}):")
             lines += [f"{pad} total += b{k}", f"{pad} continue"] if k else [
                 f" return 0, {block(0)}, None"]
         lines.append(f"{pad}for c{order[k]} in axes[{order[k]}]:")
         pad += " "
     state = f"s = {_tuple_source('None' if k is None else f'c{k}' for k in columns)}"
-    if at is None:
+    if calls_pre:
         lines += [f"{pad}total += 1", f"{pad}{state}", f"{pad}if pre(s, axis, cut, fail):",
                   f"{pad} checked += 1"]
     else:
-        lines += [f"{pad}total += 1", f"{pad}if {tests[depth] or 'True'}:",
+        lines += [f"{pad}total += 1", f"{pad}if {texts[depth] or 'True'}:",
                   f"{pad} checked += 1", f"{pad} {state}"]
     lines += [f"{pad} if not post(s, axis, cut, fail):", f"{pad}  return checked, total, s",
               "return checked, total, None"]
     return "\n def search(axes, axis, cut, fail):" + "".join(
-        f"\n  {line}" for line in lines) + "\n return search"
+        f"\n  {line}" for line in lines) + "\n return search", calls_pre
 
 
 def _implied(*_args) -> bool:
@@ -898,11 +884,11 @@ def _implied(*_args) -> bool:
 
 def compile_check(
     pre: Formula, post: Formula, slots: Slots, columns: tuple[int | None, ...],
-    unroll: int = LOOP_CAP, flow_samples: int = 32,
-) -> Callable[[tuple[bool, ...]], Callable]:
-    """The goal `pre -> post` over the layout `slots`, compiled for a grid
-    search: a function giving the search of a grid shape `looped` (which
-    axes hold more than one value), compiled on first use.
+    looped: tuple[bool, ...], unroll: int = LOOP_CAP, flow_samples: int = 32,
+) -> Callable[..., tuple[int, int, State | None]]:
+    """The goal `pre -> post` over the layout `slots`, compiled to one
+    grid search for grids of the shape `looped` (which axes hold more
+    than one value).
 
     `search(axes, axis, cut, fail)` goes over the points of the grid
     `axes` (the coordinates of each axis) in the order of their product.
@@ -911,24 +897,17 @@ def compile_check(
     or None)`. Slot i of a point holds the coordinate of axis
     `columns[i]`, or None. `pre` is tested by its conjunct_tests, each at
     the outermost loop that binds what it reads, or whole at each point
-    (see _search_source); `post` by compile_goal at the bounds `unroll`
-    and `flow_samples`, unless `pre` tests each of its conjuncts. Raises
-    CcsError naming `pre` when Python will not compile the search."""
+    (see _search_source), and only then compiled by compile_goal; `post`
+    by compile_goal at the bounds `unroll` and `flow_samples`, unless
+    `pre` tests each of its conjuncts. Raises CcsError naming `pre` when
+    Python will not compile the search."""
     tests = conjunct_tests(pre, slots)
     post_tests = None if tests is None else conjunct_tests(post, slots)
     implied = post_tests is not None and set(post_tests) <= set(tests)
     holds = _implied if implied else compile_goal(post, slots, unroll, flow_samples)
-    whole = functools.cache(functools.partial(compile_goal, pre, slots, unroll, flow_samples))
-    searches: dict[tuple[bool, ...], Callable] = {}
-
-    def search(looped: tuple[bool, ...]) -> Callable:
-        if looped not in searches:
-            source, calls_pre = _search_source(tests, columns, looped)
-            searches[looped] = _guarded(pre, lambda: compile_source("pre, post", source)(
-                whole() if calls_pre else None, holds))
-        return searches[looped]
-
-    return search
+    source, calls_pre = _search_source(tests, columns, looped)
+    whole = compile_goal(pre, slots, unroll, flow_samples) if calls_pre else None
+    return _guarded(pre, lambda: compile_source("pre, post", source)(whole, holds))
 
 
 # ---------------------------------------------------------------------------
@@ -1445,14 +1424,15 @@ def _trace(
 
 class BatchSummary(Record):
     # first_trace is run 0's full trace, when run_batch was asked to keep
-    # it and run 0 was not stuck; equality and repr leave it out.
+    # it and run 0 was not stuck; truncated_runs counts the runs that
+    # stopped at MAX_ITERATIONS. Equality, repr and to_json leave both out.
     __slots__ = (
         "runs", "strategy", "seed", "horizon", "violations", "runs_with_violations",
         "variable_ranges", "max_invariant_residual", "total_points", "stuck_runs",
-        "first_trace",
+        "first_trace", "truncated_runs",
     )
-    _defaults = {"stuck_runs": 0, "first_trace": None}
-    _uncompared = ("first_trace",)
+    _defaults = {"stuck_runs": 0, "first_trace": None, "truncated_runs": 0}
+    _uncompared = ("first_trace", "truncated_runs")
 
     def to_json(self) -> dict:
         return {
@@ -1512,9 +1492,10 @@ def run_batch(
     `init_box`. Deterministic in (system, n_schedules, seed, init_box):
     run i is `batch_member(seed, i, init_box, strategy, horizon)`.
 
-    A stuck run counts in `stuck_runs` and adds nothing else. With
-    `keep_first`, `first_trace` is run 0's trace as `run` returns it, or
-    None when run 0 is stuck.
+    A stuck run counts in `stuck_runs` and adds nothing else. A run
+    that stops at MAX_ITERATIONS, before the horizon, adds what it ran
+    and counts in `truncated_runs`. With `keep_first`, `first_trace` is
+    run 0's trace as `run` returns it, or None when run 0 is stuck.
     """
     cs = CompiledSystem(system)
     violations: dict[str, int] = {name: 0 for name, _ in cs.monitors}
@@ -1522,7 +1503,7 @@ def run_batch(
     ranges = None  # each slot's (lo, hi) over the finished runs
     max_residual = 0.0
     total_points = 0
-    stuck = 0
+    stuck = truncated_runs = 0
     first_trace = None
     for i in range(n_schedules):
         schedule, init = batch_member(seed, i, init_box, strategy, horizon)
@@ -1536,6 +1517,7 @@ def run_batch(
         if keep_first and i == 0:
             first_trace = _trace(cs, events, states, found, truncated, residual)
         runs_with += bool(found)
+        truncated_runs += truncated
         for v in found:
             violations[v.monitor] += 1
         ranges = _ranges(distinct, ranges or [(v, v) for v in distinct[0]])
@@ -1553,4 +1535,5 @@ def run_batch(
         total_points=total_points,
         stuck_runs=stuck,
         first_trace=first_trace,
+        truncated_runs=truncated_runs,
     )

@@ -18,11 +18,14 @@ from typing import NamedTuple
 import pytest
 
 import ccskit
+import ccskit.cli
 import ccskit.simulator
 from ccskit import dsl
 from ccskit.cli import main
-from ccskit.errors import StuckState
-from ccskit.simulator import STRATEGIES, batch_member, run, run_batch, write_trace_csv
+from ccskit.errors import InitViolatesAssumptions, StuckState
+from ccskit.simulator import (
+    STRATEGIES, batch_member, complete_init, run, run_batch, write_trace_csv,
+)
 from test_dsl import _called_deeper
 
 
@@ -370,6 +373,43 @@ def test_a_domain_past_the_nesting_limit_is_exit_2_from_any_caller(capsys, corpu
     for nots, code in ((960, 2), (400, 0)):
         model = tmp_path / f"deep{nots}.ccs"
         model.write_text(text.replace(plant, f"{plant} & {'!' * nots}(wl < -1)"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccskit.cli", "check", model],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        line = f"{model}: input nests too deeply to process\n" if code else ""
+        assert (proc.returncode, proc.stderr) == (code, line)
+        for frames in (0, 250):
+            result = _called_deeper(frames, lambda: invoke(capsys, "check", model))
+            assert (result.exit_code, result.stderr) == (code, line)
+
+
+# Watertank with an n-link left-deep chain of each operator: a sum or a
+# product in the controller, a conjunction or a disjunction in the domain.
+_CHAINS = {
+    "+": ("wlm := wl;", lambda n: "wlm := wl" + " + 0" * n + ";"),
+    "*": ("wlm := wl;", lambda n: "wlm := wl" + " * 1" * n + ";"),
+    "&": ("& wl >= 0", lambda n: "& wl >= 0" + " & wl >= 0" * n),
+    "|": ("& wl >= 0", lambda n: "& wl >= 0" + " | wl >= 0" * n),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_CHAINS))
+def test_a_chain_past_the_nesting_limit_is_exit_2_from_any_caller(
+    capsys, corpus_dir, tmp_path, op
+):
+    """The parser builds `a + b + c` in a loop, but its tree nests one
+    level per link, and the later passes recurse that deep. An 800-link
+    chain exits 2 with the same line from a fresh interpreter and from
+    `main` in this process, however deep; a 400-link chain is accepted
+    from each."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    old, chain = _CHAINS[op]
+    for links, code in ((800, 2), (400, 0)):
+        model = tmp_path / f"chain{links}.ccs"
+        model.write_text(text.replace(old, chain(links), 1))
         proc = subprocess.run(
             [sys.executable, "-m", "ccskit.cli", "check", model],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
@@ -903,6 +943,44 @@ def test_simulate_malformed_init_is_exit_2(capsys, corpus_dir, tmp_path, box, en
     assert len(result.stderr.splitlines()) == 1
     assert str(init) in result.stderr
     assert entry in result.stderr
+
+
+@pytest.mark.parametrize(
+    "box, missing",
+    [
+        ('{"wl": [3, 7], "wlm": "=wl", "fin": 0, "t": 5}', "tau_1"),
+        ('{"wl": [3, 7], "fin": 0, "t": 5}', "tau_1, wlm"),
+    ],
+)
+def test_simulate_init_without_a_variable_is_exit_2(capsys, corpus_dir, tmp_path, box, missing):
+    """An init file that gives a variable of the system no value, which
+    the environment does not pin either, is a bad input: one line names
+    the variables, before any run. complete_init still raises."""
+    init = tmp_path / "partial.init.json"
+    init.write_text(box)
+    result = invoke(capsys, "simulate", corpus_dir / "watertank.ccs", "--init", init)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"bad init file {init}: no initial value for: {missing}\n"
+    system = dsl.load_file(corpus_dir / "watertank.ccs")
+    with pytest.raises(InitViolatesAssumptions, match=f": no initial value for: {missing}$"):
+        complete_init(system, {**json.loads(box), "wl": 5})
+
+
+def test_simulate_reports_runs_cut_off_before_the_horizon(capsys, corpus_dir, monkeypatch):
+    """A run that stops at MAX_ITERATIONS is counted in one stderr line;
+    the summary on stdout, and its JSON, are those of the full batch."""
+    argv = ("simulate", corpus_dir / "watertank.ccs", "--schedules", 3, "--horizon", 5)
+    full = invoke(capsys, *argv)
+    assert (full.exit_code, full.stderr) == (0, "")
+    monkeypatch.setattr(ccskit.simulator, "MAX_ITERATIONS", 50)
+    monkeypatch.setattr(ccskit.cli, "MAX_ITERATIONS", 50)
+    cut = invoke(capsys, *argv)
+    assert cut.exit_code == 0
+    assert cut.stderr == "3 of 3 runs stopped after 50 loop passes, before the horizon\n"
+    summary = run_batch(dsl.load_file(corpus_dir / "watertank.ccs"), 3, 0, json.loads(
+        (corpus_dir / "watertank.init.json").read_text()), horizon=5.0)
+    assert summary.truncated_runs == 3
+    assert json.loads(cut.stdout) == summary.to_json()
 
 
 def test_simulate_resolves_alias_chains_in_any_order(capsys, corpus_dir, tmp_path):

@@ -46,6 +46,10 @@ def _nested(n: int) -> dict[str, str]:
         "box": "[x := 1] " * n + "x > 0",
         "program-parens": "[" + "(" * n + "x := 1" + ")" * n + "] x > 0",
         "box-in-test": "[?(" * n + "x > 0" + ")] x > 0" * n,
+        "sum": "x > y" + " + 1" * n,
+        "product": "x > y" + " * 1" * n,
+        "and": "x > 0" + " & x > 0" * n,
+        "or": "x > 0" + " | x > 0" * n,
     }
 
 
@@ -65,6 +69,26 @@ def test_the_parser_stops_at_its_own_nesting_limit(construct):
     for frames in (0, 250):
         with pytest.raises(RecursionError, match=message):
             _called_deeper(frames, lambda: dsl.parse_formula_text(too_deep))
+
+
+def test_chains_add_up_only_along_a_path():
+    """A chain's links (see test_the_parser_stops_at_its_own_nesting_limit)
+    add to those of a chain within it, first or last, and to the
+    negations between them, also from 250 frames deeper. A 400-link chain parses, chains side by
+    side do not add up, and brackets are no level of the tree: 110
+    nested `(1 / x)` parse."""
+    inner = "-" * 250 + "(y" + " + 1" * 300 + ")"
+    for nested in ("x > " + "1 + " * 300 + inner, "x > " + inner + " + 1" * 300):
+        for frames in (0, 250):
+            with pytest.raises(RecursionError, match=f"^input nests more than {dsl.MAX_NESTING}"):
+                _called_deeper(frames, lambda: dsl.parse_formula_text(nested))
+    divisions = "x"
+    for _ in range(110):
+        divisions = f"(1 / {divisions})"
+    side_by_side = "x" + " + 1" * 400 + " > y" + " + 1" * 400
+    chains = [_nested(400)[c] for c in ("sum", "product", "and", "or")]
+    for text in [*chains, side_by_side, f"x > {divisions}"]:
+        assert dsl.parse_formula_text(text)
 
 
 def test_corpus_has_at_least_six_models(corpus_dir):

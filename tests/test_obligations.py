@@ -1088,6 +1088,45 @@ def test_each_flow_of_the_benchmark_checks_is_built_once_per_layout(corpus_dir, 
     assert len(built) == 8
 
 
+def test_each_obligation_keeps_one_search_per_grid_shape(corpus_dir, monkeypatch):
+    """After the benchmark's cold checks (every obligation of its four
+    check sets at grid 2), checking them again at grids 3, 5 and 17, of
+    the same shape, builds and compiles no search. A grid-1 check is a
+    new shape: its search replaces the kept one, and grid 3 then gives
+    what a fresh copy of the obligation gives."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "prepare", corpus_dir.parent / "perfbench" / "prepare.py")
+    prepare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(prepare)
+    boxes, samples = prepare.CHECK_BOXES, prepare.FLOW_SAMPLES
+    prepared = prepare.prepare(["watertank", "two_tanks", "watertank_tight"], [], list(boxes))
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return call
+
+    for name in ("_search_source", "compile_source"):
+        monkeypatch.setattr(simulator, name, counted(getattr(simulator, name)))
+    sets = [(boxes[name], obs) for name, obs in prepared["obligations"].items()]
+    for grid in (3, 5, 17):
+        for box, obs in sets:
+            for ob in obs:
+                check_bounded(ob, box, grid=grid, flow_samples=samples)
+    assert calls == []
+    for box, obs in sets:
+        for ob in obs:
+            check_bounded(ob, box, grid=1, flow_samples=samples)
+            kept = check_bounded(ob, box, grid=3, flow_samples=samples).to_json()
+            assert kept == check_bounded(ob.replace(), box, grid=3, flow_samples=samples).to_json()
+    assert "_search_source" in calls
+
+
 def test_a_finished_check_leaves_no_reference_cycle(watertank):
     import gc
 
