@@ -121,39 +121,28 @@ def _load(path: str, system: str | None, cost_model: CostModel | None) -> MCCS:
 
 
 def _check_init_box(box, path: str, system: MCCS) -> None:
-    """Exit 2 unless `box` maps variables of `system` to finite numbers,
-    `[lo, hi]` pairs of them with lo <= hi, or `"=name"` aliases whose
-    chain ends at one of those or at a constant the system pins, and
-    gives each variable the system does not pin a value."""
+    """Exit 2 unless `box` is an object that maps variables of `system`
+    to entries box_interval reads or `"=name"` aliases whose chain ends
+    at one of those or at a constant the system pins, and gives each
+    variable the system does not pin a value. A bad entry's line names
+    it and says what box_interval or alias_root raised for it."""
 
     def reject(problem: str) -> NoReturn:
         _fail(f"bad init file {path}: {problem}")
 
     if not isinstance(box, dict):
         reject(f"expected a JSON object, got {type(box).__name__}")
-    for name, spec in box.items():
-        try:  # a number x is read as the interval [x, x]
-            if not isinstance(spec, str):
-                box_interval(spec if isinstance(spec, list) else [spec, spec])
-            elif len(spec) < 2 or not spec.startswith("="):
-                raise ValueError(spec)
-        except ValueError:
-            reject(
-                f"entry {name!r} is {json.dumps(spec)}; "
-                'expected a finite number, [lo, hi] with lo <= hi, or "=name"'
-            )
     needed = system_variables(system)
     resolvable = pinned_init(needed, system.env.constants(), box)
     for name, spec in box.items():
         if name not in needed:
             reject(f"entry {name!r} names no variable of system {system.name!r}")
         try:
+            if not isinstance(spec, str):
+                box_interval(spec, name)
             alias_root(resolvable, name)
-        except UnboundedVariable:
-            reject(
-                f"entry {name!r} is {json.dumps(spec)}; its alias chain reaches "
-                "no number, interval or constant"
-            )
+        except (ValueError, UnboundedVariable) as e:
+            reject(f"entry {name!r}: {e}")
     missing = sorted(needed - resolvable.keys())
     if missing:
         reject("no initial value for: " + ", ".join(missing))

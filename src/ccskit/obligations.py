@@ -26,16 +26,16 @@ Rule tags: thm1 (controller + plant), thm2 (controller pair), thm3
 `check_bounded` is not a prover. It grids the antecedent box, unrolls
 loops, samples ODE flows, and reports `holds` only in the sense of
 "no counterexample in this finite exploration"; the caveat field always
-spells out the truncations. A goal compiles, by the simulator's
-`compile_check`, to one generated grid search over tuple states for a
-grid shape (which axes hold more than one value): the antecedent's
-conjuncts are tested at the outermost loop that binds their names, and
-the consequent is the function `compile_goal` makes, whose boxes
-enumerate the final states of the program semantics a simulated
-controller firing uses, and whose quantifiers the grid of their
-variable; this module prints no generated code itself. An obligation
-keeps the search of the last grid shape it was checked at, and each
-program node the function it runs as, so later calls reuse them.
+spells out the truncations. The simulator's `box_interval` reads each
+box entry, and its `compile_check` turns a goal into one generated grid
+search over tuple states for a grid shape (which axes hold more than
+one value): the antecedent's conjuncts are tested at the outermost loop
+that binds their names, and the consequent is the function
+`compile_goal` makes, whose boxes enumerate the final states of the
+program semantics a simulated controller firing uses, and whose
+quantifiers the grid of their variable; this module prints no generated
+code itself. An obligation keeps the search of its last grid shape, and
+each program node the function it runs as, so later calls reuse them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from typing import Callable
 
 from .ast import (
     Box,
@@ -96,8 +95,7 @@ STATUSES = ("open", "discharged", "failed")
 
 class ProofObligation(Record):
     # `_names` keeps the goal's free variables, and `_compiled` the goal
-    # as check_bounded last compiled it (see _compiled_goal); neither is a
-    # field.
+    # as check_bounded last compiled it; neither is a field.
     __slots__ = (
         "id", "theorem", "case", "hint", "goal", "status", "notes", "_names",
         "_compiled",
@@ -552,72 +550,12 @@ class BoundedCheckResult(Record):
 
 
 def _axis(domain_box: dict, name: str, grid: int) -> tuple[float, ...]:
-    """The coordinates of the box entry `name`: an interval's `grid`
-    evenly spaced points, or a number's one value, read as the interval
-    `[x, x]`. Raises ValueError unless the entry holds finite reals (see
-    box_interval), naming a number's entry."""
-    spec = domain_box[name]
-    if isinstance(spec, (list, tuple)):
-        lo, hi = box_interval(spec)
-    else:
-        try:
-            lo, hi = box_interval((spec, spec))
-        except ValueError:
-            raise ValueError(f"box entry {name!r} is {spec!r}, not a finite number") from None
+    """The coordinates of the box entry `name` as box_interval reads it:
+    an interval's `grid` evenly spaced points, or a number's one value."""
+    lo, hi = box_interval(domain_box[name], name)
     if hi == lo or grid <= 1:
         return (lo,)
     return tuple(lo + (hi - lo) * i / (grid - 1) for i in range(grid))
-
-
-def _quantifier_axis(
-    domain_box: dict, grid: int, layout: tuple[str, ...], i: int
-) -> tuple[float, ...]:
-    return _axis(domain_box, alias_root(domain_box, layout[i]), grid)
-
-
-def _compiled_goal(
-    goal: Formula,
-    ob: ProofObligation | None,
-    flow_samples: int,
-    roots: dict[str, str],
-    written: tuple[str, ...],
-    box_names: tuple[str, ...],
-    looped: tuple[bool, ...],
-) -> tuple[tuple[str, ...], Callable]:
-    """(layout, search) for `goal`, whose free names have the gridded
-    `roots` and which binds the `written` names: `search` is the grid
-    search of compile_check over grids of the shape `looped`.
-
-    The layout is the names of the domain box (`box_names`) and the
-    `written` names, sorted: every name the goal reads or writes, as the
-    box holds every free name and its root. Goals checked against one
-    box so share the compiled code of their common programs and flows.
-    At a grid point each free name and each root holds the coordinate of
-    its root's axis, one per sorted root, and every other slot is unset.
-    An implication's sides are compiled apart (see compile_check); any
-    other goal has the antecedent `true`. The grid and the truncation
-    flag are arguments of the search, so one search serves every grid of
-    its shape.
-
-    An obligation `ob` keeps the last result in its `_compiled` slot,
-    keyed by `flow_samples`, `roots`, `box_names` (which with the goal
-    fix the layout) and `looped`, so checking it again at another grid
-    of the same shape compiles nothing. A new shape replaces it; the
-    sources it compiles again come from compile_source's cache.
-    """
-    key = (flow_samples, roots, box_names, looped)
-    cached = getattr(ob, "_compiled", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    layout = tuple(sorted({*written, *box_names}))
-    column = {k: i for i, k in enumerate(sorted(set(roots.values())))}
-    columns = tuple(column.get(roots.get(n, n)) for n in layout)
-    sides = (goal.left, goal.right) if isinstance(goal, Implies) else (TRUE, goal)
-    compiled = (layout, compile_check(
-        *sides, slots_of(layout), columns, looped, CHECK_UNROLL, flow_samples))
-    if ob is not None:
-        object.__setattr__(ob, "_compiled", (key, compiled))
-    return compiled
 
 
 MAX_GRID_POINTS = 200000
@@ -634,20 +572,30 @@ def check_bounded(
     """Grid-and-sample falsification of one goal over a variable box.
 
     `domain_box` maps every free variable to a number, an [lo, hi]
-    interval (gridded), or an "=other" alias. Implication goals count a
-    point as checked only when the antecedent held there; zero checked
-    points is reported as inconclusive, never as holds.
+    interval (gridded), or an "=other" alias; box_interval reads each
+    entry an alias chain ends at. Implication goals count a point as
+    checked only when the antecedent held there; zero checked points is
+    reported as inconclusive, never as holds.
 
-    States are tuples over a layout of the box's names and the goal's,
-    whose slots hold None until set (see _compiled_goal). The points are
-    searched in the order of the axes' product by one generated function
-    (see compile_check), which tests each antecedent conjunct at the
-    outermost loop that binds its names and counts a block it skips in
-    `total`. The counterexample and initial states are dicts in layout
-    order, without the unset slots. Raises ValueError when `grid` or
-    `flow_samples` is below 1, or a box entry holds no finite reals.
+    States are tuples over a layout, the box's names and the goal's
+    bound names sorted, so goals checked against one box share the code
+    of their common programs and flows. A grid point sets each free name
+    and each root to its root's axis, one per sorted root; other slots
+    hold None. One generated function (see compile_check) searches the
+    axes' product, testing each antecedent conjunct at the outermost
+    loop that binds its names and counting a block it skips in `total`.
+    An obligation keeps the layout and search of its last grid shape
+    (which axes hold more than one value), keyed by `flow_samples`, the
+    roots, the box's names and the shape, so a check at another grid of
+    that shape compiles nothing. The counterexample and initial states
+    are dicts in layout order, without unset slots.
+
+    Raises ValueError when `grid` or `flow_samples` is not an int of at
+    least 1, or a box entry holds no finite reals.
     """
     for name, value in (("grid", grid), ("flow_samples", flow_samples)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value!r}")
     ob = goal if isinstance(goal, ProofObligation) else None
@@ -666,18 +614,30 @@ def check_bounded(
             "pin more variables or lower the grid"
         )
 
-    layout, search = _compiled_goal(goal, ob, flow_samples, roots, written, tuple(domain_box),
-                                    tuple(len(axis) > 1 for axis in axes))
+    looped = tuple(len(axis) > 1 for axis in axes)
+    key = (flow_samples, roots, tuple(domain_box), looped)
+    kept = getattr(ob, "_compiled", None)
+    if kept is None or kept[0] != key:
+        layout = tuple(sorted({*written, *domain_box}))
+        column = {k: i for i, k in enumerate(keys)}
+        columns = tuple(column.get(roots.get(n, n)) for n in layout)
+        sides = (goal.left, goal.right) if isinstance(goal, Implies) else (TRUE, goal)
+        kept = (key, layout, compile_check(
+            *sides, slots_of(layout), columns, looped, CHECK_UNROLL, flow_samples))
+        if ob is not None:
+            object.__setattr__(ob, "_compiled", kept)
+    _, layout, search = kept
     # Non-empty once a loop, a flow or a quantifier grid has cut the search
-    # short; `witness` holds the state the last `fail` call saw. No
-    # function refers back to another, so nothing this call makes waits
-    # for the garbage collector.
+    # short. `witness` keeps only the state the last `fail` call saw: `fail`
+    # runs on every false leaf inside a box. No function refers back to
+    # another, so nothing this call makes waits for the garbage collector.
     cut_short: set[bool] = set()
     cut = functools.partial(cut_short.add, True)
     witness: collections.deque[tuple] = collections.deque(maxlen=1)
-    axis_of = functools.partial(_quantifier_axis, domain_box, grid, layout)
 
-    checked, total, initial = search(axes, axis_of, cut, witness.append)
+    checked, total, initial = search(
+        axes, lambda i: _axis(domain_box, alias_root(domain_box, layout[i]), grid),
+        cut, witness.append)
     found = initial is not None
     return BoundedCheckResult(
         status="counterexample" if found else "holds" if checked > 0 else "inconclusive",

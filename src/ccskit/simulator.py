@@ -723,10 +723,12 @@ def _compile(
     `q` keeps the function per layout and bounds (see ast.Node), so a
     program or flow the obligations of a composition share is built once.
 
-    Raises ValueError when `flow_samples` is below 1, and CcsError
-    naming `node` (see `_guarded`) when printing or compiling the source
-    nests past Python's limits.
+    Raises ValueError when `flow_samples` is not an int of at least 1,
+    and CcsError naming `node` (see `_guarded`) when printing or
+    compiling the source nests past Python's limits.
     """
+    if isinstance(flow_samples, bool) or not isinstance(flow_samples, int):
+        raise ValueError(f"flow_samples must be an int, got {flow_samples!r}")
     if flow_samples < 1:
         raise ValueError(f"flow_samples must be at least 1, got {flow_samples!r}")
     bounds = (unroll, flow_samples)
@@ -781,11 +783,11 @@ def compile_program_over(
     give at the bounds `unroll` and `flow_samples`. The bounded checker
     enumerates the result; the simulator fires one of its states.
 
-    Raises ValueError when `flow_samples` is below 1, and CcsError when
-    Python will not compile the expression: each level of
-    `(?(x >= 0); P; y := i U z := 1)` nests two of the 200 parentheses
-    Python allows, so P can nest 99 levels deep, and past about 200
-    levels printing the expression recurses too deeply.
+    Raises ValueError when `flow_samples` is not an int of at least 1,
+    and CcsError when Python will not compile the expression: each
+    level of `(?(x >= 0); P; y := i U z := 1)` nests two of the 200
+    parentheses Python allows, so P can nest 99 levels deep, and past
+    about 200 levels printing the expression recurses too deeply.
     """
     return _compile(p, lambda p, slots, helper: "lambda s, cut: " + _emit_program(
         p, slots, helper), slots, unroll, flow_samples)
@@ -797,8 +799,8 @@ def compile_goal(
     """`f` compiled once to a function `(s, axis, cut, fail)`: the
     expression `_emit_goal` prints, with its loop defs, its box programs
     run as `_compile`'s helpers at the bounds `unroll` and
-    `flow_samples`. Raises ValueError when `flow_samples` is below 1, and
-    CcsError when Python will not compile it."""
+    `flow_samples`. Raises ValueError when `flow_samples` is not an int
+    of at least 1, and CcsError when Python will not compile it."""
     return _compile(f, _goal_source, slots, unroll, flow_samples)
 
 
@@ -1078,19 +1080,24 @@ def alias_root(box: dict, name: str) -> str:
     raise UnboundedVariable(name, message)
 
 
-def box_interval(spec: list | tuple) -> tuple[float, float]:
-    """An init or domain box's `[lo, hi]` entry as two floats. Raises ValueError
-    unless it holds two reals, not bools, that convert to finite floats, lo <= hi.
-    Exact floats and ints pass first: the checker reads each entry per call."""
+def box_interval(spec, name: str) -> tuple[float, float]:
+    """A box or init entry `spec` of `name` that is no `"=other"` alias,
+    `[lo, hi]` or a number x read as [x, x], as two floats: the one reader
+    of entries. Raises ValueError unless it holds reals, not bools, that
+    convert to finite floats, lo <= hi, naming a number's entry. Exact
+    floats and ints pass first, as the checker reads each entry per call."""
+    pair = spec if isinstance(spec, (list, tuple)) else (spec, spec)
     try:
-        lo, hi = spec
+        lo, hi = pair
         if not (type(lo) in (float, int) and type(hi) in (float, int) or all(
-                isinstance(x, Real) and not isinstance(x, bool) for x in spec)):
+                isinstance(x, Real) and not isinstance(x, bool) for x in pair)):
             lo = hi = math.nan
         lo, hi = float(lo), float(hi)
     except (ValueError, OverflowError):  # not two items, or an int too large for a float
         lo = hi = math.nan
     if not (math.isfinite(lo) and math.isfinite(hi)):
+        if pair is not spec:
+            raise ValueError(f"box entry {name!r} is {spec!r}, not a finite number")
         raise ValueError(f"an interval is [lo, hi] of two finite numbers, got {spec!r}")
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -1107,7 +1114,9 @@ def complete_init(system: MCCS, init: dict) -> dict[str, float]:
 
     Entries may be numbers or chains of `"=other"` aliases; variables
     absent from `init` fall back to exact environment bindings
-    (`name = q` conjuncts).
+    (`name = q` conjuncts). box_interval reads the entry each chain ends
+    at: one that is no finite number, or an interval nobody drew a value
+    from (see sample_init), raises ValueError.
     """
     return _complete_init(system_variables(system), system.env.constants(), init)
 
@@ -1116,7 +1125,13 @@ def _complete_init(
     needed: frozenset[str], env_pins: dict, init: dict
 ) -> dict[str, float]:
     box = pinned_init(needed, env_pins, init)
-    state = {name: float(box[alias_root(box, name)]) for name in box}
+    state = {}
+    for name in box:
+        root = alias_root(box, name)
+        lo, hi = box_interval(box[root], root)
+        if lo != hi:
+            raise ValueError(f"init entry {root!r} is the interval {box[root]!r}, not a value")
+        state[name] = lo
     missing = sorted(needed - state.keys())
     if missing:
         raise InitViolatesAssumptions("no initial value for: " + ", ".join(missing))
@@ -1452,19 +1467,19 @@ def batch_schedule_seed(seed: int, index: int) -> int:
 
 
 def sample_init(init_box: dict, rng: random.Random) -> dict:
-    """Draw one init description: intervals sampled uniformly, numbers
-    kept, `"=var"` aliases passed through for complete_init to resolve.
-    An interval `box_interval` rejects raises ValueError, as in
-    check_bounded.
+    """Draw one init description: each entry box_interval reads becomes
+    a float, drawn uniformly from an interval, and `"=var"` aliases pass
+    through for complete_init to resolve. An entry box_interval rejects
+    raises ValueError, as in check_bounded.
     """
     out: dict = {}
     for name in sorted(init_box):
         spec = init_box[name]
-        if isinstance(spec, (list, tuple)):
-            lo, hi = box_interval(spec)
-            out[name] = lo if lo == hi else rng.uniform(lo, hi)
-        else:
+        if isinstance(spec, str):
             out[name] = spec
+        else:
+            lo, hi = box_interval(spec, name)
+            out[name] = lo if lo == hi else rng.uniform(lo, hi)
     return out
 
 

@@ -9,7 +9,10 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,9 +25,11 @@ import ccskit.cli
 import ccskit.simulator
 from ccskit import dsl
 from ccskit.cli import main
-from ccskit.errors import InitViolatesAssumptions, StuckState
+from ccskit.errors import InitViolatesAssumptions, StuckState, UnboundedVariable
+from ccskit.obligations import check_bounded
 from ccskit.simulator import (
-    STRATEGIES, batch_member, complete_init, run, run_batch, write_trace_csv,
+    STRATEGIES, Schedule, batch_member, complete_init, run, run_batch, sample_init,
+    write_trace_csv,
 )
 from test_dsl import _called_deeper
 
@@ -964,6 +969,64 @@ def test_simulate_init_without_a_variable_is_exit_2(capsys, corpus_dir, tmp_path
     system = dsl.load_file(corpus_dir / "watertank.ccs")
     with pytest.raises(InitViolatesAssumptions, match=f": no initial value for: {missing}$"):
         complete_init(system, {**json.loads(box), "wl": 5})
+
+
+# Bad values of watertank's init entry "wl", each with the one message
+# the library raises for it: box_interval reads every entry that is no
+# alias, and alias_root every alias.
+BAD_ENTRIES = [
+    (True, "box entry 'wl' is True, not a finite number"),
+    (None, "box entry 'wl' is None, not a finite number"),
+    (math.nan, "box entry 'wl' is nan, not a finite number"),
+    (math.inf, "box entry 'wl' is inf, not a finite number"),
+    (-math.inf, "box entry 'wl' is -inf, not a finite number"),
+    ("1", "bad alias '1' for 'wl'"),
+    ([1], "an interval is [lo, hi] of two finite numbers, got [1]"),
+    ([6.4, 3.6], "empty interval [6.4, 3.6]"),
+    ({"lo": 3}, "box entry 'wl' is {'lo': 3}, not a finite number"),
+    ("=nowhere", "'wl' aliases 'nowhere', which has no value or interval"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_ENTRIES, ids=[
+    "bool", "null", "nan", "inf", "-inf", "bare-string", "short-pair", "reversed",
+    "object", "dangling-alias",
+])
+def test_every_reader_rejects_the_same_bad_entry(capsys, corpus_dir, tmp_path, bad, message):
+    """check_bounded, sample_init and run_batch, complete_init and run,
+    and `ccs simulate --init` read an entry alike: each library call
+    raises ValueError (UnboundedVariable for a dangling alias) with the
+    one message, and the command exits 2 with one line that names the
+    entry and gives that message."""
+    system = dsl.load_file(corpus_dir / "watertank.ccs")
+    box = {**json.loads((corpus_dir / "watertank.init.json").read_text()), "wl": bad}
+    error = UnboundedVariable if bad == "=nowhere" else ValueError
+    calls = [
+        lambda: check_bounded(dsl.parse_formula_text("wl >= 0"), box),
+        lambda: run_batch(system, 1, 0, box),
+        lambda: complete_init(system, box),
+        lambda: run(system, Schedule("lazy-controller", 0, 1.0), box),
+    ]
+    if not isinstance(bad, str):  # aliases pass through for complete_init
+        calls.append(lambda: sample_init(box, random.Random(0)))
+    for call in calls:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+    init = tmp_path / "bad.init.json"
+    init.write_text(json.dumps(box))
+    result = invoke(capsys, "simulate", corpus_dir / "watertank.ccs", "--init", init)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"bad init file {init}: entry 'wl': {message}\n"
+
+
+def test_complete_init_rejects_an_interval_nobody_drew_from(corpus_dir):
+    """An init that still holds an interval is a box, not a state; an
+    interval of one point is its value."""
+    system = dsl.load_file(corpus_dir / "watertank.ccs")
+    box = json.loads((corpus_dir / "watertank.init.json").read_text())
+    with pytest.raises(ValueError, match=r"^init entry 'wl' is the interval \[3\.6, 6\.4\], not a value$"):
+        complete_init(system, box)
+    assert complete_init(system, {**box, "wl": [5, 5]})["wlm"] == 5.0
 
 
 def test_simulate_reports_runs_cut_off_before_the_horizon(capsys, corpus_dir, monkeypatch):

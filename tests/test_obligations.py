@@ -662,6 +662,27 @@ def test_both_compile_entries_reject_flow_samples_below_one(flow_samples):
         compile_goal(Box(flow, TRUE), slots, flow_samples=flow_samples)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+def test_a_grid_or_flow_samples_that_is_no_int_is_rejected(corpus_dir, bad):
+    """A float, a bool or any other value that is no int raises
+    ValueError naming the argument, in check_bounded (also for an
+    obligation that keeps a search) and in both compile entries."""
+    message = rf"^{{}} must be an int, got {re.escape(repr(bad))}$"
+    obs = obligations_ccs(dsl.load_file(corpus_dir / "watertank.ccs"))
+    base = next(ob for ob in obs if ob.id == "thm1.base")
+    assert check_bounded(base, WT_BOX, grid=2).status == "holds"
+    flow_goal = dsl.parse_formula_text("x >= 0 -> [{x' = 1, t' = 1 & t <= 1}] x >= 0")
+    for name in ("grid", "flow_samples"):
+        for goal, box in ((base, WT_BOX), (flow_goal, {"x": [0, 1], "t": 0})):
+            with pytest.raises(ValueError, match=message.format(name)):
+                check_bounded(goal, box, **{name: bad})
+    flow = dsl.parse_program_text("{x' = 1, t' = 1 & t <= 1}")
+    with pytest.raises(ValueError, match=message.format("flow_samples")):
+        compile_program_over(flow, slots_of(["t", "x"]), flow_samples=bad)
+    with pytest.raises(ValueError, match=message.format("flow_samples")):
+        compile_goal(Box(flow, TRUE), slots_of(["t", "x"]), flow_samples=bad)
+
+
 def test_a_scanned_flow_starting_at_its_bound_is_not_truncated():
     """A start within 1.28e-10 of a bound `x <= 1` makes the scan step at
     most 1e-12; the scan still walks to the domain's exit."""
