@@ -35,7 +35,8 @@ that binds their names, and the consequent is the function
 program semantics a simulated controller firing uses, and whose
 quantifiers the grid of their variable; this module prints no generated
 code itself. An obligation keeps the search of its last grid shape, and
-each program node the function it runs as, so later calls reuse them.
+each program node the function it runs as, so later calls reuse them;
+nothing of a box is kept, so each call reads its entries again.
 """
 
 from __future__ import annotations
@@ -555,7 +556,8 @@ def _axis(domain_box: dict, name: str, grid: int) -> tuple[float, ...]:
     lo, hi = box_interval(domain_box[name], name)
     if hi == lo or grid <= 1:
         return (lo,)
-    return tuple(lo + (hi - lo) * i / (grid - 1) for i in range(grid))
+    span, steps = hi - lo, grid - 1
+    return tuple([lo + span * i / steps for i in range(grid)])
 
 
 MAX_GRID_POINTS = 200000
@@ -587,8 +589,11 @@ def check_bounded(
     An obligation keeps the layout and search of its last grid shape
     (which axes hold more than one value), keyed by `flow_samples`, the
     roots, the box's names and the shape, so a check at another grid of
-    that shape compiles nothing. The counterexample and initial states
-    are dicts in layout order, without unset slots.
+    that shape compiles nothing. Each call reads each root's entry once,
+    and a quantified slot's entry once, when the search first reaches its
+    quantifier; a quantifier never reached reads nothing. The
+    counterexample and initial states are dicts in layout order, without
+    unset slots.
 
     Raises ValueError when `grid` or `flow_samples` is not an int of at
     least 1, or a box entry holds no finite reals.
@@ -607,14 +612,14 @@ def check_bounded(
     keys = sorted(set(roots.values()))
     axes = [_axis(domain_box, n, grid) for n in keys]
 
-    n_points = math.prod(len(axis) for axis in axes)
+    n_points = math.prod(map(len, axes))
     if n_points > MAX_GRID_POINTS:
         raise CcsError(
             f"grid of {n_points} points exceeds the {MAX_GRID_POINTS} cap; "
             "pin more variables or lower the grid"
         )
 
-    looped = tuple(len(axis) > 1 for axis in axes)
+    looped = tuple([len(axis) > 1 for axis in axes])
     key = (flow_samples, roots, tuple(domain_box), looped)
     kept = getattr(ob, "_compiled", None)
     if kept is None or kept[0] != key:
@@ -627,6 +632,13 @@ def check_bounded(
         if ob is not None:
             object.__setattr__(ob, "_compiled", kept)
     _, layout, search = kept
+    quantified = {}  # each quantified slot's axis, read when the search first asks
+
+    def axis(i: int) -> tuple[float, ...]:
+        if i not in quantified:
+            quantified[i] = _axis(domain_box, alias_root(domain_box, layout[i]), grid)
+        return quantified[i]
+
     # Non-empty once a loop, a flow or a quantifier grid has cut the search
     # short. `witness` keeps only the state the last `fail` call saw: `fail`
     # runs on every false leaf inside a box. No function refers back to
@@ -635,17 +647,17 @@ def check_bounded(
     cut = functools.partial(cut_short.add, True)
     witness: collections.deque[tuple] = collections.deque(maxlen=1)
 
-    checked, total, initial = search(
-        axes, lambda i: _axis(domain_box, alias_root(domain_box, layout[i]), grid),
-        cut, witness.append)
+    checked, total, initial = search(axes, axis, cut, witness.append)
     found = initial is not None
+    # By position, which skips Record's keyword matching: status, checked,
+    # total, counterexample, initial, caveat.
     return BoundedCheckResult(
-        status="counterexample" if found else "holds" if checked > 0 else "inconclusive",
-        checked=checked,
-        total=total,
-        counterexample=_named(layout, witness[0]) if found else None,
-        initial=_named(layout, initial) if found else None,
-        caveat=_caveat(grid, flow_samples, bool(cut_short), checked),
+        "counterexample" if found else "holds" if checked > 0 else "inconclusive",
+        checked,
+        total,
+        _named(layout, witness[0]) if found else None,
+        _named(layout, initial) if found else None,
+        _caveat(grid, flow_samples, bool(cut_short), checked),
     )
 
 

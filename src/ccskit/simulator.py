@@ -1060,6 +1060,8 @@ def alias_root(box: dict, name: str) -> str:
     `box` or comes back to a name it passed, and ValueError on a string
     that is not `"=other"`.
     """
+    if not isinstance(box.get(name, ""), str):  # no alias; a missing name raises below
+        return name
     chain = [name]
     while name in box:
         spec = box[name]

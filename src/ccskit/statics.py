@@ -3,10 +3,10 @@
 These are the workhorses behind every non-interference gate: composition
 soundness reduces to emptiness checks over the sets computed here, so the
 equations follow the standard static semantics of dynamic logic exactly.
-Each formula and program node but a comparison keeps its free and
-bound names once computed, from its children's (see `ast.Node`): a
-composition rule states every obligation over the same contract and
-invariant nodes, so those are walked once, not once per obligation.
+Each formula and program node but a comparison keeps its free and bound
+names once computed, from its children's (see `ast.Node`; `all_vars`
+keeps nothing): a composition rule states every obligation over the
+same contract and invariant nodes, so those are walked once.
 
 The must-bound set MBV(p) contains the variables written on *every* path
 through p; it is what makes sequencing precise
@@ -42,6 +42,7 @@ from .ast import (
     Times,
     TrueF,
     Variable,
+    children,
 )
 
 VarSet = frozenset[str]
@@ -184,8 +185,19 @@ def must_bound_vars(program: Program) -> VarSet:
 
 
 def all_vars(node: Node) -> VarSet:
-    """Every variable name occurring syntactically in `node`: the free
-    ones and, for a formula or program, the bound ones, as a name that is
-    not free is only read after it is bound."""
-    free, written = free_and_bound_vars(node)
-    return free.union(written)
+    """Every variable name occurring syntactically in `node`: each name
+    read, written or quantified, by one walk that keeps nothing on the
+    nodes (a goal parsed for export shares no node a later call reuses)."""
+    names: set[str] = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _UNKEPT) or not isinstance(node, Node):
+            _add_names(node, names)  # a TypeError on what is no node
+            continue
+        if isinstance(node, (Assign, Forall, Exists)):
+            names.add(node.var)
+        elif isinstance(node, ODE):
+            names.update(v for v, _ in node.equations)
+        stack.extend(children(node))
+    return frozenset(names)

@@ -58,7 +58,7 @@ from ccskit.ast import (
 )
 from ccskit.obligations import obligations_ccs
 from ccskit.simulator import emit_formula, emit_term, slots_of
-from ccskit.statics import all_vars
+from ccskit.statics import all_vars, free_and_bound_vars
 
 
 def test_num_parses_decimals_exactly():
@@ -241,7 +241,7 @@ def test_kept_facts_are_not_fields(node):
     `replace` carries it."""
     before = (repr(node), hash(node), pickle.dumps(node))
     fresh = pickle.loads(before[2])
-    all_vars(node)
+    free_and_bound_vars(node)
     if isinstance(node, Term):
         emit_term(node, slots_of(("x",)))
     elif isinstance(node, Formula) and not modality(node):

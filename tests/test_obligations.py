@@ -43,6 +43,7 @@ from ccskit.ast import (
     print_formula,
     seq,
     var,
+    walk,
 )
 from ccskit.components import (
     Contract,
@@ -369,6 +370,42 @@ def test_render_kyx_escapes_quantifiers():
         id="adhoc.q", theorem="adhoc", case="q", hint="compatibility", goal=goal
     )
     assert "\\forall x" in render_kyx(ob)
+
+
+# sha256 of the [file name, sha256 of its bytes] of every prover file that
+# `ccs export-kyx` writes from each golden obligations file (each corpus
+# model that loads, and each pair theorem), recorded before `all_vars`
+# became one walk that keeps nothing.
+KYX_PINS = {
+    "two_tanks_controllers_obligations": "a1fd84fff619cbfa1c9a5bb0be607719646408255a8b6f043fec8169af628e3d",
+    "two_tanks_obligations": "3555cbc03ea1a53212419676eff2ce5c0f68e3cf52998f6db286cce7d939353f",
+    "two_tanks_plants_obligations": "96a9cf178d7819fc27d87f3509912430978cd251630f31e3ba07e01c9b867d2b",
+    "two_tanks_slow_controllers_obligations": "10d832b6826eea5fc4cadc1b013cbdc96f232a7d58429a8f9eeb9e2cb7d4e58a",
+    "two_tanks_slow_plants_obligations": "96a9cf178d7819fc27d87f3509912430978cd251630f31e3ba07e01c9b867d2b",
+    "watertank_late_ctrl_obligations": "1c5ee84820ea94e4c6ec18eff224ea5c0eb4f8aff8423500dfe2ef43a4bbd6f4",
+    "watertank_obligations": "f96643b7ee6d9944b9eb7a663f116a448156a93046fccbd48f02c22dc80201c4",
+    "watertank_tight_obligations": "ccade92c7e0cc02d03b199c69b24b94c7fda3ff6d2fcd9d2a935143bab654dac",
+}
+
+
+def test_the_exported_prover_files_are_pinned(golden_dir):
+    assert sorted(KYX_PINS) == sorted(p.stem for p in golden_dir.glob("*_obligations.json"))
+    for stem, pin in KYX_PINS.items():
+        obs = [obligation_from_json(d) for d in _golden(golden_dir, f"{stem}.json")]
+        files = [[kyx_filename(ob), hashlib.sha256(render_kyx(ob).encode()).hexdigest()]
+                 for ob in obs]
+        assert hashlib.sha256(json.dumps(files).encode()).hexdigest() == pin, stem
+
+
+def test_render_kyx_keeps_nothing_on_a_parsed_goal(golden_dir):
+    """Rendering walks a goal parsed from JSON once and leaves no kept
+    pair of names, modality or source on any of its nodes."""
+    for data in _golden(golden_dir, "two_tanks_obligations.json"):
+        ob = obligation_from_json(data)
+        render_kyx(ob)
+        for node in walk(ob.goal):
+            assert all(getattr(node, slot, None) is None
+                       for slot in ("_vars", "_modal", "_emitted")), node
 
 
 # --- bounded counterexample search -----------------------------------------
@@ -1079,18 +1116,24 @@ def test_a_warm_obligation_is_the_cold_one(watertank):
     assert pickle.loads(pickle.dumps(warm)) == cold
 
 
-def test_each_flow_of_the_benchmark_checks_is_built_once_per_layout(corpus_dir, monkeypatch):
-    """The cold checks of the benchmark's set-up (every obligation of its
-    four check sets at grid 2) build one FlowSegment per distinct (ODE,
-    layout): the obligations of a composition share their flows, and an
-    ODE keeps the sampler made of it. Checking copies of the obligations
-    at another grid, which compiles each goal again, builds none."""
+def _bench_prepare(corpus_dir):
+    """The benchmark's `prepare` module: its check boxes and set-up."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
         "prepare", corpus_dir.parent / "perfbench" / "prepare.py")
     prepare = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(prepare)
+    return prepare
+
+
+def test_each_flow_of_the_benchmark_checks_is_built_once_per_layout(corpus_dir, monkeypatch):
+    """The cold checks of the benchmark's set-up (every obligation of its
+    four check sets at grid 2) build one FlowSegment per distinct (ODE,
+    layout): the obligations of a composition share their flows, and an
+    ODE keeps the sampler made of it. Checking copies of the obligations
+    at another grid, which compiles each goal again, builds none."""
+    prepare = _bench_prepare(corpus_dir)
     built = []
     build = simulator.FlowSegment.__init__
 
@@ -1115,12 +1158,7 @@ def test_each_obligation_keeps_one_search_per_grid_shape(corpus_dir, monkeypatch
     the same shape, builds and compiles no search. A grid-1 check is a
     new shape: its search replaces the kept one, and grid 3 then gives
     what a fresh copy of the obligation gives."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "prepare", corpus_dir.parent / "perfbench" / "prepare.py")
-    prepare = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(prepare)
+    prepare = _bench_prepare(corpus_dir)
     boxes, samples = prepare.CHECK_BOXES, prepare.FLOW_SAMPLES
     prepared = prepare.prepare(["watertank", "two_tanks", "watertank_tight"], [], list(boxes))
     calls = []
@@ -1146,6 +1184,87 @@ def test_each_obligation_keeps_one_search_per_grid_shape(corpus_dir, monkeypatch
             kept = check_bounded(ob, box, grid=3, flow_samples=samples).to_json()
             assert kept == check_bounded(ob.replace(), box, grid=3, flow_samples=samples).to_json()
     assert "_search_source" in calls
+
+
+def test_a_quantified_axis_is_read_once_per_call(monkeypatch):
+    """The search reads the box entry of a quantified slot once per call,
+    at the first quantifier that asks, not once per grid point that
+    reaches it; a quantifier never reached reads nothing."""
+    import ccskit.obligations
+
+    reads = []
+    box_interval = ccskit.obligations.box_interval
+    monkeypatch.setattr(ccskit.obligations, "box_interval",
+                        lambda *entry: reads.append(entry) or box_interval(*entry))
+    goal = dsl.parse_formula_text("0 <= x & x <= 1 -> forall y (y >= 0 -> x + y >= 0)")
+    assert check_bounded(goal, {"x": [0, 1], "y": [0, 2]}, grid=5).status == "holds"
+    assert reads == [([0, 1], "x"), ([0, 2], "y")]
+    unreached = dsl.parse_formula_text("x >= 2 -> forall z (z >= x)")
+    assert check_bounded(unreached, {"x": [0, 1]}, grid=5).status == "inconclusive"
+
+
+def _obligation(goal):
+    return ProofObligation(id="adhoc.k", theorem="adhoc", case="k", hint="compatibility", goal=goal)
+
+
+def test_boxes_that_compare_equal_give_their_own_results():
+    """True and 1, -0.0 and 0.0, a list and a tuple, and a list before
+    and after it changes in place compare equal, and a call with the
+    second of each pair after the first gives what a fresh obligation
+    gives: a bool is still rejected and a -0.0 counterexample keeps its
+    sign. The kept search refers to neither the box nor its lists."""
+    import gc
+
+    below_one = _obligation(dsl.parse_formula_text("x >= 0 -> x + y <= 1"))
+    positive = _obligation(dsl.parse_formula_text("x > 0"))
+
+    def outcome(ob, box):
+        try:
+            return repr(check_bounded(ob, box, grid=3))
+        except ValueError as e:
+            return repr(e)
+
+    box = {"x": [0, 1], "y": 0}
+    pairs = [
+        (below_one, {"x": 1, "y": [0, 1]}, {"x": True, "y": [0, 1]}),
+        (positive, {"x": 0.0}, {"x": -0.0}),
+        (below_one, box, {"x": (0, 1), "y": 0}),
+        (below_one, box, box),
+    ]
+    for ob, first, second in pairs:
+        outcome(ob, first)
+        if second is box:
+            box["x"][1] = 2
+        assert outcome(ob, second) == outcome(ob.replace(), second)
+        lists = [v for v in second.values() if isinstance(v, list)]
+        kept, seen = [ob._compiled], set()
+        while kept:
+            obj = kept.pop()
+            assert obj is not second and all(obj is not v for v in lists)
+            if isinstance(obj, (tuple, list, dict)) and id(obj) not in seen:
+                seen.add(id(obj))
+                kept += gc.get_referents(obj)
+    assert outcome(below_one, pairs[0][2]) == (
+        "ValueError(\"box entry 'x' is True, not a finite number\")")
+    assert repr(check_bounded(positive, {"x": -0.0}, grid=3).counterexample) == "{'x': -0.0}"
+    assert check_bounded(below_one, box, grid=3).counterexample == {"x": 2.0, "y": 0.0}
+
+
+def test_a_warm_result_is_the_cold_one_over_the_benchmark_check_sets(corpus_dir):
+    prepare = _bench_prepare(corpus_dir)
+    boxes = prepare.CHECK_BOXES
+    prepared = prepare.prepare(["watertank", "two_tanks", "watertank_tight"], [], list(boxes))
+    for name, obs in prepared["obligations"].items():
+        for grid in (2, 3, 5):
+            for ob in obs:
+                cold = check_bounded(ob.replace(), boxes[name], grid=grid, flow_samples=8)
+                check_bounded(ob, boxes[name], grid=grid, flow_samples=8)
+                warm = check_bounded(ob, boxes[name], grid=grid, flow_samples=8)
+                assert repr(warm.to_json()) == repr(cold.to_json())
+
+
+def test_an_obligation_keeps_only_its_names_and_compiled_goal():
+    assert [s for s in ProofObligation.__slots__ if s[0] == "_"] == ["_names", "_compiled"]
 
 
 def test_a_finished_check_leaves_no_reference_cycle(watertank):
