@@ -325,6 +325,8 @@ def export_kyx(obligations_json, out_dir):
         entries[name] = i
     try:
         texts = [render_kyx(ob) for ob in obs]
+    except ValueError as e:
+        _fail(f"{obligations_json}: bad obligation entry: {e}")
     except RecursionError:
         _too_deep(obligations_json)
     directory = Path(out_dir)
@@ -482,10 +484,12 @@ def main(argv: list[str] | None = None) -> None:
 
 
 def script() -> None:
-    """The `ccs` process: `main()`, then freeze every object it leaves. A
-    stdout whose reader has closed is pointed at /dev/null, so that the
-    flush at interpreter exit does not fail again; a missing one (fd 1
-    closed at start) has nothing to flush."""
+    """The `ccs` process: freeze the heap that importing left, run `main()`,
+    then freeze every object it leaves; a collection inside `main` then
+    walks only what the command made. A stdout whose reader has closed is
+    pointed at /dev/null, so that the flush at interpreter exit does not
+    fail again; a missing one (fd 1 closed at start) has nothing to flush."""
+    gc.freeze()
     try:
         main()
     except SystemExit as e:

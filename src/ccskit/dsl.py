@@ -39,10 +39,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .ast import (
     Assign,
     Box,
+    COMPARISON_OPS,
     Compare,
     Divide,
     Exists,
@@ -133,37 +135,53 @@ class Token(Record):
         _set(self, "col", col)
 
 
+# One match per token: the whitespace and comments before it, then the
+# token, or the end of the text, or a character no token starts with. As
+# nothing after the skipped run can fail, a match never backtracks. Past
+# a last match that ends the text, `findall` adds one of no characters.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>//[^\n]*)
-    | (?P<nl>\n)
-    | (?P<number>\d+(?:\.\d+)?)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>:=|<=|>=|!=|->|[-+*/(){}\[\];,:'&|!<>=?])
-    """,
+    r"""[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+    (?:( [A-Za-z_][A-Za-z0-9_]*                       # name
+       | [0-9]+(?:\.[0-9]+)?                          # number
+       | [:<>!]=|->|[-+*/(){}\[\];,:'&|!<>=?] )      # op
+    | \Z | . )""",
     re.VERBOSE,
 )
+
+
+def _scan(text: str) -> list[str]:
+    """The texts of the tokens of `text`, and "" for its end."""
+    texts = _TOKEN_RE.findall(text + "\n")  # so always one empty match more
+    texts.pop()
+    first = texts.index("")
+    if first < len(texts) - 1:  # a character no token starts with
+        at = list(_TOKEN_RE.finditer(text))[first].end() - 1
+        line = text.count("\n", 0, at) + 1
+        raise ParseError(line, at - text.rfind("\n", 0, at), "a token", text[at])
+    return texts
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, pos - line_start + 1, "a token", text[pos])
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, m.start() - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+    for t, m in zip(_scan(text), _TOKEN_RE.finditer(text)):
+        at = m.start(1) if t else len(text)
+        breaks = text.count("\n", m.start(), at)  # in the run skipped before it
+        if breaks:
+            line += breaks
+            line_start = text.rindex("\n", 0, at) + 1
+        kind = "number" if t[:1].isdigit() else "name" if t.isidentifier() else "op"
+        tokens.append(Token(kind if t else "eof", t, line, at - line_start + 1))
     return tokens
+
+
+@lru_cache(maxsize=4096)
+def _leaf(text: str) -> Term | None:
+    """The literal or variable that the token `text` reads as, if any:
+    built once per text, as terms keep nothing and trees may share them."""
+    if text[:1].isdigit():
+        return Rational(Fraction(text))
+    return Variable(text) if text.isidentifier() and text not in KEYWORDS else None
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +223,7 @@ class ModelSource(Record):
 # Parser
 
 
-# About the interpreter frames the parser's recursion may hold: one per `!` or
+# At most the interpreter frames the parser's recursion holds: one per `!` or
 # unary `-`, two per box, three per program, five per formula or bracketed term.
 # The later passes over a tree (printing, emitting, free variables) recurse as
 # deep as the tree: one frame per link of a left-deep `+ - * / & |` chain, which
@@ -218,8 +236,11 @@ _CHAINS = ({"|": Or}, {"&": And}, {"+": Plus, "-": Minus}, {"*": Times, "/": Div
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, source: str | list[Token]):
+        """A parser over a text, which it reads as token texts alone, or
+        over its tokens."""
+        self.source = source
+        self.texts = _scan(source) if isinstance(source, str) else [t.text for t in source]
         self.pos = 0
         self.depth = 0  # the frames held, as MAX_NESTING counts them
         self.level = 0  # those of them that are levels of the tree, not brackets
@@ -238,37 +259,33 @@ class _Parser:
 
     # -- primitives
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    @property
+    def tokens(self) -> list[Token]:
+        """The tokens, with their lines and columns: from a text source,
+        built when first asked for, which an error's position is."""
+        if isinstance(self.source, str):
+            self.source = tokenize(self.source)
+        return self.source
 
     def error(self, expected: str) -> ParseError:
-        tok = self.peek()
-        found = tok.text if tok.kind != "eof" else "end of input"
-        return ParseError(tok.line, tok.col, expected, found)
+        tok = self.tokens[self.pos]
+        return ParseError(tok.line, tok.col, expected, tok.text or "end of input")
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
             raise self.error(f"{text!r}")
-        return self.advance()
+        self.pos += 1
 
     def expect_name(self, what: str = "a name") -> str:
-        tok = self.peek()
-        if tok.kind != "name" or tok.text in KEYWORDS:
+        text = self.texts[self.pos]
+        if not text.isidentifier() or text in KEYWORDS:
             raise self.error(what)
-        self.advance()
-        return tok.text
+        self.pos += 1
+        return text
 
     def accept(self, text: str) -> bool:
         """Whether the next token is `text`, consumed when it is."""
-        tok = self.tokens[self.pos]
-        found = tok.kind != "eof" and tok.text == text
+        found = self.texts[self.pos] == text
         self.pos += found
         return found
 
@@ -292,7 +309,7 @@ class _Parser:
                      self._not_formula() if level == 1 else self._unary())
             out = right if make is None else make(out, right)
             links += 1
-            make = ops.get(self.tokens[self.pos].text)
+            make = ops.get(self.texts[self.pos])
             if make is None:
                 break
             self.pos += 1
@@ -306,20 +323,17 @@ class _Parser:
         return out
 
     def _unary(self) -> Term:
-        if self.accept("-"):
+        text = self.texts[self.pos]
+        leaf = _leaf(text)
+        if leaf is not None:
+            self.pos += 1
+            return leaf
+        if text == "-":
+            self.pos += 1
             self.nest(1)
             return self.nest(-1, Neg(self._unary()))
-        return self._primary()
-
-    def _primary(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return Rational(Fraction(tok.text))
-        if tok.kind == "name" and tok.text not in KEYWORDS:
-            self.advance()
-            return Variable(tok.text)
-        if self.accept("("):
+        if text == "(":
+            self.pos += 1
             self.nest(5, bracket=5)
             inner = self.nest(-5, self.parse_term(), -5)
             self.expect(")")
@@ -336,34 +350,32 @@ class _Parser:
         return self.nest(-1, left)
 
     def _not_formula(self) -> Formula:
-        if self.accept("!"):
+        text = self.texts[self.pos]
+        if text == "!":
+            self.pos += 1
             self.nest(1)
             return self.nest(-1, Not(self._not_formula()))
-        return self._atom_formula()
-
-    def _atom_formula(self) -> Formula:
-        tok = self.peek()
-        if self.accept("true"):
-            return TRUE
-        if self.accept("false"):
-            return FALSE
-        if tok.text in ("forall", "exists"):
-            self.advance()
+        if text in ("true", "false"):
+            self.pos += 1
+            return TRUE if text == "true" else FALSE
+        if text in ("forall", "exists"):
+            self.pos += 1
             name = self.expect_name("a quantified variable")
             self.expect("(")
             body = self.parse_formula()
             self.expect(")")
-            return Forall(name, body) if tok.text == "forall" else Exists(name, body)
-        if self.accept("["):
+            return Forall(name, body) if text == "forall" else Exists(name, body)
+        if text == "[":
+            self.pos += 1
             prog = self.parse_program()
             self.expect("]")
             self.nest(2)
             return self.nest(-2, Box(prog, self._not_formula()))
-        if tok.text == "(":
+        if text == "(":
             # Either a parenthesised formula or a parenthesised term starting
             # a comparison; try the formula reading first and fall back.
             mark = self.pos, self.depth, self.level, self.tallest
-            self.advance()
+            self.pos += 1
             try:
                 inner = self.parse_formula()
                 self.expect(")")
@@ -371,22 +383,19 @@ class _Parser:
             except ParseError:
                 self.pos, self.depth, self.level, self.tallest = mark
         left = self.parse_term()
-        op_tok = self.peek()
-        if op_tok.text not in ("<=", "<", "=", "!=", ">", ">="):
+        op = self.texts[self.pos]
+        if op not in COMPARISON_OPS:
             raise self.error("a comparison operator")
-        self.advance()
-        right = self.parse_term()
-        return Compare(op_tok.text, left, right)
+        self.pos += 1
+        return Compare(op, left, self.parse_term())
 
     # -- programs
 
     def _starts_statement(self) -> bool:
         """A test, an ODE, a parenthesised choice or an assignment comes
         next; a `;` followed by anything else ends the statement list."""
-        tok = self.peek()
-        if tok.text in ("?", "{", "("):
-            return True
-        return tok.kind == "name" and tok.text not in KEYWORDS
+        text = self.texts[self.pos]
+        return text in ("?", "{", "(") or text.isidentifier() and text not in KEYWORDS
 
     def parse_choice(self) -> Program:
         """Statement lists separated by `U`."""
@@ -405,7 +414,6 @@ class _Parser:
         return self.nest(-3, seq(*statements))
 
     def _statement(self) -> Program:
-        tok = self.peek()
         if self.accept("?"):
             self.expect("(")
             condition = self.parse_formula()
@@ -421,7 +429,7 @@ class _Parser:
             if self.accept("*"):
                 return Loop(inner)
             return inner
-        if tok.kind == "name" and tok.text not in KEYWORDS:
+        if self._starts_statement():
             name = self.expect_name()
             self.expect(":=")
             return Assign(name, self.parse_term())
@@ -444,13 +452,15 @@ class _Parser:
     # -- constant expressions
 
     def parse_const_expr(self, env: dict[str, Fraction]) -> Fraction:
-        tok = self.peek()
+        start = self.pos
         term = self.parse_term()
         try:
             return _fold_const(term, env)
         except ZeroDivisionError:
+            tok = self.tokens[start]
             raise ParseError(tok.line, tok.col, "a nonzero divisor") from None
         except KeyError as e:
+            tok = self.tokens[start]
             raise ParseError(
                 tok.line, tok.col, f"a constant (unknown name {e.args[0]!r})"
             ) from None
@@ -465,7 +475,7 @@ class _Parser:
         invariants: list[InvariantDecl] = []
         systems: list[SystemDecl] = []
         const_env: dict[str, Fraction] = {}
-        while self.peek().kind != "eof":
+        while self.texts[self.pos]:
             if self.accept("const"):
                 name = self.expect_name("a constant name")
                 self.expect("=")
@@ -553,14 +563,14 @@ def _fold_const(t: Term, env: dict[str, Fraction]) -> Fraction:
 
 def parse(text: str) -> ModelSource:
     """Concrete syntax -> declaration list. No name resolution, no gates."""
-    return _Parser(tokenize(text)).parse_model()
+    return _Parser(text).parse_model()
 
 
 def _parse_whole(text: str, rule):
     """`rule` of the parser over all of `text`."""
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     out = rule(p)
-    if p.peek().kind != "eof":
+    if p.texts[p.pos]:
         raise p.error("end of input")
     return out
 

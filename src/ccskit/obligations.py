@@ -687,13 +687,15 @@ KYX_SYNTAX = ("++", "\\")
 
 
 def render_kyx(ob: ProofObligation) -> str:
-    """One obligation as a standalone prover problem file."""
+    """One obligation as a standalone prover problem file. ValueError if
+    a comment of it would hold a `*/`, which would end it early."""
     names = sorted(all_vars(ob.goal))
     decls = "\n".join(f"  Real {n};" for n in names)
     body = print_formula(ob.goal, KYX_SYNTAX)
-    lines = [f"/* {ob.id} ({ob.provenance}) */", f"/* hint: {ob.hint} */"]
-    for note in ob.notes:
-        lines.append(f"/* note: {note} */")
+    comments = [f"{ob.id} ({ob.provenance})", f"hint: {ob.hint}", *(f"note: {n}" for n in ob.notes)]
+    if any("*/" in c for c in comments):
+        raise ValueError(f"obligation {ob.id!r}: its provenance or a note holds '*/'")
+    lines = [f"/* {c} */" for c in comments]
     lines += [
         "",
         "ProgramVariables",

@@ -192,6 +192,16 @@ def test_main_leaves_the_collector_as_it_was(capsys, corpus_dir, args, code):
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
+def test_process_entry_freezes_the_heap_before_the_command(monkeypatch):
+    """`script` freezes what importing left before `main` runs, and what
+    `main` left after."""
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(ccskit.cli, "main", lambda: calls.append("main"))
+    ccskit.cli.script()
+    assert calls == ["freeze", "main", "freeze"]
+
+
 def test_process_entry_freezes_the_heap_before_shutdown(corpus_dir):
     """An `atexit` hook, which runs before the interpreter's shutdown
     collections, sees a frozen heap after `python -m ccskit.cli`'s block."""
@@ -683,6 +693,44 @@ def test_export_kyx_goal_nested_too_deeply_is_exit_2(capsys, corpus_dir, tmp_pat
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == f"{obs_path}: input nests too deeply to process\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [("notes", ["closes */ Problem false End."]), ("provenance", "thm1/base */ x")],
+)
+def test_export_kyx_rejects_an_entry_that_would_close_its_comment(
+    capsys, corpus_dir, tmp_path, field, text
+):
+    """A note or provenance holding `*/` would end its comment in the
+    prover file and write the rest as prover input: exit 2, nothing written."""
+    obs_path = tmp_path / "obs.json"
+    invoke(capsys, "obligations", corpus_dir / "watertank.ccs", "-o", obs_path)
+    obs = json.loads(obs_path.read_text())
+    obs[3][field] = text
+    obs_path.write_text(json.dumps(obs))
+    out_dir = tmp_path / "kyx"
+    result = invoke(capsys, "export-kyx", obs_path, "-o", out_dir)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"{obs_path}: bad obligation entry: obligation {obs[3]['id']!r}: "
+        "its provenance or a note holds '*/'\n"
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
+def test_check_rejects_a_numeral_of_non_ascii_digits(capsys, corpus_dir, tmp_path, digit):
+    """A numeral is ASCII digits: any other digit is no token, at its column."""
+    lines = (corpus_dir / "watertank.ccs").read_text().split("\n")
+    line = next(i for i, text in enumerate(lines) if "assume 3 <= wl" in text)
+    col = lines[line].index("3 <= wl") + 1
+    lines[line] = lines[line].replace("3 <= wl", f"{digit} <= wl")
+    model = tmp_path / "digit.ccs"
+    model.write_text("\n".join(lines))
+    result = invoke(capsys, "check", model)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"{model}: parse error: {line + 1}:{col}: expected a token, found {digit}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,16 @@
 """Concrete syntax: parsing, serialization, model assembly."""
 
+import hashlib
+import json
+import random
+import string
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import randgen
 from ccskit import dsl
 from ccskit.ast import (
     Compare,
@@ -118,6 +125,32 @@ def test_parse_error_carries_position():
 def test_malformed_declarations_raise_parse_errors(snippet):
     with pytest.raises(ParseError):
         dsl.parse(snippet)
+
+
+@pytest.mark.parametrize("text", ["x <= \u0663", "x <= \uff13", "x <= 1\u0663"])
+def test_numerals_are_ascii_digits(text):
+    """Any other digit starts no token, so it is an error at its column."""
+    with pytest.raises(ParseError) as e:
+        dsl.parse_formula_text(text)
+    assert str(e.value) == f"1:{len(text)}: expected a token, found {text[-1]}"
+
+
+def test_parsing_goals_builds_no_token_and_reads_each_numeral_once(golden_dir, monkeypatch):
+    """Over every golden goal, `parse_formula_text` builds no Token, and
+    turns each distinct numeral text into a Fraction at most once."""
+    goals = [
+        entry["goal"]
+        for path in sorted(golden_dir.glob("*_obligations.json"))
+        for entry in json.loads(path.read_text())
+    ]
+    tokens, numerals = [], []
+    monkeypatch.setattr(dsl.Token, "__init__", lambda self, *a: tokens.append(a))
+    monkeypatch.setattr(dsl, "Fraction", lambda text: numerals.append(text) or Fraction(text))
+    dsl._leaf.cache_clear()
+    for goal in goals:
+        dsl.parse_formula_text(goal)
+    assert tokens == []
+    assert numerals and sorted(numerals) == sorted(set(numerals))
 
 
 def test_formula_term_program_text_parsers_round_trip():
@@ -292,3 +325,102 @@ def test_comments_and_whitespace_are_ignored(corpus_dir):
         "system watertank", "// mid comment\nsystem watertank"
     )
     assert dsl.parse(noisy).systems == dsl.parse(text).systems
+
+
+# -- pinned parse outcomes ----------------------------------------------------
+
+
+def _outcome(parse, reprint, text: str) -> str:
+    """The reprinted tree `parse` reads from `text`, or the text of the
+    error it raises."""
+    try:
+        return reprint(parse(text))
+    except (ParseError, RecursionError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _mutants(text: str, rng: random.Random, each: int) -> list[str]:
+    """`each` mutants of `text` of every kind, all ASCII: one token dropped,
+    duplicated or swapped with the next, the text cut before a token, or
+    a printable ASCII character inserted anywhere."""
+    line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    spans = [
+        (line_starts[t.line - 1] + t.col - 1, line_starts[t.line - 1] + t.col - 1 + len(t.text))
+        for t in dsl.tokenize(text)[:-1]
+    ]
+    out = []
+    for _ in range(each):
+        i = rng.randrange(len(spans))
+        (s, e), (s2, e2) = spans[i], spans[min(i + 1, len(spans) - 1)]
+        out.append(text[:s] + text[e:])
+        out.append(text[:e] + " " + text[s:e] + text[e:])
+        if s2 > s:
+            out.append(text[:s] + text[s2:e2] + text[e:s2] + text[s:e] + text[e2:])
+        out.append(text[:s])
+        at = rng.randrange(len(text) + 1)
+        out.append(text[:at] + rng.choice(string.printable) + text[at:])
+    return out
+
+
+def _pinned_inputs():
+    """(parse, reprint, text) for every corpus model, every golden goal
+    and their seeded mutants."""
+    tests = Path(__file__).resolve().parent
+    models = [p.read_text() for p in sorted((tests.parent / "corpus").glob("*.ccs"))]
+    goals = [
+        entry["goal"]
+        for path in sorted((tests / "golden").glob("*_obligations.json"))
+        for entry in json.loads(path.read_text())
+    ]
+    rng = random.Random(20191)
+    for parse, reprint, texts, each in (
+        (dsl.parse, dsl.serialize_model, models, 40),
+        (dsl.parse_formula_text, print_formula, goals, 3),
+    ):
+        for text in texts:
+            for t in [text, *_mutants(text, rng, each)]:
+                yield parse, reprint, t
+
+
+# sha256 over every pinned input and its outcome, taken before the scanner
+# and parser were rewritten to read token texts alone.
+PARSE_PINS = {
+    "inputs": 2962,
+    "sha256": "87d247e6189120de2ec347271d6f0a1e814823da1221cd15cefe0222edc9137a",
+}
+
+
+def test_parse_outcomes_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for parse, reprint, text in _pinned_inputs():
+        digest.update(f"{text}\0{_outcome(parse, reprint, text)}\0".encode())
+        count += 1
+    assert {"inputs": count, "sha256": digest.hexdigest()} == PARSE_PINS
+
+
+# The deepest nesting of each construct of _nested that parses; one level
+# more raises the parser's RecursionError.
+DEEPEST = {
+    "and": 599, "box": 297, "box-in-test": 74, "forall": 119, "formula-parens": 119,
+    "implies": 596, "minus": 595, "not": 595, "or": 599, "product": 599,
+    "program-parens": 197, "sum": 599, "term-parens": 119,
+}
+
+
+@pytest.mark.parametrize("construct", sorted(DEEPEST))
+def test_each_construct_nests_exactly_to_its_pinned_depth(construct):
+    n = DEEPEST[construct]
+    text = _nested(n)[construct]
+    assert print_formula(dsl.parse_formula_text(print_formula(dsl.parse_formula_text(text)))) \
+        == print_formula(dsl.parse_formula_text(text))
+    with pytest.raises(RecursionError):
+        dsl.parse_formula_text(_nested(n + 1)[construct])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(randgen.formulas(randgen.GOAL_NAMES), randgen.goals()))
+def test_printing_the_parsed_print_gives_the_print_back(g):
+    """Once read: a literal such as `1/3` reads back as a division, and a
+    sequence nested to the left as one flat sequence."""
+    once = print_formula(dsl.parse_formula_text(print_formula(g)))
+    assert print_formula(dsl.parse_formula_text(once)) == once
