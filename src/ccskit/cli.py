@@ -253,17 +253,8 @@ def _gather_obligations(
     source = _model(model, dsl.parse, _read_text(model))
     parts = _model(model, dsl.build_components, source, system)
     sysdecl, rcs, cps, env, invariant = parts
-    if theorem == "auto":
-        if rcs and cps:
-            theorem = "ccs"
-        elif len(rcs) >= 2:
-            theorem = "controllers"
-        elif len(cps) >= 2:
-            theorem = "plants"
-        else:
-            _fail(f"{sysdecl.name!r} has no decomposable composition")
     try:
-        if theorem == "ccs":
+        if theorem in ("auto", "ccs"):
             return obligations_ccs(_model(model, dsl.assemble, parts, cost_model))
         if theorem == "controllers":
             if len(rcs) != 2:
@@ -444,7 +435,7 @@ def main(argv: list[str] | None = None) -> None:
     sub = command(obligations, model, formatted)
     sub.add_argument(
         "--theorem", choices=["auto", "ccs", "controllers", "plants"], default="auto",
-        help="which decomposition to emit (auto picks by system shape)",
+        help="which decomposition to emit (auto, the default, is ccs)",
     )
     sub.add_argument("-o", "--out")
     sub = command(export_kyx)

@@ -129,13 +129,8 @@ class ReactiveController(Record):
         ?(t <= tau + delta); ctrl; tau := t
     """
 
-    __slots__ = ("name", "ctrl", "reactivity", "timestamp", "contract", "bound_name", "_writes")
+    __slots__ = ("name", "ctrl", "reactivity", "timestamp", "contract", "bound_name")
     _defaults = {"contract": None, "bound_name": ""}
-
-    @property
-    def writes(self) -> frozenset[str]:
-        """`bound_vars(ctrl)`, kept on the record once taken."""
-        return self._kept("_writes", lambda: bound_vars(self.ctrl))
 
     def guard(self, bound: Fraction | None = None) -> Formula:
         delta = self.reactivity if bound is None else bound
@@ -403,7 +398,7 @@ def make_ccs(
 
     # bound_vars(system.to_program()): a choice's guard binds nothing.
     written = bound_vars(system.guarded_ode()).union(
-        *(rc.writes | {rc.timestamp} for rc in ctrl.choices)
+        *(bound_vars(rc.ctrl) | {rc.timestamp} for rc in ctrl.choices)
     )
     clash = free_vars(env.formula) & written
     if clash:

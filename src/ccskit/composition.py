@@ -33,7 +33,7 @@ from .components import (
     make_ccs,
 )
 from .errors import InterferenceError, UnmappedController
-from .statics import free_vars
+from .statics import bound_vars, free_vars
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def non_interference_ctrl_plant(
     c = as_multi_controller(ctrl)
     g_ctrl = free_vars(c.contract.guarantee)
     g_plant = free_vars(plant.require_contract().guarantee)
-    writes = frozenset().union(*(rc.writes for rc in c.choices))
+    writes = frozenset().union(*(bound_vars(rc.ctrl) for rc in c.choices))
     evolved = plant.evolved
     return _report(
         "ctrl-plant",
@@ -167,7 +167,7 @@ def non_interference_controllers(
     ma, mb = as_multi_controller(a), as_multi_controller(b)
     # A choice's guarded program writes its body's writes and its stamp.
     w_a, w_b = (
-        frozenset().union(*(rc.writes | {rc.timestamp} for rc in m.choices))
+        frozenset().union(*(bound_vars(rc.ctrl) | {rc.timestamp} for rc in m.choices))
         for m in (ma, mb)
     )
     g_a, g_b = free_vars(ma.contract.guarantee), free_vars(mb.contract.guarantee)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .ast import (
     Assign,
@@ -120,19 +120,9 @@ KEYWORDS = frozenset(
 # Tokens
 
 
-_set = object.__setattr__
-
-
 class Token(Record):
     # kind is "number", "name", "op" or "eof".
     __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        # One per token: spelled out, as it runs faster than Record's loop.
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
 
 
 # One match per token: the whitespace and comments before it, then the
@@ -226,8 +216,9 @@ class ModelSource(Record):
 # At most the interpreter frames the parser's recursion holds: one per `!` or
 # unary `-`, two per box, three per program, five per formula or bracketed term.
 # The later passes over a tree (printing, emitting, free variables) recurse as
-# deep as the tree: one frame per link of a left-deep `+ - * / & |` chain, which
-# the parser builds in a loop, on top of what encloses it less the brackets.
+# deep as the tree: one frame per link of a left-deep `+ - * / & |` chain, a
+# `;` statement list or a `U` choice list, which the parser reads in a loop, on
+# top of what encloses it less the brackets.
 # Both are kept under MAX_NESTING, well under Python's limit of 1000, so a
 # model loads the same from any caller.
 MAX_NESTING = 600
@@ -236,11 +227,10 @@ _CHAINS = ({"|": Or}, {"&": And}, {"+": Plus, "-": Minus}, {"*": Times, "/": Div
 
 
 class _Parser:
-    def __init__(self, source: str | list[Token]):
-        """A parser over a text, which it reads as token texts alone, or
-        over its tokens."""
-        self.source = source
-        self.texts = _scan(source) if isinstance(source, str) else [t.text for t in source]
+    def __init__(self, text: str):
+        """A parser over `text`, which it reads as token texts alone."""
+        self.text = text
+        self.texts = _scan(text)
         self.pos = 0
         self.depth = 0  # the frames held, as MAX_NESTING counts them
         self.level = 0  # those of them that are levels of the tree, not brackets
@@ -259,13 +249,12 @@ class _Parser:
 
     # -- primitives
 
-    @property
+    @cached_property
     def tokens(self) -> list[Token]:
-        """The tokens, with their lines and columns: from a text source,
-        built when first asked for, which an error's position is."""
-        if isinstance(self.source, str):
-            self.source = tokenize(self.source)
-        return self.source
+        """The tokens, with their lines and columns: built when an
+        error's position is first asked for, and kept, as backtracking
+        on `(` can raise several errors in one parse."""
+        return tokenize(self.text)
 
     def error(self, expected: str) -> ParseError:
         tok = self.tokens[self.pos]
@@ -294,14 +283,27 @@ class _Parser:
     def parse_term(self) -> Term:
         return self._chain(2)
 
+    def linked(self, outer: int, links: int, node):
+        """`node`, a chain or a `;` or `U` list of `links` links, read in
+        a loop after `tallest` was saved in `outer` and reset. Its tree is
+        one level per link deeper than its deepest item: this level, or
+        the deepest list within it, which `tallest` holds. On the way out
+        `tallest` holds the deeper of that list and those closed before
+        it (`outer`), so the depths of siblings do not add up. Past
+        MAX_NESTING, raise RecursionError."""
+        if links:
+            peak = max(self.tallest, self.level) + links
+            if peak > MAX_NESTING:
+                raise RecursionError(f"input nests more than {MAX_NESTING} levels deep")
+            self.tallest = peak
+        if outer > self.tallest:
+            self.tallest = outer
+        return node
+
     def _chain(self, level: int):
-        """A left-deep chain of the operators of `_CHAINS[level]`: over
-        chains of the next level, or over `!` forms (level 1) or `-`
-        forms (level 3). Its tree is one level per link deeper than its
-        deepest operand: than this level, or than the deepest chain
-        within it, which `tallest` holds once the chain has reset it. On
-        the way out `tallest` holds the deeper of that chain and those
-        closed before it, so the depths of siblings do not add up."""
+        """A left-deep chain of the operators of `_CHAINS[level]`, a list
+        (see `linked`): over chains of the next level, or over `!` forms
+        (level 1) or `-` forms (level 3)."""
         outer, self.tallest = self.tallest, 0
         ops, make, links = _CHAINS[level], None, -1
         while True:
@@ -313,14 +315,8 @@ class _Parser:
             if make is None:
                 break
             self.pos += 1
-        if links:
-            peak = max(self.tallest, self.level) + links
-            if peak > MAX_NESTING:
-                raise RecursionError(f"input nests more than {MAX_NESTING} levels deep")
-            self.tallest = peak
-        if outer > self.tallest:
-            self.tallest = outer
-        return out
+        # With no link and no list closed before it, `linked` changes nothing.
+        return self.linked(outer, links, out) if links or outer else out
 
     def _unary(self) -> Term:
         text = self.texts[self.pos]
@@ -398,20 +394,23 @@ class _Parser:
         return text in ("?", "{", "(") or text.isidentifier() and text not in KEYWORDS
 
     def parse_choice(self) -> Program:
-        """Statement lists separated by `U`."""
+        """Statement lists separated by `U`, a list (see `linked`)."""
+        outer, self.tallest = self.tallest, 0
         alternatives = [self.parse_program()]
         while self.accept("U"):
             alternatives.append(self.parse_program())
-        return choice(*alternatives)
+        return self.linked(outer, len(alternatives) - 1, choice(*alternatives))
 
     def parse_program(self) -> Program:
+        """Statements separated by `;`, a list (see `linked`)."""
         self.nest(3)
+        outer, self.tallest = self.tallest, 0
         statements = [self._statement()]
         while self.accept(";"):
             if not self._starts_statement():
                 break
             statements.append(self._statement())
-        return self.nest(-3, seq(*statements))
+        return self.nest(-3, self.linked(outer, len(statements) - 1, seq(*statements)))
 
     def _statement(self) -> Program:
         if self.accept("?"):

@@ -78,7 +78,7 @@ from .composition import (
     raise_on_violations,
 )
 from .errors import BoundOccursInBehavior, CcsError
-from .simulator import alias_root, box_interval, compile_check, slots_of
+from .simulator import alias_root, box_interval, compile_check, require_counts, slots_of
 from .statics import all_vars, bound_vars, free_and_bound_vars, free_vars
 
 HINTS = frozenset(
@@ -598,11 +598,7 @@ def check_bounded(
     Raises ValueError when `grid` or `flow_samples` is not an int of at
     least 1, or a box entry holds no finite reals.
     """
-    for name, value in (("grid", grid), ("flow_samples", flow_samples)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value!r}")
+    require_counts(grid=grid, flow_samples=flow_samples)
     ob = goal if isinstance(goal, ProofObligation) else None
     if ob is not None:
         goal = ob.goal

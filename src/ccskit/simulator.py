@@ -701,6 +701,15 @@ def _goal_source(f: Formula, slots: Slots, helper: Callable[[Program], str]) -> 
     return "".join(defs) + f"\n return {last if expr == last + '(s, axis, cut, fail)' else side}"
 
 
+def require_counts(**counts) -> None:
+    """Raise ValueError unless each of `counts` is an int of at least 1."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 def _compile(
     node: Program | Formula,
     emit: Callable[[Program | Formula, Slots, Callable[[Program], str]], str],
@@ -727,10 +736,7 @@ def _compile(
     and CcsError naming `node` (see `_guarded`) when printing or
     compiling the source nests past Python's limits.
     """
-    if isinstance(flow_samples, bool) or not isinstance(flow_samples, int):
-        raise ValueError(f"flow_samples must be an int, got {flow_samples!r}")
-    if flow_samples < 1:
-        raise ValueError(f"flow_samples must be at least 1, got {flow_samples!r}")
+    require_counts(flow_samples=flow_samples)
     bounds = (unroll, flow_samples)
     helpers: list[Callable[[State, Callable[[], None]], list[State]]] = []
 
@@ -939,12 +945,6 @@ _set = object.__setattr__
 
 class TracePoint(Record):
     __slots__ = ("time", "event", "values")
-
-    def __init__(self, time: float, event: str, values: dict[str, float]) -> None:
-        # One per point a trace builds: spelled out, as it runs faster than Record's loop.
-        _set(self, "time", time)
-        _set(self, "event", event)
-        _set(self, "values", values)
 
 
 class MonitorViolation(Record):

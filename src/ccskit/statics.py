@@ -55,12 +55,11 @@ def free_vars(node: Node) -> VarSet:
     return free_and_bound_vars(node)[0]
 
 
-def free_and_bound_vars(node: Node) -> tuple[VarSet, tuple[str, ...]]:
+def free_and_bound_vars(node: Node) -> tuple[VarSet, VarSet]:
     """`free_vars(node)`, and the names `node` writes or quantifies (for
-    a formula or program, `bound_vars(node)`) in the order it first binds
-    them: FV(a; b) = FV(a) u (FV(b) \\ MBV(a)), FV([a]p) = FV(a) u
-    (FV(p) \\ MBV(a)) and FV(Q x. p) = FV(p) \\ {x}, and a node binds its
-    own names before its children's, which bind theirs left to right.
+    a formula or program, `bound_vars(node)`): FV(a; b) = FV(a) u (FV(b)
+    \\ MBV(a)), FV([a]p) = FV(a) u (FV(p) \\ MBV(a)) and FV(Q x. p) =
+    FV(p) \\ {x}.
 
     Each formula and program node keeps its pair once computed (see
     Node), so a subtree that many formulas share is walked once. A term,
@@ -70,7 +69,7 @@ def free_and_bound_vars(node: Node) -> tuple[VarSet, tuple[str, ...]]:
     if isinstance(node, _UNKEPT):
         names: set[str] = set()
         _add_names(node, names)
-        return frozenset(names), ()
+        return frozenset(names), EMPTY
     kept = getattr(node, "_vars", None)
     if kept is not None:
         return kept
@@ -89,27 +88,25 @@ def free_and_bound_vars(node: Node) -> tuple[VarSet, tuple[str, ...]]:
     for node in reversed(spine):
         if isinstance(node, (And, Or, Implies, Choice)):
             first_free, first_written = free_and_bound_vars(node.left)
-            free = _union(first_free, free)
-            if first_written:
-                written = _then(first_written, written)
+            free, written = _union(first_free, free), _union(first_written, written)
         elif isinstance(node, (Seq, Box)):
             first = node.first if isinstance(node, Seq) else node.program
             first_free, first_written = free_and_bound_vars(first)
             free = _union(first_free, free - must_bound_vars(first))
-            written = _then(first_written, written)
+            written = _union(first_written, written)
         elif isinstance(node, (Forall, Exists)):
-            free, written = free - {node.var}, _then((node.var,), written)
+            free, written = free - {node.var}, written | {node.var}
         elif isinstance(node, Assign):
-            written = _then((node.var,), written)
+            written = written | {node.var}
         elif isinstance(node, ODE):
             # Evolved variables are read (their initial values seed the
             # flow); domain-only variables count as free reads, never as
             # bound.
-            evolved = tuple(v for v, _ in node.equations)
+            evolved = {v for v, _ in node.equations}
             names = set(evolved)
             for _, rhs in node.equations:
                 _add_names(rhs, names)
-            free, written = free.union(names), _then(evolved, written)
+            free, written = free.union(names), written.union(evolved)
         # A negation, test or loop has its one child's pair.
         _keep_vars(node, (free, written))
     return free, written
@@ -150,17 +147,10 @@ def _union(a: VarSet, b: VarSet) -> VarSet:
     return a if b <= a else a | b
 
 
-def _then(first: tuple[str, ...], then: tuple[str, ...]) -> tuple[str, ...]:
-    """The names of `first` and then those of `then` it lacks, in order."""
-    if not then or first == then:
-        return first
-    return tuple(dict.fromkeys(first + then)) if first else then
-
-
 def bound_vars(node: Formula | Program) -> VarSet:
     """Variables written (assigned or evolved) or quantified somewhere in
     `node`."""
-    return frozenset(free_and_bound_vars(node)[1])
+    return free_and_bound_vars(node)[1]
 
 
 def must_bound_vars(program: Program) -> VarSet:

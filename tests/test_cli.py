@@ -437,6 +437,70 @@ def test_a_chain_past_the_nesting_limit_is_exit_2_from_any_caller(
             assert (result.exit_code, result.stderr) == (code, line)
 
 
+# Watertank whose controller holds an n-item `;` statement list (n - 1
+# copies of its first statement, then its choice) or an n-item `U` choice.
+_LISTS = {
+    ";": ("  wlm := wl;\n", lambda n: "  wlm := wl;\n" * (n - 1)),
+    "U": ("fin := fin);", lambda n: "fin := fin" + " U fin := fin" * (n - 3) + ");"),
+}
+
+
+@pytest.mark.parametrize("separator", sorted(_LISTS))
+def test_a_list_past_the_nesting_limit_is_exit_2_from_any_caller(
+    capsys, corpus_dir, tmp_path, separator
+):
+    """The parser reads a statement or choice list in a loop, but its
+    tree nests one level per item, as a chain's does. An 800-item list
+    exits 2 with the same line from a fresh interpreter and from `main`
+    in this process, however deep; a 590-item list is accepted from
+    each."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    old, items = _LISTS[separator]
+    for n, code in ((800, 2), (590, 0)):
+        model = tmp_path / f"list{n}.ccs"
+        model.write_text(text.replace(old, items(n), 1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccskit.cli", "check", model],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        line = f"{model}: input nests too deeply to process\n" if code else ""
+        assert (proc.returncode, proc.stderr) == (code, line)
+        for frames in (0, 250):
+            result = _called_deeper(frames, lambda: invoke(capsys, "check", model))
+            assert (result.exit_code, result.stderr) == (code, line)
+
+
+def test_a_model_of_two_systems_loads_the_one_picked(capsys, corpus_dir, tmp_path):
+    """Without `--system`, a model that declares two systems is rejected
+    with one line naming them; with it, the system named is the one
+    checked."""
+    model = tmp_path / "two.ccs"
+    model.write_text((corpus_dir / "watertank.ccs").read_text() + "system other = wlctrl | tank\n")
+    result = invoke(capsys, "check", model)
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"{model}: rejected (CcsError): model declares several systems "
+        "(watertank, other); pick one\n"
+    )
+    for system in ("watertank", "other"):
+        result = invoke(capsys, "check", model, "--system", system)
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["system"] == system
+
+
+@pytest.mark.parametrize("text", ['["wlctrl"]', '{"wlctrl": 1}', '{"1": ["ecu"]}'])
+def test_check_cost_model_of_the_wrong_shape_is_exit_2(capsys, corpus_dir, tmp_path, text):
+    bad = tmp_path / "cost.json"
+    bad.write_text(text)
+    result = invoke(capsys, "check", corpus_dir / "watertank.ccs", "--cost-model", bad)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"bad cost model {bad}: cost model must be a JSON object of name -> resource\n"
+    )
+
+
 def test_simulate_guarantee_nested_too_deeply_is_one_line(capsys, corpus_dir, tmp_path):
     """A monitor Python will not compile fails the simulation with one
     line naming it, as a program nested too deeply does."""

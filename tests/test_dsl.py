@@ -21,7 +21,7 @@ from ccskit.ast import (
 )
 from ccskit.components import Environment
 from ccskit.composition import CostModel
-from ccskit.errors import CcsError, ParseError, UnresolvedName
+from ccskit.errors import CcsError, MissingContract, ParseError, UnresolvedName
 
 CORPUS_FILES = [
     "watertank.ccs",
@@ -57,6 +57,8 @@ def _nested(n: int) -> dict[str, str]:
         "product": "x > y" + " * 1" * n,
         "and": "x > 0" + " & x > 0" * n,
         "or": "x > 0" + " | x > 0" * n,
+        "statements": "[" + "; ".join(["x := 1"] * n) + "] x > 0",
+        "choices": "[(" + " U ".join(["x := 1"] * n) + ")] x > 0",
     }
 
 
@@ -178,7 +180,7 @@ def test_trailing_semicolon_ends_a_statement_list(follow):
     the same program comes out and the same tokens are left."""
 
     def statements(text):
-        p = dsl._Parser(dsl.tokenize(text))
+        p = dsl._Parser(text)
         return p.parse_program(), [t.text for t in p.tokens[p.pos:]]
 
     body = "x := 1; (y := 2 U ?(x > 0)); {x' = 1 & x <= 2}"
@@ -257,6 +259,43 @@ def test_two_invariants_for_one_system_are_rejected():
     with pytest.raises(CcsError) as e:
         dsl.build_components(text)
     assert str(e.value) == "two invariants declared for 's'"
+
+
+_NO_CONTRACT_FOR_P = "contract p { assume true guarantee y >= 0 init true }\n"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (_INVARIANT_MODEL + "contract q { assume true guarantee true init true }\n",
+     UnresolvedName, "unresolved name 'q' in contract declarations"),
+    (_INVARIANT_MODEL.replace("= c |", "= c, d |"), UnresolvedName, "unresolved name 'd' in system 's'"),
+    (_INVARIANT_MODEL.replace("| p", "| p, q"), UnresolvedName, "unresolved name 'q' in system 's'"),
+    (_INVARIANT_MODEL.replace(_NO_CONTRACT_FOR_P, ""), MissingContract, "component 'p' has no contract"),
+], ids=["contract", "controller", "plant", "plant-without-contract"])
+def test_a_name_no_declaration_backs_is_rejected(text, error, message):
+    with pytest.raises(error) as e:
+        dsl.build_components(text)
+    assert str(e.value) == message
+
+
+def test_const_expressions_fold_to_exact_rationals():
+    """`const`, `every` and `within` take a term over the constants
+    declared before, folded exactly: `0.05 + 0.02` is 7/100."""
+    m = dsl.parse(
+        "const fout = 0.75\nconst k = 2 * fout - 1/4\n"
+        "controller c every 0.05 + 0.02 { x := k; }\nplant p within -(-k) { y' = 1 }\n"
+    )
+    assert [c.value for c in m.consts] == [Fraction(3, 4), Fraction(5, 4)]
+    assert m.controllers[0].reactivity == Fraction(7, 100)
+    assert m.plants[0].controllability == Fraction(5, 4)
+
+
+@pytest.mark.parametrize("expr, expected", [
+    ("1/0", "a nonzero divisor"), ("2 * fout2", "a constant (unknown name 'fout2')"),
+])
+def test_a_const_expression_that_does_not_fold_is_a_parse_error_at_its_start(expr, expected):
+    with pytest.raises(ParseError) as e:
+        dsl.parse(f"const fout = 0.75\nconst k = {expr}\n")
+    assert str(e.value) == f"2:11: expected {expected}"
 
 
 def test_an_invariant_named_after_its_system_is_kept():
@@ -404,6 +443,7 @@ DEEPEST = {
     "and": 599, "box": 297, "box-in-test": 74, "forall": 119, "formula-parens": 119,
     "implies": 596, "minus": 595, "not": 595, "or": 599, "product": 599,
     "program-parens": 197, "sum": 599, "term-parens": 119,
+    "statements": 597, "choices": 597,
 }
 
 

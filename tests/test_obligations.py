@@ -290,6 +290,14 @@ def test_bound_name_may_not_leak_into_guarantee(two_tanks_parts):
     assert "guarantee" in str(e.value)
 
 
+def test_bound_name_may_not_leak_into_invariant(two_tanks_parts):
+    _, rcs, _, _, _ = two_tanks_parts
+    leaky = Compare("<=", var("delta_wlctrl1"), num(1))
+    with pytest.raises(BoundOccursInBehavior) as e:
+        obligations_controllers(rcs[0], rcs[1], invariant=leaky)
+    assert str(e.value) == "reactivity constant 'delta_wlctrl1' occurs in invariant"
+
+
 def test_to_json_schema_is_stable(watertank):
     obs = obligations_ccs(watertank)
     by_case = {o.case: o for o in obs}
@@ -1315,3 +1323,18 @@ def test_checking_the_clean_corpus_leaves_no_reference_cycle(corpus_dir):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_grid_past_the_point_cap_is_refused():
+    """Three gridded axes of 59 points are 205,379 points, past
+    MAX_GRID_POINTS (200,000): a CcsError. At 58 points each, 195,112
+    are all checked."""
+    goal = dsl.parse_formula_text("x + y + z >= 0")
+    box = {"x": [0, 1], "y": [0, 1], "z": [0, 1]}
+    with pytest.raises(CcsError) as e:
+        check_bounded(goal, box, grid=59)
+    assert str(e.value) == (
+        "grid of 205379 points exceeds the 200000 cap; pin more variables or lower the grid"
+    )
+    result = check_bounded(goal, box, grid=58)
+    assert (result.status, result.checked, result.total) == ("holds", 195112, 195112)

@@ -1391,3 +1391,23 @@ def test_hand_built_csv_is_the_reference(tmp_path):
     for rows in cases:
         _assert_csv_is_the_reference(_hand_trace(rows), tmp_path)
     assert (tmp_path / "written.csv").read_bytes() == b"time,event\r\n"
+
+
+@pytest.mark.parametrize("clock", ["t", None], ids=["with-t", "without-t"])
+def test_a_hand_built_trace_csv_is_the_reference(clock, tmp_path):
+    """A trace built from its points, not by `run`, is written from them:
+    its variables sorted, a time that is its `t` value or not, an event
+    that needs quoting and a row the same as the one before."""
+    times = [0.0, 0.25, 0.25, 1.0 / 3.0]
+    rows = [{"x": 1.5, "a": -0.0}, {"x": 2.0, "a": 1e-300}]
+    rows += [rows[1], {"x": 2.0, "a": 7.0}]
+    if clock:
+        for time, row in zip(times, rows[:3]):
+            row[clock] = time
+        rows[3] = {**rows[3], clock: 0.3}
+    events = ["init", 'ctrl-fired "c, d"', "ode-step", "ode-step"]
+    points = [TracePoint(*p) for p in zip(times, events, rows)]
+    trace = Trace(points, [], times[-1], False, 0.0)
+    _assert_csv_is_the_reference(trace, tmp_path)
+    header = (tmp_path / "written.csv").read_text().splitlines()[0]
+    assert header == ("time,event,a,t,x" if clock else "time,event,a,x")

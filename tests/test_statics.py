@@ -238,14 +238,14 @@ def test_corpus_controller_sets(watertank):
 # --- the kept pair against a walk that keeps nothing ----------------------
 
 
-def _walked_free_and_bound(node) -> tuple[frozenset, tuple]:
+def _walked_free_and_bound(node) -> tuple[frozenset, frozenset]:
     """The reference for free_and_bound_vars: one walk of the whole tree
     that keeps nothing on it, adding each free name outside the names
-    bound on every path to it and each bound name in walk order."""
+    bound on every path to it and each bound name."""
     free: set[str] = set()
     written: dict[str, None] = {}
     _walk_free(node, frozenset(), free, written)
-    return frozenset(free), tuple(written)
+    return frozenset(free), frozenset(written)
 
 
 def _walk_free(node, bound, free, written) -> None:
@@ -305,8 +305,8 @@ def _assert_kept_pair_is_the_walked_one(node) -> None:
 @given(st.one_of(_NODES, randgen.goals(), randgen.programs(), randgen.goals(randgen.affine_flows())))
 @settings(max_examples=500, deadline=None)
 def test_kept_pair_is_the_walked_one(node):
-    """Free names and bound names in first-bind order, as one walk of
-    the whole tree finds them, on the first call and from the node."""
+    """Free names and bound names, as one walk of the whole tree finds
+    them, on the first call and from the node."""
     _assert_kept_pair_is_the_walked_one(node)
 
 
