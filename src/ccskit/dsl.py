@@ -217,8 +217,8 @@ class ModelSource(Record):
 # unary `-`, two per box, three per program, five per formula or bracketed term.
 # The later passes over a tree (printing, emitting, free variables) recurse as
 # deep as the tree: one frame per link of a left-deep `+ - * / & |` chain, a
-# `;` statement list or a `U` choice list, which the parser reads in a loop, on
-# top of what encloses it less the brackets.
+# `;` statement list, a `U` choice list or the `&` chain of a model's consts,
+# which the parser reads in a loop, on top of what encloses it less the brackets.
 # Both are kept under MAX_NESTING, well under Python's limit of 1000, so a
 # model loads the same from any caller.
 MAX_NESTING = 600
@@ -532,8 +532,11 @@ class _Parser:
                     "a declaration (const / controller / plant / contract / "
                     "invariant / system)"
                 )
+        # The environment is one `&` chain over the consts (see `_environment`),
+        # a list of its own: no other declaration's list lies inside or around it.
+        self.tallest = 0
         return ModelSource(
-            consts=tuple(consts),
+            consts=self.linked(0, len(consts[1:]), tuple(consts)),
             controllers=tuple(controllers),
             plants=tuple(plants),
             contracts=tuple(contracts),

@@ -7,9 +7,12 @@ case, one induction step per loop branch and invariant conjunct, J's
 establishment and its maintenance by each side, and the two mutual
 compatibility conditions. A rule supplies only what differs: the two
 contracts and programs, J, the environment, the controller timestamps,
-its steps, and the notes whose wording is its own. An obligation is a
-closed dL formula plus a discharge hint naming the argument expected to
-close it:
+its steps, and the notes whose wording is its own. Where both sides run
+in the loop (thm1/thm4 and thm2), `_crossed_steps` writes the eight
+steps: each side gives its own two and the wording of its fv-bv note,
+and the helper adds the four crossed ones, each side's run keeping the
+other side's guarantee and assumption. An obligation is a closed dL
+formula plus a discharge hint naming the argument expected to close it:
 
 * component-proof-reuse: the clause restates a component's own contract,
 * fv-bv-separation: the program writes no free variable of the clause,
@@ -248,6 +251,40 @@ def _loop_induction(
     ]
 
 
+def _crossed_steps(theorem: str, a: tuple, b: tuple) -> list[tuple]:
+    """The eight steps of a loop whose two sides both run in it, for
+    `_loop_induction`. Each side is (contract, in-loop program, its own
+    two steps, its fv-bv note with `{}` for the program's writes and for
+    the other guarantee's free variables). In order: a's own two; a's run
+    keeps b's guarantee (fv-bv separation) and b's assumption
+    (compatibility); b's run keeps a's guarantee; b's own two; b's run
+    keeps a's assumption."""
+    (ca, prog_a, own_a, writes_a), (cb, prog_b, own_b, writes_b) = a, b
+
+    def separation(prog: Program, writes: str, guarantee: Formula) -> tuple:
+        names = _fmt_names(bound_vars(prog)), _fmt_names(free_vars(guarantee))
+        return ("fv-bv-separation", prog, guarantee, writes.format(*names))
+
+    return [
+        *own_a,
+        separation(prog_a, writes_a, cb.guarantee),
+        (
+            "compatibility",
+            prog_a,
+            cb.assume,
+            f"follows from step-1 and step-2 with {theorem}.compat.ba",
+        ),
+        separation(prog_b, writes_b, ca.guarantee),
+        *own_b,
+        (
+            "compatibility",
+            prog_b,
+            ca.assume,
+            f"follows from step-6 and step-7 with {theorem}.compat.ab",
+        ),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Closed-loop systems: 15 obligations
 
@@ -267,9 +304,6 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
     cc = ctrl.contract
     pc = plant.require_contract()
     J = system.invariant
-    A_c, G_c = cc.assume, cc.guarantee
-    A_p, G_p = pc.assume, pc.guarantee
-
     inv = _loop_invariant(cc, pc, J)
     ctrl_prog = ctrl.to_program()
     ctrl_bare = choice(*(rc.ctrl for rc in ctrl.choices))
@@ -280,14 +314,13 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
         f"{fraction_to_text(plant.controllability)} (arithmetic, auto-discharged)"
     )
     theorem = "thm1" if len(ctrl.choices) == 1 else "thm4"
-
-    steps = [
+    ctrl_steps = (
         (
             "component-proof-reuse",
             ctrl_prog,
-            conj(A_c, G_c),
+            conj(cc.assume, cc.guarantee),
             "reuses the controller's own inductive step: "
-            + print_formula(Implies(G_c, Box(ctrl_bare, G_c))),
+            + print_formula(Implies(cc.guarantee, Box(ctrl_bare, cc.guarantee))),
         ),
         (
             "composition-invariant",
@@ -295,48 +328,33 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
             J,
             f"reuses the maintenance condition {theorem}.jcmp.ctrl",
         ),
+    )
+    plant_steps = tuple(
         (
-            "fv-bv-separation",
+            "differential-refinement",
+            plant_own,
+            post,
+            "in-system runs are cut short at the reactivity: "
+            + print_formula(Implies(inv, Box(plant_delta, post))),
+            link_note,
+        )
+        for post in (conj(pc.assume, pc.guarantee), J)
+    )
+    steps = _crossed_steps(
+        theorem,
+        (
+            cc,
             ctrl_prog,
-            G_p,
-            "controller writes "
-            + _fmt_names(bound_vars(ctrl_prog))
-            + " avoid the plant guarantee's free variables "
-            + _fmt_names(free_vars(G_p)),
+            ctrl_steps,
+            "controller writes {} avoid the plant guarantee's free variables {}",
         ),
         (
-            "compatibility",
-            ctrl_prog,
-            A_p,
-            f"follows from step-1 and step-2 with {theorem}.compat.ba",
-        ),
-        (
-            "fv-bv-separation",
+            pc,
             plant_delta,
-            G_c,
-            "evolved variables "
-            + _fmt_names(plant.evolved | {CLOCK})
-            + " avoid the controller guarantee's free variables "
-            + _fmt_names(free_vars(G_c)),
+            plant_steps,
+            "evolved variables {} avoid the controller guarantee's free variables {}",
         ),
-        *(
-            (
-                "differential-refinement",
-                plant_own,
-                post,
-                "in-system runs are cut short at the reactivity: "
-                + print_formula(Implies(inv, Box(plant_delta, post))),
-                link_note,
-            )
-            for post in (conj(A_p, G_p), J)
-        ),
-        (
-            "compatibility",
-            plant_delta,
-            A_c,
-            f"follows from step-6 and step-7 with {theorem}.compat.ab",
-        ),
-    ]
+    )
     return _loop_induction(
         theorem,
         ("ctrl", cc, ctrl_prog),
@@ -356,17 +374,6 @@ def obligations_ccs(system: MCCS) -> list[ProofObligation]:
 
 # ---------------------------------------------------------------------------
 # Controller pairs: 15 obligations
-
-
-def _check_bound_is_behavior_free(
-    name: str, where_program: Program | None, guarantee: Formula, invariant: Formula
-) -> None:
-    if where_program is not None and name in all_vars(where_program):
-        raise BoundOccursInBehavior(name, "program")
-    if name in all_vars(guarantee):
-        raise BoundOccursInBehavior(name, "guarantee")
-    if name in all_vars(invariant):
-        raise BoundOccursInBehavior(name, "invariant")
 
 
 def obligations_controllers(
@@ -392,9 +399,12 @@ def obligations_controllers(
     cm = cost_model if cost_model is not None else CostModel.uniform()
     raise_on_violations(non_interference_controllers(am, bm))
     for m in (am, bm):
-        g = m.contract.guarantee
         for rc in m.choices:
-            _check_bound_is_behavior_free(rc.bound_name, rc.ctrl, g, invariant)
+            for where, node in (
+                ("program", rc.ctrl), ("guarantee", m.contract.guarantee), ("invariant", invariant)
+            ):
+                if rc.bound_name in all_vars(node):
+                    raise BoundOccursInBehavior(rc.bound_name, where)
 
     atoms = list(am.choices) + list(bm.choices)
     joint = cost(cm, atoms)
@@ -402,61 +412,33 @@ def obligations_controllers(
     prog_b = choice(*(rc.to_program(bound=joint) for rc in bm.choices))
     own_a = am.to_program()
     own_b = bm.to_program()
-    A_a, G_a = am.contract.assume, am.contract.guarantee
-    A_b, G_b = bm.contract.assume, bm.contract.guarantee
     J = invariant
 
-    def reuse_step(m: MultiChoiceController, prog: Program, own: Program):
+    def own_steps(m: MultiChoiceController, prog: Program, own: Program, label: str):
         clause = conj(m.contract.assume, m.contract.guarantee)
-        return (
-            "component-proof-reuse",
-            prog,
-            clause,
+        reuse_note = (
             "the bound name "
             + ", ".join(rc.bound_name for rc in m.choices)
             + " occurs in neither behavior nor guarantee, so the standalone "
             f"proof transfers to the joint bound {fraction_to_text(joint)}: "
-            + print_formula(Implies(clause, Box(own, clause))),
+            + print_formula(Implies(clause, Box(own, clause)))
         )
-
-    def writes_note(prog: Program, guarantee: Formula) -> str:
         return (
-            "writes "
-            + _fmt_names(bound_vars(prog))
-            + " avoid the other guarantee's free variables "
-            + _fmt_names(free_vars(guarantee))
+            ("component-proof-reuse", prog, clause, reuse_note),
+            (
+                "composition-invariant",
+                prog,
+                J,
+                f"the bound name does not occur in the invariant; reuses thm2.jcmp.{label}",
+            ),
         )
 
-    steps = [
-        reuse_step(am, prog_a, own_a),
-        (
-            "composition-invariant",
-            prog_a,
-            J,
-            "the bound name does not occur in the invariant; reuses thm2.jcmp.a",
-        ),
-        ("fv-bv-separation", prog_a, G_b, writes_note(prog_a, G_b)),
-        (
-            "compatibility",
-            prog_a,
-            A_b,
-            "follows from step-1 and step-2 with thm2.compat.ba",
-        ),
-        ("fv-bv-separation", prog_b, G_a, writes_note(prog_b, G_a)),
-        reuse_step(bm, prog_b, own_b),
-        (
-            "composition-invariant",
-            prog_b,
-            J,
-            "the bound name does not occur in the invariant; reuses thm2.jcmp.b",
-        ),
-        (
-            "compatibility",
-            prog_b,
-            A_a,
-            "follows from step-6 and step-7 with thm2.compat.ab",
-        ),
-    ]
+    writes = "writes {} avoid the other guarantee's free variables {}"
+    steps = _crossed_steps(
+        "thm2",
+        (am.contract, prog_a, own_steps(am, prog_a, own_a, "a"), writes),
+        (bm.contract, prog_b, own_steps(bm, prog_b, own_b, "b"), writes),
+    )
     return _loop_induction(
         "thm2",
         ("a", am.contract, own_a),

@@ -1472,8 +1472,11 @@ def sample_init(init_box: dict, rng: random.Random) -> dict:
     """Draw one init description: each entry box_interval reads becomes
     a float, drawn uniformly from an interval, and `"=var"` aliases pass
     through for complete_init to resolve. An entry box_interval rejects
-    raises ValueError, as in check_bounded.
+    raises ValueError, as in check_bounded, and so does a box that is no
+    dict.
     """
+    if not isinstance(init_box, dict):
+        raise ValueError(f"an init box is a dict of entries, got {init_box!r}")
     out: dict = {}
     for name in sorted(init_box):
         spec = init_box[name]
@@ -1513,7 +1516,9 @@ def run_batch(
     that stops at MAX_ITERATIONS, before the horizon, adds what it ran
     and counts in `truncated_runs`. With `keep_first`, `first_trace` is
     run 0's trace as `run` returns it, or None when run 0 is stuck.
+    Raises ValueError unless `n_schedules` is an int of at least 1.
     """
+    require_counts(n_schedules=n_schedules)
     cs = CompiledSystem(system)
     violations: dict[str, int] = {name: 0 for name, _ in cs.monitors}
     runs_with = 0

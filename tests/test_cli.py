@@ -472,6 +472,30 @@ def test_a_list_past_the_nesting_limit_is_exit_2_from_any_caller(
             assert (result.exit_code, result.stderr) == (code, line)
 
 
+def test_consts_past_the_nesting_limit_are_exit_2_from_any_caller(capsys, corpus_dir, tmp_path):
+    """The parser reads const declarations one by one, but the model's
+    environment is one `&` chain over them, one level per const. Watertank
+    with 800 more consts exits 2 with the same line from a fresh
+    interpreter and from `main` in this process, however deep; with 590
+    more it is accepted from each."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    text = (corpus_dir / "watertank.ccs").read_text()
+    old = "const fout = 0.75\n"
+    for n, code in ((800, 2), (590, 0)):
+        model = tmp_path / f"consts{n}.ccs"
+        model.write_text(text.replace(old, old + "".join(f"const k{i} = {i}\n" for i in range(n))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccskit.cli", "check", model],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        line = f"{model}: input nests too deeply to process\n" if code else ""
+        assert (proc.returncode, proc.stderr) == (code, line)
+        for frames in (0, 250):
+            result = _called_deeper(frames, lambda: invoke(capsys, "check", model))
+            assert (result.exit_code, result.stderr) == (code, line)
+
+
 def test_a_model_of_two_systems_loads_the_one_picked(capsys, corpus_dir, tmp_path):
     """Without `--system`, a model that declares two systems is rejected
     with one line naming them; with it, the system named is the one

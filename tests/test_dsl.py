@@ -457,6 +457,24 @@ def test_each_construct_nests_exactly_to_its_pinned_depth(construct):
         dsl.parse_formula_text(_nested(n + 1)[construct])
 
 
+# The most const declarations a model parses with, as DEEPEST pins each
+# construct's depth: their environment is one `&` chain of a link fewer.
+DEEPEST_CONSTS = 601
+
+
+def test_a_model_declares_at_most_its_pinned_number_of_consts():
+    def consts(n):
+        return "".join(f"const k{i} = {i}\n" for i in range(n))
+
+    first = dsl.parse(consts(DEEPEST_CONSTS))
+    assert len(first.consts) == DEEPEST_CONSTS
+    assert dsl.parse(dsl.serialize_model(first)) == first
+    message = rf"^input nests more than {dsl.MAX_NESTING} levels deep$"
+    for frames in (0, 250):
+        with pytest.raises(RecursionError, match=message):
+            _called_deeper(frames, lambda: dsl.parse(consts(DEEPEST_CONSTS + 1)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(randgen.formulas(randgen.GOAL_NAMES), randgen.goals()))
 def test_printing_the_parsed_print_gives_the_print_back(g):

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -51,6 +52,7 @@ from ccskit.components import (
     make_reactive_controller,
     with_contract,
 )
+from ccskit.composition import CostModel, compose_mccs
 from ccskit.errors import (
     BoundOccursInBehavior,
     CcsError,
@@ -403,6 +405,29 @@ def test_the_exported_prover_files_are_pinned(golden_dir):
         files = [[kyx_filename(ob), hashlib.sha256(render_kyx(ob).encode()).hexdigest()]
                  for ob in obs]
         assert hashlib.sha256(json.dumps(files).encode()).hexdigest() == pin, stem
+
+
+# sha256 of the JSON of the obligations of 60 seeded random pairs of closed
+# loops, `rand_mccs(rng, 0)` and `rand_mccs(rng, 1)` from `Random(seed)`:
+# thm1 of each, thm4 of their composition, thm2 of their controllers and
+# thm3 of their plants. Taken before thm1/thm4 and thm2 built their crossed
+# steps through one helper.
+OBLIGATION_PINS = {"pairs": 60, "obligations": 4200,
+                   "sha256": "4e218b96068b13cca2eb38026245dfd2750f966ed9b767a8c305bd8f3119aacb"}
+
+
+def test_the_obligations_of_random_systems_are_pinned():
+    lists = []
+    for seed in range(OBLIGATION_PINS["pairs"]):
+        rng = random.Random(seed)
+        a, b = randgen.rand_mccs(rng, 0), randgen.rand_mccs(rng, 1)
+        for obs in (obligations_ccs(a), obligations_ccs(b),
+                    obligations_ccs(compose_mccs(a, b, CostModel.uniform())),
+                    obligations_controllers(a.controller, b.controller),
+                    obligations_plants(a.plant, b.plant)):
+            lists.append([ob.to_json() for ob in obs])
+    assert sum(map(len, lists)) == OBLIGATION_PINS["obligations"]
+    assert hashlib.sha256(json.dumps(lists).encode()).hexdigest() == OBLIGATION_PINS["sha256"]
 
 
 def test_render_kyx_keeps_nothing_on_a_parsed_goal(golden_dir):

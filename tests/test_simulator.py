@@ -908,6 +908,25 @@ def test_sample_init_draws_inside_the_box():
     assert draw["fin"] == 1
 
 
+@pytest.mark.parametrize("n, message", [
+    (-2, r"^n_schedules must be at least 1, got -2$"),
+    (True, r"^n_schedules must be an int, got True$"),
+    (2.5, r"^n_schedules must be an int, got 2\.5$"),
+], ids=["negative", "bool", "float"])
+def test_run_batch_rejects_a_count_that_is_no_positive_int(watertank, n, message):
+    box = {"wl": [3.6, 6.4], "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
+    with pytest.raises(ValueError, match=message):
+        run_batch(watertank, n, 0, box)
+
+
+def test_an_init_box_that_is_no_dict_is_rejected(watertank):
+    message = r"^an init box is a dict of entries, got \[1, 2\]$"
+    with pytest.raises(ValueError, match=message):
+        sample_init([1, 2], random.Random(0))
+    with pytest.raises(ValueError, match=message):
+        run_batch(watertank, 1, 0, [1, 2])
+
+
 def test_an_empty_init_interval_is_rejected_as_the_checker_rejects_it(watertank):
     box = {"wl": [6.4, 3.6], "wlm": "=wl", "fin": 1, "t": 0, "tau_1": 0}
     with pytest.raises(ValueError, match=r"^empty interval \[6\.4, 3\.6\]$"):
