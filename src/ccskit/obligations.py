@@ -27,7 +27,8 @@ Rule tags: thm1 (controller + plant), thm2 (controller pair), thm3
 (plant pair), thm4 (controller family + plant, same shape as thm1).
 
 `check_bounded` is not a prover. It grids the antecedent box, unrolls
-loops, samples ODE flows, and reports `holds` only in the sense of
+each loop LOOP_CAP passes deep, as a simulated controller firing does,
+samples ODE flows, and reports `holds` only in the sense of
 "no counterexample in this finite exploration"; the caveat field always
 spells out the truncations. The simulator's `box_interval` reads each
 box entry, and its `compile_check` turns a goal into one generated grid
@@ -81,7 +82,7 @@ from .composition import (
     raise_on_violations,
 )
 from .errors import BoundOccursInBehavior, CcsError
-from .simulator import alias_root, box_interval, compile_check, require_counts, slots_of
+from .simulator import LOOP_CAP, alias_root, box_interval, compile_check, require_counts, slots_of
 from .statics import all_vars, bound_vars, free_and_bound_vars, free_vars
 
 HINTS = frozenset(
@@ -543,8 +544,6 @@ def _axis(domain_box: dict, name: str, grid: int) -> tuple[float, ...]:
 
 
 MAX_GRID_POINTS = 200000
-# Passes of each loop body the bounded search unrolls.
-CHECK_UNROLL = 2
 
 
 def check_bounded(
@@ -606,7 +605,7 @@ def check_bounded(
         columns = tuple(column.get(roots.get(n, n)) for n in layout)
         sides = (goal.left, goal.right) if isinstance(goal, Implies) else (TRUE, goal)
         kept = (key, layout, compile_check(
-            *sides, slots_of(layout), columns, looped, CHECK_UNROLL, flow_samples))
+            *sides, slots_of(layout), columns, looped, flow_samples))
         if ob is not None:
             object.__setattr__(ob, "_compiled", kept)
     _, layout, search = kept
@@ -646,7 +645,7 @@ def _named(layout: tuple[str, ...], s: tuple) -> dict[str, float]:
 
 def _caveat(grid: int, flow_samples: int, incomplete: bool, checked: int) -> str:
     parts = [
-        f"bounded search: grid {grid} per axis, loops unrolled {CHECK_UNROLL} deep, "
+        f"bounded search: grid {grid} per axis, loops unrolled {LOOP_CAP} deep, "
         f"flows sampled at {flow_samples} points"
     ]
     if incomplete:

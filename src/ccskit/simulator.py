@@ -412,14 +412,10 @@ class FlowSegment:
                 f"if dt > 0.0 and {held} and (_k := ({slopes})) else _slow(s, dt)"
             )
             return
-        # slopes(state): the right-hand sides, in equation order;
-        # _shift(state, k, c): state + c * k, as RK4 writes it. A failure
+        # slopes(state): the right-hand sides, in equation order. A failure
         # names the ODE, as a program.
         self.slopes = _guarded(ode, lambda: compile_tuple(
             "s", [emit_term(e, slots) for _, e in ode.equations]))
-        if not self.exact:
-            self._shift = _guarded(ode, lambda: compile_source(
-                "s, k, c", emit_update(width, {i: f"(s[{i}] + (c * k[{j}]))" for j, i in moved})))
         # (slot of x, e) per domain conjunct `x <= e` or `x < e` on an
         # evolved x; `scanned` sizes its scan step from them.
         self.upper_bounds = _guarded(ode.domain, lambda: tuple(
@@ -442,7 +438,9 @@ class FlowSegment:
         self.domain_formula, lambda: compile_source("s, k, dt", self._at), what="flow domain"))
 
     def _rk4_step(self, state: State, h: float) -> State:
-        f, shift = self.slopes, self._shift
+        # RK4's `state + c * k` is `at`'s `state + k * c`: IEEE-754
+        # multiplication commutes, bit for bit.
+        f, shift = self.slopes, self.at
         k1 = f(state)
         k2 = f(shift(state, k1, 0.5 * h))
         k3 = f(shift(state, k2, 0.5 * h))
@@ -600,11 +598,8 @@ def flow_states(seg: FlowSegment, n_samples: int) -> Callable[[State, Callable],
 # ---------------------------------------------------------------------------
 # Program semantics, shared by the simulator and the bounded checker
 
+# Passes of each loop body a firing and the bounded checker unroll.
 LOOP_CAP = 8
-
-
-def _state_key(s: State) -> tuple:
-    return tuple(None if v is None else round(v, 12) for v in s)
 
 
 def _emit_program(p: Program, slots: Slots, helper: Callable[[Program], str]) -> str:
@@ -714,7 +709,6 @@ def _compile(
     node: Program | Formula,
     emit: Callable[[Program | Formula, Slots, Callable[[Program], str]], str],
     slots: Slots,
-    unroll: int = LOOP_CAP,
     flow_samples: int = 32,
 ) -> Callable:
     """What the source `emit(node, slots, helper)` makes, compiled once:
@@ -724,26 +718,26 @@ def _compile(
     partial.
 
     `helper(q)` is the call text `_h[i](s, cut)` of a program `q` that
-    runs as a helper: a loop yields the distinct states (by `_state_key`)
-    reachable in at most `unroll` passes of its body, an ODE the
-    `flow_samples`-point sampler `flow_states` makes, and any other
-    program what `compile_program_over` gives. `cut()` is called
-    whenever a loop or a flow has more states than those bounds reach.
-    `q` keeps the function per layout and bounds (see ast.Node), so a
-    program or flow the obligations of a composition share is built once.
+    runs as a helper: a loop yields the distinct states (by tuple
+    equality, the first of equal ones kept) reachable in at most
+    LOOP_CAP passes of its body, an ODE the `flow_samples`-point sampler
+    `flow_states` makes, and any other program what
+    `compile_program_over` gives. `cut()` is called whenever a loop or a
+    flow has more states than those bounds reach. `q` keeps the function
+    per layout and `flow_samples` (see ast.Node), so a program or flow
+    the obligations of a composition share is built once.
 
     Raises ValueError when `flow_samples` is not an int of at least 1,
     and CcsError naming `node` (see `_guarded`) when printing or
     compiling the source nests past Python's limits.
     """
     require_counts(flow_samples=flow_samples)
-    bounds = (unroll, flow_samples)
     helpers: list[Callable[[State, Callable[[], None]], list[State]]] = []
 
     def helper(q: Program) -> str:
         kept = getattr(q, "_emitted", None)
-        if kept is None or kept[0] is not slots or kept[1] != bounds:
-            kept = (slots, bounds, _helper_function(q, slots, unroll, flow_samples))
+        if kept is None or kept[0] is not slots or kept[1] != flow_samples:
+            kept = (slots, flow_samples, _helper_function(q, slots, flow_samples))
             _keep_source(q, kept)
         helpers.append(kept[2])
         return f"_h[{len(helpers) - 1}](s, cut)"
@@ -751,33 +745,33 @@ def _compile(
     return _guarded(node, lambda: compile_source("_h", emit(node, slots, helper))(tuple(helpers)))
 
 
-def _helper_function(q: Program, slots: Slots, unroll: int, flow_samples: int) -> Callable:
+def _helper_function(q: Program, slots: Slots, flow_samples: int) -> Callable:
     """The function `(s, cut)` that `_compile`'s `helper` runs `q` as."""
     if isinstance(q, ODE):
         return flow_states(FlowSegment(q, slots), flow_samples)
     if not isinstance(q, Program):
         raise TypeError(f"not a program: {q!r}")
     if not isinstance(q, Loop):
-        return compile_program_over(q, slots, unroll, flow_samples)
-    body = compile_program_over(q.body, slots, unroll, flow_samples)
+        return compile_program_over(q, slots, flow_samples)
+    body = compile_program_over(q.body, slots, flow_samples)
 
     def unrolled(s: State, cut, _b=body) -> list[State]:
-        seen = {_state_key(s): s}
+        seen = {s: s}
         frontier = [s]
-        for _ in range(unroll):  # each pass's new states, each kept once, in order
-            frontier = [seen.setdefault(k, r) for st in frontier for r in _b(st, cut)
-                        if (k := _state_key(r)) not in seen]
+        for _ in range(LOOP_CAP):  # each pass's new states, each kept once, in order
+            frontier = [seen.setdefault(r, r) for st in frontier for r in _b(st, cut)
+                        if r not in seen]
             if not frontier:
                 break
         if frontier:
             cut()
-        return list(seen.values())
+        return list(seen)
 
     return unrolled
 
 
 def compile_program_over(
-    p: Program, slots: Slots, unroll: int = LOOP_CAP, flow_samples: int = 32
+    p: Program, slots: Slots, flow_samples: int = 32
 ) -> Callable[[State, Callable[[], None]], list[State]]:
     """The relational semantics of `p` over the layout `slots`, compiled
     once to one generated expression (see _emit_program): a function
@@ -786,7 +780,7 @@ def compile_program_over(
 
     A failed test yields no state, a choice the states of each
     alternative in turn, and loops and ODEs what `_compile`'s helpers
-    give at the bounds `unroll` and `flow_samples`. The bounded checker
+    give: LOOP_CAP passes and `flow_samples` points. The bounded checker
     enumerates the result; the simulator fires one of its states.
 
     Raises ValueError when `flow_samples` is not an int of at least 1,
@@ -796,18 +790,19 @@ def compile_program_over(
     about 200 levels printing the expression recurses too deeply.
     """
     return _compile(p, lambda p, slots, helper: "lambda s, cut: " + _emit_program(
-        p, slots, helper), slots, unroll, flow_samples)
+        p, slots, helper), slots, flow_samples)
 
 
 def compile_goal(
-    f: Formula, slots: Slots, unroll: int = LOOP_CAP, flow_samples: int = 32
+    f: Formula, slots: Slots, flow_samples: int = 32
 ) -> Callable[[State, Callable, Callable, Callable], bool]:
     """`f` compiled once to a function `(s, axis, cut, fail)`: the
     expression `_emit_goal` prints, with its loop defs, its box programs
-    run as `_compile`'s helpers at the bounds `unroll` and
-    `flow_samples`. Raises ValueError when `flow_samples` is not an int
-    of at least 1, and CcsError when Python will not compile it."""
-    return _compile(f, _goal_source, slots, unroll, flow_samples)
+    run as `_compile`'s helpers: LOOP_CAP passes of a loop and
+    `flow_samples` points of a flow. Raises ValueError when
+    `flow_samples` is not an int of at least 1, and CcsError when Python
+    will not compile it."""
+    return _compile(f, _goal_source, slots, flow_samples)
 
 
 def conjunct_tests(f: Formula, slots: Slots) -> tuple[str, ...] | None:
@@ -892,7 +887,7 @@ def _implied(*_args) -> bool:
 
 def compile_check(
     pre: Formula, post: Formula, slots: Slots, columns: tuple[int | None, ...],
-    looped: tuple[bool, ...], unroll: int = LOOP_CAP, flow_samples: int = 32,
+    looped: tuple[bool, ...], flow_samples: int = 32,
 ) -> Callable[..., tuple[int, int, State | None]]:
     """The goal `pre -> post` over the layout `slots`, compiled to one
     grid search for grids of the shape `looped` (which axes hold more
@@ -906,15 +901,15 @@ def compile_check(
     `columns[i]`, or None. `pre` is tested by its conjunct_tests, each at
     the outermost loop that binds what it reads, or whole at each point
     (see _search_source), and only then compiled by compile_goal; `post`
-    by compile_goal at the bounds `unroll` and `flow_samples`, unless
+    by compile_goal at LOOP_CAP passes and `flow_samples` points, unless
     `pre` tests each of its conjuncts. Raises CcsError naming `pre` when
     Python will not compile the search."""
     tests = conjunct_tests(pre, slots)
     post_tests = None if tests is None else conjunct_tests(post, slots)
     implied = post_tests is not None and set(post_tests) <= set(tests)
-    holds = _implied if implied else compile_goal(post, slots, unroll, flow_samples)
+    holds = _implied if implied else compile_goal(post, slots, flow_samples)
     source, calls_pre = _search_source(tests, columns, looped)
-    whole = compile_goal(pre, slots, unroll, flow_samples) if calls_pre else None
+    whole = compile_goal(pre, slots, flow_samples) if calls_pre else None
     return _guarded(pre, lambda: compile_source("pre, post", source)(whole, holds))
 
 

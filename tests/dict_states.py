@@ -13,7 +13,6 @@ in a direct evaluation of the dict.
 """
 
 from ccskit.simulator import (
-    LOOP_CAP,
     compile_program_over,
     compile_source,
     emit_formula,
@@ -52,12 +51,12 @@ def formula_on_dicts(f):
     return _on_dicts(emit_formula, f)
 
 
-def program_on_dicts(p, unroll=LOOP_CAP, cut=lambda: None):
+def program_on_dicts(p, cut=lambda: None):
     """`p` as a function from a dict state to the list of its final
     states, each the input dict updated with the slots the path set.
     Every name `p` reads before writing it must be in the input."""
     layout = tuple(sorted(all_vars(p)))
-    fn = compile_program_over(p, slots_of(layout), unroll)
+    fn = compile_program_over(p, slots_of(layout))
 
     def run(d: dict) -> list[dict]:
         finals = fn(tuple(d.get(n) for n in layout), cut)

@@ -32,6 +32,7 @@ from ccskit.simulator import (
     write_trace_csv,
 )
 from test_dsl import _called_deeper
+from test_obligations import LOOPED_MODEL
 
 
 class Result(NamedTuple):
@@ -889,6 +890,22 @@ def test_simulate_uses_init_convention(capsys, corpus_dir):
     assert payload["runs"] == 5
     assert payload["runs_with_violations"] == 0
     assert all(v == 0 for v in payload["violations"].values())
+
+
+def test_simulate_violates_a_looped_guarantee_in_every_run(capsys, tmp_path):
+    """Each firing unrolls the loop LOOP_CAP passes, so m reaches 8 and
+    the controller's guarantee `m <= 2` fails in every run, as the
+    bounded checker's counterexample to thm1.step.1 says it can."""
+    model = tmp_path / "looped.ccs"
+    model.write_text(LOOPED_MODEL)
+    init = tmp_path / "looped.init.json"
+    init.write_text(json.dumps({"m": 0, "x": [0, 1], "t": 0, "tau_1": 0}))
+    result = invoke(capsys, "simulate", model, "--schedules", 20, "--seed", 1)
+    assert result.exit_code == 1
+    payload = json.loads(result.stdout)
+    assert payload["runs_with_violations"] == 20
+    assert payload["violations"]["G[c]"] > 0 == payload["violations"]["G[p]"]
+    assert payload["variable_ranges"]["m"] == [0.0, 8.0]
 
 
 def test_simulate_missing_init_is_exit_2(capsys, corpus_dir, tmp_path):

@@ -70,6 +70,7 @@ from ccskit.errors import (
 )
 from ccskit.obligations import check_bounded, obligations_ccs
 from ccskit.simulator import (
+    LOOP_CAP,
     STRATEGIES,
     CompiledSystem,
     FlowSegment,
@@ -756,16 +757,25 @@ def test_firing_draws_among_several_final_states():
 def test_loops_yield_the_distinct_states_within_the_unroll_bound():
     body = dsl.parse_program_text("?(x < 2); x := x + 1")
     truncated = []
-    loop = program_on_dicts(Loop(body), unroll=3, cut=lambda: truncated.append(1))
+    loop = program_on_dicts(Loop(body), cut=lambda: truncated.append(1))
     assert loop({"x": 0.0}) == [{"x": 0.0}, {"x": 1.0}, {"x": 2.0}]
     assert truncated == []
     counter = program_on_dicts(
         Loop(dsl.parse_program_text("x := x + 1")),
-        unroll=3,
         cut=lambda: truncated.append(1),
     )
-    assert [s["x"] for s in counter({"x": 0.0})] == [0.0, 1.0, 2.0, 3.0]
+    assert [s["x"] for s in counter({"x": 0.0})] == [float(i) for i in range(LOOP_CAP + 1)]
     assert truncated == [1]
+    # States are told apart exactly: 1e-13 steps stay distinct, while
+    # -0.0 equals 0.0 and the first of the two is kept.
+    tiny = program_on_dicts(
+        Loop(dsl.parse_program_text("x := x + 0.0000000000001")),
+        cut=lambda: truncated.append(1),
+    )
+    assert len(tiny({"x": 0.0})) == LOOP_CAP + 1
+    assert truncated == [1, 1]
+    flip = program_on_dicts(Loop(dsl.parse_program_text("x := -x")))
+    assert [struct.pack("d", s["x"]) for s in flip({"x": 0.0})] == [struct.pack("d", 0.0)]
 
 
 def _tree_program(p, s):
